@@ -313,13 +313,7 @@ def exp_series_tail(generator: HermitianOperator, start: int) -> np.ndarray:
     ``start`` (exp(iH) is exact via the spectral decomposition)."""
     if start < 1:
         raise ParameterError("tail must start at order >= 1")
-    ih = 1j * generator.matrix
-    dim = generator.dim
-    partial = np.zeros((dim, dim), dtype=np.complex128)
-    term = np.eye(dim, dtype=np.complex128)
-    for m in range(start):
-        partial += term
-        term = term @ ih / (m + 1)
+    partial = sum(_exp_term_cache(generator.matrix, start - 1))
     return unitary_exponential(generator) - partial
 
 
@@ -393,13 +387,12 @@ def taylor_remainder_unitary(spec: RemainderSpec, method: str = "moi") -> np.nda
         gen = HermitianOperator(spec.perturbations[slot])
         rotator = unitary_exponential(gen)
         rotated = UnitaryOperator(rotator @ base.matrix)
+        g_terms = _exp_term_cache(gen.matrix, k)
         if method == "direct":
-            g_terms = _exp_term_cache(gen.matrix, k)
             value = polynomial_of_matrix(phi, rotated.matrix)
             for ell in range(k):
                 value = value - _unitary_taylor_term(phi, base.matrix, g_terms, ell)
         else:
-            g_terms = _exp_term_cache(gen.matrix, k)
             tails = {
                 start: exp_series_tail(gen, start) for start in range(1, k + 1)
             }

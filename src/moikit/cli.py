@@ -42,7 +42,7 @@ from .harness import convergence_in_mean_check, run_tail_bound
 from .moi import MoiRequest, moi_evaluate
 from .operators import sample_haar_unitary
 from .polyapprox import decompose_inner_powers, to_linear_products
-from .tensors import mti_evaluate
+from .tensors import shared_mode_dims, unfold, unfold_array
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,6 +68,8 @@ def _configure_logging():
 
 
 def _require_schema_version(payload, path="input"):
+    if not isinstance(payload, dict):
+        raise ValidationError("expected an object", path=path)
     version = payload.get("schema_version")
     if version != ser.SCHEMA_VERSION:
         raise ValidationError(
@@ -77,8 +79,25 @@ def _require_schema_version(payload, path="input"):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: payload dict -> (output dict, exit code)
+# Command handlers: handler(payload, args) parses and validates the
+# payload, then returns a zero-argument ``run`` that does the computation and
+# returns (output dict, exit code).  ``validate`` calls the parse step only.
 # ---------------------------------------------------------------------------
+
+
+def _positive_order(payload) -> int:
+    order = payload.get("order")
+    if not isinstance(order, int) or order < 1:
+        raise ValidationError("order must be a positive integer", path="input.order")
+    return order
+
+
+def _matrix_output(value) -> tuple[dict, int]:
+    return {
+        "schema_version": ser.SCHEMA_VERSION,
+        "kind": "matrix_result",
+        "value": ser.matrix_to_json(value),
+    }, EXIT_OK
 
 
 def _handle_moi_eval(payload, args):
@@ -107,14 +126,18 @@ def _handle_moi_eval(payload, args):
         ser.parse_matrix(m, f"input.arguments[{i}]") for i, m in enumerate(args_json)
     )
     request = MoiRequest(operators, integrand, arguments)
-    result = moi_evaluate(request)
-    return {
-        "schema_version": ser.SCHEMA_VERSION,
-        "kind": "moi_result",
-        "value": ser.matrix_to_json(result.value),
-        "eigen_tuple_count": result.eigen_tuple_count,
-        "wall_time_s": result.wall_time,
-    }, EXIT_OK
+
+    def run():
+        result = moi_evaluate(request)
+        return {
+            "schema_version": ser.SCHEMA_VERSION,
+            "kind": "moi_result",
+            "value": ser.matrix_to_json(result.value),
+            "eigen_tuple_count": result.eigen_tuple_count,
+            "wall_time_s": result.wall_time,
+        }, EXIT_OK
+
+    return run
 
 
 def _handle_frechet(payload, args):
@@ -122,12 +145,7 @@ def _handle_frechet(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     direction = ser.parse_matrix(payload.get("direction", {}), "input.direction")
-    value = frechet_derivative(f, operator, direction)
-    return {
-        "schema_version": ser.SCHEMA_VERSION,
-        "kind": "matrix_result",
-        "value": ser.matrix_to_json(value),
-    }, EXIT_OK
+    return lambda: _matrix_output(frechet_derivative(f, operator, direction))
 
 
 def _handle_kth_deriv(payload, args):
@@ -135,15 +153,8 @@ def _handle_kth_deriv(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     direction = ser.parse_matrix(payload.get("direction", {}), "input.direction")
-    order = payload.get("order")
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError("order must be a positive integer", path="input.order")
-    value = kth_derivative(f, operator, direction, order)
-    return {
-        "schema_version": ser.SCHEMA_VERSION,
-        "kind": "matrix_result",
-        "value": ser.matrix_to_json(value),
-    }, EXIT_OK
+    order = _positive_order(payload)
+    return lambda: _matrix_output(kth_derivative(f, operator, direction, order))
 
 
 def _handle_higher_diff(payload, args):
@@ -151,29 +162,29 @@ def _handle_higher_diff(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     step = ser.parse_matrix(payload.get("step", {}), "input.step")
-    order = payload.get("order")
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError("order must be a positive integer", path="input.order")
-    value = higher_difference(f, operator, step, order)
-    out = {
-        "schema_version": ser.SCHEMA_VERSION,
-        "kind": "higher_difference_result",
-        "value": ser.matrix_to_json(value),
-    }
-    if payload.get("include_moi_diagnostic", False):
-        diag = higher_difference_moi_diagnostic(f, operator, step, order)
-        out["moi_diagnostic"] = {
-            "abs_deviation": diag["abs_deviation"],
-            "rel_deviation": diag["rel_deviation"],
+    order = _positive_order(payload)
+    include_diagnostic = payload.get("include_moi_diagnostic", False)
+
+    def run():
+        out = {
+            "schema_version": ser.SCHEMA_VERSION,
+            "kind": "higher_difference_result",
+            "value": ser.matrix_to_json(higher_difference(f, operator, step, order)),
         }
-    return out, EXIT_OK
+        if include_diagnostic:
+            diag = higher_difference_moi_diagnostic(f, operator, step, order)
+            out["moi_diagnostic"] = {
+                "abs_deviation": diag["abs_deviation"],
+                "rel_deviation": diag["rel_deviation"],
+            }
+        return out, EXIT_OK
+
+    return run
 
 
 def _handle_remainder(payload, args):
     _require_schema_version(payload)
-    order = payload.get("order")
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError("order must be a positive integer", path="input.order")
+    order = _positive_order(payload)
     flavor = payload.get("flavor")
     if flavor not in ("self_adjoint", "unitary"):
         raise ValidationError("flavor must be self_adjoint or unitary",
@@ -181,15 +192,12 @@ def _handle_remainder(payload, args):
     slots_json = payload.get("slots")
     if not isinstance(slots_json, list) or not slots_json:
         raise ValidationError("slots must be a non-empty list", path="input.slots")
+    parse_base = ser.parse_hermitian if flavor == "self_adjoint" else ser.parse_unitary
     functions, bases, perturbations = [], [], []
     for i, slot in enumerate(slots_json):
         spath = f"input.slots[{i}]"
         functions.append(ser.parse_scalar_function(slot.get("f", {}), spath + ".f"))
-        base_json = slot.get("base", {})
-        if flavor == "self_adjoint":
-            bases.append(ser.parse_hermitian(base_json, spath + ".base"))
-        else:
-            bases.append(ser.parse_unitary(base_json, spath + ".base"))
+        bases.append(parse_base(slot.get("base", {}), spath + ".base"))
         perturbations.append(
             ser.parse_matrix(slot.get("perturbation", {}), spath + ".perturbation")
         )
@@ -208,15 +216,19 @@ def _handle_remainder(payload, args):
     if method not in ("direct", "moi", "both"):
         raise ValidationError("method must be direct, moi, or both",
                               path="input.method")
-    out = {"schema_version": ser.SCHEMA_VERSION, "kind": "remainder_result"}
-    if method == "both":
-        direct = evaluate(spec, "direct")
-        moi = evaluate(spec, "moi")
-        out["value"] = ser.matrix_to_json(moi)
-        out["method_deviation"] = float(np.max(np.abs(direct - moi)))
-    else:
-        out["value"] = ser.matrix_to_json(evaluate(spec, method))
-    return out, EXIT_OK
+
+    def run():
+        out = {"schema_version": ser.SCHEMA_VERSION, "kind": "remainder_result"}
+        if method == "both":
+            direct = evaluate(spec, "direct")
+            moi = evaluate(spec, "moi")
+            out["value"] = ser.matrix_to_json(moi)
+            out["method_deviation"] = float(np.max(np.abs(direct - moi)))
+        else:
+            out["value"] = ser.matrix_to_json(evaluate(spec, method))
+        return out, EXIT_OK
+
+    return run
 
 
 def _handle_tailbound(payload, args):
@@ -224,9 +236,13 @@ def _handle_tailbound(payload, args):
     if args.seed is not None:
         payload = {**payload, "seed": args.seed}
     experiment = ser.parse_experiment(payload, "input")
-    report = run_tail_bound(experiment, workers=args.workers)
-    code = EXIT_OK if report.all_satisfied else EXIT_BOUND_VIOLATION
-    return report.to_dict(), code
+
+    def run():
+        report = run_tail_bound(experiment, workers=args.workers)
+        code = EXIT_OK if report.all_satisfied else EXIT_BOUND_VIOLATION
+        return report.to_dict(), code
+
+    return run
 
 
 def _handle_conv_mean(payload, args):
@@ -248,18 +264,22 @@ def _handle_conv_mean(payload, args):
         if key not in payload:
             raise ValidationError(f"missing field {key!r}", path="input")
     seed = args.seed if args.seed is not None else payload["seed"]
-    report = convergence_in_mean_check(
-        model,
-        float(payload["epsilon0"]),
-        int(payload["steps"]),
-        int(r),
-        f,
-        order,
-        arguments,
-        int(payload["samples"]),
-        int(seed),
-    )
-    return report, EXIT_OK
+
+    def run():
+        report = convergence_in_mean_check(
+            model,
+            float(payload["epsilon0"]),
+            int(payload["steps"]),
+            int(r),
+            f,
+            order,
+            arguments,
+            int(payload["samples"]),
+            int(seed),
+        )
+        return report, EXIT_OK
+
+    return run
 
 
 def _handle_poly_decompose(payload, args):
@@ -267,25 +287,29 @@ def _handle_poly_decompose(payload, args):
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    rng = np.random.default_rng(int(seed))
-    form = decompose_inner_powers(poly, rng)
-    products = to_linear_products(form)
-    probe_rng = np.random.default_rng(12345)
-    probes = probe_rng.uniform(-1.0, 1.0, size=(100, poly.arity))
-    residual = float(
-        np.max(np.abs(form.evaluate_many(probes) - poly.evaluate_many(probes)))
-    )
-    product_residual = float(
-        np.max(np.abs(products.evaluate_many(probes) - form.evaluate_many(probes)))
-    )
-    return {
-        "schema_version": ser.SCHEMA_VERSION,
-        "kind": "polynomial_decomposition_result",
-        "inner_power_form": ser.inner_power_form_to_json(form),
-        "linear_product_form": ser.linear_product_form_to_json(products),
-        "probe_residual": residual,
-        "product_form_residual": product_residual,
-    }, EXIT_OK
+
+    def run():
+        rng = np.random.default_rng(int(seed))
+        form = decompose_inner_powers(poly, rng)
+        products = to_linear_products(form)
+        probe_rng = np.random.default_rng(12345)
+        probes = probe_rng.uniform(-1.0, 1.0, size=(100, poly.arity))
+        residual = float(
+            np.max(np.abs(form.evaluate_many(probes) - poly.evaluate_many(probes)))
+        )
+        product_residual = float(
+            np.max(np.abs(products.evaluate_many(probes) - form.evaluate_many(probes)))
+        )
+        return {
+            "schema_version": ser.SCHEMA_VERSION,
+            "kind": "polynomial_decomposition_result",
+            "inner_power_form": ser.inner_power_form_to_json(form),
+            "linear_product_form": ser.linear_product_form_to_json(products),
+            "probe_residual": residual,
+            "product_form_residual": product_residual,
+        }, EXIT_OK
+
+    return run
 
 
 def _handle_mti_eval(payload, args):
@@ -297,24 +321,30 @@ def _handle_mti_eval(payload, args):
     tensors = [
         ser.parse_tensor(t, f"input.tensors[{i}]") for i, t in enumerate(tensors_json)
     ]
+    dims = shared_mode_dims(tensors)
     integrand = ser.parse_integrand(payload.get("integrand", {}), "input.integrand")
     args_json = payload.get("arguments", [])
     arguments = [
         ser.parse_tensor_argument(t, f"input.arguments[{i}]")
         for i, t in enumerate(args_json)
     ]
-    value = mti_evaluate(tensors, integrand, arguments)
-    entries = value.entries if hasattr(value, "entries") else value
-    dims = tensors[0].mode_dims
-    count = 1
-    for t in tensors:
-        count *= t.flat_dim
-    return {
-        "schema_version": ser.SCHEMA_VERSION,
-        "kind": "mti_result",
-        "value": ser.tensor_argument_to_json(entries, dims),
-        "eigen_tuple_count": count,
-    }, EXIT_OK
+    # the unfolded request checks arity, argument count and argument modes
+    request = MoiRequest(
+        tuple(unfold(t) for t in tensors),
+        integrand,
+        tuple(unfold_array(a, dims) for a in arguments),
+    )
+
+    def run():
+        result = moi_evaluate(request)
+        return {
+            "schema_version": ser.SCHEMA_VERSION,
+            "kind": "mti_result",
+            "value": ser.tensor_argument_to_json(result.value, dims),
+            "eigen_tuple_count": result.eigen_tuple_count,
+        }, EXIT_OK
+
+    return run
 
 
 def _handle_haar(args):
@@ -378,8 +408,9 @@ _OUTPUT_KINDS = (
 # ---------------------------------------------------------------------------
 
 
-def _validate_payload(payload, command: str | None) -> dict:
-    """Structured diagnostics for a payload, never raising."""
+def _validate_payload(payload, command: str | None, args) -> dict:
+    """Structured diagnostics for a payload, never raising.  A command
+    payload goes through exactly that command's parse step."""
     diagnostics: list[str] = []
     matched = None
     kind = payload.get("kind") if isinstance(payload, dict) else None
@@ -391,15 +422,11 @@ def _validate_payload(payload, command: str | None) -> dict:
     if command is None and kind in _KIND_TO_COMMAND:
         command = _KIND_TO_COMMAND[kind]
     if command is not None:
-        checker = _INPUT_CHECKERS.get(command)
-        if checker is None:
-            diagnostics.append(f"command: no validator for {command!r}")
-        else:
-            try:
-                checker(payload)
-                matched = command
-            except MoikitError as err:
-                diagnostics.append(str(err))
+        try:
+            _HANDLERS[command](payload, args)
+            matched = command
+        except MoikitError as err:
+            diagnostics.append(str(err))
     elif kind in _OUTPUT_KINDS:
         matched = kind
     else:
@@ -421,118 +448,6 @@ def _validate_payload(payload, command: str | None) -> dict:
         "diagnostics": diagnostics,
         "summary": summary,
     }
-
-
-def _make_input_checkers():
-    """Parse-only validators per command (no computation)."""
-
-    def moi_eval(payload):
-        _require_schema_version(payload)
-        ops = payload.get("operators")
-        if not isinstance(ops, list) or len(ops) < 2:
-            raise ValidationError("operators must list at least two matrices",
-                                  path="input.operators")
-        kind = payload.get("operator_kind", "hermitian")
-        parse_op = ser.parse_hermitian if kind == "hermitian" else ser.parse_unitary
-        operators = tuple(
-            parse_op(m, f"input.operators[{i}]") for i, m in enumerate(ops)
-        )
-        integrand = ser.parse_integrand(payload.get("integrand", {}),
-                                        "input.integrand")
-        args_json = payload.get("arguments", [])
-        arguments = tuple(
-            ser.parse_matrix(m, f"input.arguments[{i}]")
-            for i, m in enumerate(args_json)
-        )
-        MoiRequest(operators, integrand, arguments)
-
-    def tailbound(payload):
-        _require_schema_version(payload)
-        ser.parse_experiment(payload, "input")
-
-    def frechet(payload):
-        _require_schema_version(payload)
-        ser.parse_scalar_function(payload.get("f", {}), "input.f")
-        ser.parse_hermitian(payload.get("operator", {}), "input.operator")
-        ser.parse_matrix(payload.get("direction", {}), "input.direction")
-
-    def kth(payload):
-        frechet(payload)
-        if not isinstance(payload.get("order"), int) or payload["order"] < 1:
-            raise ValidationError("order must be a positive integer",
-                                  path="input.order")
-
-    def higher(payload):
-        _require_schema_version(payload)
-        ser.parse_scalar_function(payload.get("f", {}), "input.f")
-        ser.parse_hermitian(payload.get("operator", {}), "input.operator")
-        ser.parse_matrix(payload.get("step", {}), "input.step")
-        if not isinstance(payload.get("order"), int) or payload["order"] < 1:
-            raise ValidationError("order must be a positive integer",
-                                  path="input.order")
-
-    def remainder(payload):
-        _require_schema_version(payload)
-        if payload.get("flavor") not in ("self_adjoint", "unitary"):
-            raise ValidationError("flavor must be self_adjoint or unitary",
-                                  path="input.flavor")
-        slots = payload.get("slots")
-        if not isinstance(slots, list) or not slots:
-            raise ValidationError("slots must be a non-empty list",
-                                  path="input.slots")
-        for i, slot in enumerate(slots):
-            spath = f"input.slots[{i}]"
-            ser.parse_scalar_function(slot.get("f", {}), spath + ".f")
-            if payload["flavor"] == "self_adjoint":
-                ser.parse_hermitian(slot.get("base", {}), spath + ".base")
-            else:
-                ser.parse_unitary(slot.get("base", {}), spath + ".base")
-            ser.parse_matrix(slot.get("perturbation", {}), spath + ".perturbation")
-
-    def conv_mean(payload):
-        _require_schema_version(payload)
-        ser.parse_model(payload.get("base_model", {}), "input.base_model")
-        ser.parse_scalar_function(payload.get("f", {}), "input.f")
-        for key in ("epsilon0", "steps", "r", "order", "samples", "seed"):
-            if key not in payload:
-                raise ValidationError(f"missing field {key!r}", path="input")
-
-    def poly(payload):
-        _require_schema_version(payload)
-        ser.parse_monomial_polynomial(payload.get("polynomial", {}),
-                                      "input.polynomial")
-
-    def mti(payload):
-        _require_schema_version(payload)
-        tensors = payload.get("tensors")
-        if not isinstance(tensors, list) or len(tensors) < 2:
-            raise ValidationError("tensors must list at least two Hermitian tensors",
-                                  path="input.tensors")
-        parsed = [
-            ser.parse_tensor(t, f"input.tensors[{i}]") for i, t in enumerate(tensors)
-        ]
-        ser.parse_integrand(payload.get("integrand", {}), "input.integrand")
-        for i, t in enumerate(payload.get("arguments", [])):
-            ser.parse_tensor_argument(t, f"input.arguments[{i}]")
-        dims = {t.mode_dims for t in parsed}
-        if len(dims) != 1:
-            raise ValidationError("tensors must share mode dimensions",
-                                  path="input.tensors")
-
-    return {
-        "moi-eval": moi_eval,
-        "frechet": frechet,
-        "kth-deriv": kth,
-        "higher-diff": higher,
-        "remainder": remainder,
-        "tailbound": tailbound,
-        "conv-mean": conv_mean,
-        "poly-decompose": poly,
-        "mti-eval": mti,
-    }
-
-
-_INPUT_CHECKERS = _make_input_checkers()
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +483,7 @@ def _write_output(output: dict, args):
                 path="flags.format",
             )
         if args.output:
-            _atomic_write_text(args.output, text)
+            ser.write_text_atomic(args.output, text)
         else:
             sys.stdout.write(text)
         return
@@ -576,21 +491,6 @@ def _write_output(output: dict, args):
         ser.write_json_atomic(args.output, output)
     else:
         sys.stdout.write(ser.dumps_deterministic(output))
-
-
-def _atomic_write_text(path: str, text: str):
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--count", type=int, default=None)
         if name == "validate":
             cmd.add_argument("--command", dest="target_command", default=None,
-                             choices=sorted(_INPUT_CHECKERS))
+                             choices=sorted(_HANDLERS))
     return parser
 
 
@@ -658,7 +558,7 @@ def main(argv=None) -> int:
                     "summary": {},
                 }, EXIT_OK
             else:
-                output = _validate_payload(payload, args.target_command)
+                output = _validate_payload(payload, args.target_command, args)
                 code = EXIT_OK
         else:
             handler = _HANDLERS[args.command]
@@ -669,7 +569,7 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as err:
                 raise ValidationError(f"input is not valid JSON: {err}",
                                       path="flags.input")
-            output, code = handler(payload, args)
+            output, code = handler(payload, args)()
         _write_output(output, args)
         return code
     except (ValidationError, ParameterError, CapabilityError) as err:

@@ -47,7 +47,12 @@ from .integrands import (
     SeparableIntegrand,
     divided_difference_integrand,
 )
-from .moi import continuity_modulus, holder_result_exponent, moi_core
+from .moi import (
+    continuity_modulus,
+    holder_reciprocal_sum,
+    holder_result_exponent,
+    moi_core,
+)
 from .operators import (
     HermitianOperator,
     RandomOperatorModel,
@@ -243,12 +248,8 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
         if exp.schatten_p is None or len(exp.schatten_p) != m - 1:
             raise ValidationError("schatten mode needs one exponent per argument")
         p = tuple(float(v) for v in exp.schatten_p)
-        if any(v < 1 for v in p):
-            raise ParameterError("Schatten exponents must satisfy p >= 1")
-        recip = sum(0.0 if v == np.inf else 1.0 / v for v in p)
-        if recip > 1.0 + 1e-12:
-            raise ParameterError("sum of reciprocal Schatten exponents exceeds 1")
-        q = holder_result_exponent(p)
+        recip = holder_reciprocal_sum(p)
+        q = holder_result_exponent(recip)
         variant = None if recip >= 1.0 else 1.0 / (1.0 - recip)
         constants.update(
             {
@@ -574,30 +575,17 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
         mean = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(n_valid))
         estimates[label] = (mean, stderr)
-    rows = []
     stat_valid = stats[valid]
-    for theta in exp.theta_grid:
-        p_hat = float(np.mean(stat_valid >= theta))
-        se_p = math.sqrt(p_hat * (1.0 - p_hat) / n_valid)
-        rhs = sum(
-            ctx.coefficients[label] * estimates[label][0] for label in ctx.labels
-        ) / theta
-        se_rhs = math.sqrt(
-            sum(
-                (ctx.coefficients[label] * estimates[label][1] / theta) ** 2
-                for label in ctx.labels
-            )
+    rows = [
+        _markov_row(
+            theta,
+            stat_valid,
+            [ctx.coefficients[label] for label in ctx.labels],
+            [estimates[label][0] for label in ctx.labels],
+            [estimates[label][1] for label in ctx.labels],
         )
-        mc_stderr = math.sqrt(se_p**2 + se_rhs**2)
-        rows.append(
-            {
-                "theta": float(theta),
-                "empirical_prob": p_hat,
-                "mc_stderr": mc_stderr,
-                "bound_rhs": rhs,
-                "satisfied": bool(p_hat <= rhs + 3.0 * mc_stderr),
-            }
-        )
+        for theta in exp.theta_grid
+    ]
     metadata = {
         "seed": int(exp.seed),
         "samples": int(n),
@@ -625,6 +613,24 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
     )
 
 
+def _markov_row(theta, stat, coeffs, means, stderrs) -> dict:
+    """One theta row: the exceedance frequency of ``stat`` against the
+    Markov right-hand side sum_i coeffs_i * means_i / theta, satisfied when
+    within 3 combined Monte Carlo standard errors."""
+    p_hat = float(np.mean(stat >= theta))
+    se_p = math.sqrt(p_hat * (1.0 - p_hat) / len(stat))
+    rhs = sum(c * mean for c, mean in zip(coeffs, means)) / theta
+    se_rhs = math.sqrt(sum((c * se / theta) ** 2 for c, se in zip(coeffs, stderrs)))
+    mc_stderr = math.sqrt(se_p**2 + se_rhs**2)
+    return {
+        "theta": float(theta),
+        "empirical_prob": p_hat,
+        "mc_stderr": mc_stderr,
+        "bound_rhs": rhs,
+        "satisfied": bool(p_hat <= rhs + 3.0 * mc_stderr),
+    }
+
+
 def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
     """Secondary reading of the higher-difference bound: a fixed eigengap
     constant, with samples violating the hypothesis excluded.  When no
@@ -645,22 +651,11 @@ def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
         surr = terms["integrand_norm"][included]
         mean = float(np.mean(surr))
         stderr = float(np.std(surr, ddof=1) / math.sqrt(n_inc))
-        stat_inc = stats[included]
-        for theta in exp.theta_grid:
-            p_hat = float(np.mean(stat_inc >= theta))
-            se_p = math.sqrt(p_hat * (1.0 - p_hat) / n_inc)
-            rhs = k * gap_cfg * snorm**k * mean / theta
-            se_rhs = k * gap_cfg * snorm**k * stderr / theta
-            mc_stderr = math.sqrt(se_p**2 + se_rhs**2)
-            rows.append(
-                {
-                    "theta": float(theta),
-                    "empirical_prob": p_hat,
-                    "mc_stderr": mc_stderr,
-                    "bound_rhs": rhs,
-                    "satisfied": bool(p_hat <= rhs + 3.0 * mc_stderr),
-                }
-            )
+        coeff = k * gap_cfg * snorm**k
+        rows = [
+            _markov_row(theta, stats[included], [coeff], [mean], [stderr])
+            for theta in exp.theta_grid
+        ]
     return {
         "eigengap_bound": gap_cfg,
         "eigengap_source": gap_source,

@@ -220,13 +220,9 @@ def moi_split_evaluate(
     m = len(operators)
     if not 1 <= k <= m - 1:
         raise ParameterError(f"split point {k} must lie in 1..{m - 1}")
-    if psi_right.arity != m - k:
-        raise ValidationError(
-            f"right integrand arity {psi_right.arity} != {m - k}"
-        )
-    left = moi_core(operators[:k], psi_left, arguments[: k - 1])
-    right = moi_core(operators[k:], psi_right, arguments[k:])
-    return left @ np.asarray(arguments[k - 1], dtype=np.complex128) @ right
+    return moi_partition_evaluate(
+        (psi_left, psi_right), (k, m - k), operators, arguments
+    )
 
 
 def moi_partition_evaluate(
@@ -298,6 +294,17 @@ def moi_norm_bound(
     exponents = [float(p) for p in schatten_p]
     if len(exponents) != len(request.arguments):
         raise ParameterError("one Schatten exponent per argument is required")
+    q = holder_result_exponent(holder_reciprocal_sum(exponents))
+    bound = surrogate
+    for arg, p in zip(request.arguments, exponents):
+        bound *= schatten_norm(arg, p)
+    return bound, schatten_norm(value, q)
+
+
+def holder_reciprocal_sum(schatten_p: Sequence[float]) -> float:
+    """The sum of 1/p_i over the argument exponents, checked against the
+    Hölder hypotheses p_i >= 1 and sum at most 1."""
+    exponents = [float(p) for p in schatten_p]
     if any(p < 1 for p in exponents):
         raise ParameterError("Schatten exponents must satisfy p >= 1")
     reciprocal = sum(0.0 if p == np.inf else 1.0 / p for p in exponents)
@@ -305,16 +312,11 @@ def moi_norm_bound(
         raise ParameterError(
             f"sum of reciprocal exponents is {reciprocal:.6f}, must be <= 1"
         )
-    q = np.inf if reciprocal == 0.0 else 1.0 / reciprocal
-    bound = surrogate
-    for arg, p in zip(request.arguments, exponents):
-        bound *= schatten_norm(arg, p)
-    return bound, schatten_norm(value, q)
+    return reciprocal
 
 
-def holder_result_exponent(schatten_p: Sequence[float]) -> float:
-    """The result exponent q with 1/q = sum of the argument reciprocals."""
-    reciprocal = sum(0.0 if p == np.inf else 1.0 / float(p) for p in schatten_p)
+def holder_result_exponent(reciprocal: float) -> float:
+    """The result exponent q with 1/q = ``reciprocal`` (inf when it is 0)."""
     return np.inf if reciprocal == 0.0 else 1.0 / reciprocal
 
 

@@ -204,12 +204,7 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
         eigenvalues = eigenvalues / moduli
         order = np.argsort(np.angle(eigenvalues), kind="stable")
         decomp = SpectralDecomposition(eigenvalues[order], schur_z[:, order])
-    residual = _max_abs(decomp.reconstruct() - matrix)
-    scale = max(1.0, float(np.linalg.norm(matrix, 2)))
-    if residual > RECONSTRUCTION_TOL * scale:
-        raise NumericalError(
-            f"eigensolver residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.1e} * scale"
-        )
+    _check_reconstruction(matrix, decomp)
     return decomp
 
 

@@ -1,8 +1,9 @@
 """JSON schemas for every value that crosses the CLI boundary.
 
 Every payload carries ``schema_version`` and a ``kind`` tag.  Parsers raise
-:class:`ValidationError` with the field path of the offending entry;
-:func:`validate_payload` collects those diagnostics without raising.
+:class:`ValidationError` with the field path of the offending entry; the
+CLI's ``validate`` command reports those diagnostics as data instead of
+exiting.
 Serialization is deterministic (fixed key order, shortest float repr), so
 identical inputs produce byte-identical files.
 """
@@ -270,20 +271,9 @@ def tensor_to_json(tensor: HermitianTensor) -> dict:
 
 
 def parse_tensor(obj, path: str = "tensor") -> HermitianTensor:
-    dims = _get(obj, "mode_dims", path)
-    _expect(isinstance(dims, list) and dims
-            and all(isinstance(d, int) and d >= 1 for d in dims),
-            "mode_dims must be a list of positive integers", path + ".mode_dims")
-    dims = tuple(dims)
-    total = int(np.prod(dims)) ** 2
-    entries = _get(obj, "entries", path)
-    _expect(isinstance(entries, list) and len(entries) == total,
-            f"entries must hold {total} [re, im] pairs", path + ".entries")
-    flat = np.empty(total, dtype=np.complex128)
-    for i, cell in enumerate(entries):
-        flat[i] = _complex_from(cell, f"{path}.entries[{i}]")
+    entries = parse_tensor_argument(obj, path)
     try:
-        return HermitianTensor(dims, flat.reshape(dims + dims))
+        return HermitianTensor(entries.shape[: entries.ndim // 2], entries)
     except ValidationError as err:
         raise ValidationError(str(err), path=path) from err
 
@@ -446,19 +436,24 @@ def dumps_deterministic(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
-def write_json_atomic(path: str, obj):
-    """Serialize and atomically replace the target file."""
-    payload = dumps_deterministic(obj)
+def write_text_atomic(path: str, text: str):
+    """Write through a temporary file in the target directory, then
+    atomically replace the target."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
+            handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def write_json_atomic(path: str, obj):
+    """Serialize and atomically replace the target file."""
+    write_text_atomic(path, dumps_deterministic(obj))
 
 
 def load_json(path: str):

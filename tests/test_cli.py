@@ -216,7 +216,57 @@ class TestMtiEvalCommand:
         assert payload["eigen_tuple_count"] == 16
 
 
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+# (command, shipped input, edit) for payloads each command rejects with exit 2
+REJECTED_PAYLOADS = [
+    pytest.param("remainder", "demo_remainder_sa.json",
+                 lambda p: {**p, "method": "bogus"}, id="remainder-bogus-method"),
+    pytest.param("remainder", "demo_remainder_sa.json",
+                 lambda p: {**p, "order": 0}, id="remainder-order-zero"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "r": 3}, id="conv-mean-r-three"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "order": "two"}, id="conv-mean-order-string"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: _without(p, "r"), id="conv-mean-without-r"),
+    pytest.param("moi-eval", "demo_moi_eval.json",
+                 lambda p: {**p, "operator_kind": "foo"},
+                 id="moi-eval-unknown-operator-kind"),
+    pytest.param("moi-eval", "demo_moi_eval.json",
+                 lambda p: _without(p, "arguments"), id="moi-eval-without-arguments"),
+    pytest.param("mti-eval", "demo_mti_eval.json",
+                 lambda p: {**p, "tensors": [p["tensors"][0],
+                                             {**p["tensors"][1], "mode_dims": [4]}]},
+                 id="mti-eval-mixed-modes"),
+    pytest.param("moi-eval", "demo_moi_eval.json",
+                 lambda p: ["not", "an", "object"], id="moi-eval-not-an-object"),
+]
+
+
 class TestValidateCommand:
+    @pytest.mark.parametrize("command,config,edit", REJECTED_PAYLOADS)
+    def test_diagnostic_matches_command_error(self, tmp_path, capsys, command,
+                                              config, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(read_json(config_path(config)))))
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(bad)]) == 2
+        errors = [
+            line[len("error: "):]
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error: ")
+        ]
+        assert len(errors) == 1
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(bad), "--command", command,
+                        "--output", str(out)]) == 0
+        report = read_json(out)
+        assert not report["ok"]
+        assert report["diagnostics"] == errors
+
     def test_valid_file_reports_ok(self, tmp_path, capsys):
         out = tmp_path / "diag.json"
         assert run_cli([
