@@ -147,10 +147,10 @@ class RemainderSpec:
         for j, h in enumerate(perts):
             if h.shape != (dim, dim):
                 raise ValidationError(f"perturbation {j} has shape {h.shape}")
-            if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * max(
-                1.0, float(np.max(np.abs(h)))
-            ):
-                raise ValidationError(f"perturbation {j} is not Hermitian")
+            try:
+                HermitianOperator(h)
+            except ValidationError as err:
+                raise ValidationError(f"perturbation {j}: {err}") from err
         if self.flavor == "unitary":
             if not all(isinstance(op, UnitaryOperator) for op in base):
                 raise ValidationError("unitary flavor needs unitary base operators")

@@ -38,7 +38,11 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .harness import convergence_in_mean_check, run_tail_bound
+from .harness import (
+    convergence_in_mean_check,
+    convergence_parameters,
+    run_tail_bound,
+)
 from .moi import MoiRequest, moi_evaluate
 from .operators import sample_haar_unitary
 from .polyapprox import decompose_inner_powers, to_linear_products
@@ -196,6 +200,8 @@ def _handle_remainder(payload, args):
     functions, bases, perturbations = [], [], []
     for i, slot in enumerate(slots_json):
         spath = f"input.slots[{i}]"
+        if not isinstance(slot, dict):
+            raise ValidationError("slot must be an object", path=spath)
         functions.append(ser.parse_scalar_function(slot.get("f", {}), spath + ".f"))
         bases.append(parse_base(slot.get("base", {}), spath + ".base"))
         perturbations.append(
@@ -249,33 +255,25 @@ def _handle_conv_mean(payload, args):
     _require_schema_version(payload)
     model = ser.parse_model(payload.get("base_model", {}), "input.base_model")
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
-    order = payload.get("order")
-    if not isinstance(order, int) or order < 0:
-        raise ValidationError("order must be a nonnegative integer",
-                              path="input.order")
     args_json = payload.get("arguments", [])
+    if not isinstance(args_json, list):
+        raise ValidationError("arguments must be a list of matrices",
+                              path="input.arguments")
     arguments = [
         ser.parse_matrix(m, f"input.arguments[{i}]") for i, m in enumerate(args_json)
     ]
-    r = payload.get("r")
-    if r not in (1, 2):
-        raise ValidationError("r must be 1 or 2", path="input.r")
-    for key in ("epsilon0", "steps", "samples", "seed"):
+    for key in ("epsilon0", "steps", "r", "order", "samples", "seed"):
         if key not in payload:
             raise ValidationError(f"missing field {key!r}", path="input")
     seed = args.seed if args.seed is not None else payload["seed"]
+    epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
+        payload["epsilon0"], payload["steps"], payload["r"], payload["order"],
+        arguments, payload["samples"], seed, path="input",
+    )
 
     def run():
         report = convergence_in_mean_check(
-            model,
-            float(payload["epsilon0"]),
-            int(payload["steps"]),
-            int(r),
-            f,
-            order,
-            arguments,
-            int(payload["samples"]),
-            int(seed),
+            model, epsilon0, steps, r, f, order, arguments, samples, seed
         )
         return report, EXIT_OK
 
@@ -287,9 +285,12 @@ def _handle_poly_decompose(payload, args):
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError("seed must be a nonnegative integer",
+                              path="input.seed" if args.seed is None else "flags.seed")
 
     def run():
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(seed)
         form = decompose_inner_powers(poly, rng)
         products = to_linear_products(form)
         probe_rng = np.random.default_rng(12345)

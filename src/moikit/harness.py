@@ -19,6 +19,7 @@ absolute value over all tuples drawn from the union of the realized spectra
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -72,6 +73,7 @@ __all__ = [
     "sample_stream",
     "estimate_expectation",
     "run_tail_bound",
+    "convergence_parameters",
     "convergence_in_mean_check",
 ]
 
@@ -670,6 +672,43 @@ def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
 # ---------------------------------------------------------------------------
 
 
+def convergence_parameters(
+    epsilon0, steps, r, order, arguments, samples, seed, path: str = ""
+) -> tuple:
+    """Check the inputs of :func:`convergence_in_mean_check` other than the
+    model and the function; return (epsilon0, steps, r, order, arguments,
+    samples, seed) as float, ints and complex arrays.
+
+    A value of the wrong type raises ValidationError, a value out of range
+    ParameterError; either message starts with the field ``path.<name>``.
+    """
+    def field(name):
+        return f"{path}.{name}" if path else name
+
+    def integer(value, name):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValidationError("expected an integer", path=field(name))
+        return int(value)
+
+    if not isinstance(epsilon0, numbers.Real) or isinstance(epsilon0, bool):
+        raise ValidationError("expected a number", path=field("epsilon0"))
+    steps, r, order = integer(steps, "steps"), integer(r, "r"), integer(order, "order")
+    samples, seed = integer(samples, "samples"), integer(seed, "seed")
+    if r not in (1, 2):
+        raise ParameterError(f"{field('r')}: the mean exponent must be 1 or 2")
+    if not 1 <= steps <= 64:
+        raise ParameterError(f"{field('steps')}: step count must lie in 1..64")
+    if samples < 1:
+        raise ParameterError(f"{field('samples')}: at least one sample is required")
+    if order < 0:
+        raise ParameterError(f"{field('order')}: order must be nonnegative")
+    arguments = [np.asarray(a, dtype=np.complex128) for a in arguments]
+    if len(arguments) != order:
+        raise ValidationError(f"need {order} argument matrices, got {len(arguments)}",
+                              path=field("arguments"))
+    return float(epsilon0), steps, r, order, arguments, samples, seed
+
+
 def convergence_in_mean_check(
     base_model: RandomOperatorModel,
     epsilon0: float,
@@ -690,15 +729,9 @@ def convergence_in_mean_check(
     (it is the continuity modulus of the same instance), hence exact for the
     Monte Carlo means as well.
     """
-    if r not in (1, 2):
-        raise ParameterError("the mean exponent r must be 1 or 2")
-    if not 1 <= steps <= 64:
-        raise ParameterError("step count must lie in 1..64")
-    if samples < 1:
-        raise ParameterError("at least one sample is required")
-    arguments = [np.asarray(a, dtype=np.complex128) for a in arguments]
-    if len(arguments) != order:
-        raise ValidationError(f"need {order} argument matrices, got {len(arguments)}")
+    epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
+        epsilon0, steps, r, order, arguments, samples, seed
+    )
     n_ops = order + 1
     dim = base_model.dim
     start = time.perf_counter()

@@ -6,6 +6,10 @@ matrix norms, scalar functions of operators, and random-operator sampling
 
 All values are immutable after construction; every operation here is a pure
 function.  Random sampling takes an explicit ``numpy.random.Generator``.
+
+Trust boundary: constructors and parsers check their input, and
+:func:`spectral_decompose` checks what LAPACK returns.  Spectra that moikit
+builds itself (samplers, :func:`apply_scalar_function`) are not checked again.
 """
 
 from __future__ import annotations
@@ -29,15 +33,15 @@ UNITARY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 
 
-def as_square_complex(matrix, *, name: str = "matrix") -> np.ndarray:
+def as_square_complex(matrix) -> np.ndarray:
     """Coerce to an immutable square complex128 array, checking finiteness."""
     arr = np.array(matrix, dtype=np.complex128, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
+        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
-        raise ValidationError(f"{name} must have positive dimension")
+        raise ValidationError("matrix must have positive dimension")
     if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValidationError(f"{name} contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -53,6 +57,7 @@ class SpectralDecomposition:
     ``eigenvalues[i]`` belongs to column ``i`` of ``basis``.  Eigenvalues of
     Hermitian operators are real and ascending; eigenvalues of unitary
     operators have unit modulus and ascend by principal phase in (-pi, pi].
+    Storage only: the arrays are copied read-only, without checks.
     """
 
     eigenvalues: np.ndarray
@@ -60,19 +65,11 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         evs = np.asarray(self.eigenvalues)
-        basis = as_square_complex(self.basis, name="basis")
-        if evs.ndim != 1 or evs.shape[0] != basis.shape[0]:
-            raise ValidationError("eigenvalue count must match basis dimension")
         evs = np.array(evs, dtype=np.complex128 if np.iscomplexobj(evs) else np.float64)
-        evs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", evs)
-        object.__setattr__(self, "basis", basis)
-        gram = basis.conj().T @ basis
-        departure = _max_abs(gram - np.eye(basis.shape[0]))
-        if departure > UNITARY_TOL:
-            raise ValidationError(
-                f"basis is not orthonormal: ||B*B - I||_max = {departure:.3e}"
-            )
+        basis = np.array(self.basis, dtype=np.complex128, order="C")
+        for name, arr in (("eigenvalues", evs), ("basis", basis)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -88,23 +85,24 @@ class SpectralDecomposition:
         return (self.basis * np.asarray(self.eigenvalues)) @ self.basis.conj().T
 
 
-class HermitianOperator:
-    """A square complex matrix that is Hermitian to working precision."""
+class _NormalOperator:
+    """A checked square matrix plus its spectral decomposition, computed on
+    first access and cached.  Subclasses supply ``_check``."""
 
-    def __init__(self, matrix, spectral: SpectralDecomposition | None = None):
-        arr = as_square_complex(matrix)
-        asym = _max_abs(arr - arr.conj().T)
-        if asym > HERMITIAN_TOL * max(1.0, _max_abs(arr)):
-            idx = np.unravel_index(
-                np.argmax(np.abs(arr - arr.conj().T)), arr.shape
-            )
-            raise ValidationError(
-                f"matrix is not Hermitian: max asymmetry {asym:.3e} at entry {tuple(int(i) for i in idx)}"
-            )
-        self._matrix = arr
-        self._spectral = spectral
-        if spectral is not None:
-            _check_reconstruction(arr, spectral)
+    def __init__(self, matrix):
+        self._matrix = as_square_complex(matrix)
+        self._check(self._matrix)
+        self._spectral = None
+
+    @classmethod
+    def _from_spectrum(cls, matrix: np.ndarray, eigenvalues, basis):
+        """Wrap a fresh complex128 matrix built from ``eigenvalues`` and
+        ``basis``, with that spectrum attached.  Nothing is checked."""
+        op = cls.__new__(cls)
+        matrix.setflags(write=False)
+        op._matrix = matrix
+        op._spectral = SpectralDecomposition(eigenvalues, basis)
+        return op
 
     @property
     def matrix(self) -> np.ndarray:
@@ -126,55 +124,39 @@ class HermitianOperator:
         return self._spectral
 
     def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class UnitaryOperator:
+class HermitianOperator(_NormalOperator):
+    """A square complex matrix that is Hermitian to working precision."""
+
+    @staticmethod
+    def _check(arr: np.ndarray):
+        asym = np.abs(arr - arr.conj().T)
+        if asym.max() > HERMITIAN_TOL * max(1.0, _max_abs(arr)):
+            idx = tuple(int(i) for i in np.unravel_index(np.argmax(asym), arr.shape))
+            raise ValidationError(
+                f"matrix is not Hermitian: max asymmetry {asym.max():.3e} at entry {idx}"
+            )
+
+
+class UnitaryOperator(_NormalOperator):
     """A square complex matrix with U*U = I to working precision."""
 
-    def __init__(self, matrix, spectral: SpectralDecomposition | None = None):
-        arr = as_square_complex(matrix)
+    @staticmethod
+    def _check(arr: np.ndarray):
         departure = _max_abs(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if departure > UNITARY_TOL:
             raise ValidationError(
                 f"matrix is not unitary: ||U*U - I||_max = {departure:.3e}"
             )
-        if spectral is not None:
-            off_circle = float(np.max(np.abs(np.abs(spectral.eigenvalues) - 1.0)))
-            if off_circle > UNITARY_TOL:
-                raise ValidationError(
-                    f"cached eigenvalues leave the unit circle by {off_circle:.3e}"
-                )
-            _check_reconstruction(arr, spectral)
-        self._matrix = arr
-        self._spectral = spectral
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def spectral(self) -> SpectralDecomposition | None:
-        return self._spectral
-
-    @property
-    def decomposition(self) -> SpectralDecomposition:
-        if self._spectral is None:
-            self._spectral = spectral_decompose(self)
-        return self._spectral
-
-    def __repr__(self):
-        return f"UnitaryOperator(dim={self.dim})"
 
 
 AnyOperator = Union[HermitianOperator, UnitaryOperator]
 
 
 def _check_reconstruction(matrix: np.ndarray, spectral: SpectralDecomposition):
+    UnitaryOperator._check(spectral.basis)  # an orthonormal basis is unitary
     residual = _max_abs(spectral.reconstruct() - matrix)
     scale = max(1.0, float(np.linalg.norm(matrix, 2)))
     if residual > RECONSTRUCTION_TOL * scale:
@@ -193,8 +175,7 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
     """
     matrix = op.matrix
     if isinstance(op, HermitianOperator):
-        eigenvalues, basis = np.linalg.eigh(matrix)
-        decomp = SpectralDecomposition(eigenvalues, basis)
+        decomp = SpectralDecomposition(*np.linalg.eigh(matrix))
     else:
         schur_t, schur_z = scipy.linalg.schur(matrix, output="complex")
         eigenvalues = np.diag(schur_t).copy()
@@ -232,9 +213,7 @@ def apply_scalar_function(
         1.0, _max_abs(values)
     ):
         hermitized = (result + result.conj().T) / 2.0
-        return HermitianOperator(
-            hermitized, SpectralDecomposition(values.real, decomp.basis)
-        )
+        return HermitianOperator._from_spectrum(hermitized, values.real, decomp.basis)
     return result
 
 
@@ -344,7 +323,7 @@ def sample_random_hermitian(
     basis = haar.matrix[:, order]
     matrix = (basis * eigenvalues) @ basis.conj().T
     matrix = (matrix + matrix.conj().T) / 2.0
-    return HermitianOperator(matrix, SpectralDecomposition(eigenvalues, basis))
+    return HermitianOperator._from_spectrum(matrix, eigenvalues, basis)
 
 
 def sample_random_unitary(
@@ -359,7 +338,7 @@ def sample_random_unitary(
     eigenvalues = eigenvalues[order]
     basis = haar.matrix[:, order]
     matrix = (basis * eigenvalues) @ basis.conj().T
-    return UnitaryOperator(matrix, SpectralDecomposition(eigenvalues, basis))
+    return UnitaryOperator._from_spectrum(matrix, eigenvalues, basis)
 
 
 def random_hermitian(

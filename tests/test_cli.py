@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, determinism, validation."""
 
+import copy
 import json
 import os
 
@@ -220,6 +221,12 @@ def _without(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
 
+def _with_asymmetric_perturbation(payload, amount):
+    slot = copy.deepcopy(payload["slots"][0])
+    slot["perturbation"]["entries"][0][1][0] += amount
+    return {**payload, "slots": [slot]}
+
+
 # (command, shipped input, edit) for payloads each command rejects with exit 2
 REJECTED_PAYLOADS = [
     pytest.param("remainder", "demo_remainder_sa.json",
@@ -243,6 +250,26 @@ REJECTED_PAYLOADS = [
                  id="mti-eval-mixed-modes"),
     pytest.param("moi-eval", "demo_moi_eval.json",
                  lambda p: ["not", "an", "object"], id="moi-eval-not-an-object"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "steps": 0}, id="conv-mean-steps-zero"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "samples": 0}, id="conv-mean-samples-zero"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "arguments": p["arguments"][:1]},
+                 id="conv-mean-one-argument-for-order-two"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "epsilon0": "x"}, id="conv-mean-epsilon0-string"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "seed": "x"}, id="conv-mean-seed-string"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "steps": 2.5}, id="conv-mean-steps-fractional"),
+    pytest.param("remainder", "demo_remainder_sa.json",
+                 lambda p: {**p, "slots": [3]}, id="remainder-slot-not-an-object"),
+    pytest.param("poly-decompose", "demo_poly_decompose.json",
+                 lambda p: {**p, "seed": "x"}, id="poly-decompose-seed-string"),
+    pytest.param("remainder", "demo_remainder_unitary.json",
+                 lambda p: _with_asymmetric_perturbation(p, 5e-11),
+                 id="remainder-unitary-perturbation-asymmetry-5e-11"),
 ]
 
 

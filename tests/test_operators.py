@@ -82,6 +82,16 @@ class TestApplyScalarFunction:
         expected = op.matrix @ op.matrix @ op.matrix
         np.testing.assert_allclose(result.matrix, expected, atol=1e-10)
 
+    def test_hermitian_result_carries_its_spectrum(self, rng):
+        raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        op = mk.HermitianOperator((raw + raw.conj().T) / 2)
+        result = mk.apply_scalar_function(mk.ScalarFunction.monomial(3), op)
+        spectral = result.spectral
+        assert spectral is not None
+        assert np.max(np.abs(spectral.reconstruct() - result.matrix)) <= 1e-10
+        gram = spectral.basis.conj().T @ spectral.basis
+        assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
+
     def test_domain_error_names_eigenvalue(self, rng, uniform_model):
         op = mk.sample_random_hermitian(uniform_model, rng)
         bad = mk.ScalarFunction.from_callable(lambda x: float("nan"))
@@ -209,5 +219,6 @@ class TestRandomHermitian:
         model = mk.RandomOperatorModel(3, ("uniform", -np.pi, np.pi))
         u = mk.sample_random_unitary(model, rng)
         assert np.max(np.abs(np.abs(u.spectral.eigenvalues) - 1.0)) <= 1e-12
+        assert np.max(np.abs(u.spectral.reconstruct() - u.matrix)) <= 1e-10
         departure = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(3)))
         assert departure <= 1e-10
