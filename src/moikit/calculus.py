@@ -122,7 +122,8 @@ class RemainderSpec:
 
     ``self_adjoint`` perturbs each base operator additively by a Hermitian
     H_j; ``unitary`` multiplies each unitary base operator by exp(i H_j) and
-    requires polynomial slot functions.
+    requires polynomial slot functions.  Each H_j may be given as a matrix or
+    as a :class:`HermitianOperator`; a matrix is checked here.
     """
 
     order: int
@@ -136,21 +137,22 @@ class RemainderSpec:
             raise ValidationError("remainder order must be >= 1")
         if self.flavor not in ("self_adjoint", "unitary"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
-        base = tuple(self.base)
-        perts = tuple(np.asarray(h, dtype=np.complex128) for h in self.perturbations)
+        base, perts = tuple(self.base), tuple(self.perturbations)
         if len(base) != self.function.arity or len(perts) != self.function.arity:
             raise ValidationError("base/perturbation counts must match the slot count")
         dims = {op.dim for op in base}
         if len(dims) != 1:
             raise ValidationError("base operators have mixed dimensions")
         dim = dims.pop()
+        generators = []
         for j, h in enumerate(perts):
-            if h.shape != (dim, dim):
-                raise ValidationError(f"perturbation {j} has shape {h.shape}")
             try:
-                HermitianOperator(h)
+                gen = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
             except ValidationError as err:
                 raise ValidationError(f"perturbation {j}: {err}") from err
+            if gen.dim != dim:
+                raise ValidationError(f"perturbation {j} has shape {gen.matrix.shape}")
+            generators.append(gen)
         if self.flavor == "unitary":
             if not all(isinstance(op, UnitaryOperator) for op in base):
                 raise ValidationError("unitary flavor needs unitary base operators")
@@ -163,7 +165,8 @@ class RemainderSpec:
             if not all(isinstance(op, HermitianOperator) for op in base):
                 raise ValidationError("self-adjoint flavor needs Hermitian base operators")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "perturbations", perts)
+        object.__setattr__(self, "perturbations", tuple(g.matrix for g in generators))
+        object.__setattr__(self, "_generators", tuple(generators))
 
     @property
     def dim(self) -> int:
@@ -184,14 +187,12 @@ def _as_matrix(value) -> np.ndarray:
 def frechet_derivative(
     f: ScalarFunction, operator: AnyOperator, direction: np.ndarray
 ) -> np.ndarray:
-    """Directional derivative of X -> f(X) at ``operator`` along ``direction``.
-
-    Evaluated as the two-operator spectral sum with the first divided
-    difference of f; in the eigenbasis this is the entrywise product of the
-    first-divided-difference matrix with the rotated direction.
+    """Directional derivative of X -> f(X) at ``operator`` along ``direction``:
+    :func:`kth_derivative` at order 1.  In the eigenbasis this is the
+    entrywise product of the first-divided-difference matrix with the
+    rotated direction.
     """
-    integrand = divided_difference_integrand(f, 1)
-    return moi_core([operator, operator], integrand, [np.asarray(direction)])
+    return kth_derivative(f, operator, direction, 1)
 
 
 def kth_derivative(
@@ -384,9 +385,9 @@ def taylor_remainder_unitary(spec: RemainderSpec, method: str = "moi") -> np.nda
     total = np.zeros((dim, dim), dtype=np.complex128)
     for slot, phi in spec.function.per_slot():
         base = spec.base[slot]
-        gen = HermitianOperator(spec.perturbations[slot])
+        gen = spec._generators[slot]
         rotator = unitary_exponential(gen)
-        rotated = UnitaryOperator(rotator @ base.matrix)
+        rotated = UnitaryOperator._trusted(rotator @ base.matrix)
         g_terms = _exp_term_cache(gen.matrix, k)
         if method == "direct":
             value = polynomial_of_matrix(phi, rotated.matrix)

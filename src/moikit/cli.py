@@ -90,10 +90,8 @@ def _require_schema_version(payload, path="input"):
 
 
 def _positive_order(payload) -> int:
-    order = payload.get("order")
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError("order must be a positive integer", path="input.order")
-    return order
+    return ser._integer(payload.get("order"), "order must be a positive integer",
+                        "input.order", 1)
 
 
 def _matrix_output(value) -> tuple[dict, int]:
@@ -165,7 +163,7 @@ def _handle_higher_diff(payload, args):
     _require_schema_version(payload)
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
-    step = ser.parse_matrix(payload.get("step", {}), "input.step")
+    step = ser.parse_hermitian(payload.get("step", {}), "input.step").matrix
     order = _positive_order(payload)
     include_diagnostic = payload.get("include_moi_diagnostic", False)
 
@@ -204,9 +202,13 @@ def _handle_remainder(payload, args):
             raise ValidationError("slot must be an object", path=spath)
         functions.append(ser.parse_scalar_function(slot.get("f", {}), spath + ".f"))
         bases.append(parse_base(slot.get("base", {}), spath + ".base"))
-        perturbations.append(
-            ser.parse_matrix(slot.get("perturbation", {}), spath + ".perturbation")
-        )
+        perturbation = ser.parse_hermitian(slot.get("perturbation", {}),
+                                           spath + ".perturbation")
+        if perturbation.dim != bases[-1].dim:
+            raise ValidationError(f"dimension {perturbation.dim} differs from the "
+                                  f"base dimension {bases[-1].dim}",
+                                  path=spath + ".perturbation")
+        perturbations.append(perturbation)
     spec = RemainderSpec(
         order,
         SlotFunctionSum.from_slot_functions(functions),
@@ -285,9 +287,8 @@ def _handle_poly_decompose(payload, args):
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError("seed must be a nonnegative integer",
-                              path="input.seed" if args.seed is None else "flags.seed")
+    ser._integer(seed, "seed must be a nonnegative integer",
+                 "input.seed" if args.seed is None else "flags.seed")
 
     def run():
         rng = np.random.default_rng(seed)
@@ -325,6 +326,9 @@ def _handle_mti_eval(payload, args):
     dims = shared_mode_dims(tensors)
     integrand = ser.parse_integrand(payload.get("integrand", {}), "input.integrand")
     args_json = payload.get("arguments", [])
+    if not isinstance(args_json, list):
+        raise ValidationError("arguments must be a list of tensors",
+                              path="input.arguments")
     arguments = [
         ser.parse_tensor_argument(t, f"input.arguments[{i}]")
         for i, t in enumerate(args_json)

@@ -43,10 +43,10 @@ from .errors import (
     ValidationError,
 )
 from .integrands import (
-    MultivariateFunction,
     ScalarFunction,
     SeparableIntegrand,
     divided_difference_integrand,
+    sup_norm_on_grid,
 )
 from .moi import (
     continuity_modulus,
@@ -57,6 +57,8 @@ from .moi import (
 from .operators import (
     HermitianOperator,
     RandomOperatorModel,
+    _spectra_union,
+    as_square_complex,
     operator_norm,
     random_hermitian,
     sample_random_hermitian,
@@ -106,6 +108,14 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(mix64(seed, index))
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of the mean (0.0 for a single value)."""
+    mean = float(np.mean(values))
+    if len(values) < 2:
+        return mean, 0.0
+    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
 def estimate_expectation(
     sample_fn: Callable[[np.random.Generator], float], n_samples: int, seed: int
 ) -> tuple[float, float]:
@@ -115,9 +125,7 @@ def estimate_expectation(
     values = np.empty(n_samples)
     for i in range(n_samples):
         values[i] = sample_fn(sample_stream(seed, i))
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    return _mean_stderr(values)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +139,12 @@ class TailBoundExperiment:
 
     ``fixed_inputs`` holds the deterministic matrices the theorem requires:
     ``arguments`` (norm bounds), ``direction`` (derivatives), ``step``
-    (higher differences), ``perturbations`` (remainders).  ``integrand`` is a
-    SeparableIntegrand for the norm-bound theorems, a ScalarFunction for the
-    derivative/difference theorems, and a tuple of per-slot ScalarFunctions
-    for the remainder theorems.
+    (higher differences), ``perturbations`` (remainders), all square of the
+    models' common dimension; ``step`` and ``perturbations`` are Hermitian.
+    ``integrand`` is a SeparableIntegrand for the norm-bound theorems, a
+    ScalarFunction for the derivative/difference theorems, and a tuple of
+    per-slot ScalarFunctions for the remainder theorems.  Every input is
+    checked here, once.
     """
 
     theorem_id: str
@@ -149,18 +159,105 @@ class TailBoundExperiment:
     eigengap_bound: float | None = None
 
     def __post_init__(self):
-        if self.theorem_id not in THEOREM_IDS:
-            raise ValidationError(f"unknown theorem id {self.theorem_id!r}")
-        thetas = tuple(float(t) for t in self.theta_grid)
-        if not thetas or any(t <= 0 for t in thetas):
-            raise ValidationError("theta grid entries must be positive")
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ValidationError("theta grid must be strictly increasing")
-        if self.samples < 1000:
-            raise ValidationError("tail-bound runs need at least 10^3 samples")
-        object.__setattr__(self, "theta_grid", thetas)
-        object.__setattr__(self, "operator_models", tuple(self.operator_models))
-        _prepare(self)  # fail fast on malformed payloads
+        for name, value in _checked_fields(self).items():
+            object.__setattr__(self, name, value)
+
+
+_SCALAR_THEOREMS = ("first_derivative", "kth_derivative", "higher_difference")
+
+
+def _checked_fields(exp: TailBoundExperiment) -> dict:
+    """Check every input of ``exp``; return the normalized field values (the
+    fixed matrices the theorem uses become read-only complex arrays)."""
+    tid, models = exp.theorem_id, tuple(exp.operator_models)
+    if tid not in THEOREM_IDS:
+        raise ValidationError(f"unknown theorem id {tid!r}")
+    thetas = tuple(float(t) for t in exp.theta_grid)
+    if not thetas or any(t <= 0 for t in thetas):
+        raise ValidationError("theta grid entries must be positive")
+    if any(b <= a for a, b in zip(thetas, thetas[1:])):
+        raise ValidationError("theta grid must be strictly increasing")
+    if exp.samples < 1000:
+        raise ValidationError("tail-bound runs need at least 10^3 samples")
+    dims = {model.dim for model in models}
+    if len(dims) != 1:
+        raise ValidationError("operator models must be given and share one dimension")
+    m = len(models)
+    fields = {"theta_grid": thetas, "operator_models": models}
+    # the name the order and model-count messages use
+    name = tid.replace("_", "-") if tid in _SCALAR_THEOREMS else "remainder"
+    if tid not in ("moi_norm_a", "moi_norm_schatten_b", "first_derivative"):
+        order = exp.order
+        if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
+                or order < 1):
+            raise ValidationError(f"{name} experiments need order >= 1")
+        fields["order"] = int(order)
+    if tid in ("moi_norm_a", "moi_norm_schatten_b"):
+        if m < 2:
+            raise ValidationError("norm-bound experiments need at least two operators")
+        if not isinstance(exp.integrand, SeparableIntegrand):
+            raise ValidationError("norm-bound experiments need a separable integrand")
+        if exp.integrand.arity != m:
+            raise ValidationError("integrand arity must equal the operator count")
+        if tid == "moi_norm_schatten_b":
+            if exp.schatten_p is None or len(exp.schatten_p) != m - 1:
+                raise ValidationError("schatten mode needs one exponent per argument")
+            fields["schatten_p"] = tuple(float(p) for p in exp.schatten_p)
+            holder_reciprocal_sum(fields["schatten_p"])
+        key, count = "arguments", m - 1
+    elif tid in _SCALAR_THEOREMS:
+        if m != 1:
+            raise ValidationError(f"{name} experiments use one operator model")
+        if not isinstance(exp.integrand, ScalarFunction):
+            raise ValidationError(f"theorem {tid} needs a scalar function")
+        key, count = ("step" if tid == "higher_difference" else "direction"), None
+    else:
+        functions = exp.integrand
+        if isinstance(functions, ScalarFunction):
+            functions = (functions,)
+        if not (isinstance(functions, (list, tuple)) and functions
+                and all(isinstance(f, ScalarFunction) for f in functions)):
+            raise ValidationError("remainder experiments need per-slot scalar functions")
+        if m != len(functions):
+            raise ValidationError("one operator model per slot is required")
+        if tid == "unitary_remainder" and any(f.kind != "polynomial" for f in functions):
+            raise CapabilityError("unitary remainder slots must be polynomials")
+        fields["integrand"] = tuple(functions)
+        key, count = "perturbations", m
+    fields["fixed_inputs"] = {
+        **exp.fixed_inputs, key: _checked_matrices(exp, key, count, dims.pop())
+    }
+    return fields
+
+
+def _checked_matrices(exp: TailBoundExperiment, key: str, count, dim: int):
+    """The fixed input ``key`` as read-only complex (dim, dim) arrays: one
+    array when ``count`` is None, else a tuple of ``count``."""
+    raw = exp.fixed_inputs.get(key)
+    if raw is None:
+        raise ValidationError(f"theorem {exp.theorem_id} needs fixed input {key!r}")
+    single = count is None
+    mats = [raw] if single else list(raw)
+    if not single and len(mats) != count:
+        raise ValidationError(
+            f"fixed input {key!r} needs {count} matrices, got {len(mats)}"
+        )
+    checked = []
+    for i, matrix in enumerate(mats):
+        try:
+            if key in ("step", "perturbations"):
+                matrix = HermitianOperator(matrix).matrix
+            else:
+                matrix = as_square_complex(matrix)
+            if len(matrix) != dim:
+                raise ValidationError(
+                    f"dimension {len(matrix)} differs from the models' dimension {dim}"
+                )
+        except ValidationError as err:
+            index = "" if single else f"[{i}]"
+            raise ValidationError(f"fixed input {key!r}{index}: {err}") from err
+        checked.append(matrix)
+    return checked[0] if single else tuple(checked)
 
 
 @dataclass(frozen=True)
@@ -188,7 +285,8 @@ class TailBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-theorem preparation and sampling
+# Per-theorem preparation and sampling.  The experiment is checked already,
+# so nothing here raises on its inputs.
 # ---------------------------------------------------------------------------
 
 
@@ -201,31 +299,12 @@ class _Context:
     extra_labels: tuple[str, ...] = ()
 
 
-def _sup_on_union(integrand: MultivariateFunction, union: np.ndarray) -> float:
-    grid = integrand.eval_grid([union] * integrand.arity)
-    return float(np.max(np.abs(grid)))
-
-
-def _fixed_matrices(exp: TailBoundExperiment, key: str, count: int | None = None):
-    raw = exp.fixed_inputs.get(key)
-    if raw is None:
-        raise ValidationError(f"theorem {exp.theorem_id} needs fixed input {key!r}")
-    if isinstance(raw, np.ndarray) and raw.ndim == 2:
-        raw = [raw]
-    mats = [np.asarray(m, dtype=np.complex128) for m in raw]
-    if count is not None and len(mats) != count:
-        raise ValidationError(
-            f"fixed input {key!r} needs {count} matrices, got {len(mats)}"
-        )
-    return mats
-
-
 def _prepare(exp: TailBoundExperiment) -> _Context:
     maker = {
         "moi_norm_a": _prepare_moi_norm,
         "moi_norm_schatten_b": _prepare_moi_norm,
-        "first_derivative": _prepare_first_derivative,
-        "kth_derivative": _prepare_kth_derivative,
+        "first_derivative": _prepare_derivative,
+        "kth_derivative": _prepare_derivative,
         "higher_difference": _prepare_higher_difference,
         "sa_remainder": _prepare_sa_remainder,
         "unitary_remainder": _prepare_unitary_remainder,
@@ -235,21 +314,12 @@ def _prepare(exp: TailBoundExperiment) -> _Context:
 
 def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
     models = exp.operator_models
-    m = len(models)
-    if m < 2:
-        raise ValidationError("norm-bound experiments need at least two operators")
-    integrand = exp.integrand
-    if not isinstance(integrand, SeparableIntegrand):
-        raise ValidationError("norm-bound experiments need a separable integrand")
-    if integrand.arity != m:
-        raise ValidationError("integrand arity must equal the operator count")
-    arguments = _fixed_matrices(exp, "arguments", m - 1)
+    arguments = exp.fixed_inputs["arguments"]
     schatten = exp.theorem_id == "moi_norm_schatten_b"
-    constants: dict = {"operator_count": m}
+    constants: dict = {"operator_count": len(models)}
+    q = None
     if schatten:
-        if exp.schatten_p is None or len(exp.schatten_p) != m - 1:
-            raise ValidationError("schatten mode needs one exponent per argument")
-        p = tuple(float(v) for v in exp.schatten_p)
+        p = exp.schatten_p
         recip = holder_reciprocal_sum(p)
         q = holder_result_exponent(recip)
         variant = None if recip >= 1.0 else 1.0 / (1.0 - recip)
@@ -261,113 +331,75 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
                 "result_exponent_variant_one_minus_sum": variant,
             }
         )
-        coeff = 1.0
-        for arg, pv in zip(arguments, p):
-            coeff *= schatten_norm(arg, pv)
+        coeff = math.prod(schatten_norm(arg, pv) for arg, pv in zip(arguments, p))
     else:
-        q = None
-        coeff = 1.0
-        for arg in arguments:
-            coeff *= operator_norm(arg)
-    multivariate = integrand.as_multivariate()
+        coeff = math.prod(operator_norm(arg) for arg in arguments)
+    multivariate = exp.integrand.as_multivariate()
 
     def sample(rng: np.random.Generator):
         ops = [sample_random_hermitian(model, rng) for model in models]
         value = moi_core(ops, multivariate, arguments)
         stat = schatten_norm(value, q) if schatten else operator_norm(value)
-        union = np.concatenate([np.asarray(op.decomposition.eigenvalues) for op in ops])
-        return stat, {"integrand_norm": _sup_on_union(multivariate, union)}
+        union = _spectra_union(ops)
+        return stat, {
+            "integrand_norm": sup_norm_on_grid(multivariate, [union] * len(ops))
+        }
 
     return _Context(("integrand_norm",), {"integrand_norm": coeff}, sample, constants)
 
 
-def _scalar_integrand(exp: TailBoundExperiment) -> ScalarFunction:
-    if not isinstance(exp.integrand, ScalarFunction):
-        raise ValidationError(f"theorem {exp.theorem_id} needs a scalar function")
-    return exp.integrand
-
-
-def _prepare_first_derivative(exp: TailBoundExperiment) -> _Context:
-    if len(exp.operator_models) != 1:
-        raise ValidationError("first-derivative experiments use one operator model")
+def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
+    """The k-th derivative theorem; ``first_derivative`` is its k = 1 case."""
     model = exp.operator_models[0]
-    f = _scalar_integrand(exp)
-    (direction,) = _fixed_matrices(exp, "direction", 1)
-    direction_bound = operator_norm(direction)
-    dd1 = divided_difference_integrand(f, 1)
-    constants = {"direction_norm_bound": direction_bound}
-
-    def sample(rng: np.random.Generator):
-        op = sample_random_hermitian(model, rng)
-        value = moi_core([op, op], dd1, [direction])
-        union = np.asarray(op.decomposition.eigenvalues)
-        return operator_norm(value), {"integrand_norm": _sup_on_union(dd1, union)}
-
-    return _Context(
-        ("integrand_norm",), {"integrand_norm": direction_bound}, sample, constants
-    )
-
-
-def _prepare_kth_derivative(exp: TailBoundExperiment) -> _Context:
-    if len(exp.operator_models) != 1:
-        raise ValidationError("kth-derivative experiments use one operator model")
-    if not exp.order or exp.order < 1:
-        raise ValidationError("kth-derivative experiments need order >= 1")
-    model = exp.operator_models[0]
-    k = int(exp.order)
-    f = _scalar_integrand(exp)
-    (direction,) = _fixed_matrices(exp, "direction", 1)
+    direction = exp.fixed_inputs["direction"]
     dnorm = operator_norm(direction)
-    coeff = math.factorial(k) * dnorm**k
-    dd_k = divided_difference_integrand(f, k)
-    constants = {"order": k, "direction_norm": dnorm}
+    if exp.theorem_id == "first_derivative":
+        k, constants = 1, {"direction_norm_bound": dnorm}
+    else:
+        k, constants = exp.order, {"order": exp.order, "direction_norm": dnorm}
+    k_factorial = math.factorial(k)
+    dd_k = divided_difference_integrand(exp.integrand, k)
 
     def sample(rng: np.random.Generator):
         op = sample_random_hermitian(model, rng)
-        value = math.factorial(k) * moi_core(
-            [op] * (k + 1), dd_k, [direction] * k
-        )
-        union = np.asarray(op.decomposition.eigenvalues)
-        return operator_norm(value), {"integrand_norm": _sup_on_union(dd_k, union)}
+        value = k_factorial * moi_core([op] * (k + 1), dd_k, [direction] * k)
+        union = _spectra_union([op])
+        return operator_norm(value), {
+            "integrand_norm": sup_norm_on_grid(dd_k, [union] * (k + 1))
+        }
 
+    coeff = k_factorial * dnorm**k
     return _Context(("integrand_norm",), {"integrand_norm": coeff}, sample, constants)
 
 
 def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
-    if len(exp.operator_models) != 1:
-        raise ValidationError("higher-difference experiments use one operator model")
-    if not exp.order or exp.order < 1:
-        raise ValidationError("higher-difference experiments need order >= 1")
     model = exp.operator_models[0]
-    k = int(exp.order)
-    f = _scalar_integrand(exp)
-    (step,) = _fixed_matrices(exp, "step", 1)
+    k = exp.order
+    f = exp.integrand
+    step = exp.fixed_inputs["step"]
     snorm = operator_norm(step)
     dd_k = divided_difference_integrand(f, k)
-    gap_cfg = exp.eigengap_bound
     constants = {
         "order": k,
         "step_norm": snorm,
-        "eigengap_bound": gap_cfg,
+        "eigengap_bound": exp.eigengap_bound,
         # the gap factor couples independent integration variables of two
         # adjacent operators, so its sup runs over all eigenvalue pairs
         "eigengap_definition": (
             "max over j of max |l - u| for l in spec(A+(j+1)B), u in spec(A+jB)"
         ),
     }
-    coeff = k * snorm**k
 
     def sample(rng: np.random.Generator):
         op = sample_random_hermitian(model, rng)
         stat = operator_norm(higher_difference(f, op, step, k))
         ops = [op] + [shifted_operator(op, i * step) for i in range(1, k + 1)]
-        spectra = [np.asarray(o.decomposition.eigenvalues) for o in ops]
+        spectra = [o.decomposition.eigenvalues for o in ops]
         gap = max(
             float(np.max(np.abs(spectra[j + 1][:, None] - spectra[j][None, :])))
             for j in range(k)
         )
-        union = np.concatenate(spectra)
-        surrogate = _sup_on_union(dd_k, union)
+        surrogate = sup_norm_on_grid(dd_k, [_spectra_union(ops)] * (k + 1))
         return stat, {
             "gap_weighted_integrand_norm": gap * surrogate,
             "integrand_norm": surrogate,
@@ -376,43 +408,33 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
 
     return _Context(
         ("gap_weighted_integrand_norm",),
-        {"gap_weighted_integrand_norm": coeff},
+        {"gap_weighted_integrand_norm": k * snorm**k},
         sample,
         constants,
         extra_labels=("integrand_norm", "eigengap"),
     )
 
 
-def _slot_functions(exp: TailBoundExperiment) -> list[ScalarFunction]:
-    raw = exp.integrand
-    if isinstance(raw, ScalarFunction):
-        raw = [raw]
-    functions = list(raw)
-    if not functions or not all(isinstance(f, ScalarFunction) for f in functions):
-        raise ValidationError("remainder experiments need per-slot scalar functions")
-    return functions
+def _remainder_slots(exp: TailBoundExperiment):
+    """What both remainder theorems share: slot functions, models, order,
+    perturbations, and the constants built from the perturbation norms."""
+    perturbations = exp.fixed_inputs["perturbations"]
+    norms = [operator_norm(h) for h in perturbations]
+    constants = {
+        "order": exp.order,
+        "slot_count": len(perturbations),
+        "perturbation_norms": norms,
+    }
+    return exp.integrand, exp.operator_models, exp.order, perturbations, constants
 
 
 def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
-    functions = _slot_functions(exp)
+    functions, models, k, perturbations, constants = _remainder_slots(exp)
     n = len(functions)
-    if len(exp.operator_models) != n:
-        raise ValidationError("one operator model per slot is required")
-    if not exp.order or exp.order < 1:
-        raise ValidationError("remainder experiments need order >= 1")
-    k = int(exp.order)
-    perturbations = _fixed_matrices(exp, "perturbations", n)
     dd = [divided_difference_integrand(f, k) for f in functions]
     labels = tuple(f"slot{j}_integrand_norm" for j in range(n))
-    coefficients = {
-        labels[j]: n * operator_norm(perturbations[j]) ** k for j in range(n)
-    }
-    constants = {
-        "order": k,
-        "slot_count": n,
-        "perturbation_norms": [operator_norm(h) for h in perturbations],
-    }
-    models = exp.operator_models
+    norms = constants["perturbation_norms"]
+    coefficients = {labels[j]: n * norms[j] ** k for j in range(n)}
 
     def sample(rng: np.random.Generator):
         total = None
@@ -424,63 +446,35 @@ def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
                 [shifted] + [op] * k, dd[j], [perturbations[j]] * k
             )
             total = value if total is None else total + value
-            union = np.concatenate(
-                [
-                    np.asarray(shifted.decomposition.eigenvalues),
-                    np.asarray(op.decomposition.eigenvalues),
-                ]
-            )
-            terms[labels[j]] = _sup_on_union(dd[j], union)
+            union = _spectra_union([shifted, op])
+            terms[labels[j]] = sup_norm_on_grid(dd[j], [union] * (k + 1))
         return operator_norm(total), terms
 
     return _Context(labels, coefficients, sample, constants)
 
 
 def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
-    functions = _slot_functions(exp)
+    functions, models, k, perturbations, constants = _remainder_slots(exp)
     n = len(functions)
-    if len(exp.operator_models) != n:
-        raise ValidationError("one operator model per slot is required")
-    if not exp.order or exp.order < 1:
-        raise ValidationError("remainder experiments need order >= 1")
-    k = int(exp.order)
-    for f in functions:
-        if f.kind != "polynomial":
-            raise CapabilityError("unitary remainder slots must be polynomials")
-    perturbations = _fixed_matrices(exp, "perturbations", n)
-    generators = [HermitianOperator(h) for h in perturbations]
+    generators = [HermitianOperator._trusted(h) for h in perturbations]
     rotators = [unitary_exponential(g) for g in generators]
-    g_caches = [_exp_term_cache(g.matrix, k) for g in generators]
+    g_caches = [_exp_term_cache(h, k) for h in perturbations]
     dd = [
         [divided_difference_integrand(f, ell) for ell in range(1, k + 1)]
         for f in functions
     ]
+    norms = constants["perturbation_norms"]
     weight_totals = {
-        (j, ell): composition_weight_sum(operator_norm(perturbations[j]), k, ell)
+        f"slot{j}_order{ell}": composition_weight_sum(norms[j], k, ell)
         for j in range(n)
         for ell in range(1, k + 1)
     }
-    labels = tuple(
-        f"slot{j}_order{ell}_integrand_norm"
-        for j in range(n)
-        for ell in range(1, k + 1)
-    )
+    labels = tuple(f"{slot_order}_integrand_norm" for slot_order in weight_totals)
     coefficients = {
-        f"slot{j}_order{ell}_integrand_norm": k * n * weight_totals[(j, ell)]
-        for j in range(n)
-        for ell in range(1, k + 1)
+        f"{slot_order}_integrand_norm": k * n * total
+        for slot_order, total in weight_totals.items()
     }
-    constants = {
-        "order": k,
-        "slot_count": n,
-        "perturbation_norms": [operator_norm(h) for h in perturbations],
-        "composition_weight_totals": {
-            f"slot{j}_order{ell}": weight_totals[(j, ell)]
-            for j in range(n)
-            for ell in range(1, k + 1)
-        },
-    }
-    models = exp.operator_models
+    constants["composition_weight_totals"] = weight_totals
 
     def sample(rng: np.random.Generator):
         total = None
@@ -495,13 +489,10 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
                 )
             total = value if total is None else total + value
             rotated_eigs = np.linalg.eigvals(rotated)
-            rotated_eigs = rotated_eigs / np.abs(rotated_eigs)
-            union = np.concatenate(
-                [rotated_eigs, np.asarray(base.decomposition.eigenvalues)]
-            )
+            union = _spectra_union([base], rotated_eigs / np.abs(rotated_eigs))
             for ell in range(1, k + 1):
-                terms[f"slot{j}_order{ell}_integrand_norm"] = _sup_on_union(
-                    dd[j][ell - 1], union
+                terms[f"slot{j}_order{ell}_integrand_norm"] = sup_norm_on_grid(
+                    dd[j][ell - 1], [union] * (ell + 1)
                 )
         return operator_norm(total), terms
 
@@ -513,8 +504,12 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int):
-    ctx = _prepare(exp)
+def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
+    """Per-sample statistics and terms of samples lo..hi-1, plus an abort
+    mask.  Without ``ctx`` the experiment is prepared here (pool workers do
+    this: the sample closures do not pickle)."""
+    if ctx is None:
+        ctx = _prepare(exp)
     count = hi - lo
     stats = np.full(count, np.nan)
     all_labels = ctx.labels + ctx.extra_labels
@@ -541,42 +536,27 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
     n = exp.samples
     workers = max(1, int(workers))
     all_labels = ctx.labels + ctx.extra_labels
-    stats = np.full(n, np.nan)
-    terms = {label: np.full(n, np.nan) for label in all_labels}
-    aborted = np.zeros(n, dtype=bool)
-    if workers == 1:
-        block = _simulate_block(exp, 0, n)
-        stats, terms, aborted = block
+    bounds = [round(i * n / workers) for i in range(workers + 1)]
+    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(ranges) == 1:
+        blocks = [_simulate_block(exp, 0, n, ctx)]
     else:
-        bounds = [round(i * n / workers) for i in range(workers + 1)]
-        ranges = [
-            (bounds[i], bounds[i + 1])
-            for i in range(workers)
-            if bounds[i + 1] > bounds[i]
-        ]
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [
-                pool.submit(_simulate_block, exp, lo, hi) for lo, hi in ranges
-            ]
-            for (lo, hi), future in zip(ranges, futures):
-                b_stats, b_terms, b_aborted = future.result()
-                stats[lo:hi] = b_stats
-                aborted[lo:hi] = b_aborted
-                for label in all_labels:
-                    terms[label][lo:hi] = b_terms[label]
+            futures = [pool.submit(_simulate_block, exp, lo, hi) for lo, hi in ranges]
+            blocks = [future.result() for future in futures]
+    stats = np.concatenate([block[0] for block in blocks])
+    terms = {
+        label: np.concatenate([block[1][label] for block in blocks])
+        for label in all_labels
+    }
+    aborted = np.concatenate([block[2] for block in blocks])
     aborted_count = int(np.sum(aborted))
     if aborted_count > 0.01 * n:
         raise NumericalError(
             f"{aborted_count} of {n} samples aborted (limit is 1%)"
         )
     valid = ~aborted
-    n_valid = int(np.sum(valid))
-    estimates = {}
-    for label in all_labels:
-        vals = terms[label][valid]
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_valid))
-        estimates[label] = (mean, stderr)
+    estimates = {label: _mean_stderr(terms[label][valid]) for label in all_labels}
     stat_valid = stats[valid]
     rows = [
         _markov_row(
@@ -650,9 +630,7 @@ def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
     n_inc = int(np.sum(included))
     rows = []
     if n_inc > 1:
-        surr = terms["integrand_norm"][included]
-        mean = float(np.mean(surr))
-        stderr = float(np.std(surr, ddof=1) / math.sqrt(n_inc))
+        mean, stderr = _mean_stderr(terms["integrand_norm"][included])
         coeff = k * gap_cfg * snorm**k
         rows = [
             _markov_row(theta, stats[included], [coeff], [mean], [stderr])
@@ -755,10 +733,7 @@ def convergence_in_mean_check(
             bound_pow[step_idx, s] = bound**r
     step_rows = []
     for step_idx in range(steps):
-        mean = float(np.mean(diff_pow[step_idx]))
-        stderr = float(
-            np.std(diff_pow[step_idx], ddof=1) / math.sqrt(samples)
-        ) if samples > 1 else 0.0
+        mean, stderr = _mean_stderr(diff_pow[step_idx])
         bound_mean = float(np.mean(bound_pow[step_idx]))
         step_rows.append(
             {

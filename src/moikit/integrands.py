@@ -222,7 +222,7 @@ def add_scalar_functions(a: ScalarFunction, b: ScalarFunction) -> ScalarFunction
 class DividedDifferenceSpec:
     """Order-n divided difference of ``f`` at ``order + 1`` nodes.
 
-    Nodes clustered within ``confluence_tolerance`` are merged and evaluated
+    Nodes clustered within :attr:`tolerance` are merged and evaluated
     through derivatives (the Hermite limit), which is the unique continuous
     extension of the difference-quotient recursion.
     """
@@ -230,7 +230,6 @@ class DividedDifferenceSpec:
     f: ScalarFunction
     order: int
     nodes: tuple
-    confluence_tolerance: float | None = None
 
     def __post_init__(self):
         if self.order < 0:
@@ -242,13 +241,10 @@ class DividedDifferenceSpec:
                 f"order {self.order} needs {self.order + 1} nodes, got {len(nodes)}"
             )
         object.__setattr__(self, "nodes", nodes)
-        if self.confluence_tolerance is not None and not self.confluence_tolerance > 0:
-            raise ValidationError("confluence tolerance must be positive")
 
     @property
     def tolerance(self) -> float:
-        if self.confluence_tolerance is not None:
-            return self.confluence_tolerance
+        """Merge radius: 1e-7 relative to the largest node, at least 1e-7."""
         magnitude = max((abs(z) for z in self.nodes), default=0.0)
         return 1e-7 * max(1.0, magnitude)
 

@@ -37,6 +37,7 @@ from .integrands import (
 from .operators import (
     AnyOperator,
     SpectralDecomposition,
+    _spectra_union,
     operator_norm,
     schatten_norm,
 )
@@ -382,10 +383,7 @@ def continuity_modulus(
     lhs = operator_norm(lhs_matrix)
 
     dd_next = divided_difference_integrand(f, order + 1)
-    union = np.concatenate(
-        [np.asarray(op.decomposition.eigenvalues) for op in operators]
-        + [np.asarray(op.decomposition.eigenvalues) for op in perturbed]
-    )
+    union = _spectra_union([*operators, *perturbed])
     spectra = [union] * (order + 2)
     if dd_next.separable is not None:
         surrogate = projective_norm_bound(dd_next.separable, spectra)

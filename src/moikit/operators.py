@@ -8,8 +8,9 @@ All values are immutable after construction; every operation here is a pure
 function.  Random sampling takes an explicit ``numpy.random.Generator``.
 
 Trust boundary: constructors and parsers check their input, and
-:func:`spectral_decompose` checks what LAPACK returns.  Spectra that moikit
-builds itself (samplers, :func:`apply_scalar_function`) are not checked again.
+:func:`spectral_decompose` checks what LAPACK returns.  Operators that moikit
+builds from checked inputs (samplers, :func:`apply_scalar_function`,
+:func:`shifted_operator`, ``tensors.unfold``) are not checked again.
 """
 
 from __future__ import annotations
@@ -95,13 +96,15 @@ class _NormalOperator:
         self._spectral = None
 
     @classmethod
-    def _from_spectrum(cls, matrix: np.ndarray, eigenvalues, basis):
-        """Wrap a fresh complex128 matrix built from ``eigenvalues`` and
-        ``basis``, with that spectrum attached.  Nothing is checked."""
+    def _trusted(cls, matrix: np.ndarray, eigenvalues=None, basis=None):
+        """Wrap a square complex128 matrix that moikit built or checked
+        itself, leaving it read-only, with the spectrum it was built from
+        attached when given.  Nothing is checked."""
         op = cls.__new__(cls)
         matrix.setflags(write=False)
-        op._matrix = matrix
-        op._spectral = SpectralDecomposition(eigenvalues, basis)
+        op._matrix, op._spectral = matrix, None
+        if basis is not None:
+            op._spectral = SpectralDecomposition(eigenvalues, basis)
         return op
 
     @property
@@ -213,7 +216,7 @@ def apply_scalar_function(
         1.0, _max_abs(values)
     ):
         hermitized = (result + result.conj().T) / 2.0
-        return HermitianOperator._from_spectrum(hermitized, values.real, decomp.basis)
+        return HermitianOperator._trusted(hermitized, values.real, decomp.basis)
     return result
 
 
@@ -323,7 +326,7 @@ def sample_random_hermitian(
     basis = haar.matrix[:, order]
     matrix = (basis * eigenvalues) @ basis.conj().T
     matrix = (matrix + matrix.conj().T) / 2.0
-    return HermitianOperator._from_spectrum(matrix, eigenvalues, basis)
+    return HermitianOperator._trusted(matrix, eigenvalues, basis)
 
 
 def sample_random_unitary(
@@ -338,7 +341,7 @@ def sample_random_unitary(
     eigenvalues = eigenvalues[order]
     basis = haar.matrix[:, order]
     matrix = (basis * eigenvalues) @ basis.conj().T
-    return UnitaryOperator._from_spectrum(matrix, eigenvalues, basis)
+    return UnitaryOperator._trusted(matrix, eigenvalues, basis)
 
 
 def random_hermitian(
@@ -356,7 +359,18 @@ def random_hermitian(
 
 
 def shifted_operator(op: HermitianOperator, delta: np.ndarray) -> HermitianOperator:
-    """Hermitian operator ``op + delta`` (delta must be Hermitian)."""
-    shifted = op.matrix + np.asarray(delta, dtype=np.complex128)
+    """Hermitian operator ``op + delta``; ``delta`` must be a Hermitian
+    matrix of the same dimension."""
+    delta = HermitianOperator(delta).matrix
+    if delta.shape != op.matrix.shape:
+        raise ValidationError(f"shift has dimension {len(delta)}, the operator {op.dim}")
+    shifted = op.matrix + delta
     shifted = (shifted + shifted.conj().T) / 2.0
-    return HermitianOperator(shifted)
+    return HermitianOperator._trusted(shifted)
+
+
+def _spectra_union(operators, *eigenvalues) -> np.ndarray:
+    """``eigenvalues`` followed by every operator's eigenvalues, in one array."""
+    return np.concatenate(
+        [*eigenvalues, *(op.decomposition.eigenvalues for op in operators)]
+    )

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import ValidationError
-from .harness import TailBoundExperiment
+from .harness import _SCALAR_THEOREMS, TailBoundExperiment
 from .integrands import (
     MultivariateFunction,
     ScalarFunction,
@@ -52,6 +52,14 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(value, message: str, path: str, low: int = 0, high: int | None = None):
+    """An integer in low..high-1 (no upper limit when ``high`` is None).
+    JSON booleans are rejected although Python counts them as integers."""
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= low
+            and (high is None or value < high), message, path)
+    return value
+
+
 def _number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             "expected a number", path)
@@ -82,9 +90,8 @@ def matrix_to_json(matrix) -> dict:
 
 
 def parse_matrix(obj, path: str = "matrix") -> np.ndarray:
-    dim = _get(obj, "dim", path)
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer",
-            path + ".dim")
+    dim = _integer(_get(obj, "dim", path), "dim must be a positive integer",
+                   path + ".dim", 1)
     entries = _get(obj, "entries", path)
     _expect(isinstance(entries, list) and len(entries) == dim,
             f"entries must hold {dim} rows", path + ".entries")
@@ -148,9 +155,8 @@ def separable_to_json(psi: SeparableIntegrand) -> dict:
 
 
 def parse_separable(obj, path: str = "integrand") -> SeparableIntegrand:
-    arity = _get(obj, "arity", path)
-    _expect(isinstance(arity, int) and arity >= 1, "arity must be a positive integer",
-            path + ".arity")
+    arity = _integer(_get(obj, "arity", path), "arity must be a positive integer",
+                     path + ".arity", 1)
     terms_json = _get(obj, "terms", path)
     _expect(isinstance(terms_json, list) and terms_json,
             "terms must be a non-empty list", path + ".terms")
@@ -170,9 +176,8 @@ def parse_integrand(obj, path: str = "integrand") -> MultivariateFunction:
     _expect(isinstance(obj, dict), "expected an object", path)
     if obj.get("kind") == "divided_difference":
         f = parse_scalar_function(_get(obj, "f", path), path + ".f")
-        order = _get(obj, "order", path)
-        _expect(isinstance(order, int) and order >= 0,
-                "order must be a nonnegative integer", path + ".order")
+        order = _integer(_get(obj, "order", path),
+                         "order must be a nonnegative integer", path + ".order")
         return divided_difference_integrand(f, order)
     return parse_separable(obj, path).as_multivariate()
 
@@ -189,9 +194,8 @@ def model_to_json(model: RandomOperatorModel) -> dict:
 
 
 def parse_model(obj, path: str = "model") -> RandomOperatorModel:
-    dim = _get(obj, "dim", path)
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer",
-            path + ".dim")
+    dim = _integer(_get(obj, "dim", path), "dim must be a positive integer",
+                   path + ".dim", 1)
     law_json = _get(obj, "law", path)
     kind = _get(law_json, "kind", path + ".law")
     if kind == "uniform":
@@ -209,9 +213,8 @@ def parse_model(obj, path: str = "model") -> RandomOperatorModel:
         ))
     else:
         raise ValidationError(f"unknown law kind {kind!r}", path=path + ".law.kind")
-    seed = obj.get("seed", 0)
-    _expect(isinstance(seed, int) and 0 <= seed < 2**64,
-            "seed must be an unsigned 64-bit integer", path + ".seed")
+    seed = _integer(obj.get("seed", 0), "seed must be an unsigned 64-bit integer",
+                    path + ".seed", 0, 2**64)
     try:
         return RandomOperatorModel(dim, law, seed)
     except ValidationError as err:
@@ -226,18 +229,18 @@ def monomial_polynomial_to_json(poly: MonomialPolynomial) -> dict:
 
 
 def parse_monomial_polynomial(obj, path: str = "polynomial") -> MonomialPolynomial:
-    arity = _get(obj, "arity", path)
-    _expect(isinstance(arity, int) and arity >= 1, "arity must be a positive integer",
-            path + ".arity")
+    arity = _integer(_get(obj, "arity", path), "arity must be a positive integer",
+                     path + ".arity", 1)
     terms_json = _get(obj, "terms", path)
     _expect(isinstance(terms_json, list), "terms must be a list", path + ".terms")
     terms = []
     for i, t in enumerate(terms_json):
         exp = _get(t, "exp", f"{path}.terms[{i}]")
-        _expect(isinstance(exp, list) and len(exp) == arity
-                and all(isinstance(e, int) and e >= 0 for e in exp),
-                "exp must be a list of nonnegative integers of length arity",
+        exp_message = "exp must be a list of nonnegative integers of length arity"
+        _expect(isinstance(exp, list) and len(exp) == arity, exp_message,
                 f"{path}.terms[{i}].exp")
+        for e in exp:
+            _integer(e, exp_message, f"{path}.terms[{i}].exp")
         coef = _number(_get(t, "coef", f"{path}.terms[{i}]"), f"{path}.terms[{i}].coef")
         terms.append((tuple(exp), coef))
     try:
@@ -281,10 +284,9 @@ def parse_tensor(obj, path: str = "tensor") -> HermitianTensor:
 def parse_tensor_argument(obj, path: str) -> np.ndarray:
     """A general (not necessarily Hermitian) tensor argument."""
     dims = _get(obj, "mode_dims", path)
-    _expect(isinstance(dims, list) and dims
-            and all(isinstance(d, int) and d >= 1 for d in dims),
-            "mode_dims must be a list of positive integers", path + ".mode_dims")
-    dims = tuple(dims)
+    dims_message = "mode_dims must be a list of positive integers"
+    _expect(isinstance(dims, list) and dims, dims_message, path + ".mode_dims")
+    dims = tuple(_integer(d, dims_message, path + ".mode_dims", 1) for d in dims)
     total = int(np.prod(dims)) ** 2
     entries = _get(obj, "entries", path)
     _expect(isinstance(entries, list) and len(entries) == total,
@@ -308,7 +310,6 @@ def tensor_argument_to_json(entries: np.ndarray, mode_dims) -> dict:
 # ---------------------------------------------------------------------------
 
 _SLOT_FUNCTION_THEOREMS = ("sa_remainder", "unitary_remainder")
-_SCALAR_THEOREMS = ("first_derivative", "kth_derivative", "higher_difference")
 
 
 def experiment_to_json(exp: TailBoundExperiment) -> dict:
@@ -388,17 +389,14 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
     thetas = _get(obj, "theta_grid", root)
     _expect(isinstance(thetas, list) and thetas, "theta_grid must be a non-empty list",
             root + ".theta_grid")
-    samples = _get(obj, "samples", root)
-    _expect(isinstance(samples, int) and samples > 0,
-            "samples must be a positive integer", root + ".samples")
-    seed = _get(obj, "seed", root)
-    _expect(isinstance(seed, int) and 0 <= seed < 2**64,
-            "seed must be an unsigned 64-bit integer", root + ".seed")
+    samples = _integer(_get(obj, "samples", root), "samples must be a positive integer",
+                       root + ".samples", 1)
+    seed = _integer(_get(obj, "seed", root), "seed must be an unsigned 64-bit integer",
+                    root + ".seed", 0, 2**64)
     kwargs = {}
     if "order" in obj:
-        _expect(isinstance(obj["order"], int) and obj["order"] >= 1,
-                "order must be a positive integer", root + ".order")
-        kwargs["order"] = obj["order"]
+        kwargs["order"] = _integer(obj["order"], "order must be a positive integer",
+                                   root + ".order", 1)
     if "schatten_p" in obj:
         _expect(isinstance(obj["schatten_p"], list),
                 "schatten_p must be a list", root + ".schatten_p")

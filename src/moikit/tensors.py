@@ -49,6 +49,8 @@ class HermitianTensor:
             raise ValidationError(
                 f"entries have shape {arr.shape}, expected {expected}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("tensor contains non-finite entries")
         asym = float(np.max(np.abs(arr - _block_adjoint(arr)))) if arr.size else 0.0
         scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
         if asym > CONJUGATE_SYMMETRY_TOL * scale:
@@ -100,8 +102,9 @@ def tensor_contract(a, b, k: int) -> np.ndarray:
 
 
 def unfold(tensor: HermitianTensor) -> HermitianOperator:
-    """Row-major grouping of the two index blocks into a Hermitian matrix."""
-    return HermitianOperator(unfold_array(tensor.entries, tensor.mode_dims))
+    """Row-major grouping of the two index blocks into a Hermitian matrix
+    (the tensor's own check is this matrix's Hermitian check)."""
+    return HermitianOperator._trusted(unfold_array(tensor.entries, tensor.mode_dims))
 
 
 def unfold_array(entries, mode_dims) -> np.ndarray:

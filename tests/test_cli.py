@@ -221,10 +221,28 @@ def _without(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
 
+def _skewed(matrix, amount):
+    """A copy of a JSON matrix with ``amount`` added to the real part of
+    entry (0, 1) only, so that it is no longer Hermitian."""
+    matrix = copy.deepcopy(matrix)
+    matrix["entries"][0][1][0] += amount
+    return matrix
+
+
 def _with_asymmetric_perturbation(payload, amount):
-    slot = copy.deepcopy(payload["slots"][0])
-    slot["perturbation"]["entries"][0][1][0] += amount
+    slot = {**payload["slots"][0]}
+    slot["perturbation"] = _skewed(slot["perturbation"], amount)
     return {**payload, "slots": [slot]}
+
+
+def _small_tailbound(payload, **fixed_inputs):
+    """The experiment at 1000 samples, with some fixed inputs replaced."""
+    return {**payload, "samples": 1000,
+            "fixed_inputs": {**payload["fixed_inputs"], **fixed_inputs}}
+
+
+IDENTITY_2X2 = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0], [1.0, 0.0]]]}
 
 
 # (command, shipped input, edit) for payloads each command rejects with exit 2
@@ -270,6 +288,28 @@ REJECTED_PAYLOADS = [
     pytest.param("remainder", "demo_remainder_unitary.json",
                  lambda p: _with_asymmetric_perturbation(p, 5e-11),
                  id="remainder-unitary-perturbation-asymmetry-5e-11"),
+    pytest.param("tailbound", "tailbound_first_derivative.json",
+                 lambda p: _small_tailbound(p, direction=IDENTITY_2X2),
+                 id="tailbound-direction-wrong-dimension"),
+    pytest.param("tailbound", "tailbound_higher_difference.json",
+                 lambda p: _small_tailbound(
+                     p, step=_skewed(p["fixed_inputs"]["step"], 0.5)),
+                 id="tailbound-step-not-hermitian"),
+    pytest.param("tailbound", "tailbound_sa_remainder.json",
+                 lambda p: _small_tailbound(p, perturbations=[
+                     _skewed(p["fixed_inputs"]["perturbations"][0], 0.5),
+                     p["fixed_inputs"]["perturbations"][1]]),
+                 id="tailbound-sa-remainder-perturbation-not-hermitian"),
+    pytest.param("higher-diff", "demo_higher_diff.json",
+                 lambda p: {**p, "step": _skewed(p["step"], 0.5)},
+                 id="higher-diff-step-not-hermitian"),
+    pytest.param("mti-eval", "demo_mti_eval.json",
+                 lambda p: {**p, "arguments": 5}, id="mti-eval-arguments-not-a-list"),
+    pytest.param("kth-deriv", "demo_kth_deriv.json",
+                 lambda p: {**p, "order": True}, id="kth-deriv-order-boolean"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: {**_small_tailbound(p), "seed": True},
+                 id="tailbound-seed-boolean"),
 ]
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import moikit as mk
 from moikit import serialization as ser
-from moikit.errors import NumericalError, ParameterError
+from moikit import harness
+from moikit.errors import NumericalError, ParameterError, ValidationError
 from moikit.harness import SURROGATE_NOTE
 
 from conftest import config_path
@@ -176,6 +177,36 @@ class TestRunTailBound:
         constants = report.metadata["constants"]
         assert constants["result_exponent_q"] == pytest.approx(1.0)
         assert "result_exponent_variant_one_minus_sum" in constants
+
+
+class TestExperimentChecks:
+    def test_models_must_share_one_dimension(self):
+        psi = mk.SeparableIntegrand.constant(2)
+        with pytest.raises(ValidationError, match="share one dimension"):
+            mk.TailBoundExperiment(
+                theorem_id="moi_norm_a",
+                operator_models=(mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0)),
+                                 mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0))),
+                fixed_inputs={"arguments": [np.eye(3, dtype=complex)]},
+                integrand=psi,
+                theta_grid=(1.0,),
+                samples=1000,
+                seed=0,
+            )
+
+    def test_prepared_once_per_run(self, monkeypatch):
+        calls = []
+        prepare = harness._prepare
+
+        def counting_prepare(exp):
+            calls.append(exp.theorem_id)
+            return prepare(exp)
+
+        monkeypatch.setattr(harness, "_prepare", counting_prepare)
+        exp = small_experiment()
+        assert calls == []
+        mk.run_tail_bound(exp, workers=1)
+        assert calls == ["moi_norm_a"]
 
 
 class TestShippedConfigsParse:

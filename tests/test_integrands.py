@@ -13,8 +13,8 @@ from moikit.integrands import add_scalar_functions, multiply_by_slot_variable
 import oracles
 
 
-def dd(f, order, nodes, tol=None):
-    return mk.divided_difference(mk.DividedDifferenceSpec(f, order, tuple(nodes), tol))
+def dd(f, order, nodes):
+    return mk.divided_difference(mk.DividedDifferenceSpec(f, order, tuple(nodes)))
 
 
 class TestDividedDifference:

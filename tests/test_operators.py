@@ -222,3 +222,26 @@ class TestRandomHermitian:
         assert np.max(np.abs(u.spectral.reconstruct() - u.matrix)) <= 1e-10
         departure = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(3)))
         assert departure <= 1e-10
+
+
+class TestShiftedOperator:
+    def test_adds_hermitian_shift(self, rng, uniform_model):
+        op = mk.sample_random_hermitian(uniform_model, rng)
+        delta = mk.random_hermitian(4, rng, norm=0.3)
+        shifted = mk.shifted_operator(op, delta)
+        assert isinstance(shifted, mk.HermitianOperator)
+        np.testing.assert_allclose(shifted.matrix, op.matrix + delta, atol=1e-14)
+        assert not shifted.matrix.flags.writeable
+
+    def test_rejects_non_hermitian_shift(self, rng, uniform_model):
+        # the sum used to be symmetrized, which shifted by (B + B*)/2 instead
+        op = mk.sample_random_hermitian(uniform_model, rng)
+        delta = mk.random_hermitian(4, rng, norm=0.3)
+        delta[0, 1] += 0.1
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            mk.shifted_operator(op, delta)
+
+    def test_rejects_wrong_dimension(self, rng, uniform_model):
+        op = mk.sample_random_hermitian(uniform_model, rng)
+        with pytest.raises(ValidationError, match="dimension"):
+            mk.shifted_operator(op, np.eye(3, dtype=complex))

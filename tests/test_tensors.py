@@ -81,6 +81,13 @@ class TestUnfoldFold:
         with pytest.raises(ValidationError):
             mk.HermitianTensor((2,), entries)
 
+    def test_non_finite_entries_rejected(self):
+        # unfold trusts the tensor's checks, so the tensor rejects NaN itself
+        entries = np.eye(2, dtype=complex)
+        entries[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            mk.HermitianTensor((2,), entries)
+
 
 class TestEigendecomposition:
     def test_identity_tensor(self):
