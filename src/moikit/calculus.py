@@ -30,6 +30,7 @@ from .operators import (
     AnyOperator,
     HermitianOperator,
     UnitaryOperator,
+    _shifted,
     apply_scalar_function,
     operator_norm,
     shifted_operator,
@@ -216,10 +217,22 @@ def higher_difference(
     f(A + iB) over i = 0..k."""
     if order < 0:
         raise ParameterError("difference order must be nonnegative")
+    return _binomial_sum(f, _shift_ladder(operator, step, order))
+
+
+def _shift_ladder(operator: HermitianOperator, step, order: int) -> list:
+    """[A, A + B, ..., A + kB] for A = ``operator``, B = ``step``, k = ``order``."""
     step = np.asarray(step, dtype=np.complex128)
-    total = np.zeros((operator.dim, operator.dim), dtype=np.complex128)
-    for i in range(order + 1):
-        shifted = shifted_operator(operator, i * step) if i else operator
+    return [operator] + [shifted_operator(operator, i * step) for i in range(1, order + 1)]
+
+
+def _binomial_sum(f: ScalarFunction, ladder: Sequence[HermitianOperator]) -> np.ndarray:
+    """The order-k difference from its shifted operators [A, A + B, ..., A + kB]:
+    the sum over i of (-1)^(k-i) C(k, i) f(A + iB)."""
+    order = len(ladder) - 1
+    dim = ladder[0].dim
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for i, shifted in enumerate(ladder):
         value = _as_matrix(apply_scalar_function(f, shifted))
         total += ((-1) ** (order - i)) * math.comb(order, i) * value
     return total
@@ -237,11 +250,8 @@ def higher_difference_moi_diagnostic(
     """
     if order < 1:
         raise ParameterError("diagnostic needs order >= 1")
-    binomial = higher_difference(f, operator, step, order)
-    step = np.asarray(step, dtype=np.complex128)
-    ops = [operator] + [
-        shifted_operator(operator, i * step) for i in range(1, order + 1)
-    ]
+    ops = _shift_ladder(operator, step, order)
+    binomial = _binomial_sum(f, ops)
     dd = divided_difference_integrand(f, order)
     if dd.separable is None:
         raise CapabilityError("diagnostic needs a polynomial scalar function")
@@ -282,7 +292,7 @@ def taylor_remainder_self_adjoint(spec: RemainderSpec, method: str = "moi") -> n
     for slot, phi in spec.function.per_slot():
         base = spec.base[slot]
         pert = spec.perturbations[slot]
-        shifted = shifted_operator(base, pert)
+        shifted = _shifted(base, pert)
         if method == "direct":
             value = _as_matrix(apply_scalar_function(phi, shifted))
             value = value - _as_matrix(apply_scalar_function(phi, base))

@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (
+    _binomial_sum,
     _exp_term_cache,
     _unitary_taylor_term,
     composition_weight_sum,
-    higher_difference,
     polynomial_of_matrix,
     unitary_exponential,
 )
@@ -57,6 +57,7 @@ from .moi import (
 from .operators import (
     HermitianOperator,
     RandomOperatorModel,
+    _shifted,
     _spectra_union,
     as_square_complex,
     operator_norm,
@@ -64,7 +65,6 @@ from .operators import (
     sample_random_hermitian,
     sample_random_unitary,
     schatten_norm,
-    shifted_operator,
 )
 
 __all__ = [
@@ -392,8 +392,8 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
 
     def sample(rng: np.random.Generator):
         op = sample_random_hermitian(model, rng)
-        stat = operator_norm(higher_difference(f, op, step, k))
-        ops = [op] + [shifted_operator(op, i * step) for i in range(1, k + 1)]
+        ops = [op] + [_shifted(op, i * step) for i in range(1, k + 1)]
+        stat = operator_norm(_binomial_sum(f, ops))
         spectra = [o.decomposition.eigenvalues for o in ops]
         gap = max(
             float(np.max(np.abs(spectra[j + 1][:, None] - spectra[j][None, :])))
@@ -441,7 +441,7 @@ def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
         terms = {}
         for j in range(n):
             op = sample_random_hermitian(models[j], rng)
-            shifted = shifted_operator(op, perturbations[j])
+            shifted = _shifted(op, perturbations[j])
             value = moi_core(
                 [shifted] + [op] * k, dd[j], [perturbations[j]] * k
             )
@@ -650,6 +650,18 @@ def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, message: str, path: str, low: int | None = 0,
+             high: int | None = None) -> int:
+    """An integer in low..high-1 (no limit where a bound is None), else
+    ValidationError(message) at ``path``.  Booleans are rejected although
+    Python counts them as integers."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (low is not None and value < low)
+            or (high is not None and value >= high)):
+        raise ValidationError(message, path=path)
+    return int(value)
+
+
 def convergence_parameters(
     epsilon0, steps, r, order, arguments, samples, seed, path: str = ""
 ) -> tuple:
@@ -664,9 +676,7 @@ def convergence_parameters(
         return f"{path}.{name}" if path else name
 
     def integer(value, name):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValidationError("expected an integer", path=field(name))
-        return int(value)
+        return _integer(value, "expected an integer", field(name), low=None)
 
     if not isinstance(epsilon0, numbers.Real) or isinstance(epsilon0, bool):
         raise ValidationError("expected a number", path=field("epsilon0"))
@@ -725,7 +735,7 @@ def convergence_in_mean_check(
                 perturbed = base_ops  # identical objects: difference exactly 0
             else:
                 perturbed = [
-                    shifted_operator(op, eps * d)
+                    _shifted(op, eps * d)
                     for op, d in zip(base_ops, directions)
                 ]
             lhs, bound = continuity_modulus(f, order, base_ops, perturbed, arguments)

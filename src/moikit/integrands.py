@@ -9,6 +9,7 @@ norm surrogate used by every certified bound in the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -319,6 +320,15 @@ def divided_difference(spec: DividedDifferenceSpec):
 # ---------------------------------------------------------------------------
 
 
+def _factor_key(fn: ScalarFunction):
+    """What makes two factors the same: equal coefficients for polynomials
+    (the divided-difference expansions build a fresh object per monomial),
+    identity for every other function."""
+    if fn.kind == POLYNOMIAL:
+        return (fn.coefficients.dtype.str, fn.coefficients.tobytes())
+    return fn
+
+
 @dataclass(frozen=True)
 class SeparableIntegrand:
     """A finite rank-one sum: psi(l_1..l_m) = sum_n prod_i f_{i,n}(l_i)."""
@@ -357,20 +367,90 @@ class SeparableIntegrand:
             total += prod
         return total
 
+    @functools.cached_property
+    def _slot_factors(self) -> tuple[tuple[tuple, np.ndarray], ...]:
+        """Per slot: the distinct factors as (key, function) pairs, and for
+        each term the index of its factor among them."""
+        slots = []
+        for i in range(self.arity):
+            position: dict = {}
+            distinct = []
+            index = np.empty(len(self.terms), dtype=np.intp)
+            for n, term in enumerate(self.terms):
+                key = _factor_key(term[i])
+                if key not in position:
+                    position[key] = len(distinct)
+                    distinct.append((key, term[i]))
+                index[n] = position[key]
+            slots.append((tuple(distinct), index))
+        return tuple(slots)
+
+    @functools.cached_property
+    def factor_index(self) -> tuple[np.ndarray, ...]:
+        """Per slot, the index of each term's factor among the rows that
+        :meth:`factor_values` returns for that slot."""
+        return tuple(index for _, index in self._slot_factors)
+
+    def factor_values(self, axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per slot i, the values of its distinct factors on ``axes[i]``, one
+        row per factor.
+
+        Each distinct factor is evaluated once per axis: polynomials with
+        equal coefficients count as one factor, and slots given the same
+        axis array share their evaluations.
+        """
+        if len(axes) != self.arity:
+            raise ValidationError("axis count must equal the integrand arity")
+        done: dict = {}
+        values = []
+        for (distinct, _), axis in zip(self._slot_factors, axes):
+            rows = []
+            for key, fn in distinct:
+                slot_key = (id(axis), key)
+                if slot_key not in done:
+                    done[slot_key] = fn(axis)
+                rows.append(done[slot_key])
+            values.append(np.array(rows))
+        return values
+
+    @functools.cached_property
+    def suffix_tree(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """The terms grouped by the factors they share from each slot on.
+
+        A node at level j is a distinct suffix (factors of slots j..m-1) of
+        the terms; its parent is the suffix one slot shorter, and the root
+        (level m) is the empty suffix.  Returns the multiplicity of each
+        level-0 node (a distinct term) and, per level j, the factor index of
+        each node in slot j (see :attr:`factor_index`) with the offsets at
+        which each parent's children start: nodes are ordered by parent, so
+        ``np.add.reduceat`` over those offsets sums siblings.
+        """
+        node_of_term = np.zeros(len(self.terms), dtype=np.intp)  # the root
+        levels = []
+        for distinct, index in reversed(self._slot_factors):
+            code = node_of_term * len(distinct) + index
+            nodes, node_of_term = np.unique(code, return_inverse=True)
+            parent = nodes // len(distinct)
+            starts = np.flatnonzero(np.diff(parent, prepend=-1))
+            levels.append((nodes % len(distinct), starts))
+        return np.bincount(node_of_term).astype(float), tuple(reversed(levels))
+
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on the Cartesian product of the axes (broadcast sum of
         outer products; shape = axis lengths)."""
-        if len(axes) != self.arity:
-            raise ValidationError("axis count must equal the integrand arity")
         axes = [np.asarray(a) for a in axes]
+        values = [v.astype(np.complex128) for v in self.factor_values(axes)]
         shape = tuple(a.size for a in axes)
+        views = []
+        for i in range(self.arity):
+            view = [None] * self.arity
+            view[i] = slice(None)
+            views.append(tuple(view))
         total = np.zeros(shape, dtype=np.complex128)
-        for term in self.terms:
+        for term in zip(*self.factor_index):
             prod = np.ones(shape, dtype=np.complex128)
-            for i, (fn, axis) in enumerate(zip(term, axes)):
-                view = [None] * self.arity
-                view[i] = slice(None)
-                prod = prod * np.asarray(fn(axis), dtype=np.complex128)[tuple(view)]
+            for i, row in enumerate(term):
+                prod = prod * values[i][row][views[i]]
             total += prod
         return total
 
@@ -543,11 +623,12 @@ def projective_norm_bound(
     for i, axis in enumerate(axes):
         if axis.size == 0:
             raise ValidationError(f"spectrum {i} is empty")
+    maxima = [np.max(np.abs(v), axis=1) for v in psi.factor_values(axes)]
     total = 0.0
-    for term in psi.terms:
+    for term in zip(*psi.factor_index):
         prod = 1.0
-        for fn, axis in zip(term, axes):
-            prod *= float(np.max(np.abs(np.asarray(fn(axis)))))
+        for maximum, row in zip(maxima, term):
+            prod *= float(maximum[row])
         total += prod
     return total
 

@@ -5,8 +5,18 @@ Evaluates weighted spectral sums of the form
     sum over eigenvalue tuples of  psi(l_1..l_m) P_1 X_1 P_2 ... X_{m-1} P_m
 
 in rotated coordinates: with each operator diagonalized as U diag(l) U*, the
-arguments rotate to Y_j = U_j* X_j U_{j+1} and the whole sum collapses to a
-single tensor contraction of the integrand grid against the Y matrices.
+arguments rotate to Y_j = U_j* X_j U_{j+1}, and the integrand picks one of
+two paths:
+
+* factored -- an integrand with a separable representation
+  psi = sum_n prod_i f_{i,n} is evaluated as
+  sum_n D_{1,n} Y_1 D_{2,n} ... Y_{m-1} D_{m,n}, D_{i,n} = diag(f_{i,n}(l_i)),
+  which is the operator-integral definition for such integrands (Peller,
+  J. Funct. Anal. 233, 2006); no n^m grid is built;
+* grid -- any other integrand is evaluated on the n^m grid of eigenvalue
+  tuples, and the sum collapses to a single tensor contraction of that grid
+  against the Y matrices.
+
 Also certifies the algebraic, norm, perturbation, and continuity identities
 the evaluator is expected to satisfy.
 """
@@ -129,6 +139,62 @@ def _integrand_grid(
     return grid
 
 
+def _grid_core(
+    integrand: MultivariateFunction,
+    decomps: Sequence[SpectralDecomposition],
+    rotated: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The rotated-coordinate sum as one contraction of the n^m integrand
+    grid against the rotated arguments."""
+    grid = _integrand_grid(integrand, decomps)
+    m = len(decomps)
+    if m == 1:
+        return grid
+    letters = string.ascii_lowercase[:m]
+    spec = ",".join([letters] + [letters[j : j + 2] for j in range(m - 1)])
+    spec += "->" + letters[0] + letters[-1]
+    return np.einsum(spec, grid, *rotated)
+
+
+def _factored_core(
+    psi: SeparableIntegrand,
+    decomps: Sequence[SpectralDecomposition],
+    rotated: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The rotated-coordinate sum of ``sum_n D_1n Y_1 D_2n ... Y_m-1 D_mn``,
+    with D_in = diag(f_in(eigenvalues of A_i)), without building a grid.
+
+    Walks :attr:`SeparableIntegrand.suffix_tree` from the left: the terms
+    sharing their factors from slot j on share everything left of Y_j, so
+    that left part is summed over them before it is multiplied by Y_j.  The
+    cost is one n x n product per distinct suffix of length 1..m-2.
+    """
+    values = psi.factor_values([d.eigenvalues for d in decomps])
+    for slot, (slot_values, decomp) in enumerate(zip(values, decomps)):
+        finite = np.isfinite(slot_values)
+        if not np.all(finite):
+            _, col = np.unravel_index(int(np.argmin(finite)), finite.shape)
+            raise FunctionDomainError(
+                f"an integrand factor of slot {slot} is not finite at "
+                f"eigenvalue {complex(decomp.eigenvalues[col])}"
+            )
+    counts, levels = psi.suffix_tree
+    factor, starts = levels[0]
+    core = np.add.reduceat(counts[:, None] * values[0][factor], starts, axis=0)
+    if rotated:
+        core = core[:, :, None] * rotated[0]
+    for j in range(1, len(levels)):
+        factor, starts = levels[j]
+        core = np.add.reduceat(core * values[j][factor][:, None, :], starts, axis=0)
+        if j < len(rotated):
+            core = core @ rotated[j]
+    if not np.all(np.isfinite(core)):
+        raise FunctionDomainError(
+            "the factored sum is not finite: products of integrand factors overflow"
+        )
+    return core[0]
+
+
 def moi_core(
     operators: Sequence[AnyOperator],
     integrand,
@@ -137,7 +203,9 @@ def moi_core(
     """Spectral-sum evaluation for any operator count m >= 1.
 
     m = 1 has no arguments and reduces to applying the integrand as a scalar
-    function of the single operator.
+    function of the single operator.  An integrand with a separable
+    representation is evaluated in factored form; any other is evaluated on
+    the n^m eigenvalue grid.
     """
     integrand = _as_integrand(integrand)
     m = len(operators)
@@ -148,19 +216,17 @@ def moi_core(
     if len(arguments) != m - 1:
         raise ValidationError(f"need {m - 1} arguments, got {len(arguments)}")
     decomps = [op.decomposition for op in operators]
-    grid = _integrand_grid(integrand, decomps)
-    if m == 1:
-        basis = decomps[0].basis
-        return (basis * grid) @ basis.conj().T
     bases = [d.basis for d in decomps]
     rotated = [
         bases[j].conj().T @ np.asarray(arguments[j], dtype=np.complex128) @ bases[j + 1]
         for j in range(m - 1)
     ]
-    letters = string.ascii_lowercase[:m]
-    spec = ",".join([letters] + [letters[j : j + 2] for j in range(m - 1)])
-    spec += "->" + letters[0] + letters[-1]
-    core = np.einsum(spec, grid, *rotated)
+    if integrand.separable is not None:
+        core = _factored_core(integrand.separable, decomps, rotated)
+    else:
+        core = _grid_core(integrand, decomps, rotated)
+    if m == 1:
+        return (bases[0] * core) @ bases[0].conj().T
     return bases[0] @ core @ bases[-1].conj().T
 
 

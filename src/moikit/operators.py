@@ -364,6 +364,12 @@ def shifted_operator(op: HermitianOperator, delta: np.ndarray) -> HermitianOpera
     delta = HermitianOperator(delta).matrix
     if delta.shape != op.matrix.shape:
         raise ValidationError(f"shift has dimension {len(delta)}, the operator {op.dim}")
+    return _shifted(op, delta)
+
+
+def _shifted(op: HermitianOperator, delta: np.ndarray) -> HermitianOperator:
+    """:func:`shifted_operator` for a Hermitian complex ``delta`` of the
+    operator's dimension that moikit checked already; nothing is checked."""
     shifted = op.matrix + delta
     shifted = (shifted + shifted.conj().T) / 2.0
     return HermitianOperator._trusted(shifted)

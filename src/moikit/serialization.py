@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import ValidationError
-from .harness import _SCALAR_THEOREMS, TailBoundExperiment
+from .harness import _SCALAR_THEOREMS, TailBoundExperiment, _integer
 from .integrands import (
     MultivariateFunction,
     ScalarFunction,
@@ -50,14 +50,6 @@ def _get(obj: dict, key: str, path: str):
     if key not in obj:
         raise ValidationError(f"missing field {key!r}", path=path)
     return obj[key]
-
-
-def _integer(value, message: str, path: str, low: int = 0, high: int | None = None):
-    """An integer in low..high-1 (no upper limit when ``high`` is None).
-    JSON booleans are rejected although Python counts them as integers."""
-    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= low
-            and (high is None or value < high), message, path)
-    return value
 
 
 def _number(value, path: str) -> float:

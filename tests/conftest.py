@@ -23,3 +23,10 @@ def uniform_model():
 
 def config_path(name: str) -> str:
     return os.path.join(CONFIG_DIR, name)
+
+
+def grid_path(psi):
+    """``psi`` with its separable representation stripped, so that
+    ``moi_core`` evaluates it on the n^m eigenvalue grid instead of in
+    factored form."""
+    return mk.MultivariateFunction(psi.arity, psi.evaluate)

@@ -29,6 +29,23 @@ def direct_projector_moi(operators, integrand_point_fn, arguments):
     return total
 
 
+def grid_contraction(operators, eval_grid, arguments):
+    """Spectral sum as the contraction of the integrand grid on the
+    eigenvalues against the rotated arguments, written out with einsum;
+    ``eval_grid`` maps a list of eigenvalue axes to the grid."""
+    decomps = [op.decomposition for op in operators]
+    bases = [d.basis for d in decomps]
+    grid = eval_grid([d.eigenvalues for d in decomps])
+    rotated = [
+        bases[j].conj().T @ np.asarray(arguments[j]) @ bases[j + 1]
+        for j in range(len(arguments))
+    ]
+    letters = "abcdefgh"[: len(operators)]
+    spec = ",".join([letters] + [letters[j : j + 2] for j in range(len(rotated))])
+    core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid, *rotated)
+    return bases[0] @ core @ bases[-1].conj().T
+
+
 def divided_difference_recursive(point_fn, nodes):
     """Textbook difference-quotient recursion (separated nodes only)."""
     nodes = list(nodes)

@@ -16,7 +16,7 @@ import moikit as mk
 from moikit import serialization as ser
 
 import oracles
-from conftest import config_path
+from conftest import config_path, grid_path
 
 
 def announce(number, text):
@@ -66,7 +66,7 @@ def test_c01_moi_identity_suite():
         left = random_separable(rng, k, n_terms=1)
         right = random_separable(rng, m - k, n_terms=1)
         split = mk.moi_split_evaluate(left, right, ops, args)
-        full = mk.moi_core(ops, mk.integrand_block_product(left, right), args)
+        full = mk.moi_core(ops, grid_path(mk.integrand_block_product(left, right)), args)
         scale = max(1.0, np.linalg.norm(full, 2), np.linalg.norm(split, 2))
         assert np.max(np.abs(split - full)) <= 1e-10 * scale
 
@@ -86,7 +86,7 @@ def test_c01_moi_identity_suite():
         product = segments[0]
         for seg in segments[1:]:
             product = mk.integrand_block_product(product, seg)
-        full = mk.moi_core(ops, product, args)
+        full = mk.moi_core(ops, grid_path(product), args)
         scale = max(1.0, np.linalg.norm(full, 2), np.linalg.norm(factored, 2))
         assert np.max(np.abs(factored - full)) <= 1e-10 * scale
 
@@ -102,7 +102,7 @@ def test_c01_moi_identity_suite():
         product = mk.integrand_block_product(
             mk.integrand_block_product(segments[0], segments[1]), segments[2]
         )
-        full = mk.moi_core(ops, product, args)
+        full = mk.moi_core(ops, grid_path(product), args)
         scale = max(1.0, np.linalg.norm(full, 2), np.linalg.norm(factored, 2))
         assert np.max(np.abs(factored - full)) <= 1e-10 * scale
 

@@ -12,6 +12,7 @@ from moikit.errors import (
 )
 
 import oracles
+from conftest import grid_path
 
 
 def random_separable(rng, arity, n_terms=2, degree=2):
@@ -85,6 +86,23 @@ class TestMoiEvaluate:
         psi = mk.MultivariateFunction(2, lambda pt: float("nan"))
         with pytest.raises(FunctionDomainError, match="tuple"):
             mk.moi_core((a, b), psi, (np.eye(4, dtype=complex),))
+
+    def test_non_finite_factor_names_eigenvalue(self, rng):
+        a, b = random_ops(rng, 2)
+        bad = mk.ScalarFunction.from_callable(lambda x: float("nan"))
+        psi = mk.SeparableIntegrand(2, ((mk.ScalarFunction.constant(1.0), bad),))
+        with pytest.raises(FunctionDomainError, match="eigenvalue"):
+            mk.moi_core((a, b), psi, (np.eye(4, dtype=complex),))
+
+    def test_overflowing_factor_products_raise(self, rng):
+        a, b = random_ops(rng, 2)
+        big = mk.ScalarFunction.constant(1e200)
+        psi = mk.SeparableIntegrand(2, ((big, big),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FunctionDomainError):
+                mk.moi_core((a, b), psi, (np.eye(4, dtype=complex),))
+            with pytest.raises(FunctionDomainError):
+                mk.moi_core((a, b), grid_path(psi), (np.eye(4, dtype=complex),))
 
     def test_dimension_mismatch_rejected(self, rng):
         a, _ = random_ops(rng, 2)
@@ -177,7 +195,7 @@ class TestAlgebraicIdentities:
             right = random_separable(rng, 2)
             split = mk.moi_split_evaluate(left, right, ops, args)
             joined = mk.integrand_block_product(left, right)
-            full = mk.moi_core(ops, joined, args)
+            full = mk.moi_core(ops, grid_path(joined), args)
             scale = max(1.0, np.linalg.norm(full, 2))
             assert np.max(np.abs(split - full)) <= 1e-10 * scale
 
@@ -186,7 +204,7 @@ class TestAlgebraicIdentities:
         args = random_args(rng, 2)
         psi = random_separable(rng, 3)
         via_partition = mk.moi_partition_evaluate([psi], [3], ops, args)
-        direct = mk.moi_core(ops, psi, args)
+        direct = mk.moi_core(ops, grid_path(psi), args)
         np.testing.assert_allclose(via_partition, direct, atol=1e-12)
 
     def test_partition_simple_factorization(self, rng):
@@ -209,7 +227,7 @@ class TestAlgebraicIdentities:
         product = mk.integrand_block_product(
             mk.integrand_block_product(segments[0], segments[1]), segments[2]
         )
-        full = mk.moi_core(ops, product, args)
+        full = mk.moi_core(ops, grid_path(product), args)
         scale = max(1.0, np.linalg.norm(full, 2))
         assert np.max(np.abs(factored - full)) <= 1e-10 * scale
 
