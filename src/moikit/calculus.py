@@ -30,6 +30,7 @@ from .operators import (
     AnyOperator,
     HermitianOperator,
     UnitaryOperator,
+    _function_of_spectra,
     _shifted,
     apply_scalar_function,
     operator_norm,
@@ -217,7 +218,7 @@ def higher_difference(
     f(A + iB) over i = 0..k."""
     if order < 0:
         raise ParameterError("difference order must be nonnegative")
-    return _binomial_sum(f, _shift_ladder(operator, step, order))
+    return _ladder_difference(f, _shift_ladder(operator, step, order))
 
 
 def _shift_ladder(operator: HermitianOperator, step, order: int) -> list:
@@ -226,16 +227,33 @@ def _shift_ladder(operator: HermitianOperator, step, order: int) -> list:
     return [operator] + [shifted_operator(operator, i * step) for i in range(1, order + 1)]
 
 
-def _binomial_sum(f: ScalarFunction, ladder: Sequence[HermitianOperator]) -> np.ndarray:
-    """The order-k difference from its shifted operators [A, A + B, ..., A + kB]:
-    the sum over i of (-1)^(k-i) C(k, i) f(A + iB)."""
-    order = len(ladder) - 1
-    dim = ladder[0].dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for i, shifted in enumerate(ladder):
-        value = _as_matrix(apply_scalar_function(f, shifted))
+def _ladder_difference(
+    f: ScalarFunction, ladder: Sequence[HermitianOperator]
+) -> np.ndarray:
+    """:func:`_binomial_sum` of the operators [A, A + B, ..., A + kB]."""
+    decomps = [op.decomposition for op in ladder]
+    total, errors = _binomial_sum(
+        f, [d.eigenvalues[None] for d in decomps], [d.basis[None] for d in decomps]
+    )
+    if errors:
+        raise errors[0]
+    return total[0]
+
+
+def _binomial_sum(f: ScalarFunction, eigenvalues, bases) -> tuple[np.ndarray, dict]:
+    """The order-k difference from the spectra of its shifted Hermitian
+    operators [A, A + B, ..., A + kB], stacked over samples (``eigenvalues[i]``
+    of shape (N, n), ``bases[i]`` of shape (N, n, n)): per sample, the sum
+    over i of (-1)^(k-i) C(k, i) f(A + iB).  Also returns, by sample index,
+    the FunctionDomainError of the first operator where f is not finite."""
+    order = len(eigenvalues) - 1
+    total = np.zeros(bases[0].shape, dtype=np.complex128)
+    errors: dict = {}
+    for i, (values, basis) in enumerate(zip(eigenvalues, bases)):
+        _, value, _, failed = _function_of_spectra(f, values, basis, hermitian=True)
         total += ((-1) ** (order - i)) * math.comb(order, i) * value
-    return total
+        errors = {**failed, **errors}
+    return total, errors
 
 
 def higher_difference_moi_diagnostic(
@@ -251,7 +269,7 @@ def higher_difference_moi_diagnostic(
     if order < 1:
         raise ParameterError("diagnostic needs order >= 1")
     ops = _shift_ladder(operator, step, order)
-    binomial = _binomial_sum(f, ops)
+    binomial = _ladder_difference(f, ops)
     dd = divided_difference_integrand(f, order)
     if dd.separable is None:
         raise CapabilityError("diagnostic needs a polynomial scalar function")
@@ -329,11 +347,12 @@ def exp_series_tail(generator: HermitianOperator, start: int) -> np.ndarray:
 
 
 def polynomial_of_matrix(f: ScalarFunction, matrix: np.ndarray) -> np.ndarray:
-    """Horner evaluation of a polynomial at a square matrix."""
+    """Horner evaluation of a polynomial at a square matrix, or at each
+    matrix of a stack."""
     if f.kind != "polynomial":
         raise CapabilityError("matrix evaluation needs a polynomial")
     matrix = np.asarray(matrix, dtype=np.complex128)
-    eye = np.eye(matrix.shape[0], dtype=np.complex128)
+    eye = np.eye(matrix.shape[-1], dtype=np.complex128)
     coeffs = f.coefficients
     result = coeffs[-1] * eye
     for c in coeffs[-2::-1]:
@@ -356,10 +375,11 @@ def _unitary_taylor_term(
     """(1/order!) d^order/dt^order phi(exp(itH) X) at t = 0.
 
     Exact for polynomial phi: expand exp(itH) as a series, distribute over
-    the monomial's factors, and collect the t^order coefficient.
+    the monomial's factors, and collect the t^order coefficient.  X may be a
+    stack of matrices.
     """
-    dim = x_matrix.shape[0]
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    dim = x_matrix.shape[-1]
+    total = np.zeros(x_matrix.shape, dtype=np.complex128)
     for p, c in enumerate(phi.coefficients):
         if c == 0:
             continue

@@ -241,6 +241,8 @@ def _handle_remainder(payload, args):
 
 def _handle_tailbound(payload, args):
     _require_schema_version(payload)
+    if args.workers < 1:
+        raise ValidationError("--workers must be a positive integer", path="flags.workers")
     if args.seed is not None:
         payload = {**payload, "seed": args.seed}
     experiment = ser.parse_experiment(payload, "input")

@@ -6,10 +6,23 @@ other modules, estimates the expectation terms on the same sample stream,
 and compares the empirical exceedance frequency against the Markov-type
 right-hand side at every point of a theta grid.
 
+Each block of samples is evaluated in chunks.  Every sample of a chunk draws
+from its own stream, model by model (eigenvalues, then the Ginibre matrix);
+the draws are then stacked along a leading sample axis, and one batched
+statistic function per theorem computes the chunk's statistics and terms
+with stacked QR, eigendecompositions, factored engine sums, sup surrogates
+and SVD norms.  Batched linear algebra gives each sample the same bits as a
+call on that sample alone, so a sample's values do not depend on the chunk
+or block it falls in.  A sample whose arithmetic fails is aborted through a
+per-sample mask; a chunk that raises one of the abort errors is evaluated
+again one sample at a time, so that exactly the samples that fail alone are
+aborted.
+
 Reproducibility contract: per-sample RNG streams are derived as
 ``mix64(seed, index)``, per-sample values land in arrays indexed by sample,
 and aggregation is a fixed-order pairwise sum, so results are byte-identical
-for a fixed seed regardless of how samples are partitioned across workers.
+for a fixed seed regardless of how samples are partitioned across workers
+and chunks.
 
 The norm of an integrand over random spectra is measured by the sup of its
 absolute value over all tuples drawn from the union of the realized spectra
@@ -20,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,25 +59,27 @@ from .errors import (
 from .integrands import (
     ScalarFunction,
     SeparableIntegrand,
+    _sup_norms,
     divided_difference_integrand,
-    sup_norm_on_grid,
 )
 from .moi import (
+    _stacked_moi,
     continuity_modulus,
     holder_reciprocal_sum,
     holder_result_exponent,
-    moi_core,
 )
 from .operators import (
     HermitianOperator,
     RandomOperatorModel,
+    _draw,
+    _hermitian_spectra,
+    _hermitian_sum,
+    _random_spectra,
     _shifted,
-    _spectra_union,
     as_square_complex,
     operator_norm,
     random_hermitian,
     sample_random_hermitian,
-    sample_random_unitary,
     schatten_norm,
 )
 
@@ -285,18 +301,34 @@ class TailBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-theorem preparation and sampling.  The experiment is checked already,
-# so nothing here raises on its inputs.
+# Per-theorem preparation and batched statistics.  The experiment is checked
+# already, so nothing here raises on its inputs.
 # ---------------------------------------------------------------------------
+
+# The errors that abort a sample instead of the run.
+_ABORTS = (CapabilityError, FunctionDomainError, NumericalError)
+
+# Chunks hold as many samples as keep their largest array, a sup-surrogate
+# grid or a factored engine sum, within about this many bytes.
+_CHUNK_BYTES = 32 * 2**20
 
 
 @dataclass
 class _Context:
+    """A prepared experiment.  ``statistic`` maps the random operators of a
+    chunk of N samples -- per operator model, the stacked eigenvalues (N, n),
+    bases (N, n, n) and matrices (N, n, n) -- to the N statistics, the N
+    values of each term label, and the mask of aborted samples.  A chunk
+    holds at most ``chunk`` samples; ``unitary`` says which random operators
+    the models define."""
+
     labels: tuple[str, ...]
     coefficients: dict[str, float]
-    sample: Callable[[np.random.Generator], tuple[float, dict[str, float]]]
+    statistic: Callable[[list], tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]
     constants: dict
+    chunk: int
     extra_labels: tuple[str, ...] = ()
+    unitary: bool = False
 
 
 def _prepare(exp: TailBoundExperiment) -> _Context:
@@ -310,6 +342,38 @@ def _prepare(exp: TailBoundExperiment) -> _Context:
         "unitary_remainder": _prepare_unitary_remainder,
     }[exp.theorem_id]
     return maker(exp)
+
+
+def _chunk_samples(dim: int, surrogates) -> int:
+    """Samples per chunk for the (integrand, union length) pairs whose sup
+    surrogates a sample computes; each integrand also goes through the
+    engine at dimension ``dim``."""
+    largest = 1
+    for psi, union in surrogates:
+        largest = max(largest, union**psi.arity)
+        if psi.separable is not None:
+            largest = max(largest, len(psi.separable.terms) * dim * dim)
+    return max(1, _CHUNK_BYTES // (16 * largest))
+
+
+def _aborted(count: int, *errors: dict) -> np.ndarray:
+    """The mask of the samples with an entry in any of the error dicts."""
+    mask = np.zeros(count, dtype=bool)
+    for failed in errors:
+        mask[list(failed)] = True
+    return mask
+
+
+def _norms(values: np.ndarray, aborted: np.ndarray, p: float | None = None) -> np.ndarray:
+    """Per sample, :func:`operator_norm` of ``values`` (N, n, n), or
+    :func:`schatten_norm` for exponent ``p``; aborted samples read 0."""
+    values = np.where(aborted[:, None, None], 0.0, values)
+    singular = np.linalg.svd(values, compute_uv=False)
+    if p is None:
+        return np.max(singular, axis=-1)
+    if p == np.inf:
+        return singular[:, 0]
+    return np.sum(singular**p, axis=-1) ** (1.0 / p)
 
 
 def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
@@ -335,22 +399,27 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
     else:
         coeff = math.prod(operator_norm(arg) for arg in arguments)
     multivariate = exp.integrand.as_multivariate()
+    m = len(models)
 
-    def sample(rng: np.random.Generator):
-        ops = [sample_random_hermitian(model, rng) for model in models]
-        value = moi_core(ops, multivariate, arguments)
-        stat = schatten_norm(value, q) if schatten else operator_norm(value)
-        union = _spectra_union(ops)
-        return stat, {
-            "integrand_norm": sup_norm_on_grid(multivariate, [union] * len(ops))
-        }
+    def statistic(spectra):
+        eigenvalues = [w for w, _, _ in spectra]
+        values, errors = _stacked_moi(
+            multivariate, eigenvalues, [v for _, v, _ in spectra], arguments
+        )
+        aborted = _aborted(len(values), errors)
+        union = np.concatenate(eigenvalues, axis=1)
+        surrogate = _sup_norms(multivariate, [union] * m)
+        return _norms(values, aborted, q), {"integrand_norm": surrogate}, aborted
 
-    return _Context(("integrand_norm",), {"integrand_norm": coeff}, sample, constants)
+    chunk = _chunk_samples(models[0].dim, [(multivariate, m * models[0].dim)])
+    return _Context(
+        ("integrand_norm",), {"integrand_norm": coeff}, statistic, constants, chunk
+    )
 
 
 def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
     """The k-th derivative theorem; ``first_derivative`` is its k = 1 case."""
-    model = exp.operator_models[0]
+    dim = exp.operator_models[0].dim
     direction = exp.fixed_inputs["direction"]
     dnorm = operator_norm(direction)
     if exp.theorem_id == "first_derivative":
@@ -360,20 +429,24 @@ def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
     k_factorial = math.factorial(k)
     dd_k = divided_difference_integrand(exp.integrand, k)
 
-    def sample(rng: np.random.Generator):
-        op = sample_random_hermitian(model, rng)
-        value = k_factorial * moi_core([op] * (k + 1), dd_k, [direction] * k)
-        union = _spectra_union([op])
-        return operator_norm(value), {
-            "integrand_norm": sup_norm_on_grid(dd_k, [union] * (k + 1))
-        }
+    def statistic(spectra):
+        ((eigenvalues, bases, _),) = spectra
+        values, errors = _stacked_moi(
+            dd_k, [eigenvalues] * (k + 1), [bases] * (k + 1), [direction] * k
+        )
+        aborted = _aborted(len(values), errors)
+        surrogate = _sup_norms(dd_k, [eigenvalues] * (k + 1))
+        return _norms(k_factorial * values, aborted), {"integrand_norm": surrogate}, aborted
 
     coeff = k_factorial * dnorm**k
-    return _Context(("integrand_norm",), {"integrand_norm": coeff}, sample, constants)
+    chunk = _chunk_samples(dim, [(dd_k, dim)])
+    return _Context(
+        ("integrand_norm",), {"integrand_norm": coeff}, statistic, constants, chunk
+    )
 
 
 def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
-    model = exp.operator_models[0]
+    dim = exp.operator_models[0].dim
     k = exp.order
     f = exp.integrand
     step = exp.fixed_inputs["step"]
@@ -390,33 +463,41 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
         ),
     }
 
-    def sample(rng: np.random.Generator):
-        op = sample_random_hermitian(model, rng)
-        ops = [op] + [_shifted(op, i * step) for i in range(1, k + 1)]
-        stat = operator_norm(_binomial_sum(f, ops))
-        spectra = [o.decomposition.eigenvalues for o in ops]
-        gap = max(
-            float(np.max(np.abs(spectra[j + 1][:, None] - spectra[j][None, :])))
-            for j in range(k)
+    def statistic(spectra):
+        ((eigenvalues, bases, matrices),) = spectra
+        ladder, errors = [eigenvalues], []
+        ladder_bases = [bases]
+        for i in range(1, k + 1):
+            w, v, failed = _hermitian_spectra(_hermitian_sum(matrices, i * step))
+            ladder.append(w)
+            ladder_bases.append(v)
+            errors.append(failed)
+        total, failed = _binomial_sum(f, ladder, ladder_bases)
+        aborted = _aborted(len(total), failed, *errors)
+        gap = np.max(
+            [np.max(np.abs(upper[:, :, None] - lower[:, None, :]), axis=(1, 2))
+             for lower, upper in zip(ladder, ladder[1:])],
+            axis=0,
         )
-        surrogate = sup_norm_on_grid(dd_k, [_spectra_union(ops)] * (k + 1))
-        return stat, {
+        surrogate = _sup_norms(dd_k, [np.concatenate(ladder, axis=1)] * (k + 1))
+        return _norms(total, aborted), {
             "gap_weighted_integrand_norm": gap * surrogate,
             "integrand_norm": surrogate,
             "eigengap": gap,
-        }
+        }, aborted
 
     return _Context(
         ("gap_weighted_integrand_norm",),
         {"gap_weighted_integrand_norm": k * snorm**k},
-        sample,
+        statistic,
         constants,
+        _chunk_samples(dim, [(dd_k, (k + 1) * dim)]),
         extra_labels=("integrand_norm", "eigengap"),
     )
 
 
 def _remainder_slots(exp: TailBoundExperiment):
-    """What both remainder theorems share: slot functions, models, order,
+    """What both remainder theorems share: slot functions, dimension, order,
     perturbations, and the constants built from the perturbation norms."""
     perturbations = exp.fixed_inputs["perturbations"]
     norms = [operator_norm(h) for h in perturbations]
@@ -425,36 +506,45 @@ def _remainder_slots(exp: TailBoundExperiment):
         "slot_count": len(perturbations),
         "perturbation_norms": norms,
     }
-    return exp.integrand, exp.operator_models, exp.order, perturbations, constants
+    dim = exp.operator_models[0].dim
+    return exp.integrand, dim, exp.order, perturbations, constants
 
 
 def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
-    functions, models, k, perturbations, constants = _remainder_slots(exp)
+    functions, dim, k, perturbations, constants = _remainder_slots(exp)
     n = len(functions)
     dd = [divided_difference_integrand(f, k) for f in functions]
     labels = tuple(f"slot{j}_integrand_norm" for j in range(n))
     norms = constants["perturbation_norms"]
     coefficients = {labels[j]: n * norms[j] ** k for j in range(n)}
 
-    def sample(rng: np.random.Generator):
+    def statistic(spectra):
         total = None
         terms = {}
-        for j in range(n):
-            op = sample_random_hermitian(models[j], rng)
-            shifted = _shifted(op, perturbations[j])
-            value = moi_core(
-                [shifted] + [op] * k, dd[j], [perturbations[j]] * k
+        errors = []
+        for j, (eigenvalues, bases, matrices) in enumerate(spectra):
+            shifted, shifted_bases, failed = _hermitian_spectra(
+                _hermitian_sum(matrices, perturbations[j])
             )
+            value, moi_failed = _stacked_moi(
+                dd[j],
+                [shifted] + [eigenvalues] * k,
+                [shifted_bases] + [bases] * k,
+                [perturbations[j]] * k,
+            )
+            errors += [failed, moi_failed]
             total = value if total is None else total + value
-            union = _spectra_union([shifted, op])
-            terms[labels[j]] = sup_norm_on_grid(dd[j], [union] * (k + 1))
-        return operator_norm(total), terms
+            union = np.concatenate([shifted, eigenvalues], axis=1)
+            terms[labels[j]] = _sup_norms(dd[j], [union] * (k + 1))
+        aborted = _aborted(len(total), *errors)
+        return _norms(total, aborted), terms, aborted
 
-    return _Context(labels, coefficients, sample, constants)
+    chunk = _chunk_samples(dim, [(psi, 2 * dim) for psi in dd])
+    return _Context(labels, coefficients, statistic, constants, chunk)
 
 
 def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
-    functions, models, k, perturbations, constants = _remainder_slots(exp)
+    functions, dim, k, perturbations, constants = _remainder_slots(exp)
     n = len(functions)
     generators = [HermitianOperator._trusted(h) for h in perturbations]
     rotators = [unitary_exponential(g) for g in generators]
@@ -476,27 +566,30 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
     }
     constants["composition_weight_totals"] = weight_totals
 
-    def sample(rng: np.random.Generator):
+    def statistic(spectra):
         total = None
         terms = {}
-        for j in range(n):
-            base = sample_random_unitary(models[j], rng)
-            rotated = rotators[j] @ base.matrix
+        for j, (eigenvalues, _, matrices) in enumerate(spectra):
+            rotated = rotators[j] @ matrices
             value = polynomial_of_matrix(functions[j], rotated)
             for ell in range(k):
                 value = value - _unitary_taylor_term(
-                    functions[j], base.matrix, g_caches[j], ell
+                    functions[j], matrices, g_caches[j], ell
                 )
             total = value if total is None else total + value
             rotated_eigs = np.linalg.eigvals(rotated)
-            union = _spectra_union([base], rotated_eigs / np.abs(rotated_eigs))
+            union = np.concatenate(
+                [rotated_eigs / np.abs(rotated_eigs), eigenvalues], axis=1
+            )
             for ell in range(1, k + 1):
-                terms[f"slot{j}_order{ell}_integrand_norm"] = sup_norm_on_grid(
+                terms[f"slot{j}_order{ell}_integrand_norm"] = _sup_norms(
                     dd[j][ell - 1], [union] * (ell + 1)
                 )
-        return operator_norm(total), terms
+        aborted = np.zeros(len(total), dtype=bool)
+        return _norms(total, aborted), terms, aborted
 
-    return _Context(labels, coefficients, sample, constants)
+    chunk = _chunk_samples(dim, [(psi, 2 * dim) for row in dd for psi in row])
+    return _Context(labels, coefficients, statistic, constants, chunk, unitary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +597,26 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
 # ---------------------------------------------------------------------------
 
 
+def _sampled_spectra(exp: TailBoundExperiment, lo: int, hi: int, unitary: bool) -> list:
+    """The random operators of samples lo..hi-1, per model stacked over the
+    samples as (eigenvalues, bases, matrices).  Each sample draws from its
+    own stream, model by model in order."""
+    models = exp.operator_models
+    dim = models[0].dim
+    values = np.empty((len(models), hi - lo, dim))
+    normals = np.empty((len(models), hi - lo, 2, dim, dim))
+    for offset in range(hi - lo):
+        rng = sample_stream(exp.seed, lo + offset)
+        for j, model in enumerate(models):
+            values[j, offset], normals[j, offset] = _draw(model, rng)
+    return [_random_spectra(values[j], normals[j], unitary) for j in range(len(models))]
+
+
 def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     """Per-sample statistics and terms of samples lo..hi-1, plus an abort
-    mask.  Without ``ctx`` the experiment is prepared here (pool workers do
-    this: the sample closures do not pickle)."""
+    mask; aborted samples read NaN.  The samples are evaluated in chunks of
+    ``ctx.chunk``.  Without ``ctx`` the experiment is prepared here (pool
+    workers do this: the statistic closures do not pickle)."""
     if ctx is None:
         ctx = _prepare(exp)
     count = hi - lo
@@ -515,33 +624,49 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     all_labels = ctx.labels + ctx.extra_labels
     terms = {label: np.full(count, np.nan) for label in all_labels}
     aborted = np.zeros(count, dtype=bool)
-    for offset in range(count):
-        rng = sample_stream(exp.seed, lo + offset)
-        try:
-            stat, term_values = ctx.sample(rng)
-        except (CapabilityError, FunctionDomainError, NumericalError):
-            aborted[offset] = True
-            continue
-        stats[offset] = stat
-        for label in all_labels:
-            terms[label][offset] = term_values[label]
+    for start in range(0, count, ctx.chunk):
+        spectra = _sampled_spectra(exp, lo + start, lo + min(count, start + ctx.chunk),
+                                   ctx.unitary)
+        # the arithmetic of the samples that abort may warn; they are masked
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            try:
+                parts = [(start, ctx.statistic(spectra))]
+            except _ABORTS:
+                parts = []
+                for s in range(len(spectra[0][0])):
+                    single = [tuple(a[s : s + 1] for a in model) for model in spectra]
+                    try:
+                        parts.append((start + s, ctx.statistic(single)))
+                    except _ABORTS:
+                        aborted[start + s] = True
+        for offset, (chunk_stats, chunk_terms, chunk_aborted) in parts:
+            rows = slice(offset, offset + len(chunk_stats))
+            aborted[rows] = chunk_aborted
+            stats[rows] = np.where(chunk_aborted, np.nan, chunk_stats)
+            for label in all_labels:
+                terms[label][rows] = np.where(chunk_aborted, np.nan, chunk_terms[label])
     return stats, terms, aborted
 
 
 def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundReport:
     """Run the experiment and report per-theta empirical frequencies against
     the Markov right-hand side with 3-sigma Monte Carlo slack."""
+    if (not isinstance(workers, numbers.Integral) or isinstance(workers, bool)
+            or workers < 1):
+        raise ParameterError(f"workers must be a positive integer, got {workers!r}")
     start = time.perf_counter()
     ctx = _prepare(exp)
     n = exp.samples
-    workers = max(1, int(workers))
+    workers = int(workers)
     all_labels = ctx.labels + ctx.extra_labels
     bounds = [round(i * n / workers) for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(ranges) == 1:
         blocks = [_simulate_block(exp, 0, n, ctx)]
     else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        # the blocks follow the requested worker count, the processes the cores
+        processes = min(len(ranges), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_simulate_block, exp, lo, hi) for lo, hi in ranges]
             blocks = [future.result() for future in futures]
     stats = np.concatenate([block[0] for block in blocks])

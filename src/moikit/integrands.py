@@ -437,20 +437,40 @@ class SeparableIntegrand:
 
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on the Cartesian product of the axes (broadcast sum of
-        outer products; shape = axis lengths)."""
+        outer products, complex).
+
+        Each axis has shape (..., n_i), with one leading shape shared by all
+        axes, such as a sample axis; the grid has shape (..., n_1, ..., n_m).
+        """
+        return self._grid(axes).astype(np.complex128, copy=False)
+
+    def _grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """:meth:`eval_grid`, in real arithmetic where every factor value is
+        real and the real grid is finite.  The complex products and sums of
+        real numbers then have the same real parts, and zero imaginary
+        parts."""
         axes = [np.asarray(a) for a in axes]
-        values = [v.astype(np.complex128) for v in self.factor_values(axes)]
-        shape = tuple(a.size for a in axes)
+        values = self.factor_values(axes)
+        shape = axes[0].shape[:-1] + tuple(a.shape[-1] for a in axes)
+        if not any(np.iscomplexobj(v) for v in values):
+            grid = self._term_sum([v.astype(np.float64) for v in values], shape)
+            if np.all(np.isfinite(grid)):
+                return grid
+        return self._term_sum([v.astype(np.complex128) for v in values], shape)
+
+    def _term_sum(self, values: list[np.ndarray], shape: tuple) -> np.ndarray:
+        """Sum over the terms of the outer product of their factor values,
+        each product formed factor by factor in slot order."""
         views = []
         for i in range(self.arity):
             view = [None] * self.arity
             view[i] = slice(None)
-            views.append(tuple(view))
-        total = np.zeros(shape, dtype=np.complex128)
+            views.append((Ellipsis, *view))
+        total = np.zeros(shape, dtype=values[0].dtype)
         for term in zip(*self.factor_index):
-            prod = np.ones(shape, dtype=np.complex128)
-            for i, row in enumerate(term):
-                prod = prod * values[i][row][views[i]]
+            prod = values[0][term[0]][views[0]]
+            for i in range(1, self.arity):
+                prod = prod * values[i][term[i]][views[i]]
             total += prod
         return total
 
@@ -589,19 +609,30 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     """The arity-(order+1) integrand ``(l_0..l_k) -> f^[k](l_0..l_k)``.
 
     Polynomials get an exact separable representation (used for grid
-    evaluation and certified norm bounds); other kinds fall back to the
+    evaluation and certified norm bounds), built once per coefficient array
+    and order and then shared by every caller; other kinds fall back to the
     recursive divided-difference table per point.
     """
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")
     if f.kind == POLYNOMIAL:
-        separable = _polynomial_dd_separable(f.coefficients, order)
-        return MultivariateFunction(order + 1, separable.evaluate, separable=separable)
+        coefficients = f.coefficients
+        return _polynomial_dd_integrand(
+            coefficients.dtype.str, coefficients.tobytes(), order
+        )
 
     def evaluate(point, _f=f, _k=order):
         return divided_difference(DividedDifferenceSpec(_f, _k, tuple(point)))
 
     return MultivariateFunction(order + 1, evaluate)
+
+
+@functools.lru_cache(maxsize=256)
+def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> MultivariateFunction:
+    """:func:`divided_difference_integrand` of the polynomial whose
+    coefficient array has this dtype and these bytes."""
+    separable = _polynomial_dd_separable(np.frombuffer(data, dtype=dtype), order)
+    return MultivariateFunction(order + 1, separable.evaluate, separable=separable)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +664,27 @@ def projective_norm_bound(
     return total
 
 
+def _batch_of_one(arrays: Sequence) -> list[np.ndarray]:
+    """The arrays with a leading sample axis of length one; the same array
+    given twice gets the same view, so that its factor evaluations stay
+    shared (see :meth:`SeparableIntegrand.factor_values`)."""
+    views: dict = {}
+    return [views.setdefault(id(a), np.asarray(a)[None]) for a in arrays]
+
+
 def sup_norm_on_grid(psi: MultivariateFunction, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra."""
     if len(spectra) != psi.arity:
         raise ValidationError("spectra count must equal the integrand arity")
-    grid = psi.eval_grid([np.asarray(s) for s in spectra])
-    return float(np.max(np.abs(grid)))
+    return float(_sup_norms(psi, _batch_of_one(spectra))[0])
+
+
+def _sup_norms(psi: MultivariateFunction, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`sup_norm_on_grid` per sample, on spectra of shape (N, n_i)
+    stacked over samples.  A separable integrand is evaluated for all samples
+    at once, any other sample by sample."""
+    if psi.separable is not None:
+        grid = psi.separable._grid(axes)
+    else:
+        grid = np.array([psi.eval_grid([a[s] for a in axes]) for s in range(len(axes[0]))])
+    return np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)

@@ -17,6 +17,11 @@ two paths:
   tuples, and the sum collapses to a single tensor contraction of that grid
   against the Y matrices.
 
+The evaluation runs on spectra stacked along a leading sample axis
+(:func:`_stacked_moi`): the factored path handles every sample at once, the
+grid path one sample after the other.  :func:`moi_core` is its batch of one,
+and the Monte Carlo harness calls it once per chunk of samples.
+
 Also certifies the algebraic, norm, perturbation, and continuity identities
 the evaluator is expected to satisfy.
 """
@@ -40,14 +45,15 @@ from .integrands import (
     MultivariateFunction,
     ScalarFunction,
     SeparableIntegrand,
+    _batch_of_one,
     divided_difference_integrand,
     projective_norm_bound,
     sup_norm_on_grid,
 )
 from .operators import (
     AnyOperator,
-    SpectralDecomposition,
-    _spectra_union,
+    _adjoint,
+    _from_spectrum,
     operator_norm,
     schatten_norm,
 )
@@ -125,9 +131,8 @@ class MoiResult:
 
 
 def _integrand_grid(
-    integrand: MultivariateFunction, decomps: Sequence[SpectralDecomposition]
+    integrand: MultivariateFunction, axes: Sequence[np.ndarray]
 ) -> np.ndarray:
-    axes = [np.asarray(d.eigenvalues) for d in decomps]
     grid = integrand.eval_grid(axes)
     finite = np.isfinite(grid)
     if not np.all(finite):
@@ -141,13 +146,13 @@ def _integrand_grid(
 
 def _grid_core(
     integrand: MultivariateFunction,
-    decomps: Sequence[SpectralDecomposition],
+    axes: Sequence[np.ndarray],
     rotated: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """The rotated-coordinate sum as one contraction of the n^m integrand
-    grid against the rotated arguments."""
-    grid = _integrand_grid(integrand, decomps)
-    m = len(decomps)
+    """The rotated-coordinate sum of one sample as one contraction of the n^m
+    integrand grid on its eigenvalue ``axes`` against the rotated arguments."""
+    grid = _integrand_grid(integrand, axes)
+    m = len(axes)
     if m == 1:
         return grid
     letters = string.ascii_lowercase[:m]
@@ -158,41 +163,86 @@ def _grid_core(
 
 def _factored_core(
     psi: SeparableIntegrand,
-    decomps: Sequence[SpectralDecomposition],
+    eigenvalues: Sequence[np.ndarray],
     rotated: Sequence[np.ndarray],
-) -> np.ndarray:
-    """The rotated-coordinate sum of ``sum_n D_1n Y_1 D_2n ... Y_m-1 D_mn``,
-    with D_in = diag(f_in(eigenvalues of A_i)), without building a grid.
+) -> tuple[np.ndarray, dict[int, FunctionDomainError]]:
+    """The rotated-coordinate sums of ``sum_n D_1n Y_1 D_2n ... Y_m-1 D_mn``,
+    with D_in = diag(f_in(eigenvalues of A_i)), without building a grid, for
+    every sample at once: ``eigenvalues[i]`` has shape (N, n) and
+    ``rotated[j]`` shape (N, n, n).  Returns the sums, shape (N, n, n) (or
+    (N, n) when m = 1), and a FunctionDomainError by sample index for every
+    sample whose factor values or sum are not finite.
 
     Walks :attr:`SeparableIntegrand.suffix_tree` from the left: the terms
     sharing their factors from slot j on share everything left of Y_j, so
     that left part is summed over them before it is multiplied by Y_j.  The
-    cost is one n x n product per distinct suffix of length 1..m-2.
+    cost is one n x n product per sample and distinct suffix of length
+    1..m-2.
     """
-    values = psi.factor_values([d.eigenvalues for d in decomps])
-    for slot, (slot_values, decomp) in enumerate(zip(values, decomps)):
+    values = psi.factor_values(eigenvalues)  # per slot: (factors, N, n)
+    errors = {}
+    for slot, (slot_values, axis) in enumerate(zip(values, eigenvalues)):
         finite = np.isfinite(slot_values)
-        if not np.all(finite):
-            _, col = np.unravel_index(int(np.argmin(finite)), finite.shape)
-            raise FunctionDomainError(
-                f"an integrand factor of slot {slot} is not finite at "
-                f"eigenvalue {complex(decomp.eigenvalues[col])}"
-            )
+        if finite.all():
+            continue
+        failed = ~finite.all(axis=(0, 2))
+        for s in np.flatnonzero(failed):
+            if s not in errors:
+                _, col = np.unravel_index(int(np.argmin(finite[:, s])), finite[:, s].shape)
+                errors[int(s)] = FunctionDomainError(
+                    f"an integrand factor of slot {slot} is not finite at "
+                    f"eigenvalue {complex(axis[s, col])}"
+                )
+        slot_values[:, failed] = 0.0  # the failed samples' sums are not used
     counts, levels = psi.suffix_tree
     factor, starts = levels[0]
-    core = np.add.reduceat(counts[:, None] * values[0][factor], starts, axis=0)
+    core = np.add.reduceat(counts[:, None, None] * values[0][factor], starts, axis=0)
     if rotated:
-        core = core[:, :, None] * rotated[0]
+        core = core[..., None] * rotated[0]
     for j in range(1, len(levels)):
         factor, starts = levels[j]
-        core = np.add.reduceat(core * values[j][factor][:, None, :], starts, axis=0)
+        core = np.add.reduceat(core * values[j][factor][:, :, None, :], starts, axis=0)
         if j < len(rotated):
             core = core @ rotated[j]
-    if not np.all(np.isfinite(core)):
-        raise FunctionDomainError(
-            "the factored sum is not finite: products of integrand factors overflow"
-        )
-    return core[0]
+    core = core[0]
+    finite = np.isfinite(core)
+    if not finite.all():
+        for s in np.flatnonzero(~finite.reshape(len(core), -1).all(axis=1)):
+            errors.setdefault(int(s), FunctionDomainError(
+                "the factored sum is not finite: products of integrand factors overflow"
+            ))
+    return core, errors
+
+
+def _stacked_moi(
+    integrand: MultivariateFunction,
+    eigenvalues: Sequence[np.ndarray],
+    bases: Sequence[np.ndarray],
+    arguments: Sequence[np.ndarray],
+) -> tuple[np.ndarray, dict]:
+    """:func:`moi_core` on spectra stacked over samples: ``eigenvalues[i]``
+    of shape (N, n) and ``bases[i]`` of shape (N, n, n) decompose the i-th
+    operator of every sample; the arguments are shared.
+
+    Returns the N results and, for the factored path, a FunctionDomainError
+    by sample index for each sample that failed (its result is not finite).
+    The grid path evaluates sample by sample and raises on the first failure.
+    """
+    rotated = [
+        _adjoint(bases[j]) @ np.asarray(arguments[j], dtype=np.complex128) @ bases[j + 1]
+        for j in range(len(bases) - 1)
+    ]
+    if integrand.separable is not None:
+        core, errors = _factored_core(integrand.separable, eigenvalues, rotated)
+    else:
+        core = np.array([
+            _grid_core(integrand, [w[s] for w in eigenvalues], [y[s] for y in rotated])
+            for s in range(len(bases[0]))
+        ])
+        errors = {}
+    if len(bases) == 1:
+        return _from_spectrum(core, bases[0]), errors
+    return bases[0] @ core @ _adjoint(bases[-1]), errors
 
 
 def moi_core(
@@ -216,18 +266,15 @@ def moi_core(
     if len(arguments) != m - 1:
         raise ValidationError(f"need {m - 1} arguments, got {len(arguments)}")
     decomps = [op.decomposition for op in operators]
-    bases = [d.basis for d in decomps]
-    rotated = [
-        bases[j].conj().T @ np.asarray(arguments[j], dtype=np.complex128) @ bases[j + 1]
-        for j in range(m - 1)
-    ]
-    if integrand.separable is not None:
-        core = _factored_core(integrand.separable, decomps, rotated)
-    else:
-        core = _grid_core(integrand, decomps, rotated)
-    if m == 1:
-        return (bases[0] * core) @ bases[0].conj().T
-    return bases[0] @ core @ bases[-1].conj().T
+    value, errors = _stacked_moi(
+        integrand,
+        _batch_of_one([d.eigenvalues for d in decomps]),
+        _batch_of_one([d.basis for d in decomps]),
+        arguments,
+    )
+    if errors:
+        raise errors[0]
+    return value[0]
 
 
 def moi_evaluate(request: MoiRequest) -> MoiResult:
@@ -449,7 +496,9 @@ def continuity_modulus(
     lhs = operator_norm(lhs_matrix)
 
     dd_next = divided_difference_integrand(f, order + 1)
-    union = _spectra_union([*operators, *perturbed])
+    union = np.concatenate(
+        [op.decomposition.eigenvalues for op in [*operators, *perturbed]]
+    )
     spectra = [union] * (order + 2)
     if dd_next.separable is not None:
         surrogate = projective_norm_bound(dd_next.separable, spectra)

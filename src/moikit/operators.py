@@ -7,6 +7,15 @@ matrix norms, scalar functions of operators, and random-operator sampling
 All values are immutable after construction; every operation here is a pure
 function.  Random sampling takes an explicit ``numpy.random.Generator``.
 
+One private builder, :func:`_random_spectra`, turns drawn arrays stacked over
+samples into sorted spectra, Haar bases (Ginibre QR with the R-diagonal phase
+fix, see Mezzadri, Notices AMS 54, 2007) and matrices; the public samplers
+are its batch-of-one calls, and the Monte Carlo harness calls it once per
+chunk of samples.  The other private helpers that take stacks
+(:func:`_from_spectrum`, :func:`_check_reconstruction`,
+:func:`_hermitian_spectra`, :func:`_function_of_spectra`) likewise serve the
+public single-operator functions with a batch of one.
+
 Trust boundary: constructors and parsers check their input, and
 :func:`spectral_decompose` checks what LAPACK returns.  Operators that moikit
 builds from checked inputs (samplers, :func:`apply_scalar_function`,
@@ -51,6 +60,17 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _adjoint(matrices: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return matrices.conj().swapaxes(-1, -2)
+
+
+def _from_spectrum(values: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """``U diag(values) U*`` for a basis U, or for each in a stack: values of
+    shape (..., n), bases of shape (..., n, n)."""
+    return (bases * values[..., None, :]) @ _adjoint(bases)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues plus an orthonormal eigenbasis of a normal operator.
@@ -83,7 +103,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the operator as the eigenvalue-weighted projector sum."""
-        return (self.basis * np.asarray(self.eigenvalues)) @ self.basis.conj().T
+        return _from_spectrum(self.eigenvalues, self.basis)
 
 
 class _NormalOperator:
@@ -148,8 +168,9 @@ class UnitaryOperator(_NormalOperator):
 
     @staticmethod
     def _check(arr: np.ndarray):
-        departure = _max_abs(arr.conj().T @ arr - np.eye(arr.shape[0]))
-        if departure > UNITARY_TOL:
+        """Raise unless ``arr``, or every matrix of a stack, is unitary."""
+        departure = _max_abs(_adjoint(arr) @ arr - np.eye(arr.shape[-1]))
+        if not departure <= UNITARY_TOL:
             raise ValidationError(
                 f"matrix is not unitary: ||U*U - I||_max = {departure:.3e}"
             )
@@ -158,14 +179,30 @@ class UnitaryOperator(_NormalOperator):
 AnyOperator = Union[HermitianOperator, UnitaryOperator]
 
 
-def _check_reconstruction(matrix: np.ndarray, spectral: SpectralDecomposition):
-    UnitaryOperator._check(spectral.basis)  # an orthonormal basis is unitary
-    residual = _max_abs(spectral.reconstruct() - matrix)
-    scale = max(1.0, float(np.linalg.norm(matrix, 2)))
-    if residual > RECONSTRUCTION_TOL * scale:
-        raise NumericalError(
-            f"spectral data does not reconstruct the operator: residual {residual:.3e}"
+def _check_reconstruction(
+    matrices: np.ndarray, eigenvalues: np.ndarray, bases: np.ndarray
+) -> dict[int, NumericalError]:
+    """Check spectral data stacked over samples against the matrices it
+    decomposes.  A basis that is not orthonormal raises ValidationError; a
+    sample whose data does not reconstruct its matrix gets a NumericalError,
+    returned by sample index."""
+    UnitaryOperator._check(bases)  # an orthonormal basis is unitary
+    residual = np.max(np.abs(_from_spectrum(eigenvalues, bases) - matrices), axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(matrices, 2, axis=(-2, -1)))
+    return {
+        int(s): NumericalError(
+            f"spectral data does not reconstruct the operator: residual {residual[s]:.3e}"
         )
+        for s in np.flatnonzero(residual > RECONSTRUCTION_TOL * scale)
+    }
+
+
+def _hermitian_spectra(matrices: np.ndarray):
+    """Ascending eigenvalues and orthonormal eigenbases of a stack of
+    Hermitian matrices, in one batched ``eigh``, with the
+    :func:`_check_reconstruction` errors by sample index."""
+    eigenvalues, bases = np.linalg.eigh(matrices)
+    return eigenvalues, bases, _check_reconstruction(matrices, eigenvalues, bases)
 
 
 def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
@@ -178,7 +215,8 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
     """
     matrix = op.matrix
     if isinstance(op, HermitianOperator):
-        decomp = SpectralDecomposition(*np.linalg.eigh(matrix))
+        eigenvalues, bases, errors = _hermitian_spectra(matrix[None])
+        eigenvalues, basis = eigenvalues[0], bases[0]
     else:
         schur_t, schur_z = scipy.linalg.schur(matrix, output="complex")
         eigenvalues = np.diag(schur_t).copy()
@@ -187,9 +225,40 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
             raise NumericalError("Schur decomposition produced a zero eigenvalue")
         eigenvalues = eigenvalues / moduli
         order = np.argsort(np.angle(eigenvalues), kind="stable")
-        decomp = SpectralDecomposition(eigenvalues[order], schur_z[:, order])
-    _check_reconstruction(matrix, decomp)
-    return decomp
+        eigenvalues, basis = eigenvalues[order], schur_z[:, order]
+        errors = _check_reconstruction(matrix[None], eigenvalues[None], basis[None])
+    if errors:
+        raise errors[0]
+    return SpectralDecomposition(eigenvalues, basis)
+
+
+def _function_of_spectra(f, eigenvalues: np.ndarray, bases: np.ndarray, hermitian: bool):
+    """``f`` applied through spectra stacked over samples: eigenvalues of
+    shape (N, n), bases of shape (N, n, n).
+
+    Returns the eigenvalue images, the matrices ``U diag(f(l)) U*``, the mask
+    of samples whose result was hermitized (``hermitian`` input with images
+    real to 1e-13), and a FunctionDomainError by sample index wherever an
+    image is not finite.
+    """
+    values = np.asarray(f(eigenvalues), dtype=np.complex128)
+    if values.shape != eigenvalues.shape:
+        values = np.broadcast_to(values, eigenvalues.shape).astype(np.complex128)
+    bad = ~np.isfinite(values)
+    errors = {
+        int(s): FunctionDomainError(
+            "function is not finite at eigenvalue "
+            f"{complex(eigenvalues[s, np.argmax(bad[s])])}"
+        )
+        for s in np.flatnonzero(bad.any(axis=-1))
+    }
+    result = _from_spectrum(values, bases)
+    real = np.zeros(len(values), dtype=bool)
+    if hermitian:
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
+        real = np.max(np.abs(values.imag), axis=-1) <= 1e-13 * scale
+        result = np.where(real[:, None, None], (result + _adjoint(result)) / 2.0, result)
+    return values, result, real, errors
 
 
 def apply_scalar_function(
@@ -202,22 +271,15 @@ def apply_scalar_function(
     :class:`HermitianOperator`; otherwise the raw matrix is returned.
     """
     decomp = op.decomposition
-    values = np.asarray(f(decomp.eigenvalues), dtype=np.complex128)
-    if values.shape != decomp.eigenvalues.shape:
-        values = np.broadcast_to(values, decomp.eigenvalues.shape).astype(np.complex128)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        where = int(np.argmax(bad))
-        raise FunctionDomainError(
-            f"function is not finite at eigenvalue {complex(decomp.eigenvalues[where])}"
-        )
-    result = (decomp.basis * values) @ decomp.basis.conj().T
-    if isinstance(op, HermitianOperator) and _max_abs(values.imag) <= 1e-13 * max(
-        1.0, _max_abs(values)
-    ):
-        hermitized = (result + result.conj().T) / 2.0
-        return HermitianOperator._trusted(hermitized, values.real, decomp.basis)
-    return result
+    values, results, real, errors = _function_of_spectra(
+        f, decomp.eigenvalues[None], decomp.basis[None],
+        isinstance(op, HermitianOperator),
+    )
+    if errors:
+        raise errors[0]
+    if real[0]:
+        return HermitianOperator._trusted(results[0], values[0].real, decomp.basis)
+    return results[0]
 
 
 def operator_norm(matrix) -> float:
@@ -293,22 +355,55 @@ class RandomOperatorModel:
         return np.array(self.law[1], dtype=float)
 
 
-def sample_haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
-    """Draw from the Haar measure on the unitary group U(dim).
+def _draw(model: RandomOperatorModel, rng: np.random.Generator):
+    """One sample's draws for ``model``, in their fixed order: the eigenvalues
+    (eigenphases for unitaries), then the real and imaginary Ginibre parts as
+    one (2, dim, dim) standard normal array."""
+    return model.draw_eigenvalues(rng), rng.standard_normal((2, model.dim, model.dim))
 
-    Complex Ginibre matrix -> QR -> column phases fixed by the sign of the
-    R diagonal, which makes the factorization unique and the law exactly
-    Haar (plain QR of Ginibre is not).
+
+def _haar_bases(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normal pairs stacked over samples, shape
+    (N, 2, n, n): complex Ginibre matrix -> batched QR -> column phases fixed
+    by the sign of the R diagonal, which makes the factorization unique and
+    the law exactly Haar (plain QR of Ginibre is not).  Raises
+    ValidationError unless every result is unitary."""
+    ginibre = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    bases = q * (diag / np.abs(diag))[:, None, :]
+    UnitaryOperator._check(bases)
+    return bases
+
+
+def _random_spectra(values: np.ndarray, normals: np.ndarray, unitary: bool = False):
+    """The random operators that draws stacked over samples define.
+
+    ``values`` of shape (N, n) are the eigenvalues, or the eigenphases when
+    ``unitary``; ``normals`` of shape (N, 2, n, n) give the Haar bases.
+    Returns the eigenvalues sorted stably (ascending, or by principal phase),
+    the bases with their columns in the same order, and the matrices
+    ``U diag(l) U*``, hermitized unless ``unitary``.
     """
+    bases = _haar_bases(normals)
+    eigenvalues = np.exp(1j * values) if unitary else values
+    keys = np.angle(eigenvalues) if unitary else eigenvalues
+    order = np.argsort(keys, axis=-1, kind="stable")
+    eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
+    bases = np.take_along_axis(bases, order[:, None, :], axis=-1)
+    matrices = _from_spectrum(eigenvalues, bases)
+    if not unitary:
+        matrices = (matrices + _adjoint(matrices)) / 2.0
+    return eigenvalues, bases, matrices
+
+
+def sample_haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
+    """Draw from the Haar measure on the unitary group U(dim) (see
+    :func:`_haar_bases`)."""
     if dim < 1:
         raise ParameterError("dimension must be >= 1")
-    ginibre = (
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    ) / math.sqrt(2.0)
-    q, r = np.linalg.qr(ginibre)
-    diag = np.diag(r)
-    phases = diag / np.abs(diag)
-    return UnitaryOperator(q * phases)
+    normals = rng.standard_normal((2, dim, dim))
+    return UnitaryOperator._trusted(_haar_bases(normals[None])[0])
 
 
 def sample_random_hermitian(
@@ -319,14 +414,9 @@ def sample_random_hermitian(
 
     The returned operator carries its spectral decomposition, already sorted.
     """
-    eigenvalues = model.draw_eigenvalues(rng)
-    haar = sample_haar_unitary(model.dim, rng)
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    basis = haar.matrix[:, order]
-    matrix = (basis * eigenvalues) @ basis.conj().T
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return HermitianOperator._trusted(matrix, eigenvalues, basis)
+    values, normals = _draw(model, rng)
+    eigenvalues, bases, matrices = _random_spectra(values[None], normals[None])
+    return HermitianOperator._trusted(matrices[0], eigenvalues[0], bases[0])
 
 
 def sample_random_unitary(
@@ -334,14 +424,9 @@ def sample_random_unitary(
 ) -> UnitaryOperator:
     """Sample a random unitary as ``U diag(exp(i phi)) U*``: eigenphases drawn
     from the model law (wrapped onto the circle), eigenbasis Haar."""
-    phases = model.draw_eigenvalues(rng)
-    haar = sample_haar_unitary(model.dim, rng)
-    eigenvalues = np.exp(1j * phases)
-    order = np.argsort(np.angle(eigenvalues), kind="stable")
-    eigenvalues = eigenvalues[order]
-    basis = haar.matrix[:, order]
-    matrix = (basis * eigenvalues) @ basis.conj().T
-    return UnitaryOperator._trusted(matrix, eigenvalues, basis)
+    values, normals = _draw(model, rng)
+    eigenvalues, bases, matrices = _random_spectra(values[None], normals[None], True)
+    return UnitaryOperator._trusted(matrices[0], eigenvalues[0], bases[0])
 
 
 def random_hermitian(
@@ -370,13 +455,11 @@ def shifted_operator(op: HermitianOperator, delta: np.ndarray) -> HermitianOpera
 def _shifted(op: HermitianOperator, delta: np.ndarray) -> HermitianOperator:
     """:func:`shifted_operator` for a Hermitian complex ``delta`` of the
     operator's dimension that moikit checked already; nothing is checked."""
-    shifted = op.matrix + delta
-    shifted = (shifted + shifted.conj().T) / 2.0
-    return HermitianOperator._trusted(shifted)
+    return HermitianOperator._trusted(_hermitian_sum(op.matrix, delta))
 
 
-def _spectra_union(operators, *eigenvalues) -> np.ndarray:
-    """``eigenvalues`` followed by every operator's eigenvalues, in one array."""
-    return np.concatenate(
-        [*eigenvalues, *(op.decomposition.eigenvalues for op in operators)]
-    )
+def _hermitian_sum(matrices: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``matrices + delta`` symmetrized to exact Hermitian form; ``matrices``
+    may be a stack."""
+    shifted = matrices + delta
+    return (shifted + _adjoint(shifted)) / 2.0

@@ -158,3 +158,132 @@ def exhaustive_grid_max(point_fn, axes):
     for tup in itertools.product(*axes):
         best = max(best, abs(point_fn(tup)))
     return best
+
+
+def tail_bound_block(exp, lo, hi):
+    """Per-sample statistics, terms and abort mask of samples lo..hi-1 of a
+    tail-bound experiment, computed one sample at a time with the public
+    single-operator functions: the reference for the harness's batched
+    evaluation.  Aborted samples read NaN."""
+    import moikit as mk
+
+    statistic = _TAIL_BOUND_STATISTICS[exp.theorem_id]
+    count = hi - lo
+    stats = np.full(count, np.nan)
+    terms = {}
+    aborted = np.zeros(count, dtype=bool)
+    for offset in range(count):
+        rng = mk.sample_stream(exp.seed, lo + offset)
+        try:
+            stat, values = statistic(exp, rng)
+        except (mk.CapabilityError, mk.FunctionDomainError, mk.NumericalError):
+            aborted[offset] = True
+            continue
+        stats[offset] = stat
+        for label, value in values.items():
+            terms.setdefault(label, np.full(count, np.nan))[offset] = value
+    return stats, terms, aborted
+
+
+def _moi_norm_sample(exp, rng):
+    import moikit as mk
+
+    ops = [mk.sample_random_hermitian(model, rng) for model in exp.operator_models]
+    psi = exp.integrand.as_multivariate()
+    value = mk.moi_core(ops, psi, exp.fixed_inputs["arguments"])
+    if exp.theorem_id == "moi_norm_schatten_b":
+        reciprocal = sum(1.0 / p for p in exp.schatten_p)
+        stat = mk.schatten_norm(value, np.inf if reciprocal == 0 else 1.0 / reciprocal)
+    else:
+        stat = mk.operator_norm(value)
+    union = np.concatenate([op.decomposition.eigenvalues for op in ops])
+    return stat, {"integrand_norm": mk.sup_norm_on_grid(psi, [union] * len(ops))}
+
+
+def _derivative_sample(exp, rng):
+    import moikit as mk
+
+    k = 1 if exp.theorem_id == "first_derivative" else exp.order
+    op = mk.sample_random_hermitian(exp.operator_models[0], rng)
+    value = mk.kth_derivative(exp.integrand, op, exp.fixed_inputs["direction"], k)
+    dd_k = mk.divided_difference_integrand(exp.integrand, k)
+    spectrum = op.decomposition.eigenvalues
+    return mk.operator_norm(value), {
+        "integrand_norm": mk.sup_norm_on_grid(dd_k, [spectrum] * (k + 1))
+    }
+
+
+def _higher_difference_sample(exp, rng):
+    import moikit as mk
+
+    k, step = exp.order, exp.fixed_inputs["step"]
+    op = mk.sample_random_hermitian(exp.operator_models[0], rng)
+    ladder = [op] + [mk.shifted_operator(op, i * step) for i in range(1, k + 1)]
+    spectra = [o.decomposition.eigenvalues for o in ladder]
+    stat = mk.operator_norm(mk.higher_difference(exp.integrand, op, step, k))
+    gap = max(
+        float(np.max(np.abs(spectra[j + 1][:, None] - spectra[j][None, :])))
+        for j in range(k)
+    )
+    dd_k = mk.divided_difference_integrand(exp.integrand, k)
+    surrogate = mk.sup_norm_on_grid(dd_k, [np.concatenate(spectra)] * (k + 1))
+    return stat, {
+        "gap_weighted_integrand_norm": gap * surrogate,
+        "integrand_norm": surrogate,
+        "eigengap": gap,
+    }
+
+
+def _sa_remainder_sample(exp, rng):
+    import moikit as mk
+
+    k = exp.order
+    total, terms = None, {}
+    for j, (model, f, h) in enumerate(zip(
+        exp.operator_models, exp.integrand, exp.fixed_inputs["perturbations"]
+    )):
+        op = mk.sample_random_hermitian(model, rng)
+        shifted = mk.shifted_operator(op, h)
+        dd_k = mk.divided_difference_integrand(f, k)
+        value = mk.moi_core([shifted] + [op] * k, dd_k, [h] * k)
+        total = value if total is None else total + value
+        union = np.concatenate(
+            [shifted.decomposition.eigenvalues, op.decomposition.eigenvalues]
+        )
+        terms[f"slot{j}_integrand_norm"] = mk.sup_norm_on_grid(dd_k, [union] * (k + 1))
+    return mk.operator_norm(total), terms
+
+
+def _unitary_remainder_sample(exp, rng):
+    import moikit as mk
+
+    k = exp.order
+    total, terms = None, {}
+    for j, (model, f, h) in enumerate(zip(
+        exp.operator_models, exp.integrand, exp.fixed_inputs["perturbations"]
+    )):
+        base = mk.sample_random_unitary(model, rng)
+        spec = mk.RemainderSpec(k, mk.SlotFunctionSum.from_slot_functions([f]),
+                                (base,), (h,), "unitary")
+        value = mk.taylor_remainder_unitary(spec, method="direct")
+        total = value if total is None else total + value
+        rotated = mk.unitary_exponential(mk.HermitianOperator(h)) @ base.matrix
+        eigs = np.linalg.eigvals(rotated)
+        union = np.concatenate([eigs / np.abs(eigs), base.decomposition.eigenvalues])
+        for ell in range(1, k + 1):
+            dd = mk.divided_difference_integrand(f, ell)
+            terms[f"slot{j}_order{ell}_integrand_norm"] = mk.sup_norm_on_grid(
+                dd, [union] * (ell + 1)
+            )
+    return mk.operator_norm(total), terms
+
+
+_TAIL_BOUND_STATISTICS = {
+    "moi_norm_a": _moi_norm_sample,
+    "moi_norm_schatten_b": _moi_norm_sample,
+    "first_derivative": _derivative_sample,
+    "kth_derivative": _derivative_sample,
+    "higher_difference": _higher_difference_sample,
+    "sa_remainder": _sa_remainder_sample,
+    "unitary_remainder": _unitary_remainder_sample,
+}

@@ -145,6 +145,19 @@ class TestTailboundCommand:
                         "--output", str(out), "--seed", "424242"]) == 0
         assert read_json(out)["metadata"]["seed"] == 424242
 
+    def test_worker_count_below_one_rejected(self, tmp_path, capsys):
+        payload = read_json(config_path("tailbound_first_derivative.json"))
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({**payload, "samples": 1000}))
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(config), "--workers", "0"]) == 2
+        message = "flags.workers: --workers must be a positive integer"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(config), "--command", "tailbound",
+                        "--workers", "0", "--output", str(out)]) == 0
+        assert read_json(out)["diagnostics"] == [message]
+
     def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
         # the shipped theorems hold pathwise, so a genuine violation cannot
         # be provoked; stub the runner to exercise the exit-code mapping

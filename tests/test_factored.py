@@ -14,6 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import moikit as mk  # noqa: E402
+from moikit import moi  # noqa: E402
 
 import oracles  # noqa: E402
 from conftest import grid_path  # noqa: E402
@@ -132,3 +133,43 @@ def test_sup_surrogate_grid_is_unchanged_by_factor_sharing(rng):
             prod = prod * np.asarray(fn(axis), dtype=np.complex128)[tuple(view)]
         expected += prod
     assert np.array_equal(psi.eval_grid(axes), expected)
+
+
+@pytest.mark.parametrize("m, separable", [(1, True), (2, True), (3, True), (2, False)])
+def test_moi_core_is_a_batch_of_one_of_the_stacked_evaluation(m, separable):
+    """moi_core evaluates one sample through the same code that evaluates
+    stacked samples (factored path for all at once, grid path one by one),
+    so each sample of a stacked call has the bits of its own call."""
+    rng = np.random.default_rng(40 + m)
+    model = mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0))
+    samples = [[mk.sample_random_hermitian(model, rng) for _ in range(m)] for _ in range(5)]
+    arguments = [mk.random_hermitian(4, rng) for _ in range(m - 1)]
+    psi = mk.divided_difference_integrand(
+        mk.ScalarFunction.polynomial(rng.standard_normal(6)), m - 1
+    )
+    if not separable:
+        psi = grid_path(psi)
+    eigenvalues = [np.stack([ops[i].decomposition.eigenvalues for ops in samples])
+                   for i in range(m)]
+    bases = [np.stack([ops[i].decomposition.basis for ops in samples]) for i in range(m)]
+    stacked, errors = moi._stacked_moi(psi, eigenvalues, bases, arguments)
+    assert errors == {}
+    for s, ops in enumerate(samples):
+        assert mk.moi_core(ops, psi, arguments).tobytes() == stacked[s].tobytes()
+
+
+def test_grid_that_overflows_in_real_arithmetic_is_evaluated_in_complex():
+    """Real factor values give a real grid only when it is finite; otherwise
+    the grid and the sup surrogate are those of complex arithmetic, where
+    overflow turns into NaN rather than inf."""
+    big = mk.ScalarFunction.constant(1e200)
+    psi = mk.SeparableIntegrand(4, ((big,) * 4,))
+    axes = [np.linspace(-1.0, 1.0, 3)] * 4
+    expected = np.ones((3, 3, 3, 3), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(4):
+            view = [None] * 4
+            view[i] = slice(None)
+            expected = expected * np.full(3, 1e200, dtype=np.complex128)[tuple(view)]
+        assert np.array_equal(psi.eval_grid(axes), expected, equal_nan=True)
+        assert np.isnan(mk.sup_norm_on_grid(psi.as_multivariate(), axes))

@@ -3,6 +3,8 @@ and convergence in the r-th mean."""
 
 import copy
 import json
+import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from moikit import harness
 from moikit.errors import NumericalError, ParameterError, ValidationError
 from moikit.harness import SURROGATE_NOTE
 
+import oracles
 from conftest import config_path
 
 
@@ -177,6 +180,139 @@ class TestRunTailBound:
         constants = report.metadata["constants"]
         assert constants["result_exponent_q"] == pytest.approx(1.0)
         assert "result_exponent_variant_one_minus_sum" in constants
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+    def test_worker_count_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ParameterError, match="workers"):
+            mk.run_tail_bound(small_experiment(), workers=workers)
+
+    def test_pool_has_at_most_one_process_per_core(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Runs each submitted block in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        exp = small_experiment()
+        pooled = mk.run_tail_bound(exp, workers=5).to_dict()
+        assert sizes == [2]
+        assert pooled["metadata"]["workers"] == 5
+        single = mk.run_tail_bound(exp, workers=1).to_dict()
+        for report in (pooled, single):
+            report.pop("wall_time_s")
+            report["metadata"].pop("workers")
+        assert ser.dumps_deterministic(pooled) == ser.dumps_deterministic(single)
+
+
+def shipped_experiment(theorem_id, samples=1000):
+    payload = ser.load_json(config_path(f"tailbound_{theorem_id}.json"))
+    return ser.parse_experiment({**payload, "samples": samples})
+
+
+def assert_same_bits(block, expected):
+    """Equal abort masks, statistics and terms, bit for bit."""
+    stats, terms, aborted = block
+    ref_stats, ref_terms, ref_aborted = expected
+    assert aborted.tobytes() == ref_aborted.tobytes()
+    assert stats.tobytes() == ref_stats.tobytes()
+    assert sorted(terms) == sorted(ref_terms)
+    for label in terms:
+        assert terms[label].tobytes() == ref_terms[label].tobytes(), label
+
+
+def past_threshold(threshold):
+    """x below the threshold, +inf from it on: a callable that is not
+    finite at large eigenvalues."""
+    return mk.ScalarFunction.from_callable(
+        lambda x: x if x.real < threshold else math.inf
+    )
+
+
+def partially_failing_experiment(theorem_id):
+    """An experiment whose samples fail where an eigenvalue reaches 0.9: the
+    factored engine path masks them (``moi_norm_a``, separable integrand with
+    a callable factor); the grid path raises for them and the chunk is
+    evaluated again sample by sample (``first_derivative``, callable f)."""
+    model = mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0))
+    rng = np.random.default_rng(8)
+    if theorem_id == "moi_norm_a":
+        integrand = mk.SeparableIntegrand(
+            2, ((past_threshold(0.9), mk.ScalarFunction.monomial(1)),)
+        )
+        models, fixed = (model, model), {"arguments": [mk.random_hermitian(3, rng)]}
+    else:
+        integrand = past_threshold(0.9)
+        models, fixed = (model,), {"direction": mk.random_hermitian(3, rng)}
+    return mk.TailBoundExperiment(
+        theorem_id=theorem_id,
+        operator_models=models,
+        fixed_inputs=fixed,
+        integrand=integrand,
+        theta_grid=(1.0,),
+        samples=1000,
+        seed=17,
+    )
+
+
+def chunks_of_16(monkeypatch):
+    monkeypatch.setattr(harness, "_chunk_samples", lambda dim, surrogates: 16)
+
+
+class TestBatchedEvaluation:
+    """Blocks are evaluated in chunks of stacked samples; neither the chunks
+    nor the block boundaries may change a bit of any sample's values."""
+
+    @pytest.mark.parametrize("theorem_id", harness.THEOREM_IDS)
+    def test_uneven_blocks_and_chunks_give_the_same_bits(self, theorem_id, monkeypatch):
+        exp = shipped_experiment(theorem_id)
+        whole = harness._simulate_block(exp, 0, 100)
+        chunks_of_16(monkeypatch)
+        parts = [harness._simulate_block(exp, lo, hi)
+                 for lo, hi in ((0, 1), (1, 37), (37, 100))]
+        joined = (
+            np.concatenate([part[0] for part in parts]),
+            {label: np.concatenate([part[1][label] for part in parts])
+             for label in whole[1]},
+            np.concatenate([part[2] for part in parts]),
+        )
+        assert_same_bits(joined, whole)
+
+    @pytest.mark.parametrize("theorem_id", harness.THEOREM_IDS)
+    def test_block_matches_the_per_sample_reference(self, theorem_id):
+        exp = shipped_experiment(theorem_id)
+        assert_same_bits(harness._simulate_block(exp, 0, 60),
+                         oracles.tail_bound_block(exp, 0, 60))
+
+    @pytest.mark.parametrize("theorem_id", ["moi_norm_a", "first_derivative"])
+    def test_only_the_failing_samples_abort(self, theorem_id, monkeypatch):
+        exp = partially_failing_experiment(theorem_id)
+        chunks_of_16(monkeypatch)
+        block = harness._simulate_block(exp, 0, 80)
+        assert 0 < np.sum(block[2]) < 40
+        assert np.all(np.isfinite(block[0][~block[2]]))
+        assert_same_bits(block, oracles.tail_bound_block(exp, 0, 80))
+
+    def test_chunk_keeps_the_surrogate_grid_near_the_budget(self):
+        # moi_norm_a: three 4x4 operators, a 12^3-point grid per sample
+        chunk = harness._prepare(shipped_experiment("moi_norm_a")).chunk
+        assert 1 < chunk and 16 * 12**3 * chunk <= harness._CHUNK_BYTES
 
 
 class TestExperimentChecks:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import moikit as mk
+from moikit import integrands
 from moikit.errors import CapabilityError, ValidationError
 from moikit.integrands import add_scalar_functions, multiply_by_slot_variable
 
@@ -149,6 +150,32 @@ class TestDividedDifferenceIntegrand:
         psi = mk.divided_difference_integrand(mk.ScalarFunction.monomial(3), 1)
         x = 0.75
         assert psi(x, x + 1e-14) == pytest.approx(3 * x**2, rel=1e-12)
+
+    def test_polynomial_integrands_are_built_once(self):
+        coefficients = [0.5, -1.0, 0.0, 2.0, 1.5]
+        first = mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial(coefficients), 2
+        )
+        again = mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial(np.array(coefficients)), 2
+        )
+        assert again is first
+        assert mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial(coefficients), 1
+        ) is not first
+        complex_coefficients = np.array(coefficients, dtype=complex)
+        assert mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial(complex_coefficients), 2
+        ) is not first
+
+    def test_callable_integrands_are_never_cached(self):
+        before = integrands._polynomial_dd_integrand.cache_info()
+        f = mk.ScalarFunction.from_callable(math.sin, derivatives=[math.cos])
+        g = mk.ScalarFunction.from_callable(math.sin, derivatives=[math.cos])
+        first = mk.divided_difference_integrand(f, 1)
+        assert mk.divided_difference_integrand(f, 1) is not first
+        assert mk.divided_difference_integrand(g, 1) is not first
+        assert integrands._polynomial_dd_integrand.cache_info() == before
 
     def test_callable_integrand_has_no_separable(self):
         psi = mk.divided_difference_integrand(
