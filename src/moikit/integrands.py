@@ -5,14 +5,18 @@ supplied derivatives, plain callables with numerical differentiation),
 divided differences with confluent-node handling, separable (rank-one-sum)
 representations of multivariate integrands, and the computable projective
 norm surrogate used by every certified bound in the package.
+
+Divided differences are evaluated by one vectorized recursive table
+(:func:`_divided_differences`) on a stack of node tuples: the grid of a
+non-polynomial divided-difference integrand is one such stack, calling f
+once per distinct node, and :func:`divided_difference` is a stack of one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,41 +250,175 @@ class DividedDifferenceSpec:
     @property
     def tolerance(self) -> float:
         """Merge radius: 1e-7 relative to the largest node, at least 1e-7."""
-        magnitude = max((abs(z) for z in self.nodes), default=0.0)
-        return 1e-7 * max(1.0, magnitude)
+        return float(self._merge_radius(np.array([self.nodes]))[0])
+
+    @staticmethod
+    def _merge_radius(nodes: np.ndarray) -> np.ndarray:
+        """:attr:`tolerance` of each row of a (P, k+1) stack of node tuples."""
+        return 1e-7 * np.maximum(1.0, np.max(_modulus(nodes), axis=-1))
 
 
-def _cluster_nodes(nodes: Sequence[complex], tol: float) -> list[complex]:
-    """Snap tolerance-coincident nodes to their cluster mean.
+# Bytes the largest intermediate array of a divided-difference grid may take
+# (the (P, k+1, k+1) node differences); the grid is evaluated in chunks of
+# points that fit.
+_GRID_CHUNK_BYTES = 32 * 2**20
 
-    Union-find over the pairwise distance graph keeps the result independent
-    of the input order; members are sorted before averaging so the snapped
-    values are reproducible.
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| with the bits of Python's ``abs`` (numpy's complex ``abs`` on
+    arrays may differ from it in the last place; ``hypot`` does not)."""
+    return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
+
+
+def _snapped_nodes(nodes: np.ndarray) -> np.ndarray:
+    """Each row of ``nodes`` sorted by (real, imag), with every cluster of
+    nodes joined by steps within the row's merge radius replaced by its
+    mean, summed left to right over the sorted members; sorted again."""
+    nodes = np.sort(nodes, axis=1)
+    width = nodes.shape[1]
+    radius = DividedDifferenceSpec._merge_radius(nodes)
+    near = _modulus(nodes[:, :, None] - nodes[:, None, :]) <= radius[:, None, None]
+    snapped = nodes + 0.0  # a node that merges with none is its own mean, 0 + z
+    merging = np.flatnonzero(np.count_nonzero(near, axis=(1, 2)) > width)
+    if merging.size:
+        snapped[merging] = np.sort(_cluster_means(nodes[merging], near[merging]), axis=1)
+    return snapped
+
+
+def _cluster_means(nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Each node replaced by the mean of its cluster: the connected
+    component of the ``near`` graph over its row."""
+    width = nodes.shape[1]
+    # label propagation: every node takes the least label among its
+    # neighbours until the labels settle, one per cluster
+    labels = np.broadcast_to(np.arange(width), nodes.shape)
+    while True:
+        settled = np.where(near, labels[:, None, :], width).min(axis=2)
+        if np.array_equal(settled, labels):
+            break
+        labels = settled
+    member = labels[:, :, None] == labels[:, None, :]
+    total = np.zeros_like(nodes)
+    for j in range(width):
+        total += np.where(member[:, :, j], nodes[:, j, None], 0.0)
+    count = member.sum(axis=2)
+    # component-wise, as Python's complex / int is: numpy's complex division
+    # by a count can differ from it in the last place
+    mean = np.empty_like(total)
+    mean.real = total.real / count
+    if np.iscomplexobj(total):
+        mean.imag = total.imag / count
+    return mean
+
+
+def _distinct_values(fn, nodes: np.ndarray, memo: dict) -> tuple[list, np.ndarray]:
+    """``fn`` at each of the 1-D ``nodes``, called once per distinct node as
+    a Python scalar: the distinct values, and the index of each node's value
+    among them.  ``memo`` keeps the values across calls."""
+    if nodes.size == 0:
+        return [], np.zeros(0, dtype=np.intp)
+    distinct, inverse = np.unique(nodes, return_inverse=True)
+    values = []
+    for z in distinct.tolist():
+        if z not in memo:
+            memo[z] = fn(z)
+        values.append(memo[z])
+    return values, inverse
+
+
+def _divided_differences(f: ScalarFunction, nodes: np.ndarray, memo: dict):
+    """``f^[k]`` at each row of a (P, k+1) stack of node tuples (float64, or
+    complex128 for complex nodes): the recursive table of
+    :func:`divided_difference`, evaluated for every row at once.
+
+    Returns the P values and whether each is complex.  ``f`` and its
+    derivatives are called once per distinct node and order, through
+    ``memo``, which maps each order to the values found so far.
     """
-    n = len(nodes)
-    parent = list(range(n))
+    ordered = _snapped_nodes(nodes)
+    points, width = ordered.shape
+    confluent = [None] + [
+        ordered[:, level:] == ordered[:, :-level] for level in range(1, width)
+    ]
+    needed = np.zeros(points, dtype=int)
+    for level in range(1, width):
+        needed[confluent[level].any(axis=1)] = level
+    failed = np.flatnonzero(needed > f.derivative_order_available)
+    if failed.size:
+        multiplicity = int(needed[failed[0]]) + 1
+        raise CapabilityError(
+            f"confluent cluster of size {multiplicity} needs derivative order "
+            f"{multiplicity - 1}, available {f.derivative_order_available}"
+        )
+    # per level: f^(level)(z) / level! at every confluent entry (f(z) at
+    # every entry of level 0), from one call per distinct node
+    values, index = _distinct_values(f, ordered.ravel(), memo.setdefault(0, {}))
+    columns = [(values, index.reshape(ordered.shape))]
+    for level in range(1, width):
+        columns.append(_distinct_values(
+            lambda z, _k=level: f.derivative(z, _k) / math.factorial(_k),
+            ordered[:, :-level][confluent[level]],
+            memo.setdefault(level, {}),
+        ))
+    complex_nodes = np.iscomplexobj(ordered)
+    typed = complex_nodes or any(np.iscomplexobj(v) for values, _ in columns for v in values)
+    tables = [_column(values, index, typed) for values, index in columns]
+    table, kind = tables[0]
+    with np.errstate(all="ignore"):
+        for level in range(1, width):
+            if typed:
+                # complex when either value is; of Python type when both are
+                kind = np.stack([kind[:, 1:, 0] | kind[:, :-1, 0] | complex_nodes,
+                                 kind[:, 1:, 1] & kind[:, :-1, 1]], axis=-1)
+            table = _quotient(table[:, 1:] - table[:, :-1],
+                              ordered[:, level:] - ordered[:, :-level], kind)
+            derivative, derivative_kind = tables[level]
+            table[confluent[level]] = derivative
+            if typed:
+                kind[confluent[level]] = derivative_kind
+    return table[:, 0], kind[:, 0, 0] if typed else np.zeros(points, dtype=bool)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(nodes[i] - nodes[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    clusters: dict[int, list[complex]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(nodes[i])
-    reps = {
-        root: sum(sorted(vals, key=lambda z: (complex(z).real, complex(z).imag)))
-        / len(vals)
-        for root, vals in clusters.items()
-    }
-    return [reps[find(i)] for i in range(n)]
+def _column(values: list, index: np.ndarray, typed: bool):
+    """The values at ``index``, real, or complex when ``typed``; then also,
+    for each, whether it is complex and whether it is of Python type (not a
+    numpy scalar or array), since the scalar recursion divided each kind its
+    own way (see :func:`_quotient`)."""
+    if not typed:
+        return np.array(values, dtype=np.float64)[index], None
+    kind = np.array(
+        [(np.iscomplexobj(v), not isinstance(v, (np.generic, np.ndarray))) for v in values],
+        dtype=bool,
+    ).reshape(-1, 2)
+    return np.array(values, dtype=np.complex128)[index], kind[index]
+
+
+def _quotient(numerator: np.ndarray, step: np.ndarray, kind: np.ndarray | None) -> np.ndarray:
+    """``numerator / step`` entry by entry, as the scalar recursion divided.
+    ``kind`` is None for a real table, else ``kind[..., 0]`` marks complex
+    quotients and ``kind[..., 1]`` numerators of Python type.  Real
+    quotients are true divisions, complex ones of numpy numerators numpy's
+    division, and complex ones of Python numerators CPython's, which divides
+    where numpy multiplies by a reciprocal."""
+    quotient = numerator / step
+    if kind is None:
+        return quotient
+    real = ~kind[..., 0]
+    if real.any():
+        quotient[real] = numerator[real].real / step[real].real
+    python = kind[..., 0] & kind[..., 1]
+    if python.any():
+        a, b = numerator[python], step[python].astype(np.complex128)
+        wide = np.abs(b.real) >= np.abs(b.imag)
+        ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
+        denominator = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        exact = np.empty_like(a)
+        exact.real = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
+        exact.imag = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
+        exact.real /= denominator
+        exact.imag /= denominator
+        quotient[python] = exact
+    return quotient
 
 
 def divided_difference(spec: DividedDifferenceSpec):
@@ -290,29 +428,27 @@ def divided_difference(spec: DividedDifferenceSpec):
     coincident nodes of length r+1 contributes ``f^(r)(z) / r!``.  The result
     is symmetric in node order (nodes are sorted internally).
     """
-    f = spec.f
-    snapped = _cluster_nodes(list(spec.nodes), spec.tolerance)
-    ordered = sorted(snapped, key=lambda z: (complex(z).real, complex(z).imag))
-    n = len(ordered)
-    multiplicity = max(
-        len(list(g)) for _, g in itertools.groupby(ordered)
-    )
-    if multiplicity - 1 > f.derivative_order_available:
-        raise CapabilityError(
-            f"confluent cluster of size {multiplicity} needs derivative order "
-            f"{multiplicity - 1}, available {f.derivative_order_available}"
-        )
-    table = [f(z) for z in ordered]
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            lo, hi = ordered[i], ordered[i + level]
-            if lo == hi:
-                nxt.append(f.derivative(lo, level) / math.factorial(level))
-            else:
-                nxt.append((table[i + 1] - table[i]) / (hi - lo))
-        table = nxt
-    return table[0]
+    values, is_complex = _divided_differences(spec.f, np.array([spec.nodes]), {})
+    return values[0] if is_complex[0] else values[0].real
+
+
+def _divided_difference_grid(
+    f: ScalarFunction, order: int, axes: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The grid of ``f^[order]`` on the Cartesian product of the axes, in
+    chunks of at most :data:`_GRID_CHUNK_BYTES` of node differences."""
+    dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
+    axes = [np.asarray(a, dtype=dtype) for a in axes]
+    shape = tuple(a.size for a in axes)
+    size = math.prod(shape)
+    rows = max(1, _GRID_CHUNK_BYTES // (16 * (order + 1) ** 2))
+    out = np.empty(size, dtype=np.complex128)
+    memo: dict = {}
+    for lo in range(0, size, rows):
+        index = np.unravel_index(np.arange(lo, min(lo + rows, size)), shape)
+        nodes = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+        out[lo : lo + rows] = _divided_differences(f, nodes, memo)[0]
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +625,16 @@ class SeparableIntegrand:
 
 @dataclass(frozen=True)
 class MultivariateFunction:
-    """An arity-m scalar map with an optional separable representation."""
+    """An arity-m scalar map with an optional separable representation.
+
+    Without one, :meth:`eval_grid` evaluates the map point by point, unless
+    the code that built it attached a whole-grid evaluation (``_grid``, see
+    :func:`_with_grid`)."""
 
     arity: int
     evaluate: Callable
     separable: SeparableIntegrand | None = None
+    _grid: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -510,6 +651,8 @@ class MultivariateFunction:
         if self.separable is not None:
             return self.separable.eval_grid(axes)
         axes = [np.asarray(a) for a in axes]
+        if self._grid is not None:
+            return self._grid(axes)
         shape = tuple(a.size for a in axes)
         out = np.empty(shape, dtype=np.complex128)
         for idx in np.ndindex(shape):
@@ -534,6 +677,14 @@ class MultivariateFunction:
                 )
             worst = max(worst, err)
         return worst
+
+
+def _with_grid(psi: MultivariateFunction, grid: Callable) -> MultivariateFunction:
+    """``psi``, whose :meth:`~MultivariateFunction.eval_grid` now returns
+    ``grid(axes)``: the values ``psi.evaluate`` gives on the Cartesian
+    product of the axes, as a complex array."""
+    object.__setattr__(psi, "_grid", grid)
+    return psi
 
 
 def integrand_block_product(
@@ -610,8 +761,10 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
 
     Polynomials get an exact separable representation (used for grid
     evaluation and certified norm bounds), built once per coefficient array
-    and order and then shared by every caller; other kinds fall back to the
-    recursive divided-difference table per point.
+    and order and then shared by every caller.  Other kinds evaluate the
+    recursive divided-difference table: point by point through
+    :func:`divided_difference`, and a whole grid as one vectorized table
+    that calls ``f`` once per distinct node.
     """
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")
@@ -624,7 +777,10 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     def evaluate(point, _f=f, _k=order):
         return divided_difference(DividedDifferenceSpec(_f, _k, tuple(point)))
 
-    return MultivariateFunction(order + 1, evaluate)
+    return _with_grid(
+        MultivariateFunction(order + 1, evaluate),
+        lambda axes, _f=f, _k=order: _divided_difference_grid(_f, _k, axes),
+    )
 
 
 @functools.lru_cache(maxsize=256)

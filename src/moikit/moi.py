@@ -46,6 +46,7 @@ from .integrands import (
     ScalarFunction,
     SeparableIntegrand,
     _batch_of_one,
+    _with_grid,
     divided_difference_integrand,
     projective_norm_bound,
     sup_norm_on_grid,
@@ -289,6 +290,21 @@ def moi_evaluate(request: MoiRequest) -> MoiResult:
     return MoiResult(value=value, eigen_tuple_count=count, wall_time=elapsed)
 
 
+def _linear_combination(
+    phi: MultivariateFunction, psi: MultivariateFunction, alpha, beta
+) -> MultivariateFunction:
+    """The integrand ``alpha * phi + beta * psi``: separable when both are,
+    else evaluated on a grid as ``alpha * grid(phi) + beta * grid(psi)``."""
+    if phi.separable is not None and psi.separable is not None:
+        return phi.separable.scaled(alpha).plus(psi.separable.scaled(beta)).as_multivariate()
+    return _with_grid(
+        MultivariateFunction(
+            phi.arity, lambda pt: alpha * phi.evaluate(pt) + beta * psi.evaluate(pt)
+        ),
+        lambda axes: alpha * phi.eval_grid(axes) + beta * psi.eval_grid(axes),
+    )
+
+
 def moi_linear_combination_check(
     phi,
     psi,
@@ -302,16 +318,7 @@ def moi_linear_combination_check(
     psi = _as_integrand(psi)
     if phi.arity != psi.arity:
         raise ValidationError("integrand arities differ")
-    if phi.separable is not None and psi.separable is not None:
-        combined = phi.separable.scaled(alpha).plus(psi.separable.scaled(beta))
-        combo = combined.as_multivariate()
-    else:
-        combo = MultivariateFunction(
-            phi.arity,
-            lambda pt, _p=phi, _q=psi, _a=alpha, _b=beta: _a * _p.evaluate(pt)
-            + _b * _q.evaluate(pt),
-        )
-    lhs = moi_core(operators, combo, arguments)
+    lhs = moi_core(operators, _linear_combination(phi, psi, alpha, beta), arguments)
     rhs = alpha * moi_core(operators, phi, arguments) + beta * moi_core(
         operators, psi, arguments
     )

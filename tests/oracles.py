@@ -59,6 +59,81 @@ def divided_difference_recursive(point_fn, nodes):
     return table[0]
 
 
+def _cluster_nodes(nodes, tol):
+    """Snap tolerance-coincident nodes to their cluster mean: union-find over
+    the pairwise distance graph, members summed left to right in (real,
+    imag) order."""
+    n = len(nodes)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(nodes[i] - nodes[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(nodes[i])
+    reps = {}
+    for root, vals in clusters.items():
+        # an explicit left-to-right sum: the builtin sum compensates float
+        # sums from Python 3.12 on
+        total = 0
+        for value in sorted(vals, key=lambda z: (complex(z).real, complex(z).imag)):
+            total = total + value
+        reps[root] = total / len(vals)
+    return [reps[find(i)] for i in range(n)]
+
+
+def divided_difference_per_point(spec):
+    """One divided difference by the scalar recursive table, one Python
+    operation at a time: the reference for moikit's vectorized table."""
+    import moikit as mk
+
+    f = spec.f
+    snapped = _cluster_nodes(list(spec.nodes), spec.tolerance)
+    ordered = sorted(snapped, key=lambda z: (complex(z).real, complex(z).imag))
+    n = len(ordered)
+    multiplicity = max(len(list(g)) for _, g in itertools.groupby(ordered))
+    if multiplicity - 1 > f.derivative_order_available:
+        raise mk.CapabilityError(
+            f"confluent cluster of size {multiplicity} needs derivative order "
+            f"{multiplicity - 1}, available {f.derivative_order_available}"
+        )
+    table = [f(z) for z in ordered]
+    for level in range(1, n):
+        nxt = []
+        for i in range(n - level):
+            lo, hi = ordered[i], ordered[i + level]
+            if lo == hi:
+                nxt.append(f.derivative(lo, level) / math.factorial(level))
+            else:
+                nxt.append((table[i + 1] - table[i]) / (hi - lo))
+        table = nxt
+    return table[0]
+
+
+def divided_difference_grid_per_point(f, order, axes):
+    """The order-k divided-difference grid on the Cartesian product of the
+    axes, one :func:`divided_difference_per_point` per eigenvalue tuple."""
+    import moikit as mk
+
+    axes = [np.asarray(a) for a in axes]
+    shape = tuple(a.size for a in axes)
+    out = np.empty(shape, dtype=np.complex128)
+    for idx in np.ndindex(shape):
+        point = tuple(ax[i] for ax, i in zip(axes, idx))
+        out[idx] = divided_difference_per_point(mk.DividedDifferenceSpec(f, order, point))
+    return out
+
+
 def hermitian_function(fn, matrix):
     """f applied to a Hermitian matrix through a fresh eigendecomposition."""
     values, vectors = np.linalg.eigh(np.asarray(matrix))

@@ -1,5 +1,6 @@
 """Divided differences, separable integrands, and norm surrogates."""
 
+import cmath
 import itertools
 import math
 
@@ -328,3 +329,168 @@ class TestHelpers:
             2, ((mk.ScalarFunction.monomial(1), mk.ScalarFunction.monomial(1)),)
         )
         assert psi.scaled(-2.0).evaluate((1.0, 3.0)) == pytest.approx(-6.0)
+
+
+def exp_with_derivatives(order=4):
+    return mk.ScalarFunction.from_callable(np.exp, (np.exp,) * order)
+
+
+SCALAR_FUNCTIONS = {
+    "polynomial": lambda: mk.ScalarFunction.polynomial([0.3, -1.0, 0.5, 2.0, 0.7, -0.1]),
+    "callable_with_derivatives": exp_with_derivatives,
+    "callable_only": lambda: mk.ScalarFunction.from_callable(np.sin),
+    # values of Python type, divided as CPython divides complex numbers
+    "python_complex": lambda: mk.ScalarFunction.from_callable(
+        cmath.exp, (cmath.exp,) * 4
+    ),
+    # real values at some nodes and complex ones at others
+    "mixed_real_complex": lambda: mk.ScalarFunction.from_callable(
+        np.emath.sqrt,
+        (lambda z: 0.5 * np.emath.power(z, -0.5), lambda z: -0.25 * np.emath.power(z, -1.5)),
+    ),
+}
+
+
+def awkward_axis(kind, rng):
+    """Nodes on the real line or the unit circle holding a cluster (a pair
+    1e-9 apart), an exact repeat, and a transitive chain: three nodes each
+    within the merge radius of the next, the two ends not within it."""
+    if kind == "real":  # one cluster left of 0 and one right of it
+        base, step = rng.uniform([-1, 0], [0, 1]), 1.0
+    else:
+        base, step = np.exp(1j * rng.uniform(0, 2 * np.pi, 2)), 1j
+    return np.array([base[0], base[0] + 1e-9 * step, base[0],
+                     base[1], base[1] + 0.9e-7 * step, base[1] + 1.8e-7 * step])
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class and text of what it raised."""
+    try:
+        return fn(*args)
+    except (CapabilityError, ValidationError) as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(got, expected):
+    """The same error class and text, or values with the same bits."""
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert same_bits(got, expected)
+
+
+class TestVectorizedTable:
+    """The vectorized divided-difference table against the scalar recursion
+    of ``oracles.divided_difference_per_point``: not a bit may change."""
+
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_grid_bits_match_the_per_point_recursion(self, name, kind, order):
+        f = SCALAR_FUNCTIONS[name]()
+        rng = np.random.default_rng(order)
+        chain = awkward_axis(kind, rng)
+        # at most 6^3 points: the higher orders take the cluster and the
+        # repeat or the chain, slot by slot
+        axes = [chain] * (order + 1) if order <= 2 else [
+            chain[:3] if slot % 2 else chain[3:6] for slot in range(order + 1)
+        ]
+        expected = outcome(oracles.divided_difference_grid_per_point, f, order, axes)
+        assert_same_outcome(outcome(integrands._divided_difference_grid, f, order, axes),
+                            expected)
+        if f.kind != "polynomial":  # polynomials take their separable grid
+            psi = mk.divided_difference_integrand(f, order)
+            assert psi.separable is None
+            assert_same_outcome(outcome(psi.eval_grid, axes), expected)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
+    def test_single_divided_differences_match_the_per_point_recursion(self, name):
+        f = SCALAR_FUNCTIONS[name]()
+        rng = np.random.default_rng(5)
+        for kind in ("real", "unit_circle"):
+            axis = awkward_axis(kind, rng)
+            for order in range(5):
+                for _ in range(10):
+                    spec = mk.DividedDifferenceSpec(f, order, tuple(rng.choice(axis, order + 1)))
+                    expected = outcome(oracles.divided_difference_per_point, spec)
+                    got = outcome(mk.divided_difference, spec)
+                    assert_same_outcome(got, expected)
+                    assert np.iscomplexobj(got) == np.iscomplexobj(expected)
+
+    def test_capability_error_reports_the_first_failing_tuple(self):
+        f = exp_with_derivatives(1)
+        # the first tuple in grid order, (0.5, 0.5, 0.5, -0.25), holds a
+        # triple; later ones hold four equal nodes
+        axes = [np.array([0.5, -0.25])] * 3 + [np.array([-0.25, 0.5])]
+        expected = outcome(oracles.divided_difference_grid_per_point, f, 3, axes)
+        assert expected[0] is CapabilityError and "size 3" in expected[1]
+        assert outcome(mk.divided_difference_integrand(f, 3).eval_grid, axes) == expected
+
+    def test_non_finite_grids_name_the_same_tuple(self):
+        from moikit.moi import _integrand_grid
+
+        f = mk.ScalarFunction.from_callable(lambda x: x if x.real < 0.2 else math.inf)
+        axis = np.array([-0.5, 0.3, 0.1, -0.5, 0.6])
+        psi = mk.divided_difference_integrand(f, 2)
+        per_point = mk.MultivariateFunction(
+            3, lambda pt: oracles.divided_difference_per_point(mk.DividedDifferenceSpec(f, 2, pt))
+        )
+        messages = []
+        for integrand in (per_point, psi):
+            with pytest.raises(mk.FunctionDomainError) as err:
+                _integrand_grid(integrand, [axis] * 3)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_chunks_give_the_same_bits(self, monkeypatch):
+        calls = []
+
+        def sin(z):
+            calls.append(complex(z))
+            return np.sin(z)
+
+        f = mk.ScalarFunction.from_callable(sin, (np.cos, lambda z: -np.sin(z)))
+        axes = [awkward_axis("unit_circle", np.random.default_rng(2))] * 3
+        whole = integrands._divided_difference_grid(f, 2, axes)
+        # 7 points a chunk, so the 216 points span 31 chunks
+        monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
+        calls.clear()
+        chunked = integrands._divided_difference_grid(f, 2, axes)
+        assert same_bits(chunked, whole)
+        assert len(calls) == len(set(calls))  # once per node, across the chunks
+
+    def test_moduli_have_the_bits_of_python_abs(self):
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        expected = [abs(complex(v)) for v in z]
+        assert integrands._modulus(z).tolist() == expected
+
+    def test_f_is_called_once_per_distinct_node(self):
+        calls = []
+
+        def counted(fn, level):
+            def traced(x):
+                calls.append((level, complex(x)))
+                return fn(x)
+            return traced
+
+        f = mk.ScalarFunction.from_callable(
+            counted(np.exp, 0), (counted(np.exp, 1), counted(np.exp, 2))
+        )
+        axis = awkward_axis("real", np.random.default_rng(4))
+        grid = mk.divided_difference_integrand(f, 2).eval_grid([axis] * 3)
+        assert np.all(np.isfinite(grid))
+        needed = set()  # the (order, node) pairs the per-point recursion used
+        for point in itertools.product(axis, repeat=3):
+            spec = mk.DividedDifferenceSpec(f, 2, point)
+            ordered = sorted(oracles._cluster_nodes(list(spec.nodes), spec.tolerance))
+            needed.update((0, complex(z)) for z in ordered)
+            needed.update((level, complex(ordered[i]))
+                          for level in (1, 2) for i in range(3 - level)
+                          if ordered[i] == ordered[i + level])
+        assert {level for level, _ in needed} == {0, 1, 2}
+        assert sorted(calls, key=str) == sorted(needed, key=str)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import moikit as mk
+from moikit import moi
 from moikit.errors import (
     CapabilityError,
     FunctionDomainError,
@@ -171,6 +172,21 @@ class TestAlgebraicIdentities:
                 mk.moi_linear_combination_check(phi, psi, alpha, beta, ops, args)
                 <= 1e-10
             )
+
+    def test_linear_combination_grid_matches_the_pointwise_combination(self, rng):
+        exp = mk.ScalarFunction.from_callable(np.exp, (np.exp,))
+        sin = mk.ScalarFunction.from_callable(np.sin, (np.cos,))
+        phi = mk.divided_difference_integrand(exp, 1)
+        # a separable psi's grid and its point values may differ in the last place
+        for psi, rtol in ((mk.divided_difference_integrand(sin, 1), 0.0),
+                          (random_separable(rng, 2).as_multivariate(), 1e-14)):
+            combo = moi._linear_combination(phi, psi, 0.7, -1.3)
+            assert combo.separable is None
+            axes = [rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 5)]
+            pointwise = np.array([[combo.evaluate((x, y)) for y in axes[1]] for x in axes[0]])
+            np.testing.assert_allclose(combo.eval_grid(axes), pointwise, rtol=rtol, atol=0)
+            ops, args = random_ops(rng, 2), random_args(rng, 1)
+            assert mk.moi_linear_combination_check(phi, psi, 0.7, -1.3, ops, args) <= 1e-10
 
     def test_split_one_sided_function(self, rng):
         a, b = random_ops(rng, 2)
