@@ -9,7 +9,8 @@ norm surrogate used by every certified bound in the package.
 Divided differences are evaluated by one vectorized recursive table
 (:func:`_divided_differences`) on a stack of node tuples: the grid of a
 non-polynomial divided-difference integrand is one such stack, calling f
-once per distinct node, and :func:`divided_difference` is a stack of one.
+once per distinct node and holding one tuple per multiset of indices over
+axes with equal values, and :func:`divided_difference` is a stack of one.
 """
 
 from __future__ import annotations
@@ -435,20 +436,66 @@ def divided_difference(spec: DividedDifferenceSpec):
 def _divided_difference_grid(
     f: ScalarFunction, order: int, axes: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """The grid of ``f^[order]`` on the Cartesian product of the axes, in
-    chunks of at most :data:`_GRID_CHUNK_BYTES` of node differences."""
+    """The grid of ``f^[order]`` on the Cartesian product of the axes.
+
+    ``f^[order]`` is symmetric in its nodes, and :func:`_snapped_nodes`
+    sorts every tuple first, so permuting the indices of axes that hold the
+    same values leaves a value's bits unchanged.  The table is evaluated
+    once per canonical point (see :func:`_canonical_points`), in grid order
+    and in chunks of at most :data:`_GRID_CHUNK_BYTES` of node differences;
+    every point then takes its canonical point's value.
+    """
     dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
     axes = [np.asarray(a, dtype=dtype) for a in axes]
     shape = tuple(a.size for a in axes)
-    size = math.prod(shape)
+    classes: dict = {}
+    labels = tuple(classes.setdefault(a.tobytes(), len(classes)) for a in axes)
+    points, canonical = _canonical_points(shape, labels)
     rows = max(1, _GRID_CHUNK_BYTES // (16 * (order + 1) ** 2))
-    out = np.empty(size, dtype=np.complex128)
+    values = np.empty(points.size, dtype=np.complex128)
     memo: dict = {}
-    for lo in range(0, size, rows):
-        index = np.unravel_index(np.arange(lo, min(lo + rows, size)), shape)
+    for lo in range(0, points.size, rows):
+        index = np.unravel_index(points[lo : lo + rows], shape)
         nodes = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
-        out[lo : lo + rows] = _divided_differences(f, nodes, memo)[0]
-    return out.reshape(shape)
+        values[lo : lo + rows] = _divided_differences(f, nodes, memo)[0]
+    return values[canonical].reshape(shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_points(shape: tuple, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical points of a grid of this shape whose axes with equal
+    labels hold equal values, and for every grid point the position of its
+    canonical point among them.
+
+    A point's canonical point sorts its indices ascending within each class
+    of equal axes (all axes equal: the non-decreasing index tuples).
+    Returns the flat grid indices of the canonical points, ascending, and
+    the flat array of positions; both read-only, as they are shared by
+    every grid of this shape and class structure.
+    """
+    dims = len(shape)
+    index = [np.arange(n).reshape((n,) + (1,) * (dims - 1 - i)) for i, n in enumerate(shape)]
+    for label in set(labels):
+        members = [i for i in range(dims) if labels[i] == label]
+        # insertion sort of the class's indices, one compare-exchange of
+        # broadcast index arrays at a time
+        for i in range(1, len(members)):
+            for lo, hi in zip(members[i - 1 :: -1], members[i:0:-1]):
+                index[lo], index[hi] = (np.minimum(index[lo], index[hi]),
+                                        np.maximum(index[lo], index[hi]))
+    flat = np.zeros(shape, dtype=np.intp)
+    stride = 1
+    for i in range(dims - 1, -1, -1):
+        flat += index[i] * stride
+        stride *= shape[i]
+    flat = flat.ravel()
+    points = np.flatnonzero(flat == np.arange(flat.size))
+    position = np.empty(flat.size, dtype=np.intp)
+    position[points] = np.arange(points.size)
+    canonical = position[flat]
+    points.setflags(write=False)
+    canonical.setflags(write=False)
+    return points, canonical
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +811,9 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     and order and then shared by every caller.  Other kinds evaluate the
     recursive divided-difference table: point by point through
     :func:`divided_difference`, and a whole grid as one vectorized table
-    that calls ``f`` once per distinct node.
+    that calls ``f`` once per distinct node and, over axes holding the same
+    values, evaluates each multiset of indices once (the divided difference
+    is symmetric in its nodes).
     """
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")
@@ -796,6 +845,23 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> Multivariat
 # ---------------------------------------------------------------------------
 
 
+def _checked_spectra(spectra: Sequence[Sequence], arity: int) -> list[np.ndarray]:
+    """The spectra as arrays, one per integrand slot, each one-dimensional
+    and non-empty; the same spectrum object given twice gives the same
+    array, so that its evaluations stay shared (see
+    :meth:`SeparableIntegrand.factor_values`)."""
+    if len(spectra) != arity:
+        raise ValidationError("spectra count must equal the integrand arity")
+    arrays: dict = {}
+    axes = [arrays.setdefault(id(s), np.asarray(s)) for s in spectra]
+    for i, axis in enumerate(axes):
+        if axis.ndim != 1:
+            raise ValidationError(f"spectrum {i} must be one-dimensional")
+        if axis.size == 0:
+            raise ValidationError(f"spectrum {i} is empty")
+    return axes
+
+
 def projective_norm_bound(
     psi: SeparableIntegrand, spectra: Sequence[Sequence]
 ) -> float:
@@ -804,13 +870,8 @@ def projective_norm_bound(
     ``sum_n prod_i max_{l in spectra_i} |f_{i,n}(l)|``.  Depends only on the
     given representation, not on the abstract function.
     """
-    if len(spectra) != psi.arity:
-        raise ValidationError("spectra count must equal the integrand arity")
-    axes = [np.asarray(s) for s in spectra]
-    for i, axis in enumerate(axes):
-        if axis.size == 0:
-            raise ValidationError(f"spectrum {i} is empty")
-    maxima = [np.max(np.abs(v), axis=1) for v in psi.factor_values(axes)]
+    maxima = [np.max(np.abs(v), axis=1)
+              for v in psi.factor_values(_checked_spectra(spectra, psi.arity))]
     total = 0.0
     for term in zip(*psi.factor_index):
         prod = 1.0
@@ -830,9 +891,7 @@ def _batch_of_one(arrays: Sequence) -> list[np.ndarray]:
 
 def sup_norm_on_grid(psi: MultivariateFunction, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra."""
-    if len(spectra) != psi.arity:
-        raise ValidationError("spectra count must equal the integrand arity")
-    return float(_sup_norms(psi, _batch_of_one(spectra))[0])
+    return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
 
 
 def _sup_norms(psi: MultivariateFunction, axes: Sequence[np.ndarray]) -> np.ndarray:

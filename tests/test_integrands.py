@@ -265,6 +265,21 @@ class TestNormSurrogates:
         psi = mk.MultivariateFunction(2, lambda pt: pt[0] - pt[1])
         assert mk.sup_norm_on_grid(psi, [[0.0, 1.0], [0.0, 1.0]]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spectrum, message", [
+        ([], "spectrum 1 is empty"),
+        ([[0.0, 1.0], [2.0, 3.0]], "spectrum 1 must be one-dimensional"),
+    ])
+    def test_spectra_are_checked_at_the_boundary(self, spectrum, message):
+        psi = mk.SeparableIntegrand.constant(2, 1.0)
+        norms = (
+            lambda spectra: mk.projective_norm_bound(psi, spectra),
+            lambda spectra: mk.sup_norm_on_grid(psi.as_multivariate(), spectra),
+            lambda spectra: mk.sup_norm_on_grid(mk.MultivariateFunction(2, abs), spectra),
+        )
+        for norm in norms:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                norm([[0.5], spectrum])
+
     def test_sup_norm_matches_enumeration(self, rng):
         psi = mk.MultivariateFunction(
             3, lambda pt: pt[0] ** 2 - 0.3 * pt[1] * pt[2] + 0.1
@@ -383,6 +398,20 @@ def assert_same_outcome(got, expected):
         assert same_bits(got, expected)
 
 
+def table_rows(monkeypatch):
+    """The list that will hold the row count of every later call of the
+    vectorized table."""
+    rows = []
+    table = integrands._divided_differences
+
+    def spy(f, nodes, memo):
+        rows.append(len(nodes))
+        return table(f, nodes, memo)
+
+    monkeypatch.setattr(integrands, "_divided_differences", spy)
+    return rows
+
+
 class TestVectorizedTable:
     """The vectorized divided-difference table against the scalar recursion
     of ``oracles.divided_difference_per_point``: not a bit may change."""
@@ -494,3 +523,68 @@ class TestVectorizedTable:
                           if ordered[i] == ordered[i + level])
         assert {level for level, _ in needed} == {0, 1, 2}
         assert sorted(calls, key=str) == sorted(needed, key=str)
+
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("name", sorted(set(SCALAR_FUNCTIONS) - {"polynomial"}))
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_equal_axes_match_the_per_point_recursion(self, name, kind, order):
+        # every slot on one axis, so each point shares its value with all
+        # the permutations of its indices
+        f = SCALAR_FUNCTIONS[name]()
+        axes = [awkward_axis(kind, np.random.default_rng(order))] * (order + 1)
+        expected = outcome(oracles.divided_difference_grid_per_point, f, order, axes)
+        assert_same_outcome(outcome(integrands._divided_difference_grid, f, order, axes),
+                            expected)
+
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("name", sorted(set(SCALAR_FUNCTIONS) - {"polynomial"}))
+    def test_mixed_equal_and_unequal_axes_match_the_per_point_recursion(self, name, kind):
+        f = SCALAR_FUNCTIONS[name]()
+        chain = awkward_axis(kind, np.random.default_rng(7))
+        # slots 0, 2 and 3 hold equal values (one of them in a copy), slot 1
+        # the same nodes in another order
+        axes = [chain, chain[::-1], chain.copy(), chain]
+        expected = outcome(oracles.divided_difference_grid_per_point, f, 3, axes)
+        assert_same_outcome(outcome(integrands._divided_difference_grid, f, 3, axes),
+                            expected)
+
+    @pytest.mark.parametrize("axes, size", [
+        ([awkward_axis("real", np.random.default_rng(8))] * 4, 4),
+        # the first tuple in grid order, (0.5, 0.5, 0.5, -0.25), holds a
+        # triple; the last, (-0.25,) * 4, four equal nodes
+        ([np.array([0.5, -0.25])] * 3 + [np.array([-0.25])], 3),
+    ])
+    def test_equal_axes_report_the_first_failing_tuple(self, axes, size):
+        f = exp_with_derivatives(1)
+        expected = outcome(oracles.divided_difference_grid_per_point, f, 3, axes)
+        assert expected[0] is CapabilityError and f"size {size}" in expected[1]
+        assert outcome(mk.divided_difference_integrand(f, 3).eval_grid, axes) == expected
+
+    def test_chunks_split_the_canonical_points(self, monkeypatch):
+        calls = []
+
+        def sin(z):
+            calls.append(complex(z))
+            return np.sin(z)
+
+        f = mk.ScalarFunction.from_callable(sin, (np.cos, lambda z: -np.sin(z)))
+        axes = [awkward_axis("unit_circle", np.random.default_rng(9))] * 3
+        whole = integrands._divided_difference_grid(f, 2, axes)
+        rows = table_rows(monkeypatch)
+        monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
+        calls.clear()
+        chunked = integrands._divided_difference_grid(f, 2, axes)
+        assert rows == [7] * 8  # the C(8, 3) = 56 non-decreasing index tuples
+        assert same_bits(chunked, whole)
+        assert len(calls) == len(set(calls))  # once per node, across the chunks
+
+    def test_rows_are_evaluated_once_per_multiset_of_equal_axes(self, monkeypatch):
+        rows = table_rows(monkeypatch)
+        f = exp_with_derivatives(2)
+        axis = np.linspace(-1.0, 1.0, 24)
+        grid = mk.divided_difference_integrand(f, 2).eval_grid([axis, axis.copy(), axis])
+        assert np.all(np.isfinite(grid))
+        assert sum(rows) == math.comb(24 + 2, 3) == 2600
+        rows.clear()
+        mk.divided_difference_integrand(f, 2).eval_grid([axis, axis + 1.0, axis + 2.0])
+        assert sum(rows) == 24**3

@@ -355,6 +355,26 @@ class TestContinuity:
         assert lhs == 0.0
         assert bound == 0.0
 
+    @pytest.mark.parametrize("name", ["exp", "sin"])
+    def test_non_polynomial_bound_is_the_sup_over_the_union(self, rng, name):
+        f = {
+            "exp": mk.ScalarFunction.from_callable(np.exp, (np.exp,) * 3),
+            "sin": mk.ScalarFunction.from_callable(np.sin),
+        }[name]
+        ops = random_ops(rng, 2)
+        args = random_args(rng, 1)
+        perturbed = tuple(
+            mk.shifted_operator(op, mk.random_hermitian(4, rng, norm=1e-3)) for op in ops
+        )
+        lhs, bound = mk.continuity_modulus(f, 1, ops, perturbed, args)
+        union = np.concatenate([op.decomposition.eigenvalues for op in (*ops, *perturbed)])
+        grid = oracles.divided_difference_grid_per_point(f, 2, [union] * 3)
+        surrogate = float(np.max(np.abs(grid.reshape(1, -1)), axis=1)[0])
+        drift = sum(mk.operator_norm(b.matrix - a.matrix) for a, b in zip(ops, perturbed))
+        assert bound == surrogate * drift * mk.operator_norm(args[0])
+        assert 0.0 < lhs <= bound
+        assert mk.continuity_modulus(f, 1, ops, ops, args) == (0.0, 0.0)
+
     def test_linear_decay_in_epsilon(self, rng):
         ops = random_ops(rng, 3)
         args = random_args(rng, 2)
