@@ -332,6 +332,8 @@ class RandomOperatorModel:
             _, a, b = self.law
             if not a < b:
                 raise ValidationError("uniform law requires a < b")
+            if not math.isfinite(float(b) - float(a)):
+                raise ValidationError("uniform law requires a finite width b - a")
         elif kind == "gaussian":
             _, _, sd = self.law
             if not sd > 0:
@@ -347,19 +349,54 @@ class RandomOperatorModel:
             raise ValidationError("seed must fit in 64 unsigned bits")
 
     def draw_eigenvalues(self, rng: np.random.Generator) -> np.ndarray:
+        """``dim`` i.i.d. eigenvalues from the law, drawn from ``rng``: the
+        same bits as ``rng.uniform(a, b, dim)`` or ``rng.normal(mean, sd,
+        dim)``."""
+        variates = np.empty((1, self.dim))
+        self._draw_variates(rng, variates[0])
+        return self._apply_law(variates)[0]
+
+    def _draw_variates(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Draw one sample's law variates into ``out`` of shape (dim,):
+        standard uniforms for the uniform law, standard normals for the
+        gaussian law, nothing for the fixed law."""
         kind = self.law[0]
         if kind == "uniform":
-            return rng.uniform(self.law[1], self.law[2], size=self.dim)
+            rng.random(out=out)
+        elif kind == "gaussian":
+            rng.standard_normal(out=out)
+
+    def _apply_law(self, variates: np.ndarray) -> np.ndarray:
+        """The eigenvalues that law variates stacked over samples, shape
+        (N, dim), give: ``a + (b - a) u``, ``mean + sd z`` or the fixed
+        values.  This is the arithmetic ``rng.uniform`` and ``rng.normal``
+        apply to the same variates, so the bits are theirs."""
+        kind = self.law[0]
+        if kind == "uniform":
+            a, b = float(self.law[1]), float(self.law[2])
+            return a + (b - a) * variates
         if kind == "gaussian":
-            return rng.normal(self.law[1], self.law[2], size=self.dim)
-        return np.array(self.law[1], dtype=float)
+            return float(self.law[1]) + float(self.law[2]) * variates
+        return np.full(variates.shape, self.law[1])
+
+
+def _draw_into(model: RandomOperatorModel, rng: np.random.Generator,
+               variates: np.ndarray, normals: np.ndarray) -> None:
+    """One sample's draws for ``model``, in their fixed order: the law
+    variates of the eigenvalues (eigenphases for unitaries) into ``variates``
+    (dim,), then the real and imaginary Ginibre parts into ``normals``
+    (2, dim, dim)."""
+    model._draw_variates(rng, variates)
+    rng.standard_normal(out=normals)
 
 
 def _draw(model: RandomOperatorModel, rng: np.random.Generator):
-    """One sample's draws for ``model``, in their fixed order: the eigenvalues
-    (eigenphases for unitaries), then the real and imaginary Ginibre parts as
-    one (2, dim, dim) standard normal array."""
-    return model.draw_eigenvalues(rng), rng.standard_normal((2, model.dim, model.dim))
+    """:func:`_draw_into` for a batch of one: the eigenvalues (1, dim) and
+    the normals (1, 2, dim, dim)."""
+    variates = np.empty((1, model.dim))
+    normals = np.empty((1, 2, model.dim, model.dim))
+    _draw_into(model, rng, variates[0], normals[0])
+    return model._apply_law(variates), normals
 
 
 def _haar_bases(normals: np.ndarray) -> np.ndarray:
@@ -414,8 +451,7 @@ def sample_random_hermitian(
 
     The returned operator carries its spectral decomposition, already sorted.
     """
-    values, normals = _draw(model, rng)
-    eigenvalues, bases, matrices = _random_spectra(values[None], normals[None])
+    eigenvalues, bases, matrices = _random_spectra(*_draw(model, rng))
     return HermitianOperator._trusted(matrices[0], eigenvalues[0], bases[0])
 
 
@@ -424,8 +460,7 @@ def sample_random_unitary(
 ) -> UnitaryOperator:
     """Sample a random unitary as ``U diag(exp(i phi)) U*``: eigenphases drawn
     from the model law (wrapped onto the circle), eigenbasis Haar."""
-    values, normals = _draw(model, rng)
-    eigenvalues, bases, matrices = _random_spectra(values[None], normals[None], True)
+    eigenvalues, bases, matrices = _random_spectra(*_draw(model, rng), True)
     return UnitaryOperator._trusted(matrices[0], eigenvalues[0], bases[0])
 
 

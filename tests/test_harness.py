@@ -2,6 +2,7 @@
 and convergence in the r-th mean."""
 
 import copy
+import dataclasses
 import json
 import math
 from concurrent.futures import Future
@@ -48,6 +49,29 @@ class TestStreams:
         a = mk.sample_stream(3, 5).standard_normal(4)
         b = mk.sample_stream(3, 5).standard_normal(4)
         np.testing.assert_array_equal(a, b)
+
+    def test_mix64_keeps_its_values(self):
+        assert [mk.mix64(s, i) for s, i in [(0, 0), (7, 123), (2**64 - 1, 999),
+                                            (2**63, 2**40)]] == [
+            16294208416658607535, 11643247792660730917,
+            9420747912965734335, 14547181691595906324,
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_chunk_states_are_the_sample_streams(self, seed):
+        # chunks 0..15 and 16..39 meet at a chunk boundary of 16 samples
+        for lo, hi in ((0, 16), (16, 40), (999, 1001)):
+            states = harness._stream_states(seed, lo, hi)
+            assert len(states) == hi - lo
+            for i, state in zip(range(lo, hi), states):
+                assert state == mk.sample_stream(seed, i).bit_generator.state
+
+    def test_entropy_states_are_default_rng(self):
+        edges = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        drawn = np.random.default_rng(0).integers(0, 2**64, 3000, dtype=np.uint64)
+        entropy = np.concatenate([np.array(edges, dtype=np.uint64), drawn])
+        for e, state in zip(entropy.tolist(), harness._pcg64_states(entropy)):
+            assert state == np.random.default_rng(e).bit_generator.state
 
 
 class TestEstimateExpectation:
@@ -300,6 +324,22 @@ class TestBatchedEvaluation:
         assert_same_bits(harness._simulate_block(exp, 0, 60),
                          oracles.tail_bound_block(exp, 0, 60))
 
+    @pytest.mark.parametrize("law", ["gaussian", "fixed"])
+    @pytest.mark.parametrize("theorem_id", harness.THEOREM_IDS)
+    def test_other_laws_match_the_per_sample_reference(self, theorem_id, law,
+                                                       monkeypatch):
+        # the shipped configs all draw uniform eigenvalues
+        exp = shipped_experiment(theorem_id)
+        dim = exp.operator_models[0].dim
+        if law == "gaussian":
+            model = mk.RandomOperatorModel(dim, ("gaussian", 0.1, 0.4))
+        else:
+            model = mk.RandomOperatorModel(dim, ("fixed", np.linspace(-0.8, 0.7, dim)))
+        exp = dataclasses.replace(exp, operator_models=(model,) * len(exp.operator_models))
+        chunks_of_16(monkeypatch)
+        assert_same_bits(harness._simulate_block(exp, 0, 40),
+                         oracles.tail_bound_block(exp, 0, 40))
+
     @pytest.mark.parametrize("theorem_id", ["moi_norm_a", "first_derivative"])
     def test_only_the_failing_samples_abort(self, theorem_id, monkeypatch):
         exp = partially_failing_experiment(theorem_id)
@@ -329,6 +369,24 @@ class TestExperimentChecks:
                 samples=1000,
                 seed=0,
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be an unsigned 64-bit integer"),
+        ("seed", 2**70, "seed must be an unsigned 64-bit integer"),
+        ("seed", 1.5, "seed must be an unsigned 64-bit integer"),
+        ("seed", True, "seed must be an unsigned 64-bit integer"),
+        ("seed", "7", "seed must be an unsigned 64-bit integer"),
+        ("samples", 1000.5, "at least 10\\^3 samples"),
+        ("samples", 999, "at least 10\\^3 samples"),
+    ])
+    def test_seed_and_samples_are_checked(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            small_experiment(**{field: value})
+
+    def test_seed_and_samples_become_ints(self):
+        exp = small_experiment(seed=np.uint64(2**64 - 1), samples=np.int64(1000))
+        assert type(exp.seed) is int and exp.seed == 2**64 - 1
+        assert type(exp.samples) is int and exp.samples == 1000
 
     def test_prepared_once_per_run(self, monkeypatch):
         calls = []

@@ -485,7 +485,7 @@ class TestVectorizedTable:
         f = mk.ScalarFunction.from_callable(sin, (np.cos, lambda z: -np.sin(z)))
         axes = [awkward_axis("unit_circle", np.random.default_rng(2))] * 3
         whole = integrands._divided_difference_grid(f, 2, axes)
-        # 7 points a chunk, so the 216 points span 31 chunks
+        # 7 points a chunk, so the 56 canonical points span 8 chunks
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         calls.clear()
         chunked = integrands._divided_difference_grid(f, 2, axes)

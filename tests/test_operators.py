@@ -195,6 +195,24 @@ class TestRandomHermitian:
         fresh = mk.spectral_decompose(mk.HermitianOperator(op.matrix))
         np.testing.assert_allclose(np.sort(fresh.eigenvalues), drawn, atol=1e-10)
 
+    @pytest.mark.parametrize("law, draw", [
+        (("uniform", -1.0, 1.0), lambda rng: rng.uniform(-1.0, 1.0, size=5)),
+        (("uniform", -3, 0.7), lambda rng: rng.uniform(-3, 0.7, size=5)),
+        (("gaussian", 0.0, 1.0), lambda rng: rng.normal(0.0, 1.0, size=5)),
+        (("gaussian", 2, 0.3), lambda rng: rng.normal(2, 0.3, size=5)),
+    ])
+    def test_drawn_eigenvalues_have_the_bits_of_the_numpy_law(self, law, draw):
+        model = mk.RandomOperatorModel(5, law)
+        for seed in range(500):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert model.draw_eigenvalues(rng).tobytes() == draw(reference).tobytes()
+            # the stream stands where the numpy law leaves it
+            assert rng.random() == reference.random()
+
+    def test_uniform_law_needs_a_finite_width(self):
+        with pytest.raises(ValidationError, match="finite width"):
+            mk.RandomOperatorModel(2, ("uniform", -1e308, 1e308))
+
     def test_seed_determinism(self):
         model = mk.RandomOperatorModel(4, ("gaussian", 0.0, 1.0))
         first = mk.sample_random_hermitian(model, np.random.default_rng(123))
