@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    _integer,
 )
 from .harness import (
     convergence_in_mean_check,
@@ -90,8 +91,8 @@ def _require_schema_version(payload, path="input"):
 
 
 def _positive_order(payload) -> int:
-    return ser._integer(payload.get("order"), "order must be a positive integer",
-                        "input.order", 1)
+    return _integer(payload.get("order"), "order must be a positive integer",
+                    "input.order", 1)
 
 
 def _matrix_output(value) -> tuple[dict, int]:
@@ -289,8 +290,8 @@ def _handle_poly_decompose(payload, args):
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    ser._integer(seed, "seed must be a nonnegative integer",
-                 "input.seed" if args.seed is None else "flags.seed")
+    _integer(seed, "seed must be a nonnegative integer",
+             "input.seed" if args.seed is None else "flags.seed")
 
     def run():
         rng = np.random.default_rng(seed)

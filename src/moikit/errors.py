@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all moikit modules."""
+"""Exception hierarchy shared by all moikit modules, and the one integer
+check that the input boundaries share."""
+
+import numbers
 
 
 class MoikitError(Exception):
@@ -39,3 +42,15 @@ class DecompositionFailureError(MoikitError):
 class NumericalError(MoikitError):
     """A numerical routine failed to converge or exceeded its residual
     contract."""
+
+
+def _integer(value, message: str, path: str, low: int | None = 0,
+             high: int | None = None) -> int:
+    """An integer in low..high-1 (no limit where a bound is None), else
+    ValidationError(message) at ``path``.  Booleans are rejected although
+    Python counts them as integers."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (low is not None and value < low)
+            or (high is not None and value >= high)):
+        raise ValidationError(message, path=path)
+    return int(value)

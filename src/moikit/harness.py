@@ -11,12 +11,16 @@ from its own stream, model by model (eigenvalues, then the Ginibre matrix);
 the draws are then stacked along a leading sample axis, and one batched
 statistic function per theorem computes the chunk's statistics and terms
 with stacked QR, eigendecompositions, factored engine sums, sup surrogates
-and SVD norms.  Batched linear algebra gives each sample the same bits as a
-call on that sample alone, so a sample's values do not depend on the chunk
-or block it falls in.  A sample whose arithmetic fails is aborted through a
-per-sample mask; a chunk that raises one of the abort errors is evaluated
-again one sample at a time, so that exactly the samples that fail alone are
-aborted.
+and SVD norms.  The sup surrogates never hold a chunk's grid: a one-term
+real integrand's sup is the ordered product of its per-slot maxima (exact,
+as rounding is monotone), and any other separable integrand's grid is summed
+in cache-sized blocks of samples, each reduced to its maxima at once (see
+``integrands._sup_norms``).  Batched arithmetic gives each sample the same
+bits as a call on that sample alone, so a sample's values do not depend on
+the chunk or block it falls in.  A sample whose arithmetic fails is aborted
+through a per-sample mask; a chunk that raises one of the abort errors is
+evaluated again one sample at a time, so that exactly the samples that fail
+alone are aborted.
 
 Reproducibility contract: sample i draws from the stream
 ``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`),
@@ -59,6 +63,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    _integer,
 )
 from .integrands import (
     ScalarFunction,
@@ -846,18 +851,6 @@ def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
 # ---------------------------------------------------------------------------
 # Convergence in the r-th mean
 # ---------------------------------------------------------------------------
-
-
-def _integer(value, message: str, path: str, low: int | None = 0,
-             high: int | None = None) -> int:
-    """An integer in low..high-1 (no limit where a bound is None), else
-    ValidationError(message) at ``path``.  Booleans are rejected although
-    Python counts them as integers."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or (low is not None and value < low)
-            or (high is not None and value >= high)):
-        raise ValidationError(message, path=path)
-    return int(value)
 
 
 def convergence_parameters(

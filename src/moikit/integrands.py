@@ -11,6 +11,14 @@ Divided differences are evaluated by one vectorized recursive table
 non-polynomial divided-difference integrand is one such stack, calling f
 once per distinct node and holding one tuple per multiset of indices over
 axes with equal values, and :func:`divided_difference` is a stack of one.
+
+The sup surrogate (:func:`sup_norm_on_grid`, and :func:`_sup_norms` on
+spectra stacked over samples) has the bits of ``max |eval_grid|`` without
+keeping a stacked grid: a one-term integrand with real values takes the
+ordered product of its per-slot maxima, exact because rounding to nearest
+is monotone and symmetric in sign, and any other separable integrand is
+summed in blocks of samples that fit in a core's L2 cache, each reduced to
+its per-sample maxima at once.
 """
 
 from __future__ import annotations
@@ -641,9 +649,14 @@ class SeparableIntegrand:
                 return grid
         return self._term_sum([v.astype(np.complex128) for v in values], shape)
 
-    def _term_sum(self, values: list[np.ndarray], shape: tuple) -> np.ndarray:
+    def _term_sum(self, values: list[np.ndarray], shape: tuple, ones=None) -> np.ndarray:
         """Sum over the terms of the outer product of their factor values,
-        each product formed factor by factor in slot order."""
+        each product formed factor by factor in slot order.
+
+        ``ones``, per slot, marks the factor rows whose values all equal 1;
+        the products leave those factors out.  Multiplying by 1 is exact in
+        real arithmetic, and in complex arithmetic changes at most the sign
+        of a zero part while every value is finite."""
         views = []
         for i in range(self.arity):
             view = [None] * self.arity
@@ -651,10 +664,12 @@ class SeparableIntegrand:
             views.append((Ellipsis, *view))
         total = np.zeros(shape, dtype=values[0].dtype)
         for term in zip(*self.factor_index):
-            prod = values[0][term[0]][views[0]]
-            for i in range(1, self.arity):
-                prod = prod * values[i][term[i]][views[i]]
-            total += prod
+            prod = None
+            for i, row in enumerate(term):
+                if ones is None or not ones[i][row]:
+                    factor = values[i][row][views[i]]
+                    prod = factor if prod is None else prod * factor
+            total += 1.0 if prod is None else prod
         return total
 
     def scaled(self, factor) -> "SeparableIntegrand":
@@ -894,12 +909,68 @@ def sup_norm_on_grid(psi: MultivariateFunction, spectra: Sequence[Sequence]) -> 
     return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
 
 
+# Bytes of grid that :func:`_sup_norms` sums at a time: about a core's L2
+# cache, so that each block's grid is built and reduced while it is cached.
+_SUP_BLOCK_BYTES = 256 * 2**10
+
+
 def _sup_norms(psi: MultivariateFunction, axes: Sequence[np.ndarray]) -> np.ndarray:
     """:func:`sup_norm_on_grid` per sample, on spectra of shape (N, n_i)
-    stacked over samples.  A separable integrand is evaluated for all samples
-    at once, any other sample by sample."""
-    if psi.separable is not None:
-        grid = psi.separable._grid(axes)
-    else:
-        grid = np.array([psi.eval_grid([a[s] for a in axes]) for s in range(len(axes[0]))])
+    stacked over samples: per sample, the bits of ``max |psi.eval_grid|``.
+
+    A separable integrand's factor values are computed once for all samples.
+    With one term and real values, the sup is the product, in slot order, of
+    the per-slot maxima of |f_i|: rounding to nearest is monotone and
+    symmetric in sign, so the largest |fl(..fl(a b) c ..)| over the grid is
+    that product of the largest |a|, |b|, |c|, ....  When that product is not
+    finite, and for every other separable integrand, the grid is summed in
+    blocks of about :data:`_SUP_BLOCK_BYTES` (see :func:`_block_sup_norms`).
+    Any other integrand is evaluated sample by sample.
+    """
+    separable = psi.separable
+    if separable is None:
+        return np.array([np.max(np.abs(psi.eval_grid([a[s] for a in axes])))
+                         for s in range(len(axes[0]))])
+    values = separable.factor_values(axes)
+    real = not any(np.iscomplexobj(v) for v in values)
+    values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]
+    if real and len(separable.terms) == 1:
+        maxima = [np.max(np.abs(v[0]), axis=-1) for v in values]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sup = functools.reduce(np.multiply, maxima)
+        if np.all(np.isfinite(sup)):
+            return sup
+    ones = [np.all(v == 1.0, axis=(1, 2)) for v in values]
+    count = values[0].shape[1]
+    points = math.prod(v.shape[-1] for v in values)
+    rows = max(1, _SUP_BLOCK_BYTES // (values[0].itemsize * points))
+    sup = np.empty(count)
+    for lo in range(0, count, rows):
+        block = [v[:, lo : lo + rows] for v in values]
+        sup[lo : lo + rows] = _block_sup_norms(separable, block, ones)
+    return sup
+
+
+def _block_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray], ones) -> np.ndarray:
+    """Per sample, the max of |psi| over the grid that a block of factor
+    values spans (per slot (F_i, N, n_i), as
+    :meth:`SeparableIntegrand.factor_values` gives them), with the bits of
+    :meth:`SeparableIntegrand._grid`.
+
+    The block is summed first in the values' own arithmetic, leaving out the
+    factors that ``ones`` marks (see :meth:`SeparableIntegrand._term_sum`).
+    A finite result has every product and partial sum finite, so it is
+    :meth:`~SeparableIntegrand._grid`'s up to the signs of zero parts, which
+    no |value| reads.  A block with a value that is not finite is summed
+    again as ``_grid`` sums a grid that is not finite in real arithmetic:
+    in complex arithmetic, every factor kept.  Where a real sum is finite
+    its complex sum has the same real parts and zero imaginary parts, so a
+    sample's bits do not depend on the block it falls in.
+    """
+    shape = values[0].shape[1:2] + tuple(v.shape[-1] for v in values)
+    grid = psi._term_sum(values, shape, ones)
+    sup = np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)
+    if np.all(np.isfinite(sup)):
+        return sup
+    grid = psi._term_sum([v.astype(np.complex128) for v in values], shape)
     return np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)

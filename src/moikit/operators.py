@@ -36,6 +36,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    _integer,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -185,10 +186,29 @@ def _check_reconstruction(
     """Check spectral data stacked over samples against the matrices it
     decomposes.  A basis that is not orthonormal raises ValidationError; a
     sample whose data does not reconstruct its matrix gets a NumericalError,
-    returned by sample index."""
+    returned by sample index.
+
+    A sample passes when its residual r = max |U diag(l) U* - M| is at most
+    RECONSTRUCTION_TOL * max(1, L), where L is a lower bound on ||M||_2 read
+    off the eigenvalues, so that no SVD of M is needed::
+
+        L = max|l| (1 - 2 n UNITARY_TOL) - n r.
+
+    Once U has passed its unitarity check, E = U*U - I has
+    ||E||_2 <= n ||E||_max <= n UNITARY_TOL, so by Weyl's inequality every
+    singular value of U has its square at least 1 - n UNITARY_TOL, and
+    ||U diag(l) U*||_2 >= sigma_min(U)^2 max|l| >= (1 - n UNITARY_TOL) max|l|.
+    The residual matrix has ||.||_2 <= ||.||_F <= n r, so ||M||_2 is at
+    least that bound less n r.  The second n UNITARY_TOL max|l| covers the
+    rounding of the computed products and of the unitarity check (of order
+    n eps max|l|).  As L <= ||M||_2, the check is never looser than one
+    scaled by max(1, ||M||_2).
+    """
     UnitaryOperator._check(bases)  # an orthonormal basis is unitary
     residual = np.max(np.abs(_from_spectrum(eigenvalues, bases) - matrices), axis=(-2, -1))
-    scale = np.maximum(1.0, np.linalg.norm(matrices, 2, axis=(-2, -1)))
+    n = matrices.shape[-1]
+    largest = np.max(np.abs(eigenvalues), axis=-1)
+    scale = np.maximum(1.0, largest * (1.0 - 2 * n * UNITARY_TOL) - n * residual)
     return {
         int(s): NumericalError(
             f"spectral data does not reconstruct the operator: residual {residual[s]:.3e}"
@@ -315,7 +335,11 @@ class RandomOperatorModel:
     """Sampling model: i.i.d. eigenvalues plus an independent Haar basis.
 
     ``law`` is one of ``("uniform", a, b)``, ``("gaussian", mean, sd)`` or
-    ``("fixed", values)``.
+    ``("fixed", values)``.  ``dim`` is a positive integer and ``seed`` an
+    integer in [0, 2**64); booleans are neither.  ``seed`` is stored and
+    serialized only: sampling never reads it, since every draw comes from a
+    generator the caller passes, and the Monte Carlo harness derives each
+    sample's stream from the experiment's seed alone.
     """
 
     dim: int
@@ -323,8 +347,10 @@ class RandomOperatorModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("model dimension must be positive")
+        object.__setattr__(self, "dim", _integer(
+            self.dim, "model dimension must be a positive integer", "", 1))
+        object.__setattr__(self, "seed", _integer(
+            self.seed, "seed must be an unsigned 64-bit integer", "", 0, 2**64))
         if not self.law or self.law[0] not in _LAW_KINDS:
             raise ValidationError(f"unknown eigenvalue law {self.law!r}")
         kind = self.law[0]
@@ -345,8 +371,6 @@ class RandomOperatorModel:
                     f"fixed law needs exactly {self.dim} values, got {len(values)}"
                 )
             object.__setattr__(self, "law", ("fixed", values))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must fit in 64 unsigned bits")
 
     def draw_eigenvalues(self, rng: np.random.Generator) -> np.ndarray:
         """``dim`` i.i.d. eigenvalues from the law, drawn from ``rng``: the

@@ -16,8 +16,8 @@ import tempfile
 
 import numpy as np
 
-from .errors import ValidationError
-from .harness import _SCALAR_THEOREMS, TailBoundExperiment, _integer
+from .errors import ValidationError, _integer
+from .harness import _SCALAR_THEOREMS, TailBoundExperiment
 from .integrands import (
     MultivariateFunction,
     ScalarFunction,

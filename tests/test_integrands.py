@@ -588,3 +588,112 @@ class TestVectorizedTable:
         rows.clear()
         mk.divided_difference_integrand(f, 2).eval_grid([axis, axis + 1.0, axis + 2.0])
         assert sum(rows) == 24**3
+
+
+def grid_sups(psi, axes):
+    """Per sample, max |psi| from the full stacked ``eval_grid``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = psi.eval_grid(axes)
+    return np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)
+
+
+def sample_sups(psi, axes):
+    """Per sample, max |psi| from ``eval_grid`` on that sample alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([oracles.grid_sup(psi, [a[s] for a in axes])
+                         for s in range(len(axes[0]))])
+
+
+def surrogate(psi, axes):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrands._sup_norms(psi.as_multivariate(), axes)
+
+
+def assert_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestSupSurrogate:
+    """The stacked sup surrogate has the bits of max |eval_grid| per sample,
+    whichever path computes it."""
+
+    def test_rank_one_signs_zeros_and_subnormals(self):
+        psi = mk.SeparableIntegrand(3, ((
+            mk.ScalarFunction.monomial(1, -1.5),
+            mk.ScalarFunction.monomial(1),
+            mk.ScalarFunction.monomial(2),
+        ),))
+        tiny = 5e-324
+        axes = [
+            np.array([[-0.0, 0.0, -2.0], [tiny, -3 * tiny, 0.0], [-1e-160, 2e-160, 0.5],
+                      [-0.0, -0.0, -0.0], [1e-300, -7.0, 3.0]]),
+            np.array([[0.0, -4.0], [-1e-10, 1.0], [1e-150, -3e-150], [0.0, -0.0],
+                      [-2.2250738585072014e-308, 1e-5]]),
+            np.array([[-1.0, 1e-3, 0.0, 2.0], [0.25, -0.0, 1.0, 1e100],
+                      [1e-5, -1e-6, 2e-5, 3e-7], [-0.0, 0.0, 1.0, -1.0],
+                      [tiny, 1e-20, -1e-30, 0.0]]),
+        ]
+        assert_bits(surrogate(psi, axes), grid_sups(psi, axes))
+
+    def test_rank_one_matches_the_grid_across_exponents(self, rng):
+        # products of three factors reach down into the subnormal range and
+        # round at every step; none overflows, so the product of maxima is
+        # the only path taken
+        psi = mk.SeparableIntegrand(3, ((mk.ScalarFunction.monomial(1),) * 3,))
+        exponents = rng.integers(-350, 340, (2000, 1))
+        axes = [rng.choice([-1.0, 1.0], (2000, 5)) * rng.uniform(1, 2, (2000, 5))
+                * np.exp2(exponents - rng.integers(0, 4, (2000, 5))) for _ in range(3)]
+        sups = surrogate(psi, axes)
+        assert np.count_nonzero((sups > 0) & (sups < 2.3e-308)) > 0
+        assert_bits(sups, grid_sups(psi, axes))
+
+    def test_rank_one_overflow_falls_back_to_the_complex_grid(self):
+        big = mk.ScalarFunction.monomial(1)
+        psi = mk.SeparableIntegrand(4, ((big,) * 4,))
+        axes = [np.array([[1.0, -2.0], [1e200, 3.0], [1e100, -1e100]])] * 4
+        sups = surrogate(psi, axes)
+        assert np.isfinite(sups[0]) and not np.isfinite(sups[1:]).any()
+        assert np.isnan(sups[1])
+        assert_bits(sups, grid_sups(psi, axes))
+        assert_bits(sups, sample_sups(psi, axes))
+
+    @pytest.mark.parametrize("block_bytes", [1, 300, 2000])
+    def test_multi_term_blocks_with_one_non_finite_sample(self, rng, block_bytes,
+                                                          monkeypatch):
+        monkeypatch.setattr(integrands, "_SUP_BLOCK_BYTES", block_bytes)
+        dd = mk.divided_difference_integrand(mk.ScalarFunction.monomial(4), 2).separable
+        mixed = mk.SeparableIntegrand(2, (
+            (mk.ScalarFunction.polynomial([0.5, -1.0]), mk.ScalarFunction.constant(1.0)),
+            (mk.ScalarFunction.monomial(2), mk.ScalarFunction.polynomial([0.0, 3.0, 1.0])),
+        ))
+        for psi in (dd, mixed):
+            axes = [rng.uniform(-2, 2, (11, 3 + i)) for i in range(psi.arity)]
+            axes[0][7, 1] = 1e160
+            sups = surrogate(psi, axes)
+            assert not np.isfinite(sups[7])
+            assert np.isfinite(np.delete(sups, 7)).all()
+            assert_bits(sups, grid_sups(psi, axes))
+            assert_bits(sups, sample_sups(psi, axes))
+
+    @pytest.mark.parametrize("block_bytes", [1, 5000, 2**20])
+    def test_complex_values(self, rng, block_bytes, monkeypatch):
+        monkeypatch.setattr(integrands, "_SUP_BLOCK_BYTES", block_bytes)
+        union = np.exp(1j * rng.uniform(-np.pi, np.pi, (13, 6)))
+        for k in (1, 2, 3):
+            dd = mk.divided_difference_integrand(mk.ScalarFunction.monomial(4), k)
+            axes = [union] * (k + 1)
+            assert_bits(surrogate(dd.separable, axes), grid_sups(dd.separable, axes))
+        # one term with complex values, and a sample whose complex sum overflows
+        psi = mk.SeparableIntegrand(2, (
+            (mk.ScalarFunction.polynomial([1j, 2.0]), mk.ScalarFunction.constant(1.0)),
+            (mk.ScalarFunction.monomial(3), mk.ScalarFunction.monomial(1)),
+        ))
+        axes = [union.copy(), union * 2.0]
+        axes[0][4, 2] = 1e150
+        sups = surrogate(psi, axes)
+        assert not np.isfinite(sups[4]) and np.isfinite(np.delete(sups, 4)).all()
+        assert_bits(sups, grid_sups(psi, axes))
+        assert_bits(sups, sample_sups(psi, axes))
+        rank_one = mk.SeparableIntegrand(1, ((mk.ScalarFunction.polynomial([1j, 2.0]),),))
+        assert_bits(surrogate(rank_one, [union]), grid_sups(rank_one, [union]))

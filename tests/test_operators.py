@@ -1,12 +1,17 @@
 """Operator substrate: decompositions, norms, matrix functions, sampling."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
 
 import moikit as mk
+from moikit import operators
+from moikit import serialization as ser
 from moikit.errors import (
     FunctionDomainError,
+    NumericalError,
     ParameterError,
     ValidationError,
 )
@@ -233,6 +238,27 @@ class TestRandomHermitian:
         with pytest.raises(ValidationError):
             mk.RandomOperatorModel(2, ("fixed", (1.0,)))
 
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True, "3", None, 0, -1])
+    def test_model_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValidationError,
+                           match="^model dimension must be a positive integer$"):
+            mk.RandomOperatorModel(dim, ("uniform", -1.0, 1.0))
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, False, "7", None, -1, 2**64])
+    def test_model_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(ValidationError,
+                           match="^seed must be an unsigned 64-bit integer$"):
+            mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0), seed=seed)
+
+    def test_model_integers_are_stored_as_python_ints(self):
+        model = mk.RandomOperatorModel(np.int64(3), ("fixed", (0.0, 1.0, 2.0)),
+                                       seed=np.uint64(2**64 - 1))
+        assert type(model.dim) is int and type(model.seed) is int
+        assert ser.model_to_json(model) == {
+            "dim": 3, "law": {"kind": "fixed", "values": [0.0, 1.0, 2.0]},
+            "seed": 2**64 - 1,
+        }
+
     def test_random_unitary_spectrum_on_circle(self, rng):
         model = mk.RandomOperatorModel(3, ("uniform", -np.pi, np.pi))
         u = mk.sample_random_unitary(model, rng)
@@ -263,3 +289,67 @@ class TestShiftedOperator:
         op = mk.sample_random_hermitian(uniform_model, rng)
         with pytest.raises(ValidationError, match="dimension"):
             mk.shifted_operator(op, np.eye(3, dtype=complex))
+
+
+RECONSTRUCTION_MESSAGE = (
+    r"spectral data does not reconstruct the operator: residual \d\.\d{3}e[-+]\d\d"
+)
+
+
+def hermitian_stack(rng, count, dim, scale=1.0):
+    raw = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return scale * (raw + operators._adjoint(raw)) / 2.0
+
+
+class TestReconstructionCheck:
+    def test_one_corrupted_eigenvalue_gets_its_numerical_error(self, rng):
+        matrices = hermitian_stack(rng, 3, 4)
+        eigenvalues, bases = np.linalg.eigh(matrices)
+        assert operators._check_reconstruction(matrices, eigenvalues, bases) == {}
+        eigenvalues[1, 2] += 1e-6
+        errors = operators._check_reconstruction(matrices, eigenvalues, bases)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], NumericalError)
+        assert re.fullmatch(RECONSTRUCTION_MESSAGE, str(errors[1]))
+
+    def test_one_corrupted_eigenphase_gets_its_numerical_error(self, rng):
+        decomp = mk.sample_haar_unitary(4, rng).decomposition
+        eigenvalues = decomp.eigenvalues.copy()
+        eigenvalues[0] *= np.exp(1e-6j)
+        errors = operators._check_reconstruction(
+            decomp.reconstruct()[None], eigenvalues[None], decomp.basis[None]
+        )
+        assert list(errors) == [0]
+        assert re.fullmatch(RECONSTRUCTION_MESSAGE, str(errors[0]))
+
+    def test_spectral_decompose_raises_it(self, rng, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def corrupted(matrices):
+            eigenvalues, bases = eigh(matrices)
+            eigenvalues[..., 0] -= 1e-6
+            return eigenvalues, bases
+
+        op = mk.HermitianOperator(mk.random_hermitian(4, rng))
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(NumericalError, match=f"^{RECONSTRUCTION_MESSAGE}$"):
+            mk.spectral_decompose(op)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 40.0, 1e6])
+    def test_never_looser_than_the_check_scaled_by_the_norm(self, rng, scale):
+        # eigenvalue errors around the threshold: every sample that a check
+        # scaled by max(1, ||M||_2) rejects is rejected, and no other sample
+        # unless its residual lies within a hair of that check's threshold
+        matrices = hermitian_stack(rng, 400, 5, scale)
+        eigenvalues, bases = np.linalg.eigh(matrices)
+        size = max(1.0, scale) * 10.0 ** rng.uniform(-12, -8, (400, 1))
+        eigenvalues = eigenvalues + size * rng.uniform(-1, 1, eigenvalues.shape)
+        errors = operators._check_reconstruction(matrices, eigenvalues, bases)
+        residual = np.max(np.abs(operators._from_spectrum(eigenvalues, bases) - matrices),
+                          axis=(-2, -1))
+        norms = np.maximum(1.0, np.linalg.norm(matrices, 2, axis=(-2, -1)))
+        rejected = np.flatnonzero(residual > operators.RECONSTRUCTION_TOL * norms)
+        assert 0 < len(rejected) < 400
+        assert set(rejected.tolist()) <= set(errors)
+        near = residual > operators.RECONSTRUCTION_TOL * norms * (1.0 - 1e-6)
+        assert set(errors) <= set(np.flatnonzero(near).tolist())
