@@ -382,8 +382,8 @@ class TailBoundReport:
 # The errors that abort a sample instead of the run.
 _ABORTS = (CapabilityError, FunctionDomainError, NumericalError)
 
-# Chunks hold as many samples as keep their largest array, a sup-surrogate
-# grid or a factored engine sum, within about this many bytes.
+# Chunks hold as many samples as keep the arrays of their factored engine
+# sums within about this many bytes.
 _CHUNK_BYTES = 32 * 2**20
 
 
@@ -421,12 +421,21 @@ def _prepare(exp: TailBoundExperiment) -> _Context:
 def _chunk_samples(dim: int, surrogates) -> int:
     """Samples per chunk for the (integrand, union length) pairs whose sup
     surrogates a sample computes; each integrand also goes through the
-    engine at dimension ``dim``."""
-    largest = 1
+    engine at dimension ``dim``.
+
+    Per sample, the engine returns one n x n complex matrix.  A separable
+    integrand's factored sum holds one such matrix per node of its widest
+    :attr:`~moikit.integrands.SeparableIntegrand.suffix_tree` level, next
+    to its factor values on the union (the surrogate sums those in blocks
+    of its own size).  Any other integrand's grid is built one sample at a
+    time."""
+    largest = dim * dim
     for psi, union in surrogates:
-        largest = max(largest, union**psi.arity)
         if psi.separable is not None:
-            largest = max(largest, len(psi.separable.terms) * dim * dim)
+            _, levels = psi.separable.suffix_tree
+            width = max(len(factor) for factor, *_ in levels)
+            factors = sum(int(index.max()) + 1 for index in psi.separable.factor_index)
+            largest = max(largest, width * dim * dim + factors * union)
     return max(1, _CHUNK_BYTES // (16 * largest))
 
 

@@ -12,6 +12,10 @@ non-polynomial divided-difference integrand is one such stack, calling f
 once per distinct node and holding one tuple per multiset of indices over
 axes with equal values, and :func:`divided_difference` is a stack of one.
 
+A separable integrand evaluates the polynomial factors of each slot
+together, by one Horner pass over a zero-padded coefficient table
+(:class:`_FactorTable`), with the bits of each factor's own ``polyval``.
+
 The sup surrogate (:func:`sup_norm_on_grid`, and :func:`_sup_norms` on
 spectra stacked over samples) has the bits of ``max |eval_grid|`` without
 keeping a stacked grid: a one-term integrand with real values takes the
@@ -183,12 +187,6 @@ class ScalarFunction:
         if self.kind == CALLABLE_WITH_DERIVATIVES:
             return self.derivative_fns[order - 1](x)
         return _richardson_derivative(self.value_fn, x, order)
-
-    def differentiated(self, order: int = 1) -> "ScalarFunction":
-        """The derivative as a new function (polynomials only)."""
-        if self.kind != POLYNOMIAL:
-            raise CapabilityError("symbolic differentiation needs a polynomial")
-        return ScalarFunction.polynomial(npoly.polyder(self.coefficients, order))
 
     def scaled(self, factor) -> "ScalarFunction":
         """The function multiplied by a scalar."""
@@ -520,6 +518,130 @@ def _factor_key(fn: ScalarFunction):
     return fn
 
 
+def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every column of a coefficient ``table`` (degree by row, ascending) as a
+    polynomial at ``x``, shape (columns, *x.shape).
+
+    These are the operations of ``npoly.polyval`` per column, ``c[-1] + x*0``
+    and then ``c[k] + v*x``, so each value has its bits.  Zero rows above a
+    column's own coefficients change none of them: at finite x they keep v
+    at +0, and ``c + (+0)*x`` is ``c + x*0``.
+    """
+    coefficients = table.reshape(table.shape + (1,) * x.ndim)
+    value = coefficients[-1] + x * 0
+    for row in coefficients[-2::-1]:
+        value *= x
+        value += row
+    return value
+
+
+class _FactorTable:
+    """The distinct factors of one slot, evaluated together: the polynomial
+    factors as one zero-padded coefficient table per coefficient dtype, one
+    Horner pass each (see :func:`_horner`), and every other factor on its
+    own, once per axis and function however many slots hold it."""
+
+    def __init__(self, factors: Sequence[ScalarFunction]):
+        self.size = len(factors)
+        by_dtype: dict = {}
+        self.callables = []
+        for row, fn in enumerate(factors):
+            if fn.kind == POLYNOMIAL:
+                by_dtype.setdefault(fn.coefficients.dtype, []).append((row, fn.coefficients))
+            else:
+                self.callables.append((row, fn))
+        self.tables = []
+        for dtype, members in by_dtype.items():
+            table = np.zeros((max(c.size for _, c in members), len(members)), dtype=dtype)
+            for column, (_, c) in enumerate(members):
+                table[: c.size, column] = c
+            self.tables.append((np.array([row for row, _ in members]), table))
+
+    def __call__(self, axis: np.ndarray, done: dict) -> np.ndarray:
+        """The factor values on ``axis``, one row per factor, as ``np.array``
+        stacks the factors' own values; ``done`` keeps every callable's
+        values by axis across slots."""
+        parts = [(rows, _horner(table, axis)) for rows, table in self.tables]
+        for row, fn in self.callables:
+            key = (id(axis), fn)
+            if key not in done:
+                done[key] = fn(axis)
+            parts.append(([row], np.asarray(done[key])[None]))
+        if len(parts) == 1:
+            return parts[0][1]
+        values = np.empty((self.size,) + axis.shape,
+                          dtype=np.result_type(*(v for _, v in parts)))
+        for rows, v in parts:
+            values[rows] = v
+        return values
+
+
+def _sibling_spans(starts: np.ndarray, count: int) -> tuple[tuple[int, int, int], ...]:
+    """For each group of more than one of ``count`` consecutive rows whose
+    groups begin at ``starts``: its index, and the range of its rows after
+    the first."""
+    ends = np.append(starts[1:], count)
+    return tuple((g, lo + 1, hi) for g, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist()))
+                 if hi - lo > 1)
+
+
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of ``rows`` over axis 0 in the order of numpy's pairwise
+    summation of a strided run of float64 or complex128 elements: below one
+    unroll (8 real or 4 complex rows) left to right; up to 16 unrolls, one
+    accumulator per lane of the unroll, summed as a balanced tree, then the
+    remaining rows left to right; above that, the sum of the two halves,
+    the first rounded down to whole unrolls.
+
+    Works in place: overwrites ``rows`` and returns a view into it (or a
+    scalar, for 1-D rows).
+    """
+    count = len(rows)
+    unroll = 4 if np.iscomplexobj(rows) else 8
+    if count < unroll:
+        total = rows[0]
+        for i in range(1, count):
+            total += rows[i]
+        return total
+    if count <= 16 * unroll:
+        whole = count - count % unroll
+        lanes = rows[:unroll]
+        for lo in range(unroll, whole, unroll):
+            lanes += rows[lo : lo + unroll]
+        step = 1
+        while step < unroll:  # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+            lanes[0::2 * step] += lanes[step::2 * step]
+            step *= 2
+        total = lanes[0]
+        for i in range(whole, count):
+            total += rows[i]
+        return total
+    half = count // 2
+    half -= half % unroll
+    total = _pairwise_sum(rows[:half])
+    total += _pairwise_sum(rows[half:])
+    return total
+
+
+def _sibling_sums(rows: np.ndarray, starts: np.ndarray, spans: tuple) -> np.ndarray:
+    """``np.add.reduceat(rows, starts, axis=0)``, bit for bit, with whole-row
+    operations; ``spans`` is :func:`_sibling_spans` of ``starts``.
+    Overwrites ``rows``.
+
+    ``reduceat`` runs numpy's summation loop once per output element: it
+    takes a group's first row and adds the pairwise sum of the rest (see
+    :func:`_pairwise_sum`).  Here the first rows are gathered at once, and
+    Python loops only over the groups with more rows, summing those in
+    place.
+    """
+    if not spans:
+        return rows
+    sums = rows[starts]
+    for group, lo, hi in spans:
+        sums[group] += _pairwise_sum(rows[lo:hi])
+    return sums
+
+
 @dataclass(frozen=True)
 class SeparableIntegrand:
     """A finite rank-one sum: psi(l_1..l_m) = sum_n prod_i f_{i,n}(l_i)."""
@@ -582,39 +704,54 @@ class SeparableIntegrand:
         :meth:`factor_values` returns for that slot."""
         return tuple(index for _, index in self._slot_factors)
 
+    @functools.cached_property
+    def _factor_tables(self) -> tuple[_FactorTable, ...]:
+        """Per slot, its distinct factors as a :class:`_FactorTable`; slots
+        with the same distinct factors in the same order share one table."""
+        tables: dict = {}
+        slots = []
+        for distinct, _ in self._slot_factors:
+            key = tuple(key for key, _ in distinct)
+            if key not in tables:
+                tables[key] = _FactorTable([fn for _, fn in distinct])
+            slots.append(tables[key])
+        return tuple(slots)
+
     def factor_values(self, axes: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per slot i, the values of its distinct factors on ``axes[i]``, one
-        row per factor.
+        row per factor, with the bits of each factor's own values.
 
-        Each distinct factor is evaluated once per axis: polynomials with
-        equal coefficients count as one factor, and slots given the same
-        axis array share their evaluations.
+        A slot's polynomial factors are evaluated together from its
+        coefficient table (see :class:`_FactorTable`), and every other
+        factor once per axis.  Polynomials with equal coefficients count as
+        one factor, and slots given the same axis array and the same table
+        share one array of values: callers must not write to it.
         """
         if len(axes) != self.arity:
             raise ValidationError("axis count must equal the integrand arity")
         done: dict = {}
         values = []
-        for (distinct, _), axis in zip(self._slot_factors, axes):
-            rows = []
-            for key, fn in distinct:
-                slot_key = (id(axis), key)
-                if slot_key not in done:
-                    done[slot_key] = fn(axis)
-                rows.append(done[slot_key])
-            values.append(np.array(rows))
+        for table, axis in zip(self._factor_tables, axes):
+            key = (id(axis), id(table))
+            if key not in done:
+                done[key] = table(axis, done)
+            values.append(done[key])
         return values
 
     @functools.cached_property
-    def suffix_tree(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    def suffix_tree(self) -> tuple[np.ndarray, tuple[tuple, ...]]:
         """The terms grouped by the factors they share from each slot on.
 
         A node at level j is a distinct suffix (factors of slots j..m-1) of
         the terms; its parent is the suffix one slot shorter, and the root
         (level m) is the empty suffix.  Returns the multiplicity of each
         level-0 node (a distinct term) and, per level j, the factor index of
-        each node in slot j (see :attr:`factor_index`) with the offsets at
-        which each parent's children start: nodes are ordered by parent, so
-        ``np.add.reduceat`` over those offsets sums siblings.
+        each node in slot j (see :attr:`factor_index`), the offsets at which
+        each parent's children start (nodes are ordered by parent), and the
+        parents with more than one child with the range of their other
+        children (see :func:`_sibling_spans`).  Given a level's values per
+        node, :func:`_sibling_sums` sums siblings with the bits of
+        ``np.add.reduceat`` over those offsets.
         """
         node_of_term = np.zeros(len(self.terms), dtype=np.intp)  # the root
         levels = []
@@ -623,7 +760,7 @@ class SeparableIntegrand:
             nodes, node_of_term = np.unique(code, return_inverse=True)
             parent = nodes // len(distinct)
             starts = np.flatnonzero(np.diff(parent, prepend=-1))
-            levels.append((nodes % len(distinct), starts))
+            levels.append((nodes % len(distinct), starts, _sibling_spans(starts, len(nodes))))
         return np.bincount(node_of_term).astype(float), tuple(reversed(levels))
 
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -739,6 +876,18 @@ class MultivariateFunction:
                 )
             worst = max(worst, err)
         return worst
+
+
+def _as_integrand(integrand) -> MultivariateFunction:
+    """The integrand as a :class:`MultivariateFunction`: a
+    :class:`SeparableIntegrand` becomes one with that representation."""
+    if isinstance(integrand, SeparableIntegrand):
+        return integrand.as_multivariate()
+    if isinstance(integrand, MultivariateFunction):
+        return integrand
+    raise ValidationError(
+        "integrand must be a MultivariateFunction or SeparableIntegrand"
+    )
 
 
 def _with_grid(psi: MultivariateFunction, grid: Callable) -> MultivariateFunction:
@@ -904,8 +1053,10 @@ def _batch_of_one(arrays: Sequence) -> list[np.ndarray]:
     return [views.setdefault(id(a), np.asarray(a)[None]) for a in arrays]
 
 
-def sup_norm_on_grid(psi: MultivariateFunction, spectra: Sequence[Sequence]) -> float:
-    """Max of |psi| over the Cartesian product of the spectra."""
+def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
+    """Max of |psi| over the Cartesian product of the spectra; ``psi`` is a
+    :class:`MultivariateFunction` or a :class:`SeparableIntegrand`."""
+    psi = _as_integrand(psi)
     return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
 
 

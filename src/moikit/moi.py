@@ -45,7 +45,9 @@ from .integrands import (
     MultivariateFunction,
     ScalarFunction,
     SeparableIntegrand,
+    _as_integrand,
     _batch_of_one,
+    _sibling_sums,
     _with_grid,
     divided_difference_integrand,
     projective_norm_bound,
@@ -71,16 +73,6 @@ __all__ = [
     "perturbation_residual",
     "continuity_modulus",
 ]
-
-
-def _as_integrand(integrand) -> MultivariateFunction:
-    if isinstance(integrand, SeparableIntegrand):
-        return integrand.as_multivariate()
-    if isinstance(integrand, MultivariateFunction):
-        return integrand
-    raise ValidationError(
-        "integrand must be a MultivariateFunction or SeparableIntegrand"
-    )
 
 
 @dataclass(frozen=True)
@@ -176,9 +168,10 @@ def _factored_core(
 
     Walks :attr:`SeparableIntegrand.suffix_tree` from the left: the terms
     sharing their factors from slot j on share everything left of Y_j, so
-    that left part is summed over them before it is multiplied by Y_j.  The
-    cost is one n x n product per sample and distinct suffix of length
-    1..m-2.
+    that left part is summed over them (:func:`_sibling_sums`, with the bits
+    of ``np.add.reduceat``) before it is multiplied by Y_j.  Each level
+    scales its nodes by their diagonal factor in place.  The cost is one
+    n x n product per sample and distinct suffix of length 1..m-2.
     """
     values = psi.factor_values(eigenvalues)  # per slot: (factors, N, n)
     errors = {}
@@ -194,15 +187,18 @@ def _factored_core(
                     f"an integrand factor of slot {slot} is not finite at "
                     f"eigenvalue {complex(axis[s, col])}"
                 )
-        slot_values[:, failed] = 0.0  # the failed samples' sums are not used
+        # the failed samples' sums are not used; slots may share their values
+        values[slot] = np.where(failed[:, None], 0.0, slot_values)
     counts, levels = psi.suffix_tree
-    factor, starts = levels[0]
-    core = np.add.reduceat(counts[:, None, None] * values[0][factor], starts, axis=0)
+    factor, *siblings = levels[0]
+    core = values[0][factor]
+    core = _sibling_sums(np.multiply(counts[:, None, None], core, out=core), *siblings)
     if rotated:
         core = core[..., None] * rotated[0]
     for j in range(1, len(levels)):
-        factor, starts = levels[j]
-        core = np.add.reduceat(core * values[j][factor][:, :, None, :], starts, axis=0)
+        factor, *siblings = levels[j]
+        core = _sibling_sums(np.multiply(core, values[j][factor][:, :, None, :], out=core),
+                             *siblings)
         if j < len(rotated):
             core = core @ rotated[j]
     core = core[0]

@@ -61,10 +61,6 @@ class HermitianTensor:
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def flat_dim(self) -> int:
-        return math.prod(self.mode_dims)
-
 
 @dataclass(frozen=True)
 class TensorEigenSystem:

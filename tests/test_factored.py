@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import moikit as mk  # noqa: E402
-from moikit import moi  # noqa: E402
+from moikit import integrands, moi  # noqa: E402
 
 import oracles  # noqa: E402
 from conftest import grid_path  # noqa: E402
@@ -173,3 +173,79 @@ def test_grid_that_overflows_in_real_arithmetic_is_evaluated_in_complex():
             expected = expected * np.full(3, 1e200, dtype=np.complex128)[tuple(view)]
         assert np.array_equal(psi.eval_grid(axes), expected, equal_nan=True)
         assert np.isnan(mk.sup_norm_on_grid(psi.as_multivariate(), axes))
+
+
+class TestSiblingSums:
+    """The factored path sums sibling nodes of the suffix tree with
+    whole-row operations in the order of ``np.add.reduceat``: these pin the
+    two to the same bits, so that a numpy whose summation order changes
+    fails here before any report digest drifts."""
+
+    @staticmethod
+    def rows(rng, count, shape, dtype):
+        # magnitudes over 16 decades, so that a different order of additions
+        # changes the bits
+        def draw():
+            return rng.standard_normal((count,) + shape) * 10.0 ** rng.integers(
+                -8, 9, (count,) + shape)
+        values = draw()
+        return values + 1j * draw() if dtype == np.complex128 else values
+
+    @staticmethod
+    def groups(lengths):
+        starts = np.cumsum([0] + list(lengths[:-1])).astype(np.intp)
+        return starts, integrands._sibling_spans(starts, int(sum(lengths)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)])
+    def test_bits_of_reduceat_for_every_group_length(self, dtype, shape):
+        # lengths 1..300 cross the unrolls (4 complex, 8 real elements) and
+        # the pairwise blocks (64 complex, 128 real) on both sides
+        rng = np.random.default_rng(300)
+        for length in range(1, 301):
+            lengths = [length, 1, 1 + length // 3]
+            values = self.rows(rng, sum(lengths), shape, dtype)
+            starts, spans = self.groups(lengths)
+            expected = np.add.reduceat(values, starts, axis=0)
+            summed = integrands._sibling_sums(values.copy(), starts, spans)
+            assert summed.dtype == expected.dtype
+            assert summed.tobytes() == expected.tobytes(), length
+
+    def test_the_order_is_not_left_to_right(self):
+        # the data above tells pairwise summation from a plain running sum
+        rng = np.random.default_rng(301)
+        differs = 0
+        for length in (9, 40, 200):
+            values = self.rows(rng, length, (50,), np.float64)
+            running = values[0].copy()
+            for row in values[1:]:
+                running += row
+            differs += running.tobytes() != np.add.reduceat(values, [0], axis=0)[0].tobytes()
+        assert differs == 3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_signed_zeros_and_non_finite_values(self, dtype):
+        # equal bits but for the sign and payload of NaNs, which IEEE 754
+        # leaves open and compilers may take from either operand
+        def parts(a):
+            a = a.view(np.float64)
+            return np.isnan(a), np.where(np.isnan(a), 0.0, a).tobytes()
+
+        rng = np.random.default_rng(302)
+        pool = np.array([0.0, -0.0, 1.0, -2.5, 1e-310, np.inf, -np.inf, np.nan])
+        for _ in range(200):
+            lengths = rng.integers(1, 140, int(rng.integers(1, 6))).tolist()
+            values = rng.choice(pool, (sum(lengths), 4)).astype(dtype)
+            if dtype == np.complex128:
+                values.imag = rng.choice(pool, (sum(lengths), 4))
+            starts, spans = self.groups(lengths)
+            with np.errstate(invalid="ignore"):
+                expected = np.add.reduceat(values, starts, axis=0)
+                summed = integrands._sibling_sums(values.copy(), starts, spans)
+            (nan, bits), (expected_nan, expected_bits) = parts(summed), parts(expected)
+            assert np.array_equal(nan, expected_nan) and bits == expected_bits
+
+    def test_suffix_tree_spans_are_the_groups_after_their_first_rows(self):
+        starts, spans = self.groups([1, 3, 1, 2])
+        assert starts.tolist() == [0, 1, 4, 5]
+        assert spans == ((1, 2, 4), (3, 6, 7))

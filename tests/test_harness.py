@@ -349,10 +349,30 @@ class TestBatchedEvaluation:
         assert np.all(np.isfinite(block[0][~block[2]]))
         assert_same_bits(block, oracles.tail_bound_block(exp, 0, 80))
 
-    def test_chunk_keeps_the_surrogate_grid_near_the_budget(self):
-        # moi_norm_a: three 4x4 operators, a 12^3-point grid per sample
-        chunk = harness._prepare(shipped_experiment("moi_norm_a")).chunk
-        assert 1 < chunk and 16 * 12**3 * chunk <= harness._CHUNK_BYTES
+    def test_chunk_keeps_the_factored_sums_near_the_budget(self):
+        # moi_norm_a: three 4x4 operators; the widest suffix level of its
+        # factored sum holds one 4x4 complex matrix per node and sample
+        exp = shipped_experiment("moi_norm_a")
+        width = max(len(level[0]) for level in exp.integrand.suffix_tree[1])
+        chunk = harness._prepare(exp).chunk
+        assert 16 * width * 4 * 4 * chunk <= harness._CHUNK_BYTES
+        assert 16 * 12**3 * chunk > harness._CHUNK_BYTES  # no 12^3-point grid
+
+    def test_kth_derivative_at_n32_is_not_budgeted_for_a_grid(self):
+        # the union^arity surrogate grid the old budget counted (32^3 complex
+        # per sample for f = x^3 at order 2) gave chunks of 64 samples
+        rng = np.random.default_rng(32)
+        exp = mk.TailBoundExperiment(
+            theorem_id="kth_derivative",
+            operator_models=(mk.RandomOperatorModel(32, ("uniform", -1.0, 1.0)),),
+            fixed_inputs={"direction": mk.random_hermitian(32, rng)},
+            integrand=mk.ScalarFunction.polynomial([0.0, 0.0, 0.0, 1.0]),
+            theta_grid=(1.0,),
+            samples=1000,
+            seed=3,
+            order=2,
+        )
+        assert harness._prepare(exp).chunk > 64
 
 
 class TestExperimentChecks:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import moikit as mk
-from moikit import integrands
+from moikit import integrands, moi
 from moikit.errors import CapabilityError, ValidationError
 from moikit.integrands import add_scalar_functions, multiply_by_slot_variable
 
@@ -280,6 +280,26 @@ class TestNormSurrogates:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 norm([[0.5], spectrum])
 
+    @pytest.mark.parametrize("kind", ["separable", "multivariate_separable",
+                                      "multivariate_grid", "multivariate_pointwise"])
+    def test_sup_norm_takes_every_integrand_kind(self, kind, rng):
+        f = mk.ScalarFunction.polynomial(rng.standard_normal(5))
+        psi = mk.divided_difference_integrand(f, 2).separable
+        given = {
+            "separable": psi,
+            "multivariate_separable": psi.as_multivariate(),
+            "multivariate_grid": mk.divided_difference_integrand(
+                mk.ScalarFunction.from_callable(f), 2),
+            "multivariate_pointwise": mk.MultivariateFunction(3, psi.evaluate),
+        }[kind]
+        spectra = [rng.uniform(-1, 1, 4) for _ in range(3)]
+        expected = oracles.exhaustive_grid_max(psi.evaluate, spectra)
+        assert mk.sup_norm_on_grid(given, spectra) == pytest.approx(expected, rel=1e-12)
+
+    def test_sup_norm_rejects_other_integrands(self):
+        with pytest.raises(ValidationError, match="MultivariateFunction or SeparableIntegrand"):
+            mk.sup_norm_on_grid(lambda pt: 1.0, [[0.0], [1.0]])
+
     def test_sup_norm_matches_enumeration(self, rng):
         psi = mk.MultivariateFunction(
             3, lambda pt: pt[0] ** 2 - 0.3 * pt[1] * pt[2] + 0.1
@@ -322,6 +342,89 @@ class TestNormSurrogates:
             sup = mk.sup_norm_on_grid(psi.as_multivariate(), spectra)
             proj = mk.projective_norm_bound(psi, spectra)
             assert sup <= proj + 1e-12 * max(1.0, proj)
+
+
+class TestFactorTables:
+    """A slot's polynomial factors are evaluated together from one
+    zero-padded coefficient table; every value keeps the bits of the
+    factor's own ``npoly.polyval``."""
+
+    @staticmethod
+    def assert_rows_have_polyval_bits(psi, axes):
+        values = psi.factor_values(axes)
+        for slot, (distinct, _) in enumerate(psi._slot_factors):
+            expected = np.array([fn(axes[slot]) for _, fn in distinct])
+            assert values[slot].dtype == expected.dtype
+            assert values[slot].tobytes() == expected.tobytes()
+
+    @staticmethod
+    def mixed_degrees(rng, arity, complex_coefficients=False):
+        pool = []
+        for degree in (0, 1, 3, 6, 11):
+            c = rng.standard_normal(degree + 1)
+            if complex_coefficients:
+                c = c + 1j * rng.standard_normal(degree + 1)
+            pool.append(mk.ScalarFunction.polynomial(c))
+        pool.append(mk.ScalarFunction.polynomial([0.0, 0.0, -0.0]))
+        terms = tuple(tuple(pool[int(k)] for k in rng.integers(len(pool), size=arity))
+                      for _ in range(12))
+        return mk.SeparableIntegrand(arity, terms)
+
+    @pytest.mark.parametrize("circle", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (5, 7)])
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_mixed_degrees(self, rng, circle, shape, complex_coefficients):
+        psi = self.mixed_degrees(rng, 3, complex_coefficients)
+        axes = [rng.uniform(-1.5, 1.5, shape) for _ in range(3)]
+        axes[0][..., 0] = -0.0
+        if circle:
+            axes = [np.exp(1j * np.pi * a) for a in axes]
+        self.assert_rows_have_polyval_bits(psi, axes)
+
+    @pytest.mark.parametrize("circle", [False, True])
+    @pytest.mark.parametrize("shape", [(6,), (4, 6)])
+    def test_real_and_complex_rows_of_one_slot(self, rng, circle, shape):
+        # a linear combination with a complex coefficient scales the first
+        # slot of some terms only, so that slot holds real and complex rows
+        phi = mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial(rng.standard_normal(7)), 2)
+        chi = mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial(rng.standard_normal(5)), 2)
+        psi = moi._linear_combination(phi, chi, 0.5 - 1.5j, 2.0).separable
+        kinds = {fn.coefficients.dtype for fn, *_ in psi.terms}
+        assert kinds == {np.dtype(np.complex128), np.dtype(np.float64)}
+        axis = rng.uniform(-1.0, 1.0, shape)
+        if circle:
+            axis = np.exp(1j * np.pi * axis)
+        self.assert_rows_have_polyval_bits(psi, [axis] * 3)
+
+    def test_zero_polynomials_keep_the_signs_of_their_zeros(self):
+        # -0.0 + x*0 is -0.0 only where x is negative
+        zero = mk.ScalarFunction.constant(-0.0)
+        psi = mk.SeparableIntegrand(2, ((zero, mk.ScalarFunction.polynomial([0.0, -0.0])),))
+        axis = np.array([-1.0, -0.0, 0.0, 2.0])
+        self.assert_rows_have_polyval_bits(psi, [axis, axis])
+        assert np.signbit(psi.factor_values([axis, axis])[0][0]).tolist() == [
+            True, True, False, False]
+
+    def test_callables_between_polynomials(self, rng):
+        cos = mk.ScalarFunction.from_callable(np.cos)
+        square = mk.ScalarFunction.monomial(2)
+        psi = mk.SeparableIntegrand(2, ((square, cos), (cos, square),
+                                        (mk.ScalarFunction.constant(2.0), cos)))
+        axis = rng.uniform(-1.0, 1.0, (3, 5))
+        self.assert_rows_have_polyval_bits(psi, [axis, axis])
+
+    def test_slots_with_the_same_factors_share_one_evaluation(self, rng):
+        f = mk.ScalarFunction.polynomial(rng.standard_normal(7))
+        psi = mk.divided_difference_integrand(f, 3).separable
+        axis = rng.uniform(-1.0, 1.0, (2, 5))
+        values = psi.factor_values([axis] * 4)
+        assert values[1] is values[2] is values[3]
+        assert values[0] is not values[1]
+        other = psi.factor_values([axis, axis, axis.copy(), axis])
+        assert other[2] is not other[1]
+        assert other[2].tobytes() == other[1].tobytes()
 
 
 class TestHelpers:
