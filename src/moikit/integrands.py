@@ -6,11 +6,17 @@ divided differences with confluent-node handling, separable (rank-one-sum)
 representations of multivariate integrands, and the computable projective
 norm surrogate used by every certified bound in the package.
 
-Divided differences are evaluated by one vectorized recursive table
-(:func:`_divided_differences`) on a stack of node tuples: the grid of a
-non-polynomial divided-difference integrand is one such stack, calling f
-once per distinct node and holding one tuple per multiset of indices over
-axes with equal values, and :func:`divided_difference` is a stack of one.
+Divided differences follow the recursive table of :func:`divided_difference`.
+The grid of a non-polynomial divided-difference integrand
+(:func:`_divided_difference_grid`) ranks each point's sorted tuple of indices
+into the union of the axes and evaluates each tuple that occurs once.  Tuples
+of nodes separated in the union are read from one table over the union
+(:func:`_union_table`), whose level l holds f^[l] on the union's
+non-decreasing index tuples, each entry built from the two entries of level
+l - 1 that it spans.  Tuples near a cluster go through the vectorized
+per-tuple table (:func:`_divided_differences`), of which
+:func:`divided_difference` is a stack of one.  Every value has the bits of the
+scalar recursion.
 
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
@@ -28,6 +34,7 @@ its per-sample maxima at once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -265,9 +272,12 @@ class DividedDifferenceSpec:
         return 1e-7 * np.maximum(1.0, np.max(_modulus(nodes), axis=-1))
 
 
-# Bytes the largest intermediate array of a divided-difference grid may take
-# (the (P, k+1, k+1) node differences); the grid is evaluated in chunks of
-# points that fit.
+# Bytes an intermediate array of a divided-difference grid may take when it
+# outgrows the grid itself.  The tuples that the table over the union does
+# not serve are evaluated in chunks whose (P, k+1, k+1) node differences fit,
+# and the arrays over the ranks of the union's tuples (16 bytes a rank at
+# most) are built only while they fit in the grid or in this many bytes (see
+# :func:`_divided_difference_grid`).
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -308,14 +318,50 @@ def _cluster_means(nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
     total = np.zeros_like(nodes)
     for j in range(width):
         total += np.where(member[:, :, j], nodes[:, j, None], 0.0)
-    count = member.sum(axis=2)
-    # component-wise, as Python's complex / int is: numpy's complex division
-    # by a count can differ from it in the last place
+    return _by_parts(total, member.sum(axis=2))
+
+
+def _by_parts(total: np.ndarray, count) -> np.ndarray:
+    """``total / count`` component-wise, as Python's complex / int is:
+    numpy's complex division by a count can differ from it in the last
+    place."""
+    if not np.iscomplexobj(total):
+        return total / count
     mean = np.empty_like(total)
     mean.real = total.real / count
-    if np.iscomplexobj(total):
-        mean.imag = total.imag / count
+    mean.imag = total.imag / count
     return mean
+
+
+def _confluent_windows(ordered: np.ndarray) -> tuple[list, np.ndarray]:
+    """For rows of sorted snapped nodes: per level l = 1..k, whether each
+    window of l + 1 consecutive nodes has equal ends (None at level 0); and
+    per row the highest level with such a window, the order of the highest
+    derivative its table reads."""
+    width = ordered.shape[1]
+    confluent = [None] + [ordered[:, level:] == ordered[:, :-level] for level in range(1, width)]
+    needed = np.zeros(len(ordered), dtype=int)
+    for level in range(1, width):
+        needed[confluent[level].any(axis=1)] = level
+    return confluent, needed
+
+
+def _missing_derivative(f: ScalarFunction, order: int) -> CapabilityError:
+    """The error for a tuple whose longest run of equal nodes needs the
+    ``order``-th derivative, which ``f`` lacks."""
+    return CapabilityError(
+        f"confluent cluster of size {order + 1} needs derivative order "
+        f"{order}, available {f.derivative_order_available}"
+    )
+
+
+def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
+    """``f^(level) / level!`` as a function of one node (``f`` at level 0):
+    the entry of the divided-difference table at a window of ``level + 1``
+    equal nodes."""
+    if level == 0:
+        return f
+    return lambda z: f.derivative(z, level) / math.factorial(level)
 
 
 def _distinct_values(fn, nodes: np.ndarray, memo: dict) -> tuple[list, np.ndarray]:
@@ -325,12 +371,18 @@ def _distinct_values(fn, nodes: np.ndarray, memo: dict) -> tuple[list, np.ndarra
     if nodes.size == 0:
         return [], np.zeros(0, dtype=np.intp)
     distinct, inverse = np.unique(nodes, return_inverse=True)
+    return _memo_values(fn, distinct, memo), inverse
+
+
+def _memo_values(fn, nodes: np.ndarray, memo: dict) -> list:
+    """``fn`` at each of the 1-D ``nodes`` as a Python scalar, called only
+    at the nodes that ``memo`` does not hold yet."""
     values = []
-    for z in distinct.tolist():
+    for z in nodes.tolist():
         if z not in memo:
             memo[z] = fn(z)
         values.append(memo[z])
-    return values, inverse
+    return values
 
 
 def _divided_differences(f: ScalarFunction, nodes: np.ndarray, memo: dict):
@@ -344,31 +396,22 @@ def _divided_differences(f: ScalarFunction, nodes: np.ndarray, memo: dict):
     """
     ordered = _snapped_nodes(nodes)
     points, width = ordered.shape
-    confluent = [None] + [
-        ordered[:, level:] == ordered[:, :-level] for level in range(1, width)
-    ]
-    needed = np.zeros(points, dtype=int)
-    for level in range(1, width):
-        needed[confluent[level].any(axis=1)] = level
+    confluent, needed = _confluent_windows(ordered)
     failed = np.flatnonzero(needed > f.derivative_order_available)
     if failed.size:
-        multiplicity = int(needed[failed[0]]) + 1
-        raise CapabilityError(
-            f"confluent cluster of size {multiplicity} needs derivative order "
-            f"{multiplicity - 1}, available {f.derivative_order_available}"
-        )
+        raise _missing_derivative(f, int(needed[failed[0]]))
     # per level: f^(level)(z) / level! at every confluent entry (f(z) at
     # every entry of level 0), from one call per distinct node
     values, index = _distinct_values(f, ordered.ravel(), memo.setdefault(0, {}))
     columns = [(values, index.reshape(ordered.shape))]
     for level in range(1, width):
         columns.append(_distinct_values(
-            lambda z, _k=level: f.derivative(z, _k) / math.factorial(_k),
+            _derivative_fn(f, level),
             ordered[:, :-level][confluent[level]],
             memo.setdefault(level, {}),
         ))
     complex_nodes = np.iscomplexobj(ordered)
-    typed = complex_nodes or any(np.iscomplexobj(v) for values, _ in columns for v in values)
+    typed = complex_nodes or any(_is_complex(v) for values, _ in columns for v in values)
     tables = [_column(values, index, typed) for values, index in columns]
     table, kind = tables[0]
     with np.errstate(all="ignore"):
@@ -386,6 +429,11 @@ def _divided_differences(f: ScalarFunction, nodes: np.ndarray, memo: dict):
     return table[:, 0], kind[:, 0, 0] if typed else np.zeros(points, dtype=bool)
 
 
+def _is_complex(value) -> bool:
+    """``np.iscomplexobj(value)``, without its cost for a real float."""
+    return not isinstance(value, float) and np.iscomplexobj(value)
+
+
 def _column(values: list, index: np.ndarray, typed: bool):
     """The values at ``index``, real, or complex when ``typed``; then also,
     for each, whether it is complex and whether it is of Python type (not a
@@ -394,7 +442,7 @@ def _column(values: list, index: np.ndarray, typed: bool):
     if not typed:
         return np.array(values, dtype=np.float64)[index], None
     kind = np.array(
-        [(np.iscomplexobj(v), not isinstance(v, (np.generic, np.ndarray))) for v in values],
+        [(_is_complex(v), not isinstance(v, (np.generic, np.ndarray))) for v in values],
         dtype=bool,
     ).reshape(-1, 2)
     return np.array(values, dtype=np.complex128)[index], kind[index]
@@ -445,63 +493,271 @@ def _divided_difference_grid(
     """The grid of ``f^[order]`` on the Cartesian product of the axes.
 
     ``f^[order]`` is symmetric in its nodes, and :func:`_snapped_nodes`
-    sorts every tuple first, so permuting the indices of axes that hold the
-    same values leaves a value's bits unchanged.  The table is evaluated
-    once per canonical point (see :func:`_canonical_points`), in grid order
-    and in chunks of at most :data:`_GRID_CHUNK_BYTES` of node differences;
-    every point then takes its canonical point's value.
+    sorts every tuple first, so a point's value is that of its nodes as a
+    non-decreasing tuple of indices into the sorted union of the axes.  Each
+    such tuple that occurs is evaluated once, and every point takes the
+    value at its tuple's rank (see :func:`_binomials`):
+
+    * k + 1 equal nodes give ``f^(k)(m) / k!`` at their mean m;
+    * nodes that are each isolated in the union, with every run of equal
+      nodes snapping to its own value, are read from one recursive table
+      over the union (see :func:`_union_table`);
+    * every other tuple, near a cluster or not finite, goes through
+      :func:`_divided_differences`, in chunks of at most
+      :data:`_GRID_CHUNK_BYTES` of node differences.
+
+    When the ranks would outnumber both the grid's points and the
+    :data:`_GRID_CHUNK_BYTES` / 16 complex values of a chunk, every point
+    goes through :func:`_divided_differences` in grid order instead.  Every
+    value has the bits of the per-point recursion, and f and each derivative
+    are called once per node whose value a point reads.
     """
     dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
-    axes = [np.asarray(a, dtype=dtype) for a in axes]
+    # every node snaps to at least z + 0.0, so -0.0 is +0.0 from here on
+    axes = [np.asarray(a, dtype=dtype) + 0.0 for a in axes]
     shape = tuple(a.size for a in axes)
-    classes: dict = {}
-    labels = tuple(classes.setdefault(a.tobytes(), len(classes)) for a in axes)
-    points, canonical = _canonical_points(shape, labels)
-    rows = max(1, _GRID_CHUNK_BYTES // (16 * (order + 1) ** 2))
-    values = np.empty(points.size, dtype=np.complex128)
+    points = math.prod(shape)
     memo: dict = {}
-    for lo in range(0, points.size, rows):
-        index = np.unravel_index(points[lo : lo + rows], shape)
-        nodes = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
-        values[lo : lo + rows] = _divided_differences(f, nodes, memo)[0]
-    return values[canonical].reshape(shape)
+    table = lambda rows: _divided_differences(f, rows, memo)[0]  # noqa: E731
+    if points == 0:
+        return np.empty(shape, dtype=np.complex128)
+    union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
+    space = math.comb(union.size + order, order + 1)
+    if space > max(points, _GRID_CHUNK_BYTES // 16):
+        def point_rows(lo, hi):
+            index = np.unravel_index(np.arange(lo, hi), shape)
+            return np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+
+        return _in_chunks(table, point_rows, points, order, np.complex128).reshape(shape)
+    binomials = _union_levels(union.size, order)[0]
+    ends = itertools.accumulate(shape)
+    index = _sorted_indices([inverse[hi - n : hi] for n, hi in zip(shape, ends)])
+    ranks = _rank(binomials, index)
+    # a point of each rank that occurs, and its tuple
+    point = np.full(space, -1)
+    point[ranks.ravel()] = np.arange(points)
+    distinct = np.flatnonzero(point >= 0)
+    at = point[distinct]
+    tuples = [s.ravel()[at] for s in index]
+
+    diagonal, served = _classes(union, tuples)
+    rest = ~(diagonal | served)
+
+    def per_tuple(evaluate, chosen, dtype):
+        chosen = [t[chosen] for t in tuples]
+        return _in_chunks(evaluate, lambda lo, hi: union[np.stack([t[lo:hi] for t in chosen], 1)],
+                          len(chosen[0]), order, dtype)
+
+    if order > f.derivative_order_available:
+        needed = per_tuple(lambda rows: _confluent_windows(_snapped_nodes(rows))[1],
+                           slice(None), int)
+        failing = needed > f.derivative_order_available
+        if failing.any():  # name the first failing point in grid order
+            bad = np.zeros(space, dtype=bool)
+            bad[distinct[failing]] = True
+            first = ranks.flat[np.argmax(bad[ranks])]
+            raise _missing_derivative(f, int(needed[np.searchsorted(distinct, first)]))
+
+    values = np.empty(distinct.size, dtype=np.complex128)
+    if diagonal.any():
+        means = _run_mean(union[tuples[0][diagonal]], order + 1)
+        values[diagonal] = _memo_values(_derivative_fn(f, order), means, memo.setdefault(order, {}))
+    if served.any():
+        values[served] = _union_table(f, union, [t[served] for t in tuples], memo)
+    if rest.any():
+        values[rest] = per_tuple(table, rest, np.complex128)
+    by_rank = np.empty(space, dtype=np.complex128)
+    by_rank[distinct] = values
+    return by_rank[ranks]
+
+
+def _in_chunks(evaluate: Callable, rows_of: Callable, count: int, order: int, dtype):
+    """``evaluate`` on ``count`` tuples of ``order + 1`` nodes, where
+    ``rows_of(lo, hi)`` stacks tuples lo..hi-1 as rows, in chunks whose node
+    differences take at most :data:`_GRID_CHUNK_BYTES`."""
+    rows = max(1, _GRID_CHUNK_BYTES // (16 * (order + 1) ** 2))
+    out = np.empty(count, dtype=dtype)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        out[lo:hi] = evaluate(rows_of(lo, hi))
+    return out
+
+
+def _binomials(size: int, order: int) -> list[np.ndarray]:
+    """``B[j][x] = C(x + j, j + 1)`` for j = 0..order and x = 0..size.
+
+    In the combinatorial number system, a non-decreasing tuple
+    (s_0, ..., s_l) of indices below ``size`` has the rank
+    ``sum_j B[j][s_j]`` among all such tuples (in colexicographic order),
+    and there are ``B[l][size]`` of them.  Each row is the running sum of
+    the one before (the hockey-stick identity).
+    """
+    table = [np.arange(size + 1)]
+    for _ in range(order):
+        table.append(np.cumsum(table[-1]))
+    return table
+
+
+def _rank(binomials: list, tuples: Sequence[np.ndarray]) -> np.ndarray:
+    """The rank of each non-decreasing index tuple (see :func:`_binomials`),
+    given as one array per position; the first term is the index itself."""
+    rank = tuples[0]
+    for b, s in zip(binomials[1:], tuples[1:]):
+        rank = rank + b[s]
+    return rank
+
+
+def _unrank(ranks: np.ndarray, binomials: list) -> list[np.ndarray]:
+    """The non-decreasing index tuples of these ranks, one array per
+    position, for tuples as long as ``binomials``: greedily from the last
+    position, the largest index whose term fits in what is left."""
+    tuples = []
+    for b in reversed(binomials):
+        s = np.searchsorted(b, ranks, side="right") - 1
+        ranks = ranks - b[s]
+        tuples.append(s)
+    return tuples[::-1]
+
+
+def _sorted_indices(index: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per position, the sorted indices of every point of the grid whose
+    axes hold these indices: an insertion-sort network of compare-exchanges
+    on the axes broadcast against each other."""
+    dims = len(index)
+    s = [a.reshape((a.size,) + (1,) * (dims - 1 - i)) for i, a in enumerate(index)]
+    for i in range(1, dims):
+        for lo in range(i - 1, -1, -1):
+            s[lo], s[lo + 1] = np.minimum(s[lo], s[lo + 1]), np.maximum(s[lo], s[lo + 1])
+    return s
+
+
+def _run_mean(values: np.ndarray, count: int) -> np.ndarray:
+    """The mean that :func:`_cluster_means` gives ``count`` equal copies of
+    each value: (0 + v + ... + v) / count, by parts.  It is v for counts 1
+    and 2 (short of overflow), but often not from 3 on."""
+    total = values + 0.0
+    with np.errstate(all="ignore"):
+        for _ in range(count - 1):
+            total = total + values
+        return _by_parts(total, count)
+
+
+def _isolated(union: np.ndarray) -> np.ndarray:
+    """Whether each value of the sorted union is finite and farther than the
+    union's merge radius from every other value.  No tuple of union values
+    then merges it with a node of another value, since a tuple's own merge
+    radius is at most the union's."""
+    isolated = np.isfinite(union)
+    values = union[isolated]
+    if values.size == 0:
+        return isolated
+    radius = 1e-7 * max(1.0, float(_modulus(values).max()))  # as _merge_radius
+    if np.iscomplexobj(values):
+        near = np.empty(values.size, dtype=bool)
+        rows = max(1, _GRID_CHUNK_BYTES // (16 * values.size))
+        for lo in range(0, values.size, rows):
+            close = _modulus(values[lo : lo + rows, None] - values) <= radius
+            near[lo : lo + rows] = np.count_nonzero(close, axis=1) > 1  # itself, and another
+    else:
+        # rounding is monotone, so the nearest value is a neighbour
+        close = np.diff(values) <= radius
+        near = np.zeros(values.size, dtype=bool)
+        near[:-1] = close
+        near[1:] |= close
+    isolated[isolated] = ~near
+    return isolated
+
+
+def _classes(union: np.ndarray, tuples: list) -> tuple[np.ndarray, np.ndarray]:
+    """Which sorted index tuples into the union hold k + 1 equal finite
+    nodes, and which others the table over the union serves (see
+    :func:`_union_table`): those whose nodes are isolated in the union (see
+    :func:`_isolated`) and whose runs of equal nodes snap to the value
+    itself, as :func:`_snapped_nodes` replaces each by its mean (see
+    :func:`_run_mean`)."""
+    diagonal = tuples[0] == tuples[-1]
+    isolated = _isolated(union)
+    if isolated.all():
+        served = ~diagonal
+    else:
+        diagonal &= np.isfinite(union)[tuples[0]]
+        served = ~diagonal & np.logical_and.reduce([isolated[t] for t in tuples])
+    width = len(tuples)
+    if width > 2:
+        # per run length M = 2..k, whether M copies of each value snap to it
+        runs = [_run_mean(union, m) == union for m in range(2, width)]
+        if not all(exact[isolated].all() for exact in runs):
+            # by run length 0..k+1 (k + 1 equal nodes are served by neither)
+            exact = np.array([isolated] * 2 + runs + [isolated])
+            for t in tuples:
+                served &= exact[sum(t == other for other in tuples), t]
+    return diagonal, served
 
 
 @functools.lru_cache(maxsize=16)
-def _canonical_points(shape: tuple, labels: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical points of a grid of this shape whose axes with equal
-    labels hold equal values, and for every grid point the position of its
-    canonical point among them.
+def _union_levels(size: int, order: int) -> tuple[list, list]:
+    """The index structure of the table over a union of ``size`` values,
+    shared by every grid with that union size and order: the binomials (see
+    :func:`_binomials`), and per level l = 1..order-1 the ranks of the two
+    level-(l-1) entries that each entry spans, and the ranks and the node
+    of its entries of equal ends.  All read-only."""
+    binomials = _binomials(size, order)
+    levels = []
+    for level in range(1, order):
+        windows = _unrank(np.arange(binomials[level][size]), binomials[: level + 1])
+        confluent = np.flatnonzero(windows[0] == windows[-1])
+        levels.append((_rank(binomials, windows[:-1]), _rank(binomials, windows[1:]),
+                       windows[-1], windows[0], confluent, windows[0][confluent]))
+    for array in binomials + [a for level in levels for a in level]:
+        array.setflags(write=False)
+    return binomials, levels
 
-    A point's canonical point sorts its indices ascending within each class
-    of equal axes (all axes equal: the non-decreasing index tuples).
-    Returns the flat grid indices of the canonical points, ascending, and
-    the flat array of positions; both read-only, as they are shared by
-    every grid of this shape and class structure.
+
+def _union_table(f: ScalarFunction, union: np.ndarray, tuples: list, memo: dict) -> np.ndarray:
+    """``f^[k]`` at sorted index tuples into the union whose table reads no
+    cluster (see :func:`_classes`) and whose nodes are not all equal, one
+    array of indices per position, by the recursive table over the union.
+
+    Level l < k holds ``f^[l]`` at every non-decreasing (l+1)-tuple of union
+    indices, at its rank (see :func:`_union_levels`): ``f^(l)(z) / l!``
+    where the tuple's ends are equal, else the difference of the two
+    level-(l-1) entries it spans over the difference of its ends.  The top
+    level is evaluated at the given tuples alone.  ``f^(l)`` is called at the
+    nodes of the tuples' windows of l + 1 equal nodes only (``f`` at all
+    their nodes), through ``memo``; the other entries of equal ends hold 0
+    and no tuple reads them.  Values and kinds follow
+    :func:`_divided_differences`.
     """
-    dims = len(shape)
-    index = [np.arange(n).reshape((n,) + (1,) * (dims - 1 - i)) for i, n in enumerate(shape)]
-    for label in set(labels):
-        members = [i for i in range(dims) if labels[i] == label]
-        # insertion sort of the class's indices, one compare-exchange of
-        # broadcast index arrays at a time
-        for i in range(1, len(members)):
-            for lo, hi in zip(members[i - 1 :: -1], members[i:0:-1]):
-                index[lo], index[hi] = (np.minimum(index[lo], index[hi]),
-                                        np.maximum(index[lo], index[hi]))
-    flat = np.zeros(shape, dtype=np.intp)
-    stride = 1
-    for i in range(dims - 1, -1, -1):
-        flat += index[i] * stride
-        stride *= shape[i]
-    flat = flat.ravel()
-    points = np.flatnonzero(flat == np.arange(flat.size))
-    position = np.empty(flat.size, dtype=np.intp)
-    position[points] = np.arange(points.size)
-    canonical = position[flat]
-    points.setflags(write=False)
-    canonical.setflags(write=False)
-    return points, canonical
+    order = len(tuples) - 1
+    read = np.zeros((order, union.size), dtype=bool)
+    read[0, np.concatenate(tuples)] = True
+    for level in range(1, order):
+        for j in range(order + 1 - level):
+            read[level, tuples[j][tuples[j] == tuples[j + level]]] = True
+    columns = []
+    for level in range(order):
+        found = iter(_memo_values(_derivative_fn(f, level), union[read[level]],
+                                  memo.setdefault(level, {})))
+        columns.append([next(found) if wanted else 0.0 for wanted in read[level].tolist()])
+    complex_nodes = np.iscomplexobj(union)
+    typed = complex_nodes or any(_is_complex(v) for values in columns for v in values)
+    binomials, levels = _union_levels(union.size, order)
+    top = (_rank(binomials, tuples[:-1]), _rank(binomials, tuples[1:]), tuples[-1], tuples[0])
+    table, kind = _column(columns[0], slice(None), typed)
+    with np.errstate(all="ignore"):
+        for level, (lower, upper, last, first, *confluent) in enumerate(levels + [top], 1):
+            if typed:
+                # complex when either value is; of Python type when both are
+                kind = np.stack([kind[upper, 0] | kind[lower, 0] | complex_nodes,
+                                 kind[upper, 1] & kind[lower, 1]], axis=-1)
+            table = _quotient(table[upper] - table[lower], union[last] - union[first], kind)
+            if confluent:
+                at, node = confluent
+                derivative, derivative_kind = _column(columns[level], node, typed)
+                table[at] = derivative
+                if typed:
+                    kind[at] = derivative_kind
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -974,10 +1230,12 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     evaluation and certified norm bounds), built once per coefficient array
     and order and then shared by every caller.  Other kinds evaluate the
     recursive divided-difference table: point by point through
-    :func:`divided_difference`, and a whole grid as one vectorized table
-    that calls ``f`` once per distinct node and, over axes holding the same
-    values, evaluates each multiset of indices once (the divided difference
-    is symmetric in its nodes).
+    :func:`divided_difference`, and a whole grid through
+    :func:`_divided_difference_grid`, which evaluates each sorted tuple of
+    indices into the union of the axes once (the divided difference is
+    symmetric in its nodes), reads tuples of separated nodes from one table
+    over the union, and calls ``f`` and each derivative once per node whose
+    value the grid reads.
     """
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")

@@ -225,10 +225,16 @@ def _stacked_moi(
     by sample index for each sample that failed (its result is not finite).
     The grid path evaluates sample by sample and raises on the first failure.
     """
-    rotated = [
-        _adjoint(bases[j]) @ np.asarray(arguments[j], dtype=np.complex128) @ bases[j + 1]
-        for j in range(len(bases) - 1)
-    ]
+    # a derivative or remainder passes the same basis and argument objects
+    # to several slots: each distinct (basis, argument, basis) is rotated once
+    rotations: dict = {}
+    rotated = []
+    for j in range(len(bases) - 1):
+        key = (id(bases[j]), id(arguments[j]), id(bases[j + 1]))
+        if key not in rotations:
+            rotations[key] = (_adjoint(bases[j]) @ np.asarray(arguments[j], dtype=np.complex128)
+                              @ bases[j + 1])
+        rotated.append(rotations[key])
     if integrand.separable is not None:
         core, errors = _factored_core(integrand.separable, eigenvalues, rotated)
     else:

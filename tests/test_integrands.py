@@ -677,20 +677,200 @@ class TestVectorizedTable:
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         calls.clear()
         chunked = integrands._divided_difference_grid(f, 2, axes)
-        assert rows == [7] * 8  # the C(8, 3) = 56 non-decreasing index tuples
+        # the C(7, 3) = 35 multisets of the axis's 5 distinct values, less
+        # the 5 of three equal nodes, which take f''(mean) / 2 directly
+        assert rows == [7, 7, 7, 7, 2]
         assert same_bits(chunked, whole)
         assert len(calls) == len(set(calls))  # once per node, across the chunks
 
-    def test_rows_are_evaluated_once_per_multiset_of_equal_axes(self, monkeypatch):
+    def test_separated_axes_are_read_from_the_union_table(self, monkeypatch):
         rows = table_rows(monkeypatch)
-        f = exp_with_derivatives(2)
+        calls = []
+
+        def exp(z):
+            calls.append(z)
+            return np.exp(z)
+
+        f = mk.ScalarFunction.from_callable(exp, (np.exp, np.exp))
         axis = np.linspace(-1.0, 1.0, 24)
-        grid = mk.divided_difference_integrand(f, 2).eval_grid([axis, axis.copy(), axis])
-        assert np.all(np.isfinite(grid))
-        assert sum(rows) == math.comb(24 + 2, 3) == 2600
-        rows.clear()
-        mk.divided_difference_integrand(f, 2).eval_grid([axis, axis + 1.0, axis + 2.0])
-        assert sum(rows) == 24**3
+        # axis + 2.0 starts at 1.0, the last node of axis: 71 distinct nodes
+        for axes, nodes in (([axis, axis.copy(), axis], 24), ([axis, axis + 1.0, axis + 2.0], 71)):
+            calls.clear()
+            grid = mk.divided_difference_integrand(f, 2).eval_grid(axes)
+            assert rows == []
+            assert len(calls) == len(set(calls)) == nodes
+            assert same_bits(grid, oracles.divided_difference_grid_per_point(f, 2, axes))
+
+
+# a node whose mean over three copies, summed left to right, is not the node
+# (nor over five, on the circle), and on the line one whose mean over five is
+# not: _snapped_nodes moves runs of them, so the union table serves no tuple
+# holding such a run
+INEXACT_MEANS = {
+    "real": [0.1, -0.053],
+    "unit_circle": [complex(np.exp(4.734462493192759j))],
+}
+
+
+def run_mean(z, count):
+    """The mean of ``count`` copies of ``z`` as the per-point recursion's
+    clustering takes it: summed left to right from 0, divided by parts."""
+    total = 0.0
+    for _ in range(count):
+        total = total + z
+    return complex(total.real / count, total.imag / count) if isinstance(z, complex) else total / count
+
+
+def separated_axis(kind, size):
+    """``size`` nodes, each value far from the others, with exact repeats
+    of the nodes of inexact means."""
+    if kind == "real":
+        pool = INEXACT_MEANS["real"] + [0.62, -0.81, 0.37]
+    else:
+        pool = INEXACT_MEANS["unit_circle"] + [complex(np.exp(1j * t)) for t in (0.4, 2.2, -1.9)]
+    return np.array([pool[i] for i in (0, 1, 0, 2, 1, 3)[:size]])
+
+
+def separated_axes(shape, kind, order):
+    """The axes of a grid of ``order + 1`` slots on separated nodes: one
+    spectrum in every slot, a shifted spectrum next to ``order`` copies of a
+    base one, or an axis next to a slice of it, slot by slot."""
+    axis = separated_axis(kind, 6 if order <= 2 else 4)
+    if shape == "single":
+        return [axis] * (order + 1)
+    if shape == "shifted_base":
+        shift = 0.21 if kind == "real" else np.exp(0.3j)
+        return [axis * shift] + [axis] * order
+    return [axis if slot % 2 else axis[1:3] for slot in range(order + 1)]
+
+
+def reads(nodes):
+    """The (order, node) pairs whose values the recursion over this sorted
+    tuple reads: ``f^(l) / l!`` at a window of ``l + 1`` equal nodes (``f``
+    at a single node), else the reads of the two shorter windows it spans."""
+    if nodes[0] == nodes[-1]:
+        return {(len(nodes) - 1, complex(nodes[0]))}
+    return reads(nodes[1:]) | reads(nodes[:-1])
+
+
+def expected_calls(axes, order):
+    """The (order, node) pairs a grid on separated axes calls: for a point
+    of equal nodes the top derivative at their mean; for a point whose runs
+    of equal nodes snap to their own values the reads of its recursion; for
+    any other point, which goes through the per-point table, every entry of
+    its table at its snapped nodes."""
+    expected = set()
+    for point in itertools.product(*axes):
+        nodes = sorted(point, key=lambda z: (complex(z).real, complex(z).imag))
+        snapped = sorted((run_mean(z, nodes.count(z)) for z in nodes),
+                         key=lambda z: (complex(z).real, complex(z).imag))
+        if nodes[0] == nodes[-1]:
+            expected.add((order, complex(snapped[0])))
+        elif snapped == nodes:
+            expected |= reads(nodes)
+        else:
+            expected |= {(0, complex(z)) for z in snapped}
+            expected |= {(level, complex(snapped[i])) for level in range(1, order + 1)
+                         for i in range(order + 1 - level) if snapped[i] == snapped[i + level]}
+    return expected
+
+
+class TestUnionTable:
+    """Grids on separated nodes with exact repeats, which the table over the
+    union serves, against the scalar recursion: not a bit may change."""
+
+    def test_the_nodes_have_inexact_means(self):
+        assert run_mean(0.1, 3) != 0.1 and run_mean(-0.053, 5) != -0.053
+        assert all(run_mean(z, m) != z for z in INEXACT_MEANS["unit_circle"] for m in (3, 5))
+        for nodes in INEXACT_MEANS.values():
+            assert all(run_mean(z, 2) == z for z in nodes)
+
+    @pytest.mark.parametrize("shape", ["single", "shifted_base", "overlapping"])
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("name", sorted(set(SCALAR_FUNCTIONS) - {"polynomial"}))
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_grid_bits_match_the_per_point_recursion(self, shape, kind, name, order):
+        f = SCALAR_FUNCTIONS[name]()
+        axes = separated_axes(shape, kind, order)
+        expected = outcome(oracles.divided_difference_grid_per_point, f, order, axes)
+        assert_same_outcome(outcome(integrands._divided_difference_grid, f, order, axes),
+                            expected)
+
+    def test_served_tuples_skip_the_per_point_table(self, monkeypatch):
+        # order 2: three equal nodes take their mean directly, and pairs
+        # snap to their own values, so the table serves every other tuple
+        rows = table_rows(monkeypatch)
+        f = exp_with_derivatives(3)
+        for kind in ("real", "unit_circle"):
+            axes = separated_axes("single", kind, 2)
+            assert same_bits(integrands._divided_difference_grid(f, 2, axes),
+                             oracles.divided_difference_grid_per_point(f, 2, axes))
+        assert rows == []
+        # order 3: the triples of 0.1 snap to their inexact mean
+        axes = separated_axes("single", "real", 3)
+        assert same_bits(integrands._divided_difference_grid(f, 3, axes),
+                         oracles.divided_difference_grid_per_point(f, 3, axes))
+        assert rows == [2]  # (0.1, 0.1, 0.1, z) for the two other values z
+
+    @pytest.mark.parametrize("shape", ["single", "shifted_base", "overlapping"])
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_each_value_read_is_called_once(self, shape, kind, order):
+        calls = []
+
+        def counted(fn, level):
+            def traced(z):
+                calls.append((level, complex(z)))
+                return fn(z)
+            return traced
+
+        f = mk.ScalarFunction.from_callable(
+            counted(np.exp, 0), tuple(counted(np.exp, level) for level in (1, 2, 3))
+        )
+        axes = separated_axes(shape, kind, order)
+        integrands._divided_difference_grid(f, order, axes)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == expected_calls(axes, order)
+
+    def test_ranks_beyond_the_grid_go_point_by_point(self, monkeypatch):
+        # three disjoint axes of 6: C(18 + 2, 3) = 1140 ranks for 216 points,
+        # more than the 63 complex values of the chunk too
+        f = exp_with_derivatives(2)
+        rng = np.random.default_rng(10)
+        axes = [np.append(rng.uniform(-1, 1, 5), 0.1) + 2.0 * slot for slot in range(3)]
+        whole = integrands._divided_difference_grid(f, 2, axes)
+        rows = table_rows(monkeypatch)
+        monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
+        chunked = integrands._divided_difference_grid(f, 2, axes)
+        assert rows == [7] * 30 + [6]  # every point, in grid order
+        expected = oracles.divided_difference_grid_per_point(f, 2, axes)
+        assert same_bits(whole, expected) and same_bits(chunked, expected)
+        # a missing derivative names the first failing point in grid order
+        # (C(5 + 3, 4) = 70 ranks for 32 points)
+        axes = [np.array([0.5, -0.25])] * 3 + [np.array([-0.25, 0.75, 1.5, 2.5])]
+        f = exp_with_derivatives(1)
+        expected = outcome(oracles.divided_difference_grid_per_point, f, 3, axes)
+        assert expected[0] is CapabilityError
+        assert outcome(integrands._divided_difference_grid, f, 3, axes) == expected
+
+    @pytest.mark.parametrize("axes, order", [
+        # a served pair first in grid order, then three equal nodes
+        ([np.array([0.5, -0.25])] * 2 + [np.array([0.75, 0.5])], 2),
+        # a served triple first (0.5 is its own mean); then the triples of
+        # 0.1, which snap to an inexact mean, and four equal nodes last
+        ([np.array([0.5, 0.1])] * 3 + [np.array([-0.25, 0.1])], 3),
+        # such a triple of 0.1 first, then four equal nodes
+        ([np.array([0.1, 0.5])] * 3 + [np.array([0.5, 0.1])], 3),
+        # four equal nodes first, which take their mean directly
+        ([np.array([0.1, 0.5])] * 4, 3),
+    ])
+    def test_a_missing_derivative_names_the_first_failing_tuple(self, axes, order):
+        for available in (1, 2):
+            f = exp_with_derivatives(available)
+            expected = outcome(oracles.divided_difference_grid_per_point, f, order, axes)
+            assert_same_outcome(outcome(integrands._divided_difference_grid, f, order, axes),
+                                expected)
+            assert expected[0] is CapabilityError or available == order
 
 
 def grid_sups(psi, axes):

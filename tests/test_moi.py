@@ -151,6 +151,32 @@ class TestMoiEvaluate:
             1.0, np.linalg.norm(right, 2)
         )
 
+    @pytest.mark.parametrize("name", ["polynomial", "exp"])
+    def test_repeated_slots_are_rotated_once(self, rng, monkeypatch, name):
+        (a,) = random_ops(rng, 1)
+        direction = mk.random_hermitian(4, rng)
+        f = {"polynomial": mk.ScalarFunction.polynomial([0.3, -1.0, 0.5, 2.0, 0.7]),
+             "exp": mk.ScalarFunction.from_callable(np.exp, (np.exp,) * 3)}[name]
+        adjoints = []
+        adjoint = moi._adjoint
+
+        def spy(matrices):
+            adjoints.append(matrices)
+            return adjoint(matrices)
+
+        monkeypatch.setattr(moi, "_adjoint", spy)
+        value = mk.kth_derivative(f, a, direction, 3)
+        # one rotation of the direction, shared by the three slots, and the
+        # rotation of the result back
+        assert len(adjoints) == 2
+        adjoints.clear()
+        # distinct copies of the direction are rotated one by one, to the
+        # same bits
+        copies = [direction.copy() for _ in range(3)]
+        separate = 6.0 * mk.moi_core([a] * 4, mk.divided_difference_integrand(f, 3), copies)
+        assert len(adjoints) == 4
+        assert value.tobytes() == separate.tobytes()
+
 
 class TestAlgebraicIdentities:
     def test_linear_combination_trivial_coefficients(self, rng):
