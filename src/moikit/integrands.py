@@ -274,10 +274,10 @@ class DividedDifferenceSpec:
 
 # Bytes an intermediate array of a divided-difference grid may take when it
 # outgrows the grid itself.  The tuples that the table over the union does
-# not serve are evaluated in chunks whose (P, k+1, k+1) node differences fit,
-# and the arrays over the ranks of the union's tuples (16 bytes a rank at
-# most) are built only while they fit in the grid or in this many bytes (see
-# :func:`_divided_difference_grid`).
+# not serve are evaluated in chunks whose (P, k+1, k+1) node differences fit;
+# the arrays over the ranks of the union's tuples, and the levels of that
+# table, are built only while the ranks number at most the grid's points or
+# the complex values in this many bytes (see :func:`_divided_difference_grid`).
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -496,7 +496,7 @@ def _divided_difference_grid(
     sorts every tuple first, so a point's value is that of its nodes as a
     non-decreasing tuple of indices into the sorted union of the axes.  Each
     such tuple that occurs is evaluated once, and every point takes the
-    value at its tuple's rank (see :func:`_binomials`):
+    value of its tuple:
 
     * k + 1 equal nodes give ``f^(k)(m) / k!`` at their mean m;
     * nodes that are each isolated in the union, with every run of equal
@@ -506,41 +506,32 @@ def _divided_difference_grid(
       :func:`_divided_differences`, in chunks of at most
       :data:`_GRID_CHUNK_BYTES` of node differences.
 
-    When the ranks would outnumber both the grid's points and the
-    :data:`_GRID_CHUNK_BYTES` / 16 complex values of a chunk, every point
-    goes through :func:`_divided_differences` in grid order instead.  Every
-    value has the bits of the per-point recursion, and f and each derivative
-    are called once per node whose value a point reads.
+    The distinct tuples are found by arrays over their ranks (see
+    :func:`_binomials`) while the ranks number at most the grid's points or
+    the :data:`_GRID_CHUNK_BYTES` / 16 complex values of a chunk.  Beyond
+    that they are found by sorting the points' ranks, and the table over the
+    union, whose levels may hold as many entries, is not built: its tuples
+    go through :func:`_divided_differences`.  Every value has the bits of
+    the per-point recursion, and f and each derivative are called once per
+    node whose value a point reads.
     """
     dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
     # every node snaps to at least z + 0.0, so -0.0 is +0.0 from here on
     axes = [np.asarray(a, dtype=dtype) + 0.0 for a in axes]
     shape = tuple(a.size for a in axes)
     points = math.prod(shape)
-    memo: dict = {}
-    table = lambda rows: _divided_differences(f, rows, memo)[0]  # noqa: E731
     if points == 0:
         return np.empty(shape, dtype=np.complex128)
     union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
-    space = math.comb(union.size + order, order + 1)
-    if space > max(points, _GRID_CHUNK_BYTES // 16):
-        def point_rows(lo, hi):
-            index = np.unravel_index(np.arange(lo, hi), shape)
-            return np.stack([a[i] for a, i in zip(axes, index)], axis=1)
-
-        return _in_chunks(table, point_rows, points, order, np.complex128).reshape(shape)
-    binomials = _union_levels(union.size, order)[0]
     ends = itertools.accumulate(shape)
     index = _sorted_indices([inverse[hi - n : hi] for n, hi in zip(shape, ends)])
-    ranks = _rank(binomials, index)
-    # a point of each rank that occurs, and its tuple
-    point = np.full(space, -1)
-    point[ranks.ravel()] = np.arange(points)
-    distinct = np.flatnonzero(point >= 0)
-    at = point[distinct]
-    tuples = [s.ravel()[at] for s in index]
-
+    space = math.comb(union.size + order, order + 1)
+    dense = space <= max(points, _GRID_CHUNK_BYTES // 16)
+    ranks = _rank(_binomials(union.size, order), index)
+    first, at = _distinct_tuples(ranks, space, dense)
+    tuples = [s.ravel()[first] for s in index]
     diagonal, served = _classes(union, tuples)
+    served &= dense
     rest = ~(diagonal | served)
 
     def per_tuple(evaluate, chosen, dtype):
@@ -549,26 +540,31 @@ def _divided_difference_grid(
                           len(chosen[0]), order, dtype)
 
     if order > f.derivative_order_available:
-        needed = per_tuple(lambda rows: _confluent_windows(_snapped_nodes(rows))[1],
-                           slice(None), int)
+        # the order of the highest derivative each tuple's table reads: its
+        # longest run of equal nodes, less one, which outside the rest is
+        # its longest run of equal indices
+        needed = np.zeros(len(tuples[0]), dtype=int)
+        for level in range(1, order + 1):
+            needed[np.logical_or.reduce([tuples[j] == tuples[j + level]
+                                         for j in range(order + 1 - level)])] = level
+        if rest.any():
+            needed[rest] = per_tuple(lambda rows: _confluent_windows(_snapped_nodes(rows))[1],
+                                     rest, int)
         failing = needed > f.derivative_order_available
         if failing.any():  # name the first failing point in grid order
-            bad = np.zeros(space, dtype=bool)
-            bad[distinct[failing]] = True
-            first = ranks.flat[np.argmax(bad[ranks])]
-            raise _missing_derivative(f, int(needed[np.searchsorted(distinct, first)]))
+            raise _missing_derivative(f, int(needed[at.flat[np.argmax(failing[at])]]))
 
-    values = np.empty(distinct.size, dtype=np.complex128)
+    memo: dict = {}
+    values = np.empty(len(tuples[0]), dtype=np.complex128)
     if diagonal.any():
         means = _run_mean(union[tuples[0][diagonal]], order + 1)
         values[diagonal] = _memo_values(_derivative_fn(f, order), means, memo.setdefault(order, {}))
     if served.any():
         values[served] = _union_table(f, union, [t[served] for t in tuples], memo)
     if rest.any():
-        values[rest] = per_tuple(table, rest, np.complex128)
-    by_rank = np.empty(space, dtype=np.complex128)
-    by_rank[distinct] = values
-    return by_rank[ranks]
+        values[rest] = per_tuple(lambda rows: _divided_differences(f, rows, memo)[0],
+                                 rest, np.complex128)
+    return values[at]
 
 
 def _in_chunks(evaluate: Callable, rows_of: Callable, count: int, order: int, dtype):
@@ -583,6 +579,7 @@ def _in_chunks(evaluate: Callable, rows_of: Callable, count: int, order: int, dt
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _binomials(size: int, order: int) -> list[np.ndarray]:
     """``B[j][x] = C(x + j, j + 1)`` for j = 0..order and x = 0..size.
 
@@ -590,11 +587,15 @@ def _binomials(size: int, order: int) -> list[np.ndarray]:
     (s_0, ..., s_l) of indices below ``size`` has the rank
     ``sum_j B[j][s_j]`` among all such tuples (in colexicographic order),
     and there are ``B[l][size]`` of them.  Each row is the running sum of
-    the one before (the hockey-stick identity).
+    the one before (the hockey-stick identity).  The rows hold Python ints
+    where ranks would outgrow 64 bits.  Cached, read-only.
     """
-    table = [np.arange(size + 1)]
+    wide = math.comb(size + order, order + 1) >= 2**63
+    table = [np.arange(size + 1, dtype=object if wide else np.int64)]
     for _ in range(order):
         table.append(np.cumsum(table[-1]))
+    for row in table:
+        row.setflags(write=False)
     return table
 
 
@@ -629,6 +630,22 @@ def _sorted_indices(index: Sequence[np.ndarray]) -> list[np.ndarray]:
         for lo in range(i - 1, -1, -1):
             s[lo], s[lo + 1] = np.minimum(s[lo], s[lo + 1]), np.maximum(s[lo], s[lo + 1])
     return s
+
+
+def _distinct_tuples(ranks: np.ndarray, space: int, dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For the ranks of a grid's points among the ``space`` ranks (see
+    :func:`_binomials`): a point of each distinct rank, in order of rank,
+    and for every point the position of its rank among them.  While
+    ``dense``, by arrays over the ranks; else by sorting the points."""
+    if not dense:
+        _, at, inverse = np.unique(ranks, return_index=True, return_inverse=True)
+        return at, inverse.reshape(ranks.shape)
+    point = np.full(space, -1)
+    point[ranks.ravel()] = np.arange(ranks.size)
+    distinct = np.flatnonzero(point >= 0)
+    position = np.empty(space, dtype=np.intp)
+    position[distinct] = np.arange(distinct.size)
+    return point[distinct], position[ranks]
 
 
 def _run_mean(values: np.ndarray, count: int) -> np.ndarray:
@@ -675,13 +692,9 @@ def _classes(union: np.ndarray, tuples: list) -> tuple[np.ndarray, np.ndarray]:
     :func:`_isolated`) and whose runs of equal nodes snap to the value
     itself, as :func:`_snapped_nodes` replaces each by its mean (see
     :func:`_run_mean`)."""
-    diagonal = tuples[0] == tuples[-1]
+    diagonal = (tuples[0] == tuples[-1]) & np.isfinite(union)[tuples[0]]
     isolated = _isolated(union)
-    if isolated.all():
-        served = ~diagonal
-    else:
-        diagonal &= np.isfinite(union)[tuples[0]]
-        served = ~diagonal & np.logical_and.reduce([isolated[t] for t in tuples])
+    served = ~diagonal & np.logical_and.reduce([isolated[t] for t in tuples])
     width = len(tuples)
     if width > 2:
         # per run length M = 2..k, whether M copies of each value snap to it
@@ -695,12 +708,12 @@ def _classes(union: np.ndarray, tuples: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _union_levels(size: int, order: int) -> tuple[list, list]:
+def _union_levels(size: int, order: int) -> list:
     """The index structure of the table over a union of ``size`` values,
-    shared by every grid with that union size and order: the binomials (see
-    :func:`_binomials`), and per level l = 1..order-1 the ranks of the two
-    level-(l-1) entries that each entry spans, and the ranks and the node
-    of its entries of equal ends.  All read-only."""
+    shared by every grid with that union size and order: per level
+    l = 1..order-1 the ranks (see :func:`_binomials`) of the two
+    level-(l-1) entries that each entry spans, the indices of its ends, and
+    the ranks and the node of its entries of equal ends.  All read-only."""
     binomials = _binomials(size, order)
     levels = []
     for level in range(1, order):
@@ -708,9 +721,9 @@ def _union_levels(size: int, order: int) -> tuple[list, list]:
         confluent = np.flatnonzero(windows[0] == windows[-1])
         levels.append((_rank(binomials, windows[:-1]), _rank(binomials, windows[1:]),
                        windows[-1], windows[0], confluent, windows[0][confluent]))
-    for array in binomials + [a for level in levels for a in level]:
+    for array in [a for level in levels for a in level]:
         array.setflags(write=False)
-    return binomials, levels
+    return levels
 
 
 def _union_table(f: ScalarFunction, union: np.ndarray, tuples: list, memo: dict) -> np.ndarray:
@@ -741,7 +754,7 @@ def _union_table(f: ScalarFunction, union: np.ndarray, tuples: list, memo: dict)
         columns.append([next(found) if wanted else 0.0 for wanted in read[level].tolist()])
     complex_nodes = np.iscomplexobj(union)
     typed = complex_nodes or any(_is_complex(v) for values in columns for v in values)
-    binomials, levels = _union_levels(union.size, order)
+    binomials, levels = _binomials(union.size, order), _union_levels(union.size, order)
     top = (_rank(binomials, tuples[:-1]), _rank(binomials, tuples[1:]), tuples[-1], tuples[0])
     table, kind = _column(columns[0], slice(None), typed)
     with np.errstate(all="ignore"):

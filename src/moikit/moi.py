@@ -226,7 +226,10 @@ def _stacked_moi(
     The grid path evaluates sample by sample and raises on the first failure.
     """
     # a derivative or remainder passes the same basis and argument objects
-    # to several slots: each distinct (basis, argument, basis) is rotated once
+    # to several slots: each distinct (basis, argument, basis) is rotated
+    # once.  The lists hold every item while its id keys the cache: items of
+    # a stacked array are fresh views, and a freed view's id may be reused.
+    bases, arguments = list(bases), list(arguments)
     rotations: dict = {}
     rotated = []
     for j in range(len(bases) - 1):

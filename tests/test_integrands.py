@@ -832,17 +832,40 @@ class TestUnionTable:
         assert len(calls) == len(set(calls))
         assert set(calls) == expected_calls(axes, order)
 
-    def test_ranks_beyond_the_grid_go_point_by_point(self, monkeypatch):
-        # three disjoint axes of 6: C(18 + 2, 3) = 1140 ranks for 216 points,
-        # more than the 63 complex values of the chunk too
+    def test_served_tuples_are_checked_without_snapping(self, monkeypatch):
+        # order 2 with one derivative: a pair of equal nodes needs f', which
+        # f has, and no point holds three equal nodes, so nothing fails and
+        # the check reads the runs of equal indices alone
+        f = exp_with_derivatives(1)
+        axis = separated_axis("real", 6)
+        axes = [axis, axis, axis + 3.0]
+        expected = oracles.divided_difference_grid_per_point(f, 2, axes)
+        snapped = []
+        snap = integrands._snapped_nodes
+
+        def spy(nodes):
+            snapped.append(len(nodes))
+            return snap(nodes)
+
+        monkeypatch.setattr(integrands, "_snapped_nodes", spy)
+        assert same_bits(integrands._divided_difference_grid(f, 2, axes), expected)
+        assert snapped == []
+
+    def test_ranks_beyond_the_grid_are_found_by_sorting(self, monkeypatch):
+        # [shifted, base, base] on 6 + 6 values: C(12 + 2, 3) = 364 ranks for
+        # 216 points, more than the 63 complex values of the chunk too.  The
+        # table over the union is not built, and each of the 6 * C(7, 2) =
+        # 126 distinct tuples goes through the per-tuple table once
         f = exp_with_derivatives(2)
         rng = np.random.default_rng(10)
-        axes = [np.append(rng.uniform(-1, 1, 5), 0.1) + 2.0 * slot for slot in range(3)]
-        whole = integrands._divided_difference_grid(f, 2, axes)
+        base = np.append(rng.uniform(-1, 1, 5), 0.1)
+        axes = [base + 2.0, base, base.copy()]
         rows = table_rows(monkeypatch)
+        whole = integrands._divided_difference_grid(f, 2, axes)
+        assert rows == []  # all read from the table over the union
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         chunked = integrands._divided_difference_grid(f, 2, axes)
-        assert rows == [7] * 30 + [6]  # every point, in grid order
+        assert rows == [7] * 18
         expected = oracles.divided_difference_grid_per_point(f, 2, axes)
         assert same_bits(whole, expected) and same_bits(chunked, expected)
         # a missing derivative names the first failing point in grid order
@@ -852,6 +875,17 @@ class TestUnionTable:
         expected = outcome(oracles.divided_difference_grid_per_point, f, 3, axes)
         assert expected[0] is CapabilityError
         assert outcome(integrands._divided_difference_grid, f, 3, axes) == expected
+
+    def test_ranks_beyond_64_bits_are_python_ints(self):
+        # order 20 on a 40-node axis and 20 single nodes: C(60 + 20, 21) > 2**63
+        # ranks, which int64 arithmetic would wrap into false repeats
+        assert integrands._binomials(60, 20)[-1].dtype == object
+        f = mk.ScalarFunction.from_callable(np.exp)
+        nodes = np.linspace(-1.0, 1.0, 60)
+        axes = [nodes[:40]] + [nodes[39 + slot : 40 + slot] for slot in range(1, 21)]
+        assert np.unique(np.concatenate(axes)).size == 60
+        assert same_bits(integrands._divided_difference_grid(f, 20, axes),
+                         oracles.divided_difference_grid_per_point(f, 20, axes))
 
     @pytest.mark.parametrize("axes, order", [
         # a served pair first in grid order, then three equal nodes
@@ -863,6 +897,10 @@ class TestUnionTable:
         ([np.array([0.1, 0.5])] * 3 + [np.array([0.5, 0.1])], 3),
         # four equal nodes first, which take their mean directly
         ([np.array([0.1, 0.5])] * 4, 3),
+        # four nodes of one near cluster first in grid order, with tuples
+        # near a cluster of three before them in order of rank
+        ([np.array([0.5 + 1e-9 * slot, 1e-9 * slot - 0.3 * (slot == 0)]) for slot in range(4)],
+         3),
     ])
     def test_a_missing_derivative_names_the_first_failing_tuple(self, axes, order):
         for available in (1, 2):

@@ -177,6 +177,20 @@ class TestMoiEvaluate:
         assert len(adjoints) == 4
         assert value.tobytes() == separate.tobytes()
 
+    @pytest.mark.parametrize("name", ["polynomial", "exp"])
+    def test_stacked_arguments_are_rotated_one_by_one(self, rng, name):
+        # the items of a stacked array are fresh views, which may take the
+        # address of one freed before them: each slot keeps its own argument
+        (a,) = random_ops(rng, 1)
+        f = {"polynomial": mk.ScalarFunction.polynomial([0.3, -1.0, 0.5, 2.0, 0.7, 0.1]),
+             "exp": mk.ScalarFunction.from_callable(np.exp, (np.exp,) * 4)}[name]
+        for k in range(1, 5):
+            psi = mk.divided_difference_integrand(f, k)
+            arguments = np.stack(random_args(rng, k))
+            stacked = mk.moi_core([a] * (k + 1), psi, arguments)
+            copies = [np.array(d) for d in arguments]
+            assert stacked.tobytes() == mk.moi_core([a] * (k + 1), psi, copies).tobytes()
+
 
 class TestAlgebraicIdentities:
     def test_linear_combination_trivial_coefficients(self, rng):
