@@ -167,6 +167,9 @@ def _handle_higher_diff(payload, args):
     step = ser.parse_hermitian(payload.get("step", {}), "input.step").matrix
     order = _positive_order(payload)
     include_diagnostic = payload.get("include_moi_diagnostic", False)
+    if not isinstance(include_diagnostic, bool):
+        raise ValidationError("include_moi_diagnostic must be a boolean",
+                              path="input.include_moi_diagnostic")
 
     def run():
         out = {
@@ -386,6 +389,14 @@ _HANDLERS = {
     "mti-eval": _handle_mti_eval,
 }
 
+# The commands whose reports are tables, each with the key of its rows and
+# their columns: the only reports that ``--format csv`` can write.
+_CSV_COLUMNS = {
+    "tailbound": ("rows", ["theta", "empirical_prob", "mc_stderr", "bound_rhs", "satisfied"]),
+    "conv-mean": ("steps", ["m", "epsilon", "mean_diff_pow_r", "stderr", "bound_mean",
+                            "dominated"]),
+}
+
 _KIND_TO_COMMAND = {
     "moi_request": "moi-eval",
     "frechet_request": "frechet",
@@ -474,22 +485,8 @@ def _rows_to_csv(rows, fieldnames) -> str:
 
 def _write_output(output: dict, args):
     if args.format == "csv":
-        if output.get("kind") == "tail_bound_report":
-            text = _rows_to_csv(
-                output["rows"],
-                ["theta", "empirical_prob", "mc_stderr", "bound_rhs", "satisfied"],
-            )
-        elif output.get("kind") == "convergence_report":
-            text = _rows_to_csv(
-                output["steps"],
-                ["m", "epsilon", "mean_diff_pow_r", "stderr", "bound_mean",
-                 "dominated"],
-            )
-        else:
-            raise ValidationError(
-                "csv output is only available for tabular reports",
-                path="flags.format",
-            )
+        key, columns = _CSV_COLUMNS[args.command]
+        text = _rows_to_csv(output[key], columns)
         if args.output:
             ser.write_text_atomic(args.output, text)
         else:
@@ -551,6 +548,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
+        if args.format == "csv" and args.command not in _CSV_COLUMNS:
+            # rejected before any computation
+            raise ValidationError("csv output is only available for tabular reports",
+                                  path="flags.format")
         if args.command == "haar":
             output, code = _handle_haar(args)
         elif args.command == "validate":

@@ -6,17 +6,16 @@ divided differences with confluent-node handling, separable (rank-one-sum)
 representations of multivariate integrands, and the computable projective
 norm surrogate used by every certified bound in the package.
 
-Divided differences follow the recursive table of :func:`divided_difference`.
-The grid of a non-polynomial divided-difference integrand
-(:func:`_divided_difference_grid`) ranks each point's sorted tuple of indices
-into the union of the axes and evaluates each tuple that occurs once.  Tuples
-of nodes separated in the union are read from one table over the union
-(:func:`_union_table`), whose level l holds f^[l] on the union's
+Every divided difference is read from one recursive table over a sorted
+array of distinct nodes (:func:`_union_table`), whose level l holds f^[l] on
 non-decreasing index tuples, each entry built from the two entries of level
-l - 1 that it spans.  Tuples near a cluster go through the vectorized
-per-tuple table (:func:`_divided_differences`), of which
-:func:`divided_difference` is a stack of one.  Every value has the bits of the
-scalar recursion.
+l - 1 that it spans, or f^(l)/l! where its ends are equal.  Each tuple is
+snapped first (:func:`_snapped_nodes`, which merges clustered nodes), and
+then is a sorted tuple of indices into the nodes it snaps to.  The grid of a
+non-polynomial divided-difference integrand (:func:`_divided_difference_grid`)
+ranks each point's sorted tuple of indices into the union of the axes and
+evaluates each tuple that occurs once; :func:`divided_difference` is a stack
+of one tuple.  Every value has the bits of the scalar recursion.
 
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
@@ -269,15 +268,16 @@ class DividedDifferenceSpec:
     @staticmethod
     def _merge_radius(nodes: np.ndarray) -> np.ndarray:
         """:attr:`tolerance` of each row of a (P, k+1) stack of node tuples."""
-        return 1e-7 * np.maximum(1.0, np.max(_modulus(nodes), axis=-1))
+        return 1e-7 * np.maximum(1.0, _modulus(nodes).max(axis=-1))
 
 
 # Bytes an intermediate array of a divided-difference grid may take when it
-# outgrows the grid itself.  The tuples that the table over the union does
-# not serve are evaluated in chunks whose (P, k+1, k+1) node differences fit;
-# the arrays over the ranks of the union's tuples, and the levels of that
-# table, are built only while the ranks number at most the grid's points or
-# the complex values in this many bytes (see :func:`_divided_difference_grid`).
+# outgrows the grid itself: the (P, k+1, k+1) node differences of the tuples
+# snapped at a time, the complex values of the largest level that the table
+# over the nodes holds whole (see :func:`_union_table`), and the arrays over
+# the ranks of a grid's tuples while the ranks number at most the grid's
+# points or the complex values in this many bytes (see
+# :func:`_distinct_tuples`).
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -306,11 +306,13 @@ def _cluster_means(nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
     """Each node replaced by the mean of its cluster: the connected
     component of the ``near`` graph over its row."""
     width = nodes.shape[1]
-    # label propagation: every node takes the least label among its
-    # neighbours until the labels settle, one per cluster
+    # label propagation: every node takes the least label among itself and
+    # its neighbours until the labels settle, one per cluster (a node that
+    # is not finite is not near itself, and without its own label two such
+    # nodes near each other could swap labels forever)
     labels = np.broadcast_to(np.arange(width), nodes.shape)
     while True:
-        settled = np.where(near, labels[:, None, :], width).min(axis=2)
+        settled = np.minimum(labels, np.where(near, labels[:, None, :], width).min(axis=2))
         if np.array_equal(settled, labels):
             break
         labels = settled
@@ -333,28 +335,6 @@ def _by_parts(total: np.ndarray, count) -> np.ndarray:
     return mean
 
 
-def _confluent_windows(ordered: np.ndarray) -> tuple[list, np.ndarray]:
-    """For rows of sorted snapped nodes: per level l = 1..k, whether each
-    window of l + 1 consecutive nodes has equal ends (None at level 0); and
-    per row the highest level with such a window, the order of the highest
-    derivative its table reads."""
-    width = ordered.shape[1]
-    confluent = [None] + [ordered[:, level:] == ordered[:, :-level] for level in range(1, width)]
-    needed = np.zeros(len(ordered), dtype=int)
-    for level in range(1, width):
-        needed[confluent[level].any(axis=1)] = level
-    return confluent, needed
-
-
-def _missing_derivative(f: ScalarFunction, order: int) -> CapabilityError:
-    """The error for a tuple whose longest run of equal nodes needs the
-    ``order``-th derivative, which ``f`` lacks."""
-    return CapabilityError(
-        f"confluent cluster of size {order + 1} needs derivative order "
-        f"{order}, available {f.derivative_order_available}"
-    )
-
-
 def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
     """``f^(level) / level!`` as a function of one node (``f`` at level 0):
     the entry of the divided-difference table at a window of ``level + 1``
@@ -364,77 +344,12 @@ def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
     return lambda z: f.derivative(z, level) / math.factorial(level)
 
 
-def _distinct_values(fn, nodes: np.ndarray, memo: dict) -> tuple[list, np.ndarray]:
-    """``fn`` at each of the 1-D ``nodes``, called once per distinct node as
-    a Python scalar: the distinct values, and the index of each node's value
-    among them.  ``memo`` keeps the values across calls."""
-    if nodes.size == 0:
-        return [], np.zeros(0, dtype=np.intp)
-    distinct, inverse = np.unique(nodes, return_inverse=True)
-    return _memo_values(fn, distinct, memo), inverse
-
-
-def _memo_values(fn, nodes: np.ndarray, memo: dict) -> list:
-    """``fn`` at each of the 1-D ``nodes`` as a Python scalar, called only
-    at the nodes that ``memo`` does not hold yet."""
-    values = []
-    for z in nodes.tolist():
-        if z not in memo:
-            memo[z] = fn(z)
-        values.append(memo[z])
-    return values
-
-
-def _divided_differences(f: ScalarFunction, nodes: np.ndarray, memo: dict):
-    """``f^[k]`` at each row of a (P, k+1) stack of node tuples (float64, or
-    complex128 for complex nodes): the recursive table of
-    :func:`divided_difference`, evaluated for every row at once.
-
-    Returns the P values and whether each is complex.  ``f`` and its
-    derivatives are called once per distinct node and order, through
-    ``memo``, which maps each order to the values found so far.
-    """
-    ordered = _snapped_nodes(nodes)
-    points, width = ordered.shape
-    confluent, needed = _confluent_windows(ordered)
-    failed = np.flatnonzero(needed > f.derivative_order_available)
-    if failed.size:
-        raise _missing_derivative(f, int(needed[failed[0]]))
-    # per level: f^(level)(z) / level! at every confluent entry (f(z) at
-    # every entry of level 0), from one call per distinct node
-    values, index = _distinct_values(f, ordered.ravel(), memo.setdefault(0, {}))
-    columns = [(values, index.reshape(ordered.shape))]
-    for level in range(1, width):
-        columns.append(_distinct_values(
-            _derivative_fn(f, level),
-            ordered[:, :-level][confluent[level]],
-            memo.setdefault(level, {}),
-        ))
-    complex_nodes = np.iscomplexobj(ordered)
-    typed = complex_nodes or any(_is_complex(v) for values, _ in columns for v in values)
-    tables = [_column(values, index, typed) for values, index in columns]
-    table, kind = tables[0]
-    with np.errstate(all="ignore"):
-        for level in range(1, width):
-            if typed:
-                # complex when either value is; of Python type when both are
-                kind = np.stack([kind[:, 1:, 0] | kind[:, :-1, 0] | complex_nodes,
-                                 kind[:, 1:, 1] & kind[:, :-1, 1]], axis=-1)
-            table = _quotient(table[:, 1:] - table[:, :-1],
-                              ordered[:, level:] - ordered[:, :-level], kind)
-            derivative, derivative_kind = tables[level]
-            table[confluent[level]] = derivative
-            if typed:
-                kind[confluent[level]] = derivative_kind
-    return table[:, 0], kind[:, 0, 0] if typed else np.zeros(points, dtype=bool)
-
-
 def _is_complex(value) -> bool:
     """``np.iscomplexobj(value)``, without its cost for a real float."""
     return not isinstance(value, float) and np.iscomplexobj(value)
 
 
-def _column(values: list, index: np.ndarray, typed: bool):
+def _column(values: list, index, typed: bool):
     """The values at ``index``, real, or complex when ``typed``; then also,
     for each, whether it is complex and whether it is of Python type (not a
     numpy scalar or array), since the scalar recursion divided each kind its
@@ -476,6 +391,19 @@ def _quotient(numerator: np.ndarray, step: np.ndarray, kind: np.ndarray | None) 
     return quotient
 
 
+def _divided_differences(f: ScalarFunction, nodes: np.ndarray):
+    """``f^[k]`` at each row of a (P, k+1) stack of node tuples (float64, or
+    complex128 for complex nodes), and whether each value is complex: every
+    row snapped (see :func:`_snapped_nodes`), then read as sorted indices
+    into the distinct snapped nodes from the table over them (see
+    :func:`_union_table`)."""
+    snapped = _snapped_nodes(nodes)
+    union, inverse = np.unique(snapped, return_inverse=True, equal_nan=False)
+    # sorted again, since values that sort as equal (NaN) need not keep order
+    tuples = list(np.sort(inverse.reshape(snapped.shape), axis=1).T)
+    return _union_table(f, union, tuples, np.arange(len(nodes)))
+
+
 def divided_difference(spec: DividedDifferenceSpec):
     """Evaluate the divided difference by the standard recursive table.
 
@@ -483,7 +411,7 @@ def divided_difference(spec: DividedDifferenceSpec):
     coincident nodes of length r+1 contributes ``f^(r)(z) / r!``.  The result
     is symmetric in node order (nodes are sorted internally).
     """
-    values, is_complex = _divided_differences(spec.f, np.array([spec.nodes]), {})
+    values, is_complex = _divided_differences(spec.f, np.array([spec.nodes]))
     return values[0] if is_complex[0] else values[0].real
 
 
@@ -494,89 +422,29 @@ def _divided_difference_grid(
 
     ``f^[order]`` is symmetric in its nodes, and :func:`_snapped_nodes`
     sorts every tuple first, so a point's value is that of its nodes as a
-    non-decreasing tuple of indices into the sorted union of the axes.  Each
-    such tuple that occurs is evaluated once, and every point takes the
-    value of its tuple:
-
-    * k + 1 equal nodes give ``f^(k)(m) / k!`` at their mean m;
-    * nodes that are each isolated in the union, with every run of equal
-      nodes snapping to its own value, are read from one recursive table
-      over the union (see :func:`_union_table`);
-    * every other tuple, near a cluster or not finite, goes through
-      :func:`_divided_differences`, in chunks of at most
-      :data:`_GRID_CHUNK_BYTES` of node differences.
-
-    The distinct tuples are found by arrays over their ranks (see
-    :func:`_binomials`) while the ranks number at most the grid's points or
-    the :data:`_GRID_CHUNK_BYTES` / 16 complex values of a chunk.  Beyond
-    that they are found by sorting the points' ranks, and the table over the
-    union, whose levels may hold as many entries, is not built: its tuples
-    go through :func:`_divided_differences`.  Every value has the bits of
-    the per-point recursion, and f and each derivative are called once per
-    node whose value a point reads.
+    non-decreasing tuple of indices into the sorted union of the axes.  The
+    distinct tuples are found by rank (see :func:`_distinct_tuples`).  Each
+    one that snapping may move is snapped once (see :func:`_snapped`): its
+    snapped values join the union, and its indices point at them.  Every
+    tuple is then read from one recursive table over the nodes (see
+    :func:`_union_table`), with the bits of the per-point recursion, and
+    every point takes the value of its tuple.
     """
     dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
     # every node snaps to at least z + 0.0, so -0.0 is +0.0 from here on
     axes = [np.asarray(a, dtype=dtype) + 0.0 for a in axes]
     shape = tuple(a.size for a in axes)
-    points = math.prod(shape)
-    if points == 0:
+    if math.prod(shape) == 0:
         return np.empty(shape, dtype=np.complex128)
     union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
     ends = itertools.accumulate(shape)
     index = _sorted_indices([inverse[hi - n : hi] for n, hi in zip(shape, ends)])
-    space = math.comb(union.size + order, order + 1)
-    dense = space <= max(points, _GRID_CHUNK_BYTES // 16)
     ranks = _rank(_binomials(union.size, order), index)
-    first, at = _distinct_tuples(ranks, space, dense)
+    first, at = _distinct_tuples(ranks, math.comb(union.size + order, order + 1))
     tuples = [s.ravel()[first] for s in index]
-    diagonal, served = _classes(union, tuples)
-    served &= dense
-    rest = ~(diagonal | served)
-
-    def per_tuple(evaluate, chosen, dtype):
-        chosen = [t[chosen] for t in tuples]
-        return _in_chunks(evaluate, lambda lo, hi: union[np.stack([t[lo:hi] for t in chosen], 1)],
-                          len(chosen[0]), order, dtype)
-
-    if order > f.derivative_order_available:
-        # the order of the highest derivative each tuple's table reads: its
-        # longest run of equal nodes, less one, which outside the rest is
-        # its longest run of equal indices
-        needed = np.zeros(len(tuples[0]), dtype=int)
-        for level in range(1, order + 1):
-            needed[np.logical_or.reduce([tuples[j] == tuples[j + level]
-                                         for j in range(order + 1 - level)])] = level
-        if rest.any():
-            needed[rest] = per_tuple(lambda rows: _confluent_windows(_snapped_nodes(rows))[1],
-                                     rest, int)
-        failing = needed > f.derivative_order_available
-        if failing.any():  # name the first failing point in grid order
-            raise _missing_derivative(f, int(needed[at.flat[np.argmax(failing[at])]]))
-
-    memo: dict = {}
-    values = np.empty(len(tuples[0]), dtype=np.complex128)
-    if diagonal.any():
-        means = _run_mean(union[tuples[0][diagonal]], order + 1)
-        values[diagonal] = _memo_values(_derivative_fn(f, order), means, memo.setdefault(order, {}))
-    if served.any():
-        values[served] = _union_table(f, union, [t[served] for t in tuples], memo)
-    if rest.any():
-        values[rest] = per_tuple(lambda rows: _divided_differences(f, rows, memo)[0],
-                                 rest, np.complex128)
-    return values[at]
-
-
-def _in_chunks(evaluate: Callable, rows_of: Callable, count: int, order: int, dtype):
-    """``evaluate`` on ``count`` tuples of ``order + 1`` nodes, where
-    ``rows_of(lo, hi)`` stacks tuples lo..hi-1 as rows, in chunks whose node
-    differences take at most :data:`_GRID_CHUNK_BYTES`."""
-    rows = max(1, _GRID_CHUNK_BYTES // (16 * (order + 1) ** 2))
-    out = np.empty(count, dtype=dtype)
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        out[lo:hi] = evaluate(rows_of(lo, hi))
-    return out
+    union, tuples = _snapped(union, tuples)
+    values, _ = _union_table(f, union, tuples, at)
+    return values.astype(np.complex128, copy=False)[at]
 
 
 @functools.lru_cache(maxsize=16)
@@ -632,31 +500,36 @@ def _sorted_indices(index: Sequence[np.ndarray]) -> list[np.ndarray]:
     return s
 
 
-def _distinct_tuples(ranks: np.ndarray, space: int, dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """For the ranks of a grid's points among the ``space`` ranks (see
-    :func:`_binomials`): a point of each distinct rank, in order of rank,
-    and for every point the position of its rank among them.  While
-    ``dense``, by arrays over the ranks; else by sorting the points."""
-    if not dense:
-        _, at, inverse = np.unique(ranks, return_index=True, return_inverse=True)
-        return at, inverse.reshape(ranks.shape)
-    point = np.full(space, -1)
-    point[ranks.ravel()] = np.arange(ranks.size)
-    distinct = np.flatnonzero(point >= 0)
-    position = np.empty(space, dtype=np.intp)
+def _distinct_tuples(ranks: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ranks among the ``space`` ranks of tuples of one length (see
+    :func:`_binomials`): the position of one of each distinct rank, in
+    order of rank, and for every rank the index of its own among them.  By
+    arrays over the ``space`` ranks while they number at most the given
+    ranks or the complex values in :data:`_GRID_CHUNK_BYTES`; else by
+    sorting the given ranks."""
+    if space > max(ranks.size, _GRID_CHUNK_BYTES // 16):
+        _, first, inverse = np.unique(ranks, return_index=True, return_inverse=True)
+        return first, inverse.reshape(ranks.shape)
+    ranks = ranks.astype(np.intp, copy=False)
+    position = np.full(space, -1)
+    position[ranks.ravel()] = np.arange(ranks.size)
+    distinct = np.flatnonzero(position >= 0)
+    first = position[distinct]
     position[distinct] = np.arange(distinct.size)
-    return point[distinct], position[ranks]
+    return first, position[ranks]
 
 
-def _run_mean(values: np.ndarray, count: int) -> np.ndarray:
-    """The mean that :func:`_cluster_means` gives ``count`` equal copies of
-    each value: (0 + v + ... + v) / count, by parts.  It is v for counts 1
-    and 2 (short of overflow), but often not from 3 on."""
+def _run_means(values: np.ndarray, count: int) -> list[np.ndarray]:
+    """Per M = 1..count, the mean that :func:`_cluster_means` gives M equal
+    copies of each value: (0 + v + ... + v) / M, by parts.  It is v for M =
+    1 and 2 (short of overflow), but often not from 3 on."""
     total = values + 0.0
+    means = [total]
     with np.errstate(all="ignore"):
-        for _ in range(count - 1):
+        for m in range(2, count + 1):
             total = total + values
-        return _by_parts(total, count)
+            means.append(_by_parts(total, m))
+    return means
 
 
 def _isolated(union: np.ndarray) -> np.ndarray:
@@ -668,7 +541,7 @@ def _isolated(union: np.ndarray) -> np.ndarray:
     values = union[isolated]
     if values.size == 0:
         return isolated
-    radius = 1e-7 * max(1.0, float(_modulus(values).max()))  # as _merge_radius
+    radius = DividedDifferenceSpec._merge_radius(values)
     if np.iscomplexobj(values):
         near = np.empty(values.size, dtype=bool)
         rows = max(1, _GRID_CHUNK_BYTES // (16 * values.size))
@@ -677,7 +550,7 @@ def _isolated(union: np.ndarray) -> np.ndarray:
             near[lo : lo + rows] = np.count_nonzero(close, axis=1) > 1  # itself, and another
     else:
         # rounding is monotone, so the nearest value is a neighbour
-        close = np.diff(values) <= radius
+        close = values[1:] - values[:-1] <= radius
         near = np.zeros(values.size, dtype=bool)
         near[:-1] = close
         near[1:] |= close
@@ -685,92 +558,180 @@ def _isolated(union: np.ndarray) -> np.ndarray:
     return isolated
 
 
-def _classes(union: np.ndarray, tuples: list) -> tuple[np.ndarray, np.ndarray]:
-    """Which sorted index tuples into the union hold k + 1 equal finite
-    nodes, and which others the table over the union serves (see
-    :func:`_union_table`): those whose nodes are isolated in the union (see
-    :func:`_isolated`) and whose runs of equal nodes snap to the value
-    itself, as :func:`_snapped_nodes` replaces each by its mean (see
-    :func:`_run_mean`)."""
-    diagonal = (tuples[0] == tuples[-1]) & np.isfinite(union)[tuples[0]]
-    isolated = _isolated(union)
-    served = ~diagonal & np.logical_and.reduce([isolated[t] for t in tuples])
+def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
+    """The sorted index tuples into the sorted union as tuples of the nodes
+    that :func:`_snapped_nodes` makes of them: the union with every node a
+    tuple snaps to joined to it, sorted and distinct, and the tuples as
+    indices into it.
+
+    A tuple of k + 1 equal finite nodes snaps to their mean (see
+    :func:`_run_means`).  Any other tuple stays as it is when its nodes are
+    isolated in the union (see :func:`_isolated`) and each run of equal
+    nodes is its own mean, and else goes through :func:`_snapped_nodes`, in
+    chunks whose node differences take at most :data:`_GRID_CHUNK_BYTES`.
+    """
     width = len(tuples)
-    if width > 2:
-        # per run length M = 2..k, whether M copies of each value snap to it
-        runs = [_run_mean(union, m) == union for m in range(2, width)]
-        if not all(exact[isolated].all() for exact in runs):
-            # by run length 0..k+1 (k + 1 equal nodes are served by neither)
-            exact = np.array([isolated] * 2 + runs + [isolated])
+    isolated = _isolated(union)
+    means = _run_means(union, width)
+    # by run length M = 1..k+1, whether M copies of each value snap to it
+    # (row 0: whether it is isolated)
+    exact = np.array([isolated] + [mean == union for mean in means])
+    equal = tuples[0] == tuples[-1]
+    rest = shifted = np.zeros(0, dtype=np.intp)
+    if not exact[:width].all():  # a value near another, or moved by a run of up to k
+        kept = np.logical_and.reduce([isolated[t] for t in tuples])
+        if not exact[2:width, isolated].all():
             for t in tuples:
-                served &= exact[sum(t == other for other in tuples), t]
-    return diagonal, served
+                kept &= exact[sum(t == other for other in tuples), t]
+        rest = np.flatnonzero(~(equal | kept))
+    # k + 1 equal nodes snap to their mean, unless they are not finite
+    moving = np.isfinite(union) & ~exact[width]
+    if moving.any():
+        shifted = np.flatnonzero(equal & moving[tuples[0]])
+    if shifted.size + rest.size == 0:
+        return union, tuples
+    rows = max(1, _GRID_CHUNK_BYTES // (16 * width**2))
+    snapped = [means[-1][tuples[0][shifted]]] + [
+        _snapped_nodes(union[np.stack([t[rest[lo : lo + rows]] for t in tuples], 1)]).ravel()
+        for lo in range(0, rest.size, rows)
+    ]
+    nodes, inverse = np.unique(np.concatenate([union, *snapped]),
+                               return_inverse=True, equal_nan=False)
+    tuples = [inverse[t] for t in tuples]
+    start = union.size + shifted.size
+    # sorted again, since values that sort as equal (NaN) need not keep order
+    for t, s in zip(tuples, np.sort(inverse[start:].reshape(-1, width), axis=1).T):
+        t[shifted] = inverse[union.size : start]
+        t[rest] = s
+    return nodes, tuples
+
+
+def _level(lower: np.ndarray, upper: np.ndarray, windows: list) -> tuple:
+    """A level of the table over the nodes (see :func:`_union_table`), from
+    its windows, one array of node indices per position, and the positions
+    in the level below of the two windows each spans: those positions, the
+    indices of each window's ends, and the positions and the node of its
+    windows of equal ends."""
+    confluent = np.flatnonzero(windows[0] == windows[-1])
+    return lower, upper, windows[-1], windows[0], confluent, windows[0][confluent]
 
 
 @functools.lru_cache(maxsize=16)
 def _union_levels(size: int, order: int) -> list:
-    """The index structure of the table over a union of ``size`` values,
-    shared by every grid with that union size and order: per level
-    l = 1..order-1 the ranks (see :func:`_binomials`) of the two
-    level-(l-1) entries that each entry spans, the indices of its ends, and
-    the ranks and the node of its entries of equal ends.  All read-only."""
+    """Levels 1..order-1 of the table over ``size`` nodes holding every
+    non-decreasing index tuple, at its rank (see :func:`_binomials` and
+    :func:`_level`), shared by every table with that size and order.  All
+    read-only."""
     binomials = _binomials(size, order)
     levels = []
     for level in range(1, order):
         windows = _unrank(np.arange(binomials[level][size]), binomials[: level + 1])
-        confluent = np.flatnonzero(windows[0] == windows[-1])
-        levels.append((_rank(binomials, windows[:-1]), _rank(binomials, windows[1:]),
-                       windows[-1], windows[0], confluent, windows[0][confluent]))
+        levels.append(_level(_rank(binomials, windows[:-1]), _rank(binomials, windows[1:]),
+                             windows))
     for array in [a for level in levels for a in level]:
         array.setflags(write=False)
     return levels
 
 
-def _union_table(f: ScalarFunction, union: np.ndarray, tuples: list, memo: dict) -> np.ndarray:
-    """``f^[k]`` at sorted index tuples into the union whose table reads no
-    cluster (see :func:`_classes`) and whose nodes are not all equal, one
-    array of indices per position, by the recursive table over the union.
+def _window_levels(size: int, tuples: list) -> list:
+    """Levels 1..k of the table over ``size`` nodes (see :func:`_level`)
+    holding only the windows that the sorted index tuples contain: level k
+    the tuples, and each level below the distinct windows that the level
+    above spans, found by rank (see :func:`_distinct_tuples`)."""
+    order = len(tuples) - 1
+    binomials = _binomials(size, order)
+    windows, levels = tuples, []
+    for level in range(order - 1, 0, -1):
+        spanned = [np.concatenate(pair) for pair in zip(windows[:-1], windows[1:])]
+        first, position = _distinct_tuples(_rank(binomials, spanned), binomials[level][size])
+        levels.append(_level(*np.split(position, 2), windows))
+        windows = [w[first] for w in spanned]
+    levels.append(_level(windows[0], windows[1], windows))
+    return levels[::-1]
 
-    Level l < k holds ``f^[l]`` at every non-decreasing (l+1)-tuple of union
-    indices, at its rank (see :func:`_union_levels`): ``f^(l)(z) / l!``
-    where the tuple's ends are equal, else the difference of the two
-    level-(l-1) entries it spans over the difference of its ends.  The top
-    level is evaluated at the given tuples alone.  ``f^(l)`` is called at the
-    nodes of the tuples' windows of l + 1 equal nodes only (``f`` at all
-    their nodes), through ``memo``; the other entries of equal ends hold 0
-    and no tuple reads them.  Values and kinds follow
-    :func:`_divided_differences`.
+
+def _union_table(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarray):
+    """``f^[k]`` at sorted index tuples into the sorted distinct ``nodes``,
+    one array of indices per position, by the recursive table over the
+    nodes: the value at each tuple, and whether it is complex.
+
+    When a tuple's longest run of equal indices, less one, is a derivative
+    order that ``f`` lacks, no value is computed: the error names the first
+    such tuple among those that ``at`` lists, in its order.
+
+    Level l holds ``f^[l]`` at non-decreasing (l+1)-tuples of indices:
+    ``f^(l)(z) / l!`` where the tuple's ends are equal, else the difference
+    of the two level-(l-1) entries it spans over the difference of its ends.
+    The top level is evaluated at the given tuples.  The levels below hold
+    every tuple, at its rank (see :func:`_union_levels`), while the largest
+    of them takes at most :data:`_GRID_CHUNK_BYTES` of complex values, and
+    beyond that only the windows the given tuples contain (see
+    :func:`_window_levels`).
+
+    ``f`` is called at the nodes of the tuples whose indices are not all
+    equal, ``f^(l)`` for 0 < l < k at the nodes of their windows of l + 1
+    equal indices, and ``f^(k)`` at the node of each tuple of k + 1 equal
+    indices, once per node: the entries a tuple reads.  The other entries of
+    equal ends hold 0, and no tuple reads them.  Real values are divided as
+    reals, and complex ones as the scalar recursion divided them (see
+    :func:`_quotient`).
     """
     order = len(tuples) - 1
-    read = np.zeros((order, union.size), dtype=bool)
-    read[0, np.concatenate(tuples)] = True
+    available = f.derivative_order_available
+    if order > available:
+        # the order of the highest derivative each tuple reads: its longest
+        # run of equal indices, less one
+        needed = np.zeros(len(tuples[0]), dtype=int)
+        for level in range(1, order + 1):
+            needed[np.logical_or.reduce([tuples[j] == tuples[j + level]
+                                         for j in range(order + 1 - level)])] = level
+        failing = needed > available
+        if failing.any():  # name the first failing point
+            size = int(needed[at.flat[np.argmax(failing[at])]]) + 1
+            raise CapabilityError(
+                f"confluent cluster of size {size} needs derivative order "
+                f"{size - 1}, available {available}"
+            )
+    equal = tuples[0] == tuples[-1]
+    unequal = [t[~equal] for t in tuples] if equal.any() else tuples
+    read = np.zeros((order + 1, nodes.size), dtype=bool)
+    read[0, np.concatenate(unequal)] = True
     for level in range(1, order):
         for j in range(order + 1 - level):
-            read[level, tuples[j][tuples[j] == tuples[j + level]]] = True
+            read[level, unequal[j][unequal[j] == unequal[j + level]]] = True
+    read[order, tuples[0][equal]] = True
+    points = nodes.tolist()
     columns = []
-    for level in range(order):
-        found = iter(_memo_values(_derivative_fn(f, level), union[read[level]],
-                                  memo.setdefault(level, {})))
-        columns.append([next(found) if wanted else 0.0 for wanted in read[level].tolist()])
-    complex_nodes = np.iscomplexobj(union)
-    typed = complex_nodes or any(_is_complex(v) for values in columns for v in values)
-    binomials, levels = _binomials(union.size, order), _union_levels(union.size, order)
-    top = (_rank(binomials, tuples[:-1]), _rank(binomials, tuples[1:]), tuples[-1], tuples[0])
-    table, kind = _column(columns[0], slice(None), typed)
+    for level in range(order + 1):
+        fn = _derivative_fn(f, level)
+        columns.append([fn(z) if wanted else 0.0
+                        for z, wanted in zip(points, read[level].tolist())])
+    complex_nodes = np.iscomplexobj(nodes)
+    typed = complex_nodes or any(map(_is_complex, itertools.chain(*columns)))
+    if order == 0:
+        table, kind = _column(columns[0], tuples[0], typed)
+        levels = []
+    else:
+        table, kind = _column(columns[0], slice(None), typed)
+        binomials = _binomials(nodes.size, order)
+        if binomials[order - 1][nodes.size] <= _GRID_CHUNK_BYTES // 16:
+            levels = _union_levels(nodes.size, order) + [_level(
+                _rank(binomials, tuples[:-1]), _rank(binomials, tuples[1:]), tuples)]
+        else:
+            levels = _window_levels(nodes.size, tuples)
     with np.errstate(all="ignore"):
-        for level, (lower, upper, last, first, *confluent) in enumerate(levels + [top], 1):
+        for level, (lower, upper, last, first, confluent, node) in enumerate(levels, 1):
             if typed:
                 # complex when either value is; of Python type when both are
                 kind = np.stack([kind[upper, 0] | kind[lower, 0] | complex_nodes,
                                  kind[upper, 1] & kind[lower, 1]], axis=-1)
-            table = _quotient(table[upper] - table[lower], union[last] - union[first], kind)
-            if confluent:
-                at, node = confluent
+            table = _quotient(table[upper] - table[lower], nodes[last] - nodes[first], kind)
+            if confluent.size:
                 derivative, derivative_kind = _column(columns[level], node, typed)
-                table[at] = derivative
+                table[confluent] = derivative
                 if typed:
-                    kind[at] = derivative_kind
-    return table
+                    kind[confluent] = derivative_kind
+    return table, kind[:, 0] if typed else np.zeros(len(table), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -1246,8 +1207,8 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     :func:`divided_difference`, and a whole grid through
     :func:`_divided_difference_grid`, which evaluates each sorted tuple of
     indices into the union of the axes once (the divided difference is
-    symmetric in its nodes), reads tuples of separated nodes from one table
-    over the union, and calls ``f`` and each derivative once per node whose
+    symmetric in its nodes), reads every tuple, once snapped, from one table
+    over the nodes, and calls ``f`` and each derivative once per node whose
     value the grid reads.
     """
     if order < 0:

@@ -323,6 +323,9 @@ REJECTED_PAYLOADS = [
     pytest.param("tailbound", "tailbound_kth_derivative.json",
                  lambda p: {**_small_tailbound(p), "seed": True},
                  id="tailbound-seed-boolean"),
+    pytest.param("higher-diff", "demo_higher_diff.json",
+                 lambda p: {**p, "include_moi_diagnostic": "no"},
+                 id="higher-diff-diagnostic-flag-string"),
 ]
 
 
@@ -439,6 +442,22 @@ class TestCliMisc:
             "--format", "csv",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, computation", [
+        (["moi-eval", "--input", config_path("demo_moi_eval.json")], "moi_evaluate"),
+        (["frechet", "--input", config_path("demo_frechet.json")], "frechet_derivative"),
+        (["haar", "--dim", "3", "--count", "2"], "sample_haar_unitary"),
+    ])
+    def test_csv_is_rejected_before_the_computation(self, monkeypatch, capsys, argv,
+                                                    computation):
+        from moikit import cli
+
+        calls = []
+        monkeypatch.setattr(cli, computation, lambda *a, **k: calls.append(a))
+        assert run_cli(argv + ["--format", "csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: flags.format: csv output is only available for tabular reports\n")
+        assert calls == []
 
     def test_stdout_when_no_output_path(self, capsys):
         assert run_cli(["frechet", "--input",

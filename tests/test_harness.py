@@ -3,6 +3,7 @@ and convergence in the r-th mean."""
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 from concurrent.futures import Future
@@ -445,7 +446,24 @@ class TestShippedConfigsParse:
         assert ser.parse_experiment(rebuilt).theta_grid == exp.theta_grid
 
 
+# sha256 of the convergence-in-mean report on the shipped default at 20
+# samples and 8 steps, wall time removed, pinned so that batching the check
+# keeps every report byte-identical
+CONVMEAN_DIGEST = "d649998f7629ef596f5efe000f99cb6dc1b544862889967a9006ac07f33bc49d"
+
+
 class TestConvergenceInMean:
+    def test_default_report_is_pinned(self):
+        payload = ser.load_json(config_path("convmean_default.json"))
+        report = mk.convergence_in_mean_check(
+            ser.parse_model(payload["base_model"]), payload["epsilon0"], 8, payload["r"],
+            ser.parse_scalar_function(payload["f"]), payload["order"],
+            [ser.parse_matrix(m) for m in payload["arguments"]], 20, payload["seed"],
+        )
+        report.pop("wall_time_s")
+        digest = hashlib.sha256(ser.dumps_deterministic(report).encode()).hexdigest()
+        assert digest == CONVMEAN_DIGEST
+
     def test_zero_epsilon_gives_zero_sequence(self):
         model = mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0))
         rng = np.random.default_rng(0)

@@ -515,6 +515,35 @@ def table_rows(monkeypatch):
     return rows
 
 
+def spied_calls(monkeypatch, name):
+    """The list that will hold the arguments of every later call of
+    ``integrands.<name>``."""
+    calls = []
+    fn = getattr(integrands, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(integrands, name, spy)
+    return calls
+
+
+def snapped_rows(monkeypatch):
+    """The list that will hold the row count of every later call of
+    ``_snapped_nodes``, which a grid calls on the tuples that snapping may
+    move, chunk by chunk."""
+    rows = []
+    snap = integrands._snapped_nodes
+
+    def spy(nodes):
+        rows.append(len(nodes))
+        return snap(nodes)
+
+    monkeypatch.setattr(integrands, "_snapped_nodes", spy)
+    return rows
+
+
 class TestVectorizedTable:
     """The vectorized divided-difference table against the scalar recursion
     of ``oracles.divided_difference_per_point``: not a bit may change."""
@@ -595,6 +624,21 @@ class TestVectorizedTable:
         assert same_bits(chunked, whole)
         assert len(calls) == len(set(calls))  # once per node, across the chunks
 
+    def test_infinite_nodes_of_both_signs_are_clustered(self):
+        # under the infinite merge radius -inf and inf are near each other,
+        # but neither is near itself (inf - inf is nan): their cluster labels
+        # must still settle.  Only the NaN pattern is compared, since
+        # np.sort may change the sign of a NaN
+        f = exp_with_derivatives(2)
+        spec = mk.DividedDifferenceSpec(f, 2, (-math.inf, -math.inf, math.inf))
+        axes = [np.array([-math.inf, 0.5, math.inf])] * 3
+        with np.errstate(all="ignore"):
+            assert np.isnan(mk.divided_difference(spec))
+            assert np.isnan(oracles.divided_difference_per_point(spec))
+            got = integrands._divided_difference_grid(f, 2, axes)
+            expected = oracles.divided_difference_grid_per_point(f, 2, axes)
+        assert np.array_equal(got, expected, equal_nan=True)
+
     def test_moduli_have_the_bits_of_python_abs(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
@@ -616,15 +660,19 @@ class TestVectorizedTable:
         axis = awkward_axis("real", np.random.default_rng(4))
         grid = mk.divided_difference_integrand(f, 2).eval_grid([axis] * 3)
         assert np.all(np.isfinite(grid))
-        needed = set()  # the (order, node) pairs the per-point recursion used
+        used = set()  # the (order, node) pairs the per-point recursion used
+        needed = set()  # those its entries read (see reads)
         for point in itertools.product(axis, repeat=3):
             spec = mk.DividedDifferenceSpec(f, 2, point)
             ordered = sorted(oracles._cluster_nodes(list(spec.nodes), spec.tolerance))
-            needed.update((0, complex(z)) for z in ordered)
-            needed.update((level, complex(ordered[i]))
-                          for level in (1, 2) for i in range(3 - level)
-                          if ordered[i] == ordered[i + level])
+            used.update((0, complex(z)) for z in ordered)
+            used.update((level, complex(ordered[i]))
+                        for level in (1, 2) for i in range(3 - level)
+                        if ordered[i] == ordered[i + level])
+            needed |= reads(ordered)
         assert {level for level, _ in needed} == {0, 1, 2}
+        # rows that snap to three equal nodes read f'' / 2 at their mean alone
+        assert needed < used
         assert sorted(calls, key=str) == sorted(needed, key=str)
 
     @pytest.mark.parametrize("kind", ["real", "unit_circle"])
@@ -673,12 +721,13 @@ class TestVectorizedTable:
         f = mk.ScalarFunction.from_callable(sin, (np.cos, lambda z: -np.sin(z)))
         axes = [awkward_axis("unit_circle", np.random.default_rng(9))] * 3
         whole = integrands._divided_difference_grid(f, 2, axes)
-        rows = table_rows(monkeypatch)
+        rows = snapped_rows(monkeypatch)
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         calls.clear()
         chunked = integrands._divided_difference_grid(f, 2, axes)
-        # the C(7, 3) = 35 multisets of the axis's 5 distinct values, less
-        # the 5 of three equal nodes, which take f''(mean) / 2 directly
+        # the C(7, 3) = 35 multisets of the axis's 5 distinct values, none
+        # isolated, less the 5 of three equal nodes, which snap to their mean
+        # directly
         assert rows == [7, 7, 7, 7, 2]
         assert same_bits(chunked, whole)
         assert len(calls) == len(set(calls))  # once per node, across the chunks
@@ -797,9 +846,9 @@ class TestUnionTable:
                             expected)
 
     def test_served_tuples_skip_the_per_point_table(self, monkeypatch):
-        # order 2: three equal nodes take their mean directly, and pairs
-        # snap to their own values, so the table serves every other tuple
-        rows = table_rows(monkeypatch)
+        # order 2: three equal nodes snap to their mean directly, and pairs
+        # to their own values, so no tuple goes through _snapped_nodes
+        rows = snapped_rows(monkeypatch)
         f = exp_with_derivatives(3)
         for kind in ("real", "unit_circle"):
             axes = separated_axes("single", kind, 2)
@@ -853,19 +902,22 @@ class TestUnionTable:
 
     def test_ranks_beyond_the_grid_are_found_by_sorting(self, monkeypatch):
         # [shifted, base, base] on 6 + 6 values: C(12 + 2, 3) = 364 ranks for
-        # 216 points, more than the 63 complex values of the chunk too.  The
-        # table over the union is not built, and each of the 6 * C(7, 2) =
-        # 126 distinct tuples goes through the per-tuple table once
+        # 216 points, more than the 63 complex values of the chunk too, so
+        # the 6 * C(7, 2) = 126 distinct tuples are found by sorting.  The
+        # table over the union holds its level 1 whole while its C(13, 2) =
+        # 78 entries fit, and beyond that only the windows of those tuples
         f = exp_with_derivatives(2)
         rng = np.random.default_rng(10)
         base = np.append(rng.uniform(-1, 1, 5), 0.1)
         axes = [base + 2.0, base, base.copy()]
-        rows = table_rows(monkeypatch)
+        windows = spied_calls(monkeypatch, "_window_levels")
+        tables = spied_calls(monkeypatch, "_union_table")
         whole = integrands._divided_difference_grid(f, 2, axes)
-        assert rows == []  # all read from the table over the union
+        assert windows == []
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         chunked = integrands._divided_difference_grid(f, 2, axes)
-        assert rows == [7] * 18
+        assert len(windows) == 1
+        assert [len(t[0]) for _, _, t, _ in tables] == [126, 126]
         expected = oracles.divided_difference_grid_per_point(f, 2, axes)
         assert same_bits(whole, expected) and same_bits(chunked, expected)
         # a missing derivative names the first failing point in grid order
