@@ -273,11 +273,11 @@ class DividedDifferenceSpec:
 
 # Bytes an intermediate array of a divided-difference grid may take when it
 # outgrows the grid itself: the (P, k+1, k+1) node differences of the tuples
-# snapped at a time, the complex values of the largest level that the table
-# over the nodes holds whole (see :func:`_union_table`), and the arrays over
-# the ranks of a grid's tuples while the ranks number at most the grid's
-# points or the complex values in this many bytes (see
-# :func:`_distinct_tuples`).
+# snapped at a time, the index arrays that the levels of the table over the
+# nodes holding every tuple keep, summed over those levels (see
+# :func:`_union_levels_fit`), and the arrays over the ranks of a grid's
+# tuples while the ranks number at most the grid's points or the complex
+# values in this many bytes (see :func:`_distinct_tuples`).
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -633,6 +633,17 @@ def _union_levels(size: int, order: int) -> list:
     return levels
 
 
+def _union_levels_fit(size: int, order: int) -> bool:
+    """Whether the arrays :func:`_union_levels` keeps for ``size`` nodes take
+    at most :data:`_GRID_CHUNK_BYTES`: per level l, four int64 arrays over
+    its ``B[l][size]`` windows and two over its ``size`` windows of equal
+    ends (see :func:`_level`).  The complex values of its largest level, at
+    16 bytes an entry, then fit as well."""
+    binomials = _binomials(size, order)
+    kept = sum(4 * int(binomials[level][size]) + 2 * size for level in range(1, order))
+    return 8 * kept <= _GRID_CHUNK_BYTES
+
+
 def _window_levels(size: int, tuples: list) -> list:
     """Levels 1..k of the table over ``size`` nodes (see :func:`_level`)
     holding only the windows that the sorted index tuples contain: level k
@@ -663,8 +674,8 @@ def _union_table(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndar
     ``f^(l)(z) / l!`` where the tuple's ends are equal, else the difference
     of the two level-(l-1) entries it spans over the difference of its ends.
     The top level is evaluated at the given tuples.  The levels below hold
-    every tuple, at its rank (see :func:`_union_levels`), while the largest
-    of them takes at most :data:`_GRID_CHUNK_BYTES` of complex values, and
+    every tuple, at its rank (see :func:`_union_levels`), while what they
+    keep fits :data:`_GRID_CHUNK_BYTES` (see :func:`_union_levels_fit`), and
     beyond that only the windows the given tuples contain (see
     :func:`_window_levels`).
 
@@ -714,7 +725,7 @@ def _union_table(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndar
     else:
         table, kind = _column(columns[0], slice(None), typed)
         binomials = _binomials(nodes.size, order)
-        if binomials[order - 1][nodes.size] <= _GRID_CHUNK_BYTES // 16:
+        if _union_levels_fit(nodes.size, order):
             levels = _union_levels(nodes.size, order) + [_level(
                 _rank(binomials, tuples[:-1]), _rank(binomials, tuples[1:]), tuples)]
         else:

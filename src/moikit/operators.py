@@ -19,7 +19,8 @@ public single-operator functions with a batch of one.
 Trust boundary: constructors and parsers check their input, and
 :func:`spectral_decompose` checks what LAPACK returns.  Operators that moikit
 builds from checked inputs (samplers, :func:`apply_scalar_function`,
-:func:`shifted_operator`, ``tensors.unfold``) are not checked again.
+:func:`shifted_operator`) are not checked again.  A Hermitian tensor is
+checked by building its unfolded operator, once, through the constructor.
 """
 
 from __future__ import annotations

@@ -6,18 +6,23 @@ of those two index blocks is an isomorphism onto Hermitian matrices of size
 prod(I); contraction over N common indices becomes the matrix product under
 that grouping, so tensor integrals are evaluated by unfolding, running the
 matrix engine, and folding back.
+
+Each tensor builds its unfolding once, as a :class:`HermitianOperator` whose
+finiteness and Hermitian checks are the tensor's only checks, and keeps it:
+the operator's spectral decomposition is computed on first use and cached,
+so a tensor is checked once and decomposed at most once over its lifetime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .moi import moi_core
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _adjoint, _from_spectrum
 
 __all__ = [
     "HermitianTensor",
@@ -29,37 +34,27 @@ __all__ = [
     "mti_evaluate",
 ]
 
-CONJUGATE_SYMMETRY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HermitianTensor:
-    """2N-way complex array, conjugate-symmetric across its two index blocks."""
+    """2N-way complex array, conjugate-symmetric across its two index blocks.
+
+    The entries are a read-only view of the matrix of the tensor's unfolded
+    operator (see :func:`unfold`), which is built and checked here.
+    """
 
     mode_dims: tuple[int, ...]
     entries: np.ndarray
+    _unfolded: HermitianOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.mode_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("mode dimensions must be positive")
-        arr = np.array(self.entries, dtype=np.complex128)
-        expected = dims + dims
-        if arr.shape != expected:
-            raise ValidationError(
-                f"entries have shape {arr.shape}, expected {expected}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("tensor contains non-finite entries")
-        asym = float(np.max(np.abs(arr - _block_adjoint(arr)))) if arr.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        if asym > CONJUGATE_SYMMETRY_TOL * scale:
-            raise ValidationError(
-                f"tensor is not conjugate-symmetric: max deviation {asym:.3e}"
-            )
-        arr.setflags(write=False)
+        unfolded = HermitianOperator(unfold_array(self.entries, dims))
         object.__setattr__(self, "mode_dims", dims)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", unfolded.matrix.reshape(dims + dims))
+        object.__setattr__(self, "_unfolded", unfolded)
 
 
 @dataclass(frozen=True)
@@ -70,17 +65,10 @@ class TensorEigenSystem:
     eigentensors: tuple[np.ndarray, ...]
 
     def reconstruct(self, mode_dims: tuple[int, ...]) -> HermitianTensor:
-        total = np.zeros(tuple(mode_dims) * 2, dtype=np.complex128)
-        for value, tensor in zip(self.eigenvalues, self.eigentensors):
-            total += value * np.multiply.outer(tensor, tensor.conj())
-        total = (total + _block_adjoint(total)) / 2.0
-        return HermitianTensor(tuple(mode_dims), total)
-
-
-def _block_adjoint(arr: np.ndarray) -> np.ndarray:
-    """Conjugate of a 2N-way array with its two index blocks swapped."""
-    n = arr.ndim // 2
-    return np.conj(np.transpose(arr, axes=tuple(range(n, 2 * n)) + tuple(range(n))))
+        p = math.prod(mode_dims)
+        basis = np.stack([t.reshape(p) for t in self.eigentensors], axis=1)
+        total = _from_spectrum(np.asarray(self.eigenvalues), basis)
+        return fold((total + _adjoint(total)) / 2.0, mode_dims)
 
 
 def tensor_contract(a, b, k: int) -> np.ndarray:
@@ -98,9 +86,11 @@ def tensor_contract(a, b, k: int) -> np.ndarray:
 
 
 def unfold(tensor: HermitianTensor) -> HermitianOperator:
-    """Row-major grouping of the two index blocks into a Hermitian matrix
-    (the tensor's own check is this matrix's Hermitian check)."""
-    return HermitianOperator._trusted(unfold_array(tensor.entries, tensor.mode_dims))
+    """Row-major grouping of the two index blocks into a Hermitian matrix:
+    the operator the tensor built and checked when it was made, the same
+    object on every call, with its decomposition cached on first use."""
+    shared_mode_dims([tensor])
+    return tensor._unfolded
 
 
 def unfold_array(entries, mode_dims) -> np.ndarray:
@@ -149,12 +139,18 @@ def tensor_eigendecompose(tensor: HermitianTensor) -> TensorEigenSystem:
 
 
 def shared_mode_dims(tensors) -> tuple[int, ...]:
-    """The mode dimensions every tensor in the non-empty list shares."""
-    dims = tensors[0].mode_dims
+    """The mode dimensions every tensor in the non-empty list shares; each
+    must be a :class:`HermitianTensor`."""
     for i, t in enumerate(tensors):
-        if t.mode_dims != dims:
-            raise ValidationError(f"tensor {i} has modes {t.mode_dims}, expected {dims}")
-    return dims
+        if not isinstance(t, HermitianTensor):
+            raise ValidationError(
+                f"tensor {i} is a {type(t).__name__}, not a HermitianTensor"
+            )
+        if t.mode_dims != tensors[0].mode_dims:
+            raise ValidationError(
+                f"tensor {i} has modes {t.mode_dims}, expected {tensors[0].mode_dims}"
+            )
+    return tensors[0].mode_dims
 
 
 def mti_evaluate(tensors, integrand, arguments) -> HermitianTensor | np.ndarray:

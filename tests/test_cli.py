@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, determinism, validation."""
 
 import copy
+import hashlib
 import json
 import os
 
@@ -218,6 +219,12 @@ class TestPolyDecomposeCommand:
         assert payload["product_form_residual"] <= 1e-10
 
 
+# sha256 of the mti-eval report on the shipped demo, wall time removed,
+# pinned so that changes to how tensors hold their unfolding keep the report
+# byte-identical
+MTI_EVAL_DEMO_DIGEST = "85ea6cf6ff2040cd6f28c8531e8dc91cc9f26b7c509822bddbc51fa73a823c4c"
+
+
 class TestMtiEvalCommand:
     def test_demo(self, tmp_path):
         out = tmp_path / "mti.json"
@@ -228,6 +235,17 @@ class TestMtiEvalCommand:
         payload = read_json(out)
         assert payload["kind"] == "mti_result"
         assert payload["eigen_tuple_count"] == 16
+
+    def test_demo_report_is_pinned(self, tmp_path):
+        out = tmp_path / "mti.json"
+        assert run_cli([
+            "mti-eval", "--input", config_path("demo_mti_eval.json"),
+            "--output", str(out),
+        ]) == 0
+        payload = read_json(out)
+        payload.pop("wall_time_s", None)
+        digest = hashlib.sha256(ser.dumps_deterministic(payload).encode()).hexdigest()
+        assert digest == MTI_EVAL_DEMO_DIGEST
 
 
 def _without(payload, key):

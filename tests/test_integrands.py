@@ -962,6 +962,18 @@ class TestUnionTable:
                                 expected)
             assert expected[0] is CapabilityError or available == order
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_whole_levels_keep_at_most_the_chunk_bytes(self, order):
+        # the largest union whose levels over every tuple the rule admits
+        # (the rule is monotone in the size, so bisect)
+        lo, hi = 1, 4096
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if integrands._union_levels_fit(mid, order) else (lo, mid - 1)
+        assert not integrands._union_levels_fit(lo + 1, order)
+        levels = integrands._union_levels.__wrapped__(lo, order)  # not cached
+        assert sum(a.nbytes for level in levels for a in level) <= integrands._GRID_CHUNK_BYTES
+
 
 def grid_sups(psi, axes):
     """Per sample, max |psi| from the full stacked ``eval_grid``."""

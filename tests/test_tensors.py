@@ -1,9 +1,12 @@
 """Tensor contraction, unfolding isomorphism, and tensor integrals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import moikit as mk
+from moikit import operators
 from moikit.errors import ValidationError
 from moikit.tensors import unfold_array
 
@@ -89,6 +92,91 @@ class TestUnfoldFold:
             mk.HermitianTensor((2,), entries)
 
 
+class TestConjugateSymmetryBoundary:
+    """The tensor's check is its unfolding's Hermitian check: asymmetry above
+    1e-12 max(1, max|entries|) is rejected, and up to it accepted."""
+
+    @staticmethod
+    def skewed(delta):
+        # max|entries| is 3, and entry (0, 1) of the unfolding differs from
+        # the conjugate of entry (1, 0) by exactly delta
+        matrix = np.diag([3.0, -1.0, 0.5, 2.0]).astype(complex)
+        matrix[0, 1] = delta
+        return matrix.reshape(2, 2, 2, 2)
+
+    @staticmethod
+    def block_asymmetry(entries):
+        """The deviation from conjugate symmetry, on the 2N-way array."""
+        adjoint = np.conj(np.transpose(entries, (2, 3, 0, 1)))
+        return np.max(np.abs(entries - adjoint))
+
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_just_over_is_rejected_and_just_under_accepted(self, unit):
+        bound = 1e-12 * 3.0
+        over = self.skewed(np.nextafter(bound, np.inf) * unit)
+        under = self.skewed(bound * unit)
+        assert self.block_asymmetry(over) > bound >= self.block_asymmetry(under)
+        with pytest.raises(ValidationError):
+            mk.HermitianTensor((2, 2), over)
+        tensor = mk.HermitianTensor((2, 2), under)
+        assert tensor.entries.tobytes() == under.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entries_rejected(self, value):
+        entries = self.skewed(0.0)
+        entries[1, 0, 1, 0] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            mk.HermitianTensor((2, 2), entries)
+
+
+class TestKeptUnfolding:
+    def test_unfold_is_the_same_view_every_call(self, rng):
+        tensor = random_hermitian_tensor(rng, (2, 3))
+        operator = mk.unfold(tensor)
+        assert mk.unfold(tensor) is operator
+        assert np.shares_memory(operator.matrix, tensor.entries)
+        assert not tensor.entries.flags.writeable
+        assert not operator.matrix.flags.writeable
+
+    def test_each_tensor_is_decomposed_once(self, rng, monkeypatch):
+        decomposed = []
+        decompose = operators.spectral_decompose
+
+        def spy(op):
+            decomposed.append(op)
+            return decompose(op)
+
+        monkeypatch.setattr(operators, "spectral_decompose", spy)
+        dims = (2, 2)
+        tensors = [random_hermitian_tensor(rng, dims) for _ in range(3)]
+        arguments = [random_hermitian_tensor(rng, dims) for _ in range(2)]
+        psi = mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial([0.5, -1.0, 0.0, 2.0]), 2
+        )
+        for _ in range(5):
+            mk.mti_evaluate(tensors, psi, arguments)
+        mk.tensor_eigendecompose(tensors[1])
+        assert sorted(map(id, decomposed)) == sorted(id(mk.unfold(t)) for t in tensors)
+
+
+class TestNonTensorInputs:
+    def test_array_in_mti_tensors(self, rng):
+        t = random_hermitian_tensor(rng, (2, 2))
+        psi = mk.SeparableIntegrand.constant(2)
+        with pytest.raises(ValidationError, match="tensor 0 is a ndarray"):
+            mk.mti_evaluate([np.eye(4), t], psi, [t])
+
+    def test_operator_in_mti_tensors(self, rng):
+        t = random_hermitian_tensor(rng, (2, 2))
+        psi = mk.SeparableIntegrand.constant(2)
+        with pytest.raises(ValidationError, match="tensor 1 is a HermitianOperator"):
+            mk.mti_evaluate([t, mk.unfold(t)], psi, [t])
+
+    def test_array_to_eigendecompose(self):
+        with pytest.raises(ValidationError, match="tensor 0 is a ndarray"):
+            mk.tensor_eigendecompose(np.eye(4))
+
+
 class TestEigendecomposition:
     def test_identity_tensor(self):
         tensor = mk.fold(np.eye(6, dtype=complex), (2, 3))
@@ -165,3 +253,30 @@ class TestMtiEvaluate:
         t2 = random_hermitian_tensor(rng, (4,))
         with pytest.raises(ValidationError):
             mk.mti_evaluate([t1, t2], mk.SeparableIntegrand.constant(2), [t1])
+
+
+# sha256 of mti_evaluate over fixed random tensors of orders 1-3 (see
+# mti_results_bytes), pinned so that changes to how tensors hold their
+# unfolding keep every result bit-identical
+MTI_DIGEST = "9a6341e423ae91285a00a65de49c762719ae20d2edac4679377b636650021343"
+
+
+def mti_results_bytes() -> bytes:
+    """The entries of mti_evaluate on three tensors per mode shape, with a
+    polynomial and an exp divided-difference integrand of order 2."""
+    rng = np.random.default_rng(20260)
+    poly = mk.ScalarFunction.polynomial(rng.standard_normal(5))
+    exp = mk.ScalarFunction.from_callable(np.exp, (np.exp, np.exp, np.exp))
+    chunks = []
+    for dims in [(3,), (2, 3), (2, 1, 2)]:
+        tensors = [random_hermitian_tensor(rng, dims) for _ in range(3)]
+        arguments = [random_hermitian_tensor(rng, dims) for _ in range(2)]
+        for f in (poly, exp):
+            psi = mk.divided_difference_integrand(f, 2)
+            result = mk.mti_evaluate(tensors, psi, arguments)
+            chunks.append(np.asarray(getattr(result, "entries", result)).tobytes())
+    return b"".join(chunks)
+
+
+def test_mti_results_are_pinned():
+    assert hashlib.sha256(mti_results_bytes()).hexdigest() == MTI_DIGEST
