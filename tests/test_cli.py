@@ -248,6 +248,92 @@ class TestMtiEvalCommand:
         assert digest == MTI_EVAL_DEMO_DIGEST
 
 
+# sha256 of the `validate` report of every shipped config, and of the command
+# output of every demo config, wall time removed: pinned so that changes to
+# how the CLI reads its inputs and dispatches its commands keep every byte
+VALIDATE_DIGESTS = {
+    "convmean_default.json":
+        "2727092076734ea0c22bd6417b4b2eb5ca7f71f846d0ee967b644cdec7c6d426",
+    "demo_frechet.json":
+        "d1090f225210c7cec06e600a37db223c9f75d4a037d0da203fac8bd3fe193d84",
+    "demo_higher_diff.json":
+        "6248c4749c3eeab20b5e754d9e9571d05721ddae5c8b86ac8f2513d800e01380",
+    "demo_kth_deriv.json":
+        "720cb54d2c541a32c3bb3acf8cea9901c674765704d07d4d662b09708344b1c7",
+    "demo_moi_eval.json":
+        "0e2ec8fae4e861749fc90e3ef6314c5950267cbd663eeab6bdb505da12df90b1",
+    "demo_mti_eval.json":
+        "aeb80b22c9ff63b6cd6aa4a3272ba4fa5f5426634a4c12c4440f03bcd176eb8e",
+    "demo_poly_decompose.json":
+        "fa5a2287b8c30aa8dbcdfe2a211d9b2dd304d8f4c4852800de3813a52c863c7e",
+    "demo_remainder_sa.json":
+        "691fd87aae12765a2850339946ae8a0a23e08e6056f50ed55647ab5122bfd94d",
+    "demo_remainder_unitary.json":
+        "691fd87aae12765a2850339946ae8a0a23e08e6056f50ed55647ab5122bfd94d",
+    "tailbound_first_derivative.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+    "tailbound_higher_difference.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+    "tailbound_kth_derivative.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+    "tailbound_moi_norm_a.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+    "tailbound_moi_norm_schatten_b.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+    "tailbound_sa_remainder.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+    "tailbound_unitary_remainder.json":
+        "933b12b0b85b35186bd002adf8bdbfbf6bdca152769e513ef5ce60a829b5b905",
+}
+
+# (command, sha256 of its output) for every demo config
+DEMO_DIGESTS = {
+    "demo_frechet.json": (
+        "frechet", "ae6c0c9b4cf36f6f6310e6744aea96645a8988f1d7bb1b0c4c2fd040fc2c194d"),
+    "demo_higher_diff.json": (
+        "higher-diff", "ff29cf945319337748e3b5b247c8f0ab2cda6b54e1e99d5aa956936ec54a7b3b"),
+    "demo_kth_deriv.json": (
+        "kth-deriv", "104bfc252adfef343b7cb420b6d8deec9b42f9c0bd7d76ffb1db9fab8229a749"),
+    "demo_moi_eval.json": (
+        "moi-eval", "100bf7969772df4723ea8cb5f311900106cd349390c3e0851050565a86a28662"),
+    "demo_mti_eval.json": (
+        "mti-eval", "85ea6cf6ff2040cd6f28c8531e8dc91cc9f26b7c509822bddbc51fa73a823c4c"),
+    "demo_poly_decompose.json": (
+        "poly-decompose",
+        "76a288b76e8c617853f3bd221cbcf72b39775dcd624cd80cbc60026dc3804579"),
+    "demo_remainder_sa.json": (
+        "remainder", "c2f46015c169b94f1c85cdb1515a01e52e0fa5e28831ce83fa751d7bc9293f26"),
+    "demo_remainder_unitary.json": (
+        "remainder", "28d43c34341d5f08b804cc1ed60a909467b817ba2919631338fcd7ccb98e7de6"),
+}
+
+
+def _output_digest(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    payload = read_json(out)
+    payload.pop("wall_time_s", None)
+    return hashlib.sha256(ser.dumps_deterministic(payload).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    def test_every_shipped_config_is_listed(self):
+        shipped = sorted(os.listdir(os.path.dirname(config_path("x"))))
+        assert sorted(VALIDATE_DIGESTS) == shipped
+        assert sorted(DEMO_DIGESTS) == [n for n in shipped if n.startswith("demo_")]
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_DIGESTS))
+    def test_validate_report_is_pinned(self, tmp_path, name):
+        digest = _output_digest(tmp_path, ["validate", "--input", config_path(name)])
+        assert digest == VALIDATE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+    def test_demo_output_is_pinned(self, tmp_path, name):
+        command, expected = DEMO_DIGESTS[name]
+        digest = _output_digest(tmp_path, [command, "--input", config_path(name)])
+        assert digest == expected
+
+
 def _without(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
