@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,6 +88,7 @@ def _require_schema_version(payload, path="input"):
 # Command handlers: handler(payload, args) parses and validates the
 # payload, then returns a zero-argument ``run`` that does the computation and
 # returns (output dict, exit code).  ``validate`` calls the parse step only.
+# Each handler has its row in ``_COMMANDS``, the one table of the commands.
 # ---------------------------------------------------------------------------
 
 
@@ -105,29 +107,25 @@ def _matrix_output(value) -> tuple[dict, int]:
 
 def _handle_moi_eval(payload, args):
     _require_schema_version(payload)
-    ops_json = payload.get("operators")
-    if not isinstance(ops_json, list) or len(ops_json) < 2:
-        raise ValidationError("operators must list at least two matrices",
-                              path="input.operators")
     operator_kind = payload.get("operator_kind", "hermitian")
     parse_op = {
         "hermitian": ser.parse_hermitian,
         "unitary": ser.parse_unitary,
-    }.get(operator_kind)
-    if parse_op is None:
-        raise ValidationError(f"unknown operator_kind {operator_kind!r}",
-                              path="input.operator_kind")
-    operators = tuple(
-        parse_op(m, f"input.operators[{i}]") for i, m in enumerate(ops_json)
-    )
+    }.get(operator_kind) if isinstance(operator_kind, str) else None
+
+    def parse_operator(matrix, path):
+        # an unknown kind is reported after the list check, at the first item
+        if parse_op is None:
+            raise ValidationError(f"unknown operator_kind {operator_kind!r}",
+                                  path="input.operator_kind")
+        return parse_op(matrix, path)
+
+    operators = ser._items(payload.get("operators"), parse_operator,
+                           "operators must list at least two matrices", "input.operators",
+                           least=2)
     integrand = ser.parse_integrand(payload.get("integrand", {}), "input.integrand")
-    args_json = payload.get("arguments")
-    if not isinstance(args_json, list):
-        raise ValidationError("arguments must be a list of matrices",
-                              path="input.arguments")
-    arguments = tuple(
-        ser.parse_matrix(m, f"input.arguments[{i}]") for i, m in enumerate(args_json)
-    )
+    arguments = ser._items(payload.get("arguments"), ser.parse_matrix,
+                           "arguments must be a list of matrices", "input.arguments")
     request = MoiRequest(operators, integrand, arguments)
 
     def run():
@@ -195,29 +193,29 @@ def _handle_remainder(payload, args):
     if flavor not in ("self_adjoint", "unitary"):
         raise ValidationError("flavor must be self_adjoint or unitary",
                               path="input.flavor")
-    slots_json = payload.get("slots")
-    if not isinstance(slots_json, list) or not slots_json:
-        raise ValidationError("slots must be a non-empty list", path="input.slots")
     parse_base = ser.parse_hermitian if flavor == "self_adjoint" else ser.parse_unitary
-    functions, bases, perturbations = [], [], []
-    for i, slot in enumerate(slots_json):
-        spath = f"input.slots[{i}]"
+
+    def parse_slot(slot, spath):
         if not isinstance(slot, dict):
             raise ValidationError("slot must be an object", path=spath)
-        functions.append(ser.parse_scalar_function(slot.get("f", {}), spath + ".f"))
-        bases.append(parse_base(slot.get("base", {}), spath + ".base"))
+        f = ser.parse_scalar_function(slot.get("f", {}), spath + ".f")
+        base = parse_base(slot.get("base", {}), spath + ".base")
         perturbation = ser.parse_hermitian(slot.get("perturbation", {}),
                                            spath + ".perturbation")
-        if perturbation.dim != bases[-1].dim:
+        if perturbation.dim != base.dim:
             raise ValidationError(f"dimension {perturbation.dim} differs from the "
-                                  f"base dimension {bases[-1].dim}",
+                                  f"base dimension {base.dim}",
                                   path=spath + ".perturbation")
-        perturbations.append(perturbation)
+        return f, base, perturbation
+
+    slots = ser._items(payload.get("slots"), parse_slot, "slots must be a non-empty list",
+                       "input.slots", least=1)
+    functions, bases, perturbations = zip(*slots)
     spec = RemainderSpec(
         order,
         SlotFunctionSum.from_slot_functions(functions),
-        tuple(bases),
-        tuple(perturbations),
+        bases,
+        perturbations,
         flavor,
     )
     evaluate = (
@@ -263,13 +261,8 @@ def _handle_conv_mean(payload, args):
     _require_schema_version(payload)
     model = ser.parse_model(payload.get("base_model", {}), "input.base_model")
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
-    args_json = payload.get("arguments", [])
-    if not isinstance(args_json, list):
-        raise ValidationError("arguments must be a list of matrices",
-                              path="input.arguments")
-    arguments = [
-        ser.parse_matrix(m, f"input.arguments[{i}]") for i, m in enumerate(args_json)
-    ]
+    arguments = ser._items(payload.get("arguments", []), ser.parse_matrix,
+                           "arguments must be a list of matrices", "input.arguments")
     for key in ("epsilon0", "steps", "r", "order", "samples", "seed"):
         if key not in payload:
             raise ValidationError(f"missing field {key!r}", path="input")
@@ -322,23 +315,13 @@ def _handle_poly_decompose(payload, args):
 
 def _handle_mti_eval(payload, args):
     _require_schema_version(payload)
-    tensors_json = payload.get("tensors")
-    if not isinstance(tensors_json, list) or len(tensors_json) < 2:
-        raise ValidationError("tensors must list at least two Hermitian tensors",
-                              path="input.tensors")
-    tensors = [
-        ser.parse_tensor(t, f"input.tensors[{i}]") for i, t in enumerate(tensors_json)
-    ]
+    tensors = ser._items(payload.get("tensors"), ser.parse_tensor,
+                         "tensors must list at least two Hermitian tensors", "input.tensors",
+                         least=2)
     dims = shared_mode_dims(tensors)
     integrand = ser.parse_integrand(payload.get("integrand", {}), "input.integrand")
-    args_json = payload.get("arguments", [])
-    if not isinstance(args_json, list):
-        raise ValidationError("arguments must be a list of tensors",
-                              path="input.arguments")
-    arguments = [
-        ser.parse_tensor_argument(t, f"input.arguments[{i}]")
-        for i, t in enumerate(args_json)
-    ]
+    arguments = ser._items(payload.get("arguments", []), ser.parse_tensor_argument,
+                           "arguments must be a list of tensors", "input.arguments")
     # the unfolded request checks arity, argument count and argument modes
     request = MoiRequest(
         tuple(unfold(t) for t in tensors),
@@ -377,49 +360,50 @@ def _handle_haar(args):
     }, EXIT_OK
 
 
-_HANDLERS = {
-    "moi-eval": _handle_moi_eval,
-    "frechet": _handle_frechet,
-    "kth-deriv": _handle_kth_deriv,
-    "higher-diff": _handle_higher_diff,
-    "remainder": _handle_remainder,
-    "tailbound": _handle_tailbound,
-    "conv-mean": _handle_conv_mean,
-    "poly-decompose": _handle_poly_decompose,
-    "mti-eval": _handle_mti_eval,
-}
+class _Command(NamedTuple):
+    """A subcommand: its help text; ``handler(payload, args)``, the parse step
+    that returns ``run`` (``haar`` and ``validate`` read no command payload
+    and have none); the ``kind`` of the payload it reads and of the report it
+    writes, which ``validate`` recognizes (it lists no kind of its own, so it
+    does not recognize its own reports); and, for a report that is a table,
+    the key of its rows and their columns, since only those reports can be
+    written with ``--format csv``."""
 
-# The commands whose reports are tables, each with the key of its rows and
-# their columns: the only reports that ``--format csv`` can write.
-_CSV_COLUMNS = {
-    "tailbound": ("rows", ["theta", "empirical_prob", "mc_stderr", "bound_rhs", "satisfied"]),
-    "conv-mean": ("steps", ["m", "epsilon", "mean_diff_pow_r", "stderr", "bound_mean",
-                            "dominated"]),
-}
+    help: str
+    handler: Callable | None = None
+    request: str | None = None
+    result: str | None = None
+    table: tuple[str, list[str]] | None = None
 
-_KIND_TO_COMMAND = {
-    "moi_request": "moi-eval",
-    "frechet_request": "frechet",
-    "kth_derivative_request": "kth-deriv",
-    "higher_difference_request": "higher-diff",
-    "remainder_request": "remainder",
-    "tail_bound_experiment": "tailbound",
-    "convergence_request": "conv-mean",
-    "polynomial_decomposition_request": "poly-decompose",
-    "mti_request": "mti-eval",
-}
 
-_OUTPUT_KINDS = (
-    "moi_result",
-    "matrix_result",
-    "higher_difference_result",
-    "remainder_result",
-    "tail_bound_report",
-    "convergence_report",
-    "polynomial_decomposition_result",
-    "mti_result",
-    "haar_samples",
-)
+# Every subcommand, in the order ``--help`` lists them.
+_COMMANDS = {
+    "moi-eval": _Command("evaluate an operator integral", _handle_moi_eval,
+                         "moi_request", "moi_result"),
+    "frechet": _Command("directional derivative of a matrix function", _handle_frechet,
+                        "frechet_request", "matrix_result"),
+    "kth-deriv": _Command("k-th directional derivative", _handle_kth_deriv,
+                          "kth_derivative_request", "matrix_result"),
+    "higher-diff": _Command("higher-order operator difference", _handle_higher_diff,
+                            "higher_difference_request", "higher_difference_result"),
+    "remainder": _Command("operator Taylor remainder (both flavors)", _handle_remainder,
+                          "remainder_request", "remainder_result"),
+    "tailbound": _Command(
+        "run a tail-bound experiment", _handle_tailbound,
+        "tail_bound_experiment", "tail_bound_report",
+        ("rows", ["theta", "empirical_prob", "mc_stderr", "bound_rhs", "satisfied"])),
+    "conv-mean": _Command(
+        "convergence-in-mean experiment", _handle_conv_mean,
+        "convergence_request", "convergence_report",
+        ("steps", ["m", "epsilon", "mean_diff_pow_r", "stderr", "bound_mean", "dominated"])),
+    "poly-decompose": _Command("inner-power and linear-product decomposition",
+                               _handle_poly_decompose, "polynomial_decomposition_request",
+                               "polynomial_decomposition_result"),
+    "haar": _Command("sample Haar-random unitaries", result="haar_samples"),
+    "mti-eval": _Command("evaluate a tensor integral", _handle_mti_eval,
+                         "mti_request", "mti_result"),
+    "validate": _Command("schema and invariant diagnostics for a payload"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +422,15 @@ def _validate_payload(payload, command: str | None, args) -> dict:
             f"schema_version: expected {ser.SCHEMA_VERSION}, "
             f"got {payload.get('schema_version')!r}"
         )
-    if command is None and kind in _KIND_TO_COMMAND:
-        command = _KIND_TO_COMMAND[kind]
+    if command is None and kind is not None:
+        command = next((name for name, c in _COMMANDS.items() if c.request == kind), None)
     if command is not None:
         try:
-            _HANDLERS[command](payload, args)
+            _COMMANDS[command].handler(payload, args)
             matched = command
         except MoikitError as err:
             diagnostics.append(str(err))
-    elif kind in _OUTPUT_KINDS:
+    elif kind is not None and any(c.result == kind for c in _COMMANDS.values()):
         matched = kind
     else:
         diagnostics.append(
@@ -485,7 +469,7 @@ def _rows_to_csv(rows, fieldnames) -> str:
 
 def _write_output(output: dict, args):
     if args.format == "csv":
-        key, columns = _CSV_COLUMNS[args.command]
+        key, columns = _COMMANDS[args.command].table
         text = _rows_to_csv(output[key], columns)
         if args.output:
             ser.write_text_atomic(args.output, text)
@@ -510,21 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "operator calculus, and randomized tail-bound verification.",
     )
     sub = parser.add_subparsers(dest="command")
-    commands = [
-        ("moi-eval", "evaluate an operator integral"),
-        ("frechet", "directional derivative of a matrix function"),
-        ("kth-deriv", "k-th directional derivative"),
-        ("higher-diff", "higher-order operator difference"),
-        ("remainder", "operator Taylor remainder (both flavors)"),
-        ("tailbound", "run a tail-bound experiment"),
-        ("conv-mean", "convergence-in-mean experiment"),
-        ("poly-decompose", "inner-power and linear-product decomposition"),
-        ("haar", "sample Haar-random unitaries"),
-        ("mti-eval", "evaluate a tensor integral"),
-        ("validate", "schema and invariant diagnostics for a payload"),
-    ]
-    for name, help_text in commands:
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         if name != "haar":
             cmd.add_argument("--input", required=True)
         cmd.add_argument("--output", default=None)
@@ -536,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--count", type=int, default=None)
         if name == "validate":
             cmd.add_argument("--command", dest="target_command", default=None,
-                             choices=sorted(_HANDLERS))
+                             choices=sorted(n for n, c in _COMMANDS.items() if c.handler))
     return parser
 
 
@@ -548,7 +519,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
-        if args.format == "csv" and args.command not in _CSV_COLUMNS:
+        if args.format == "csv" and _COMMANDS[args.command].table is None:
             # rejected before any computation
             raise ValidationError("csv output is only available for tabular reports",
                                   path="flags.format")
@@ -570,7 +541,7 @@ def main(argv=None) -> int:
                 output = _validate_payload(payload, args.target_command, args)
                 code = EXIT_OK
         else:
-            handler = _HANDLERS[args.command]
+            handler = _COMMANDS[args.command].handler
             try:
                 payload = ser.load_json(args.input)
             except OSError as err:

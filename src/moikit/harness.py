@@ -85,6 +85,7 @@ from .operators import (
     _hermitian_sum,
     _random_spectra,
     _shifted,
+    _stacked_norms,
     as_square_complex,
     operator_norm,
     random_hermitian,
@@ -447,24 +448,12 @@ def _aborted(count: int, *errors: dict) -> np.ndarray:
     return mask
 
 
-def _norms(values: np.ndarray, aborted: np.ndarray, p: float | None = None) -> np.ndarray:
-    """Per sample, :func:`operator_norm` of ``values`` (N, n, n), or
-    :func:`schatten_norm` for exponent ``p``; aborted samples read 0."""
-    values = np.where(aborted[:, None, None], 0.0, values)
-    singular = np.linalg.svd(values, compute_uv=False)
-    if p is None:
-        return np.max(singular, axis=-1)
-    if p == np.inf:
-        return singular[:, 0]
-    return np.sum(singular**p, axis=-1) ** (1.0 / p)
-
-
 def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
     models = exp.operator_models
     arguments = exp.fixed_inputs["arguments"]
     schatten = exp.theorem_id == "moi_norm_schatten_b"
     constants: dict = {"operator_count": len(models)}
-    q = None
+    q = np.inf
     if schatten:
         p = exp.schatten_p
         recip = holder_reciprocal_sum(p)
@@ -492,7 +481,7 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
         aborted = _aborted(len(values), errors)
         union = np.concatenate(eigenvalues, axis=1)
         surrogate = _sup_norms(multivariate, [union] * m)
-        return _norms(values, aborted, q), {"integrand_norm": surrogate}, aborted
+        return _stacked_norms(values, q, skip=aborted), {"integrand_norm": surrogate}, aborted
 
     chunk = _chunk_samples(models[0].dim, [(multivariate, m * models[0].dim)])
     return _Context(
@@ -519,7 +508,8 @@ def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
         )
         aborted = _aborted(len(values), errors)
         surrogate = _sup_norms(dd_k, [eigenvalues] * (k + 1))
-        return _norms(k_factorial * values, aborted), {"integrand_norm": surrogate}, aborted
+        norms = _stacked_norms(k_factorial * values, skip=aborted)
+        return norms, {"integrand_norm": surrogate}, aborted
 
     coeff = k_factorial * dnorm**k
     chunk = _chunk_samples(dim, [(dd_k, dim)])
@@ -563,7 +553,7 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
             axis=0,
         )
         surrogate = _sup_norms(dd_k, [np.concatenate(ladder, axis=1)] * (k + 1))
-        return _norms(total, aborted), {
+        return _stacked_norms(total, skip=aborted), {
             "gap_weighted_integrand_norm": gap * surrogate,
             "integrand_norm": surrogate,
             "eigengap": gap,
@@ -620,7 +610,7 @@ def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
             union = np.concatenate([shifted, eigenvalues], axis=1)
             terms[labels[j]] = _sup_norms(dd[j], [union] * (k + 1))
         aborted = _aborted(len(total), *errors)
-        return _norms(total, aborted), terms, aborted
+        return _stacked_norms(total, skip=aborted), terms, aborted
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for psi in dd])
     return _Context(labels, coefficients, statistic, constants, chunk)
@@ -668,8 +658,7 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
                 terms[f"slot{j}_order{ell}_integrand_norm"] = _sup_norms(
                     dd[j][ell - 1], [union] * (ell + 1)
                 )
-        aborted = np.zeros(len(total), dtype=bool)
-        return _norms(total, aborted), terms, aborted
+        return _stacked_norms(total), terms, np.zeros(len(total), dtype=bool)
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for row in dd for psi in row])
     return _Context(labels, coefficients, statistic, constants, chunk, unitary=True)

@@ -75,6 +75,29 @@ __all__ = [
 ]
 
 
+def _check_evaluation(operators, integrand: MultivariateFunction, arguments):
+    """The one check of an evaluation's inputs: the operators share one
+    dimension n, the integrand's arity is their count m, and there are m - 1
+    arguments of shape (n, n)."""
+    dims = {op.dim for op in operators}
+    if len(dims) > 1:
+        raise ValidationError(f"operators have mixed dimensions {sorted(dims)}")
+    if integrand.arity != len(operators):
+        raise ValidationError(
+            f"integrand arity {integrand.arity} != operator count {len(operators)}"
+        )
+    if len(arguments) != len(operators) - 1:
+        raise ValidationError(
+            f"need {len(operators) - 1} argument matrices, got {len(arguments)}"
+        )
+    for k, arg in enumerate(arguments):
+        expected = (operators[0].dim,) * 2
+        if np.shape(arg) != expected:
+            raise ValidationError(
+                f"argument {k} has shape {np.shape(arg)}, expected {expected}"
+            )
+
+
 @dataclass(frozen=True)
 class MoiRequest:
     """An evaluation task: m decomposed operators, an arity-m integrand, and
@@ -90,23 +113,7 @@ class MoiRequest:
         arguments = tuple(np.asarray(x, dtype=np.complex128) for x in self.arguments)
         if len(operators) < 2:
             raise ValidationError("an evaluation needs at least two operators")
-        dims = {op.dim for op in operators}
-        if len(dims) != 1:
-            raise ValidationError(f"operators have mixed dimensions {sorted(dims)}")
-        dim = dims.pop()
-        if integrand.arity != len(operators):
-            raise ValidationError(
-                f"integrand arity {integrand.arity} != operator count {len(operators)}"
-            )
-        if len(arguments) != len(operators) - 1:
-            raise ValidationError(
-                f"need {len(operators) - 1} argument matrices, got {len(arguments)}"
-            )
-        for k, arg in enumerate(arguments):
-            if arg.shape != (dim, dim):
-                raise ValidationError(
-                    f"argument {k} has shape {arg.shape}, expected {(dim, dim)}"
-                )
+        _check_evaluation(operators, integrand, arguments)
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "arguments", arguments)
@@ -261,16 +268,12 @@ def moi_core(
     m = 1 has no arguments and reduces to applying the integrand as a scalar
     function of the single operator.  An integrand with a separable
     representation is evaluated in factored form; any other is evaluated on
-    the n^m eigenvalue grid.
+    the n^m eigenvalue grid.  The inputs get the checks of
+    :class:`MoiRequest`, with its messages, except that one operator is
+    allowed.
     """
     integrand = _as_integrand(integrand)
-    m = len(operators)
-    if integrand.arity != m:
-        raise ValidationError(
-            f"integrand arity {integrand.arity} != operator count {m}"
-        )
-    if len(arguments) != m - 1:
-        raise ValidationError(f"need {m - 1} arguments, got {len(arguments)}")
+    _check_evaluation(operators, integrand, arguments)
     decomps = [op.decomposition for op in operators]
     value, errors = _stacked_moi(
         integrand,

@@ -303,25 +303,31 @@ def apply_scalar_function(
     return results[0]
 
 
+def _stacked_norms(matrices: np.ndarray, p: float = np.inf, skip=None) -> np.ndarray:
+    """Per matrix of a stack (N, n, n), the Schatten p-norm from one batched
+    SVD; ``p = inf``, the default, is the operator norm.  Where the mask
+    ``skip`` (N,) is set, the matrix (which may not be finite) reads 0."""
+    if skip is not None:
+        matrices = np.where(skip[:, None, None], 0.0, matrices)
+    singular = np.linalg.svd(matrices, compute_uv=False)
+    if p == np.inf:
+        return np.max(singular, axis=-1)
+    return np.sum(singular**p, axis=-1) ** (1.0 / p)
+
+
 def operator_norm(matrix) -> float:
     """Largest singular value (spectral norm)."""
-    arr = as_square_complex(matrix)
-    return float(np.linalg.norm(arr, 2))
+    return float(_stacked_norms(as_square_complex(matrix)[None])[0])
 
 
 def schatten_norm(matrix, p) -> float:
     """Schatten p-norm: the l^p norm of the singular values.
 
-    ``p = inf`` coincides with :func:`operator_norm` on the computed
-    singular values.
+    ``p = inf`` is :func:`operator_norm`.
     """
     if p != np.inf and p < 1:
         raise ParameterError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    arr = as_square_complex(matrix)
-    singular = scipy.linalg.svdvals(arr)
-    if p == np.inf:
-        return float(singular[0]) if singular.size else 0.0
-    return float(np.sum(singular**p) ** (1.0 / p))
+    return float(_stacked_norms(as_square_complex(matrix)[None], p)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ tensor Chebyshev grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -17,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DecompositionFailureError, ParameterError, ValidationError
+from .integrands import exponent_tuples
 
 __all__ = [
     "MonomialPolynomial",
@@ -35,18 +35,6 @@ MAX_DIRECTION_ATTEMPTS = 10
 def monomial_count(arity: int, degree: int) -> int:
     """Number of degree-``degree`` monomials in ``arity`` variables."""
     return math.comb(arity + degree - 1, degree)
-
-
-def _degree_exponents(arity: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, lexicographic order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(arity), degree):
-        exp = [0] * arity
-        for idx in combo:
-            exp[idx] += 1
-        out.append(tuple(exp))
-    out.sort()
-    return out
 
 
 @dataclass(frozen=True)
@@ -85,11 +73,7 @@ class MonomialPolynomial:
         return 0.0
 
     def evaluate(self, point: Sequence[float]) -> float:
-        x = np.asarray(point, dtype=float)
-        total = 0.0
-        for exp, coef in self.terms:
-            total += coef * float(np.prod(x ** np.asarray(exp)))
-        return total
+        return float(self.evaluate_many(np.asarray(point, dtype=float)[None])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, arity) array of points."""
@@ -121,11 +105,7 @@ class InnerPowerForm:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def evaluate(self, point: Sequence[float]) -> float:
-        x = np.asarray(point, dtype=float)
-        total = 0.0
-        for degree, coef, direction in self.terms:
-            total += coef * float(np.dot(x, direction)) ** degree
-        return total
+        return float(self.evaluate_many(np.asarray(point, dtype=float)[None])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -167,14 +147,7 @@ class LinearProductForm:
                     )
 
     def evaluate(self, point: Sequence[float]) -> float:
-        lifted = np.append(np.asarray(point, dtype=float), 1.0)
-        total = 0.0
-        for factors in self.terms:
-            prod = 1.0
-            for u in factors:
-                prod *= float(np.dot(lifted, u))
-            total += prod
-        return total
+        return float(self.evaluate_many(np.asarray(point, dtype=float)[None])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -218,7 +191,7 @@ def decompose_inner_powers(
         conditions = []
         ok = True
         for degree in range(k + 1):
-            exponents = _degree_exponents(m, degree)
+            exponents = list(exponent_tuples(degree, m))
             count = len(exponents)
             coeffs = np.array([poly.coefficient(exp) for exp in exponents])
             if degree == 0:
@@ -320,7 +293,7 @@ def fit_polynomial(
 
     exponents: list[tuple[int, ...]] = []
     for total in range(degree + 1):
-        exponents.extend(_degree_exponents(arity, total))
+        exponents.extend(exponent_tuples(total, arity))
     design = np.stack(
         [np.prod(t_points ** np.asarray(exp), axis=1) for exp in exponents], axis=1
     )

@@ -52,21 +52,37 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _items(value, parse, message: str, path: str, least: int = 0,
+           exact: int | None = None) -> list:
+    """``parse(item, f"{path}[{i}]")`` for each item of ``value``, in order.
+    ``value`` must be a list of at least ``least`` items (of exactly
+    ``exact`` items when given), else ValidationError(message) at ``path``.
+    Every list a payload holds is read here."""
+    _expect(isinstance(value, list) and len(value) >= least
+            and (exact is None or len(value) == exact), message, path)
+    return [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def _unread(item, path: str):
+    return item
+
+
 def _number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             "expected a number", path)
     return float(value)
 
 
+def _re_im_pair(value, message: str, path: str) -> complex:
+    """An [re, im] pair of numbers, else ValidationError(message) at ``path``."""
+    re, im = _items(value, _number, message, path, exact=2)
+    return complex(re, im)
+
+
 def _complex_from(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
-    _expect(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        "expected a number or an [re, im] pair",
-        path,
-    )
-    return complex(_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
+    return _re_im_pair(value, "expected a number or an [re, im] pair", path)
 
 
 def _complex_pair(value: complex) -> list[float]:
@@ -84,20 +100,15 @@ def matrix_to_json(matrix) -> dict:
 def parse_matrix(obj, path: str = "matrix") -> np.ndarray:
     dim = _integer(_get(obj, "dim", path), "dim must be a positive integer",
                    path + ".dim", 1)
-    entries = _get(obj, "entries", path)
-    _expect(isinstance(entries, list) and len(entries) == dim,
-            f"entries must hold {dim} rows", path + ".entries")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        _expect(isinstance(row, list) and len(row) == dim,
-                f"row must hold {dim} entries", f"{path}.entries[{i}]")
-        for j, cell in enumerate(row):
-            _expect(isinstance(cell, (list, tuple)) and len(cell) == 2,
-                    "entry must be an [re, im] pair", f"{path}.entries[{i}][{j}]")
-            out[i, j] = complex(
-                _number(cell[0], f"{path}.entries[{i}][{j}][0]"),
-                _number(cell[1], f"{path}.entries[{i}][{j}][1]"),
-            )
+
+    def entry(cell, cell_path):
+        return _re_im_pair(cell, "entry must be an [re, im] pair", cell_path)
+
+    def row(value, row_path):
+        return _items(value, entry, f"row must hold {dim} entries", row_path, exact=dim)
+
+    out = np.array(_items(_get(obj, "entries", path), row, f"entries must hold {dim} rows",
+                          path + ".entries", exact=dim), dtype=np.complex128)
     if not np.all(np.isfinite(out.view(np.float64))):
         raise ValidationError("entries must be finite", path=path + ".entries")
     return out
@@ -130,10 +141,8 @@ def scalar_function_to_json(f: ScalarFunction) -> dict:
 
 
 def parse_scalar_function(obj, path: str = "f") -> ScalarFunction:
-    coeffs = _get(obj, "coeffs", path)
-    _expect(isinstance(coeffs, list) and coeffs, "coeffs must be a non-empty list",
-            path + ".coeffs")
-    values = [_complex_from(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]
+    values = _items(_get(obj, "coeffs", path), _complex_from,
+                    "coeffs must be a non-empty list", path + ".coeffs", least=1)
     if all(v.imag == 0.0 for v in values):
         return ScalarFunction.polynomial([v.real for v in values])
     return ScalarFunction.polynomial(values)
@@ -149,17 +158,13 @@ def separable_to_json(psi: SeparableIntegrand) -> dict:
 def parse_separable(obj, path: str = "integrand") -> SeparableIntegrand:
     arity = _integer(_get(obj, "arity", path), "arity must be a positive integer",
                      path + ".arity", 1)
-    terms_json = _get(obj, "terms", path)
-    _expect(isinstance(terms_json, list) and terms_json,
-            "terms must be a non-empty list", path + ".terms")
-    terms = []
-    for n, term in enumerate(terms_json):
-        _expect(isinstance(term, list) and len(term) == arity,
-                f"term must hold {arity} factors", f"{path}.terms[{n}]")
-        terms.append(tuple(
-            parse_scalar_function(fac, f"{path}.terms[{n}][{i}]")
-            for i, fac in enumerate(term)
-        ))
+
+    def term(value, term_path):
+        return tuple(_items(value, parse_scalar_function, f"term must hold {arity} factors",
+                            term_path, exact=arity))
+
+    terms = _items(_get(obj, "terms", path), term, "terms must be a non-empty list",
+                   path + ".terms", least=1)
     return SeparableIntegrand(arity, tuple(terms))
 
 
@@ -198,11 +203,8 @@ def parse_model(obj, path: str = "model") -> RandomOperatorModel:
                _number(_get(law_json, "mean", path + ".law"), path + ".law.mean"),
                _number(_get(law_json, "sd", path + ".law"), path + ".law.sd"))
     elif kind == "fixed":
-        values = _get(law_json, "values", path + ".law")
-        _expect(isinstance(values, list), "values must be a list", path + ".law.values")
-        law = ("fixed", tuple(
-            _number(v, f"{path}.law.values[{i}]") for i, v in enumerate(values)
-        ))
+        law = ("fixed", tuple(_items(_get(law_json, "values", path + ".law"), _number,
+                                     "values must be a list", path + ".law.values")))
     else:
         raise ValidationError(f"unknown law kind {kind!r}", path=path + ".law.kind")
     seed = _integer(obj.get("seed", 0), "seed must be an unsigned 64-bit integer",
@@ -223,18 +225,19 @@ def monomial_polynomial_to_json(poly: MonomialPolynomial) -> dict:
 def parse_monomial_polynomial(obj, path: str = "polynomial") -> MonomialPolynomial:
     arity = _integer(_get(obj, "arity", path), "arity must be a positive integer",
                      path + ".arity", 1)
-    terms_json = _get(obj, "terms", path)
-    _expect(isinstance(terms_json, list), "terms must be a list", path + ".terms")
-    terms = []
-    for i, t in enumerate(terms_json):
-        exp = _get(t, "exp", f"{path}.terms[{i}]")
-        exp_message = "exp must be a list of nonnegative integers of length arity"
-        _expect(isinstance(exp, list) and len(exp) == arity, exp_message,
-                f"{path}.terms[{i}].exp")
-        for e in exp:
-            _integer(e, exp_message, f"{path}.terms[{i}].exp")
-        coef = _number(_get(t, "coef", f"{path}.terms[{i}]"), f"{path}.terms[{i}].coef")
-        terms.append((tuple(exp), coef))
+    exp_message = "exp must be a list of nonnegative integers of length arity"
+
+    def term(value, term_path):
+        exp_path = term_path + ".exp"
+
+        def exponent(e, _):  # reported at the list, not the item
+            return _integer(e, exp_message, exp_path)
+
+        exp = _items(_get(value, "exp", term_path), exponent, exp_message, exp_path,
+                     exact=arity)
+        return tuple(exp), _number(_get(value, "coef", term_path), term_path + ".coef")
+
+    terms = _items(_get(obj, "terms", path), term, "terms must be a list", path + ".terms")
     try:
         return MonomialPolynomial(arity, tuple(terms))
     except ValidationError as err:
@@ -258,11 +261,7 @@ def linear_product_form_to_json(form: LinearProductForm) -> dict:
 
 
 def tensor_to_json(tensor: HermitianTensor) -> dict:
-    flat = tensor.entries.reshape(-1)
-    return {
-        "mode_dims": list(tensor.mode_dims),
-        "entries": [_complex_pair(v) for v in flat],
-    }
+    return tensor_argument_to_json(tensor.entries, tensor.mode_dims)
 
 
 def parse_tensor(obj, path: str = "tensor") -> HermitianTensor:
@@ -275,18 +274,18 @@ def parse_tensor(obj, path: str = "tensor") -> HermitianTensor:
 
 def parse_tensor_argument(obj, path: str) -> np.ndarray:
     """A general (not necessarily Hermitian) tensor argument."""
-    dims = _get(obj, "mode_dims", path)
+    dims_path = path + ".mode_dims"
     dims_message = "mode_dims must be a list of positive integers"
-    _expect(isinstance(dims, list) and dims, dims_message, path + ".mode_dims")
-    dims = tuple(_integer(d, dims_message, path + ".mode_dims", 1) for d in dims)
+
+    def dim(d, _):  # reported at the list, not the item
+        return _integer(d, dims_message, dims_path, 1)
+
+    dims = tuple(_items(_get(obj, "mode_dims", path), dim, dims_message, dims_path,
+                        least=1))
     total = int(np.prod(dims)) ** 2
-    entries = _get(obj, "entries", path)
-    _expect(isinstance(entries, list) and len(entries) == total,
-            f"entries must hold {total} [re, im] pairs", path + ".entries")
-    flat = np.empty(total, dtype=np.complex128)
-    for i, cell in enumerate(entries):
-        flat[i] = _complex_from(cell, f"{path}.entries[{i}]")
-    return flat.reshape(dims + dims)
+    flat = _items(_get(obj, "entries", path), _complex_from,
+                  f"entries must hold {total} [re, im] pairs", path + ".entries", exact=total)
+    return np.array(flat, dtype=np.complex128).reshape(dims + dims)
 
 
 def tensor_argument_to_json(entries: np.ndarray, mode_dims) -> dict:
@@ -342,13 +341,9 @@ def experiment_to_json(exp: TailBoundExperiment) -> dict:
 def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
     root = path or "experiment"
     theorem_id = _get(obj, "theorem_id", root)
-    models_json = _get(obj, "operator_models", root)
-    _expect(isinstance(models_json, list) and models_json,
-            "operator_models must be a non-empty list", root + ".operator_models")
-    models = tuple(
-        parse_model(m, f"{root}.operator_models[{i}]")
-        for i, m in enumerate(models_json)
-    )
+    models = tuple(_items(_get(obj, "operator_models", root), parse_model,
+                          "operator_models must be a non-empty list",
+                          root + ".operator_models", least=1))
     fixed_json = _get(obj, "fixed_inputs", root)
     _expect(isinstance(fixed_json, dict), "fixed_inputs must be an object",
             root + ".fixed_inputs")
@@ -356,31 +351,24 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
     for key, value in fixed_json.items():
         fpath = f"{root}.fixed_inputs.{key}"
         if key in ("arguments", "perturbations"):
-            _expect(isinstance(value, list), "expected a list of matrices", fpath)
-            fixed[key] = [
-                parse_matrix(m, f"{fpath}[{i}]") for i, m in enumerate(value)
-            ]
+            fixed[key] = _items(value, parse_matrix, "expected a list of matrices", fpath)
         elif key in ("direction", "step"):
             fixed[key] = parse_matrix(value, fpath)
         else:
             raise ValidationError(f"unknown fixed input {key!r}", path=fpath)
     integrand_json = _get(obj, "integrand", root)
     if theorem_id in _SLOT_FUNCTION_THEOREMS:
-        slots = _get(integrand_json, "slot_functions", root + ".integrand")
-        _expect(isinstance(slots, list) and slots,
-                "slot_functions must be a non-empty list",
-                root + ".integrand.slot_functions")
-        integrand = tuple(
-            parse_scalar_function(s, f"{root}.integrand.slot_functions[{i}]")
-            for i, s in enumerate(slots)
-        )
+        integrand = tuple(_items(
+            _get(integrand_json, "slot_functions", root + ".integrand"),
+            parse_scalar_function, "slot_functions must be a non-empty list",
+            root + ".integrand.slot_functions", least=1))
     elif theorem_id in _SCALAR_THEOREMS:
         integrand = parse_scalar_function(integrand_json, root + ".integrand")
     else:
         integrand = parse_separable(integrand_json, root + ".integrand")
-    thetas = _get(obj, "theta_grid", root)
-    _expect(isinstance(thetas, list) and thetas, "theta_grid must be a non-empty list",
-            root + ".theta_grid")
+    # the list is checked here, its items with the experiment below
+    theta_list = ("theta_grid must be a non-empty list", root + ".theta_grid")
+    thetas = _items(_get(obj, "theta_grid", root), _unread, *theta_list, least=1)
     samples = _integer(_get(obj, "samples", root), "samples must be a positive integer",
                        root + ".samples", 1)
     seed = _integer(_get(obj, "seed", root), "seed must be an unsigned 64-bit integer",
@@ -390,12 +378,8 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
         kwargs["order"] = _integer(obj["order"], "order must be a positive integer",
                                    root + ".order", 1)
     if "schatten_p" in obj:
-        _expect(isinstance(obj["schatten_p"], list),
-                "schatten_p must be a list", root + ".schatten_p")
-        kwargs["schatten_p"] = tuple(
-            _number(p, f"{root}.schatten_p[{i}]")
-            for i, p in enumerate(obj["schatten_p"])
-        )
+        kwargs["schatten_p"] = tuple(_items(obj["schatten_p"], _number,
+                                            "schatten_p must be a list", root + ".schatten_p"))
     if "eigengap_bound" in obj:
         kwargs["eigengap_bound"] = _number(
             obj["eigengap_bound"], root + ".eigengap_bound"
@@ -406,9 +390,7 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
             operator_models=models,
             fixed_inputs=fixed,
             integrand=integrand,
-            theta_grid=tuple(
-                _number(t, f"{root}.theta_grid[{i}]") for i, t in enumerate(thetas)
-            ),
+            theta_grid=tuple(_items(thetas, _number, *theta_list)),
             samples=samples,
             seed=seed,
             **kwargs,

@@ -153,13 +153,15 @@ def shared_mode_dims(tensors) -> tuple[int, ...]:
     return tensors[0].mode_dims
 
 
-def mti_evaluate(tensors, integrand, arguments) -> HermitianTensor | np.ndarray:
+def mti_evaluate(tensors, integrand, arguments) -> np.ndarray:
     """Multiple tensor integral via unfold -> matrix engine -> fold.
 
     ``tensors`` are HermitianTensor instances sharing mode dimensions;
     ``arguments`` are 2N-way arrays (or HermitianTensor) of the same modes.
     The N-index contraction between projectors and arguments is the matrix
     product under unfolding, so this equals the matrix evaluation exactly.
+    Returns the folded 2N-way array, whether or not it is Hermitian; wrap it
+    in :class:`HermitianTensor` to check that it is.
     """
     tensors = list(tensors)
     if not tensors:
@@ -170,9 +172,4 @@ def mti_evaluate(tensors, integrand, arguments) -> HermitianTensor | np.ndarray:
         for arg in arguments
     ]
     operators = [unfold(t) for t in tensors]
-    value = moi_core(operators, integrand, unfolded_args)
-    folded = fold_array(value, dims)
-    try:
-        return HermitianTensor(dims, folded)
-    except ValidationError:
-        return folded
+    return fold_array(moi_core(operators, integrand, unfolded_args), dims)

@@ -509,6 +509,29 @@ class TestValidateCommand:
                             "--output", str(diag)]) == 0
             assert read_json(diag)["ok"], produced.name
 
+    @pytest.mark.parametrize("kind", [["moi_request"], {"a": 1}])
+    def test_kind_that_is_not_a_string_reports(self, tmp_path, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "kind": kind}))
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["matched"] is None
+        assert payload["diagnostics"] == [
+            "kind: cannot infer the schema; provide --command or a 'kind' field"]
+
+    def test_operator_kind_that_is_not_a_string_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**read_json(config_path("demo_moi_eval.json")),
+                                   "operator_kind": ["unitary"]}))
+        capsys.readouterr()
+        assert run_cli(["moi-eval", "--input", str(bad)]) == 2
+        message = "input.operator_kind: unknown operator_kind ['unitary']"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
+        assert read_json(out)["diagnostics"] == [message]
+
     def test_unparseable_file_still_reports(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -116,6 +116,21 @@ class TestMoiEvaluate:
         with pytest.raises(ValidationError):
             mk.MoiRequest((a, b), mk.SeparableIntegrand.constant(3), (np.eye(4),))
 
+    @pytest.mark.parametrize("dims, argument_shape", [
+        ((4, 3), (4, 4)),
+        ((4, 4), (3, 3)),
+        ((4, 4), (4, 3)),
+    ], ids=["mixed-operator-dims", "argument-too-small", "argument-not-square"])
+    def test_moi_core_checks_like_the_request(self, rng, dims, argument_shape):
+        operators = tuple(random_ops(rng, 1, dim=d)[0] for d in dims)
+        psi = mk.SeparableIntegrand.constant(2)
+        arguments = (np.ones(argument_shape, dtype=complex),)
+        with pytest.raises(ValidationError) as request_error:
+            mk.MoiRequest(operators, psi, arguments)
+        with pytest.raises(ValidationError) as core_error:
+            mk.moi_core(operators, psi, arguments)
+        assert str(core_error.value) == str(request_error.value)
+
     def test_basis_covariance(self, rng):
         ops = random_ops(rng, 3)
         args = random_args(rng, 2)

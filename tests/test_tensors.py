@@ -211,7 +211,7 @@ class TestMtiEvaluate:
         result = mk.mti_evaluate(
             tensors, mk.SeparableIntegrand.constant(2), [argument]
         )
-        assert np.max(np.abs(result.entries - argument.entries)) <= 1e-10
+        assert np.max(np.abs(result - argument.entries)) <= 1e-10
 
     def test_single_mode_reduces_to_matrix_engine(self, rng):
         dims = (3,)
