@@ -364,10 +364,9 @@ class _Command(NamedTuple):
     """A subcommand: its help text; ``handler(payload, args)``, the parse step
     that returns ``run`` (``haar`` and ``validate`` read no command payload
     and have none); the ``kind`` of the payload it reads and of the report it
-    writes, which ``validate`` recognizes (it lists no kind of its own, so it
-    does not recognize its own reports); and, for a report that is a table,
-    the key of its rows and their columns, since only those reports can be
-    written with ``--format csv``."""
+    writes, which ``validate`` recognizes (its own reports included); and,
+    for a report that is a table, the key of its rows and their columns,
+    since only those reports can be written with ``--format csv``."""
 
     help: str
     handler: Callable | None = None
@@ -402,7 +401,8 @@ _COMMANDS = {
     "haar": _Command("sample Haar-random unitaries", result="haar_samples"),
     "mti-eval": _Command("evaluate a tensor integral", _handle_mti_eval,
                          "mti_request", "mti_result"),
-    "validate": _Command("schema and invariant diagnostics for a payload"),
+    "validate": _Command("schema and invariant diagnostics for a payload",
+                         result="validation_report"),
 }
 
 

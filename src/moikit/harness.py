@@ -6,31 +6,33 @@ other modules, estimates the expectation terms on the same sample stream,
 and compares the empirical exceedance frequency against the Markov-type
 right-hand side at every point of a theta grid.
 
-Each block of samples is evaluated in chunks.  Every sample of a chunk draws
-from its own stream, model by model (eigenvalues, then the Ginibre matrix);
-the draws are then stacked along a leading sample axis, and one batched
-statistic function per theorem computes the chunk's statistics and terms
-with stacked QR, eigendecompositions, factored engine sums, sup surrogates
-and SVD norms.  The sup surrogates never hold a chunk's grid: a one-term
-real integrand's sup is the ordered product of its per-slot maxima (exact,
-as rounding is monotone), and any other separable integrand's grid is summed
-in cache-sized blocks of samples, each reduced to its maxima at once (see
-``integrands._sup_norms``).  Batched arithmetic gives each sample the same
-bits as a call on that sample alone, so a sample's values do not depend on
-the chunk or block it falls in.  A sample whose arithmetic fails is aborted
-through a per-sample mask; a chunk that raises one of the abort errors is
-evaluated again one sample at a time, so that exactly the samples that fail
-alone are aborted.
+A range of samples is evaluated in chunks.  The samples draw their random
+operators in blocks of :data:`SAMPLE_BLOCK` = 256: block b (samples 256 b to
+256 b + 255) draws from the stream ``np.random.default_rng((seed, b))``, model
+by model in order, first the law variates of all 256 samples, then their
+Ginibre normals.  A chunk holds whole blocks when it holds at least one; a
+chunk or worker range that starts or ends inside a block draws that block
+whole and keeps its own samples.  The draws are stacked along a leading
+sample axis, and one batched statistic function per theorem computes the
+chunk's statistics and terms with stacked QR, eigendecompositions, factored
+engine sums, sup surrogates and SVD norms.  The sup surrogates never hold a
+chunk's grid: a one-term real integrand's sup is the ordered product of its
+per-slot maxima (exact, as rounding is monotone), and any other separable
+integrand's grid is summed in cache-sized blocks of samples, each reduced to
+its maxima at once (see ``integrands._sup_norms``).  Batched arithmetic
+gives each sample the same bits as a call on that sample alone, so a
+sample's values do not depend on the chunk or worker range it falls in.  A
+sample whose arithmetic fails is aborted through a per-sample mask; a chunk
+that raises one of the abort errors is evaluated again one sample at a time,
+so that exactly the samples that fail alone are aborted.
 
-Reproducibility contract: sample i draws from the stream
-``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`),
-per-sample values land in arrays indexed by sample, and aggregation is a
-fixed-order pairwise sum, so results are byte-identical for a fixed seed
-regardless of how samples are partitioned across workers and chunks.  The
-harness does not build those generators one by one: it derives the PCG64
-states of a chunk's streams at once, with numpy's seeding arithmetic, and
-seats one generator on each state in turn.  A test pins the derived states
-to :func:`sample_stream`.
+Reproducibility contract: a sample's draws depend on the seed and its index
+alone, per-sample values land in arrays indexed by sample, and aggregation
+is a fixed-order pairwise sum, so results are byte-identical for a fixed
+seed regardless of how samples are partitioned across workers and chunks.
+:func:`convergence_in_mean_check` and :func:`estimate_expectation` keep one
+stream per sample: sample i draws from
+``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`).
 
 The norm of an integrand over random spectra is measured by the sup of its
 absolute value over all tuples drawn from the union of the realized spectra
@@ -80,7 +82,7 @@ from .moi import (
 from .operators import (
     HermitianOperator,
     RandomOperatorModel,
-    _draw_into,
+    _draw,
     _hermitian_spectra,
     _hermitian_sum,
     _random_spectra,
@@ -117,85 +119,28 @@ THEOREM_IDS = (
 
 SURROGATE_NOTE = "sup of |integrand| over tuples from the union of realized spectra"
 
+# Samples per RNG stream of a tail-bound run.
+SAMPLE_BLOCK = 256
+SAMPLER_NOTE = (
+    f"block b of {SAMPLE_BLOCK} samples draws from np.random.default_rng((seed, b)), "
+    "model by model: law variates, then Ginibre normals"
+)
+
 _MASK64 = (1 << 64) - 1
-_GOLDEN64 = 0x9E3779B97F4A7C15
-
-
-def _splitmix64(z):
-    """SplitMix64's finalizer, on a Python int below 2**64 or elementwise on
-    a uint64 array (whose arithmetic wraps by itself)."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def mix64(seed: int, index: int) -> int:
     """SplitMix64-style stream derivation: independent 64-bit stream seeds
     from a base seed and a sample index."""
-    return _splitmix64((int(seed) + _GOLDEN64 * (int(index) + 1)) & _MASK64)
+    z = (int(seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """The RNG stream owned by one sample; execution order never matters."""
     return np.random.default_rng(mix64(seed, index))
-
-
-# How ``np.random.default_rng(entropy)`` seeds PCG64 for an entropy below
-# 2**64 (NEP 19): SeedSequence hashes the entropy's two 32-bit words into a
-# pool of four, mixes the pool and hashes it out to four 64-bit words; PCG64
-# seeds its 128-bit LCG from them.  The hashes run on a fixed sequence of
-# 32-bit constants, so they vectorize over entropies.
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_hash(constant: int, multiplier: int):
-    """SeedSequence's hash on uint32 arrays: each call xors its argument
-    with the running constant, advances the constant, multiplies by it and
-    folds the high half down."""
-    def hash_(value):
-        nonlocal constant
-        value = value ^ constant
-        constant = constant * multiplier & 0xFFFFFFFF
-        value = value * constant
-        return value ^ (value >> 16)
-    return hash_
-
-
-def _pcg64_states(entropy: np.ndarray) -> list[dict]:
-    """``np.random.default_rng(e).bit_generator.state`` for every e of a
-    uint64 array, derived for all of them at once."""
-    hash_a, hash_b = _seed_hash(*_HASH_A), _seed_hash(*_HASH_B)
-    low = (entropy & 0xFFFFFFFF).astype(np.uint32)
-    zero = np.zeros_like(low)
-    pool = [hash_a(word) for word in (low, (entropy >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * hash_a(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
-    words = [hash_b(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)
-    )
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
-def _stream_states(seed: int, lo: int, hi: int) -> list[dict]:
-    """``sample_stream(seed, i).bit_generator.state`` for i in lo..hi-1:
-    the :func:`mix64` entropies and their PCG64 states, derived for all of
-    them at once.  ``seed`` lies in [0, 2**64)."""
-    index = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    return _pcg64_states(_splitmix64(np.uint64(seed) + np.uint64(_GOLDEN64) * index))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -671,27 +616,28 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
 
 def _sampled_spectra(exp: TailBoundExperiment, lo: int, hi: int, unitary: bool) -> list:
     """The random operators of samples lo..hi-1, per model stacked over the
-    samples as (eigenvalues, bases, matrices).  Each sample draws from its
-    own stream, model by model in order: one generator is seated on each
-    sample's state in turn, and the law is applied once per model."""
-    models = exp.operator_models
-    dim = models[0].dim
-    variates = np.empty((len(models), hi - lo, dim))
-    normals = np.empty((len(models), hi - lo, 2, dim, dim))
-    rng = np.random.Generator(np.random.PCG64())
-    bit_generator = rng.bit_generator
-    for offset, state in enumerate(_stream_states(exp.seed, lo, hi)):
-        bit_generator.state = state
-        for j, model in enumerate(models):
-            _draw_into(model, rng, variates[j, offset], normals[j, offset])
-    return [_random_spectra(model._apply_law(variates[j]), normals[j], unitary)
-            for j, model in enumerate(models)]
+    samples as (eigenvalues, bases, matrices).  Block b of
+    :data:`SAMPLE_BLOCK` samples draws from ``np.random.default_rng((seed,
+    b))``, model by model in order, all of its samples at once; a block that
+    lo or hi cuts is drawn whole and sliced."""
+    drawn = [([], []) for _ in exp.operator_models]
+    for block in range(lo // SAMPLE_BLOCK, -(-hi // SAMPLE_BLOCK)):
+        rng = np.random.default_rng((exp.seed, block))
+        first = block * SAMPLE_BLOCK
+        rows = slice(max(lo - first, 0), min(hi - first, SAMPLE_BLOCK))
+        for model, (values, normals) in zip(exp.operator_models, drawn):
+            block_values, block_normals = _draw(model, rng, SAMPLE_BLOCK)
+            values.append(block_values[rows])
+            normals.append(block_normals[rows])
+    return [_random_spectra(np.concatenate(values), np.concatenate(normals), unitary)
+            for values, normals in drawn]
 
 
 def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     """Per-sample statistics and terms of samples lo..hi-1, plus an abort
     mask; aborted samples read NaN.  The samples are evaluated in chunks of
-    ``ctx.chunk``.  Without ``ctx`` the experiment is prepared here (pool
+    ``ctx.chunk``, rounded down to whole blocks of :data:`SAMPLE_BLOCK` when
+    it holds one.  Without ``ctx`` the experiment is prepared here (pool
     workers do this: the statistic closures do not pickle)."""
     if ctx is None:
         ctx = _prepare(exp)
@@ -700,8 +646,10 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     all_labels = ctx.labels + ctx.extra_labels
     terms = {label: np.full(count, np.nan) for label in all_labels}
     aborted = np.zeros(count, dtype=bool)
-    for start in range(0, count, ctx.chunk):
-        spectra = _sampled_spectra(exp, lo + start, lo + min(count, start + ctx.chunk),
+    # chunks of whole blocks draw each block once
+    chunk = ctx.chunk // SAMPLE_BLOCK * SAMPLE_BLOCK or ctx.chunk
+    for start in range(0, count, chunk):
+        spectra = _sampled_spectra(exp, lo + start, lo + min(count, start + chunk),
                                    ctx.unitary)
         # the arithmetic of the samples that abort may warn; they are masked
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -775,6 +723,7 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
         "workers": workers,
         "aborted_samples": aborted_count,
         "surrogate": SURROGATE_NOTE,
+        "sampler": SAMPLER_NOTE,
         "coefficients": {k: float(v) for k, v in ctx.coefficients.items()},
         "constants": ctx.constants,
     }

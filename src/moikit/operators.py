@@ -345,8 +345,8 @@ class RandomOperatorModel:
     ``("fixed", values)``.  ``dim`` is a positive integer and ``seed`` an
     integer in [0, 2**64); booleans are neither.  ``seed`` is stored and
     serialized only: sampling never reads it, since every draw comes from a
-    generator the caller passes, and the Monte Carlo harness derives each
-    sample's stream from the experiment's seed alone.
+    generator the caller passes, and the Monte Carlo harness derives its
+    streams from the experiment's seed alone.
     """
 
     dim: int
@@ -388,9 +388,9 @@ class RandomOperatorModel:
         return self._apply_law(variates)[0]
 
     def _draw_variates(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw one sample's law variates into ``out`` of shape (dim,):
-        standard uniforms for the uniform law, standard normals for the
-        gaussian law, nothing for the fixed law."""
+        """Draw law variates into ``out``, of shape (dim,) or stacked over
+        samples as (N, dim): standard uniforms for the uniform law, standard
+        normals for the gaussian law, nothing for the fixed law."""
         kind = self.law[0]
         if kind == "uniform":
             rng.random(out=out)
@@ -411,22 +411,14 @@ class RandomOperatorModel:
         return np.full(variates.shape, self.law[1])
 
 
-def _draw_into(model: RandomOperatorModel, rng: np.random.Generator,
-               variates: np.ndarray, normals: np.ndarray) -> None:
-    """One sample's draws for ``model``, in their fixed order: the law
-    variates of the eigenvalues (eigenphases for unitaries) into ``variates``
-    (dim,), then the real and imaginary Ginibre parts into ``normals``
-    (2, dim, dim)."""
+def _draw(model: RandomOperatorModel, rng: np.random.Generator, count: int = 1):
+    """``count`` samples' draws for ``model``, in their fixed order: the law
+    variates of the eigenvalues (eigenphases for unitaries) of all samples,
+    then the real and imaginary Ginibre parts of all samples.  Returns the
+    eigenvalues (count, dim) and the normals (count, 2, dim, dim)."""
+    variates = np.empty((count, model.dim))
     model._draw_variates(rng, variates)
-    rng.standard_normal(out=normals)
-
-
-def _draw(model: RandomOperatorModel, rng: np.random.Generator):
-    """:func:`_draw_into` for a batch of one: the eigenvalues (1, dim) and
-    the normals (1, 2, dim, dim)."""
-    variates = np.empty((1, model.dim))
-    normals = np.empty((1, 2, model.dim, model.dim))
-    _draw_into(model, rng, variates[0], normals[0])
+    normals = rng.standard_normal((count, 2, model.dim, model.dim))
     return model._apply_law(variates), normals
 
 

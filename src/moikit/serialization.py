@@ -63,10 +63,6 @@ def _items(value, parse, message: str, path: str, least: int = 0,
     return [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
 
 
-def _unread(item, path: str):
-    return item
-
-
 def _number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             "expected a number", path)
@@ -366,9 +362,9 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
         integrand = parse_scalar_function(integrand_json, root + ".integrand")
     else:
         integrand = parse_separable(integrand_json, root + ".integrand")
-    # the list is checked here, its items with the experiment below
-    theta_list = ("theta_grid must be a non-empty list", root + ".theta_grid")
-    thetas = _items(_get(obj, "theta_grid", root), _unread, *theta_list, least=1)
+    thetas = tuple(_items(_get(obj, "theta_grid", root), _number,
+                          "theta_grid must be a non-empty list", root + ".theta_grid",
+                          least=1))
     samples = _integer(_get(obj, "samples", root), "samples must be a positive integer",
                        root + ".samples", 1)
     seed = _integer(_get(obj, "seed", root), "seed must be an unsigned 64-bit integer",
@@ -390,7 +386,7 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
             operator_models=models,
             fixed_inputs=fixed,
             integrand=integrand,
-            theta_grid=tuple(_items(thetas, _number, *theta_list)),
+            theta_grid=thetas,
             samples=samples,
             seed=seed,
             **kwargs,

@@ -238,14 +238,61 @@ def exhaustive_grid_max(point_fn, axes):
 def grid_sup(psi, spectra):
     """Max of |psi| over the full grid of the spectra, from ``eval_grid``:
     the sup surrogate with no shortcut of its own."""
-    return float(np.max(np.abs(psi.eval_grid([np.asarray(s) for s in spectra]))))
+    # an infinite factor value times a zero one is NaN, as in the harness,
+    # which evaluates its surrogates under the same errstate
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(psi.eval_grid([np.asarray(s) for s in spectra]))))
+
+
+def tail_bound_block_draws(exp, block):
+    """The documented draws of one block of 256 tail-bound samples: from
+    ``np.random.default_rng((seed, block))``, per operator model in order,
+    the law variates of all 256 samples (uniforms for the uniform law,
+    normals for the gaussian law, none for the fixed law), then their
+    Ginibre normals.  Returns per model a list of (method, array) pairs."""
+    rng = np.random.default_rng((exp.seed, block))
+    draws = []
+    for model in exp.operator_models:
+        dim, kind = model.dim, model.law[0]
+        model_draws = []
+        if kind == "uniform":
+            model_draws.append(("random", rng.random((256, dim))))
+        elif kind == "gaussian":
+            model_draws.append(("standard_normal", rng.standard_normal((256, dim))))
+        model_draws.append(("standard_normal", rng.standard_normal((256, 2, dim, dim))))
+        draws.append(model_draws)
+    return draws
+
+
+class ReplayedGenerator:
+    """Stands in for a ``numpy.random.Generator`` in the public samplers: each
+    ``random`` or ``standard_normal`` call returns the next of the given
+    (method, values) pairs, which must name that method."""
+
+    def __init__(self, calls):
+        self._calls = iter(calls)
+
+    def _next(self, method, size, out):
+        expected, values = next(self._calls)
+        assert method == expected, (method, expected)
+        if out is None:
+            return np.array(values).reshape(size)
+        out[...] = values.reshape(out.shape)
+        return out
+
+    def random(self, size=None, out=None):
+        return self._next("random", size, out)
+
+    def standard_normal(self, size=None, out=None):
+        return self._next("standard_normal", size, out)
 
 
 def tail_bound_block(exp, lo, hi):
     """Per-sample statistics, terms and abort mask of samples lo..hi-1 of a
     tail-bound experiment, computed one sample at a time with the public
     single-operator functions: the reference for the harness's batched
-    evaluation.  Aborted samples read NaN."""
+    evaluation.  Each sample's samplers replay its rows of its block's
+    draws (:func:`tail_bound_block_draws`).  Aborted samples read NaN."""
     import moikit as mk
 
     statistic = _TAIL_BOUND_STATISTICS[exp.theorem_id]
@@ -253,8 +300,15 @@ def tail_bound_block(exp, lo, hi):
     stats = np.full(count, np.nan)
     terms = {}
     aborted = np.zeros(count, dtype=bool)
+    blocks = {}
     for offset in range(count):
-        rng = mk.sample_stream(exp.seed, lo + offset)
+        block, row = divmod(lo + offset, 256)
+        if block not in blocks:
+            blocks[block] = tail_bound_block_draws(exp, block)
+        rng = ReplayedGenerator([
+            (method, drawn[row]) for model_draws in blocks[block]
+            for method, drawn in model_draws
+        ])
         try:
             stat, values = statistic(exp, rng)
         except (mk.CapabilityError, mk.FunctionDomainError, mk.NumericalError):

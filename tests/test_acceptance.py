@@ -305,19 +305,19 @@ def test_c07_remainders():
 # byte-identical
 TAILBOUND_DIGESTS = {
     "tailbound_moi_norm_a":
-        "1ffe0d2f710f26bd65b4c3e37537b9e494ca714547f08c1757c78b5bbc52a7aa",
+        "84bd20399ca9c010192b44adbb21c37da461510e4fdc665618d77009a8b4f145",
     "tailbound_moi_norm_schatten_b":
-        "4e0dee24f2a7cc373d0d34947fe59043e1414629a38c9f6ec37877985980ad4f",
+        "144b1da3dafb4c3d05f7884301d45d0d8795108d0f61e7eec838aeb25b9c7219",
     "tailbound_first_derivative":
-        "90e0be2c6052904b20f631c1dc85722705acd8a7b9eba3aa0eee8ff4bbae0a9f",
+        "0d1f96e74f42cafd0e464570ac01ec6090dba0a39cf1a799d67740ae30a63d2b",
     "tailbound_kth_derivative":
-        "e1f50c37160c944ba991fa45d60fd0a549fee8782a24868823f638bad1e0eaa0",
+        "c461ec0efbf0bd8c10c22bcba0b9ef8ebaddf3d95f156728765cb0d9882399d1",
     "tailbound_higher_difference":
-        "8fccf15ea2dec9a59438253976d256aa86263e6322eee98b983de70f836e5d73",
+        "ab57e864b2b21dc2c3c6a7df0ed5c06619f255f5ab07c7e191ba32ff172804c3",
     "tailbound_sa_remainder":
-        "452b1918f372ffde7c5a614c3193aaef5062c134922f91d9737f95f19bcf6024",
+        "9c78a24a6d1e908037d38457ad545274eb5c38b4fb1431075d8bd55bb93a8fe4",
     "tailbound_unitary_remainder":
-        "a8d6439a9598b07b0ee828fd9e4062a4654668ca0497189a5b1f7cd4bb87c77f",
+        "a64e590297252040da1418e25696f1c5ddc270aa3ba16ada39dc552049ed79f0",
 }
 
 

@@ -427,6 +427,9 @@ REJECTED_PAYLOADS = [
     pytest.param("tailbound", "tailbound_kth_derivative.json",
                  lambda p: {**_small_tailbound(p), "seed": True},
                  id="tailbound-seed-boolean"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: {**_small_tailbound(p), "theta_grid": ["x", 1.0]},
+                 id="tailbound-theta-item-string"),
     pytest.param("higher-diff", "demo_higher_diff.json",
                  lambda p: {**p, "include_moi_diagnostic": "no"},
                  id="higher-diff-diagnostic-flag-string"),
@@ -464,6 +467,15 @@ class TestValidateCommand:
         assert payload["ok"]
         assert payload["matched"] == "moi-eval"
         assert payload["summary"]["operators_count"] == 2
+
+    def test_validation_report_validates(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run_cli(["validate", "--input", config_path("demo_moi_eval.json"),
+                        "--output", str(first)]) == 0
+        assert run_cli(["validate", "--input", str(first), "--output", str(second)]) == 0
+        payload = read_json(second)
+        assert payload["ok"]
+        assert payload["matched"] == "validation_report"
 
     def test_non_hermitian_slot_diagnostic(self, tmp_path):
         request = read_json(config_path("demo_moi_eval.json"))

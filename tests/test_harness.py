@@ -58,22 +58,6 @@ class TestStreams:
             9420747912965734335, 14547181691595906324,
         ]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    def test_chunk_states_are_the_sample_streams(self, seed):
-        # chunks 0..15 and 16..39 meet at a chunk boundary of 16 samples
-        for lo, hi in ((0, 16), (16, 40), (999, 1001)):
-            states = harness._stream_states(seed, lo, hi)
-            assert len(states) == hi - lo
-            for i, state in zip(range(lo, hi), states):
-                assert state == mk.sample_stream(seed, i).bit_generator.state
-
-    def test_entropy_states_are_default_rng(self):
-        edges = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        drawn = np.random.default_rng(0).integers(0, 2**64, 3000, dtype=np.uint64)
-        entropy = np.concatenate([np.array(edges, dtype=np.uint64), drawn])
-        for e, state in zip(entropy.tolist(), harness._pcg64_states(entropy)):
-            assert state == np.random.default_rng(e).bit_generator.state
-
 
 class TestEstimateExpectation:
     def test_constant_statistic(self):
@@ -296,6 +280,17 @@ def partially_failing_experiment(theorem_id):
     )
 
 
+def simulated_in_parts(exp, cuts):
+    """``_simulate_block`` over the ranges between consecutive cuts, joined."""
+    parts = [harness._simulate_block(exp, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return (
+        np.concatenate([part[0] for part in parts]),
+        {label: np.concatenate([part[1][label] for part in parts])
+         for label in parts[0][1]},
+        np.concatenate([part[2] for part in parts]),
+    )
+
+
 def chunks_of_16(monkeypatch):
     monkeypatch.setattr(harness, "_chunk_samples", lambda dim, surrogates: 16)
 
@@ -309,15 +304,57 @@ class TestBatchedEvaluation:
         exp = shipped_experiment(theorem_id)
         whole = harness._simulate_block(exp, 0, 100)
         chunks_of_16(monkeypatch)
-        parts = [harness._simulate_block(exp, lo, hi)
-                 for lo, hi in ((0, 1), (1, 37), (37, 100))]
-        joined = (
-            np.concatenate([part[0] for part in parts]),
-            {label: np.concatenate([part[1][label] for part in parts])
-             for label in whole[1]},
-            np.concatenate([part[2] for part in parts]),
-        )
-        assert_same_bits(joined, whole)
+        assert_same_bits(simulated_in_parts(exp, (0, 1, 37, 100)), whole)
+
+    @pytest.mark.parametrize("chunks", ["default", "of_16"])
+    @pytest.mark.parametrize("theorem_id", harness.THEOREM_IDS)
+    def test_ranges_across_rng_blocks_give_the_same_bits(self, theorem_id, chunks,
+                                                         monkeypatch):
+        # 255 | 257 cut the first two RNG blocks of 256 samples inside them
+        exp = shipped_experiment(theorem_id)
+        whole = harness._simulate_block(exp, 0, 600)
+        if chunks == "of_16":
+            chunks_of_16(monkeypatch)
+        assert_same_bits(simulated_in_parts(exp, (0, 255, 257, 600)), whole)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_blocks_draw_from_their_own_streams(self, seed, monkeypatch):
+        # samples 100..299 take rows 100..255 of block 0 and 0..43 of block 1
+        exp = dataclasses.replace(shipped_experiment("moi_norm_a"), seed=seed)
+        model = exp.operator_models[0]
+        a, b = (float(bound) for bound in model.law[1:])
+        dim = model.dim
+        drawn = []
+        random_spectra = harness._random_spectra
+
+        def recording(values, normals, unitary):
+            drawn.append((values, normals))
+            return random_spectra(values, normals, unitary)
+
+        monkeypatch.setattr(harness, "_random_spectra", recording)
+        harness._sampled_spectra(exp, 100, 300, False)
+        expected_values, expected_normals = [], []
+        for block, rows in ((0, slice(100, 256)), (1, slice(0, 44))):
+            rng = np.random.default_rng((seed, block))
+            expected_values.append(a + (b - a) * rng.random((256, dim))[rows])
+            expected_normals.append(rng.standard_normal((256, 2, dim, dim))[rows])
+        assert len(drawn) == len(exp.operator_models)
+        np.testing.assert_array_equal(drawn[0][0], np.concatenate(expected_values))
+        np.testing.assert_array_equal(drawn[0][1], np.concatenate(expected_normals))
+
+    def test_chunks_hold_whole_rng_blocks(self, monkeypatch):
+        exp = shipped_experiment("first_derivative")
+        monkeypatch.setattr(harness, "_chunk_samples", lambda dim, surrogates: 600)
+        ranges = []
+        sampled_spectra = harness._sampled_spectra
+
+        def recording(exp, lo, hi, unitary):
+            ranges.append((lo, hi))
+            return sampled_spectra(exp, lo, hi, unitary)
+
+        monkeypatch.setattr(harness, "_sampled_spectra", recording)
+        harness._simulate_block(exp, 0, 1100)
+        assert ranges == [(0, 512), (512, 1024), (1024, 1100)]
 
     @pytest.mark.parametrize("theorem_id", harness.THEOREM_IDS)
     def test_block_matches_the_per_sample_reference(self, theorem_id):

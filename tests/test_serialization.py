@@ -125,3 +125,12 @@ class TestExperimentSchema:
         payload = {**payload, "theorem_id": "bogus"}
         with pytest.raises(ValidationError):
             ser.parse_experiment(payload)
+
+    def test_bad_theta_item_is_reported_at_its_own_path(self):
+        # the item is read with the list, before the later fields
+        payload = ser.load_json(config_path("tailbound_kth_derivative.json"))
+        payload = {**payload, "theta_grid": ["x", *payload["theta_grid"][1:]],
+                   "samples": "many"}
+        with pytest.raises(ValidationError) as err:
+            ser.parse_experiment(payload)
+        assert str(err.value) == "experiment.theta_grid[0]: expected a number"
