@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     FunctionDomainError,
@@ -233,12 +232,19 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
     sorted ascending.  Unitary operators go through a complex Schur
     decomposition (diagonal for normal input), eigenvalues renormalized onto
     the unit circle and sorted by principal phase in (-pi, pi].
+
+    The Schur decomposition is the one use of scipy in moikit, so scipy is
+    imported here, on the first unitary given as a matrix, and never by
+    ``import moikit``: sampled unitaries carry their spectra and do not
+    reach this branch.
     """
     matrix = op.matrix
     if isinstance(op, HermitianOperator):
         eigenvalues, bases, errors = _hermitian_spectra(matrix[None])
         eigenvalues, basis = eigenvalues[0], bases[0]
     else:
+        import scipy.linalg
+
         schur_t, schur_z = scipy.linalg.schur(matrix, output="complex")
         eigenvalues = np.diag(schur_t).copy()
         moduli = np.abs(eigenvalues)
@@ -426,14 +432,13 @@ def _haar_bases(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from standard normal pairs stacked over samples, shape
     (N, 2, n, n): complex Ginibre matrix -> batched QR -> column phases fixed
     by the sign of the R diagonal, which makes the factorization unique and
-    the law exactly Haar (plain QR of Ginibre is not).  Raises
-    ValidationError unless every result is unitary."""
+    the law exactly Haar (plain QR of Ginibre is not).  The results are
+    not checked: Householder QR gives orthonormal columns to working
+    precision."""
     ginibre = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    bases = q * (diag / np.abs(diag))[:, None, :]
-    UnitaryOperator._check(bases)
-    return bases
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _random_spectra(values: np.ndarray, normals: np.ndarray, unitary: bool = False):
@@ -495,7 +500,7 @@ def random_hermitian(
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = (raw + raw.conj().T) / 2.0
     if norm is not None:
-        current = float(np.linalg.norm(herm, 2))
+        current = float(_stacked_norms(herm[None])[0])
         if current > 0:
             herm = herm * (norm / current)
     return herm

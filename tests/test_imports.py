@@ -1,0 +1,77 @@
+"""What a fresh interpreter loads: ``import moikit`` brings numpy and the
+standard library only, and scipy waits for the one complex Schur
+decomposition of a unitary given as a matrix.
+
+Every check runs in a subprocess, because the test modules themselves
+import ``scipy.stats``."""
+
+import json
+import os
+import subprocess
+import sys
+
+import moikit as mk
+
+# the source tree this process imported moikit from
+SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
+
+PRELUDE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+# sha256 of the eigenvalue bytes then the basis bytes that
+# spectral_decompose gives for each unitary of DECOMPOSE, pinned when
+# scipy.linalg was still imported with moikit
+UNITARY_DIGESTS = {
+    "diagonal": "c641f3623f3346be762973d027ba07029882580e18e5d9e57e76c39bb88a69ff",
+    "rotation": "a255dc1fdb4c9e49b565e175496c71892538abd2b6ca5dce41991f64c9ddaf58",
+    "haar": "87b74df0edc4b62b9dd5803c9a4fd5f5546ee336a15dd12263b931adbdbd62bc",
+}
+
+DECOMPOSE = PRELUDE + """
+import hashlib
+import numpy as np
+import moikit as mk
+
+before = scipy_modules()
+t = 0.7
+unitaries = {
+    "diagonal": np.diag(np.exp(1j * np.array([2.5, -0.3, 1.0]))),
+    "rotation": np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]),
+    "haar": mk.sample_haar_unitary(5, np.random.default_rng(2024)).matrix,
+}
+digests = {}
+for name, matrix in unitaries.items():
+    decomp = mk.spectral_decompose(mk.UnitaryOperator(matrix))
+    data = decomp.eigenvalues.tobytes() + decomp.basis.tobytes()
+    digests[name] = hashlib.sha256(data).hexdigest()
+print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules,
+                  "digests": digests}))
+"""
+
+
+def run_fresh(code: str):
+    """The JSON that ``code`` prints last in a fresh interpreter that finds
+    moikit where this process found it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SOURCE, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    code = PRELUDE + "import moikit, moikit.cli\nprint(json.dumps(scipy_modules()))"
+    assert run_fresh(code) == []
+
+
+def test_unitary_schur_loads_scipy_and_keeps_its_bits():
+    result = run_fresh(DECOMPOSE)
+    assert result["before"] == []
+    assert result["after"]
+    assert result["digests"] == UNITARY_DIGESTS

@@ -168,6 +168,17 @@ class TestHaarSampling:
             departure = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim)))
             assert departure <= 1e-10
 
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3, 4, 16])
+    def test_block_of_bases_is_unitary(self, dim, unitary):
+        # the samplers do not check their bases, so this is the check
+        rng = np.random.default_rng(256 * dim + unitary)
+        values = rng.uniform(-np.pi, np.pi, (256, dim))
+        normals = rng.standard_normal((256, 2, dim, dim))
+        _, bases, _ = operators._random_spectra(values, normals, unitary)
+        departure = np.abs(operators._adjoint(bases) @ bases - np.eye(dim))
+        assert np.max(departure) <= 1e-12
+
     def test_trace_second_moment(self):
         rng = np.random.default_rng(77)
         moments = [
