@@ -1,5 +1,8 @@
 """Engine identities: evaluation, linearity, splits, partitions, bounds."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from moikit.errors import (
 )
 
 import oracles
-from conftest import grid_path
+from conftest import config_path, grid_path
 
 
 def random_separable(rng, arity, n_terms=2, degree=2):
@@ -462,3 +465,45 @@ class TestContinuity:
                 args,
             )
             assert lhs <= bound + 1e-9 * max(1.0, bound)
+
+
+# sha256 of continuity_modulus and sup_norm_on_grid for exp and sin (see
+# continuity_bytes), pinned so that changes to how the sup of a
+# non-polynomial divided difference is found keep every bit
+CONTINUITY_DIGEST = "4e344612f52bf7359e2c9f05f692d6dce7317be7b3266d46fc5518ff6890cd1f"
+
+
+def continuity_bytes() -> bytes:
+    """(lhs, bound) of continuity_modulus at orders 1 and 2, and the sup of
+    the next divided difference over the union of the spectra, for exp and
+    sin with three derivatives each, at n = 6: operators drawn uniform on
+    [-1, 1] with Haar bases, drifts and arguments of norm 1, the drifts
+    scaled by the epsilon0 of configs/convmean_default.json."""
+    with open(config_path("convmean_default.json")) as handle:
+        eps = float(json.load(handle)["epsilon0"])
+    functions = [
+        mk.ScalarFunction.from_callable(np.exp, (np.exp, np.exp, np.exp)),
+        mk.ScalarFunction.from_callable(
+            np.sin, (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+        ),
+    ]
+    rng = np.random.default_rng(20261)
+    model = mk.RandomOperatorModel(6, ("uniform", -1.0, 1.0))
+    chunks = []
+    for order in (1, 2):
+        ops = [mk.sample_random_hermitian(model, rng) for _ in range(order + 1)]
+        perturbed = [mk.shifted_operator(op, eps * mk.random_hermitian(6, rng, norm=1.0))
+                     for op in ops]
+        args = [mk.random_hermitian(6, rng, norm=1.0) for _ in range(order)]
+        union = np.concatenate([op.decomposition.eigenvalues for op in (*ops, *perturbed)])
+        for f in functions:
+            lhs, bound = mk.continuity_modulus(f, order, ops, perturbed, args)
+            sup = mk.sup_norm_on_grid(
+                mk.divided_difference_integrand(f, order + 1), [union] * (order + 2)
+            )
+            chunks.append(np.array([lhs, bound, sup]).tobytes())
+    return b"".join(chunks)
+
+
+def test_continuity_modulus_is_pinned():
+    assert hashlib.sha256(continuity_bytes()).hexdigest() == CONTINUITY_DIGEST
