@@ -373,8 +373,9 @@ def _chunk_samples(dim: int, surrogates) -> int:
     integrand's factored sum holds one such matrix per node of its widest
     :attr:`~moikit.integrands.SeparableIntegrand.suffix_tree` level, next
     to its factor values on the union (the surrogate sums those in blocks
-    of its own size).  Any other integrand's grid is built one sample at a
-    time."""
+    of its own size).  Any other integrand's engine grid is built one sample
+    at a time, and a divided difference's sup reads one sample's multisets
+    of union nodes at a time, with no grid."""
     largest = dim * dim
     for psi, union in surrogates:
         if psi.separable is not None:

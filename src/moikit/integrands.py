@@ -13,9 +13,11 @@ l - 1 that it spans, or f^(l)/l! where its ends are equal.  Each tuple is
 snapped first (:func:`_snapped_nodes`, which merges clustered nodes), and
 then is a sorted tuple of indices into the nodes it snaps to.  The grid of a
 non-polynomial divided-difference integrand (:func:`_divided_difference_grid`)
-ranks each point's sorted tuple of indices into the union of the axes and
-evaluates each tuple that occurs once; :func:`divided_difference` is a stack
-of one tuple.  Every value has the bits of the scalar recursion.
+evaluates each distinct sorted tuple of indices into the union of the axes
+once: on equal axes the multisets of the axis's nodes, listed by rank, else
+those the ranks of the points find; :func:`divided_difference` is a stack of
+one tuple.  Every value has the bits of the scalar recursion, but for the
+sign and payload of a NaN.
 
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
@@ -27,7 +29,8 @@ keeping a stacked grid: a one-term integrand with real values takes the
 ordered product of its per-slot maxima, exact because rounding to nearest
 is monotone and symmetric in sign, and any other separable integrand is
 summed in blocks of samples that fit in a core's L2 cache, each reduced to
-its per-sample maxima at once.
+its per-sample maxima at once.  A non-polynomial divided difference on equal
+axes builds no grid: its sup is the max over its multisets' values.
 """
 
 from __future__ import annotations
@@ -409,7 +412,9 @@ def divided_difference(spec: DividedDifferenceSpec):
 
     Separated nodes use the difference-quotient recursion; any run of
     coincident nodes of length r+1 contributes ``f^(r)(z) / r!``.  The result
-    is symmetric in node order (nodes are sorted internally).
+    is symmetric in node order (nodes are sorted internally), with the bits
+    of the scalar recursion except the sign and payload of a NaN result
+    (sorting writes every NaN node back as +NaN).
     """
     values, is_complex = _divided_differences(spec.f, np.array([spec.nodes]))
     return values[0] if is_complex[0] else values[0].real
@@ -418,33 +423,53 @@ def divided_difference(spec: DividedDifferenceSpec):
 def _divided_difference_grid(
     f: ScalarFunction, order: int, axes: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """The grid of ``f^[order]`` on the Cartesian product of the axes.
+    """The grid of ``f^[order]`` on the Cartesian product of the axes: each
+    point takes the value of its tuple (see :func:`_tuple_values`)."""
+    values, at = _tuple_values(f, order, axes, True)
+    return values[at]
+
+
+def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], points: bool):
+    """``f^[order]`` (complex) at the distinct tuples of the grid of the
+    axes, and, when ``points``, the index of each point's tuple among them;
+    some point holds each tuple, so ``max |values|`` is the grid's.
 
     ``f^[order]`` is symmetric in its nodes, and :func:`_snapped_nodes`
     sorts every tuple first, so a point's value is that of its nodes as a
-    non-decreasing tuple of indices into the sorted union of the axes.  The
-    distinct tuples are found by rank (see :func:`_distinct_tuples`).  Each
-    one that snapping may move is snapped once (see :func:`_snapped`): its
+    non-decreasing tuple of indices into the sorted union of the axes.
+    When every axis holds the same values, none NaN, the distinct tuples
+    are every multiset of k + 1 of the axis's distinct nodes, listed by
+    rank (see :func:`_unrank`), and a point's rank is its tuple's index;
+    else they are found by rank (see :func:`_distinct_tuples`).  Each one
+    that snapping may move is snapped once (see :func:`_snapped`): its
     snapped values join the union, and its indices point at them.  Every
     tuple is then read from one recursive table over the nodes (see
-    :func:`_union_table`), with the bits of the per-point recursion, and
-    every point takes the value of its tuple.
+    :func:`_union_table`), with the bits of the per-point recursion.
     """
     dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
     # every node snaps to at least z + 0.0, so -0.0 is +0.0 from here on
     axes = [np.asarray(a, dtype=dtype) + 0.0 for a in axes]
     shape = tuple(a.size for a in axes)
     if math.prod(shape) == 0:
-        return np.empty(shape, dtype=np.complex128)
-    union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
-    ends = itertools.accumulate(shape)
-    index = _sorted_indices([inverse[hi - n : hi] for n, hi in zip(shape, ends)])
-    ranks = _rank(_binomials(union.size, order), index)
-    first, at = _distinct_tuples(ranks, math.comb(union.size + order, order + 1))
-    tuples = [s.ravel()[first] for s in index]
+        return np.empty(0, dtype=np.complex128), np.zeros(shape, dtype=np.intp)
+    if all(np.array_equal(a, axes[0]) for a in axes[1:]):
+        union, inverse = np.unique(axes[0], return_inverse=True)
+        binomials = _binomials(union.size, order)
+        tuples = _unrank(np.arange(binomials[order][union.size]), binomials)
+        # rank 0 is k + 1 copies of one node, like the grid's first point:
+        # it fails whenever any tuple does
+        at = (_rank(binomials, _sorted_indices([inverse] * len(axes))) if points
+              else np.arange(len(tuples[0])))
+    else:
+        union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
+        ends = itertools.accumulate(shape)
+        index = _sorted_indices([inverse[hi - n : hi] for n, hi in zip(shape, ends)])
+        ranks = _rank(_binomials(union.size, order), index)
+        first, at = _distinct_tuples(ranks, math.comb(union.size + order, order + 1))
+        tuples = [s.ravel()[first] for s in index]
     union, tuples = _snapped(union, tuples)
     values, _ = _union_table(f, union, tuples, at)
-    return values.astype(np.complex128, copy=False)[at]
+    return values.astype(np.complex128, copy=False), at
 
 
 @functools.lru_cache(maxsize=16)
@@ -664,7 +689,8 @@ def _window_levels(size: int, tuples: list) -> list:
 def _union_table(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarray):
     """``f^[k]`` at sorted index tuples into the sorted distinct ``nodes``,
     one array of indices per position, by the recursive table over the
-    nodes: the value at each tuple, and whether it is complex.
+    nodes: the value at each tuple, with the bits of the scalar recursion
+    but for the sign and payload of a NaN, and whether it is complex.
 
     When a tuple's longest run of equal indices, less one, is a derivative
     order that ``f`` lacks, no value is computed: the error names the first
@@ -1075,6 +1101,7 @@ class MultivariateFunction:
     evaluate: Callable
     separable: SeparableIntegrand | None = None
     _grid: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _sup: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -1131,11 +1158,13 @@ def _as_integrand(integrand) -> MultivariateFunction:
     )
 
 
-def _with_grid(psi: MultivariateFunction, grid: Callable) -> MultivariateFunction:
+def _with_grid(psi: MultivariateFunction, grid: Callable, sup=None) -> MultivariateFunction:
     """``psi``, whose :meth:`~MultivariateFunction.eval_grid` now returns
     ``grid(axes)``: the values ``psi.evaluate`` gives on the Cartesian
-    product of the axes, as a complex array."""
+    product of the axes, as a complex array; ``sup(axes)``, when given, is
+    ``max |grid(axes)|`` with its bits (see :func:`_sup_norms`)."""
     object.__setattr__(psi, "_grid", grid)
+    object.__setattr__(psi, "_sup", sup)
     return psi
 
 
@@ -1220,7 +1249,8 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     indices into the union of the axes once (the divided difference is
     symmetric in its nodes), reads every tuple, once snapped, from one table
     over the nodes, and calls ``f`` and each derivative once per node whose
-    value the grid reads.
+    value the grid reads.  Its sup (see :func:`_sup_norms`) is the max over
+    those tuples' values, with no grid.
     """
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")
@@ -1236,6 +1266,7 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     return _with_grid(
         MultivariateFunction(order + 1, evaluate),
         lambda axes, _f=f, _k=order: _divided_difference_grid(_f, _k, axes),
+        lambda axes, _f=f, _k=order: np.max(np.abs(_tuple_values(_f, _k, axes, False)[0])),
     )
 
 
@@ -1298,7 +1329,9 @@ def _batch_of_one(arrays: Sequence) -> list[np.ndarray]:
 
 def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra; ``psi`` is a
-    :class:`MultivariateFunction` or a :class:`SeparableIntegrand`."""
+    :class:`MultivariateFunction` or a :class:`SeparableIntegrand`.  A
+    non-polynomial divided difference on equal spectra reads each multiset
+    of their distinct nodes once, with no grid (see :func:`_sup_norms`)."""
     psi = _as_integrand(psi)
     return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
 
@@ -1319,12 +1352,15 @@ def _sup_norms(psi: MultivariateFunction, axes: Sequence[np.ndarray]) -> np.ndar
     that product of the largest |a|, |b|, |c|, ....  When that product is not
     finite, and for every other separable integrand, the grid is summed in
     blocks of about :data:`_SUP_BLOCK_BYTES` (see :func:`_block_sup_norms`).
-    Any other integrand is evaluated sample by sample.
+    Any other integrand is evaluated sample by sample: a non-polynomial
+    divided difference at each distinct tuple of its grid once (see
+    :func:`_tuple_values`), with no grid when every slot holds one axis,
+    and any other on its whole grid.
     """
     separable = psi.separable
     if separable is None:
-        return np.array([np.max(np.abs(psi.eval_grid([a[s] for a in axes])))
-                         for s in range(len(axes[0]))])
+        sup = psi._sup or (lambda sample: np.max(np.abs(psi.eval_grid(sample))))
+        return np.array([sup([a[s] for a in axes]) for s in range(len(axes[0]))])
     values = separable.factor_values(axes)
     real = not any(np.iscomplexobj(v) for v in values)
     values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]

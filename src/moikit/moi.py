@@ -494,7 +494,9 @@ def continuity_modulus(
 
     lhs = || T(perturbed list) - T(base list) || for the order-n divided
     difference integrand; bound = (order-(n+1) surrogate norm over the union
-    of both spectra) * sum_i ||A'_i - A_i|| * prod_j ||X_j||.
+    of both spectra) * sum_i ||A'_i - A_i|| * prod_j ||X_j||.  For a
+    non-polynomial ``f`` the surrogate is the sup over every multiset of the
+    union's distinct nodes, each read once, with no grid.
     """
     if len(perturbed) != len(operators):
         raise ValidationError("operator lists must have equal length")

@@ -627,8 +627,9 @@ class TestVectorizedTable:
     def test_infinite_nodes_of_both_signs_are_clustered(self):
         # under the infinite merge radius -inf and inf are near each other,
         # but neither is near itself (inf - inf is nan): their cluster labels
-        # must still settle.  Only the NaN pattern is compared, since
-        # np.sort may change the sign of a NaN
+        # must still settle.  Only the NaN pattern is compared: the bits of
+        # the scalar recursion exclude the sign and payload of a NaN result,
+        # and np.sort writes every NaN node back as +NaN
         f = exp_with_derivatives(2)
         spec = mk.DividedDifferenceSpec(f, 2, (-math.inf, -math.inf, math.inf))
         axes = [np.array([-math.inf, 0.5, math.inf])] * 3
