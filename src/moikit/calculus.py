@@ -22,7 +22,6 @@ from .integrands import (
     ScalarFunction,
     add_scalar_functions,
     divided_difference_integrand,
-    exponent_tuples,
     multiply_by_slot_variable,
 )
 from .moi import moi_core
@@ -32,6 +31,7 @@ from .operators import (
     UnitaryOperator,
     _function_of_spectra,
     _shifted,
+    _times_shared,
     apply_scalar_function,
     operator_norm,
     shifted_operator,
@@ -377,9 +377,27 @@ def _unitary_taylor_term(
     Exact for polynomial phi: expand exp(itH) as a series, distribute over
     the monomial's factors, and collect the t^order coefficient.  X may be a
     stack of matrices.
+
+    For X^p this sums G_r1 X ... G_rp X (G_r = g_terms[r]) over the p-tuples
+    summing to ``order``, in lexicographic order, built along shared prefixes
+    without the leading I or any G_0 = I (exact but for the sign of a zero).
+    A prefix stack times G_r is one BLAS call (:func:`_times_shared`), with
+    the per-matrix bits.
     """
     dim = x_matrix.shape[-1]
     total = np.zeros(x_matrix.shape, dtype=np.complex128)
+
+    def products(prefix, budget: int, slots: int):
+        for r in range(budget + 1) if slots > 1 else (budget,):
+            if prefix is None:
+                head = x_matrix if r == 0 else g_terms[r] @ x_matrix
+            else:
+                head = (prefix if r == 0 else _times_shared(prefix, g_terms[r])) @ x_matrix
+            if slots == 1:
+                yield head
+            else:
+                yield from products(head, budget - r, slots - 1)
+
     for p, c in enumerate(phi.coefficients):
         if c == 0:
             continue
@@ -390,10 +408,7 @@ def _unitary_taylor_term(
         if order == 0:
             total += c * np.linalg.matrix_power(x_matrix, p)
             continue
-        for powers in exponent_tuples(order, p):
-            prod = np.eye(dim, dtype=np.complex128)
-            for r in powers:
-                prod = prod @ g_terms[r] @ x_matrix
+        for prod in products(None, order, p):
             total += c * prod
     return total
 

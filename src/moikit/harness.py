@@ -87,6 +87,7 @@ from .operators import (
     _hermitian_sum,
     _random_spectra,
     _shifted,
+    _spectral_matrices,
     _stacked_norms,
     as_square_complex,
     operator_norm,
@@ -337,10 +338,11 @@ _CHUNK_BYTES = 32 * 2**20
 class _Context:
     """A prepared experiment.  ``statistic`` maps the random operators of a
     chunk of N samples -- per operator model, the stacked eigenvalues (N, n),
-    bases (N, n, n) and matrices (N, n, n) -- to the N statistics, the N
-    values of each term label, and the mask of aborted samples.  A chunk
-    holds at most ``chunk`` samples; ``unitary`` says which random operators
-    the models define."""
+    bases (N, n, n) and, when ``matrices``, the matrices U diag(l) U* (N, n,
+    n) -- to the N statistics, the N values of each term label, and the mask
+    of aborted samples.  A chunk holds at most ``chunk`` samples; ``unitary``
+    says which random operators the models define.  Only the theorems whose
+    statistics read the matrices have them built."""
 
     labels: tuple[str, ...]
     coefficients: dict[str, float]
@@ -349,6 +351,7 @@ class _Context:
     chunk: int
     extra_labels: tuple[str, ...] = ()
     unitary: bool = False
+    matrices: bool = False
 
 
 def _prepare(exp: TailBoundExperiment) -> _Context:
@@ -420,9 +423,9 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
     m = len(models)
 
     def statistic(spectra):
-        eigenvalues = [w for w, _, _ in spectra]
+        eigenvalues = [w for w, _ in spectra]
         values, errors = _stacked_moi(
-            multivariate, eigenvalues, [v for _, v, _ in spectra], arguments
+            multivariate, eigenvalues, [v for _, v in spectra], arguments
         )
         aborted = _aborted(len(values), errors)
         union = np.concatenate(eigenvalues, axis=1)
@@ -448,7 +451,7 @@ def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
     dd_k = divided_difference_integrand(exp.integrand, k)
 
     def statistic(spectra):
-        ((eigenvalues, bases, _),) = spectra
+        ((eigenvalues, bases),) = spectra
         values, errors = _stacked_moi(
             dd_k, [eigenvalues] * (k + 1), [bases] * (k + 1), [direction] * k
         )
@@ -512,6 +515,7 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
         constants,
         _chunk_samples(dim, [(dd_k, (k + 1) * dim)]),
         extra_labels=("integrand_norm", "eigengap"),
+        matrices=True,
     )
 
 
@@ -559,7 +563,7 @@ def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
         return _stacked_norms(total, skip=aborted), terms, aborted
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for psi in dd])
-    return _Context(labels, coefficients, statistic, constants, chunk)
+    return _Context(labels, coefficients, statistic, constants, chunk, matrices=True)
 
 
 def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
@@ -607,7 +611,8 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
         return _stacked_norms(total), terms, np.zeros(len(total), dtype=bool)
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for row in dd for psi in row])
-    return _Context(labels, coefficients, statistic, constants, chunk, unitary=True)
+    return _Context(labels, coefficients, statistic, constants, chunk, unitary=True,
+                    matrices=True)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +621,8 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
 
 
 def _sampled_spectra(exp: TailBoundExperiment, lo: int, hi: int, unitary: bool) -> list:
-    """The random operators of samples lo..hi-1, per model stacked over the
-    samples as (eigenvalues, bases, matrices).  Block b of
+    """The spectra of the random operators of samples lo..hi-1, per model
+    stacked over the samples as (eigenvalues, bases).  Block b of
     :data:`SAMPLE_BLOCK` samples draws from ``np.random.default_rng((seed,
     b))``, model by model in order, all of its samples at once; a block that
     lo or hi cuts is drawn whole and sliced."""
@@ -652,6 +657,8 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     for start in range(0, count, chunk):
         spectra = _sampled_spectra(exp, lo + start, lo + min(count, start + chunk),
                                    ctx.unitary)
+        if ctx.matrices:
+            spectra = [(w, v, _spectral_matrices(w, v, ctx.unitary)) for w, v in spectra]
         # the arithmetic of the samples that abort may warn; they are masked
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             try:

@@ -455,7 +455,9 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
     if all(np.array_equal(a, axes[0]) for a in axes[1:]):
         union, inverse = np.unique(axes[0], return_inverse=True)
         binomials = _binomials(union.size, order)
-        tuples = _unrank(np.arange(binomials[order][union.size]), binomials)
+        count = binomials[order][union.size]
+        tuples = (_multisets(union.size, order) if 8 * (order + 1) * count <= _GRID_CHUNK_BYTES
+                  else _unrank(np.arange(count), binomials))
         # rank 0 is k + 1 copies of one node, like the grid's first point:
         # it fails whenever any tuple does
         at = (_rank(binomials, _sorted_indices([inverse] * len(axes))) if points
@@ -639,6 +641,19 @@ def _level(lower: np.ndarray, upper: np.ndarray, windows: list) -> tuple:
     windows of equal ends."""
     confluent = np.flatnonzero(windows[0] == windows[-1])
     return lower, upper, windows[-1], windows[0], confluent, windows[0][confluent]
+
+
+@functools.lru_cache(maxsize=16)
+def _multisets(size: int, order: int) -> list[np.ndarray]:
+    """Every non-decreasing index tuple of length ``order`` + 1 below
+    ``size``, by rank (see :func:`_binomials`), one array per position.
+    Cached, read-only; :func:`_tuple_values` asks only for lists that take at
+    most :data:`_GRID_CHUNK_BYTES`."""
+    binomials = _binomials(size, order)
+    tuples = _unrank(np.arange(binomials[order][size]), binomials)
+    for array in tuples:
+        array.setflags(write=False)
+    return tuples
 
 
 @functools.lru_cache(maxsize=16)

@@ -8,13 +8,14 @@ All values are immutable after construction; every operation here is a pure
 function.  Random sampling takes an explicit ``numpy.random.Generator``.
 
 One private builder, :func:`_random_spectra`, turns drawn arrays stacked over
-samples into sorted spectra, Haar bases (Ginibre QR with the R-diagonal phase
-fix, see Mezzadri, Notices AMS 54, 2007) and matrices; the public samplers
-are its batch-of-one calls, and the Monte Carlo harness calls it once per
-chunk of samples.  The other private helpers that take stacks
-(:func:`_from_spectrum`, :func:`_check_reconstruction`,
-:func:`_hermitian_spectra`, :func:`_function_of_spectra`) likewise serve the
-public single-operator functions with a batch of one.
+samples into sorted spectra and Haar bases (Ginibre QR with the R-diagonal
+phase fix, see Mezzadri, Notices AMS 54, 2007), and :func:`_spectral_matrices`
+builds their matrices; the public samplers are their batch-of-one calls, and
+the Monte Carlo harness calls them once per chunk of samples.  The other
+private helpers that take stacks (:func:`_from_spectrum`,
+:func:`_check_reconstruction`, :func:`_hermitian_spectra`,
+:func:`_function_of_spectra`) likewise serve the public single-operator
+functions with a batch of one.
 
 Trust boundary: constructors and parsers check their input, and
 :func:`spectral_decompose` checks what LAPACK returns.  Operators that moikit
@@ -64,6 +65,17 @@ def _max_abs(arr: np.ndarray) -> float:
 def _adjoint(matrices: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return matrices.conj().swapaxes(-1, -2)
+
+
+def _times_shared(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``stack @ matrix`` for a stack of (n, n) matrices and one shared (n, n)
+    matrix, as one (N n, n) x (n, n) product over the stacked rows: one BLAS
+    call instead of one per matrix, which at n = 3 or 4 costs more than the
+    arithmetic.  On the pinned OpenBLAS its bits are the per-matrix ones (a
+    unit test checks it).  A stack of one matrix takes the plain product."""
+    if len(stack) == 1:
+        return stack @ matrix
+    return (stack.reshape(-1, stack.shape[-1]) @ matrix).reshape(stack.shape)
 
 
 def _from_spectrum(values: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -349,10 +361,10 @@ class RandomOperatorModel:
 
     ``law`` is one of ``("uniform", a, b)``, ``("gaussian", mean, sd)`` or
     ``("fixed", values)``.  ``dim`` is a positive integer and ``seed`` an
-    integer in [0, 2**64); booleans are neither.  ``seed`` is stored and
-    serialized only: sampling never reads it, since every draw comes from a
-    generator the caller passes, and the Monte Carlo harness derives its
-    streams from the experiment's seed alone.
+    integer in [0, 2**64); booleans are neither.  ``seed`` is checked and
+    serialized, but no sampler reads it: every draw comes from a generator
+    the caller passes, and the Monte Carlo harness derives its streams from
+    the experiment's seed alone.
     """
 
     dim: int
@@ -442,24 +454,26 @@ def _haar_bases(normals: np.ndarray) -> np.ndarray:
 
 
 def _random_spectra(values: np.ndarray, normals: np.ndarray, unitary: bool = False):
-    """The random operators that draws stacked over samples define.
+    """The spectra of the random operators that draws stacked over samples define.
 
     ``values`` of shape (N, n) are the eigenvalues, or the eigenphases when
     ``unitary``; ``normals`` of shape (N, 2, n, n) give the Haar bases.
-    Returns the eigenvalues sorted stably (ascending, or by principal phase),
-    the bases with their columns in the same order, and the matrices
-    ``U diag(l) U*``, hermitized unless ``unitary``.
+    Returns the eigenvalues sorted stably (ascending, or by principal phase)
+    and the bases with their columns in the same order.
     """
     bases = _haar_bases(normals)
     eigenvalues = np.exp(1j * values) if unitary else values
     keys = np.angle(eigenvalues) if unitary else eigenvalues
     order = np.argsort(keys, axis=-1, kind="stable")
     eigenvalues = np.take_along_axis(eigenvalues, order, axis=-1)
-    bases = np.take_along_axis(bases, order[:, None, :], axis=-1)
+    return eigenvalues, np.take_along_axis(bases, order[:, None, :], axis=-1)
+
+
+def _spectral_matrices(eigenvalues: np.ndarray, bases: np.ndarray, unitary: bool = False):
+    """The matrices ``U diag(l) U*`` of spectra stacked over samples,
+    hermitized unless ``unitary``."""
     matrices = _from_spectrum(eigenvalues, bases)
-    if not unitary:
-        matrices = (matrices + _adjoint(matrices)) / 2.0
-    return eigenvalues, bases, matrices
+    return matrices if unitary else (matrices + _adjoint(matrices)) / 2.0
 
 
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
@@ -479,8 +493,9 @@ def sample_random_hermitian(
 
     The returned operator carries its spectral decomposition, already sorted.
     """
-    eigenvalues, bases, matrices = _random_spectra(*_draw(model, rng))
-    return HermitianOperator._trusted(matrices[0], eigenvalues[0], bases[0])
+    eigenvalues, bases = _random_spectra(*_draw(model, rng))
+    matrix = _spectral_matrices(eigenvalues, bases)[0]
+    return HermitianOperator._trusted(matrix, eigenvalues[0], bases[0])
 
 
 def sample_random_unitary(
@@ -488,8 +503,9 @@ def sample_random_unitary(
 ) -> UnitaryOperator:
     """Sample a random unitary as ``U diag(exp(i phi)) U*``: eigenphases drawn
     from the model law (wrapped onto the circle), eigenbasis Haar."""
-    eigenvalues, bases, matrices = _random_spectra(*_draw(model, rng), True)
-    return UnitaryOperator._trusted(matrices[0], eigenvalues[0], bases[0])
+    eigenvalues, bases = _random_spectra(*_draw(model, rng), True)
+    matrix = _spectral_matrices(eigenvalues, bases, True)[0]
+    return UnitaryOperator._trusted(matrix, eigenvalues[0], bases[0])
 
 
 def random_hermitian(

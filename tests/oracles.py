@@ -216,6 +216,34 @@ def scalar_taylor_remainder(coeffs, x, h, order):
     return value
 
 
+def unitary_taylor_term_per_tuple(coefficients, x_matrix, g_terms, order):
+    """The t^order coefficient of phi(exp(itH) X) for the polynomial with
+    these ascending coefficients, given G_r = (iH)^r / r! as ``g_terms``:
+    per monomial c x^p, the sum over every p-tuple (r_1..r_p) of exponents
+    summing to ``order``, in lexicographic order, of c I G_r1 X ... G_rp X,
+    each product built from I on its own.  X may be a stack of matrices."""
+    dim = x_matrix.shape[-1]
+    total = np.zeros(x_matrix.shape, dtype=np.complex128)
+    for p, c in enumerate(coefficients):
+        if c == 0:
+            continue
+        if p == 0:
+            if order == 0:
+                total += c * np.eye(dim, dtype=np.complex128)
+            continue
+        if order == 0:
+            total += c * np.linalg.matrix_power(x_matrix, p)
+            continue
+        for powers in itertools.product(range(order + 1), repeat=p):
+            if sum(powers) != order:
+                continue
+            prod = np.eye(dim, dtype=np.complex128)
+            for r in powers:
+                prod = prod @ g_terms[r] @ x_matrix
+            total += c * prod
+    return total
+
+
 def positive_compositions(total, parts):
     """Brute-force enumeration of positive compositions."""
     if parts == 1:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import moikit as mk
+from moikit import calculus
 from moikit.errors import CapabilityError, ParameterError, ValidationError
 
 import oracles
@@ -314,6 +315,48 @@ class TestUnitaryRemainder:
             moi = mk.taylor_remainder_unitary(spec, "moi")
             scale = max(1.0, np.linalg.norm(direct, 2), np.linalg.norm(moi, 2))
             assert np.max(np.abs(direct - moi)) <= 1e-6 * scale
+
+    @staticmethod
+    def coefficients(rng, degree, kind):
+        """Real, complex, or real with every other coefficient zero."""
+        coeffs = rng.standard_normal(degree + 1)
+        if kind == "complex":
+            return coeffs + 1j * rng.standard_normal(degree + 1)
+        if kind == "zeros":
+            coeffs[degree % 2::2] = 0.0
+        return coeffs
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "zeros"])
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("order", range(4))
+    def test_taylor_term_matches_the_per_tuple_loop(self, order, degree, kind):
+        # the harness's term on a stack, and on one matrix as the direct
+        # method takes it, against the loop that builds every product anew
+        rng = np.random.default_rng(100 * order + 10 * degree + len(kind))
+        phi = mk.ScalarFunction.polynomial(self.coefficients(rng, degree, kind))
+        model = mk.RandomOperatorModel(4, ("uniform", -np.pi, np.pi))
+        stack = np.array([mk.sample_random_unitary(model, rng).matrix for _ in range(5)])
+        g_terms = calculus._exp_term_cache(mk.random_hermitian(4, rng, norm=0.5), order)
+        for x in (stack, stack[2]):
+            np.testing.assert_array_equal(
+                calculus._unitary_taylor_term(phi, x, g_terms, order),
+                oracles.unitary_taylor_term_per_tuple(phi.coefficients, x, g_terms, order),
+            )
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "zeros"])
+    @pytest.mark.parametrize("degree", range(1, 6))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_direct_method_matches_the_per_tuple_loop(self, order, degree, kind):
+        rng = np.random.default_rng(100 * order + 10 * degree + len(kind))
+        phi = mk.ScalarFunction.polynomial(self.coefficients(rng, degree, kind))
+        spec = self.make_spec(rng, [phi], order)
+        base, gen = spec.base[0].matrix, spec._generators[0]
+        g_terms = calculus._exp_term_cache(gen.matrix, order)
+        expected = mk.polynomial_of_matrix(phi, mk.unitary_exponential(gen) @ base)
+        for ell in range(order):
+            expected = expected - oracles.unitary_taylor_term_per_tuple(
+                phi.coefficients, base, g_terms, ell)
+        np.testing.assert_array_equal(mk.taylor_remainder_unitary(spec, "direct"), expected)
 
     def test_non_polynomial_rejected(self, rng):
         model = mk.RandomOperatorModel(3, ("uniform", -np.pi, np.pi))

@@ -175,7 +175,7 @@ class TestHaarSampling:
         rng = np.random.default_rng(256 * dim + unitary)
         values = rng.uniform(-np.pi, np.pi, (256, dim))
         normals = rng.standard_normal((256, 2, dim, dim))
-        _, bases, _ = operators._random_spectra(values, normals, unitary)
+        _, bases = operators._random_spectra(values, normals, unitary)
         departure = np.abs(operators._adjoint(bases) @ bases - np.eye(dim))
         assert np.max(departure) <= 1e-12
 
@@ -364,3 +364,33 @@ class TestReconstructionCheck:
         assert set(rejected.tolist()) <= set(errors)
         near = residual > operators.RECONSTRUCTION_TOL * norms * (1.0 - 1e-6)
         assert set(errors) <= set(np.flatnonzero(near).tolist())
+
+
+def complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSharedOperandProduct:
+    """A stack times one shared matrix as one product over the stacked rows
+    has the bits of the per-matrix products: the tail-bound digests and the
+    engine's bits depend on it."""
+
+    @pytest.mark.parametrize("count", [1, 256, 1000])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_harness_shapes(self, dim, count):
+        rng = np.random.default_rng(100 * dim + count)
+        stack, shared = complex_stack(rng, count, dim, dim), complex_stack(rng, dim, dim)
+        np.testing.assert_array_equal(operators._times_shared(stack, shared), stack @ shared)
+        np.testing.assert_array_equal(operators._times_shared(operators._adjoint(stack), shared),
+                                      stack.conj().swapaxes(-1, -2) @ shared)
+
+    @pytest.mark.parametrize("dim", [12, 32, 64])
+    def test_engine_shapes_with_a_conjugate_transposed_left_factor(self, dim):
+        # one matrix as a stack of one, and as the (n, n) rows it stacks
+        rng = np.random.default_rng(dim)
+        bases, argument = complex_stack(rng, 1, dim, dim), complex_stack(rng, dim, dim)
+        adjoint = operators._adjoint(bases)
+        expected = bases.conj().swapaxes(-1, -2) @ argument
+        np.testing.assert_array_equal(operators._times_shared(adjoint, argument), expected)
+        np.testing.assert_array_equal(operators._times_shared(adjoint[0], argument),
+                                      expected[0])
