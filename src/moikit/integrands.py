@@ -6,12 +6,13 @@ divided differences with confluent-node handling, separable (rank-one-sum)
 representations of multivariate integrands, and the computable projective
 norm surrogate used by every certified bound in the package.
 
-Every divided difference is read from one recursive table over a sorted
-array of distinct nodes (:func:`_union_table`), whose level l holds f^[l] on
-non-decreasing index tuples, each entry built from the two entries of level
-l - 1 that it spans, or f^(l)/l! where its ends are equal.  Each tuple is
-snapped first (:func:`_snapped_nodes`, which merges clustered nodes), and
-then is a sorted tuple of indices into the nodes it snaps to.  The grid of a
+Every divided difference is the scalar recursion, run on many sorted
+tuples of indices into distinct nodes at once (:func:`_recursion`): level
+l holds f^[l] on each window of l + 1 indices of each tuple, the difference
+of the two level-(l - 1) entries it spans over the difference of its end
+nodes, or f^(l)/l! where its ends are equal.  Each tuple is snapped first
+(:func:`_snapped_nodes`, which merges clustered nodes), and then is a
+sorted tuple of indices into the nodes it snaps to.  The grid of a
 non-polynomial divided-difference integrand (:func:`_divided_difference_grid`)
 evaluates each distinct sorted tuple of indices into the union of the axes
 once: on equal axes the multisets of the axis's nodes, listed by rank, else
@@ -170,7 +171,10 @@ class ScalarFunction:
         arr = np.asarray(x)
         if arr.ndim == 0:
             return self.value_fn(arr[()])
-        return np.vectorize(self.value_fn, otypes=[np.complex128])(arr)
+        # what np.vectorize(value_fn, otypes=[np.complex128]) does, without
+        # building a vectorizer: value_fn at each element of the object
+        # array, the results cast to complex128
+        return np.frompyfunc(self.value_fn, 1, 1)(arr.astype(object)).astype(np.complex128)
 
     @property
     def derivative_order_available(self) -> float:
@@ -276,11 +280,11 @@ class DividedDifferenceSpec:
 
 # Bytes an intermediate array of a divided-difference grid may take when it
 # outgrows the grid itself: the (P, k+1, k+1) node differences of the tuples
-# snapped at a time, the index arrays that the levels of the table over the
-# nodes holding every tuple keep, summed over those levels (see
-# :func:`_union_levels_fit`), and the arrays over the ranks of a grid's
-# tuples while the ranks number at most the grid's points or the complex
-# values in this many bytes (see :func:`_distinct_tuples`).
+# snapped at a time, and the arrays over the ranks of a grid's tuples while
+# the ranks number at most the grid's points or the complex values in this
+# many bytes (see :func:`_distinct_tuples`).  The multisets and point ranks
+# of equal axes are cached while they take at most this many bytes (see
+# :func:`_multisets` and :func:`_grid_ranks`).
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -338,13 +342,22 @@ def _by_parts(total: np.ndarray, count) -> np.ndarray:
     return mean
 
 
-def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
-    """``f^(level) / level!`` as a function of one node (``f`` at level 0):
-    the entry of the divided-difference table at a window of ``level + 1``
-    equal nodes."""
-    if level == 0:
-        return f
-    return lambda z: f.derivative(z, level) / math.factorial(level)
+def _entries(f: ScalarFunction, level: int, nodes: np.ndarray, wanted: np.ndarray) -> list:
+    """``f^(level) / level!`` at each node that ``wanted`` marks, and 0 at
+    the others: the recursion's entries at windows of ``level + 1`` equal
+    nodes (``f`` at level 0), with the bits of ``f(z)`` and of
+    ``f.derivative(z, level) / level!`` at each node as a Python scalar.
+    A callable's value function and supplied derivatives are called
+    directly, with the arguments those methods pass them."""
+    if f.kind == POLYNOMIAL or level > len(f.derivative_fns):
+        fn = f if level == 0 else lambda z: f.derivative(z, level) / math.factorial(level)
+        points = nodes.tolist()
+    elif level == 0:
+        fn, points = f.value_fn, nodes  # f(z) calls value_fn(np.asarray(z)[()])
+    else:
+        g, scale = f.derivative_fns[level - 1], math.factorial(level)
+        fn, points = (lambda z: g(z) / scale), nodes.tolist()
+    return [fn(z) if w else 0.0 for z, w in zip(points, wanted.tolist())]
 
 
 def _is_complex(value) -> bool:
@@ -399,12 +412,12 @@ def _divided_differences(f: ScalarFunction, nodes: np.ndarray):
     complex128 for complex nodes), and whether each value is complex: every
     row snapped (see :func:`_snapped_nodes`), then read as sorted indices
     into the distinct snapped nodes from the table over them (see
-    :func:`_union_table`)."""
+    :func:`_recursion`)."""
     snapped = _snapped_nodes(nodes)
     union, inverse = np.unique(snapped, return_inverse=True, equal_nan=False)
     # sorted again, since values that sort as equal (NaN) need not keep order
     tuples = list(np.sort(inverse.reshape(snapped.shape), axis=1).T)
-    return _union_table(f, union, tuples, np.arange(len(nodes)))
+    return _recursion(f, union, tuples, np.arange(len(nodes)))
 
 
 def divided_difference(spec: DividedDifferenceSpec):
@@ -436,32 +449,43 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
 
     ``f^[order]`` is symmetric in its nodes, and :func:`_snapped_nodes`
     sorts every tuple first, so a point's value is that of its nodes as a
-    non-decreasing tuple of indices into the sorted union of the axes.
-    When every axis holds the same values, none NaN, the distinct tuples
-    are every multiset of k + 1 of the axis's distinct nodes, listed by
-    rank (see :func:`_unrank`), and a point's rank is its tuple's index;
-    else they are found by rank (see :func:`_distinct_tuples`).  Each one
-    that snapping may move is snapped once (see :func:`_snapped`): its
-    snapped values join the union, and its indices point at them.  Every
-    tuple is then read from one recursive table over the nodes (see
-    :func:`_union_table`), with the bits of the per-point recursion.
+    non-decreasing tuple of indices into the sorted union of the axes.  An
+    axis given for several slots is converted once.  When every axis holds
+    the same values, none NaN, the distinct tuples are every multiset of
+    k + 1 of the axis's distinct nodes, listed by rank (see :func:`_unrank`),
+    and a point's rank is its tuple's index (see :func:`_grid_ranks`); a
+    strictly ascending real axis, as ``eigh`` returns it, is its own union.
+    Else the distinct tuples are found by rank (see :func:`_distinct_tuples`).
+    Each one that snapping may move is snapped once (see :func:`_snapped`):
+    its snapped values join the nodes, and its indices point at them.  The
+    scalar recursion then runs on every tuple at once (see
+    :func:`_recursion`).
     """
-    dtype = np.complex128 if any(np.iscomplexobj(a) for a in axes) else np.float64
+    distinct = {id(a): a for a in axes}
+    dtype = (np.complex128 if any(np.iscomplexobj(a) for a in distinct.values())
+             else np.float64)
     # every node snaps to at least z + 0.0, so -0.0 is +0.0 from here on
-    axes = [np.asarray(a, dtype=dtype) + 0.0 for a in axes]
+    converted = {key: np.asarray(a, dtype=dtype) + 0.0 for key, a in distinct.items()}
+    axes = [converted[id(a)] for a in axes]
     shape = tuple(a.size for a in axes)
     if math.prod(shape) == 0:
         return np.empty(0, dtype=np.complex128), np.zeros(shape, dtype=np.intp)
-    if all(np.array_equal(a, axes[0]) for a in axes[1:]):
-        union, inverse = np.unique(axes[0], return_inverse=True)
-        binomials = _binomials(union.size, order)
-        count = binomials[order][union.size]
-        tuples = (_multisets(union.size, order) if 8 * (order + 1) * count <= _GRID_CHUNK_BYTES
-                  else _unrank(np.arange(count), binomials))
-        # rank 0 is k + 1 copies of one node, like the grid's first point:
-        # it fails whenever any tuple does
-        at = (_rank(binomials, _sorted_indices([inverse] * len(axes))) if points
-              else np.arange(len(tuples[0])))
+    axis, *others = converted.values()
+    if all(np.array_equal(a, axis) for a in others) and not np.isnan(axis).any():
+        if dtype is np.float64 and (axis[1:] > axis[:-1]).all():
+            union, inverse = axis, None
+        else:
+            union, inverse = np.unique(axis, return_inverse=True)
+        count = int(_binomials(union.size, order)[order][union.size])
+        tuples = _cached(_multisets, 8 * (order + 1) * count, union.size, order)
+        if points:
+            at = _cached(_grid_ranks, 8 * union.size ** len(axes), union.size, order)
+            if inverse is not None:
+                at = at[np.ix_(*[inverse] * len(axes))]
+        else:
+            # rank 0 is k + 1 copies of one node, like the grid's first
+            # point: it fails whenever any tuple does
+            at = np.arange(count)
     else:
         union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
         ends = itertools.accumulate(shape)
@@ -469,9 +493,15 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
         ranks = _rank(_binomials(union.size, order), index)
         first, at = _distinct_tuples(ranks, math.comb(union.size + order, order + 1))
         tuples = [s.ravel()[first] for s in index]
-    union, tuples = _snapped(union, tuples)
-    values, _ = _union_table(f, union, tuples, at)
+    nodes, tuples = _snapped(union, tuples)
+    values, _ = _recursion(f, nodes, tuples, at)
     return values.astype(np.complex128, copy=False), at
+
+
+def _cached(fn: Callable, nbytes: int, size: int, order: int):
+    """``fn(size, order)`` from its cache when its arrays take ``nbytes``,
+    at most :data:`_GRID_CHUNK_BYTES`, else computed afresh."""
+    return (fn if nbytes <= _GRID_CHUNK_BYTES else fn.__wrapped__)(size, order)
 
 
 @functools.lru_cache(maxsize=16)
@@ -587,23 +617,40 @@ def _isolated(union: np.ndarray) -> np.ndarray:
 
 def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
     """The sorted index tuples into the sorted union as tuples of the nodes
-    that :func:`_snapped_nodes` makes of them: the union with every node a
-    tuple snaps to joined to it, sorted and distinct, and the tuples as
-    indices into it.
+    that :func:`_snapped_nodes` makes of them: distinct nodes, the union's
+    and those tuples snap to, and the tuples as indices into them, each
+    sorted by its nodes.
 
     A tuple of k + 1 equal finite nodes snaps to their mean (see
     :func:`_run_means`).  Any other tuple stays as it is when its nodes are
     isolated in the union (see :func:`_isolated`) and each run of equal
-    nodes is its own mean, and else goes through :func:`_snapped_nodes`, in
-    chunks whose node differences take at most :data:`_GRID_CHUNK_BYTES`.
+    nodes is its own mean.  When that holds for every tuple, and every mean
+    of k + 1 copies is finite, each moving tuple of equal nodes points at
+    its mean, appended to the union: the tuples are distinct, and each mean
+    is nearer its node than any other node is, so the nodes are too.  Else
+    the union with every node a tuple snaps to is sorted again, and each
+    tuple that does not stay goes through :func:`_snapped_nodes`, in chunks
+    whose node differences take at most :data:`_GRID_CHUNK_BYTES`.
     """
     width = len(tuples)
     isolated = _isolated(union)
     means = _run_means(union, width)
+    equal = tuples[0] == tuples[-1]
+    # a run of two copies is its own mean unless v + v overflows, and then
+    # the mean of k + 1 copies is not finite
+    if (isolated.all() and np.isfinite(means[-1]).all()
+            and all((mean == union).all() for mean in means[2:-1])):
+        shifted = np.flatnonzero(equal & (means[-1] != union)[tuples[0]])
+        if shifted.size == 0:
+            return union, tuples
+        nodes = np.concatenate([union, means[-1][tuples[0][shifted]]])
+        tuples = [t.copy() for t in tuples]
+        for t in tuples:
+            t[shifted] = np.arange(union.size, nodes.size)
+        return nodes, tuples
     # by run length M = 1..k+1, whether M copies of each value snap to it
     # (row 0: whether it is isolated)
     exact = np.array([isolated] + [mean == union for mean in means])
-    equal = tuples[0] == tuples[-1]
     rest = shifted = np.zeros(0, dtype=np.intp)
     if not exact[:width].all():  # a value near another, or moved by a run of up to k
         kept = np.logical_and.reduce([isolated[t] for t in tuples])
@@ -633,22 +680,12 @@ def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
     return nodes, tuples
 
 
-def _level(lower: np.ndarray, upper: np.ndarray, windows: list) -> tuple:
-    """A level of the table over the nodes (see :func:`_union_table`), from
-    its windows, one array of node indices per position, and the positions
-    in the level below of the two windows each spans: those positions, the
-    indices of each window's ends, and the positions and the node of its
-    windows of equal ends."""
-    confluent = np.flatnonzero(windows[0] == windows[-1])
-    return lower, upper, windows[-1], windows[0], confluent, windows[0][confluent]
-
-
 @functools.lru_cache(maxsize=16)
 def _multisets(size: int, order: int) -> list[np.ndarray]:
     """Every non-decreasing index tuple of length ``order`` + 1 below
     ``size``, by rank (see :func:`_binomials`), one array per position.
-    Cached, read-only; :func:`_tuple_values` asks only for lists that take at
-    most :data:`_GRID_CHUNK_BYTES`."""
+    Cached, read-only; :func:`_tuple_values` asks the cache only for lists
+    that take at most :data:`_GRID_CHUNK_BYTES`."""
     binomials = _binomials(size, order)
     tuples = _unrank(np.arange(binomials[order][size]), binomials)
     for array in tuples:
@@ -657,86 +694,53 @@ def _multisets(size: int, order: int) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _union_levels(size: int, order: int) -> list:
-    """Levels 1..order-1 of the table over ``size`` nodes holding every
-    non-decreasing index tuple, at its rank (see :func:`_binomials` and
-    :func:`_level`), shared by every table with that size and order.  All
-    read-only."""
-    binomials = _binomials(size, order)
-    levels = []
-    for level in range(1, order):
-        windows = _unrank(np.arange(binomials[level][size]), binomials[: level + 1])
-        levels.append(_level(_rank(binomials, windows[:-1]), _rank(binomials, windows[1:]),
-                             windows))
-    for array in [a for level in levels for a in level]:
-        array.setflags(write=False)
-    return levels
+def _grid_ranks(size: int, order: int) -> np.ndarray:
+    """The rank (see :func:`_binomials`) of the sorted indices of every
+    point of the grid of ``order`` + 1 slots, each on the indices below
+    ``size``: the index of each point's tuple among :func:`_multisets`.
+    Cached, read-only; :func:`_tuple_values` asks the cache only for arrays
+    that take at most :data:`_GRID_CHUNK_BYTES`."""
+    ranks = _rank(_binomials(size, order), _sorted_indices([np.arange(size)] * (order + 1)))
+    ranks.setflags(write=False)
+    return ranks
 
 
-def _union_levels_fit(size: int, order: int) -> bool:
-    """Whether the arrays :func:`_union_levels` keeps for ``size`` nodes take
-    at most :data:`_GRID_CHUNK_BYTES`: per level l, four int64 arrays over
-    its ``B[l][size]`` windows and two over its ``size`` windows of equal
-    ends (see :func:`_level`).  The complex values of its largest level, at
-    16 bytes an entry, then fit as well."""
-    binomials = _binomials(size, order)
-    kept = sum(4 * int(binomials[level][size]) + 2 * size for level in range(1, order))
-    return 8 * kept <= _GRID_CHUNK_BYTES
-
-
-def _window_levels(size: int, tuples: list) -> list:
-    """Levels 1..k of the table over ``size`` nodes (see :func:`_level`)
-    holding only the windows that the sorted index tuples contain: level k
-    the tuples, and each level below the distinct windows that the level
-    above spans, found by rank (see :func:`_distinct_tuples`)."""
-    order = len(tuples) - 1
-    binomials = _binomials(size, order)
-    windows, levels = tuples, []
-    for level in range(order - 1, 0, -1):
-        spanned = [np.concatenate(pair) for pair in zip(windows[:-1], windows[1:])]
-        first, position = _distinct_tuples(_rank(binomials, spanned), binomials[level][size])
-        levels.append(_level(*np.split(position, 2), windows))
-        windows = [w[first] for w in spanned]
-    levels.append(_level(windows[0], windows[1], windows))
-    return levels[::-1]
-
-
-def _union_table(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarray):
-    """``f^[k]`` at sorted index tuples into the sorted distinct ``nodes``,
-    one array of indices per position, by the recursive table over the
-    nodes: the value at each tuple, with the bits of the scalar recursion
-    but for the sign and payload of a NaN, and whether it is complex.
+def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarray):
+    """``f^[k]`` at index tuples into the distinct ``nodes``, one array of
+    indices per position, each tuple sorted by its nodes: the value at each
+    tuple, with the bits of the scalar recursion but for the sign and
+    payload of a NaN, and whether it is complex.
 
     When a tuple's longest run of equal indices, less one, is a derivative
     order that ``f`` lacks, no value is computed: the error names the first
     such tuple among those that ``at`` lists, in its order.
 
-    Level l holds ``f^[l]`` at non-decreasing (l+1)-tuples of indices:
-    ``f^(l)(z) / l!`` where the tuple's ends are equal, else the difference
-    of the two level-(l-1) entries it spans over the difference of its ends.
-    The top level is evaluated at the given tuples.  The levels below hold
-    every tuple, at its rank (see :func:`_union_levels`), while what they
-    keep fits :data:`_GRID_CHUNK_BYTES` (see :func:`_union_levels_fit`), and
-    beyond that only the windows the given tuples contain (see
-    :func:`_window_levels`).
+    The scalar recursion runs on every tuple at once.  Level l holds
+    ``f^[l]`` at each window of l + 1 consecutive indices of each tuple:
+    ``f^(l)(z) / l!`` where the window's ends are equal, else the
+    difference of the two level-(l-1) entries it spans over the difference
+    of its end nodes.  Level 0 holds ``f`` at each index, and level k the
+    tuple's value.
 
     ``f`` is called at the nodes of the tuples whose indices are not all
     equal, ``f^(l)`` for 0 < l < k at the nodes of their windows of l + 1
     equal indices, and ``f^(k)`` at the node of each tuple of k + 1 equal
     indices, once per node: the entries a tuple reads.  The other entries of
-    equal ends hold 0, and no tuple reads them.  Real values are divided as
-    reals, and complex ones as the scalar recursion divided them (see
-    :func:`_quotient`).
+    equal ends hold 0, and no tuple's value reads them.  Real values are
+    divided as reals, and complex ones as the scalar recursion divided them
+    (see :func:`_quotient`).
     """
     order = len(tuples) - 1
+    index = np.array(tuples)
+    # at level l, whether each window of l + 1 indices has equal ends
+    confluent = [index[level:] == index[:-level] for level in range(1, order + 1)]
     available = f.derivative_order_available
     if order > available:
         # the order of the highest derivative each tuple reads: its longest
         # run of equal indices, less one
-        needed = np.zeros(len(tuples[0]), dtype=int)
-        for level in range(1, order + 1):
-            needed[np.logical_or.reduce([tuples[j] == tuples[j + level]
-                                         for j in range(order + 1 - level)])] = level
+        needed = np.zeros(index.shape[1], dtype=int)
+        for level, windows in enumerate(confluent, 1):
+            needed[windows.any(axis=0)] = level
         failing = needed > available
         if failing.any():  # name the first failing point
             size = int(needed[at.flat[np.argmax(failing[at])]]) + 1
@@ -744,46 +748,32 @@ def _union_table(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndar
                 f"confluent cluster of size {size} needs derivative order "
                 f"{size - 1}, available {available}"
             )
-    equal = tuples[0] == tuples[-1]
-    unequal = [t[~equal] for t in tuples] if equal.any() else tuples
+    equal = index[0] == index[-1]
     read = np.zeros((order + 1, nodes.size), dtype=bool)
-    read[0, np.concatenate(unequal)] = True
-    for level in range(1, order):
-        for j in range(order + 1 - level):
-            read[level, unequal[j][unequal[j] == unequal[j + level]]] = True
-    read[order, tuples[0][equal]] = True
-    points = nodes.tolist()
-    columns = []
-    for level in range(order + 1):
-        fn = _derivative_fn(f, level)
-        columns.append([fn(z) if wanted else 0.0
-                        for z, wanted in zip(points, read[level].tolist())])
+    read[0][np.compress(~equal, index, axis=1)] = True
+    for level, windows in enumerate(confluent[:-1], 1):
+        read[level][index[:-level][windows & ~equal]] = True
+    read[order][index[0][equal]] = True
+    columns = [_entries(f, level, nodes, read[level]) for level in range(order + 1)]
     complex_nodes = np.iscomplexobj(nodes)
     typed = complex_nodes or any(map(_is_complex, itertools.chain(*columns)))
-    if order == 0:
-        table, kind = _column(columns[0], tuples[0], typed)
-        levels = []
-    else:
-        table, kind = _column(columns[0], slice(None), typed)
-        binomials = _binomials(nodes.size, order)
-        if _union_levels_fit(nodes.size, order):
-            levels = _union_levels(nodes.size, order) + [_level(
-                _rank(binomials, tuples[:-1]), _rank(binomials, tuples[1:]), tuples)]
-        else:
-            levels = _window_levels(nodes.size, tuples)
+    at_nodes = nodes[index]
+    table, kind = _column(columns[0], index, typed)
     with np.errstate(all="ignore"):
-        for level, (lower, upper, last, first, confluent, node) in enumerate(levels, 1):
+        for level, windows in enumerate(confluent, 1):
             if typed:
                 # complex when either value is; of Python type when both are
-                kind = np.stack([kind[upper, 0] | kind[lower, 0] | complex_nodes,
-                                 kind[upper, 1] & kind[lower, 1]], axis=-1)
-            table = _quotient(table[upper] - table[lower], nodes[last] - nodes[first], kind)
-            if confluent.size:
-                derivative, derivative_kind = _column(columns[level], node, typed)
-                table[confluent] = derivative
+                kind = np.stack([kind[1:, :, 0] | kind[:-1, :, 0] | complex_nodes,
+                                 kind[1:, :, 1] & kind[:-1, :, 1]], axis=-1)
+            table = _quotient(table[1:] - table[:-1], at_nodes[level:] - at_nodes[:-level],
+                              kind)
+            if windows.any():
+                derivative, derivative_kind = _column(columns[level], index[:-level][windows],
+                                                      typed)
+                table[windows] = derivative
                 if typed:
-                    kind[confluent] = derivative_kind
-    return table, kind[:, 0] if typed else np.zeros(len(table), dtype=bool)
+                    kind[windows] = derivative_kind
+    return table[0], kind[0, :, 0] if typed else np.zeros(len(table[0]), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -1262,10 +1252,10 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     :func:`divided_difference`, and a whole grid through
     :func:`_divided_difference_grid`, which evaluates each sorted tuple of
     indices into the union of the axes once (the divided difference is
-    symmetric in its nodes), reads every tuple, once snapped, from one table
-    over the nodes, and calls ``f`` and each derivative once per node whose
-    value the grid reads.  Its sup (see :func:`_sup_norms`) is the max over
-    those tuples' values, with no grid.
+    symmetric in its nodes), runs the recursion on every tuple, once
+    snapped, at once, and calls ``f`` and each derivative once per node
+    whose value the grid reads.  Its sup (see :func:`_sup_norms`) is the max
+    over those tuples' values, with no grid.
     """
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")
@@ -1342,6 +1332,14 @@ def _batch_of_one(arrays: Sequence) -> list[np.ndarray]:
     return [views.setdefault(id(a), np.asarray(a)[None]) for a in arrays]
 
 
+def _sample(arrays: Sequence[np.ndarray], s: int) -> list[np.ndarray]:
+    """Sample ``s`` of each array stacked over samples; the same array given
+    twice gives the same view, so that slots sharing an axis still share it
+    (see :func:`_tuple_values`)."""
+    views: dict = {}
+    return [views.setdefault(id(a), a[s]) for a in arrays]
+
+
 def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra; ``psi`` is a
     :class:`MultivariateFunction` or a :class:`SeparableIntegrand`.  A
@@ -1375,7 +1373,7 @@ def _sup_norms(psi: MultivariateFunction, axes: Sequence[np.ndarray]) -> np.ndar
     separable = psi.separable
     if separable is None:
         sup = psi._sup or (lambda sample: np.max(np.abs(psi.eval_grid(sample))))
-        return np.array([sup([a[s] for a in axes]) for s in range(len(axes[0]))])
+        return np.array([sup(_sample(axes, s)) for s in range(len(axes[0]))])
     values = separable.factor_values(axes)
     real = not any(np.iscomplexobj(v) for v in values)
     values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]

@@ -47,6 +47,7 @@ from .integrands import (
     SeparableIntegrand,
     _as_integrand,
     _batch_of_one,
+    _sample,
     _sibling_sums,
     _with_grid,
     divided_difference_integrand,
@@ -254,7 +255,7 @@ def _stacked_moi(
         core, errors = _factored_core(integrand.separable, eigenvalues, rotated)
     else:
         core = np.array([
-            _grid_core(integrand, [w[s] for w in eigenvalues], [y[s] for y in rotated])
+            _grid_core(integrand, _sample(eigenvalues, s), [y[s] for y in rotated])
             for s in range(len(bases[0]))
         ])
         errors = {}

@@ -134,6 +134,13 @@ def divided_difference_grid_per_point(f, order, axes):
     return out
 
 
+def scalar_function_on_array(f, x):
+    """A callable scalar function on an array as ``np.vectorize`` with
+    complex output evaluates it: ``f.value_fn`` at each element, the results
+    cast to complex128."""
+    return np.vectorize(f.value_fn, otypes=[np.complex128])(np.asarray(x))
+
+
 def hermitian_function(fn, matrix):
     """f applied to a Hermitian matrix through a fresh eigendecomposition."""
     values, vectors = np.linalg.eigh(np.asarray(matrix))

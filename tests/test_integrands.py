@@ -1,6 +1,7 @@
 """Divided differences, separable integrands, and norm surrogates."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -447,6 +448,35 @@ class TestHelpers:
             2, ((mk.ScalarFunction.monomial(1), mk.ScalarFunction.monomial(1)),)
         )
         assert psi.scaled(-2.0).evaluate((1.0, 3.0)) == pytest.approx(-6.0)
+
+
+# arrays of every kind a callable meets, and callables returning Python
+# floats, Python complex numbers, numpy scalars and Python ints (math.exp and
+# round raise on complex arguments)
+ARRAYS = {
+    "float64": np.array([-0.5, -0.0, 1.25]),
+    "float32": np.array([-0.5, 0.1, 2.0], dtype=np.float32),
+    "int": np.array([-2, 0, 3]),
+    "complex": np.array([0.5 - 1j, -0.0 + 2j]),
+    "empty": np.array([]),
+    "two_by_three": np.linspace(-1.0, 1.0, 6).reshape(2, 3),
+}
+VALUE_FNS = {"math_exp": math.exp, "cmath_exp": cmath.exp, "np_exp": np.exp, "round": round}
+
+
+class TestCallablesOnArrays:
+    @pytest.mark.parametrize("array", sorted(ARRAYS))
+    @pytest.mark.parametrize("name", sorted(VALUE_FNS))
+    def test_values_and_errors_are_those_of_vectorize(self, name, array):
+        f = mk.ScalarFunction.from_callable(VALUE_FNS[name])
+        results = []
+        for evaluate in (f, functools.partial(oracles.scalar_function_on_array, f)):
+            try:
+                value = evaluate(ARRAYS[array])
+                results.append((value.dtype, value.shape, value.tobytes()))
+            except Exception as err:  # the same error, whatever it is
+                results.append((type(err), str(err)))
+        assert results[0] == results[1]
 
 
 def exp_with_derivatives(order=4):
@@ -904,20 +934,15 @@ class TestUnionTable:
     def test_ranks_beyond_the_grid_are_found_by_sorting(self, monkeypatch):
         # [shifted, base, base] on 6 + 6 values: C(12 + 2, 3) = 364 ranks for
         # 216 points, more than the 63 complex values of the chunk too, so
-        # the 6 * C(7, 2) = 126 distinct tuples are found by sorting.  The
-        # table over the union holds its level 1 whole while its C(13, 2) =
-        # 78 entries fit, and beyond that only the windows of those tuples
+        # the 6 * C(7, 2) = 126 distinct tuples are found by sorting
         f = exp_with_derivatives(2)
         rng = np.random.default_rng(10)
         base = np.append(rng.uniform(-1, 1, 5), 0.1)
         axes = [base + 2.0, base, base.copy()]
-        windows = spied_calls(monkeypatch, "_window_levels")
-        tables = spied_calls(monkeypatch, "_union_table")
+        tables = spied_calls(monkeypatch, "_recursion")
         whole = integrands._divided_difference_grid(f, 2, axes)
-        assert windows == []
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         chunked = integrands._divided_difference_grid(f, 2, axes)
-        assert len(windows) == 1
         assert [len(t[0]) for _, _, t, _ in tables] == [126, 126]
         expected = oracles.divided_difference_grid_per_point(f, 2, axes)
         assert same_bits(whole, expected) and same_bits(chunked, expected)
@@ -963,17 +988,86 @@ class TestUnionTable:
                                 expected)
             assert expected[0] is CapabilityError or available == order
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_whole_levels_keep_at_most_the_chunk_bytes(self, order):
-        # the largest union whose levels over every tuple the rule admits
-        # (the rule is monotone in the size, so bisect)
-        lo, hi = 1, 4096
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if integrands._union_levels_fit(mid, order) else (lo, mid - 1)
-        assert not integrands._union_levels_fit(lo + 1, order)
-        levels = integrands._union_levels.__wrapped__(lo, order)  # not cached
-        assert sum(a.nbytes for level in levels for a in level) <= integrands._GRID_CHUNK_BYTES
+    @pytest.mark.parametrize("shape", ["single", "reversed"])
+    @pytest.mark.parametrize("pool", ["isolated", "with_moderate_nodes"])
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_near_overflow_and_signed_zero_nodes(self, shape, pool, kind, order):
+        # runs of two copies of the nodes where v + v overflows snap to
+        # infinite means, and -0.0 snaps to +0.0; alone in the union, the
+        # huge nodes and zero are isolated, and moderate nodes merge with 0
+        f = mk.ScalarFunction.from_callable(
+            np.sin, (np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)))
+        axis = np.array(OVERFLOWING[kind] + (MODERATE[kind] if pool != "isolated" else []))
+        if order == 3:
+            axis = axis[1::2]
+        axes = [axis] * (order + 1) if shape == "single" else [
+            axis[::-1] if slot == 1 else axis for slot in range(order + 1)]
+        with np.errstate(all="ignore"):
+            expected = oracles.divided_difference_grid_per_point(f, order, axes)
+            got = integrands._divided_difference_grid(f, order, axes)
+        # complex steps that overflow give NaN parts, whose signs the bits
+        # of the scalar recursion exclude
+        got, expected = (np.asarray(v, dtype=complex).view(np.float64) for v in (got, expected))
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    def test_grid_ranks_are_cached_read_only(self):
+        for order in range(4):
+            for size in range(1, 9):
+                ranks = integrands._grid_ranks(size, order)
+                expected = integrands._rank(
+                    integrands._binomials(size, order),
+                    integrands._sorted_indices([np.arange(size)] * (order + 1)))
+                assert ranks.shape == (size,) * (order + 1)
+                assert np.array_equal(ranks, expected)
+                assert not ranks.flags.writeable
+                assert integrands._grid_ranks(size, order) is ranks
+
+    @pytest.mark.parametrize("name, axis, unique", [
+        ("ascending", np.array([-0.81, -0.053, 0.1, 0.37, 0.62]), False),
+        ("zero_ascending", np.array([-0.81, -0.0, 0.37]), False),
+        ("repeat", np.array([-0.81, 0.1, 0.1, 0.62]), True),
+        ("descending", np.array([0.62, 0.37, -0.81]), True),
+        ("signed_zeros", np.array([-0.81, -0.0, 0.0, 0.62]), True),
+        ("nan", np.array([-0.81, np.nan, 0.62]), True),
+        ("complex", np.exp(1j * np.array([0.4, 2.2, 2.9])), True),
+    ])
+    def test_only_a_strictly_ascending_real_axis_skips_unique(self, monkeypatch, name,
+                                                             axis, unique):
+        f = exp_with_derivatives(3)
+        # the per-point recursion leaves a NaN node where Python's sort does,
+        # and the grid sorts it last: an axis with a NaN is checked against
+        # the grid on copies of it, which compare equal to no axis
+        copies = [axis.copy() for _ in range(3)]
+        with np.errstate(all="ignore"):
+            expected = (integrands._divided_difference_grid(f, 2, copies) if name == "nan"
+                        else oracles.divided_difference_grid_per_point(f, 2, copies))
+        calls = []
+        numpy_unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return numpy_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        with np.errstate(all="ignore"):
+            got = mk.divided_difference_integrand(f, 2).eval_grid([axis] * 3)
+            sup = mk.sup_norm_on_grid(mk.divided_difference_integrand(f, 2), [axis] * 3)
+        assert bool(calls) == unique
+        assert same_bits(got, expected)
+        assert np.float64(sup).tobytes() == np.max(np.abs(expected)).tobytes()
+
+
+# nodes where v + v overflows (in some part, on the circle), and both zeros
+OVERFLOWING = {
+    "real": [-1.7e308, -1e308, -0.0, 0.0, 1e308, 1.7e308],
+    "unit_circle": [complex(r * cmath.exp(1j * t))
+                    for r, t in ((1.7e308, 0.4), (1e308, 2.2), (1e308, -1.9), (1.7e308, -2.9))]
+    + [complex(-0.0, -0.0), 0j],
+}
+MODERATE = {"real": [0.5], "unit_circle": [complex(np.exp(1j))]}
 
 
 def grid_sups(psi, axes):

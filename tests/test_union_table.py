@@ -103,26 +103,17 @@ def test_clustered_grids_have_the_bits_or_the_error_of_the_per_point_recursion(c
         assert got.tobytes() == expected.tobytes()
 
 
-def test_windows_only_levels_have_the_bits_of_the_whole_levels(monkeypatch):
-    # order 3 on 6 + 6 distinct nodes, snapped ones among them: level 2 of
-    # the table holds C(12 + 2, 3) = 364 entries or more, beyond a bound of
-    # 63 complex values, so it holds only the windows the tuples contain
+def test_a_grid_past_the_chunk_bytes_has_the_bits_of_the_per_point_recursion(monkeypatch):
+    # order 3 on 6 + 6 distinct nodes, snapped ones among them: C(12 + 3, 4)
+    # = 1365 ranks for 1296 points, so under a bound of 63 complex values the
+    # distinct tuples are found by sorting and snapped three at a time
     f = FUNCTIONS["exp"]()
     chain = np.array([0.1, 0.1 + 1e-9, 0.5, 0.5 + 0.9e-7, 0.5 + 1.8e-7, -0.053])
     axes = [chain, chain[::-1] + 2.0, chain, chain.copy()]
-    whole = integrands._divided_difference_grid(f, 3, axes)
-    windows = []
-    window_levels = integrands._window_levels
-
-    def spy(size, tuples):
-        windows.append(size)
-        return window_levels(size, tuples)
-
-    monkeypatch.setattr(integrands, "_window_levels", spy)
+    expected = oracles.divided_difference_grid_per_point(f, 3, axes)
+    assert integrands._divided_difference_grid(f, 3, axes).tobytes() == expected.tobytes()
     monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 63)
-    assert integrands._divided_difference_grid(f, 3, axes).tobytes() == whole.tobytes()
-    assert len(windows) == 1
-    assert whole.tobytes() == oracles.divided_difference_grid_per_point(f, 3, axes).tobytes()
+    assert integrands._divided_difference_grid(f, 3, axes).tobytes() == expected.tobytes()
 
 
 # Equal-axes sups: every slot on one axis, as every sup surrogate's spectra
