@@ -283,8 +283,9 @@ class DividedDifferenceSpec:
 # snapped at a time, and the arrays over the ranks of a grid's tuples while
 # the ranks number at most the grid's points or the complex values in this
 # many bytes (see :func:`_distinct_tuples`).  The multisets and point ranks
-# of equal axes are cached while they take at most this many bytes (see
-# :func:`_multisets` and :func:`_grid_ranks`).
+# of equal axes are cached while they take at most a sixteenth of it (see
+# :func:`_cached`): with 16 entries each, the two caches keep at most
+# 64 MiB.
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -342,22 +343,12 @@ def _by_parts(total: np.ndarray, count) -> np.ndarray:
     return mean
 
 
-def _entries(f: ScalarFunction, level: int, nodes: np.ndarray, wanted: np.ndarray) -> list:
-    """``f^(level) / level!`` at each node that ``wanted`` marks, and 0 at
-    the others: the recursion's entries at windows of ``level + 1`` equal
-    nodes (``f`` at level 0), with the bits of ``f(z)`` and of
-    ``f.derivative(z, level) / level!`` at each node as a Python scalar.
-    A callable's value function and supplied derivatives are called
-    directly, with the arguments those methods pass them."""
-    if f.kind == POLYNOMIAL or level > len(f.derivative_fns):
-        fn = f if level == 0 else lambda z: f.derivative(z, level) / math.factorial(level)
-        points = nodes.tolist()
-    elif level == 0:
-        fn, points = f.value_fn, nodes  # f(z) calls value_fn(np.asarray(z)[()])
-    else:
-        g, scale = f.derivative_fns[level - 1], math.factorial(level)
-        fn, points = (lambda z: g(z) / scale), nodes.tolist()
-    return [fn(z) if w else 0.0 for z, w in zip(points, wanted.tolist())]
+def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
+    """``f^(level) / level!`` as a function of one node (``f`` at level 0):
+    the recursion's entry at a window of ``level + 1`` equal nodes."""
+    if level == 0:
+        return f
+    return lambda z: f.derivative(z, level) / math.factorial(level)
 
 
 def _is_complex(value) -> bool:
@@ -500,8 +491,8 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
 
 def _cached(fn: Callable, nbytes: int, size: int, order: int):
     """``fn(size, order)`` from its cache when its arrays take ``nbytes``,
-    at most :data:`_GRID_CHUNK_BYTES`, else computed afresh."""
-    return (fn if nbytes <= _GRID_CHUNK_BYTES else fn.__wrapped__)(size, order)
+    at most a sixteenth of :data:`_GRID_CHUNK_BYTES`, else computed afresh."""
+    return (fn if nbytes <= _GRID_CHUNK_BYTES // 16 else fn.__wrapped__)(size, order)
 
 
 @functools.lru_cache(maxsize=16)
@@ -624,30 +615,16 @@ def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
     A tuple of k + 1 equal finite nodes snaps to their mean (see
     :func:`_run_means`).  Any other tuple stays as it is when its nodes are
     isolated in the union (see :func:`_isolated`) and each run of equal
-    nodes is its own mean.  When that holds for every tuple, and every mean
-    of k + 1 copies is finite, each moving tuple of equal nodes points at
-    its mean, appended to the union: the tuples are distinct, and each mean
-    is nearer its node than any other node is, so the nodes are too.  Else
-    the union with every node a tuple snaps to is sorted again, and each
-    tuple that does not stay goes through :func:`_snapped_nodes`, in chunks
-    whose node differences take at most :data:`_GRID_CHUNK_BYTES`.
+    nodes is its own mean, and else goes through :func:`_snapped_nodes`, in
+    chunks whose node differences take at most :data:`_GRID_CHUNK_BYTES`;
+    the union with every node a tuple snaps to is then sorted again.  When
+    only tuples of equal nodes move, each points at its mean, appended to
+    the union: only that tuple reads it, through ``f^(k)`` alone.
     """
     width = len(tuples)
     isolated = _isolated(union)
     means = _run_means(union, width)
     equal = tuples[0] == tuples[-1]
-    # a run of two copies is its own mean unless v + v overflows, and then
-    # the mean of k + 1 copies is not finite
-    if (isolated.all() and np.isfinite(means[-1]).all()
-            and all((mean == union).all() for mean in means[2:-1])):
-        shifted = np.flatnonzero(equal & (means[-1] != union)[tuples[0]])
-        if shifted.size == 0:
-            return union, tuples
-        nodes = np.concatenate([union, means[-1][tuples[0][shifted]]])
-        tuples = [t.copy() for t in tuples]
-        for t in tuples:
-            t[shifted] = np.arange(union.size, nodes.size)
-        return nodes, tuples
     # by run length M = 1..k+1, whether M copies of each value snap to it
     # (row 0: whether it is isolated)
     exact = np.array([isolated] + [mean == union for mean in means])
@@ -664,6 +641,12 @@ def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
         shifted = np.flatnonzero(equal & moving[tuples[0]])
     if shifted.size + rest.size == 0:
         return union, tuples
+    if rest.size == 0:
+        nodes = np.concatenate([union, means[-1][tuples[0][shifted]]])
+        tuples = [t.copy() for t in tuples]
+        for t in tuples:
+            t[shifted] = np.arange(union.size, nodes.size)
+        return nodes, tuples
     rows = max(1, _GRID_CHUNK_BYTES // (16 * width**2))
     snapped = [means[-1][tuples[0][shifted]]] + [
         _snapped_nodes(union[np.stack([t[rest[lo : lo + rows]] for t in tuples], 1)]).ravel()
@@ -684,8 +667,8 @@ def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
 def _multisets(size: int, order: int) -> list[np.ndarray]:
     """Every non-decreasing index tuple of length ``order`` + 1 below
     ``size``, by rank (see :func:`_binomials`), one array per position.
-    Cached, read-only; :func:`_tuple_values` asks the cache only for lists
-    that take at most :data:`_GRID_CHUNK_BYTES`."""
+    Cached, read-only; :func:`_tuple_values` asks the cache only for small
+    lists (see :func:`_cached`)."""
     binomials = _binomials(size, order)
     tuples = _unrank(np.arange(binomials[order][size]), binomials)
     for array in tuples:
@@ -698,8 +681,8 @@ def _grid_ranks(size: int, order: int) -> np.ndarray:
     """The rank (see :func:`_binomials`) of the sorted indices of every
     point of the grid of ``order`` + 1 slots, each on the indices below
     ``size``: the index of each point's tuple among :func:`_multisets`.
-    Cached, read-only; :func:`_tuple_values` asks the cache only for arrays
-    that take at most :data:`_GRID_CHUNK_BYTES`."""
+    Cached, read-only; :func:`_tuple_values` asks the cache only for small
+    arrays (see :func:`_cached`)."""
     ranks = _rank(_binomials(size, order), _sorted_indices([np.arange(size)] * (order + 1)))
     ranks.setflags(write=False)
     return ranks
@@ -754,7 +737,12 @@ def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarra
     for level, windows in enumerate(confluent[:-1], 1):
         read[level][index[:-level][windows & ~equal]] = True
     read[order][index[0][equal]] = True
-    columns = [_entries(f, level, nodes, read[level]) for level in range(order + 1)]
+    points = nodes.tolist()
+    columns = []
+    for level in range(order + 1):
+        fn = _derivative_fn(f, level)
+        columns.append([fn(z) if wanted else 0.0
+                        for z, wanted in zip(points, read[level].tolist())])
     complex_nodes = np.iscomplexobj(nodes)
     typed = complex_nodes or any(map(_is_complex, itertools.chain(*columns)))
     at_nodes = nodes[index]

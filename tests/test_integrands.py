@@ -1025,6 +1025,19 @@ class TestUnionTable:
                 assert not ranks.flags.writeable
                 assert integrands._grid_ranks(size, order) is ranks
 
+    def test_only_small_ranks_and_multisets_are_cached(self, monkeypatch):
+        f = exp_with_derivatives(3)
+        axis = np.array([-0.81, -0.053, 0.1, 0.37, 0.62, 0.9])
+        # a sixteenth of the budget is 1727 bytes: the 6**3 ranks of 8 bytes
+        # outgrow it, the 56 multisets of three indices fit in it
+        monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 1727)
+        integrands._grid_ranks.cache_clear()
+        integrands._multisets.cache_clear()
+        got = integrands._divided_difference_grid(f, 2, [axis] * 3)
+        assert integrands._grid_ranks.cache_info().currsize == 0
+        assert integrands._multisets.cache_info().currsize == 1
+        assert same_bits(got, oracles.divided_difference_grid_per_point(f, 2, [axis] * 3))
+
     @pytest.mark.parametrize("name, axis, unique", [
         ("ascending", np.array([-0.81, -0.053, 0.1, 0.37, 0.62]), False),
         ("zero_ascending", np.array([-0.81, -0.0, 0.37]), False),
