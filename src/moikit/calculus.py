@@ -29,12 +29,12 @@ from .operators import (
     AnyOperator,
     HermitianOperator,
     UnitaryOperator,
+    _checked_shift,
     _function_of_spectra,
     _shifted,
     _times_shared,
     apply_scalar_function,
     operator_norm,
-    shifted_operator,
 )
 
 __all__ = [
@@ -222,9 +222,10 @@ def higher_difference(
 
 
 def _shift_ladder(operator: HermitianOperator, step, order: int) -> list:
-    """[A, A + B, ..., A + kB] for A = ``operator``, B = ``step``, k = ``order``."""
-    step = np.asarray(step, dtype=np.complex128)
-    return [operator] + [shifted_operator(operator, i * step) for i in range(1, order + 1)]
+    """[A, A + B, ..., A + kB] for A = ``operator``, B = ``step``, k = ``order``;
+    ``step`` is checked once, whatever the order."""
+    step = _checked_shift(operator, step)
+    return [operator] + [_shifted(operator, i * step) for i in range(1, order + 1)]
 
 
 def _ladder_difference(

@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON/CSV out.
 
 One subcommand per task; all numeric parameters live in the input file
-(seed/paths/format/workers are flags, plus the dim/count flags of ``haar``).
+(paths and format are flags, ``--seed``/``--workers`` only where a command
+reads them, plus the dim/count flags of ``haar``).
 Results are written atomically.  Exit codes: 0 success, 2 validation error,
 3 numerical failure, 4 tail-bound violation.
 """
@@ -364,15 +365,18 @@ class _Command(NamedTuple):
     """A subcommand: its help text; ``handler(payload, args)``, the parse step
     that returns ``run`` (``haar`` and ``validate`` read no command payload
     and have none); the ``kind`` of the payload it reads and of the report it
-    writes, which ``validate`` recognizes (its own reports included); and,
-    for a report that is a table, the key of its rows and their columns,
-    since only those reports can be written with ``--format csv``."""
+    writes, which ``validate`` recognizes (its own reports included); for a
+    report that is a table, the key of its rows and their columns, since
+    only those reports can be written with ``--format csv``; and which of
+    the flags ``seed`` and ``workers`` it reads (``validate`` runs the parse
+    steps that read them)."""
 
     help: str
     handler: Callable | None = None
     request: str | None = None
     result: str | None = None
     table: tuple[str, list[str]] | None = None
+    flags: tuple[str, ...] = ()
 
 
 # Every subcommand, in the order ``--help`` lists them.
@@ -390,19 +394,22 @@ _COMMANDS = {
     "tailbound": _Command(
         "run a tail-bound experiment", _handle_tailbound,
         "tail_bound_experiment", "tail_bound_report",
-        ("rows", ["theta", "empirical_prob", "mc_stderr", "bound_rhs", "satisfied"])),
+        ("rows", ["theta", "empirical_prob", "mc_stderr", "bound_rhs", "satisfied"]),
+        flags=("seed", "workers")),
     "conv-mean": _Command(
         "convergence-in-mean experiment", _handle_conv_mean,
         "convergence_request", "convergence_report",
-        ("steps", ["m", "epsilon", "mean_diff_pow_r", "stderr", "bound_mean", "dominated"])),
+        ("steps", ["m", "epsilon", "mean_diff_pow_r", "stderr", "bound_mean", "dominated"]),
+        flags=("seed",)),
     "poly-decompose": _Command("inner-power and linear-product decomposition",
                                _handle_poly_decompose, "polynomial_decomposition_request",
-                               "polynomial_decomposition_result"),
-    "haar": _Command("sample Haar-random unitaries", result="haar_samples"),
+                               "polynomial_decomposition_result", flags=("seed",)),
+    "haar": _Command("sample Haar-random unitaries", result="haar_samples",
+                     flags=("seed",)),
     "mti-eval": _Command("evaluate a tensor integral", _handle_mti_eval,
                          "mti_request", "mti_result"),
     "validate": _Command("schema and invariant diagnostics for a payload",
-                         result="validation_report"),
+                         result="validation_report", flags=("seed", "workers")),
 }
 
 
@@ -499,9 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "haar":
             cmd.add_argument("--input", required=True)
         cmd.add_argument("--output", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
+        if "seed" in command.flags:
+            cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--format", choices=["json", "csv"], default="json")
-        cmd.add_argument("--workers", type=int, default=1)
+        if "workers" in command.flags:
+            cmd.add_argument("--workers", type=int, default=1)
         if name == "haar":
             cmd.add_argument("--dim", type=int, default=None)
             cmd.add_argument("--count", type=int, default=None)

@@ -173,9 +173,9 @@ def estimate_expectation(
 class TailBoundExperiment:
     """One tail-bound verification task.
 
-    ``fixed_inputs`` holds the deterministic matrices the theorem requires:
+    ``fixed_inputs`` holds just the deterministic matrices the theorem reads:
     ``arguments`` (norm bounds), ``direction`` (derivatives), ``step``
-    (higher differences), ``perturbations`` (remainders), all square of the
+    (higher differences) or ``perturbations`` (remainders), all square of the
     models' common dimension; ``step`` and ``perturbations`` are Hermitian.
     ``integrand`` is a SeparableIntegrand for the norm-bound theorems, a
     ScalarFunction for the derivative/difference theorems, and a tuple of
@@ -204,7 +204,7 @@ _SCALAR_THEOREMS = ("first_derivative", "kth_derivative", "higher_difference")
 
 def _checked_fields(exp: TailBoundExperiment) -> dict:
     """Check every input of ``exp``; return the normalized field values (the
-    fixed matrices the theorem uses become read-only complex arrays)."""
+    theorem's fixed input becomes read-only complex arrays; others are rejected)."""
     tid, models = exp.theorem_id, tuple(exp.operator_models)
     if tid not in THEOREM_IDS:
         raise ValidationError(f"unknown theorem id {tid!r}")
@@ -261,9 +261,10 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
             raise CapabilityError("unitary remainder slots must be polynomials")
         fields["integrand"] = tuple(functions)
         key, count = "perturbations", m
-    fields["fixed_inputs"] = {
-        **exp.fixed_inputs, key: _checked_matrices(exp, key, count, dims.pop())
-    }
+    fields["fixed_inputs"] = {key: _checked_matrices(exp, key, count, dims.pop())}
+    extra = [other for other in exp.fixed_inputs if other != key]
+    if extra:
+        raise ValidationError(f"theorem {tid} takes no fixed input {extra[0]!r}")
     return fields
 
 

@@ -100,10 +100,8 @@ class ScalarFunction:
         coefficients=None,
         value_fn: Callable | None = None,
         derivative_fns: Sequence[Callable] = (),
-        domain_note: str = "",
     ):
         self.kind = kind
-        self.domain_note = domain_note
         if kind == POLYNOMIAL:
             coeffs = np.atleast_1d(np.asarray(coefficients))
             if coeffs.ndim != 1 or coeffs.size == 0:
@@ -131,8 +129,8 @@ class ScalarFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def polynomial(cls, coefficients, domain_note: str = "") -> "ScalarFunction":
-        return cls(POLYNOMIAL, coefficients=coefficients, domain_note=domain_note)
+    def polynomial(cls, coefficients) -> "ScalarFunction":
+        return cls(POLYNOMIAL, coefficients=coefficients)
 
     @classmethod
     def monomial(cls, degree: int, coefficient=1.0) -> "ScalarFunction":
@@ -145,16 +143,9 @@ class ScalarFunction:
         return cls.polynomial([value])
 
     @classmethod
-    def from_callable(
-        cls, value_fn, derivatives: Sequence[Callable] = (), domain_note: str = ""
-    ) -> "ScalarFunction":
+    def from_callable(cls, value_fn, derivatives: Sequence[Callable] = ()) -> "ScalarFunction":
         kind = CALLABLE_WITH_DERIVATIVES if derivatives else CALLABLE_ONLY
-        return cls(
-            kind,
-            value_fn=value_fn,
-            derivative_fns=derivatives,
-            domain_note=domain_note,
-        )
+        return cls(kind, value_fn=value_fn, derivative_fns=derivatives)
 
     # -- evaluation --------------------------------------------------------
 
@@ -210,12 +201,7 @@ class ScalarFunction:
         scaled_derivs = tuple(
             (lambda x, _g=g, _c=factor: _c * _g(x)) for g in self.derivative_fns
         )
-        return ScalarFunction(
-            self.kind,
-            value_fn=scaled_value,
-            derivative_fns=scaled_derivs,
-            domain_note=self.domain_note,
-        )
+        return ScalarFunction(self.kind, value_fn=scaled_value, derivative_fns=scaled_derivs)
 
     def __repr__(self):
         if self.kind == POLYNOMIAL:
@@ -590,18 +576,19 @@ def _isolated(union: np.ndarray) -> np.ndarray:
     if values.size == 0:
         return isolated
     radius = DividedDifferenceSpec._merge_radius(values)
-    if np.iscomplexobj(values):
-        near = np.empty(values.size, dtype=bool)
-        rows = max(1, _GRID_CHUNK_BYTES // (16 * values.size))
-        for lo in range(0, values.size, rows):
-            close = _modulus(values[lo : lo + rows, None] - values) <= radius
-            near[lo : lo + rows] = np.count_nonzero(close, axis=1) > 1  # itself, and another
-    else:
-        # rounding is monotone, so the nearest value is a neighbour
-        close = values[1:] - values[:-1] <= radius
-        near = np.zeros(values.size, dtype=bool)
-        near[:-1] = close
-        near[1:] |= close
+    with np.errstate(over="ignore"):  # a gap that overflows is not near
+        if np.iscomplexobj(values):
+            near = np.empty(values.size, dtype=bool)
+            rows = max(1, _GRID_CHUNK_BYTES // (16 * values.size))
+            for lo in range(0, values.size, rows):
+                close = _modulus(values[lo : lo + rows, None] - values) <= radius
+                near[lo : lo + rows] = np.count_nonzero(close, axis=1) > 1  # itself, and another
+        else:
+            # rounding is monotone, so the nearest value is a neighbour
+            close = values[1:] - values[:-1] <= radius
+            near = np.zeros(values.size, dtype=bool)
+            near[:-1] = close
+            near[1:] |= close
     isolated[isolated] = ~near
     return isolated
 

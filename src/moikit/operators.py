@@ -360,22 +360,18 @@ class RandomOperatorModel:
     """Sampling model: i.i.d. eigenvalues plus an independent Haar basis.
 
     ``law`` is one of ``("uniform", a, b)``, ``("gaussian", mean, sd)`` or
-    ``("fixed", values)``.  ``dim`` is a positive integer and ``seed`` an
-    integer in [0, 2**64); booleans are neither.  ``seed`` is checked and
-    serialized, but no sampler reads it: every draw comes from a generator
-    the caller passes, and the Monte Carlo harness derives its streams from
-    the experiment's seed alone.
+    ``("fixed", values)``.  ``dim`` is a positive integer, not a boolean.
+    A model holds no seed: every draw comes from a generator the caller
+    passes, and the Monte Carlo harness derives its streams from the
+    experiment's seed.
     """
 
     dim: int
     law: tuple
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(
             self.dim, "model dimension must be a positive integer", "", 1))
-        object.__setattr__(self, "seed", _integer(
-            self.seed, "seed must be an unsigned 64-bit integer", "", 0, 2**64))
         if not self.law or self.law[0] not in _LAW_KINDS:
             raise ValidationError(f"unknown eigenvalue law {self.law!r}")
         kind = self.law[0]
@@ -525,10 +521,15 @@ def random_hermitian(
 def shifted_operator(op: HermitianOperator, delta: np.ndarray) -> HermitianOperator:
     """Hermitian operator ``op + delta``; ``delta`` must be a Hermitian
     matrix of the same dimension."""
+    return _shifted(op, _checked_shift(op, delta))
+
+
+def _checked_shift(op: HermitianOperator, delta) -> np.ndarray:
+    """``delta`` as a complex matrix checked to be Hermitian of ``op``'s dimension."""
     delta = HermitianOperator(delta).matrix
     if delta.shape != op.matrix.shape:
         raise ValidationError(f"shift has dimension {len(delta)}, the operator {op.dim}")
-    return _shifted(op, delta)
+    return delta
 
 
 def _shifted(op: HermitianOperator, delta: np.ndarray) -> HermitianOperator:

@@ -183,7 +183,7 @@ def model_to_json(model: RandomOperatorModel) -> dict:
         law = {"kind": "gaussian", "mean": model.law[1], "sd": model.law[2]}
     else:
         law = {"kind": "fixed", "values": list(model.law[1])}
-    return {"dim": model.dim, "law": law, "seed": int(model.seed)}
+    return {"dim": model.dim, "law": law}
 
 
 def parse_model(obj, path: str = "model") -> RandomOperatorModel:
@@ -203,10 +203,8 @@ def parse_model(obj, path: str = "model") -> RandomOperatorModel:
                                      "values must be a list", path + ".law.values")))
     else:
         raise ValidationError(f"unknown law kind {kind!r}", path=path + ".law.kind")
-    seed = _integer(obj.get("seed", 0), "seed must be an unsigned 64-bit integer",
-                    path + ".seed", 0, 2**64)
     try:
-        return RandomOperatorModel(dim, law, seed)
+        return RandomOperatorModel(dim, law)
     except ValidationError as err:
         raise ValidationError(str(err), path=path) from err
 

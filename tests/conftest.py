@@ -18,7 +18,7 @@ def rng():
 
 @pytest.fixture
 def uniform_model():
-    return mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0), seed=0)
+    return mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0))
 
 
 def config_path(name: str) -> str:

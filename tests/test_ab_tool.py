@@ -1,0 +1,35 @@
+"""``tools/ab.py``: the interleaved A/B of two source trees."""
+
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def run_ab(old, new):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab.py"), "calculus_nonpoly",
+         old, new, "2"], capture_output=True, text=True, timeout=60)
+
+
+def test_same_tree_matches_and_reports_each_part():
+    done = run_ab(SRC, SRC)
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()
+    assert header.split()[:3] == ["part", "old", "us/op"]
+    assert row.split()[0] == "instance" and row.split()[-1].endswith("/2")
+
+
+def test_a_changed_output_names_the_part(tmp_path):
+    shutil.copytree(os.path.join(SRC, "moikit"), tmp_path / "moikit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "moikit" / "calculus.py", "a") as handle:
+        handle.write("\n_kth_derivative = kth_derivative\n\n\n"
+                     "def kth_derivative(*args):\n"
+                     "    return _kth_derivative(*args) * (1 + 2**-52)\n")
+    done = run_ab(SRC, str(tmp_path))
+    assert done.returncode == 1
+    assert done.stderr.strip() == "outputs differ: round 0, part instance"

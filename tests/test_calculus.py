@@ -136,6 +136,32 @@ class TestHigherDifference:
             off_diag = result - np.diag(np.diag(result))
             assert np.max(np.abs(off_diag)) <= 1e-10
 
+    def test_ladder_checks_step_once_and_keeps_the_rungs_bits(self, rng, monkeypatch):
+        a = random_hermitian_op(rng)
+        step = mk.random_hermitian(4, rng, norm=0.5)
+        checks = []
+        check = mk.HermitianOperator._check
+        monkeypatch.setattr(mk.HermitianOperator, "_check",
+                            staticmethod(lambda arr: checks.append(arr) or check(arr)))
+        ladder = calculus._shift_ladder(a, step, 3)
+        assert len(checks) == 1
+        assert ladder[0] is a
+        for i, rung in enumerate(ladder[1:], start=1):
+            expected = mk.shifted_operator(a, i * np.asarray(step, dtype=complex))
+            assert rung.matrix.tobytes() == expected.matrix.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bad_step_rejected_at_every_order(self, rng, order):
+        # order 0 reads no step, and rejects a bad one all the same
+        a = random_hermitian_op(rng)
+        skewed = np.zeros((4, 4), dtype=complex)
+        skewed[0, 1] = 0.5
+        with pytest.raises(ValidationError, match="^matrix is not Hermitian: "
+                           r"max asymmetry 5\.000e-01 at entry \(0, 1\)$"):
+            mk.higher_difference(mk.ScalarFunction.monomial(2), a, skewed, order)
+        with pytest.raises(ValidationError, match="^shift has dimension 3, the operator 4$"):
+            mk.higher_difference(mk.ScalarFunction.monomial(2), a, np.eye(3), order)
+
     def test_moi_diagnostic_reports_without_asserting_agreement(self, rng):
         a = random_hermitian_op(rng)
         b = mk.random_hermitian(4, rng, norm=0.3)

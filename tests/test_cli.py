@@ -10,7 +10,7 @@ import pytest
 
 import moikit as mk
 from moikit import serialization as ser
-from moikit.cli import main
+from moikit.cli import _COMMANDS, _build_parser, main
 
 from conftest import config_path
 
@@ -433,6 +433,9 @@ REJECTED_PAYLOADS = [
     pytest.param("higher-diff", "demo_higher_diff.json",
                  lambda p: {**p, "include_moi_diagnostic": "no"},
                  id="higher-diff-diagnostic-flag-string"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: _small_tailbound(p, step=_skewed(IDENTITY_2X2, 0.5)),
+                 id="tailbound-kth-derivative-extra-step"),
 ]
 
 
@@ -566,6 +569,34 @@ class TestCliMisc:
         code = run_cli(["tailbound",
                         "--input", config_path("tailbound_kth_derivative.json")])
         assert code == 3
+
+    def test_a_fixed_input_the_theorem_does_not_read_is_rejected(self, tmp_path, capsys):
+        payload = read_json(config_path("tailbound_kth_derivative.json"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_small_tailbound(payload, step=_skewed(IDENTITY_2X2, 0.5))))
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: input: theorem kth_derivative takes no fixed input 'step'\n")
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    @pytest.mark.parametrize("flag, value, readers", [
+        ("--seed", "1", {"tailbound", "conv-mean", "poly-decompose", "haar", "validate"}),
+        ("--workers", "2", {"tailbound", "validate"}),
+    ])
+    def test_seed_and_workers_exist_only_where_read(self, capsys, name, flag, value,
+                                                    readers):
+        # validate reads both, since it runs the parse steps that read them;
+        # argparse rejects either flag on any other command
+        argv = [name, flag, value] + (["--dim", "2"] if name == "haar" else
+                                      ["--input", config_path("demo_moi_eval.json")])
+        if name in readers:
+            assert getattr(_build_parser().parse_args(argv), flag[2:]) == int(value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_unknown_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

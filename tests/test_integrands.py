@@ -4,6 +4,7 @@ import cmath
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1012,6 +1013,18 @@ class TestUnionTable:
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_neighbours_an_infinite_gap_apart_raise_no_warning(self, dtype):
+        # the gap between -1.7e308 and 1.7e308 overflows: not near, and no
+        # overflow warning
+        f = mk.ScalarFunction.from_callable(np.tanh, (lambda z: 1 - np.tanh(z) ** 2,))
+        axes = [np.array([-1.7e308, 1.7e308], dtype=dtype)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrands._divided_difference_grid(f, 1, axes)
+            if dtype is np.float64:
+                assert same_bits(got, oracles.divided_difference_grid_per_point(f, 1, axes))
 
     def test_grid_ranks_are_cached_read_only(self):
         for order in range(4):

@@ -255,19 +255,11 @@ class TestRandomHermitian:
                            match="^model dimension must be a positive integer$"):
             mk.RandomOperatorModel(dim, ("uniform", -1.0, 1.0))
 
-    @pytest.mark.parametrize("seed", [1.5, 7.0, True, False, "7", None, -1, 2**64])
-    def test_model_seed_must_be_an_unsigned_64_bit_integer(self, seed):
-        with pytest.raises(ValidationError,
-                           match="^seed must be an unsigned 64-bit integer$"):
-            mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0), seed=seed)
-
     def test_model_integers_are_stored_as_python_ints(self):
-        model = mk.RandomOperatorModel(np.int64(3), ("fixed", (0.0, 1.0, 2.0)),
-                                       seed=np.uint64(2**64 - 1))
-        assert type(model.dim) is int and type(model.seed) is int
+        model = mk.RandomOperatorModel(np.int64(3), ("fixed", (0.0, 1.0, 2.0)))
+        assert type(model.dim) is int
         assert ser.model_to_json(model) == {
             "dim": 3, "law": {"kind": "fixed", "values": [0.0, 1.0, 2.0]},
-            "seed": 2**64 - 1,
         }
 
     def test_random_unitary_spectrum_on_circle(self, rng):

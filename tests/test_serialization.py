@@ -72,9 +72,17 @@ class TestModelSchema:
     def test_round_trips(self):
         for law in (("uniform", -1.0, 1.0), ("gaussian", 0.0, 2.0),
                      ("fixed", (1.0, 2.0))):
-            model = mk.RandomOperatorModel(2, law, seed=9)
+            model = mk.RandomOperatorModel(2, law)
             parsed = ser.parse_model(ser.model_to_json(model))
             assert parsed == model
+
+    def test_model_seed_is_ignored(self):
+        # models hold no seed; one in an older model object is an unread key
+        payload = {"dim": 2, "law": {"kind": "uniform", "a": -1.0, "b": 1.0}}
+        model = ser.parse_model(payload)
+        for seed in (9, -1, "x", True):
+            assert ser.parse_model({**payload, "seed": seed}) == model
+        assert "seed" not in ser.model_to_json(model)
 
     def test_unknown_law_path(self):
         with pytest.raises(ValidationError) as err:

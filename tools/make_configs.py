@@ -50,8 +50,8 @@ def hermitian_json(dim, rng, norm):
     return ser.matrix_to_json(mk.random_hermitian(dim, rng, norm=norm))
 
 
-def model_json(dim, law, seed=0):
-    return ser.model_to_json(mk.RandomOperatorModel(dim, law, seed))
+def model_json(dim, law):
+    return ser.model_to_json(mk.RandomOperatorModel(dim, law))
 
 
 def finish(payload):
