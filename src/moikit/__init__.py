@@ -7,7 +7,6 @@ and verifies Markov-type tail bounds for random operators by Monte Carlo.
 """
 
 from .calculus import (
-    MultiIndex,
     RemainderSpec,
     SlotFunctionSum,
     composition_weight,
@@ -37,7 +36,6 @@ from .harness import (
     TailBoundExperiment,
     TailBoundReport,
     convergence_in_mean_check,
-    estimate_expectation,
     mix64,
     run_tail_bound,
     sample_stream,

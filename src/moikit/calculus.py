@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CapabilityError, ParameterError, ValidationError
 from .integrands import (
     ScalarFunction,
-    add_scalar_functions,
     divided_difference_integrand,
     multiply_by_slot_variable,
 )
@@ -38,7 +37,6 @@ from .operators import (
 )
 
 __all__ = [
-    "MultiIndex",
     "SlotFunctionSum",
     "RemainderSpec",
     "frechet_derivative",
@@ -59,63 +57,21 @@ SERIES_TERM_CAP = 64
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """A tuple of nonnegative integers with the usual |a| and a! shorthands."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        comps = tuple(int(c) for c in self.components)
-        if any(c < 0 for c in comps):
-            raise ValidationError("multi-index components must be nonnegative")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def size(self) -> int:
-        return sum(self.components)
-
-    @property
-    def factorial(self) -> int:
-        return math.prod(math.factorial(c) for c in self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-
-@dataclass(frozen=True)
 class SlotFunctionSum:
-    """A multivariate operator function of the form sum_j phi_j(X_j).
+    """A multivariate operator function of the form sum_j phi_j(X_j):
+    ``functions[j]`` is the scalar function phi_j of slot j."""
 
-    ``terms`` maps slot indices to scalar functions; repeated slots add.
-    """
-
-    arity: int
-    terms: tuple[tuple[int, ScalarFunction], ...]
+    functions: tuple[ScalarFunction, ...]
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValidationError("slot count must be positive")
-        terms = tuple((int(slot), fn) for slot, fn in self.terms)
-        if not terms:
+        functions = tuple(self.functions)
+        if not functions:
             raise ValidationError("at least one slot function is required")
-        for slot, _ in terms:
-            if not 0 <= slot < self.arity:
-                raise ValidationError(f"slot {slot} out of range 0..{self.arity - 1}")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "functions", functions)
 
     @classmethod
     def from_slot_functions(cls, functions: Sequence[ScalarFunction]) -> "SlotFunctionSum":
-        return cls(len(functions), tuple(enumerate(functions)))
-
-    def per_slot(self) -> list[tuple[int, ScalarFunction]]:
-        """Slot functions with repeated slots combined, in slot order."""
-        grouped: dict[int, ScalarFunction] = {}
-        for slot, fn in self.terms:
-            grouped[slot] = add_scalar_functions(grouped[slot], fn) if slot in grouped else fn
-        return sorted(grouped.items())
+        return cls(functions)
 
 
 @dataclass(frozen=True)
@@ -140,7 +96,8 @@ class RemainderSpec:
         if self.flavor not in ("self_adjoint", "unitary"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         base, perts = tuple(self.base), tuple(self.perturbations)
-        if len(base) != self.function.arity or len(perts) != self.function.arity:
+        slots = len(self.function.functions)
+        if len(base) != slots or len(perts) != slots:
             raise ValidationError("base/perturbation counts must match the slot count")
         dims = {op.dim for op in base}
         if len(dims) != 1:
@@ -158,7 +115,7 @@ class RemainderSpec:
         if self.flavor == "unitary":
             if not all(isinstance(op, UnitaryOperator) for op in base):
                 raise ValidationError("unitary flavor needs unitary base operators")
-            for slot, fn in self.function.terms:
+            for fn in self.function.functions:
                 if fn.kind != "polynomial":
                     raise CapabilityError(
                         "unitary flavor is restricted to polynomial slot functions"
@@ -308,7 +265,7 @@ def taylor_remainder_self_adjoint(spec: RemainderSpec, method: str = "moi") -> n
     k = spec.order
     dim = spec.dim
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for slot, phi in spec.function.per_slot():
+    for slot, phi in enumerate(spec.function.functions):
         base = spec.base[slot]
         pert = spec.perturbations[slot]
         shifted = _shifted(base, pert)
@@ -429,7 +386,7 @@ def taylor_remainder_unitary(spec: RemainderSpec, method: str = "moi") -> np.nda
     k = spec.order
     dim = spec.dim
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for slot, phi in spec.function.per_slot():
+    for slot, phi in enumerate(spec.function.functions):
         base = spec.base[slot]
         gen = spec._generators[slot]
         rotator = unitary_exponential(gen)
@@ -483,14 +440,11 @@ def _exp_tail_scalar(x: float, start: int) -> float:
     return total
 
 
-def composition_weight(h_norm: float, composition) -> float:
-    """Norm weight of one composition in the unitary remainder bound:
-    the exponential-series tail at the leading part times h^i_p / i_p! over
-    the remaining parts."""
-    if isinstance(composition, MultiIndex):
-        parts = composition.components
-    else:
-        parts = tuple(int(i) for i in composition)
+def composition_weight(h_norm: float, composition: Sequence[int]) -> float:
+    """Norm weight of one composition (a sequence of positive parts) in the
+    unitary remainder bound: the exponential-series tail at the leading part
+    times h^i_p / i_p! over the remaining parts."""
+    parts = tuple(int(i) for i in composition)
     if not parts or any(i < 1 for i in parts):
         raise ParameterError("composition parts must be positive integers")
     if h_norm < 0:

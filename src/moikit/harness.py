@@ -30,9 +30,8 @@ Reproducibility contract: a sample's draws depend on the seed and its index
 alone, per-sample values land in arrays indexed by sample, and aggregation
 is a fixed-order pairwise sum, so results are byte-identical for a fixed
 seed regardless of how samples are partitioned across workers and chunks.
-:func:`convergence_in_mean_check` and :func:`estimate_expectation` keep one
-stream per sample: sample i draws from
-``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`).
+:func:`convergence_in_mean_check` keeps one stream per sample: sample i
+draws from ``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`).
 
 The norm of an integrand over random spectra is measured by the sup of its
 absolute value over all tuples drawn from the union of the realized spectra
@@ -102,21 +101,22 @@ __all__ = [
     "TailBoundReport",
     "mix64",
     "sample_stream",
-    "estimate_expectation",
     "run_tail_bound",
     "convergence_parameters",
     "convergence_in_mean_check",
 ]
 
-THEOREM_IDS = (
-    "moi_norm_a",
-    "moi_norm_schatten_b",
-    "first_derivative",
-    "kth_derivative",
-    "higher_difference",
-    "sa_remainder",
-    "unitary_remainder",
-)
+# Each theorem id with the optional fields it reads; it rejects the others.
+_OPTIONAL_FIELDS = {
+    "moi_norm_a": (),
+    "moi_norm_schatten_b": ("schatten_p",),
+    "first_derivative": (),
+    "kth_derivative": ("order",),
+    "higher_difference": ("order", "eigengap_bound"),
+    "sa_remainder": ("order",),
+    "unitary_remainder": ("order",),
+}
+THEOREM_IDS = tuple(_OPTIONAL_FIELDS)
 
 SURROGATE_NOTE = "sup of |integrand| over tuples from the union of realized spectra"
 
@@ -152,18 +152,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def estimate_expectation(
-    sample_fn: Callable[[np.random.Generator], float], n_samples: int, seed: int
-) -> tuple[float, float]:
-    """Sample mean and standard error of a per-stream scalar statistic."""
-    if n_samples < 100:
-        raise ParameterError("expectation estimates need at least 100 samples")
-    values = np.empty(n_samples)
-    for i in range(n_samples):
-        values[i] = sample_fn(sample_stream(seed, i))
-    return _mean_stderr(values)
-
-
 # ---------------------------------------------------------------------------
 # Experiment definition
 # ---------------------------------------------------------------------------
@@ -179,8 +167,9 @@ class TailBoundExperiment:
     models' common dimension; ``step`` and ``perturbations`` are Hermitian.
     ``integrand`` is a SeparableIntegrand for the norm-bound theorems, a
     ScalarFunction for the derivative/difference theorems, and a tuple of
-    per-slot ScalarFunctions for the remainder theorems.  Every input is
-    checked here, once.
+    per-slot ScalarFunctions for the remainder theorems.  ``order``,
+    ``schatten_p`` and ``eigengap_bound`` stay None for a theorem that does
+    not read them.  Every input is checked here, once.
     """
 
     theorem_id: str
@@ -208,6 +197,9 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     tid, models = exp.theorem_id, tuple(exp.operator_models)
     if tid not in THEOREM_IDS:
         raise ValidationError(f"unknown theorem id {tid!r}")
+    for field in ("order", "schatten_p", "eigengap_bound"):
+        if field not in _OPTIONAL_FIELDS[tid] and getattr(exp, field) is not None:
+            raise ValidationError(f"theorem {tid} takes no field {field!r}")
     thetas = tuple(float(t) for t in exp.theta_grid)
     if not thetas or any(t <= 0 for t in thetas):
         raise ValidationError("theta grid entries must be positive")
@@ -223,12 +215,18 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
               "seed": seed}
     # the name the order and model-count messages use
     name = tid.replace("_", "-") if tid in _SCALAR_THEOREMS else "remainder"
-    if tid not in ("moi_norm_a", "moi_norm_schatten_b", "first_derivative"):
+    if "order" in _OPTIONAL_FIELDS[tid]:
         order = exp.order
         if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
                 or order < 1):
             raise ValidationError(f"{name} experiments need order >= 1")
         fields["order"] = int(order)
+    gap = exp.eigengap_bound
+    if gap is not None:
+        if (not isinstance(gap, numbers.Real) or isinstance(gap, bool)
+                or not (math.isfinite(gap) and gap > 0)):
+            raise ValidationError("eigengap_bound must be a finite positive number")
+        fields["eigengap_bound"] = float(gap)
     if tid in ("moi_norm_a", "moi_norm_schatten_b"):
         if m < 2:
             raise ValidationError("norm-bound experiments need at least two operators")
@@ -250,9 +248,7 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
         key, count = ("step" if tid == "higher_difference" else "direction"), None
     else:
         functions = exp.integrand
-        if isinstance(functions, ScalarFunction):
-            functions = (functions,)
-        if not (isinstance(functions, (list, tuple)) and functions
+        if not (isinstance(functions, tuple) and functions
                 and all(isinstance(f, ScalarFunction) for f in functions)):
             raise ValidationError("remainder experiments need per-slot scalar functions")
         if m != len(functions):

@@ -149,13 +149,6 @@ class ScalarFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    @property
-    def degree(self) -> int | None:
-        if self.kind != POLYNOMIAL:
-            return None
-        nonzero = np.nonzero(self.coefficients)[0]
-        return int(nonzero[-1]) if nonzero.size else 0
-
     def __call__(self, x):
         if self.kind == POLYNOMIAL:
             return npoly.polyval(x, self.coefficients)
@@ -207,21 +200,6 @@ class ScalarFunction:
         if self.kind == POLYNOMIAL:
             return f"ScalarFunction.polynomial({list(self.coefficients)})"
         return f"ScalarFunction({self.kind})"
-
-
-def add_scalar_functions(a: ScalarFunction, b: ScalarFunction) -> ScalarFunction:
-    """Pointwise sum; stays a polynomial when both inputs are polynomials."""
-    if a.kind == POLYNOMIAL and b.kind == POLYNOMIAL:
-        return ScalarFunction.polynomial(
-            npoly.polyadd(a.coefficients, b.coefficients)
-        )
-    available = int(min(a.derivative_order_available, b.derivative_order_available))
-    value = lambda x, _a=a, _b=b: _a(x) + _b(x)  # noqa: E731
-    derivs = tuple(
-        (lambda x, _a=a, _b=b, _o=o: _a.derivative(x, _o) + _b.derivative(x, _o))
-        for o in range(1, available + 1)
-    )
-    return ScalarFunction.from_callable(value, derivs)
 
 
 # ---------------------------------------------------------------------------

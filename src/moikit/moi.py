@@ -120,10 +120,6 @@ class MoiRequest:
         object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "arguments", arguments)
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].dim
-
 
 @dataclass(frozen=True)
 class MoiResult:

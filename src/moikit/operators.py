@@ -105,10 +105,6 @@ class SpectralDecomposition:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
     def projector(self, index: int) -> np.ndarray:
         """Rank-one projector onto the ``index``-th eigenvector."""
         column = self.basis[:, index]
@@ -393,18 +389,10 @@ class RandomOperatorModel:
                 )
             object.__setattr__(self, "law", ("fixed", values))
 
-    def draw_eigenvalues(self, rng: np.random.Generator) -> np.ndarray:
-        """``dim`` i.i.d. eigenvalues from the law, drawn from ``rng``: the
-        same bits as ``rng.uniform(a, b, dim)`` or ``rng.normal(mean, sd,
-        dim)``."""
-        variates = np.empty((1, self.dim))
-        self._draw_variates(rng, variates[0])
-        return self._apply_law(variates)[0]
-
     def _draw_variates(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw law variates into ``out``, of shape (dim,) or stacked over
-        samples as (N, dim): standard uniforms for the uniform law, standard
-        normals for the gaussian law, nothing for the fixed law."""
+        """Draw law variates into ``out``, stacked over samples as (N, dim):
+        standard uniforms for the uniform law, standard normals for the
+        gaussian law, nothing for the fixed law."""
         kind = self.law[0]
         if kind == "uniform":
             rng.random(out=out)

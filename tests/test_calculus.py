@@ -236,6 +236,15 @@ class TestSelfAdjointRemainder:
             scale = max(1.0, np.linalg.norm(direct, 2), np.linalg.norm(moi, 2))
             assert np.max(np.abs(direct - moi)) <= 1e-8 * scale
 
+    def test_one_function_per_slot(self, rng):
+        f, g = mk.ScalarFunction.monomial(2), mk.ScalarFunction.monomial(3)
+        assert mk.SlotFunctionSum.from_slot_functions([f, g]).functions == (f, g)
+        with pytest.raises(ValidationError, match="^at least one slot function is required$"):
+            mk.SlotFunctionSum.from_slot_functions([])
+        with pytest.raises(ValidationError, match="^base/perturbation counts must match"):
+            mk.RemainderSpec(1, mk.SlotFunctionSum((f, g)), (random_hermitian_op(rng),),
+                             (np.zeros((4, 4)),), "self_adjoint")
+
     def test_flavor_validation(self, rng):
         f = mk.ScalarFunction.monomial(2)
         u = mk.sample_haar_unitary(3, rng)
@@ -443,8 +452,8 @@ class TestCompositionWeights:
             (math.e - 1.0) * 1.0
         )
 
-    def test_multi_index_input(self):
-        weight = mk.composition_weight(0.5, mk.MultiIndex((1, 2)))
+    def test_uneven_parts(self):
+        weight = mk.composition_weight(0.5, (1, 2))
         expected = (math.exp(0.5) - 1.0) * 0.5**2 / 2
         assert weight == pytest.approx(expected, rel=1e-12)
 
@@ -471,10 +480,3 @@ class TestCompositionWeights:
     def test_parts_range_validation(self):
         with pytest.raises(ParameterError):
             mk.composition_weight_sum(1.0, 2, 3)
-
-    def test_multi_index_basics(self):
-        index = mk.MultiIndex((2, 0, 3))
-        assert index.size == 5
-        assert index.factorial == 12
-        with pytest.raises(ValidationError):
-            mk.MultiIndex((-1, 2))

@@ -436,6 +436,24 @@ REJECTED_PAYLOADS = [
     pytest.param("tailbound", "tailbound_kth_derivative.json",
                  lambda p: _small_tailbound(p, step=_skewed(IDENTITY_2X2, 0.5)),
                  id="tailbound-kth-derivative-extra-step"),
+    pytest.param("tailbound", "tailbound_moi_norm_a.json",
+                 lambda p: {**_small_tailbound(p), "order": 2},
+                 id="tailbound-moi-norm-a-order"),
+    pytest.param("tailbound", "tailbound_first_derivative.json",
+                 lambda p: {**_small_tailbound(p), "order": 1},
+                 id="tailbound-first-derivative-order"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: {**_small_tailbound(p), "schatten_p": [2.0, 2.0]},
+                 id="tailbound-kth-derivative-schatten-p"),
+    pytest.param("tailbound", "tailbound_sa_remainder.json",
+                 lambda p: {**_small_tailbound(p), "eigengap_bound": 1.0},
+                 id="tailbound-sa-remainder-eigengap-bound"),
+    pytest.param("tailbound", "tailbound_higher_difference.json",
+                 lambda p: {**_small_tailbound(p), "eigengap_bound": -1.0},
+                 id="tailbound-higher-difference-negative-eigengap"),
+    pytest.param("tailbound", "tailbound_higher_difference.json",
+                 lambda p: {**_small_tailbound(p), "eigengap_bound": 0.0},
+                 id="tailbound-higher-difference-zero-eigengap"),
 ]
 
 

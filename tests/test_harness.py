@@ -14,7 +14,12 @@ import pytest
 import moikit as mk
 from moikit import serialization as ser
 from moikit import harness
-from moikit.errors import NumericalError, ParameterError, ValidationError
+from moikit.errors import (
+    CapabilityError,
+    NumericalError,
+    ParameterError,
+    ValidationError,
+)
 from moikit.harness import SURROGATE_NOTE
 
 import oracles
@@ -39,6 +44,12 @@ def small_experiment(seed=11, samples=1000):
     )
 
 
+def shipped_experiment(theorem_id):
+    """The shipped tail-bound config of ``theorem_id``, at 1000 samples."""
+    payload = ser.load_json(config_path(f"tailbound_{theorem_id}.json"))
+    return ser.parse_experiment({**payload, "samples": 1000})
+
+
 class TestStreams:
     def test_mix64_distinct_and_stable(self):
         values = {mk.mix64(7, i) for i in range(1000)}
@@ -57,28 +68,6 @@ class TestStreams:
             16294208416658607535, 11643247792660730917,
             9420747912965734335, 14547181691595906324,
         ]
-
-
-class TestEstimateExpectation:
-    def test_constant_statistic(self):
-        mean, stderr = mk.estimate_expectation(lambda rng: 2.5, 500, 0)
-        assert mean == pytest.approx(2.5)
-        assert stderr == pytest.approx(0.0, abs=1e-15)
-
-    def test_uniform_mean(self):
-        mean, stderr = mk.estimate_expectation(
-            lambda rng: rng.uniform(0.0, 1.0), 10_000, 99
-        )
-        assert abs(mean - 0.5) <= 3 * stderr
-
-    def test_fixed_seed_reproducible(self):
-        first = mk.estimate_expectation(lambda rng: rng.normal(), 500, 4)
-        second = mk.estimate_expectation(lambda rng: rng.normal(), 500, 4)
-        assert first == second
-
-    def test_sample_floor(self):
-        with pytest.raises(ParameterError):
-            mk.estimate_expectation(lambda rng: 1.0, 50, 0)
 
     def test_markov_self_test(self):
         # empirical P(|x| >= theta) <= E|x| / theta for x ~ uniform(0, 1)
@@ -445,6 +434,76 @@ class TestExperimentChecks:
         exp = small_experiment(seed=np.uint64(2**64 - 1), samples=np.int64(1000))
         assert type(exp.seed) is int and exp.seed == 2**64 - 1
         assert type(exp.samples) is int and exp.samples == 1000
+
+    # (theorem, edit of its shipped experiment, error, message): each check of
+    # the experiment's inputs, and each field a theorem does not read
+    @pytest.mark.parametrize("theorem_id, edit, error, message", [
+        ("kth_derivative", lambda e: {"theorem_id": "bogus"}, ValidationError,
+         "^unknown theorem id 'bogus'$"),
+        ("kth_derivative", lambda e: {"theta_grid": (0.0, 1.0)}, ValidationError,
+         "^theta grid entries must be positive$"),
+        ("kth_derivative", lambda e: {"theta_grid": (1.0, 1.0)}, ValidationError,
+         "^theta grid must be strictly increasing$"),
+        ("kth_derivative", lambda e: {"order": 0}, ValidationError,
+         "^kth-derivative experiments need order >= 1$"),
+        ("moi_norm_a", lambda e: {"operator_models": e.operator_models[:1]},
+         ValidationError, "^norm-bound experiments need at least two operators$"),
+        ("moi_norm_a", lambda e: {"integrand": mk.ScalarFunction.monomial(1)},
+         ValidationError, "^norm-bound experiments need a separable integrand$"),
+        ("moi_norm_a", lambda e: {"integrand": mk.SeparableIntegrand.constant(5)},
+         ValidationError, "^integrand arity must equal the operator count$"),
+        ("moi_norm_schatten_b", lambda e: {"schatten_p": (2.0,)}, ValidationError,
+         "^schatten mode needs one exponent per argument$"),
+        ("kth_derivative", lambda e: {"operator_models": e.operator_models * 2},
+         ValidationError, "^kth-derivative experiments use one operator model$"),
+        ("kth_derivative", lambda e: {"integrand": mk.SeparableIntegrand.constant(1)},
+         ValidationError, "^theorem kth_derivative needs a scalar function$"),
+        ("sa_remainder", lambda e: {"integrand": e.integrand[0]}, ValidationError,
+         "^remainder experiments need per-slot scalar functions$"),
+        ("sa_remainder", lambda e: {"integrand": list(e.integrand)}, ValidationError,
+         "^remainder experiments need per-slot scalar functions$"),
+        ("sa_remainder", lambda e: {"integrand": e.integrand[:1]}, ValidationError,
+         "^one operator model per slot is required$"),
+        ("unitary_remainder", lambda e: {"integrand": (
+            e.integrand[0], mk.ScalarFunction.from_callable(np.exp, [np.exp]))},
+         CapabilityError, "^unitary remainder slots must be polynomials$"),
+        ("kth_derivative", lambda e: {"fixed_inputs": {}}, ValidationError,
+         "^theorem kth_derivative needs fixed input 'direction'$"),
+        ("sa_remainder", lambda e: {"fixed_inputs": {
+            "perturbations": e.fixed_inputs["perturbations"][:1]}}, ValidationError,
+         "^fixed input 'perturbations' needs 2 matrices, got 1$"),
+        ("moi_norm_a", lambda e: {"order": 2}, ValidationError,
+         "^theorem moi_norm_a takes no field 'order'$"),
+        ("moi_norm_schatten_b", lambda e: {"order": 2}, ValidationError,
+         "^theorem moi_norm_schatten_b takes no field 'order'$"),
+        ("first_derivative", lambda e: {"order": 1}, ValidationError,
+         "^theorem first_derivative takes no field 'order'$"),
+        ("kth_derivative", lambda e: {"schatten_p": (2.0, 2.0)}, ValidationError,
+         "^theorem kth_derivative takes no field 'schatten_p'$"),
+        ("sa_remainder", lambda e: {"schatten_p": (2.0,)}, ValidationError,
+         "^theorem sa_remainder takes no field 'schatten_p'$"),
+        ("moi_norm_a", lambda e: {"eigengap_bound": 1.0}, ValidationError,
+         "^theorem moi_norm_a takes no field 'eigengap_bound'$"),
+        ("unitary_remainder", lambda e: {"eigengap_bound": 1.0}, ValidationError,
+         "^theorem unitary_remainder takes no field 'eigengap_bound'$"),
+    ])
+    def test_each_check_rejects_its_input(self, theorem_id, edit, error, message):
+        exp = shipped_experiment(theorem_id)
+        with pytest.raises(error, match=message):
+            dataclasses.replace(exp, **edit(exp))
+
+    @pytest.mark.parametrize("gap", [-1.0, 0.0, -0.0, math.inf, math.nan, True, "1.0"])
+    def test_eigengap_bound_must_be_finite_and_positive(self, gap):
+        exp = shipped_experiment("higher_difference")
+        with pytest.raises(ValidationError,
+                           match="^eigengap_bound must be a finite positive number$"):
+            dataclasses.replace(exp, eigengap_bound=gap)
+
+    @pytest.mark.parametrize("gap", [2, np.float64(0.5), np.int64(3)])
+    def test_eigengap_bound_is_stored_as_a_float(self, gap):
+        exp = dataclasses.replace(shipped_experiment("higher_difference"),
+                                  eigengap_bound=gap)
+        assert type(exp.eigengap_bound) is float and exp.eigengap_bound == float(gap)
 
     def test_prepared_once_per_run(self, monkeypatch):
         calls = []

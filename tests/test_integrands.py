@@ -12,7 +12,7 @@ import pytest
 import moikit as mk
 from moikit import integrands, moi
 from moikit.errors import CapabilityError, ValidationError
-from moikit.integrands import add_scalar_functions, multiply_by_slot_variable
+from moikit.integrands import multiply_by_slot_variable
 
 import oracles
 
@@ -430,13 +430,6 @@ class TestFactorTables:
 
 
 class TestHelpers:
-    def test_add_scalar_functions_polynomials(self):
-        total = add_scalar_functions(
-            mk.ScalarFunction.polynomial([1.0, 2.0]),
-            mk.ScalarFunction.polynomial([0.0, -2.0, 3.0]),
-        )
-        np.testing.assert_allclose(total.coefficients, [1.0, 0.0, 3.0])
-
     def test_multiply_by_slot_variable(self):
         psi = mk.SeparableIntegrand(
             2, ((mk.ScalarFunction.monomial(1), mk.ScalarFunction.constant(1.0)),)

@@ -206,23 +206,25 @@ class TestRandomHermitian:
 
     def test_spectrum_matches_drawn_eigenvalues(self):
         model = mk.RandomOperatorModel(3, ("uniform", 0.0, 1.0))
-        drawn = np.sort(model.draw_eigenvalues(np.random.default_rng(99)))
+        drawn = np.sort(operators._draw(model, np.random.default_rng(99))[0][0])
         op = mk.sample_random_hermitian(model, np.random.default_rng(99))
         fresh = mk.spectral_decompose(mk.HermitianOperator(op.matrix))
         np.testing.assert_allclose(np.sort(fresh.eigenvalues), drawn, atol=1e-10)
 
     @pytest.mark.parametrize("law, draw", [
-        (("uniform", -1.0, 1.0), lambda rng: rng.uniform(-1.0, 1.0, size=5)),
-        (("uniform", -3, 0.7), lambda rng: rng.uniform(-3, 0.7, size=5)),
-        (("gaussian", 0.0, 1.0), lambda rng: rng.normal(0.0, 1.0, size=5)),
-        (("gaussian", 2, 0.3), lambda rng: rng.normal(2, 0.3, size=5)),
+        (("uniform", -1.0, 1.0), lambda rng, size: rng.uniform(-1.0, 1.0, size=size)),
+        (("uniform", -3, 0.7), lambda rng, size: rng.uniform(-3, 0.7, size=size)),
+        (("gaussian", 0.0, 1.0), lambda rng, size: rng.normal(0.0, 1.0, size=size)),
+        (("gaussian", 2, 0.3), lambda rng, size: rng.normal(2, 0.3, size=size)),
     ])
     def test_drawn_eigenvalues_have_the_bits_of_the_numpy_law(self, law, draw):
         model = mk.RandomOperatorModel(5, law)
         for seed in range(500):
             rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert model.draw_eigenvalues(rng).tobytes() == draw(reference).tobytes()
-            # the stream stands where the numpy law leaves it
+            eigenvalues, normals = operators._draw(model, rng, 2)
+            assert eigenvalues.tobytes() == draw(reference, (2, 5)).tobytes()
+            # the normals start where the numpy law leaves the stream
+            assert normals.tobytes() == reference.standard_normal((2, 2, 5, 5)).tobytes()
             assert rng.random() == reference.random()
 
     def test_uniform_law_needs_a_finite_width(self):

@@ -7,6 +7,7 @@ experiment so the reports show the transition from frequent to rare
 exceedance.
 """
 
+import dataclasses
 import os
 import sys
 
@@ -24,18 +25,7 @@ PILOT = 1_500
 
 def theta_grid_from_pilot(experiment_payload) -> list[float]:
     exp = ser.parse_experiment(experiment_payload)
-    pilot = mk.TailBoundExperiment(
-        theorem_id=exp.theorem_id,
-        operator_models=exp.operator_models,
-        fixed_inputs=exp.fixed_inputs,
-        integrand=exp.integrand,
-        theta_grid=exp.theta_grid,
-        samples=PILOT,
-        seed=exp.seed,
-        order=exp.order,
-        schatten_p=exp.schatten_p,
-        eigengap_bound=exp.eigengap_bound,
-    )
+    pilot = dataclasses.replace(exp, samples=PILOT)
     from moikit.harness import _simulate_block
 
     stats, _, aborted = _simulate_block(pilot, 0, PILOT)
