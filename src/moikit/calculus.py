@@ -190,28 +190,23 @@ def _ladder_difference(
 ) -> np.ndarray:
     """:func:`_binomial_sum` of the operators [A, A + B, ..., A + kB]."""
     decomps = [op.decomposition for op in ladder]
-    total, errors = _binomial_sum(
+    return _binomial_sum(
         f, [d.eigenvalues[None] for d in decomps], [d.basis[None] for d in decomps]
-    )
-    if errors:
-        raise errors[0]
-    return total[0]
+    )[0]
 
 
-def _binomial_sum(f: ScalarFunction, eigenvalues, bases) -> tuple[np.ndarray, dict]:
+def _binomial_sum(f: ScalarFunction, eigenvalues, bases) -> np.ndarray:
     """The order-k difference from the spectra of its shifted Hermitian
     operators [A, A + B, ..., A + kB], stacked over samples (``eigenvalues[i]``
     of shape (N, n), ``bases[i]`` of shape (N, n, n)): per sample, the sum
-    over i of (-1)^(k-i) C(k, i) f(A + iB).  Also returns, by sample index,
-    the FunctionDomainError of the first operator where f is not finite."""
+    over i of (-1)^(k-i) C(k, i) f(A + iB).  Raises the FunctionDomainError
+    of the first operator where f is not finite."""
     order = len(eigenvalues) - 1
     total = np.zeros(bases[0].shape, dtype=np.complex128)
-    errors: dict = {}
     for i, (values, basis) in enumerate(zip(eigenvalues, bases)):
-        _, value, _, failed = _function_of_spectra(f, values, basis, hermitian=True)
+        _, value, _ = _function_of_spectra(f, values, basis, hermitian=True)
         total += ((-1) ** (order - i)) * math.comb(order, i) * value
-        errors = {**failed, **errors}
-    return total, errors
+    return total
 
 
 def higher_difference_moi_diagnostic(

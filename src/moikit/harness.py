@@ -22,9 +22,10 @@ integrand's grid is summed in cache-sized blocks of samples, each reduced to
 its maxima at once (see ``integrands._sup_norms``).  Batched arithmetic
 gives each sample the same bits as a call on that sample alone, so a
 sample's values do not depend on the chunk or worker range it falls in.  A
-sample whose arithmetic fails is aborted through a per-sample mask; a chunk
-that raises one of the abort errors is evaluated again one sample at a time,
-so that exactly the samples that fail alone are aborted.
+sample whose arithmetic fails is aborted: the batched kernels raise the abort
+error of their first failing sample, and a chunk that raises one is halved,
+each half evaluated the same way, until every failing sample stands alone, so
+that exactly the samples that fail alone are aborted.
 
 Reproducibility contract: a sample's draws depend on the seed and its index
 alone, per-sample values land in arrays indexed by sample, and aggregation
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -203,6 +205,8 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     thetas = tuple(float(t) for t in exp.theta_grid)
     if not thetas or any(t <= 0 for t in thetas):
         raise ValidationError("theta grid entries must be positive")
+    if not all(math.isfinite(t) for t in thetas):
+        raise ValidationError("theta grid entries must be finite")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValidationError("theta grid must be strictly increasing")
     samples = _integer(exp.samples, "tail-bound runs need at least 10^3 samples", "", 1000)
@@ -336,14 +340,15 @@ class _Context:
     """A prepared experiment.  ``statistic`` maps the random operators of a
     chunk of N samples -- per operator model, the stacked eigenvalues (N, n),
     bases (N, n, n) and, when ``matrices``, the matrices U diag(l) U* (N, n,
-    n) -- to the N statistics, the N values of each term label, and the mask
-    of aborted samples.  A chunk holds at most ``chunk`` samples; ``unitary``
-    says which random operators the models define.  Only the theorems whose
-    statistics read the matrices have them built."""
+    n) -- to the N statistics and the N values of each term label, or raises
+    the abort error of its first sample that fails.  A chunk holds at most
+    ``chunk`` samples; ``unitary`` says which random operators the models
+    define.  Only the theorems whose statistics read the matrices have them
+    built."""
 
     labels: tuple[str, ...]
     coefficients: dict[str, float]
-    statistic: Callable[[list], tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]
+    statistic: Callable[[list], tuple[np.ndarray, dict[str, np.ndarray]]]
     constants: dict
     chunk: int
     extra_labels: tuple[str, ...] = ()
@@ -386,14 +391,6 @@ def _chunk_samples(dim: int, surrogates) -> int:
     return max(1, _CHUNK_BYTES // (16 * largest))
 
 
-def _aborted(count: int, *errors: dict) -> np.ndarray:
-    """The mask of the samples with an entry in any of the error dicts."""
-    mask = np.zeros(count, dtype=bool)
-    for failed in errors:
-        mask[list(failed)] = True
-    return mask
-
-
 def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
     models = exp.operator_models
     arguments = exp.fixed_inputs["arguments"]
@@ -421,13 +418,10 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
 
     def statistic(spectra):
         eigenvalues = [w for w, _ in spectra]
-        values, errors = _stacked_moi(
-            multivariate, eigenvalues, [v for _, v in spectra], arguments
-        )
-        aborted = _aborted(len(values), errors)
+        values = _stacked_moi(multivariate, eigenvalues, [v for _, v in spectra], arguments)
         union = np.concatenate(eigenvalues, axis=1)
         surrogate = _sup_norms(multivariate, [union] * m)
-        return _stacked_norms(values, q, skip=aborted), {"integrand_norm": surrogate}, aborted
+        return _stacked_norms(values, q), {"integrand_norm": surrogate}
 
     chunk = _chunk_samples(models[0].dim, [(multivariate, m * models[0].dim)])
     return _Context(
@@ -449,13 +443,11 @@ def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
 
     def statistic(spectra):
         ((eigenvalues, bases),) = spectra
-        values, errors = _stacked_moi(
+        values = _stacked_moi(
             dd_k, [eigenvalues] * (k + 1), [bases] * (k + 1), [direction] * k
         )
-        aborted = _aborted(len(values), errors)
         surrogate = _sup_norms(dd_k, [eigenvalues] * (k + 1))
-        norms = _stacked_norms(k_factorial * values, skip=aborted)
-        return norms, {"integrand_norm": surrogate}, aborted
+        return _stacked_norms(k_factorial * values), {"integrand_norm": surrogate}
 
     coeff = k_factorial * dnorm**k
     chunk = _chunk_samples(dim, [(dd_k, dim)])
@@ -484,26 +476,23 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
 
     def statistic(spectra):
         ((eigenvalues, bases, matrices),) = spectra
-        ladder, errors = [eigenvalues], []
-        ladder_bases = [bases]
+        ladder, ladder_bases = [eigenvalues], [bases]
         for i in range(1, k + 1):
-            w, v, failed = _hermitian_spectra(_hermitian_sum(matrices, i * step))
+            w, v = _hermitian_spectra(_hermitian_sum(matrices, i * step))
             ladder.append(w)
             ladder_bases.append(v)
-            errors.append(failed)
-        total, failed = _binomial_sum(f, ladder, ladder_bases)
-        aborted = _aborted(len(total), failed, *errors)
+        total = _binomial_sum(f, ladder, ladder_bases)
         gap = np.max(
             [np.max(np.abs(upper[:, :, None] - lower[:, None, :]), axis=(1, 2))
              for lower, upper in zip(ladder, ladder[1:])],
             axis=0,
         )
         surrogate = _sup_norms(dd_k, [np.concatenate(ladder, axis=1)] * (k + 1))
-        return _stacked_norms(total, skip=aborted), {
+        return _stacked_norms(total), {
             "gap_weighted_integrand_norm": gap * surrogate,
             "integrand_norm": surrogate,
             "eigengap": gap,
-        }, aborted
+        }
 
     return _Context(
         ("gap_weighted_integrand_norm",),
@@ -541,23 +530,20 @@ def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
     def statistic(spectra):
         total = None
         terms = {}
-        errors = []
         for j, (eigenvalues, bases, matrices) in enumerate(spectra):
-            shifted, shifted_bases, failed = _hermitian_spectra(
+            shifted, shifted_bases = _hermitian_spectra(
                 _hermitian_sum(matrices, perturbations[j])
             )
-            value, moi_failed = _stacked_moi(
+            value = _stacked_moi(
                 dd[j],
                 [shifted] + [eigenvalues] * k,
                 [shifted_bases] + [bases] * k,
                 [perturbations[j]] * k,
             )
-            errors += [failed, moi_failed]
             total = value if total is None else total + value
             union = np.concatenate([shifted, eigenvalues], axis=1)
             terms[labels[j]] = _sup_norms(dd[j], [union] * (k + 1))
-        aborted = _aborted(len(total), *errors)
-        return _stacked_norms(total, skip=aborted), terms, aborted
+        return _stacked_norms(total), terms
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for psi in dd])
     return _Context(labels, coefficients, statistic, constants, chunk, matrices=True)
@@ -605,7 +591,7 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
                 terms[f"slot{j}_order{ell}_integrand_norm"] = _sup_norms(
                     dd[j][ell - 1], [union] * (ell + 1)
                 )
-        return _stacked_norms(total), terms, np.zeros(len(total), dtype=bool)
+        return _stacked_norms(total), terms
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for row in dd for psi in row])
     return _Context(labels, coefficients, statistic, constants, chunk, unitary=True,
@@ -640,8 +626,10 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     """Per-sample statistics and terms of samples lo..hi-1, plus an abort
     mask; aborted samples read NaN.  The samples are evaluated in chunks of
     ``ctx.chunk``, rounded down to whole blocks of :data:`SAMPLE_BLOCK` when
-    it holds one.  Without ``ctx`` the experiment is prepared here (pool
-    workers do this: the statistic closures do not pickle)."""
+    it holds one; a chunk that raises an abort error is halved until each
+    failing sample is evaluated alone.  Without ``ctx`` the experiment is
+    prepared here (pool workers do this: the statistic closures do not
+    pickle)."""
     if ctx is None:
         ctx = _prepare(exp)
     count = hi - lo
@@ -649,6 +637,23 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     all_labels = ctx.labels + ctx.extra_labels
     terms = {label: np.full(count, np.nan) for label in all_labels}
     aborted = np.zeros(count, dtype=bool)
+
+    def evaluate(spectra, offset):
+        try:
+            chunk_stats, chunk_terms = ctx.statistic(spectra)
+        except _ABORTS:
+            half = len(spectra[0][0]) // 2
+            if half == 0:
+                aborted[offset] = True
+            else:
+                evaluate([tuple(a[:half] for a in model) for model in spectra], offset)
+                evaluate([tuple(a[half:] for a in model) for model in spectra], offset + half)
+            return
+        rows = slice(offset, offset + len(chunk_stats))
+        stats[rows] = chunk_stats
+        for label in all_labels:
+            terms[label][rows] = chunk_terms[label]
+
     # chunks of whole blocks draw each block once
     chunk = ctx.chunk // SAMPLE_BLOCK * SAMPLE_BLOCK or ctx.chunk
     for start in range(0, count, chunk):
@@ -656,24 +661,9 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
                                    ctx.unitary)
         if ctx.matrices:
             spectra = [(w, v, _spectral_matrices(w, v, ctx.unitary)) for w, v in spectra]
-        # the arithmetic of the samples that abort may warn; they are masked
+        # the arithmetic of the samples that abort may warn
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            try:
-                parts = [(start, ctx.statistic(spectra))]
-            except _ABORTS:
-                parts = []
-                for s in range(len(spectra[0][0])):
-                    single = [tuple(a[s : s + 1] for a in model) for model in spectra]
-                    try:
-                        parts.append((start + s, ctx.statistic(single)))
-                    except _ABORTS:
-                        aborted[start + s] = True
-        for offset, (chunk_stats, chunk_terms, chunk_aborted) in parts:
-            rows = slice(offset, offset + len(chunk_stats))
-            aborted[rows] = chunk_aborted
-            stats[rows] = np.where(chunk_aborted, np.nan, chunk_stats)
-            for label in all_labels:
-                terms[label][rows] = np.where(chunk_aborted, np.nan, chunk_terms[label])
+            evaluate(spectra, start)
     return stats, terms, aborted
 
 
@@ -825,6 +815,8 @@ def convergence_parameters(
         raise ValidationError("expected a number", path=field("epsilon0"))
     steps, r, order = integer(steps, "steps"), integer(r, "r"), integer(order, "order")
     samples, seed = integer(samples, "samples"), integer(seed, "seed")
+    if not abs(epsilon0) <= sys.float_info.max:  # NaN, an infinity or past the floats
+        raise ParameterError(f"{field('epsilon0')}: epsilon0 must be a finite number")
     if r not in (1, 2):
         raise ParameterError(f"{field('r')}: the mean exponent must be 1 or 2")
     if not 1 <= steps <= 64:

@@ -163,13 +163,13 @@ def _factored_core(
     psi: SeparableIntegrand,
     eigenvalues: Sequence[np.ndarray],
     rotated: Sequence[np.ndarray],
-) -> tuple[np.ndarray, dict[int, FunctionDomainError]]:
+) -> np.ndarray:
     """The rotated-coordinate sums of ``sum_n D_1n Y_1 D_2n ... Y_m-1 D_mn``,
     with D_in = diag(f_in(eigenvalues of A_i)), without building a grid, for
     every sample at once: ``eigenvalues[i]`` has shape (N, n) and
     ``rotated[j]`` shape (N, n, n).  Returns the sums, shape (N, n, n) (or
-    (N, n) when m = 1), and a FunctionDomainError by sample index for every
-    sample whose factor values or sum are not finite.
+    (N, n) when m = 1).  Raises a FunctionDomainError for the first sample
+    whose factor values are not finite, else for any whose sum is not.
 
     Walks :attr:`SeparableIntegrand.suffix_tree` from the left: the terms
     sharing their factors from slot j on share everything left of Y_j, so
@@ -179,21 +179,16 @@ def _factored_core(
     n x n product per sample and distinct suffix of length 1..m-2.
     """
     values = psi.factor_values(eigenvalues)  # per slot: (factors, N, n)
-    errors = {}
-    for slot, (slot_values, axis) in enumerate(zip(values, eigenvalues)):
-        finite = np.isfinite(slot_values)
-        if finite.all():
-            continue
-        failed = ~finite.all(axis=(0, 2))
-        for s in np.flatnonzero(failed):
-            if s not in errors:
-                _, col = np.unravel_index(int(np.argmin(finite[:, s])), finite[:, s].shape)
-                errors[int(s)] = FunctionDomainError(
-                    f"an integrand factor of slot {slot} is not finite at "
-                    f"eigenvalue {complex(axis[s, col])}"
-                )
-        # the failed samples' sums are not used; slots may share their values
-        values[slot] = np.where(failed[:, None], 0.0, slot_values)
+    finite = [np.isfinite(slot_values) for slot_values in values]
+    if not all(slot_finite.all() for slot_finite in finite):
+        failed = [~slot_finite.all(axis=(0, 2)) for slot_finite in finite]
+        s = np.argmax(np.any(failed, axis=0))
+        slot = next(j for j, slot_failed in enumerate(failed) if slot_failed[s])
+        _, col = np.unravel_index(np.argmin(finite[slot][:, s]), finite[slot][:, s].shape)
+        raise FunctionDomainError(
+            f"an integrand factor of slot {slot} is not finite at "
+            f"eigenvalue {complex(eigenvalues[slot][s, col])}"
+        )
     counts, levels = psi.suffix_tree
     factor, *siblings = levels[0]
     core = values[0][factor]
@@ -207,13 +202,11 @@ def _factored_core(
         if j < len(rotated):
             core = core @ rotated[j]
     core = core[0]
-    finite = np.isfinite(core)
-    if not finite.all():
-        for s in np.flatnonzero(~finite.reshape(len(core), -1).all(axis=1)):
-            errors.setdefault(int(s), FunctionDomainError(
-                "the factored sum is not finite: products of integrand factors overflow"
-            ))
-    return core, errors
+    if not np.isfinite(core).all():
+        raise FunctionDomainError(
+            "the factored sum is not finite: products of integrand factors overflow"
+        )
+    return core
 
 
 def _stacked_moi(
@@ -221,14 +214,13 @@ def _stacked_moi(
     eigenvalues: Sequence[np.ndarray],
     bases: Sequence[np.ndarray],
     arguments: Sequence[np.ndarray],
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """:func:`moi_core` on spectra stacked over samples: ``eigenvalues[i]``
     of shape (N, n) and ``bases[i]`` of shape (N, n, n) decompose the i-th
     operator of every sample; the arguments are shared.
 
-    Returns the N results and, for the factored path, a FunctionDomainError
-    by sample index for each sample that failed (its result is not finite).
-    The grid path evaluates sample by sample and raises on the first failure.
+    Returns the N results, or raises the abort error of the first sample
+    that fails, as :func:`moi_core` does for that sample alone.
     A rotation's first factor U_j* X_j, a stack times one shared matrix, is
     one BLAS call, not N that cost more than their arithmetic at n = 3 or 4
     (:func:`_times_shared`), and has the per-matrix bits on the pinned BLAS.
@@ -248,16 +240,15 @@ def _stacked_moi(
             ) @ bases[j + 1]
         rotated.append(rotations[key])
     if integrand.separable is not None:
-        core, errors = _factored_core(integrand.separable, eigenvalues, rotated)
+        core = _factored_core(integrand.separable, eigenvalues, rotated)
     else:
         core = np.array([
             _grid_core(integrand, _sample(eigenvalues, s), [y[s] for y in rotated])
             for s in range(len(bases[0]))
         ])
-        errors = {}
     if len(bases) == 1:
-        return _from_spectrum(core, bases[0]), errors
-    return bases[0] @ core @ _adjoint(bases[-1]), errors
+        return _from_spectrum(core, bases[0])
+    return bases[0] @ core @ _adjoint(bases[-1])
 
 
 def moi_core(
@@ -277,15 +268,12 @@ def moi_core(
     integrand = _as_integrand(integrand)
     _check_evaluation(operators, integrand, arguments)
     decomps = [op.decomposition for op in operators]
-    value, errors = _stacked_moi(
+    return _stacked_moi(
         integrand,
         _batch_of_one([d.eigenvalues for d in decomps]),
         _batch_of_one([d.basis for d in decomps]),
         arguments,
-    )
-    if errors:
-        raise errors[0]
-    return value[0]
+    )[0]
 
 
 def moi_evaluate(request: MoiRequest) -> MoiResult:

@@ -190,11 +190,11 @@ AnyOperator = Union[HermitianOperator, UnitaryOperator]
 
 def _check_reconstruction(
     matrices: np.ndarray, eigenvalues: np.ndarray, bases: np.ndarray
-) -> dict[int, NumericalError]:
+) -> None:
     """Check spectral data stacked over samples against the matrices it
-    decomposes.  A basis that is not orthonormal raises ValidationError; a
-    sample whose data does not reconstruct its matrix gets a NumericalError,
-    returned by sample index.
+    decomposes.  A basis that is not orthonormal raises ValidationError; data
+    that does not reconstruct its matrix raises the NumericalError of the
+    first such sample.
 
     A sample passes when its residual r = max |U diag(l) U* - M| is at most
     RECONSTRUCTION_TOL * max(1, L), where L is a lower bound on ||M||_2 read
@@ -217,20 +217,21 @@ def _check_reconstruction(
     n = matrices.shape[-1]
     largest = np.max(np.abs(eigenvalues), axis=-1)
     scale = np.maximum(1.0, largest * (1.0 - 2 * n * UNITARY_TOL) - n * residual)
-    return {
-        int(s): NumericalError(
-            f"spectral data does not reconstruct the operator: residual {residual[s]:.3e}"
+    failed = residual > RECONSTRUCTION_TOL * scale
+    if failed.any():
+        raise NumericalError(
+            "spectral data does not reconstruct the operator: "
+            f"residual {residual[np.argmax(failed)]:.3e}"
         )
-        for s in np.flatnonzero(residual > RECONSTRUCTION_TOL * scale)
-    }
 
 
 def _hermitian_spectra(matrices: np.ndarray):
     """Ascending eigenvalues and orthonormal eigenbases of a stack of
-    Hermitian matrices, in one batched ``eigh``, with the
-    :func:`_check_reconstruction` errors by sample index."""
+    Hermitian matrices, in one batched ``eigh``, checked by
+    :func:`_check_reconstruction`."""
     eigenvalues, bases = np.linalg.eigh(matrices)
-    return eigenvalues, bases, _check_reconstruction(matrices, eigenvalues, bases)
+    _check_reconstruction(matrices, eigenvalues, bases)
+    return eigenvalues, bases
 
 
 def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
@@ -248,7 +249,7 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
     """
     matrix = op.matrix
     if isinstance(op, HermitianOperator):
-        eigenvalues, bases, errors = _hermitian_spectra(matrix[None])
+        eigenvalues, bases = _hermitian_spectra(matrix[None])
         eigenvalues, basis = eigenvalues[0], bases[0]
     else:
         import scipy.linalg
@@ -261,9 +262,7 @@ def spectral_decompose(op: AnyOperator) -> SpectralDecomposition:
         eigenvalues = eigenvalues / moduli
         order = np.argsort(np.angle(eigenvalues), kind="stable")
         eigenvalues, basis = eigenvalues[order], schur_z[:, order]
-        errors = _check_reconstruction(matrix[None], eigenvalues[None], basis[None])
-    if errors:
-        raise errors[0]
+        _check_reconstruction(matrix[None], eigenvalues[None], basis[None])
     return SpectralDecomposition(eigenvalues, basis)
 
 
@@ -271,29 +270,26 @@ def _function_of_spectra(f, eigenvalues: np.ndarray, bases: np.ndarray, hermitia
     """``f`` applied through spectra stacked over samples: eigenvalues of
     shape (N, n), bases of shape (N, n, n).
 
-    Returns the eigenvalue images, the matrices ``U diag(f(l)) U*``, the mask
-    of samples whose result was hermitized (``hermitian`` input with images
-    real to 1e-13), and a FunctionDomainError by sample index wherever an
-    image is not finite.
+    Returns the eigenvalue images, the matrices ``U diag(f(l)) U*`` and the
+    mask of samples whose result was hermitized (``hermitian`` input with
+    images real to 1e-13).  Raises the FunctionDomainError of the first
+    sample with an image that is not finite.
     """
     values = np.asarray(f(eigenvalues), dtype=np.complex128)
     if values.shape != eigenvalues.shape:
         values = np.broadcast_to(values, eigenvalues.shape).astype(np.complex128)
     bad = ~np.isfinite(values)
-    errors = {
-        int(s): FunctionDomainError(
-            "function is not finite at eigenvalue "
-            f"{complex(eigenvalues[s, np.argmax(bad[s])])}"
-        )
-        for s in np.flatnonzero(bad.any(axis=-1))
-    }
+    if bad.any():
+        s = np.argmax(bad.any(axis=-1))
+        value = complex(eigenvalues[s, np.argmax(bad[s])])
+        raise FunctionDomainError(f"function is not finite at eigenvalue {value}")
     result = _from_spectrum(values, bases)
     real = np.zeros(len(values), dtype=bool)
     if hermitian:
         scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
         real = np.max(np.abs(values.imag), axis=-1) <= 1e-13 * scale
         result = np.where(real[:, None, None], (result + _adjoint(result)) / 2.0, result)
-    return values, result, real, errors
+    return values, result, real
 
 
 def apply_scalar_function(
@@ -306,23 +302,18 @@ def apply_scalar_function(
     :class:`HermitianOperator`; otherwise the raw matrix is returned.
     """
     decomp = op.decomposition
-    values, results, real, errors = _function_of_spectra(
+    values, results, real = _function_of_spectra(
         f, decomp.eigenvalues[None], decomp.basis[None],
         isinstance(op, HermitianOperator),
     )
-    if errors:
-        raise errors[0]
     if real[0]:
         return HermitianOperator._trusted(results[0], values[0].real, decomp.basis)
     return results[0]
 
 
-def _stacked_norms(matrices: np.ndarray, p: float = np.inf, skip=None) -> np.ndarray:
+def _stacked_norms(matrices: np.ndarray, p: float = np.inf) -> np.ndarray:
     """Per matrix of a stack (N, n, n), the Schatten p-norm from one batched
-    SVD; ``p = inf``, the default, is the operator norm.  Where the mask
-    ``skip`` (N,) is set, the matrix (which may not be finite) reads 0."""
-    if skip is not None:
-        matrices = np.where(skip[:, None, None], 0.0, matrices)
+    SVD; ``p = inf``, the default, is the operator norm."""
     singular = np.linalg.svd(matrices, compute_uv=False)
     if p == np.inf:
         return np.max(singular, axis=-1)

@@ -66,7 +66,10 @@ def _items(value, parse, message: str, path: str, least: int = 0,
 def _number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             "expected a number", path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError("number is too large for a float", path=path) from None
 
 
 def _re_im_pair(value, message: str, path: str) -> complex:
@@ -77,7 +80,7 @@ def _re_im_pair(value, message: str, path: str) -> complex:
 
 def _complex_from(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, path))
     return _re_im_pair(value, "expected a number or an [re, im] pair", path)
 
 

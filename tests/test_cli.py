@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -430,6 +431,17 @@ REJECTED_PAYLOADS = [
     pytest.param("tailbound", "tailbound_kth_derivative.json",
                  lambda p: {**_small_tailbound(p), "theta_grid": ["x", 1.0]},
                  id="tailbound-theta-item-string"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: {**_small_tailbound(p), "theta_grid": [10**400, 1.0]},
+                 id="tailbound-theta-item-past-the-floats"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: {**_small_tailbound(p), "theta_grid": [0.5, math.nan]},
+                 id="tailbound-theta-item-nan"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: {**_small_tailbound(p), "theta_grid": [0.5, math.inf]},
+                 id="tailbound-theta-item-infinity"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "epsilon0": math.nan}, id="conv-mean-epsilon0-nan"),
     pytest.param("higher-diff", "demo_higher_diff.json",
                  lambda p: {**p, "include_moi_diagnostic": "no"},
                  id="higher-diff-diagnostic-flag-string"),

@@ -244,10 +244,11 @@ def past_threshold(threshold):
 
 
 def partially_failing_experiment(theorem_id):
-    """An experiment whose samples fail where an eigenvalue reaches 0.9: the
-    factored engine path masks them (``moi_norm_a``, separable integrand with
-    a callable factor); the grid path raises for them and the chunk is
-    evaluated again sample by sample (``first_derivative``, callable f)."""
+    """An experiment whose samples fail where an eigenvalue reaches 0.9, on
+    the factored engine path (``moi_norm_a``, separable integrand with a
+    callable factor) or on the grid path (``first_derivative``, callable f).
+    Either path raises for them, and the chunk is halved until each failing
+    sample is evaluated alone."""
     model = mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0))
     rng = np.random.default_rng(8)
     if theorem_id == "moi_norm_a":
@@ -376,6 +377,24 @@ class TestBatchedEvaluation:
         assert np.all(np.isfinite(block[0][~block[2]]))
         assert_same_bits(block, oracles.tail_bound_block(exp, 0, 80))
 
+    @pytest.mark.parametrize("theorem_id", ["moi_norm_a", "first_derivative"])
+    def test_a_chunk_is_halved_down_to_its_one_failing_sample(self, theorem_id):
+        # samples 32..47 hold one failing sample (46): the chunk, then one
+        # failing and one passing half per level, 2 log2(16) + 1 calls at most
+        exp = partially_failing_experiment(theorem_id)
+        ctx = harness._prepare(exp)
+        ctx.chunk, statistic, calls = 16, ctx.statistic, []
+
+        def counting(spectra):
+            calls.append(len(spectra[0][0]))
+            return statistic(spectra)
+
+        ctx.statistic = counting
+        block = harness._simulate_block(exp, 32, 48, ctx)
+        assert np.flatnonzero(block[2]).tolist() == [14]
+        assert len(calls) <= 2 * math.ceil(math.log2(16)) + 1
+        assert_same_bits(block, oracles.tail_bound_block(exp, 32, 48))
+
     def test_chunk_keeps_the_factored_sums_near_the_budget(self):
         # moi_norm_a: three 4x4 operators; the widest suffix level of its
         # factored sum holds one 4x4 complex matrix per node and sample
@@ -444,6 +463,10 @@ class TestExperimentChecks:
          "^theta grid entries must be positive$"),
         ("kth_derivative", lambda e: {"theta_grid": (1.0, 1.0)}, ValidationError,
          "^theta grid must be strictly increasing$"),
+        ("kth_derivative", lambda e: {"theta_grid": (0.5, math.nan)}, ValidationError,
+         "^theta grid entries must be finite$"),
+        ("kth_derivative", lambda e: {"theta_grid": (0.5, math.inf)}, ValidationError,
+         "^theta grid entries must be finite$"),
         ("kth_derivative", lambda e: {"order": 0}, ValidationError,
          "^kth-derivative experiments need order >= 1$"),
         ("moi_norm_a", lambda e: {"operator_models": e.operator_models[:1]},
@@ -603,4 +626,11 @@ class TestConvergenceInMean:
             mk.convergence_in_mean_check(
                 model, 0.1, 4, 3, mk.ScalarFunction.monomial(1), 1,
                 [np.eye(3, dtype=complex)], 10, 0,
+            )
+
+    @pytest.mark.parametrize("epsilon0", [math.nan, math.inf, -math.inf, 10**400])
+    def test_epsilon0_must_be_finite(self, epsilon0):
+        with pytest.raises(ParameterError, match="^input.epsilon0: epsilon0 must be a finite"):
+            harness.convergence_parameters(
+                epsilon0, 4, 2, 1, [np.eye(3, dtype=complex)], 10, 0, path="input"
             )

@@ -306,22 +306,40 @@ def hermitian_stack(rng, count, dim, scale=1.0):
     return scale * (raw + operators._adjoint(raw)) / 2.0
 
 
+def reconstruction_errors(matrices, eigenvalues, bases):
+    """The NumericalError that ``_check_reconstruction`` raises for each
+    sample checked alone, by sample index."""
+    errors = {}
+    for s in range(len(matrices)):
+        try:
+            operators._check_reconstruction(
+                matrices[s : s + 1], eigenvalues[s : s + 1], bases[s : s + 1]
+            )
+        except NumericalError as err:
+            errors[s] = err
+    return errors
+
+
 class TestReconstructionCheck:
     def test_one_corrupted_eigenvalue_gets_its_numerical_error(self, rng):
         matrices = hermitian_stack(rng, 3, 4)
         eigenvalues, bases = np.linalg.eigh(matrices)
-        assert operators._check_reconstruction(matrices, eigenvalues, bases) == {}
+        assert reconstruction_errors(matrices, eigenvalues, bases) == {}
+        operators._check_reconstruction(matrices, eigenvalues, bases)
         eigenvalues[1, 2] += 1e-6
-        errors = operators._check_reconstruction(matrices, eigenvalues, bases)
+        errors = reconstruction_errors(matrices, eigenvalues, bases)
         assert list(errors) == [1]
-        assert isinstance(errors[1], NumericalError)
         assert re.fullmatch(RECONSTRUCTION_MESSAGE, str(errors[1]))
+        # the stack raises the error of its failing sample
+        with pytest.raises(NumericalError) as raised:
+            operators._check_reconstruction(matrices, eigenvalues, bases)
+        assert str(raised.value) == str(errors[1])
 
     def test_one_corrupted_eigenphase_gets_its_numerical_error(self, rng):
         decomp = mk.sample_haar_unitary(4, rng).decomposition
         eigenvalues = decomp.eigenvalues.copy()
         eigenvalues[0] *= np.exp(1e-6j)
-        errors = operators._check_reconstruction(
+        errors = reconstruction_errors(
             decomp.reconstruct()[None], eigenvalues[None], decomp.basis[None]
         )
         assert list(errors) == [0]
@@ -349,7 +367,7 @@ class TestReconstructionCheck:
         eigenvalues, bases = np.linalg.eigh(matrices)
         size = max(1.0, scale) * 10.0 ** rng.uniform(-12, -8, (400, 1))
         eigenvalues = eigenvalues + size * rng.uniform(-1, 1, eigenvalues.shape)
-        errors = operators._check_reconstruction(matrices, eigenvalues, bases)
+        errors = reconstruction_errors(matrices, eigenvalues, bases)
         residual = np.max(np.abs(operators._from_spectrum(eigenvalues, bases) - matrices),
                           axis=(-2, -1))
         norms = np.maximum(1.0, np.linalg.norm(matrices, 2, axis=(-2, -1)))
