@@ -424,25 +424,21 @@ def _validate_payload(payload, command: str | None, args) -> dict:
     diagnostics: list[str] = []
     matched = None
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    if isinstance(payload, dict) and payload.get("schema_version") != ser.SCHEMA_VERSION:
-        diagnostics.append(
-            f"schema_version: expected {ser.SCHEMA_VERSION}, "
-            f"got {payload.get('schema_version')!r}"
-        )
     if command is None and kind is not None:
         command = next((name for name, c in _COMMANDS.items() if c.request == kind), None)
-    if command is not None:
-        try:
+    try:
+        if command is not None:
             _COMMANDS[command].handler(payload, args)
             matched = command
-        except MoikitError as err:
-            diagnostics.append(str(err))
-    elif kind is not None and any(c.result == kind for c in _COMMANDS.values()):
-        matched = kind
-    else:
-        diagnostics.append(
-            "kind: cannot infer the schema; provide --command or a 'kind' field"
-        )
+        elif kind is not None and any(c.result == kind for c in _COMMANDS.values()):
+            _require_schema_version(payload)  # a report, which no parse step reads
+            matched = kind
+        else:
+            diagnostics.append(
+                "kind: cannot infer the schema; provide --command or a 'kind' field"
+            )
+    except MoikitError as err:
+        diagnostics.append(str(err))
     summary = {}
     if isinstance(payload, dict):
         for key in ("operators", "arguments", "tensors", "theta_grid", "rows"):

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all moikit modules, and the one integer
-check that the input boundaries share."""
+"""Exception hierarchy shared by all moikit modules, and the integer and
+finite-number checks that the input boundaries share."""
 
+import math
 import numbers
 
 
@@ -54,3 +55,17 @@ def _integer(value, message: str, path: str, low: int | None = 0,
             or (high is not None and value >= high)):
         raise ValidationError(message, path=path)
     return int(value)
+
+
+def _finite(value, message: str) -> float:
+    """A real number as a finite float, else ValidationError(message).
+    Booleans are rejected, and integers past the float range."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise ValidationError(message)

@@ -48,7 +48,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    _finite,
     _integer,
 )
 from .integrands import (
@@ -107,18 +108,6 @@ __all__ = [
     "convergence_parameters",
     "convergence_in_mean_check",
 ]
-
-# Each theorem id with the optional fields it reads; it rejects the others.
-_OPTIONAL_FIELDS = {
-    "moi_norm_a": (),
-    "moi_norm_schatten_b": ("schatten_p",),
-    "first_derivative": (),
-    "kth_derivative": ("order",),
-    "higher_difference": ("order", "eigengap_bound"),
-    "sa_remainder": ("order",),
-    "unitary_remainder": ("order",),
-}
-THEOREM_IDS = tuple(_OPTIONAL_FIELDS)
 
 SURROGATE_NOTE = "sup of |integrand| over tuples from the union of realized spectra"
 
@@ -190,23 +179,24 @@ class TailBoundExperiment:
             object.__setattr__(self, name, value)
 
 
-_SCALAR_THEOREMS = ("first_derivative", "kth_derivative", "higher_difference")
+def _theorem(theorem_id) -> _Theorem:
+    """The row of ``theorem_id`` in :data:`_THEOREMS`, else ValidationError."""
+    if theorem_id not in THEOREM_IDS:
+        raise ValidationError(f"unknown theorem id {theorem_id!r}")
+    return _THEOREMS[theorem_id]
 
 
 def _checked_fields(exp: TailBoundExperiment) -> dict:
     """Check every input of ``exp``; return the normalized field values (the
     theorem's fixed input becomes read-only complex arrays; others are rejected)."""
     tid, models = exp.theorem_id, tuple(exp.operator_models)
-    if tid not in THEOREM_IDS:
-        raise ValidationError(f"unknown theorem id {tid!r}")
+    theorem = _theorem(tid)
     for field in ("order", "schatten_p", "eigengap_bound"):
-        if field not in _OPTIONAL_FIELDS[tid] and getattr(exp, field) is not None:
+        if field not in theorem.optional and getattr(exp, field) is not None:
             raise ValidationError(f"theorem {tid} takes no field {field!r}")
-    thetas = tuple(float(t) for t in exp.theta_grid)
+    thetas = tuple(_finite(t, "theta grid entries must be finite") for t in exp.theta_grid)
     if not thetas or any(t <= 0 for t in thetas):
         raise ValidationError("theta grid entries must be positive")
-    if not all(math.isfinite(t) for t in thetas):
-        raise ValidationError("theta grid entries must be finite")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValidationError("theta grid must be strictly increasing")
     samples = _integer(exp.samples, "tail-bound runs need at least 10^3 samples", "", 1000)
@@ -218,38 +208,37 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     fields = {"theta_grid": thetas, "operator_models": models, "samples": samples,
               "seed": seed}
     # the name the order and model-count messages use
-    name = tid.replace("_", "-") if tid in _SCALAR_THEOREMS else "remainder"
-    if "order" in _OPTIONAL_FIELDS[tid]:
+    name = tid.replace("_", "-") if theorem.integrand == "scalar" else "remainder"
+    if "order" in theorem.optional:
         order = exp.order
         if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
                 or order < 1):
             raise ValidationError(f"{name} experiments need order >= 1")
         fields["order"] = int(order)
-    gap = exp.eigengap_bound
-    if gap is not None:
-        if (not isinstance(gap, numbers.Real) or isinstance(gap, bool)
-                or not (math.isfinite(gap) and gap > 0)):
-            raise ValidationError("eigengap_bound must be a finite positive number")
-        fields["eigengap_bound"] = float(gap)
-    if tid in ("moi_norm_a", "moi_norm_schatten_b"):
+    if exp.eigengap_bound is not None:
+        message = "eigengap_bound must be a finite positive number"
+        fields["eigengap_bound"] = _finite(exp.eigengap_bound, message)
+        if not fields["eigengap_bound"] > 0:
+            raise ValidationError(message)
+    if theorem.integrand == "separable":
         if m < 2:
             raise ValidationError("norm-bound experiments need at least two operators")
         if not isinstance(exp.integrand, SeparableIntegrand):
             raise ValidationError("norm-bound experiments need a separable integrand")
         if exp.integrand.arity != m:
             raise ValidationError("integrand arity must equal the operator count")
-        if tid == "moi_norm_schatten_b":
+        if "schatten_p" in theorem.optional:
             if exp.schatten_p is None or len(exp.schatten_p) != m - 1:
                 raise ValidationError("schatten mode needs one exponent per argument")
             fields["schatten_p"] = tuple(float(p) for p in exp.schatten_p)
             holder_reciprocal_sum(fields["schatten_p"])
-        key, count = "arguments", m - 1
-    elif tid in _SCALAR_THEOREMS:
+        count = m - 1
+    elif theorem.integrand == "scalar":
         if m != 1:
             raise ValidationError(f"{name} experiments use one operator model")
         if not isinstance(exp.integrand, ScalarFunction):
             raise ValidationError(f"theorem {tid} needs a scalar function")
-        key, count = ("step" if tid == "higher_difference" else "direction"), None
+        count = None
     else:
         functions = exp.integrand
         if not (isinstance(functions, tuple) and functions
@@ -257,20 +246,23 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
             raise ValidationError("remainder experiments need per-slot scalar functions")
         if m != len(functions):
             raise ValidationError("one operator model per slot is required")
-        if tid == "unitary_remainder" and any(f.kind != "polynomial" for f in functions):
+        if theorem.unitary and any(f.kind != "polynomial" for f in functions):
             raise CapabilityError("unitary remainder slots must be polynomials")
         fields["integrand"] = tuple(functions)
-        key, count = "perturbations", m
-    fields["fixed_inputs"] = {key: _checked_matrices(exp, key, count, dims.pop())}
+        count = m
+    key = theorem.fixed
+    fields["fixed_inputs"] = {key: _checked_matrices(exp, theorem, count, dims.pop())}
     extra = [other for other in exp.fixed_inputs if other != key]
     if extra:
         raise ValidationError(f"theorem {tid} takes no fixed input {extra[0]!r}")
     return fields
 
 
-def _checked_matrices(exp: TailBoundExperiment, key: str, count, dim: int):
-    """The fixed input ``key`` as read-only complex (dim, dim) arrays: one
-    array when ``count`` is None, else a tuple of ``count``."""
+def _checked_matrices(exp: TailBoundExperiment, theorem: _Theorem, count, dim: int):
+    """The theorem's fixed input as read-only complex (dim, dim) arrays, each
+    checked Hermitian where its statistic reads the matrices it perturbs:
+    one array when ``count`` is None, else a tuple of ``count``."""
+    key = theorem.fixed
     raw = exp.fixed_inputs.get(key)
     if raw is None:
         raise ValidationError(f"theorem {exp.theorem_id} needs fixed input {key!r}")
@@ -283,7 +275,7 @@ def _checked_matrices(exp: TailBoundExperiment, key: str, count, dim: int):
     checked = []
     for i, matrix in enumerate(mats):
         try:
-            if key in ("step", "perturbations"):
+            if theorem.matrices:
                 matrix = HermitianOperator(matrix).matrix
             else:
                 matrix = as_square_complex(matrix)
@@ -339,34 +331,22 @@ _CHUNK_BYTES = 32 * 2**20
 class _Context:
     """A prepared experiment.  ``statistic`` maps the random operators of a
     chunk of N samples -- per operator model, the stacked eigenvalues (N, n),
-    bases (N, n, n) and, when ``matrices``, the matrices U diag(l) U* (N, n,
-    n) -- to the N statistics and the N values of each term label, or raises
-    the abort error of its first sample that fails.  A chunk holds at most
-    ``chunk`` samples; ``unitary`` says which random operators the models
-    define.  Only the theorems whose statistics read the matrices have them
-    built."""
+    bases (N, n, n) and, where the theorem's statistic reads them (see
+    :class:`_Theorem`), the matrices U diag(l) U* (N, n, n) -- to the N
+    statistics and the N values of each term label, or raises the abort
+    error of its first sample that fails.  The labels of the Markov
+    right-hand side are the keys of ``coefficients``; ``extra_labels`` are
+    estimated and reported too.  A chunk holds at most ``chunk`` samples."""
 
-    labels: tuple[str, ...]
     coefficients: dict[str, float]
     statistic: Callable[[list], tuple[np.ndarray, dict[str, np.ndarray]]]
     constants: dict
     chunk: int
     extra_labels: tuple[str, ...] = ()
-    unitary: bool = False
-    matrices: bool = False
 
 
 def _prepare(exp: TailBoundExperiment) -> _Context:
-    maker = {
-        "moi_norm_a": _prepare_moi_norm,
-        "moi_norm_schatten_b": _prepare_moi_norm,
-        "first_derivative": _prepare_derivative,
-        "kth_derivative": _prepare_derivative,
-        "higher_difference": _prepare_higher_difference,
-        "sa_remainder": _prepare_sa_remainder,
-        "unitary_remainder": _prepare_unitary_remainder,
-    }[exp.theorem_id]
-    return maker(exp)
+    return _THEOREMS[exp.theorem_id].prepare(exp)
 
 
 def _chunk_samples(dim: int, surrogates) -> int:
@@ -413,20 +393,18 @@ def _prepare_moi_norm(exp: TailBoundExperiment) -> _Context:
         coeff = math.prod(schatten_norm(arg, pv) for arg, pv in zip(arguments, p))
     else:
         coeff = math.prod(operator_norm(arg) for arg in arguments)
-    multivariate = exp.integrand.as_multivariate()
+    psi = exp.integrand
     m = len(models)
 
     def statistic(spectra):
         eigenvalues = [w for w, _ in spectra]
-        values = _stacked_moi(multivariate, eigenvalues, [v for _, v in spectra], arguments)
+        values = _stacked_moi(psi, eigenvalues, [v for _, v in spectra], arguments)
         union = np.concatenate(eigenvalues, axis=1)
-        surrogate = _sup_norms(multivariate, [union] * m)
+        surrogate = _sup_norms(psi, [union] * m)
         return _stacked_norms(values, q), {"integrand_norm": surrogate}
 
-    chunk = _chunk_samples(models[0].dim, [(multivariate, m * models[0].dim)])
-    return _Context(
-        ("integrand_norm",), {"integrand_norm": coeff}, statistic, constants, chunk
-    )
+    chunk = _chunk_samples(models[0].dim, [(psi, m * models[0].dim)])
+    return _Context({"integrand_norm": coeff}, statistic, constants, chunk)
 
 
 def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
@@ -451,9 +429,7 @@ def _prepare_derivative(exp: TailBoundExperiment) -> _Context:
 
     coeff = k_factorial * dnorm**k
     chunk = _chunk_samples(dim, [(dd_k, dim)])
-    return _Context(
-        ("integrand_norm",), {"integrand_norm": coeff}, statistic, constants, chunk
-    )
+    return _Context({"integrand_norm": coeff}, statistic, constants, chunk)
 
 
 def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
@@ -495,13 +471,11 @@ def _prepare_higher_difference(exp: TailBoundExperiment) -> _Context:
         }
 
     return _Context(
-        ("gap_weighted_integrand_norm",),
         {"gap_weighted_integrand_norm": k * snorm**k},
         statistic,
         constants,
         _chunk_samples(dim, [(dd_k, (k + 1) * dim)]),
         extra_labels=("integrand_norm", "eigengap"),
-        matrices=True,
     )
 
 
@@ -546,7 +520,7 @@ def _prepare_sa_remainder(exp: TailBoundExperiment) -> _Context:
         return _stacked_norms(total), terms
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for psi in dd])
-    return _Context(labels, coefficients, statistic, constants, chunk, matrices=True)
+    return _Context(coefficients, statistic, constants, chunk)
 
 
 def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
@@ -565,7 +539,6 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
         for j in range(n)
         for ell in range(1, k + 1)
     }
-    labels = tuple(f"{slot_order}_integrand_norm" for slot_order in weight_totals)
     coefficients = {
         f"{slot_order}_integrand_norm": k * n * total
         for slot_order, total in weight_totals.items()
@@ -594,8 +567,46 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
         return _stacked_norms(total), terms
 
     chunk = _chunk_samples(dim, [(psi, 2 * dim) for row in dd for psi in row])
-    return _Context(labels, coefficients, statistic, constants, chunk, unitary=True,
-                    matrices=True)
+    return _Context(coefficients, statistic, constants, chunk)
+
+
+class _Theorem(NamedTuple):
+    """What one tail-bound theorem reads, and how its runs are prepared.
+
+    ``integrand`` is the form of the experiment's integrand: ``separable``
+    (a SeparableIntegrand), ``scalar`` (a ScalarFunction) or ``slots`` (a
+    tuple of per-slot ScalarFunctions).  ``fixed`` names its fixed input:
+    one matrix for a scalar integrand, else one per argument (separable) or
+    per slot (slots).  ``optional`` lists the optional experiment fields it
+    reads, and it rejects the others; ``order`` and ``schatten_p`` are
+    required where read.  ``prepare`` builds its :class:`_Context`.
+    ``unitary`` says its random operators are unitaries, and ``matrices``
+    that its statistic reads their matrices U diag(l) U*, which its fixed
+    input perturbs: that input is then checked Hermitian."""
+
+    fixed: str
+    integrand: str
+    prepare: Callable[[TailBoundExperiment], _Context]
+    optional: tuple[str, ...] = ()
+    unitary: bool = False
+    matrices: bool = False
+
+
+# Every theorem, in the order of THEOREM_IDS.
+_THEOREMS = {
+    "moi_norm_a": _Theorem("arguments", "separable", _prepare_moi_norm),
+    "moi_norm_schatten_b": _Theorem("arguments", "separable", _prepare_moi_norm,
+                                    ("schatten_p",)),
+    "first_derivative": _Theorem("direction", "scalar", _prepare_derivative),
+    "kth_derivative": _Theorem("direction", "scalar", _prepare_derivative, ("order",)),
+    "higher_difference": _Theorem("step", "scalar", _prepare_higher_difference,
+                                  ("order", "eigengap_bound"), matrices=True),
+    "sa_remainder": _Theorem("perturbations", "slots", _prepare_sa_remainder, ("order",),
+                             matrices=True),
+    "unitary_remainder": _Theorem("perturbations", "slots", _prepare_unitary_remainder,
+                                  ("order",), unitary=True, matrices=True),
+}
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +643,10 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     pickle)."""
     if ctx is None:
         ctx = _prepare(exp)
+    theorem = _THEOREMS[exp.theorem_id]
     count = hi - lo
     stats = np.full(count, np.nan)
-    all_labels = ctx.labels + ctx.extra_labels
+    all_labels = (*ctx.coefficients, *ctx.extra_labels)
     terms = {label: np.full(count, np.nan) for label in all_labels}
     aborted = np.zeros(count, dtype=bool)
 
@@ -658,9 +670,9 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
     chunk = ctx.chunk // SAMPLE_BLOCK * SAMPLE_BLOCK or ctx.chunk
     for start in range(0, count, chunk):
         spectra = _sampled_spectra(exp, lo + start, lo + min(count, start + chunk),
-                                   ctx.unitary)
-        if ctx.matrices:
-            spectra = [(w, v, _spectral_matrices(w, v, ctx.unitary)) for w, v in spectra]
+                                   theorem.unitary)
+        if theorem.matrices:
+            spectra = [(w, v, _spectral_matrices(w, v, theorem.unitary)) for w, v in spectra]
         # the arithmetic of the samples that abort may warn
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             evaluate(spectra, start)
@@ -677,7 +689,7 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
     ctx = _prepare(exp)
     n = exp.samples
     workers = int(workers)
-    all_labels = ctx.labels + ctx.extra_labels
+    all_labels = (*ctx.coefficients, *ctx.extra_labels)
     bounds = [round(i * n / workers) for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(ranges) == 1:
@@ -706,9 +718,9 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
         _markov_row(
             theta,
             stat_valid,
-            [ctx.coefficients[label] for label in ctx.labels],
-            [estimates[label][0] for label in ctx.labels],
-            [estimates[label][1] for label in ctx.labels],
+            list(ctx.coefficients.values()),
+            [estimates[label][0] for label in ctx.coefficients],
+            [estimates[label][1] for label in ctx.coefficients],
         )
         for theta in exp.theta_grid
     ]

@@ -892,6 +892,18 @@ class SeparableIntegrand:
         factors = [ScalarFunction.constant(1.0)] * (arity - 1)
         return cls(arity, ((ScalarFunction.constant(value), *factors),))
 
+    @property
+    def separable(self) -> "SeparableIntegrand":
+        """The integrand itself: it is its own factored form (see
+        :attr:`MultivariateFunction.separable`)."""
+        return self
+
+    def __call__(self, *point):
+        """The value at a point given as coordinates or as one sequence."""
+        if len(point) == 1 and isinstance(point[0], (tuple, list, np.ndarray)):
+            point = tuple(point[0])
+        return self.evaluate(point)
+
     def evaluate(self, point: Sequence) -> complex:
         if len(point) != self.arity:
             raise ValidationError(
@@ -1043,38 +1055,33 @@ class SeparableIntegrand:
             raise ValidationError("cannot add integrands of different arity")
         return SeparableIntegrand(self.arity, self.terms + other.terms)
 
-    def as_multivariate(self) -> "MultivariateFunction":
-        return MultivariateFunction(self.arity, self.evaluate, separable=self)
-
 
 @dataclass(frozen=True)
 class MultivariateFunction:
-    """An arity-m scalar map with an optional separable representation.
+    """An arity-m scalar map with no factored form.
 
-    Without one, :meth:`eval_grid` evaluates the map point by point, unless
-    the code that built it attached a whole-grid evaluation (``_grid``, see
-    :func:`_with_grid`)."""
+    :meth:`eval_grid` evaluates the map point by point, unless the code that
+    built it gave a whole-grid evaluation: ``_grid(axes)``, the values
+    ``evaluate`` gives on the Cartesian product of the axes, as a complex
+    array, and optionally ``_sup(axes)``, ``max |_grid(axes)|`` with its bits
+    (see :func:`_sup_norms`)."""
 
     arity: int
     evaluate: Callable
-    separable: SeparableIntegrand | None = None
-    _grid: Callable | None = field(default=None, init=False, repr=False, compare=False)
-    _sup: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _grid: Callable | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _sup: Callable | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    # the factored form, which only a SeparableIntegrand has: callers that
+    # take either kind branch on it
+    separable = None
 
     def __post_init__(self):
         if self.arity < 1:
             raise ValidationError("arity must be positive")
-        if self.separable is not None and self.separable.arity != self.arity:
-            raise ValidationError("separable representation has mismatched arity")
 
-    def __call__(self, *point):
-        if len(point) == 1 and isinstance(point[0], (tuple, list, np.ndarray)):
-            point = tuple(point[0])
-        return self.evaluate(point)
+    __call__ = SeparableIntegrand.__call__
 
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        if self.separable is not None:
-            return self.separable.eval_grid(axes)
         axes = [np.asarray(a) for a in axes]
         if self._grid is not None:
             return self._grid(axes)
@@ -1084,46 +1091,15 @@ class MultivariateFunction:
             out[idx] = self.evaluate(tuple(ax[i] for ax, i in zip(axes, idx)))
         return out
 
-    def check_separable_consistency(self, box: Sequence[tuple], points_per_axis: int = 5):
-        """Probe |evaluate - separable| on a grid over ``box``; raises when the
-        declared representation disagrees beyond 1e-10 relative."""
-        if self.separable is None:
-            raise CapabilityError("no separable representation declared")
-        axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in box]
-        grid_sep = self.separable.eval_grid(axes)
-        worst = 0.0
-        for idx in np.ndindex(grid_sep.shape):
-            point = tuple(ax[i] for ax, i in zip(axes, idx))
-            direct = self.evaluate(point)
-            err = abs(direct - grid_sep[idx])
-            if err > 1e-10 * (1.0 + abs(direct)):
-                raise ValidationError(
-                    f"separable representation deviates by {err:.3e} at {point}"
-                )
-            worst = max(worst, err)
-        return worst
 
-
-def _as_integrand(integrand) -> MultivariateFunction:
-    """The integrand as a :class:`MultivariateFunction`: a
-    :class:`SeparableIntegrand` becomes one with that representation."""
-    if isinstance(integrand, SeparableIntegrand):
-        return integrand.as_multivariate()
-    if isinstance(integrand, MultivariateFunction):
-        return integrand
-    raise ValidationError(
-        "integrand must be a MultivariateFunction or SeparableIntegrand"
-    )
-
-
-def _with_grid(psi: MultivariateFunction, grid: Callable, sup=None) -> MultivariateFunction:
-    """``psi``, whose :meth:`~MultivariateFunction.eval_grid` now returns
-    ``grid(axes)``: the values ``psi.evaluate`` gives on the Cartesian
-    product of the axes, as a complex array; ``sup(axes)``, when given, is
-    ``max |grid(axes)|`` with its bits (see :func:`_sup_norms`)."""
-    object.__setattr__(psi, "_grid", grid)
-    object.__setattr__(psi, "_sup", sup)
-    return psi
+def _as_integrand(integrand):
+    """The integrand, once checked to be a :class:`MultivariateFunction` or
+    a :class:`SeparableIntegrand`."""
+    if not isinstance(integrand, (MultivariateFunction, SeparableIntegrand)):
+        raise ValidationError(
+            "integrand must be a MultivariateFunction or SeparableIntegrand"
+        )
+    return integrand
 
 
 def integrand_block_product(
@@ -1173,34 +1149,15 @@ def exponent_tuples(total: int, slots: int):
             yield (first,) + rest
 
 
-def _polynomial_dd_separable(coefficients: np.ndarray, order: int) -> SeparableIntegrand:
-    """Separable representation of a polynomial's order-k divided difference.
-
-    The order-k divided difference of x^p is the complete homogeneous
-    symmetric polynomial of degree p-k in the k+1 nodes; expanding it
-    monomial by monomial gives an exact rank-one sum with no divisions, so
-    evaluation stays stable at clustered nodes.
-    """
-    slots = order + 1
-    terms = []
-    for p, c in enumerate(coefficients):
-        if c == 0 or p < order:
-            continue
-        for exponents in exponent_tuples(p - order, slots):
-            factors = [ScalarFunction.monomial(exponents[0], c)]
-            factors.extend(ScalarFunction.monomial(e) for e in exponents[1:])
-            terms.append(tuple(factors))
-    if not terms:
-        terms.append(tuple(ScalarFunction.constant(0.0) for _ in range(slots)))
-    return SeparableIntegrand(slots, tuple(terms))
-
-
-def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateFunction:
+def divided_difference_integrand(
+    f: ScalarFunction, order: int
+) -> SeparableIntegrand | MultivariateFunction:
     """The arity-(order+1) integrand ``(l_0..l_k) -> f^[k](l_0..l_k)``.
 
-    Polynomials get an exact separable representation (used for grid
-    evaluation and certified norm bounds), built once per coefficient array
-    and order and then shared by every caller.  Other kinds evaluate the
+    A polynomial's is a :class:`SeparableIntegrand`, exact (used for
+    factored evaluation and certified norm bounds), built once per
+    coefficient array and order and then shared by every caller (see
+    :func:`_polynomial_dd_integrand`).  Other kinds evaluate the
     recursive divided-difference table: point by point through
     :func:`divided_difference`, and a whole grid through
     :func:`_divided_difference_grid`, which evaluates each sorted tuple of
@@ -1221,19 +1178,36 @@ def divided_difference_integrand(f: ScalarFunction, order: int) -> MultivariateF
     def evaluate(point, _f=f, _k=order):
         return divided_difference(DividedDifferenceSpec(_f, _k, tuple(point)))
 
-    return _with_grid(
-        MultivariateFunction(order + 1, evaluate),
-        lambda axes, _f=f, _k=order: _divided_difference_grid(_f, _k, axes),
-        lambda axes, _f=f, _k=order: np.max(np.abs(_tuple_values(_f, _k, axes, False)[0])),
+    return MultivariateFunction(
+        order + 1, evaluate,
+        _grid=lambda axes, _f=f, _k=order: _divided_difference_grid(_f, _k, axes),
+        _sup=lambda axes, _f=f, _k=order: np.max(
+            np.abs(_tuple_values(_f, _k, axes, False)[0])),
     )
 
 
 @functools.lru_cache(maxsize=256)
-def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> MultivariateFunction:
+def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIntegrand:
     """:func:`divided_difference_integrand` of the polynomial whose
-    coefficient array has this dtype and these bytes."""
-    separable = _polynomial_dd_separable(np.frombuffer(data, dtype=dtype), order)
-    return MultivariateFunction(order + 1, separable.evaluate, separable=separable)
+    coefficient array has this dtype and these bytes.
+
+    The order-k divided difference of x^p is the complete homogeneous
+    symmetric polynomial of degree p-k in the k+1 nodes; expanding it
+    monomial by monomial gives an exact rank-one sum with no divisions, so
+    evaluation stays stable at clustered nodes.
+    """
+    slots = order + 1
+    terms = []
+    for p, c in enumerate(np.frombuffer(data, dtype=dtype)):
+        if c == 0 or p < order:
+            continue
+        for exponents in exponent_tuples(p - order, slots):
+            factors = [ScalarFunction.monomial(exponents[0], c)]
+            factors.extend(ScalarFunction.monomial(e) for e in exponents[1:])
+            terms.append(tuple(factors))
+    if not terms:
+        terms.append(tuple(ScalarFunction.constant(0.0) for _ in range(slots)))
+    return SeparableIntegrand(slots, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -1307,7 +1281,7 @@ def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
 _SUP_BLOCK_BYTES = 256 * 2**10
 
 
-def _sup_norms(psi: MultivariateFunction, axes: Sequence[np.ndarray]) -> np.ndarray:
+def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     """:func:`sup_norm_on_grid` per sample, on spectra of shape (N, n_i)
     stacked over samples: per sample, the bits of ``max |psi.eval_grid|``.
 

@@ -8,8 +8,8 @@ in rotated coordinates: with each operator diagonalized as U diag(l) U*, the
 arguments rotate to Y_j = U_j* X_j U_{j+1}, and the integrand picks one of
 two paths:
 
-* factored -- an integrand with a separable representation
-  psi = sum_n prod_i f_{i,n} is evaluated as
+* factored -- a separable integrand psi = sum_n prod_i f_{i,n}
+  (:class:`~moikit.integrands.SeparableIntegrand`) is evaluated as
   sum_n D_{1,n} Y_1 D_{2,n} ... Y_{m-1} D_{m,n}, D_{i,n} = diag(f_{i,n}(l_i)),
   which is the operator-integral definition for such integrands (Peller,
   J. Funct. Anal. 233, 2006); no n^m grid is built;
@@ -49,7 +49,6 @@ from .integrands import (
     _batch_of_one,
     _sample,
     _sibling_sums,
-    _with_grid,
     divided_difference_integrand,
     projective_norm_bound,
     sup_norm_on_grid,
@@ -77,7 +76,7 @@ __all__ = [
 ]
 
 
-def _check_evaluation(operators, integrand: MultivariateFunction, arguments):
+def _check_evaluation(operators, integrand, arguments):
     """The one check of an evaluation's inputs: the operators share one
     dimension n, the integrand's arity is their count m, and there are m - 1
     arguments of shape (n, n)."""
@@ -106,7 +105,7 @@ class MoiRequest:
     m-1 argument matrices threaded between the spectral projectors."""
 
     operators: tuple[AnyOperator, ...]
-    integrand: MultivariateFunction
+    integrand: SeparableIntegrand | MultivariateFunction
     arguments: tuple[np.ndarray, ...]
 
     def __post_init__(self):
@@ -210,7 +209,7 @@ def _factored_core(
 
 
 def _stacked_moi(
-    integrand: MultivariateFunction,
+    integrand: SeparableIntegrand | MultivariateFunction,
     eigenvalues: Sequence[np.ndarray],
     bases: Sequence[np.ndarray],
     arguments: Sequence[np.ndarray],
@@ -259,11 +258,10 @@ def moi_core(
     """Spectral-sum evaluation for any operator count m >= 1.
 
     m = 1 has no arguments and reduces to applying the integrand as a scalar
-    function of the single operator.  An integrand with a separable
-    representation is evaluated in factored form; any other is evaluated on
-    the n^m eigenvalue grid.  The inputs get the checks of
-    :class:`MoiRequest`, with its messages, except that one operator is
-    allowed.
+    function of the single operator.  A separable integrand is evaluated in
+    factored form; any other is evaluated on the n^m eigenvalue grid.  The
+    inputs get the checks of :class:`MoiRequest`, with its messages, except
+    that one operator is allowed.
     """
     integrand = _as_integrand(integrand)
     _check_evaluation(operators, integrand, arguments)
@@ -288,18 +286,14 @@ def moi_evaluate(request: MoiRequest) -> MoiResult:
     return MoiResult(value=value, eigen_tuple_count=count, wall_time=elapsed)
 
 
-def _linear_combination(
-    phi: MultivariateFunction, psi: MultivariateFunction, alpha, beta
-) -> MultivariateFunction:
+def _linear_combination(phi, psi, alpha, beta):
     """The integrand ``alpha * phi + beta * psi``: separable when both are,
     else evaluated on a grid as ``alpha * grid(phi) + beta * grid(psi)``."""
     if phi.separable is not None and psi.separable is not None:
-        return phi.separable.scaled(alpha).plus(psi.separable.scaled(beta)).as_multivariate()
-    return _with_grid(
-        MultivariateFunction(
-            phi.arity, lambda pt: alpha * phi.evaluate(pt) + beta * psi.evaluate(pt)
-        ),
-        lambda axes: alpha * phi.eval_grid(axes) + beta * psi.eval_grid(axes),
+        return phi.scaled(alpha).plus(psi.scaled(beta))
+    return MultivariateFunction(
+        phi.arity, lambda pt: alpha * phi.evaluate(pt) + beta * psi.evaluate(pt),
+        _grid=lambda axes: alpha * phi.eval_grid(axes) + beta * psi.eval_grid(axes),
     )
 
 

@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    _finite,
     _integer,
 )
 
@@ -347,7 +348,8 @@ class RandomOperatorModel:
     """Sampling model: i.i.d. eigenvalues plus an independent Haar basis.
 
     ``law`` is one of ``("uniform", a, b)``, ``("gaussian", mean, sd)`` or
-    ``("fixed", values)``.  ``dim`` is a positive integer, not a boolean.
+    ``("fixed", values)``, every parameter a finite number, stored as a
+    float.  ``dim`` is a positive integer, not a boolean.
     A model holds no seed: every draw comes from a generator the caller
     passes, and the Monte Carlo harness derives its streams from the
     experiment's seed.
@@ -362,57 +364,46 @@ class RandomOperatorModel:
         if not self.law or self.law[0] not in _LAW_KINDS:
             raise ValidationError(f"unknown eigenvalue law {self.law!r}")
         kind = self.law[0]
-        if kind == "uniform":
-            _, a, b = self.law
-            if not a < b:
-                raise ValidationError("uniform law requires a < b")
-            if not math.isfinite(float(b) - float(a)):
-                raise ValidationError("uniform law requires a finite width b - a")
-        elif kind == "gaussian":
-            _, _, sd = self.law
-            if not sd > 0:
-                raise ValidationError("gaussian law requires sd > 0")
-        else:
-            values = tuple(float(v) for v in self.law[1])
-            if len(values) != self.dim:
+        message = f"{kind} law parameters must be finite numbers"
+        if kind == "fixed":
+            law = ("fixed", tuple(_finite(v, message) for v in self.law[1]))
+            if len(law[1]) != self.dim:
                 raise ValidationError(
-                    f"fixed law needs exactly {self.dim} values, got {len(values)}"
+                    f"fixed law needs exactly {self.dim} values, got {len(law[1])}"
                 )
-            object.__setattr__(self, "law", ("fixed", values))
-
-    def _draw_variates(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw law variates into ``out``, stacked over samples as (N, dim):
-        standard uniforms for the uniform law, standard normals for the
-        gaussian law, nothing for the fixed law."""
-        kind = self.law[0]
-        if kind == "uniform":
-            rng.random(out=out)
-        elif kind == "gaussian":
-            rng.standard_normal(out=out)
-
-    def _apply_law(self, variates: np.ndarray) -> np.ndarray:
-        """The eigenvalues that law variates stacked over samples, shape
-        (N, dim), give: ``a + (b - a) u``, ``mean + sd z`` or the fixed
-        values.  This is the arithmetic ``rng.uniform`` and ``rng.normal``
-        apply to the same variates, so the bits are theirs."""
-        kind = self.law[0]
-        if kind == "uniform":
-            a, b = float(self.law[1]), float(self.law[2])
-            return a + (b - a) * variates
-        if kind == "gaussian":
-            return float(self.law[1]) + float(self.law[2]) * variates
-        return np.full(variates.shape, self.law[1])
+        else:
+            law = (kind, *(_finite(v, message) for v in self.law[1:]))
+            _, a, b = law
+            if kind == "gaussian" and not b > 0:
+                raise ValidationError("gaussian law requires sd > 0")
+            if kind == "uniform" and not a < b:
+                raise ValidationError("uniform law requires a < b")
+            if kind == "uniform" and not math.isfinite(b - a):
+                raise ValidationError("uniform law requires a finite width b - a")
+        object.__setattr__(self, "law", law)
 
 
 def _draw(model: RandomOperatorModel, rng: np.random.Generator, count: int = 1):
     """``count`` samples' draws for ``model``, in their fixed order: the law
     variates of the eigenvalues (eigenphases for unitaries) of all samples,
     then the real and imaginary Ginibre parts of all samples.  Returns the
-    eigenvalues (count, dim) and the normals (count, 2, dim, dim)."""
-    variates = np.empty((count, model.dim))
-    model._draw_variates(rng, variates)
-    normals = rng.standard_normal((count, 2, model.dim, model.dim))
-    return model._apply_law(variates), normals
+    eigenvalues (count, dim) and the normals (count, 2, dim, dim).
+
+    The eigenvalues are ``a + (b - a) u`` of standard uniforms u, ``mean +
+    sd z`` of standard normals z, or the fixed values (which draw nothing):
+    the arithmetic ``rng.uniform`` and ``rng.normal`` apply to the same
+    variates, so the bits are theirs."""
+    kind, *params = model.law
+    shape = (count, model.dim)
+    if kind == "uniform":
+        a, b = params
+        eigenvalues = a + (b - a) * rng.random(shape)
+    elif kind == "gaussian":
+        mean, sd = params
+        eigenvalues = mean + sd * rng.standard_normal(shape)
+    else:
+        eigenvalues = np.full(shape, params[0])
+    return eigenvalues, rng.standard_normal((count, 2, model.dim, model.dim))
 
 
 def _haar_bases(normals: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import ValidationError, _integer
-from .harness import _SCALAR_THEOREMS, TailBoundExperiment
+from .harness import _THEOREMS, TailBoundExperiment, _theorem
 from .integrands import (
     MultivariateFunction,
     ScalarFunction,
@@ -167,7 +167,9 @@ def parse_separable(obj, path: str = "integrand") -> SeparableIntegrand:
     return SeparableIntegrand(arity, tuple(terms))
 
 
-def parse_integrand(obj, path: str = "integrand") -> MultivariateFunction:
+def parse_integrand(
+    obj, path: str = "integrand"
+) -> SeparableIntegrand | MultivariateFunction:
     """Either a separable integrand or a divided-difference construction."""
     _expect(isinstance(obj, dict), "expected an object", path)
     if obj.get("kind") == "divided_difference":
@@ -175,7 +177,7 @@ def parse_integrand(obj, path: str = "integrand") -> MultivariateFunction:
         order = _integer(_get(obj, "order", path),
                          "order must be a nonnegative integer", path + ".order")
         return divided_difference_integrand(f, order)
-    return parse_separable(obj, path).as_multivariate()
+    return parse_separable(obj, path)
 
 
 def model_to_json(model: RandomOperatorModel) -> dict:
@@ -297,30 +299,22 @@ def tensor_argument_to_json(entries: np.ndarray, mode_dims) -> dict:
 # Tail-bound experiments
 # ---------------------------------------------------------------------------
 
-_SLOT_FUNCTION_THEOREMS = ("sa_remainder", "unitary_remainder")
-
-
 def experiment_to_json(exp: TailBoundExperiment) -> dict:
-    fixed = {}
-    for key, value in exp.fixed_inputs.items():
-        if key in ("arguments", "perturbations"):
-            fixed[key] = [matrix_to_json(m) for m in value]
-        else:
-            fixed[key] = matrix_to_json(value)
-    if isinstance(exp.integrand, SeparableIntegrand):
-        integrand = separable_to_json(exp.integrand)
-    elif isinstance(exp.integrand, ScalarFunction):
-        integrand = scalar_function_to_json(exp.integrand)
+    theorem = _THEOREMS[exp.theorem_id]
+    fixed = exp.fixed_inputs[theorem.fixed]
+    if theorem.integrand == "scalar":
+        fixed, integrand = matrix_to_json(fixed), scalar_function_to_json(exp.integrand)
     else:
-        integrand = {
-            "slot_functions": [scalar_function_to_json(f) for f in exp.integrand]
-        }
+        fixed = [matrix_to_json(m) for m in fixed]
+        integrand = (separable_to_json(exp.integrand) if theorem.integrand == "separable"
+                     else {"slot_functions": [scalar_function_to_json(f)
+                                              for f in exp.integrand]})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "tail_bound_experiment",
         "theorem_id": exp.theorem_id,
         "operator_models": [model_to_json(m) for m in exp.operator_models],
-        "fixed_inputs": fixed,
+        "fixed_inputs": {theorem.fixed: fixed},
         "integrand": integrand,
         "theta_grid": [float(t) for t in exp.theta_grid],
         "samples": int(exp.samples),
@@ -336,33 +330,34 @@ def experiment_to_json(exp: TailBoundExperiment) -> dict:
 
 
 def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
+    """The experiment of a payload.  Its theorem is looked up first, and
+    only that theorem's fixed input is parsed: any other reaches the
+    experiment's check, which rejects it."""
     root = path or "experiment"
     theorem_id = _get(obj, "theorem_id", root)
+    try:
+        theorem = _theorem(theorem_id)
+    except ValidationError as err:
+        raise ValidationError(str(err), path=root) from err
     models = tuple(_items(_get(obj, "operator_models", root), parse_model,
                           "operator_models must be a non-empty list",
                           root + ".operator_models", least=1))
-    fixed_json = _get(obj, "fixed_inputs", root)
-    _expect(isinstance(fixed_json, dict), "fixed_inputs must be an object",
-            root + ".fixed_inputs")
-    fixed = {}
-    for key, value in fixed_json.items():
+    fixed = _get(obj, "fixed_inputs", root)
+    _expect(isinstance(fixed, dict), "fixed_inputs must be an object", root + ".fixed_inputs")
+    fixed, key = dict(fixed), theorem.fixed
+    if key in fixed:
         fpath = f"{root}.fixed_inputs.{key}"
-        if key in ("arguments", "perturbations"):
-            fixed[key] = _items(value, parse_matrix, "expected a list of matrices", fpath)
-        elif key in ("direction", "step"):
-            fixed[key] = parse_matrix(value, fpath)
-        else:
-            raise ValidationError(f"unknown fixed input {key!r}", path=fpath)
-    integrand_json = _get(obj, "integrand", root)
-    if theorem_id in _SLOT_FUNCTION_THEOREMS:
+        fixed[key] = (parse_matrix(fixed[key], fpath) if theorem.integrand == "scalar" else
+                      _items(fixed[key], parse_matrix, "expected a list of matrices", fpath))
+    integrand_json, ipath = _get(obj, "integrand", root), root + ".integrand"
+    if theorem.integrand == "slots":
         integrand = tuple(_items(
-            _get(integrand_json, "slot_functions", root + ".integrand"),
-            parse_scalar_function, "slot_functions must be a non-empty list",
-            root + ".integrand.slot_functions", least=1))
-    elif theorem_id in _SCALAR_THEOREMS:
-        integrand = parse_scalar_function(integrand_json, root + ".integrand")
+            _get(integrand_json, "slot_functions", ipath), parse_scalar_function,
+            "slot_functions must be a non-empty list", ipath + ".slot_functions", least=1))
+    elif theorem.integrand == "scalar":
+        integrand = parse_scalar_function(integrand_json, ipath)
     else:
-        integrand = parse_separable(integrand_json, root + ".integrand")
+        integrand = parse_separable(integrand_json, ipath)
     thetas = tuple(_items(_get(obj, "theta_grid", root), _number,
                           "theta_grid must be a non-empty list", root + ".theta_grid",
                           least=1))

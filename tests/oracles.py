@@ -359,7 +359,7 @@ def _moi_norm_sample(exp, rng):
     import moikit as mk
 
     ops = [mk.sample_random_hermitian(model, rng) for model in exp.operator_models]
-    psi = exp.integrand.as_multivariate()
+    psi = exp.integrand
     value = mk.moi_core(ops, psi, exp.fixed_inputs["arguments"])
     if exp.theorem_id == "moi_norm_schatten_b":
         reciprocal = sum(1.0 / p for p in exp.schatten_p)

@@ -258,6 +258,44 @@ class TestSelfAdjointRemainder:
             )
 
 
+class TestRemainderSpecChecks:
+    """Each check of a remainder task's inputs, with its message."""
+
+    @staticmethod
+    def fields(rng):
+        return {"order": 2, "function": mk.SlotFunctionSum((mk.ScalarFunction.monomial(3),)),
+                "base": (random_hermitian_op(rng, dim=3),),
+                "perturbations": (mk.random_hermitian(3, rng, norm=0.3),),
+                "flavor": "self_adjoint"}
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda rng: {"order": 0}, ValidationError, "^remainder order must be >= 1$"),
+        (lambda rng: {"flavor": "skew"}, ValidationError, "^unknown flavor 'skew'$"),
+        (lambda rng: {"perturbations": ()}, ValidationError,
+         "^base/perturbation counts must match the slot count$"),
+        (lambda rng: {"function": mk.SlotFunctionSum((mk.ScalarFunction.monomial(2),) * 2),
+                      "base": (random_hermitian_op(rng, dim=3),
+                               random_hermitian_op(rng, dim=4)),
+                      "perturbations": (np.zeros((3, 3)), np.zeros((4, 4)))},
+         ValidationError, "^base operators have mixed dimensions$"),
+        (lambda rng: {"perturbations": (np.triu(np.ones((3, 3))),)}, ValidationError,
+         "^perturbation 0: matrix is not Hermitian"),
+        (lambda rng: {"perturbations": (np.zeros((2, 2)),)}, ValidationError,
+         r"^perturbation 0 has shape \(2, 2\)$"),
+        (lambda rng: {"flavor": "unitary"}, ValidationError,
+         "^unitary flavor needs unitary base operators$"),
+        (lambda rng: {"flavor": "unitary", "base": (mk.sample_haar_unitary(3, rng),),
+                      "function": mk.SlotFunctionSum(
+                          (mk.ScalarFunction.from_callable(np.exp, (np.exp,)),))},
+         CapabilityError, "^unitary flavor is restricted to polynomial slot functions$"),
+        (lambda rng: {"base": (mk.sample_haar_unitary(3, rng),)}, ValidationError,
+         "^self-adjoint flavor needs Hermitian base operators$"),
+    ])
+    def test_each_check_rejects_its_input(self, rng, edit, error, message):
+        with pytest.raises(error, match=message):
+            mk.RemainderSpec(**{**self.fields(rng), **edit(rng)})
+
+
 class TestExpSeriesTail:
     def test_first_tail_is_exponential_minus_identity(self, rng):
         h = mk.HermitianOperator(mk.random_hermitian(3, rng, norm=0.7))

@@ -49,6 +49,15 @@ class TestMoiEval:
     def test_unreadable_input_exit_code(self, tmp_path):
         assert run_cli(["moi-eval", "--input", str(tmp_path / "missing.json")]) == 2
 
+    def test_input_that_is_not_json_is_rejected_at_the_flag(self, tmp_path, capsys):
+        bad = tmp_path / "broken.json"
+        bad.write_text("{not json")
+        capsys.readouterr()
+        assert run_cli(["moi-eval", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: flags.input: input is not valid JSON: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestDerivativeCommands:
     def test_frechet_demo(self, tmp_path):
@@ -91,6 +100,24 @@ class TestRemainderCommand:
         ]) == 0
         payload = read_json(out)
         assert payload["method_deviation"] <= 1e-8
+
+    @pytest.mark.parametrize("method", ["direct", "moi"])
+    def test_one_method_reports_its_value_alone(self, tmp_path, method):
+        both, alone = tmp_path / "both.json", tmp_path / "alone.json"
+        assert run_cli(["remainder", "--input", config_path("demo_remainder_sa.json"),
+                        "--output", str(both)]) == 0
+        config = tmp_path / "request.json"
+        config.write_text(json.dumps(
+            {**read_json(config_path("demo_remainder_sa.json")), "method": method}))
+        assert run_cli(["remainder", "--input", str(config), "--output", str(alone)]) == 0
+        both, alone = read_json(both), read_json(alone)
+        assert sorted(alone) == ["kind", "schema_version", "value"]
+        if method == "moi":  # the value that both methods report
+            assert alone["value"] == both["value"]
+        else:
+            deviation = np.max(np.abs(ser.parse_matrix(alone["value"])
+                                      - ser.parse_matrix(both["value"])))
+            assert deviation == both["method_deviation"]
 
 
 class TestHaarCommand:
@@ -206,6 +233,18 @@ class TestConvMeanCommand:
         assert run_cli(["conv-mean", "--input", str(config),
                         "--output", str(out_csv), "--format", "csv"]) == 0
         assert out_csv.read_text().startswith("m,epsilon,")
+
+
+    def test_one_sample_has_zero_stderr(self, tmp_path):
+        payload = {**read_json(config_path("convmean_default.json")),
+                   "samples": 1, "steps": 2}
+        config = tmp_path / "conv.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "conv_report.json"
+        assert run_cli(["conv-mean", "--input", str(config), "--output", str(out)]) == 0
+        report = read_json(out)
+        assert report["samples"] == 1
+        assert [row["stderr"] for row in report["steps"]] == [0.0, 0.0]
 
 
 class TestPolyDecomposeCommand:
@@ -363,6 +402,13 @@ IDENTITY_2X2 = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]],
                                       [[0.0, 0.0], [1.0, 0.0]]]}
 
 
+def _with_law(payload, law):
+    """The experiment at 1000 samples, its first model drawing from ``law``."""
+    model = {**payload["operator_models"][0], "law": law}
+    return {**_small_tailbound(payload),
+            "operator_models": [model] + payload["operator_models"][1:]}
+
+
 # (command, shipped input, edit) for payloads each command rejects with exit 2
 REJECTED_PAYLOADS = [
     pytest.param("remainder", "demo_remainder_sa.json",
@@ -466,6 +512,15 @@ REJECTED_PAYLOADS = [
     pytest.param("tailbound", "tailbound_higher_difference.json",
                  lambda p: {**_small_tailbound(p), "eigengap_bound": 0.0},
                  id="tailbound-higher-difference-zero-eigengap"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: _with_law(p, {"kind": "gaussian", "mean": math.nan, "sd": 1.0}),
+                 id="tailbound-gaussian-mean-nan"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: _with_law(p, {"kind": "fixed",
+                                         "values": [0.5, math.nan, 0.0, 1.0]}),
+                 id="tailbound-fixed-value-nan"),
+    pytest.param("frechet", "demo_frechet.json",
+                 lambda p: {**p, "schema_version": 2}, id="frechet-schema-version-two"),
 ]
 
 
@@ -577,6 +632,16 @@ class TestValidateCommand:
         assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
         assert read_json(out)["diagnostics"] == [message]
 
+    def test_a_report_of_another_schema_version_gets_one_diagnostic(self, tmp_path):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"schema_version": 2, "kind": "tail_bound_report"}))
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["matched"] is None
+        assert payload["diagnostics"] == [
+            "input.schema_version: schema_version must be 1, got 2"]
+
     def test_unparseable_file_still_reports(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -608,6 +673,43 @@ class TestCliMisc:
         assert run_cli(["tailbound", "--input", str(bad)]) == 2
         assert capsys.readouterr().err == (
             "error: input: theorem kth_derivative takes no fixed input 'step'\n")
+
+    def test_a_misspelt_theorem_id_is_reported_as_unknown(self, tmp_path, capsys):
+        payload = read_json(config_path("tailbound_kth_derivative.json"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**payload, "theorem_id": "kth-derivative"}))
+        message = "input: unknown theorem id 'kth-derivative'"
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
+        assert read_json(out)["diagnostics"] == [message]
+
+    @pytest.mark.parametrize("law, message", [
+        ({"kind": "uniform", "a": 1.0, "b": 0.5}, "uniform law requires a < b"),
+        ({"kind": "gaussian", "mean": math.nan, "sd": 1.0},
+         "gaussian law parameters must be finite numbers"),
+    ])
+    def test_a_model_error_is_reported_at_the_model(self, tmp_path, capsys, law, message):
+        payload = read_json(config_path("tailbound_kth_derivative.json"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_with_law(payload, law)))
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: input.operator_models[0]: {message}\n"
+
+    def test_a_perturbation_of_another_dimension_is_rejected_at_the_slot(self, tmp_path,
+                                                                        capsys):
+        payload = read_json(config_path("demo_remainder_sa.json"))
+        bad = tmp_path / "bad.json"
+        slot = {**payload["slots"][0], "perturbation": IDENTITY_2X2}
+        bad.write_text(json.dumps({**payload, "slots": [slot]}))
+        capsys.readouterr()
+        assert run_cli(["remainder", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: input.slots[0].perturbation: dimension 2 differs from the base "
+            "dimension 3\n")
 
     @pytest.mark.parametrize("name", sorted(_COMMANDS))
     @pytest.mark.parametrize("flag, value, readers", [

@@ -171,7 +171,7 @@ def test_grid_that_overflows_in_real_arithmetic_is_evaluated_in_complex():
             view[i] = slice(None)
             expected = expected * np.full(3, 1e200, dtype=np.complex128)[tuple(view)]
         assert np.array_equal(psi.eval_grid(axes), expected, equal_nan=True)
-        assert np.isnan(mk.sup_norm_on_grid(psi.as_multivariate(), axes))
+        assert np.isnan(mk.sup_norm_on_grid(psi, axes))
 
 
 class TestSiblingSums:

@@ -170,6 +170,16 @@ class TestRunTailBound:
         assert fixed["included_samples"] + fixed["excluded_samples"] == 1000
         assert len(fixed["rows"]) == 8
 
+    def test_higher_difference_without_a_bound_reads_the_observed_maximum(self):
+        payload = ser.load_json(config_path("tailbound_higher_difference.json"))
+        payload = {k: v for k, v in payload.items() if k != "eigengap_bound"}
+        report = mk.run_tail_bound(ser.parse_experiment({**payload, "samples": 1000}))
+        fixed = report.metadata["fixed_eigengap"]
+        assert fixed["eigengap_source"] == "max_observed"
+        assert fixed["excluded_samples"] == 0
+        assert fixed["included_samples"] == 1000
+        assert report.metadata["constants"]["eigengap_bound"] is None
+
     def test_schatten_metadata_records_exponent_rules(self):
         payload = ser.load_json(config_path("tailbound_moi_norm_schatten_b.json"))
         payload = copy.deepcopy(payload)
@@ -521,6 +531,16 @@ class TestExperimentChecks:
         with pytest.raises(ValidationError,
                            match="^eigengap_bound must be a finite positive number$"):
             dataclasses.replace(exp, eigengap_bound=gap)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("theta_grid", (10**400,), "theta grid entries must be finite"),
+        ("theta_grid", (0.5, -10**400), "theta grid entries must be finite"),
+        ("eigengap_bound", 10**400, "eigengap_bound must be a finite positive number"),
+    ])
+    def test_integers_past_the_floats_are_rejected(self, field, value, message):
+        exp = shipped_experiment("higher_difference")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dataclasses.replace(exp, **{field: value})
 
     @pytest.mark.parametrize("gap", [2, np.float64(0.5), np.int64(3)])
     def test_eigengap_bound_is_stored_as_a_float(self, gap):

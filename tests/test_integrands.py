@@ -144,8 +144,12 @@ class TestDividedDifferenceIntegrand:
         psi = mk.divided_difference_integrand(
             mk.ScalarFunction.polynomial([1.0, 0.0, 2.0, 0.0, 1.0]), 2
         )
-        assert psi.separable is not None
-        psi.check_separable_consistency([(-1.5, 1.5)] * 3)
+        assert isinstance(psi, mk.SeparableIntegrand) and psi.separable is psi
+        axes = [np.linspace(-1.5, 1.5, 5)] * 3
+        grid = psi.eval_grid(axes)
+        for idx in np.ndindex(grid.shape):
+            direct = psi(*(axis[i] for axis, i in zip(axes, idx)))
+            assert abs(direct - grid[idx]) <= 1e-10 * (1.0 + abs(direct))
 
     def test_stable_at_clustered_nodes(self):
         # the rank-one-sum path has no divisions, so near-coincident nodes
@@ -275,21 +279,20 @@ class TestNormSurrogates:
         psi = mk.SeparableIntegrand.constant(2, 1.0)
         norms = (
             lambda spectra: mk.projective_norm_bound(psi, spectra),
-            lambda spectra: mk.sup_norm_on_grid(psi.as_multivariate(), spectra),
+            lambda spectra: mk.sup_norm_on_grid(psi, spectra),
             lambda spectra: mk.sup_norm_on_grid(mk.MultivariateFunction(2, abs), spectra),
         )
         for norm in norms:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 norm([[0.5], spectrum])
 
-    @pytest.mark.parametrize("kind", ["separable", "multivariate_separable",
-                                      "multivariate_grid", "multivariate_pointwise"])
+    @pytest.mark.parametrize("kind", ["separable", "multivariate_grid",
+                                      "multivariate_pointwise"])
     def test_sup_norm_takes_every_integrand_kind(self, kind, rng):
         f = mk.ScalarFunction.polynomial(rng.standard_normal(5))
         psi = mk.divided_difference_integrand(f, 2).separable
         given = {
             "separable": psi,
-            "multivariate_separable": psi.as_multivariate(),
             "multivariate_grid": mk.divided_difference_integrand(
                 mk.ScalarFunction.from_callable(f), 2),
             "multivariate_pointwise": mk.MultivariateFunction(3, psi.evaluate),
@@ -341,7 +344,7 @@ class TestNormSurrogates:
             )
             psi = mk.SeparableIntegrand(2, terms)
             spectra = [rng.uniform(-2, 2, 5) for _ in range(2)]
-            sup = mk.sup_norm_on_grid(psi.as_multivariate(), spectra)
+            sup = mk.sup_norm_on_grid(psi, spectra)
             proj = mk.projective_norm_bound(psi, spectra)
             assert sup <= proj + 1e-12 * max(1.0, proj)
 
@@ -1105,7 +1108,7 @@ def sample_sups(psi, axes):
 
 def surrogate(psi, axes):
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrands._sup_norms(psi.as_multivariate(), axes)
+        return integrands._sup_norms(psi, axes)
 
 
 def assert_bits(got, expected):

@@ -237,7 +237,7 @@ class TestAlgebraicIdentities:
         phi = mk.divided_difference_integrand(exp, 1)
         # a separable psi's grid and its point values may differ in the last place
         for psi, rtol in ((mk.divided_difference_integrand(sin, 1), 0.0),
-                          (random_separable(rng, 2).as_multivariate(), 1e-14)):
+                          (random_separable(rng, 2), 1e-14)):
             combo = moi._linear_combination(phi, psi, 0.7, -1.3)
             assert combo.separable is None
             axes = [rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 5)]

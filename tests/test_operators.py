@@ -1,5 +1,6 @@
 """Operator substrate: decompositions, norms, matrix functions, sampling."""
 
+import math
 import re
 
 import numpy as np
@@ -250,6 +251,26 @@ class TestRandomHermitian:
             mk.RandomOperatorModel(2, ("gaussian", 0.0, 0.0))
         with pytest.raises(ValidationError):
             mk.RandomOperatorModel(2, ("fixed", (1.0,)))
+
+    @pytest.mark.parametrize("law", [
+        ("uniform", 0, 10**400), ("uniform", -10**400, 0.0), ("uniform", math.nan, 1.0),
+        ("uniform", True, 2.0), ("gaussian", math.nan, 1.0), ("gaussian", 0.0, math.inf),
+        ("gaussian", 0.0, 10**400), ("gaussian", "0", 1.0), ("fixed", (10**400, 0.0)),
+        ("fixed", (math.nan, 0.0)), ("fixed", (0.0, -math.inf)),
+    ])
+    def test_law_parameters_must_be_finite_numbers(self, law):
+        with pytest.raises(ValidationError,
+                           match=f"^{law[0]} law parameters must be finite numbers$"):
+            mk.RandomOperatorModel(2, law)
+
+    @pytest.mark.parametrize("law", [
+        ("uniform", -3, np.float32(0.5)), ("gaussian", np.int64(2), 1), ("fixed", (1, 2.5)),
+    ])
+    def test_law_parameters_are_stored_as_floats(self, law):
+        model = mk.RandomOperatorModel(2, law)
+        params = model.law[1] if law[0] == "fixed" else model.law[1:]
+        assert [type(p) for p in params] == [float, float]
+        assert list(params) == [float(p) for p in (law[1] if law[0] == "fixed" else law[1:])]
 
     @pytest.mark.parametrize("dim", [2.5, 3.0, True, "3", None, 0, -1])
     def test_model_dimension_must_be_a_positive_integer(self, dim):
