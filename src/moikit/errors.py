@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all moikit modules, and the integer and
-finite-number checks that the input boundaries share."""
+"""Exception hierarchy shared by all moikit modules, and the integer,
+finite-number and Schatten-exponent checks that the input boundaries
+share."""
 
 import math
 import numbers
@@ -69,3 +70,20 @@ def _finite(value, message: str) -> float:
             if math.isfinite(value):
                 return value
     raise ValidationError(message)
+
+
+def _schatten_exponent(value) -> float:
+    """A Schatten exponent p as a float, inf included: a real number, not a
+    boolean, NaN or an integer past the float range, else ValidationError;
+    p < 1 raises ParameterError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            p = float(value)
+        except OverflowError:
+            pass
+        else:
+            if p < 1:
+                raise ParameterError(f"Schatten exponent must satisfy p >= 1, got {p}")
+            if not math.isnan(p):
+                return p
+    raise ValidationError("Schatten exponents must be real numbers in [1, inf]")

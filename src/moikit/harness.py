@@ -68,6 +68,7 @@ from .errors import (
     ValidationError,
     _finite,
     _integer,
+    _schatten_exponent,
 )
 from .integrands import (
     ScalarFunction,
@@ -230,7 +231,7 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
         if "schatten_p" in theorem.optional:
             if exp.schatten_p is None or len(exp.schatten_p) != m - 1:
                 raise ValidationError("schatten mode needs one exponent per argument")
-            fields["schatten_p"] = tuple(float(p) for p in exp.schatten_p)
+            fields["schatten_p"] = tuple(map(_schatten_exponent, exp.schatten_p))
             holder_reciprocal_sum(fields["schatten_p"])
         count = m - 1
     elif theorem.integrand == "scalar":

@@ -17,8 +17,11 @@ non-polynomial divided-difference integrand (:func:`_divided_difference_grid`)
 evaluates each distinct sorted tuple of indices into the union of the axes
 once: on equal axes the multisets of the axis's nodes, listed by rank, else
 those the ranks of the points find; :func:`divided_difference` is a stack of
-one tuple.  Every value has the bits of the scalar recursion, but for the
-sign and payload of a NaN.
+one tuple.  The table runs the scalar recursion's own arithmetic: float64
+when the nodes are real and every value it reads is a float, complex128
+when every value is a numpy complex128, and else the Python or numpy
+operation on each value itself.  Every value has the bits of the scalar
+recursion, but for the sign and payload of a NaN.
 
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
@@ -292,19 +295,19 @@ def _cluster_means(nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
     total = np.zeros_like(nodes)
     for j in range(width):
         total += np.where(member[:, :, j], nodes[:, j, None], 0.0)
-    return _by_parts(total, member.sum(axis=2))
+    return _mean(total, member.sum(axis=2))
 
 
-def _by_parts(total: np.ndarray, count) -> np.ndarray:
-    """``total / count`` component-wise, as Python's complex / int is:
-    numpy's complex division by a count can differ from it in the last
-    place."""
+def _mean(total: np.ndarray, count) -> np.ndarray:
+    """``total / count`` as the scalar recursion divides a cluster's sum by
+    its size: a complex total by CPython's complex / int, which divides
+    where numpy multiplies by a reciprocal, and makes the other part NaN
+    where one part is infinite."""
     if not np.iscomplexobj(total):
         return total / count
-    mean = np.empty_like(total)
-    mean.real = total.real / count
-    mean.imag = total.imag / count
-    return mean
+    with np.errstate(all="ignore"):
+        mean = total.astype(object) / np.asarray(count, dtype=object)
+    return mean.astype(np.complex128)
 
 
 def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
@@ -315,58 +318,10 @@ def _derivative_fn(f: ScalarFunction, level: int) -> Callable:
     return lambda z: f.derivative(z, level) / math.factorial(level)
 
 
-def _is_complex(value) -> bool:
-    """``np.iscomplexobj(value)``, without its cost for a real float."""
-    return not isinstance(value, float) and np.iscomplexobj(value)
-
-
-def _column(values: list, index, typed: bool):
-    """The values at ``index``, real, or complex when ``typed``; then also,
-    for each, whether it is complex and whether it is of Python type (not a
-    numpy scalar or array), since the scalar recursion divided each kind its
-    own way (see :func:`_quotient`)."""
-    if not typed:
-        return np.array(values, dtype=np.float64)[index], None
-    kind = np.array(
-        [(_is_complex(v), not isinstance(v, (np.generic, np.ndarray))) for v in values],
-        dtype=bool,
-    ).reshape(-1, 2)
-    return np.array(values, dtype=np.complex128)[index], kind[index]
-
-
-def _quotient(numerator: np.ndarray, step: np.ndarray, kind: np.ndarray | None) -> np.ndarray:
-    """``numerator / step`` entry by entry, as the scalar recursion divided.
-    ``kind`` is None for a real table, else ``kind[..., 0]`` marks complex
-    quotients and ``kind[..., 1]`` numerators of Python type.  Real
-    quotients are true divisions, complex ones of numpy numerators numpy's
-    division, and complex ones of Python numerators CPython's, which divides
-    where numpy multiplies by a reciprocal."""
-    quotient = numerator / step
-    if kind is None:
-        return quotient
-    real = ~kind[..., 0]
-    if real.any():
-        quotient[real] = numerator[real].real / step[real].real
-    python = kind[..., 0] & kind[..., 1]
-    if python.any():
-        a, b = numerator[python], step[python].astype(np.complex128)
-        wide = np.abs(b.real) >= np.abs(b.imag)
-        ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
-        denominator = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        exact = np.empty_like(a)
-        exact.real = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag)
-        exact.imag = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real)
-        exact.real /= denominator
-        exact.imag /= denominator
-        quotient[python] = exact
-    return quotient
-
-
-def _divided_differences(f: ScalarFunction, nodes: np.ndarray):
-    """``f^[k]`` at each row of a (P, k+1) stack of node tuples (float64, or
-    complex128 for complex nodes), and whether each value is complex: every
-    row snapped (see :func:`_snapped_nodes`), then read as sorted indices
-    into the distinct snapped nodes from the table over them (see
+def _divided_differences(f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
+    """``f^[k]`` at each row of a (P, k+1) stack of node tuples: every row
+    snapped (see :func:`_snapped_nodes`), then read as sorted indices into
+    the distinct snapped nodes from the table over them (see
     :func:`_recursion`)."""
     snapped = _snapped_nodes(nodes)
     union, inverse = np.unique(snapped, return_inverse=True, equal_nan=False)
@@ -382,10 +337,11 @@ def divided_difference(spec: DividedDifferenceSpec):
     coincident nodes of length r+1 contributes ``f^(r)(z) / r!``.  The result
     is symmetric in node order (nodes are sorted internally), with the bits
     of the scalar recursion except the sign and payload of a NaN result
-    (sorting writes every NaN node back as +NaN).
+    (sorting writes every NaN node back as +NaN), as a float64 or, when the
+    recursion's value is complex, a complex128.
     """
-    values, is_complex = _divided_differences(spec.f, np.array([spec.nodes]))
-    return values[0] if is_complex[0] else values[0].real
+    value = _divided_differences(spec.f, np.array([spec.nodes]))[0]
+    return np.complex128(value) if np.iscomplexobj(value) else np.float64(value)
 
 
 def _divided_difference_grid(
@@ -449,8 +405,7 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
         first, at = _distinct_tuples(ranks, math.comb(union.size + order, order + 1))
         tuples = [s.ravel()[first] for s in index]
     nodes, tuples = _snapped(union, tuples)
-    values, _ = _recursion(f, nodes, tuples, at)
-    return values.astype(np.complex128, copy=False), at
+    return _recursion(f, nodes, tuples, at).astype(np.complex128, copy=False), at
 
 
 def _cached(fn: Callable, nbytes: int, size: int, order: int):
@@ -533,14 +488,14 @@ def _distinct_tuples(ranks: np.ndarray, space: int) -> tuple[np.ndarray, np.ndar
 
 def _run_means(values: np.ndarray, count: int) -> list[np.ndarray]:
     """Per M = 1..count, the mean that :func:`_cluster_means` gives M equal
-    copies of each value: (0 + v + ... + v) / M, by parts.  It is v for M =
-    1 and 2 (short of overflow), but often not from 3 on."""
+    copies of each value: (0 + v + ... + v) / M (see :func:`_mean`).  It
+    is v for M = 1 and 2 (short of overflow), but often not from 3 on."""
     total = values + 0.0
     means = [total]
     with np.errstate(all="ignore"):
         for m in range(2, count + 1):
             total = total + values
-            means.append(_by_parts(total, m))
+            means.append(_mean(total, m))
     return means
 
 
@@ -653,11 +608,11 @@ def _grid_ranks(size: int, order: int) -> np.ndarray:
     return ranks
 
 
-def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarray):
+def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarray) -> np.ndarray:
     """``f^[k]`` at index tuples into the distinct ``nodes``, one array of
     indices per position, each tuple sorted by its nodes: the value at each
     tuple, with the bits of the scalar recursion but for the sign and
-    payload of a NaN, and whether it is complex.
+    payload of a NaN.
 
     When a tuple's longest run of equal indices, less one, is a derivative
     order that ``f`` lacks, no value is computed: the error names the first
@@ -674,9 +629,15 @@ def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarra
     equal, ``f^(l)`` for 0 < l < k at the nodes of their windows of l + 1
     equal indices, and ``f^(k)`` at the node of each tuple of k + 1 equal
     indices, once per node: the entries a tuple reads.  The other entries of
-    equal ends hold 0, and no tuple's value reads them.  Real values are
-    divided as reals, and complex ones as the scalar recursion divided them
-    (see :func:`_quotient`).
+    equal ends hold 0, and no tuple's value reads them.
+
+    The table runs in the arithmetic of the values it reads: float64 when
+    the nodes are real and every value is a float, complex128 when every
+    value is a numpy complex128, and else as an object array of the values
+    themselves and the nodes as Python numbers, so that each subtraction and
+    division is the Python or numpy operation of the scalar recursion.  An
+    object table divides only where a window's ends differ, since Python
+    raises on a zero step; the nodes are distinct, so no other step is zero.
     """
     order = len(tuples) - 1
     index = np.array(tuples)
@@ -708,25 +669,28 @@ def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarra
         fn = _derivative_fn(f, level)
         columns.append([fn(z) if wanted else 0.0
                         for z, wanted in zip(points, read[level].tolist())])
-    complex_nodes = np.iscomplexobj(nodes)
-    typed = complex_nodes or any(map(_is_complex, itertools.chain(*columns)))
+    values = list(itertools.chain(*map(itertools.compress, columns, read.tolist())))
+    if not np.iscomplexobj(nodes) and all(isinstance(v, float) for v in values):
+        dtype = np.float64
+    elif all(isinstance(v, np.complex128) for v in values):
+        dtype = np.complex128
+    else:
+        dtype, nodes = object, nodes.astype(object)
     at_nodes = nodes[index]
-    table, kind = _column(columns[0], index, typed)
+    table = np.array(columns[0], dtype=dtype)[index]
     with np.errstate(all="ignore"):
         for level, windows in enumerate(confluent, 1):
-            if typed:
-                # complex when either value is; of Python type when both are
-                kind = np.stack([kind[1:, :, 0] | kind[:-1, :, 0] | complex_nodes,
-                                 kind[1:, :, 1] & kind[:-1, :, 1]], axis=-1)
-            table = _quotient(table[1:] - table[:-1], at_nodes[level:] - at_nodes[:-level],
-                              kind)
+            if dtype is object:
+                apart = ~windows
+                quotient = np.empty(windows.shape, dtype=object)
+                quotient[apart] = ((table[1:][apart] - table[:-1][apart])
+                                   / (at_nodes[level:][apart] - at_nodes[:-level][apart]))
+                table = quotient
+            else:
+                table = (table[1:] - table[:-1]) / (at_nodes[level:] - at_nodes[:-level])
             if windows.any():
-                derivative, derivative_kind = _column(columns[level], index[:-level][windows],
-                                                      typed)
-                table[windows] = derivative
-                if typed:
-                    kind[windows] = derivative_kind
-    return table[0], kind[0, :, 0] if typed else np.zeros(len(table[0]), dtype=bool)
+                table[windows] = np.array(columns[level], dtype=dtype)[index[:-level][windows]]
+    return table[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .errors import (
     FunctionDomainError,
     ParameterError,
     ValidationError,
+    _schatten_exponent,
 )
 from .integrands import (
     MultivariateFunction,
@@ -404,7 +405,7 @@ def moi_norm_bound(
         for arg in request.arguments:
             bound *= operator_norm(arg)
         return bound, operator_norm(value)
-    exponents = [float(p) for p in schatten_p]
+    exponents = [_schatten_exponent(p) for p in schatten_p]
     if len(exponents) != len(request.arguments):
         raise ParameterError("one Schatten exponent per argument is required")
     q = holder_result_exponent(holder_reciprocal_sum(exponents))
@@ -417,9 +418,7 @@ def moi_norm_bound(
 def holder_reciprocal_sum(schatten_p: Sequence[float]) -> float:
     """The sum of 1/p_i over the argument exponents, checked against the
     Hölder hypotheses p_i >= 1 and sum at most 1."""
-    exponents = [float(p) for p in schatten_p]
-    if any(p < 1 for p in exponents):
-        raise ParameterError("Schatten exponents must satisfy p >= 1")
+    exponents = [_schatten_exponent(p) for p in schatten_p]
     reciprocal = sum(0.0 if p == np.inf else 1.0 / p for p in exponents)
     if reciprocal > 1.0 + 1e-12:
         raise ParameterError(

@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
     _finite,
     _integer,
+    _schatten_exponent,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -331,8 +332,7 @@ def schatten_norm(matrix, p) -> float:
 
     ``p = inf`` is :func:`operator_norm`.
     """
-    if p != np.inf and p < 1:
-        raise ParameterError(f"Schatten exponent must satisfy p >= 1, got {p}")
+    p = _schatten_exponent(p)
     return float(_stacked_norms(as_square_complex(matrix)[None], p)[0])
 
 
@@ -340,7 +340,8 @@ def schatten_norm(matrix, p) -> float:
 # Random operators: Haar eigenbases plus configurable eigenvalue laws
 # ---------------------------------------------------------------------------
 
-_LAW_KINDS = ("uniform", "gaussian", "fixed")
+# each eigenvalue law's kind and the names of the parameters it takes
+_LAW_KINDS = {"uniform": ("a", "b"), "gaussian": ("mean", "sd"), "fixed": ("values",)}
 
 
 @dataclass(frozen=True)
@@ -361,9 +362,13 @@ class RandomOperatorModel:
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(
             self.dim, "model dimension must be a positive integer", "", 1))
-        if not self.law or self.law[0] not in _LAW_KINDS:
+        # searched as a tuple, so that a kind that is not hashable is unknown
+        if not self.law or self.law[0] not in tuple(_LAW_KINDS):
             raise ValidationError(f"unknown eigenvalue law {self.law!r}")
-        kind = self.law[0]
+        kind, params = self.law[0], _LAW_KINDS[self.law[0]]
+        if len(self.law) != 1 + len(params):
+            raise ValidationError(f"{kind} law takes the parameters ({', '.join(params)}), "
+                                  f"got {len(self.law) - 1}")
         message = f"{kind} law parameters must be finite numbers"
         if kind == "fixed":
             law = ("fixed", tuple(_finite(v, message) for v in self.law[1]))

@@ -236,6 +236,16 @@ class TestSelfAdjointRemainder:
             scale = max(1.0, np.linalg.norm(direct, 2), np.linalg.norm(moi, 2))
             assert np.max(np.abs(direct - moi)) <= 1e-8 * scale
 
+    def test_methods_agree_on_a_complex_valued_function(self, rng):
+        f = mk.ScalarFunction.from_callable(
+            lambda x: np.exp(1j * x),
+            tuple((lambda x, _c=1j**k: _c * np.exp(1j * x)) for k in range(1, 4)),
+        )
+        spec = self.make_spec(rng, [f], 2, dim=3)
+        direct = mk.taylor_remainder_self_adjoint(spec, "direct")
+        moi = mk.taylor_remainder_self_adjoint(spec, "moi")
+        assert np.max(np.abs(direct - moi)) <= 1e-12
+
     def test_one_function_per_slot(self, rng):
         f, g = mk.ScalarFunction.monomial(2), mk.ScalarFunction.monomial(3)
         assert mk.SlotFunctionSum.from_slot_functions([f, g]).functions == (f, g)

@@ -141,6 +141,11 @@ class TestHaarCommand:
     def test_missing_dim_is_validation_error(self):
         assert run_cli(["haar", "--count", "1"]) == 2
 
+    def test_zero_count_is_validation_error(self, capsys):
+        assert run_cli(["haar", "--dim", "2", "--count", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: flags.count: --count must be a positive integer\n")
+
 
 class TestTailboundCommand:
     def test_small_run_json_and_csv(self, tmp_path):
@@ -163,6 +168,17 @@ class TestTailboundCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "theta,empirical_prob,mc_stderr,bound_rhs,satisfied"
         assert len(lines) == 9
+
+    def test_csv_without_output_goes_to_stdout(self, tmp_path, capsys):
+        payload = {**read_json(config_path("tailbound_kth_derivative.json")), "samples": 1000}
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(payload))
+        out_csv = tmp_path / "report.csv"
+        assert run_cli(["tailbound", "--input", str(config), "--output", str(out_csv),
+                        "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(config), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == out_csv.read_text()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         payload = read_json(config_path("tailbound_first_derivative.json"))
@@ -392,6 +408,14 @@ def _with_asymmetric_perturbation(payload, amount):
     return {**payload, "slots": [slot]}
 
 
+def _with_tensor_entry_shifted(payload, amount):
+    """A copy whose first tensor has ``amount`` added to the real part of its
+    second entry only, so that it is no longer Hermitian."""
+    tensor = copy.deepcopy(payload["tensors"][0])
+    tensor["entries"][1][0] += amount
+    return {**payload, "tensors": [tensor] + payload["tensors"][1:]}
+
+
 def _small_tailbound(payload, **fixed_inputs):
     """The experiment at 1000 samples, with some fixed inputs replaced."""
     return {**payload, "samples": 1000,
@@ -521,6 +545,25 @@ REJECTED_PAYLOADS = [
                  id="tailbound-fixed-value-nan"),
     pytest.param("frechet", "demo_frechet.json",
                  lambda p: {**p, "schema_version": 2}, id="frechet-schema-version-two"),
+    pytest.param("tailbound", "tailbound_moi_norm_schatten_b.json",
+                 lambda p: {**_small_tailbound(p), "schatten_p": [math.nan, 2.0]},
+                 id="tailbound-schatten-p-nan"),
+    pytest.param("kth-deriv", "demo_kth_deriv.json",
+                 lambda p: {**p, "direction": _skewed(p["direction"], math.nan)},
+                 id="kth-deriv-direction-entry-nan"),
+    pytest.param("remainder", "demo_remainder_unitary.json",
+                 lambda p: {**p, "slots": [{**p["slots"][0],
+                                            "base": _skewed(p["slots"][0]["base"], 0.5)}]},
+                 id="remainder-unitary-base-not-unitary"),
+    pytest.param("poly-decompose", "demo_poly_decompose.json",
+                 lambda p: {**p, "polynomial": {
+                     **p["polynomial"],
+                     "terms": p["polynomial"]["terms"][:1] + p["polynomial"]["terms"]}},
+                 id="poly-decompose-duplicated-exponent"),
+    pytest.param("mti-eval", "demo_mti_eval.json",
+                 lambda p: _with_tensor_entry_shifted(p, 0.5), id="mti-eval-tensor-not-hermitian"),
+    pytest.param("remainder", "demo_remainder_sa.json",
+                 lambda p: {**p, "flavor": "bogus"}, id="remainder-bogus-flavor"),
 ]
 
 

@@ -487,6 +487,16 @@ class TestExperimentChecks:
          ValidationError, "^integrand arity must equal the operator count$"),
         ("moi_norm_schatten_b", lambda e: {"schatten_p": (2.0,)}, ValidationError,
          "^schatten mode needs one exponent per argument$"),
+        ("moi_norm_schatten_b", lambda e: {"schatten_p": (math.nan, 2.0)}, ValidationError,
+         r"^Schatten exponents must be real numbers in \[1, inf\]$"),
+        ("moi_norm_schatten_b", lambda e: {"schatten_p": (10**400, 2.0)}, ValidationError,
+         r"^Schatten exponents must be real numbers in \[1, inf\]$"),
+        ("moi_norm_schatten_b", lambda e: {"schatten_p": (2.0, True)}, ValidationError,
+         r"^Schatten exponents must be real numbers in \[1, inf\]$"),
+        ("moi_norm_schatten_b", lambda e: {"schatten_p": ("x", 2.0)}, ValidationError,
+         r"^Schatten exponents must be real numbers in \[1, inf\]$"),
+        ("moi_norm_schatten_b", lambda e: {"schatten_p": (0.5, 2.0)}, ParameterError,
+         "^Schatten exponent must satisfy p >= 1, got 0.5$"),
         ("kth_derivative", lambda e: {"operator_models": e.operator_models * 2},
          ValidationError, "^kth-derivative experiments use one operator model$"),
         ("kth_derivative", lambda e: {"integrand": mk.SeparableIntegrand.constant(1)},

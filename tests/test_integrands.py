@@ -493,6 +493,22 @@ SCALAR_FUNCTIONS = {
         np.emath.sqrt,
         (lambda z: 0.5 * np.emath.power(z, -0.5), lambda z: -0.25 * np.emath.power(z, -1.5)),
     ),
+    # numpy complex values at real nodes too
+    "numpy_complex": lambda: mk.ScalarFunction.from_callable(
+        lambda x: np.exp(1j * x),
+        tuple((lambda x, _c=1j**k: _c * np.exp(1j * x)) for k in range(1, 5)),
+    ),
+}
+
+# the arithmetic each function's table runs in, on the real axis and on the
+# unit circle (see integrands._recursion)
+ARITHMETIC = {
+    "polynomial": (np.float64, np.complex128),
+    "callable_with_derivatives": (np.float64, np.complex128),
+    "callable_only": (np.float64, np.complex128),
+    "python_complex": (object, object),
+    "mixed_real_complex": (object, np.complex128),
+    "numpy_complex": (np.complex128, np.complex128),
 }
 
 
@@ -608,6 +624,37 @@ class TestVectorizedTable:
                     got = outcome(mk.divided_difference, spec)
                     assert_same_outcome(got, expected)
                     assert np.iscomplexobj(got) == np.iscomplexobj(expected)
+
+    @pytest.mark.parametrize("kind", ["real", "unit_circle"])
+    @pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
+    def test_each_table_runs_in_the_arithmetic_of_its_values(self, monkeypatch, name, kind):
+        dtypes = []
+        recursion = integrands._recursion
+
+        def spy(*args):
+            values = recursion(*args)
+            dtypes.append(values.dtype)
+            return values
+
+        monkeypatch.setattr(integrands, "_recursion", spy)
+        f = SCALAR_FUNCTIONS[name]()
+        axis = awkward_axis(kind, np.random.default_rng(7))
+        integrands._divided_difference_grid(f, 2, [axis] * 3)
+        dd(f, 2, axis[[0, 3, 5]])
+        expected = np.dtype(ARITHMETIC[name][kind == "unit_circle"])
+        assert dtypes == [expected, expected]
+
+    def test_two_copies_of_an_overflowing_node_have_the_mean_of_the_recursion(self):
+        # the sum's real part overflows: CPython's complex / int makes the
+        # imaginary part NaN, as the per-point recursion's cluster mean does
+        z = 1.7e308 * cmath.exp(0.4j)
+        expected = oracles._cluster_nodes([z, z], 1e-7 * abs(z))
+        assert cmath.isinf(expected[0]) and math.isnan(expected[0].imag)
+        with np.errstate(over="ignore"):
+            cluster = integrands._cluster_means(np.array([[z, z]]), np.ones((1, 2, 2), bool))
+            runs = integrands._run_means(np.array([z]), 2)
+        assert same_bits(cluster[0], expected)
+        assert same_bits(runs[1], expected[:1])
 
     def test_capability_error_reports_the_first_failing_tuple(self):
         f = exp_with_derivatives(1)

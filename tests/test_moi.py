@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ class TestAlgebraicIdentities:
                 <= 1e-10
             )
 
+    def test_linear_combination_scales_callable_factors(self, rng):
+        sin = mk.ScalarFunction.from_callable(np.sin, (np.cos,))
+        cos = mk.ScalarFunction.from_callable(np.cos, (lambda x: -np.sin(x),))
+        phi = mk.SeparableIntegrand(2, ((sin, cos),))
+        psi = mk.SeparableIntegrand(2, ((cos, sin), (sin, sin)))
+        scaled = sin.scaled(-1.5)
+        assert scaled.kind == sin.kind and scaled(0.3) == -1.5 * np.sin(0.3)
+        assert scaled.derivative(0.3, 1) == -1.5 * np.cos(0.3)
+        ops, args = random_ops(rng, 2), random_args(rng, 1)
+        assert mk.moi_linear_combination_check(phi, psi, 0.7, -1.3, ops, args) <= 1e-10
+
     def test_linear_combination_grid_matches_the_pointwise_combination(self, rng):
         exp = mk.ScalarFunction.from_callable(np.exp, (np.exp,))
         sin = mk.ScalarFunction.from_callable(np.sin, (np.cos,))
@@ -364,6 +376,26 @@ class TestNormBound:
             mk.moi_norm_bound(req, schatten_p=(0.5, 2.0))
         with pytest.raises(ParameterError):
             mk.moi_norm_bound(req, schatten_p=(1.0, 1.0))
+
+    @pytest.mark.parametrize("p", [math.nan, 10**400, -10**400, "x", True, None],
+                             ids=["nan", "huge", "minus-huge", "string", "boolean", "none"])
+    def test_schatten_exponents_must_be_real_numbers(self, rng, p):
+        req = mk.MoiRequest(random_ops(rng, 3), random_separable(rng, 3), random_args(rng, 2))
+        checks = (lambda: mk.moi_norm_bound(req, schatten_p=(p, 2.0)),
+                  lambda: moi.holder_reciprocal_sum((2.0, p)),
+                  lambda: mk.schatten_norm(np.eye(2), p))
+        for check in checks:
+            with pytest.raises(ValidationError,
+                               match=r"^Schatten exponents must be real numbers in \[1, inf\]$"):
+                check()
+
+    def test_schatten_exponents_keep_infinity_and_reject_p_below_one(self):
+        assert moi.holder_reciprocal_sum((math.inf, np.int64(2))) == 0.5
+        assert mk.schatten_norm(np.eye(2), math.inf) == 1.0
+        for p in (0.5, -math.inf):
+            with pytest.raises(ParameterError,
+                               match=f"^Schatten exponent must satisfy p >= 1, got {p}$"):
+                moi.holder_reciprocal_sum((2.0, p))
 
     def test_requires_separable(self, rng):
         ops = random_ops(rng, 2)

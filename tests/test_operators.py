@@ -98,6 +98,19 @@ class TestApplyScalarFunction:
         gram = spectral.basis.conj().T @ spectral.basis
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
+    def test_complex_images_give_the_raw_matrix(self, rng):
+        op = mk.HermitianOperator(mk.random_hermitian(3, rng))
+        f = mk.ScalarFunction.from_callable(lambda x: np.exp(1j * x))
+        result = mk.apply_scalar_function(f, op)
+        assert type(result) is np.ndarray
+        expected = oracles.hermitian_function(lambda x: np.exp(1j * x), op.matrix)
+        np.testing.assert_allclose(result, expected, atol=1e-12)
+
+    def test_a_constant_callable_is_broadcast(self, rng):
+        op = mk.HermitianOperator(mk.random_hermitian(3, rng))
+        result = mk.apply_scalar_function(lambda x: 2.5, op)
+        np.testing.assert_allclose(result.matrix, 2.5 * np.eye(3), atol=1e-12)
+
     def test_domain_error_names_eigenvalue(self, rng, uniform_model):
         op = mk.sample_random_hermitian(uniform_model, rng)
         bad = mk.ScalarFunction.from_callable(lambda x: float("nan"))
@@ -261,6 +274,16 @@ class TestRandomHermitian:
     def test_law_parameters_must_be_finite_numbers(self, law):
         with pytest.raises(ValidationError,
                            match=f"^{law[0]} law parameters must be finite numbers$"):
+            mk.RandomOperatorModel(2, law)
+
+    @pytest.mark.parametrize("law, takes", [
+        (("uniform", 0.0), "a, b"), (("uniform", 0.0, 1.0, 2.0), "a, b"),
+        (("gaussian", 0.0, 1.0, 2.0), "mean, sd"), (("gaussian",), "mean, sd"),
+        (("fixed",), "values"), (("fixed", (0.0, 1.0), (2.0,)), "values"),
+    ])
+    def test_law_tuples_hold_their_kinds_parameters(self, law, takes):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{law[0]} law takes the parameters ({takes}), got {len(law) - 1}")):
             mk.RandomOperatorModel(2, law)
 
     @pytest.mark.parametrize("law", [

@@ -7,7 +7,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import moikit as mk
-from moikit.errors import ParameterError, ValidationError
+from moikit.errors import DecompositionFailureError, ParameterError, ValidationError
 
 
 def poly_xy():
@@ -22,6 +22,15 @@ class TestDecomposeInnerPowers:
         np.testing.assert_allclose(
             form.evaluate_many(pts), pts[:, 0] * pts[:, 1], atol=1e-9
         )
+
+    def test_fails_after_every_direction_draw_is_singular(self):
+        class Ones:  # every normal 1: all directions equal, every system singular
+            def standard_normal(self, size):
+                return np.ones(size)
+
+        with pytest.raises(DecompositionFailureError,
+                           match="^no acceptable direction system after 10 attempts"):
+            mk.decompose_inner_powers(poly_xy(), Ones())
 
     def test_constant_polynomial(self):
         poly = mk.MonomialPolynomial(2, (((0, 0), 3.5),))
