@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError, ValidationError
+from .errors import CapabilityError, ParameterError, ValidationError, _integer
 from .integrands import (
     ScalarFunction,
     divided_difference_integrand,
@@ -439,7 +439,8 @@ def composition_weight(h_norm: float, composition: Sequence[int]) -> float:
     """Norm weight of one composition (a sequence of positive parts) in the
     unitary remainder bound: the exponential-series tail at the leading part
     times h^i_p / i_p! over the remaining parts."""
-    parts = tuple(int(i) for i in composition)
+    parts = tuple(_integer(i, "composition parts must be positive integers", "", None)
+                  for i in composition)
     if not parts or any(i < 1 for i in parts):
         raise ParameterError("composition parts must be positive integers")
     if h_norm < 0:

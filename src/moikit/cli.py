@@ -13,8 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -56,39 +54,23 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_BOUND_VIOLATION = 4
 
-logger = logging.getLogger("moikit")
 
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
-
-
-def _configure_logging():
-    level = os.environ.get("MOIKIT_LOG", "warn").lower()
-    logging.basicConfig(
-        level=_LOG_LEVELS.get(level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
-def _require_schema_version(payload, path="input"):
+def _require_schema_version(payload):
     if not isinstance(payload, dict):
-        raise ValidationError("expected an object", path=path)
+        raise ValidationError("expected an object", path="input")
     version = payload.get("schema_version")
     if version != ser.SCHEMA_VERSION:
         raise ValidationError(
             f"schema_version must be {ser.SCHEMA_VERSION}, got {version!r}",
-            path=path + ".schema_version",
+            path="input.schema_version",
         )
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: handler(payload, args) parses and validates the
-# payload, then returns a zero-argument ``run`` that does the computation and
-# returns (output dict, exit code).  ``validate`` calls the parse step only.
+# Command handlers: handler(payload, args) parses and validates a payload
+# whose schema version ``_parse`` has checked, then returns a zero-argument
+# ``run`` that does the computation and returns (output dict, exit code).
+# ``validate`` calls the parse step only.
 # Each handler has its row in ``_COMMANDS``, the one table of the commands.
 # ---------------------------------------------------------------------------
 
@@ -107,7 +89,6 @@ def _matrix_output(value) -> tuple[dict, int]:
 
 
 def _handle_moi_eval(payload, args):
-    _require_schema_version(payload)
     operator_kind = payload.get("operator_kind", "hermitian")
     parse_op = {
         "hermitian": ser.parse_hermitian,
@@ -143,7 +124,6 @@ def _handle_moi_eval(payload, args):
 
 
 def _handle_frechet(payload, args):
-    _require_schema_version(payload)
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     direction = ser.parse_matrix(payload.get("direction", {}), "input.direction")
@@ -151,7 +131,6 @@ def _handle_frechet(payload, args):
 
 
 def _handle_kth_deriv(payload, args):
-    _require_schema_version(payload)
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     direction = ser.parse_matrix(payload.get("direction", {}), "input.direction")
@@ -160,7 +139,6 @@ def _handle_kth_deriv(payload, args):
 
 
 def _handle_higher_diff(payload, args):
-    _require_schema_version(payload)
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     step = ser.parse_hermitian(payload.get("step", {}), "input.step").matrix
@@ -188,7 +166,6 @@ def _handle_higher_diff(payload, args):
 
 
 def _handle_remainder(payload, args):
-    _require_schema_version(payload)
     order = _positive_order(payload)
     flavor = payload.get("flavor")
     if flavor not in ("self_adjoint", "unitary"):
@@ -243,7 +220,6 @@ def _handle_remainder(payload, args):
 
 
 def _handle_tailbound(payload, args):
-    _require_schema_version(payload)
     if args.workers < 1:
         raise ValidationError("--workers must be a positive integer", path="flags.workers")
     if args.seed is not None:
@@ -259,7 +235,6 @@ def _handle_tailbound(payload, args):
 
 
 def _handle_conv_mean(payload, args):
-    _require_schema_version(payload)
     model = ser.parse_model(payload.get("base_model", {}), "input.base_model")
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     arguments = ser._items(payload.get("arguments", []), ser.parse_matrix,
@@ -283,7 +258,6 @@ def _handle_conv_mean(payload, args):
 
 
 def _handle_poly_decompose(payload, args):
-    _require_schema_version(payload)
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
@@ -315,7 +289,6 @@ def _handle_poly_decompose(payload, args):
 
 
 def _handle_mti_eval(payload, args):
-    _require_schema_version(payload)
     tensors = ser._items(payload.get("tensors"), ser.parse_tensor,
                          "tensors must list at least two Hermitian tensors", "input.tensors",
                          least=2)
@@ -363,13 +336,13 @@ def _handle_haar(args):
 
 class _Command(NamedTuple):
     """A subcommand: its help text; ``handler(payload, args)``, the parse step
-    that returns ``run`` (``haar`` and ``validate`` read no command payload
-    and have none); the ``kind`` of the payload it reads and of the report it
-    writes, which ``validate`` recognizes (its own reports included); for a
-    report that is a table, the key of its rows and their columns, since
-    only those reports can be written with ``--format csv``; and which of
-    the flags ``seed`` and ``workers`` it reads (``validate`` runs the parse
-    steps that read them)."""
+    that returns ``run`` once ``_parse`` has checked the schema version
+    (``haar`` and ``validate`` read no command payload and have none); the
+    ``kind`` of the payload it reads and of the report it writes, which
+    ``validate`` recognizes (its own reports included); for a report that is
+    a table, the key of its rows and their columns, since only those reports
+    can be written with ``--format csv``; and which of the flags ``seed`` and
+    ``workers`` it reads (``validate`` runs the parse steps that read them)."""
 
     help: str
     handler: Callable | None = None
@@ -413,6 +386,13 @@ _COMMANDS = {
 }
 
 
+def _parse(command: str, payload, args):
+    """The parse step of a command that reads a payload: the schema version,
+    then the command's handler, which returns ``run``."""
+    _require_schema_version(payload)
+    return _COMMANDS[command].handler(payload, args)
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -428,7 +408,7 @@ def _validate_payload(payload, command: str | None, args) -> dict:
         command = next((name for name, c in _COMMANDS.items() if c.request == kind), None)
     try:
         if command is not None:
-            _COMMANDS[command].handler(payload, args)
+            _parse(command, payload, args)
             matched = command
         elif kind is not None and any(c.result == kind for c in _COMMANDS.values()):
             _require_schema_version(payload)  # a report, which no parse step reads
@@ -517,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.command:
@@ -546,7 +525,6 @@ def main(argv=None) -> int:
                 output = _validate_payload(payload, args.target_command, args)
                 code = EXIT_OK
         else:
-            handler = _COMMANDS[args.command].handler
             try:
                 payload = ser.load_json(args.input)
             except OSError as err:
@@ -554,15 +532,13 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as err:
                 raise ValidationError(f"input is not valid JSON: {err}",
                                       path="flags.input")
-            output, code = handler(payload, args)()
+            output, code = _parse(args.command, payload, args)()
         _write_output(output, args)
         return code
     except (ValidationError, ParameterError, CapabilityError) as err:
-        logger.error("validation error: %s", err)
         sys.stderr.write(f"error: {err}\n")
         return EXIT_VALIDATION
     except (NumericalError, FunctionDomainError, DecompositionFailureError) as err:
-        logger.error("numerical failure: %s", err)
         sys.stderr.write(f"error: {err}\n")
         return EXIT_NUMERICAL
 

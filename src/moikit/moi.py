@@ -40,6 +40,7 @@ from .errors import (
     FunctionDomainError,
     ParameterError,
     ValidationError,
+    _integer,
     _schatten_exponent,
 )
 from .integrands import (
@@ -352,7 +353,8 @@ def moi_partition_evaluate(
     is the product of the per-segment evaluations joined by the argument
     matrices at the segment boundaries.
     """
-    lengths = [int(s) for s in segment_lengths]
+    lengths = [_integer(s, "segment lengths must be integers", "", None)
+               for s in segment_lengths]
     if len(lengths) != len(segment_integrands) or not lengths:
         raise ValidationError("one integrand per segment is required")
     if any(s < 1 for s in lengths):

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DecompositionFailureError, ParameterError, ValidationError
+from .errors import DecompositionFailureError, ParameterError, ValidationError, _integer
 from .integrands import exponent_tuples
 
 __all__ = [
@@ -101,7 +101,8 @@ class InnerPowerForm:
             norm = math.sqrt(sum(v * v for v in direction))
             if degree > 0 and abs(norm - 1.0) > 1e-9:
                 raise ValidationError("directions must be unit-normalized")
-            cleaned.append((int(degree), float(coef), direction))
+            degree = _integer(degree, "term degrees must be integers", "", None)
+            cleaned.append((degree, float(coef), direction))
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def evaluate(self, point: Sequence[float]) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .moi import moi_core
 from .operators import HermitianOperator, _adjoint, _from_spectrum
 
@@ -48,7 +48,7 @@ class HermitianTensor:
     _unfolded: HermitianOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.mode_dims)
+        dims = _mode_dims(self.mode_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError("mode dimensions must be positive")
         unfolded = HermitianOperator(unfold_array(self.entries, dims))
@@ -93,9 +93,14 @@ def unfold(tensor: HermitianTensor) -> HermitianOperator:
     return tensor._unfolded
 
 
+def _mode_dims(mode_dims) -> tuple[int, ...]:
+    return tuple(_integer(d, "mode dimensions must be integers", "", None)
+                 for d in mode_dims)
+
+
 def unfold_array(entries, mode_dims) -> np.ndarray:
     """Unfold a general (not necessarily Hermitian) 2N-way array."""
-    dims = tuple(int(d) for d in mode_dims)
+    dims = _mode_dims(mode_dims)
     arr = np.asarray(entries, dtype=np.complex128)
     if arr.shape != dims + dims:
         raise ValidationError(f"array shape {arr.shape} does not match modes {dims}")
@@ -112,7 +117,7 @@ def fold(matrix, mode_dims) -> HermitianTensor:
 
 def fold_array(matrix, mode_dims) -> np.ndarray:
     """Inverse of :func:`unfold_array`."""
-    dims = tuple(int(d) for d in mode_dims)
+    dims = _mode_dims(mode_dims)
     arr = np.asarray(matrix, dtype=np.complex128)
     p = math.prod(dims)
     if arr.shape != (p, p):

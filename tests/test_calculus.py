@@ -528,3 +528,8 @@ class TestCompositionWeights:
     def test_parts_range_validation(self):
         with pytest.raises(ParameterError):
             mk.composition_weight_sum(1.0, 2, 3)
+
+    @pytest.mark.parametrize("composition", [(1.5, 1), (True, 1)])
+    def test_parts_that_are_not_integers_are_rejected(self, composition):
+        with pytest.raises(ValidationError, match="composition parts must be positive"):
+            mk.composition_weight(0.5, composition)

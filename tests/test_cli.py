@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -433,6 +435,19 @@ def _with_law(payload, law):
             "operator_models": [model] + payload["operator_models"][1:]}
 
 
+# a shipped input of each command that reads a payload
+SHIPPED_INPUTS = {
+    "moi-eval": "demo_moi_eval.json",
+    "frechet": "demo_frechet.json",
+    "kth-deriv": "demo_kth_deriv.json",
+    "higher-diff": "demo_higher_diff.json",
+    "remainder": "demo_remainder_sa.json",
+    "tailbound": "tailbound_kth_derivative.json",
+    "conv-mean": "convmean_default.json",
+    "poly-decompose": "demo_poly_decompose.json",
+    "mti-eval": "demo_mti_eval.json",
+}
+
 # (command, shipped input, edit) for payloads each command rejects with exit 2
 REJECTED_PAYLOADS = [
     pytest.param("remainder", "demo_remainder_sa.json",
@@ -543,8 +558,6 @@ REJECTED_PAYLOADS = [
                  lambda p: _with_law(p, {"kind": "fixed",
                                          "values": [0.5, math.nan, 0.0, 1.0]}),
                  id="tailbound-fixed-value-nan"),
-    pytest.param("frechet", "demo_frechet.json",
-                 lambda p: {**p, "schema_version": 2}, id="frechet-schema-version-two"),
     pytest.param("tailbound", "tailbound_moi_norm_schatten_b.json",
                  lambda p: {**_small_tailbound(p), "schatten_p": [math.nan, 2.0]},
                  id="tailbound-schatten-p-nan"),
@@ -564,6 +577,9 @@ REJECTED_PAYLOADS = [
                  lambda p: _with_tensor_entry_shifted(p, 0.5), id="mti-eval-tensor-not-hermitian"),
     pytest.param("remainder", "demo_remainder_sa.json",
                  lambda p: {**p, "flavor": "bogus"}, id="remainder-bogus-flavor"),
+    *(pytest.param(command, config, lambda p: {**p, "schema_version": 2},
+                   id=f"{command}-schema-version-two")
+      for command, config in SHIPPED_INPUTS.items()),
 ]
 
 
@@ -685,6 +701,18 @@ class TestValidateCommand:
         assert payload["diagnostics"] == [
             "input.schema_version: schema_version must be 1, got 2"]
 
+    def test_another_schema_version_is_the_one_diagnostic_of_every_command(self, tmp_path):
+        # the command itself prints the same, by the schema-version-two rows above
+        assert sorted(SHIPPED_INPUTS) == sorted(n for n, c in _COMMANDS.items() if c.handler)
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "diag.json"
+        for command, config in SHIPPED_INPUTS.items():
+            bad.write_text(json.dumps({**read_json(config_path(config)), "schema_version": 2}))
+            assert run_cli(["validate", "--input", str(bad), "--command", command,
+                            "--output", str(out)]) == 0
+            assert read_json(out)["diagnostics"] == [
+                "input.schema_version: schema_version must be 1, got 2"], command
+
     def test_unparseable_file_still_reports(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -696,6 +724,20 @@ class TestValidateCommand:
 
 
 class TestCliMisc:
+    def test_a_rejected_payload_writes_one_stderr_line(self, tmp_path):
+        # a fresh interpreter, so that no earlier test has set up its stderr
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**read_json(config_path("demo_frechet.json")),
+                                   "schema_version": 2}))
+        source = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (source, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "moikit.cli", "frechet", "--input", str(bad)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: input.schema_version: schema_version must be 1, got 2\n")
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import moikit.cli as cli_module
         from moikit.errors import NumericalError

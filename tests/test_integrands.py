@@ -550,9 +550,9 @@ def table_rows(monkeypatch):
     rows = []
     table = integrands._divided_differences
 
-    def spy(f, nodes, memo):
+    def spy(f, nodes):
         rows.append(len(nodes))
-        return table(f, nodes, memo)
+        return table(f, nodes)
 
     monkeypatch.setattr(integrands, "_divided_differences", spy)
     return rows

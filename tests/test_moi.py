@@ -324,6 +324,14 @@ class TestAlgebraicIdentities:
         with pytest.raises(ValidationError):
             mk.moi_partition_evaluate([psi], [2], ops, args)
 
+    @pytest.mark.parametrize("lengths", [[1.5, 1], [True, 1]])
+    def test_partition_lengths_that_are_not_integers_are_rejected(self, rng, lengths):
+        ops = random_ops(rng, 2)
+        args = random_args(rng, 1)
+        psi = random_separable(rng, 1)
+        with pytest.raises(ValidationError, match="segment lengths must be integers"):
+            mk.moi_partition_evaluate([psi, psi], lengths, ops, args)
+
     def test_split_bad_point(self, rng):
         ops = random_ops(rng, 2)
         args = random_args(rng, 1)

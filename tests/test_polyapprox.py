@@ -87,6 +87,11 @@ class TestToLinearProducts:
         assert len(product.terms[0]) == 1
         np.testing.assert_allclose(product.terms[0][0], [1.2, 1.6, 0.0])
 
+    @pytest.mark.parametrize("degree", [2.5, True])
+    def test_degree_that_is_not_an_integer_is_rejected(self, degree):
+        with pytest.raises(ValidationError, match="term degrees must be integers"):
+            mk.InnerPowerForm(2, ((degree, 1.0, (1.0, 0.0)),))
+
     def test_degree_zero_constant(self):
         form = mk.InnerPowerForm(2, ((0, -2.5, (1.0, 0.0)),))
         product = mk.to_linear_products(form)

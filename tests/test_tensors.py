@@ -8,7 +8,7 @@ import pytest
 import moikit as mk
 from moikit import operators
 from moikit.errors import ValidationError
-from moikit.tensors import unfold_array
+from moikit.tensors import fold_array, unfold_array
 
 import oracles
 
@@ -90,6 +90,18 @@ class TestUnfoldFold:
         entries[0, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             mk.HermitianTensor((2,), entries)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: mk.HermitianTensor((2.5, 2), m.reshape(2, 2, 2, 2)),
+        lambda m: mk.fold(m, (2.7, 2)),
+        lambda m: mk.fold(m, (True, 4)),
+        lambda m: unfold_array(m.reshape(2, 2, 2, 2), (2.5, 2)),
+        lambda m: fold_array(m, (2.5, 2)),
+    ], ids=["tensor", "fold", "fold-bool", "unfold-array", "fold-array"])
+    def test_mode_dims_that_are_not_integers_are_rejected(self, rng, build):
+        matrix = mk.random_hermitian(4, rng)
+        with pytest.raises(ValidationError, match="mode dimensions must be integers"):
+            build(matrix)
 
 
 class TestConjugateSymmetryBoundary:

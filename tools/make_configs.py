@@ -2,12 +2,12 @@
 """Regenerate the shipped experiment configs and CLI demo inputs.
 
 Everything is seeded, so rerunning this script reproduces the configs/ tree
-byte for byte.  Theta grids are calibrated from a short pilot run per
-experiment so the reports show the transition from frequent to rare
-exceedance.
+byte for byte.  Each tail-bound config gets one short pilot run: its theta
+grid runs from the pilot's 30 % quantile to twice its largest statistic, so
+the reports show the transition from frequent to rare exceedance, and the
+higher-difference eigengap bound is 1.05 times the pilot's largest gap.
 """
 
-import dataclasses
 import os
 import sys
 
@@ -17,23 +17,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import moikit as mk
 from moikit import serialization as ser
+from moikit.harness import _simulate_block
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SAMPLES = 10_000
 PILOT = 1_500
 
 
-def theta_grid_from_pilot(experiment_payload) -> list[float]:
-    exp = ser.parse_experiment(experiment_payload)
-    pilot = dataclasses.replace(exp, samples=PILOT)
-    from moikit.harness import _simulate_block
-
-    stats, _, aborted = _simulate_block(pilot, 0, PILOT)
-    values = stats[~aborted]
-    lo = float(np.quantile(values, 0.30))
-    hi = float(np.max(values)) * 2.0
-    grid = np.geomspace(max(lo, 1e-6), hi, 8)
-    return [float(f"{t:.6g}") for t in grid]
+def pilot(payload):
+    """Statistics and terms of the samples that did not abort, in a run of
+    the payload's experiment at PILOT samples."""
+    experiment = ser.parse_experiment({**payload, "samples": PILOT})
+    stats, terms, aborted = _simulate_block(experiment, 0, PILOT)
+    return stats[~aborted], {label: values[~aborted] for label, values in terms.items()}
 
 
 def hermitian_json(dim, rng, norm):
@@ -42,11 +38,6 @@ def hermitian_json(dim, rng, norm):
 
 def model_json(dim, law):
     return ser.model_to_json(mk.RandomOperatorModel(dim, law))
-
-
-def finish(payload):
-    payload["theta_grid"] = theta_grid_from_pilot(payload)
-    return payload
 
 
 def monomial_json(degree, coefficient=1.0):
@@ -69,92 +60,53 @@ def build_tailbound_configs():
     h_u_1 = hermitian_json(3, rng, 0.5)
     h_u_2 = hermitian_json(3, rng, 0.4)
 
-    base = {"schema_version": 1, "kind": "tail_bound_experiment",
-            "samples": SAMPLES}
+    def products(*degrees):
+        return {"arity": len(degrees), "terms": [[monomial_json(d) for d in degrees]]}
 
+    def slots(*degrees):
+        return {"slot_functions": [monomial_json(d) for d in degrees]}
+
+    # theorem, operator models, fixed inputs, integrand, optional fields, seed
+    rows = [
+        ("moi_norm_a", [uniform4, uniform4, uniform4], {"arguments": [x1, x2]},
+         products(1, 1, 1), {}, 101),
+        ("moi_norm_schatten_b", [uniform4, gaussian4, uniform4], {"arguments": [x1, x2]},
+         products(2, 1, 1), {"schatten_p": [2.0, 2.0]}, 102),
+        ("first_derivative", [uniform4], {"direction": direction},
+         monomial_json(3), {}, 103),
+        ("kth_derivative", [uniform4], {"direction": step},
+         monomial_json(3), {"order": 2}, 104),
+        ("higher_difference", [uniform4], {"step": step},
+         monomial_json(3), {"order": 2}, 105),
+        ("sa_remainder", [uniform4, gaussian4], {"perturbations": [h_sa_1, h_sa_2]},
+         slots(4, 3), {"order": 2}, 106),
+        ("unitary_remainder", [phases3, phases3], {"perturbations": [h_u_1, h_u_2]},
+         slots(4, 3), {"order": 2}, 107),
+    ]
     configs = {}
-    configs["tailbound_moi_norm_a"] = finish({
-        **base,
-        "theorem_id": "moi_norm_a",
-        "operator_models": [uniform4, uniform4, uniform4],
-        "fixed_inputs": {"arguments": [x1, x2]},
-        "integrand": {
-            "arity": 3,
-            "terms": [[monomial_json(1), monomial_json(1), monomial_json(1)]],
-        },
-        "theta_grid": [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8],
-        "seed": 101,
-    })
-    configs["tailbound_moi_norm_schatten_b"] = finish({
-        **base,
-        "theorem_id": "moi_norm_schatten_b",
-        "operator_models": [uniform4, gaussian4, uniform4],
-        "fixed_inputs": {"arguments": [x1, x2]},
-        "integrand": {
-            "arity": 3,
-            "terms": [[monomial_json(2), monomial_json(1), monomial_json(1)]],
-        },
-        "theta_grid": [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8],
-        "schatten_p": [2.0, 2.0],
-        "seed": 102,
-    })
-    configs["tailbound_first_derivative"] = finish({
-        **base,
-        "theorem_id": "first_derivative",
-        "operator_models": [uniform4],
-        "fixed_inputs": {"direction": direction},
-        "integrand": monomial_json(3),
-        "theta_grid": [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8],
-        "seed": 103,
-    })
-    configs["tailbound_kth_derivative"] = finish({
-        **base,
-        "theorem_id": "kth_derivative",
-        "operator_models": [uniform4],
-        "fixed_inputs": {"direction": step},
-        "integrand": monomial_json(3),
-        "theta_grid": [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4],
-        "order": 2,
-        "seed": 104,
-    })
-    hd_payload = finish({
-        **base,
-        "theorem_id": "higher_difference",
-        "operator_models": [uniform4],
-        "fixed_inputs": {"step": step},
-        "integrand": monomial_json(3),
-        "theta_grid": [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4],
-        "order": 2,
-        "seed": 105,
-    })
-    # fix the eigengap hypothesis just above the pilot's largest measurement
-    from moikit.harness import _simulate_block
-
-    hd_pilot = ser.parse_experiment({**hd_payload, "samples": PILOT})
-    _, pilot_terms, pilot_aborted = _simulate_block(hd_pilot, 0, PILOT)
-    max_gap = float(np.max(pilot_terms["eigengap"][~pilot_aborted]))
-    hd_payload["eigengap_bound"] = float(f"{max_gap * 1.05:.6g}")
-    configs["tailbound_higher_difference"] = hd_payload
-    configs["tailbound_sa_remainder"] = finish({
-        **base,
-        "theorem_id": "sa_remainder",
-        "operator_models": [uniform4, gaussian4],
-        "fixed_inputs": {"perturbations": [h_sa_1, h_sa_2]},
-        "integrand": {"slot_functions": [monomial_json(4), monomial_json(3)]},
-        "theta_grid": [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4],
-        "order": 2,
-        "seed": 106,
-    })
-    configs["tailbound_unitary_remainder"] = finish({
-        **base,
-        "theorem_id": "unitary_remainder",
-        "operator_models": [phases3, phases3],
-        "fixed_inputs": {"perturbations": [h_u_1, h_u_2]},
-        "integrand": {"slot_functions": [monomial_json(4), monomial_json(3)]},
-        "theta_grid": [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4],
-        "order": 2,
-        "seed": 107,
-    })
+    for theorem_id, models, fixed_inputs, integrand, optional, seed in rows:
+        payload = {
+            "schema_version": 1,
+            "kind": "tail_bound_experiment",
+            "samples": SAMPLES,
+            "theorem_id": theorem_id,
+            "operator_models": models,
+            "fixed_inputs": fixed_inputs,
+            "integrand": integrand,
+            "theta_grid": [1.0],  # the pilot's grid replaces it in this place
+            **optional,
+            "seed": seed,
+        }
+        stats, terms = pilot(payload)
+        lo = float(np.quantile(stats, 0.30))
+        hi = float(np.max(stats)) * 2.0
+        grid = np.geomspace(max(lo, 1e-6), hi, 8)
+        payload["theta_grid"] = [float(f"{t:.6g}") for t in grid]
+        if theorem_id == "higher_difference":
+            # fix the eigengap hypothesis just above the pilot's largest measurement
+            max_gap = float(np.max(terms["eigengap"]))
+            payload["eigengap_bound"] = float(f"{max_gap * 1.05:.6g}")
+        configs[f"tailbound_{theorem_id}"] = payload
     return configs
 
 
