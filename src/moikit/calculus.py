@@ -91,7 +91,7 @@ class RemainderSpec:
     flavor: str
 
     def __post_init__(self):
-        if self.order < 1:
+        if _integer(self.order, "orders must be integers", "", None) < 1:
             raise ValidationError("remainder order must be >= 1")
         if self.flavor not in ("self_adjoint", "unitary"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
@@ -159,6 +159,7 @@ def kth_derivative(
 ) -> np.ndarray:
     """d^k/dt^k f(A + tB) at t = 0: k! times the (k+1)-operator spectral sum
     of the order-k divided difference with k copies of the direction."""
+    order = _integer(order, "orders must be integers", "", None)
     if order < 1:
         raise ParameterError("derivative order must be >= 1")
     integrand = divided_difference_integrand(f, order)
@@ -173,6 +174,7 @@ def higher_difference(
 ) -> np.ndarray:
     """Order-k operator difference: the alternating binomial sum of
     f(A + iB) over i = 0..k."""
+    order = _integer(order, "orders must be integers", "", None)
     if order < 0:
         raise ParameterError("difference order must be nonnegative")
     return _ladder_difference(f, _shift_ladder(operator, step, order))
@@ -219,6 +221,7 @@ def higher_difference_moi_diagnostic(
     the candidate representation (sum over j of spectral sums weighted by the
     slot-gap factor) without treating disagreement as a failure.
     """
+    order = _integer(order, "orders must be integers", "", None)
     if order < 1:
         raise ParameterError("diagnostic needs order >= 1")
     ops = _shift_ladder(operator, step, order)

@@ -321,15 +321,16 @@ def _handle_haar(args):
     count = args.count if args.count is not None else 1
     if count < 1:
         raise ValidationError("--count must be a positive integer", path="flags.count")
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(int(seed))
+    seed = _integer(args.seed if args.seed is not None else 0,
+                    "seed must be a nonnegative integer", "flags.seed")
+    rng = np.random.default_rng(seed)
     samples = [sample_haar_unitary(args.dim, rng) for _ in range(count)]
     return {
         "schema_version": ser.SCHEMA_VERSION,
         "kind": "haar_samples",
         "dim": args.dim,
         "count": count,
-        "seed": int(seed),
+        "seed": seed,
         "samples": [ser.matrix_to_json(u.matrix) for u in samples],
     }, EXIT_OK
 
@@ -424,7 +425,7 @@ def _validate_payload(payload, command: str | None, args) -> dict:
         for key in ("operators", "arguments", "tensors", "theta_grid", "rows"):
             if isinstance(payload.get(key), list):
                 summary[f"{key}_count"] = len(payload[key])
-        if "samples" in payload and isinstance(payload["samples"], int):
+        if isinstance(payload.get("samples"), int) and not isinstance(payload["samples"], bool):
             summary["samples"] = payload["samples"]
     return {
         "schema_version": ser.SCHEMA_VERSION,

@@ -211,11 +211,7 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     # the name the order and model-count messages use
     name = tid.replace("_", "-") if theorem.integrand == "scalar" else "remainder"
     if "order" in theorem.optional:
-        order = exp.order
-        if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
-                or order < 1):
-            raise ValidationError(f"{name} experiments need order >= 1")
-        fields["order"] = int(order)
+        fields["order"] = _integer(exp.order, f"{name} experiments need order >= 1", "", 1)
     if exp.eigengap_bound is not None:
         message = "eigengap_bound must be a finite positive number"
         fields["eigengap_bound"] = _finite(exp.eigengap_bound, message)
@@ -863,7 +859,10 @@ def convergence_in_mean_check(
     directions are fixed; every step only rescales the perturbation, so the
     per-step means are directly comparable.  The bound domination is pathwise
     (it is the continuity modulus of the same instance), hence exact for the
-    Monte Carlo means as well.
+    Monte Carlo means as well when ``f`` is a polynomial, whose surrogate is
+    an upper bound.  For any other ``f`` the surrogate is a sup over the
+    spectra, only a lower bound on the integrand's Schur-multiplier norm, so
+    the domination is not certified (see :func:`moikit.moi.continuity_modulus`).
     """
     epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
         epsilon0, steps, r, order, arguments, samples, seed

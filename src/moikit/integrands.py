@@ -1,7 +1,7 @@
 """Scalar integrand functions and their multivariate combinations.
 
 Covers scalar functions with derivative access (polynomials, callables with
-supplied derivatives, plain callables with numerical differentiation),
+supplied derivatives, plain callables with a numerical first derivative),
 divided differences with confluent-node handling, separable (rank-one-sum)
 representations of multivariate integrands, and the computable projective
 norm surrogate used by every certified bound in the package.
@@ -48,35 +48,21 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import CapabilityError, ParameterError, ValidationError
+from .errors import CapabilityError, ParameterError, ValidationError, _integer
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
 POLYNOMIAL = "polynomial"
 CALLABLE_WITH_DERIVATIVES = "callable_with_derivatives"
-CALLABLE_ONLY = "callable_only"
-
-MAX_NUMERIC_DERIVATIVE_ORDER = 3
 
 
-def _central_difference(fn, x, order: int, h: float):
-    if order == 1:
-        return (fn(x + h) - fn(x - h)) / (2.0 * h)
-    if order == 2:
-        return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / h**2
-    # order == 3
-    return (fn(x + 2 * h) - 2.0 * fn(x + h) + 2.0 * fn(x - h) - fn(x - 2 * h)) / (
-        2.0 * h**3
-    )
-
-
-def _richardson_derivative(fn, x, order: int):
-    # Step balances the O(h^2) truncation of the central stencil against the
-    # eps / h^order roundoff floor; two extrapolation levels on top.
-    h = _MACHINE_EPS ** (1.0 / (order + 2)) * max(1.0, abs(x))
-    d0 = _central_difference(fn, x, order, h)
-    d1 = _central_difference(fn, x, order, h / 2.0)
-    d2 = _central_difference(fn, x, order, h / 4.0)
+def _numeric_derivative(fn, x):
+    """f'(x) of a bare value function: central differences at steps h, h/2
+    and h/4, then two Richardson extrapolation levels; the step balances
+    the O(h^2) truncation against the eps / h roundoff floor."""
+    h = _MACHINE_EPS ** (1.0 / 3) * max(1.0, abs(x))
+    central = lambda s: (fn(x + s) - fn(x - s)) / (2.0 * s)  # noqa: E731
+    d0, d1, d2 = central(h), central(h / 2.0), central(h / 4.0)
     r0 = (4.0 * d1 - d0) / 3.0
     r1 = (4.0 * d2 - d1) / 3.0
     return (16.0 * r1 - r0) / 15.0
@@ -85,15 +71,13 @@ def _richardson_derivative(fn, x, order: int):
 class ScalarFunction:
     """A scalar function of one variable with declared derivative access.
 
-    Three kinds:
+    Two kinds:
 
     * ``polynomial`` -- coefficients ascending by degree; derivatives of every
       order are exact.
     * ``callable_with_derivatives`` -- a value function plus derivative
-      functions up to some order.
-    * ``callable_only`` -- a bare value function; derivatives up to order 3
-      come from Richardson-extrapolated central differences, higher orders
-      raise :class:`CapabilityError`.
+      functions up to some order; :meth:`from_callable` gives a bare value
+      function one, its numeric first derivative (:func:`_numeric_derivative`).
     """
 
     def __init__(
@@ -118,14 +102,12 @@ class ScalarFunction:
             self.coefficients.setflags(write=False)
             self.value_fn = None
             self.derivative_fns = ()
-        elif kind in (CALLABLE_WITH_DERIVATIVES, CALLABLE_ONLY):
+        elif kind == CALLABLE_WITH_DERIVATIVES:
             if value_fn is None:
                 raise ValidationError(f"{kind} needs a value function")
             self.coefficients = None
             self.value_fn = value_fn
             self.derivative_fns = tuple(derivative_fns)
-            if kind == CALLABLE_ONLY and self.derivative_fns:
-                raise ValidationError("callable_only takes no derivative functions")
         else:
             raise ValidationError(f"unknown scalar-function kind {kind!r}")
 
@@ -147,8 +129,9 @@ class ScalarFunction:
 
     @classmethod
     def from_callable(cls, value_fn, derivatives: Sequence[Callable] = ()) -> "ScalarFunction":
-        kind = CALLABLE_WITH_DERIVATIVES if derivatives else CALLABLE_ONLY
-        return cls(kind, value_fn=value_fn, derivative_fns=derivatives)
+        if not derivatives:
+            derivatives = (functools.partial(_numeric_derivative, value_fn),)
+        return cls(CALLABLE_WITH_DERIVATIVES, value_fn=value_fn, derivative_fns=derivatives)
 
     # -- evaluation --------------------------------------------------------
 
@@ -167,9 +150,7 @@ class ScalarFunction:
     def derivative_order_available(self) -> float:
         if self.kind == POLYNOMIAL:
             return math.inf
-        if self.kind == CALLABLE_WITH_DERIVATIVES:
-            return len(self.derivative_fns)
-        return MAX_NUMERIC_DERIVATIVE_ORDER
+        return len(self.derivative_fns)
 
     def derivative(self, x, order: int = 1):
         """Value of the ``order``-th derivative at ``x``."""
@@ -184,9 +165,7 @@ class ScalarFunction:
             )
         if self.kind == POLYNOMIAL:
             return npoly.polyval(x, npoly.polyder(self.coefficients, order))
-        if self.kind == CALLABLE_WITH_DERIVATIVES:
-            return self.derivative_fns[order - 1](x)
-        return _richardson_derivative(self.value_fn, x, order)
+        return self.derivative_fns[order - 1](x)
 
     def scaled(self, factor) -> "ScalarFunction":
         """The function multiplied by a scalar."""
@@ -224,7 +203,7 @@ class DividedDifferenceSpec:
     nodes: tuple
 
     def __post_init__(self):
-        if self.order < 0:
+        if _integer(self.order, "orders must be integers", "", None) < 0:
             raise ValidationError("divided-difference order must be nonnegative")
         nodes = tuple(complex(z) if np.iscomplexobj(np.asarray(self.nodes)) else float(z)
                       for z in self.nodes)
@@ -1131,6 +1110,7 @@ def divided_difference_integrand(
     whose value the grid reads.  Its sup (see :func:`_sup_norms`) is the max
     over those tuples' values, with no grid.
     """
+    order = _integer(order, "orders must be integers", "", None)
     if order < 0:
         raise ParameterError("divided-difference order must be nonnegative")
     if f.kind == POLYNOMIAL:

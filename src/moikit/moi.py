@@ -475,14 +475,18 @@ def continuity_modulus(
     arguments: Sequence[np.ndarray],
 ) -> tuple[float, float]:
     """Measured drift of an evaluation under operator perturbation, with the
-    certified modulus-of-continuity bound.
+    modulus-of-continuity bound.
 
     lhs = || T(perturbed list) - T(base list) || for the order-n divided
     difference integrand; bound = (order-(n+1) surrogate norm over the union
     of both spectra) * sum_i ||A'_i - A_i|| * prod_j ||X_j||.  For a
-    non-polynomial ``f`` the surrogate is the sup over every multiset of the
-    union's distinct nodes, each read once, with no grid.
+    polynomial ``f`` the surrogate is the projective sum, an upper bound on
+    the integrand's Schur-multiplier norm, so the bound is certified.  For
+    any other ``f`` it is the sup over every multiset of the union's
+    distinct nodes, each read once, with no grid: only a lower bound on that
+    norm, so the bound is an estimate, not a certificate.
     """
+    order = _integer(order, "orders must be integers", "", None)
     if len(perturbed) != len(operators):
         raise ValidationError("operator lists must have equal length")
     if len(operators) != order + 1:

@@ -306,6 +306,32 @@ class TestRemainderSpecChecks:
             mk.RemainderSpec(**{**self.fields(rng), **edit(rng)})
 
 
+ORDER_SITES = {
+    "kth_derivative": lambda f, a, b, e, order: mk.kth_derivative(f, a, e, order),
+    "higher_difference": lambda f, a, b, e, order: mk.higher_difference(f, a, e, order),
+    "higher_difference_moi_diagnostic":
+        lambda f, a, b, e, order: mk.higher_difference_moi_diagnostic(f, a, e, order),
+    "divided_difference_integrand":
+        lambda f, a, b, e, order: mk.divided_difference_integrand(f, order),
+    "DividedDifferenceSpec": lambda f, a, b, e, order: mk.DividedDifferenceSpec(
+        f, order, (0.1, 0.2)),
+    "RemainderSpec": lambda f, a, b, e, order: mk.RemainderSpec(
+        order, mk.SlotFunctionSum((f,)), (a,), (e,), "self_adjoint"),
+    "continuity_modulus":
+        lambda f, a, b, e, order: mk.continuity_modulus(f, order, (a, a), (b, b), (e,)),
+}
+
+
+@pytest.mark.parametrize("order", [True, 1.0, 1.5])
+@pytest.mark.parametrize("site", sorted(ORDER_SITES))
+def test_orders_that_are_not_integers_are_rejected(rng, site, order):
+    # each call is valid at order 1
+    a, b = random_hermitian_op(rng, dim=3), random_hermitian_op(rng, dim=3)
+    e = mk.random_hermitian(3, rng, norm=0.3)
+    with pytest.raises(ValidationError, match="^orders must be integers$"):
+        ORDER_SITES[site](mk.ScalarFunction.monomial(3), a, b, e, order)
+
+
 class TestExpSeriesTail:
     def test_first_tail_is_exponential_minus_identity(self, rng):
         h = mk.HermitianOperator(mk.random_hermitian(3, rng, norm=0.7))

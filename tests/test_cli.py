@@ -148,6 +148,11 @@ class TestHaarCommand:
         assert capsys.readouterr().err == (
             "error: flags.count: --count must be a positive integer\n")
 
+    def test_negative_seed_is_validation_error(self, capsys):
+        assert run_cli(["haar", "--dim", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: flags.seed: seed must be a nonnegative integer\n")
+
 
 class TestTailboundCommand:
     def test_small_run_json_and_csv(self, tmp_path):
@@ -614,6 +619,16 @@ class TestValidateCommand:
         assert payload["ok"]
         assert payload["matched"] == "moi-eval"
         assert payload["summary"]["operators_count"] == 2
+
+    @pytest.mark.parametrize("samples, summary", [(1000, {"samples": 1000}), (True, {}),
+                                                  (2.5, {})], ids=["integer", "boolean", "float"])
+    def test_only_an_integer_sample_count_is_summarised(self, tmp_path, samples, summary):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"schema_version": 1, "kind": "tail_bound_report",
+                                      "samples": samples}))
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(report), "--output", str(out)]) == 0
+        assert read_json(out)["summary"] == summary
 
     def test_validation_report_validates(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"

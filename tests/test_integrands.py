@@ -84,8 +84,23 @@ class TestDividedDifference:
 
     def test_callable_only_capability_limit(self):
         f = mk.ScalarFunction.from_callable(math.sin)
-        with pytest.raises(CapabilityError):
-            dd(f, 4, (1.0,) * 5)
+        assert f.derivative_order_available == 1
+        with pytest.raises(CapabilityError, match="needs derivative order 2, available 1"):
+            dd(f, 2, (1.0,) * 3)
+
+    def test_callable_only_first_derivative_is_the_richardson_rule(self):
+        # central differences at h, h/2 and h/4, h = eps^(1/3) max(1, |x|),
+        # and two Richardson levels: bit for bit
+        f = mk.ScalarFunction.from_callable(np.sin)
+        for x in np.linspace(-5, 5, 101):
+            h = float(np.finfo(float).eps) ** (1.0 / 3) * max(1.0, abs(x))
+            d0, d1, d2 = ((np.sin(x + s) - np.sin(x - s)) / (2.0 * s)
+                          for s in (h, h / 2.0, h / 4.0))
+            r0 = (4.0 * d1 - d0) / 3.0
+            r1 = (4.0 * d2 - d1) / 3.0
+            assert same_bits(f.derivative(x, 1), (16.0 * r1 - r0) / 15.0)
+        assert f.kind == "callable_with_derivatives"
+        assert repr(f) == "ScalarFunction(callable_with_derivatives)"
 
     def test_supplied_derivative_limit(self):
         f = mk.ScalarFunction.from_callable(math.sin, derivatives=[math.cos])
@@ -483,6 +498,7 @@ def exp_with_derivatives(order=4):
 SCALAR_FUNCTIONS = {
     "polynomial": lambda: mk.ScalarFunction.polynomial([0.3, -1.0, 0.5, 2.0, 0.7, -0.1]),
     "callable_with_derivatives": exp_with_derivatives,
+    # a bare callable: one numeric derivative
     "callable_only": lambda: mk.ScalarFunction.from_callable(np.sin),
     # values of Python type, divided as CPython divides complex numbers
     "python_complex": lambda: mk.ScalarFunction.from_callable(
@@ -638,9 +654,10 @@ class TestVectorizedTable:
 
         monkeypatch.setattr(integrands, "_recursion", spy)
         f = SCALAR_FUNCTIONS[name]()
+        order = min(2, f.derivative_order_available)  # a bare callable: 1
         axis = awkward_axis(kind, np.random.default_rng(7))
-        integrands._divided_difference_grid(f, 2, [axis] * 3)
-        dd(f, 2, axis[[0, 3, 5]])
+        integrands._divided_difference_grid(f, order, [axis] * (order + 1))
+        dd(f, order, axis[[0, 3, 5][: order + 1]])
         expected = np.dtype(ARITHMETIC[name][kind == "unit_circle"])
         assert dtypes == [expected, expected]
 
@@ -668,7 +685,12 @@ class TestVectorizedTable:
     def test_non_finite_grids_name_the_same_tuple(self):
         from moikit.moi import _integrand_grid
 
-        f = mk.ScalarFunction.from_callable(lambda x: x if x.real < 0.2 else math.inf)
+        # x left of 0.2 and inf right of it; its derivatives are NaN there,
+        # as differences of inf are
+        f = mk.ScalarFunction.from_callable(
+            lambda x: x if x.real < 0.2 else math.inf,
+            (lambda x: 1.0 if x.real < 0.2 else math.nan,
+             lambda x: 0.0 if x.real < 0.2 else math.nan))
         axis = np.array([-0.5, 0.3, 0.1, -0.5, 0.6])
         psi = mk.divided_difference_integrand(f, 2)
         per_point = mk.MultivariateFunction(

@@ -457,7 +457,7 @@ class TestContinuity:
     def test_non_polynomial_bound_is_the_sup_over_the_union(self, rng, name):
         f = {
             "exp": mk.ScalarFunction.from_callable(np.exp, (np.exp,) * 3),
-            "sin": mk.ScalarFunction.from_callable(np.sin),
+            "sin": mk.ScalarFunction.from_callable(np.sin, (np.cos, lambda x: -np.sin(x))),
         }[name]
         ops = random_ops(rng, 2)
         args = random_args(rng, 1)
@@ -472,6 +472,16 @@ class TestContinuity:
         assert bound == surrogate * drift * mk.operator_norm(args[0])
         assert 0.0 < lhs <= bound
         assert mk.continuity_modulus(f, 1, ops, ops, args) == (0.0, 0.0)
+
+    def test_a_bare_callable_lacks_the_second_derivative_of_the_sup(self, rng):
+        # the order-1 sup reads f^[2] on the union, f'' at each triple
+        ops = random_ops(rng, 2)
+        perturbed = tuple(
+            mk.shifted_operator(op, mk.random_hermitian(4, rng, norm=1e-3)) for op in ops
+        )
+        with pytest.raises(CapabilityError, match="needs derivative order 2, available 1"):
+            mk.continuity_modulus(mk.ScalarFunction.from_callable(np.sin), 1, ops, perturbed,
+                                  random_args(rng, 1))
 
     def test_linear_decay_in_epsilon(self, rng):
         ops = random_ops(rng, 3)
