@@ -11,13 +11,14 @@ tuples of indices into distinct nodes at once (:func:`_recursion`): level
 l holds f^[l] on each window of l + 1 indices of each tuple, the difference
 of the two level-(l - 1) entries it spans over the difference of its end
 nodes, or f^(l)/l! where its ends are equal.  Each tuple is snapped first
-(:func:`_snapped_nodes`, which merges clustered nodes), and then is a
-sorted tuple of indices into the nodes it snaps to.  The grid of a
-non-polynomial divided-difference integrand (:func:`_divided_difference_grid`)
-evaluates each distinct sorted tuple of indices into the union of the axes
-once: on equal axes the multisets of the axis's nodes, listed by rank, else
-those the ranks of the points find; :func:`divided_difference` is a stack of
-one tuple.  The table runs the scalar recursion's own arithmetic: float64
+(:func:`_snapped_nodes`: a cluster of equal nodes is that node, and one of
+distinct nearby nodes their mean), and then is a sorted tuple of indices
+into the nodes it snaps to.  The grid of a non-polynomial
+divided-difference integrand (:func:`_divided_difference_grid`) evaluates
+each distinct sorted tuple of indices into the union of the axes once: on
+equal axes the multisets of the axis's nodes, listed by rank, else those
+the ranks of the points find; :func:`divided_difference` is a stack of one
+tuple.  The table runs the scalar recursion's own arithmetic: float64
 when the nodes are real and every value it reads is a float, complex128
 when every value is a numpy complex128, and else the Python or numpy
 operation on each value itself.  Every value has the bits of the scalar
@@ -195,7 +196,8 @@ class DividedDifferenceSpec:
 
     Nodes clustered within :attr:`tolerance` are merged and evaluated
     through derivatives (the Hermite limit), which is the unique continuous
-    extension of the difference-quotient recursion.
+    extension of the difference-quotient recursion.  A cluster of equal
+    nodes is evaluated at that node; one of distinct nodes at their mean.
     """
 
     f: ScalarFunction
@@ -244,21 +246,25 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 def _snapped_nodes(nodes: np.ndarray) -> np.ndarray:
     """Each row of ``nodes`` sorted by (real, imag), with every cluster of
     nodes joined by steps within the row's merge radius replaced by its
-    mean, summed left to right over the sorted members; sorted again."""
+    mean (see :func:`_cluster_means`); sorted again.  A step or a sum that
+    overflows, or is NaN, raises no warning: such a step is not near."""
     nodes = np.sort(nodes, axis=1)
     width = nodes.shape[1]
     radius = DividedDifferenceSpec._merge_radius(nodes)
-    near = _modulus(nodes[:, :, None] - nodes[:, None, :]) <= radius[:, None, None]
-    snapped = nodes + 0.0  # a node that merges with none is its own mean, 0 + z
-    merging = np.flatnonzero(np.count_nonzero(near, axis=(1, 2)) > width)
-    if merging.size:
-        snapped[merging] = np.sort(_cluster_means(nodes[merging], near[merging]), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = _modulus(nodes[:, :, None] - nodes[:, None, :]) <= radius[:, None, None]
+        snapped = nodes + 0.0  # a node that merges with none is its own mean, 0 + z
+        merging = np.flatnonzero(np.count_nonzero(near, axis=(1, 2)) > width)
+        if merging.size:
+            snapped[merging] = np.sort(_cluster_means(nodes[merging], near[merging]), axis=1)
     return snapped
 
 
 def _cluster_means(nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Each node replaced by the mean of its cluster: the connected
-    component of the ``near`` graph over its row."""
+    """Each node replaced by the mean of its cluster, the connected
+    component of the ``near`` graph over its row: summed left to right over
+    the sorted members, except that a cluster of equal nodes is that node,
+    z + 0.0."""
     width = nodes.shape[1]
     # label propagation: every node takes the least label among itself and
     # its neighbours until the labels settle, one per cluster (a node that
@@ -274,7 +280,9 @@ def _cluster_means(nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
     total = np.zeros_like(nodes)
     for j in range(width):
         total += np.where(member[:, :, j], nodes[:, j, None], 0.0)
-    return _mean(total, member.sum(axis=2))
+    count = member.sum(axis=2)
+    equal = (member <= (nodes[:, :, None] == nodes[:, None, :])).all(axis=2) & (count > 1)
+    return np.where(equal, nodes + 0.0, _mean(total, count))
 
 
 def _mean(total: np.ndarray, count) -> np.ndarray:
@@ -346,8 +354,9 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
     and a point's rank is its tuple's index (see :func:`_grid_ranks`); a
     strictly ascending real axis, as ``eigh`` returns it, is its own union.
     Else the distinct tuples are found by rank (see :func:`_distinct_tuples`).
-    Each one that snapping may move is snapped once (see :func:`_snapped`):
-    its snapped values join the nodes, and its indices point at them.  The
+    Each one that snapping may move, one with a node near another value of
+    the union or not finite, is snapped once (see :func:`_snapped`): its
+    snapped values join the nodes, and its indices point at them.  The
     scalar recursion then runs on every tuple at once (see
     :func:`_recursion`).
     """
@@ -465,19 +474,6 @@ def _distinct_tuples(ranks: np.ndarray, space: int) -> tuple[np.ndarray, np.ndar
     return first, position[ranks]
 
 
-def _run_means(values: np.ndarray, count: int) -> list[np.ndarray]:
-    """Per M = 1..count, the mean that :func:`_cluster_means` gives M equal
-    copies of each value: (0 + v + ... + v) / M (see :func:`_mean`).  It
-    is v for M = 1 and 2 (short of overflow), but often not from 3 on."""
-    total = values + 0.0
-    means = [total]
-    with np.errstate(all="ignore"):
-        for m in range(2, count + 1):
-            total = total + values
-            means.append(_mean(total, m))
-    return means
-
-
 def _isolated(union: np.ndarray) -> np.ndarray:
     """Whether each value of the sorted union is finite and farther than the
     union's merge radius from every other value.  No tuple of union values
@@ -511,53 +507,31 @@ def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
     and those tuples snap to, and the tuples as indices into them, each
     sorted by its nodes.
 
-    A tuple of k + 1 equal finite nodes snaps to their mean (see
-    :func:`_run_means`).  Any other tuple stays as it is when its nodes are
-    isolated in the union (see :func:`_isolated`) and each run of equal
-    nodes is its own mean, and else goes through :func:`_snapped_nodes`, in
-    chunks whose node differences take at most :data:`_GRID_CHUNK_BYTES`;
-    the union with every node a tuple snaps to is then sorted again.  When
-    only tuples of equal nodes move, each points at its mean, appended to
-    the union: only that tuple reads it, through ``f^(k)`` alone.
+    A tuple stays as it is when its indices are all equal (k + 1 copies of
+    a node are that node) or when its nodes are all isolated in the union
+    (see :func:`_isolated`), since each cluster is then a run of equal
+    nodes.  Every other tuple goes through :func:`_snapped_nodes`, in chunks
+    whose node differences take at most :data:`_GRID_CHUNK_BYTES`; the union
+    with every node a tuple snaps to is then sorted again.
     """
     width = len(tuples)
     isolated = _isolated(union)
-    means = _run_means(union, width)
-    equal = tuples[0] == tuples[-1]
-    # by run length M = 1..k+1, whether M copies of each value snap to it
-    # (row 0: whether it is isolated)
-    exact = np.array([isolated] + [mean == union for mean in means])
-    rest = shifted = np.zeros(0, dtype=np.intp)
-    if not exact[:width].all():  # a value near another, or moved by a run of up to k
-        kept = np.logical_and.reduce([isolated[t] for t in tuples])
-        if not exact[2:width, isolated].all():
-            for t in tuples:
-                kept &= exact[sum(t == other for other in tuples), t]
-        rest = np.flatnonzero(~(equal | kept))
-    # k + 1 equal nodes snap to their mean, unless they are not finite
-    moving = np.isfinite(union) & ~exact[width]
-    if moving.any():
-        shifted = np.flatnonzero(equal & moving[tuples[0]])
-    if shifted.size + rest.size == 0:
+    if isolated.all():
         return union, tuples
+    kept = (tuples[0] == tuples[-1]) | np.logical_and.reduce([isolated[t] for t in tuples])
+    rest = np.flatnonzero(~kept)
     if rest.size == 0:
-        nodes = np.concatenate([union, means[-1][tuples[0][shifted]]])
-        tuples = [t.copy() for t in tuples]
-        for t in tuples:
-            t[shifted] = np.arange(union.size, nodes.size)
-        return nodes, tuples
+        return union, tuples
     rows = max(1, _GRID_CHUNK_BYTES // (16 * width**2))
-    snapped = [means[-1][tuples[0][shifted]]] + [
+    snapped = [
         _snapped_nodes(union[np.stack([t[rest[lo : lo + rows]] for t in tuples], 1)]).ravel()
         for lo in range(0, rest.size, rows)
     ]
     nodes, inverse = np.unique(np.concatenate([union, *snapped]),
                                return_inverse=True, equal_nan=False)
     tuples = [inverse[t] for t in tuples]
-    start = union.size + shifted.size
     # sorted again, since values that sort as equal (NaN) need not keep order
-    for t, s in zip(tuples, np.sort(inverse[start:].reshape(-1, width), axis=1).T):
-        t[shifted] = inverse[union.size : start]
+    for t, s in zip(tuples, np.sort(inverse[union.size:].reshape(-1, width), axis=1).T):
         t[rest] = s
     return nodes, tuples
 

@@ -62,7 +62,7 @@ def divided_difference_recursive(point_fn, nodes):
 def _cluster_nodes(nodes, tol):
     """Snap tolerance-coincident nodes to their cluster mean: union-find over
     the pairwise distance graph, members summed left to right in (real,
-    imag) order."""
+    imag) order; a cluster of two or more equal nodes is that node."""
     n = len(nodes)
     parent = list(range(n))
 
@@ -88,7 +88,7 @@ def _cluster_nodes(nodes, tol):
         total = 0
         for value in sorted(vals, key=lambda z: (complex(z).real, complex(z).imag)):
             total = total + value
-        reps[root] = total / len(vals)
+        reps[root] = vals[0] + 0.0 if len(vals) > 1 and len(set(vals)) == 1 else total / len(vals)
     return [reps[find(i)] for i in range(n)]
 
 

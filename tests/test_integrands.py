@@ -108,6 +108,23 @@ class TestDividedDifference:
         with pytest.raises(CapabilityError):
             dd(f, 2, (0.7, 0.7, 0.7))
 
+    def test_equal_nodes_read_the_hermite_limit_at_the_node(self):
+        # three copies of 0.1 give f''(0.1) / 2, read at 0.1 itself: their
+        # left-to-right mean is 0.10000000000000002
+        calls = []
+
+        def second(x):
+            calls.append(x)
+            return np.exp(x)
+
+        f = mk.ScalarFunction.from_callable(np.exp, (np.exp, second))
+        assert same_bits(dd(f, 2, (0.1, 0.1, 0.1)), np.exp(0.1) / 2)
+        assert calls == [0.1]
+        calls.clear()
+        grid = integrands._divided_difference_grid(f, 2, [np.array([0.1, 0.5])] * 3)
+        assert same_bits(np.diagonal(np.diagonal(grid)), np.exp([0.1, 0.5]) / 2)
+        assert sorted(calls) == [0.1, 0.5]
+
     def test_complex_nodes(self):
         f = mk.ScalarFunction.monomial(2)
         a, b = np.exp(0.3j), np.exp(1.1j)
@@ -661,17 +678,15 @@ class TestVectorizedTable:
         expected = np.dtype(ARITHMETIC[name][kind == "unit_circle"])
         assert dtypes == [expected, expected]
 
-    def test_two_copies_of_an_overflowing_node_have_the_mean_of_the_recursion(self):
-        # the sum's real part overflows: CPython's complex / int makes the
-        # imaginary part NaN, as the per-point recursion's cluster mean does
+    def test_two_copies_of_an_overflowing_node_are_that_node(self):
+        # z + z overflows, but a cluster of equal nodes is that node, in the
+        # per-point recursion's clustering as in the vectorized one
         z = 1.7e308 * cmath.exp(0.4j)
         expected = oracles._cluster_nodes([z, z], 1e-7 * abs(z))
-        assert cmath.isinf(expected[0]) and math.isnan(expected[0].imag)
+        assert expected == [z, z]
         with np.errstate(over="ignore"):
             cluster = integrands._cluster_means(np.array([[z, z]]), np.ones((1, 2, 2), bool))
-            runs = integrands._run_means(np.array([z]), 2)
         assert same_bits(cluster[0], expected)
-        assert same_bits(runs[1], expected[:1])
 
     def test_capability_error_reports_the_first_failing_tuple(self):
         f = exp_with_derivatives(1)
@@ -768,7 +783,7 @@ class TestVectorizedTable:
                         if ordered[i] == ordered[i + level])
             needed |= reads(ordered)
         assert {level for level, _ in needed} == {0, 1, 2}
-        # rows that snap to three equal nodes read f'' / 2 at their mean alone
+        # rows of three equal nodes read f'' / 2 at their node alone
         assert needed < used
         assert sorted(calls, key=str) == sorted(needed, key=str)
 
@@ -823,8 +838,7 @@ class TestVectorizedTable:
         calls.clear()
         chunked = integrands._divided_difference_grid(f, 2, axes)
         # the C(7, 3) = 35 multisets of the axis's 5 distinct values, none
-        # isolated, less the 5 of three equal nodes, which snap to their mean
-        # directly
+        # isolated, less the 5 of three equal nodes, which stay as they are
         assert rows == [7, 7, 7, 7, 2]
         assert same_bits(chunked, whole)
         assert len(calls) == len(set(calls))  # once per node, across the chunks
@@ -850,8 +864,8 @@ class TestVectorizedTable:
 
 # a node whose mean over three copies, summed left to right, is not the node
 # (nor over five, on the circle), and on the line one whose mean over five is
-# not: _snapped_nodes moves runs of them, so the union table serves no tuple
-# holding such a run
+# not: a run of equal nodes is its own cluster, and a grid that moved runs of
+# these to their mean would read other values
 INEXACT_MEANS = {
     "real": [0.1, -0.053],
     "unit_circle": [complex(np.exp(4.734462493192759j))],
@@ -899,26 +913,13 @@ def reads(nodes):
     return reads(nodes[1:]) | reads(nodes[:-1])
 
 
-def expected_calls(axes, order):
-    """The (order, node) pairs a grid on separated axes calls: for a point
-    of equal nodes the top derivative at their mean; for a point whose runs
-    of equal nodes snap to their own values the reads of its recursion; for
-    any other point, which goes through the per-point table, every entry of
-    its table at its snapped nodes."""
-    expected = set()
-    for point in itertools.product(*axes):
-        nodes = sorted(point, key=lambda z: (complex(z).real, complex(z).imag))
-        snapped = sorted((run_mean(z, nodes.count(z)) for z in nodes),
-                         key=lambda z: (complex(z).real, complex(z).imag))
-        if nodes[0] == nodes[-1]:
-            expected.add((order, complex(snapped[0])))
-        elif snapped == nodes:
-            expected |= reads(nodes)
-        else:
-            expected |= {(0, complex(z)) for z in snapped}
-            expected |= {(level, complex(snapped[i])) for level in range(1, order + 1)
-                         for i in range(order + 1 - level) if snapped[i] == snapped[i + level]}
-    return expected
+def expected_calls(axes):
+    """The (order, node) pairs a grid on separated axes calls: the reads of
+    the recursion of each point at its own nodes, which no run of equal
+    nodes moves (for a point of equal nodes, the top derivative at the
+    node)."""
+    return set().union(*(reads(sorted(point, key=lambda z: (complex(z).real, complex(z).imag)))
+                         for point in itertools.product(*axes)))
 
 
 class TestUnionTable:
@@ -943,20 +944,19 @@ class TestUnionTable:
                             expected)
 
     def test_served_tuples_skip_the_per_point_table(self, monkeypatch):
-        # order 2: three equal nodes snap to their mean directly, and pairs
-        # to their own values, so no tuple goes through _snapped_nodes
+        # runs of equal nodes are their own clusters, and every node is
+        # isolated, so no tuple goes through _snapped_nodes
         rows = snapped_rows(monkeypatch)
         f = exp_with_derivatives(3)
         for kind in ("real", "unit_circle"):
             axes = separated_axes("single", kind, 2)
             assert same_bits(integrands._divided_difference_grid(f, 2, axes),
                              oracles.divided_difference_grid_per_point(f, 2, axes))
-        assert rows == []
-        # order 3: the triples of 0.1 snap to their inexact mean
+        # order 3: the triples of 0.1, whose mean is not 0.1, stay too
         axes = separated_axes("single", "real", 3)
         assert same_bits(integrands._divided_difference_grid(f, 3, axes),
                          oracles.divided_difference_grid_per_point(f, 3, axes))
-        assert rows == [2]  # (0.1, 0.1, 0.1, z) for the two other values z
+        assert rows == []
 
     @pytest.mark.parametrize("shape", ["single", "shifted_base", "overlapping"])
     @pytest.mark.parametrize("kind", ["real", "unit_circle"])
@@ -976,7 +976,7 @@ class TestUnionTable:
         axes = separated_axes(shape, kind, order)
         integrands._divided_difference_grid(f, order, axes)
         assert len(calls) == len(set(calls))
-        assert set(calls) == expected_calls(axes, order)
+        assert set(calls) == expected_calls(axes)
 
     def test_served_tuples_are_checked_without_snapping(self, monkeypatch):
         # order 2 with one derivative: a pair of equal nodes needs f', which
@@ -1034,12 +1034,12 @@ class TestUnionTable:
     @pytest.mark.parametrize("axes, order", [
         # a served pair first in grid order, then three equal nodes
         ([np.array([0.5, -0.25])] * 2 + [np.array([0.75, 0.5])], 2),
-        # a served triple first (0.5 is its own mean); then the triples of
-        # 0.1, which snap to an inexact mean, and four equal nodes last
+        # a served triple of 0.5 first; then the triples of 0.1, and four
+        # equal nodes last
         ([np.array([0.5, 0.1])] * 3 + [np.array([-0.25, 0.1])], 3),
         # such a triple of 0.1 first, then four equal nodes
         ([np.array([0.1, 0.5])] * 3 + [np.array([0.5, 0.1])], 3),
-        # four equal nodes first, which take their mean directly
+        # four equal nodes first, which stay as they are
         ([np.array([0.1, 0.5])] * 4, 3),
         # four nodes of one near cluster first in grid order, with tuples
         # near a cluster of three before them in order of rank
@@ -1059,8 +1059,8 @@ class TestUnionTable:
     @pytest.mark.parametrize("kind", ["real", "unit_circle"])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_near_overflow_and_signed_zero_nodes(self, shape, pool, kind, order):
-        # runs of two copies of the nodes where v + v overflows snap to
-        # infinite means, and -0.0 snaps to +0.0; alone in the union, the
+        # runs of two copies of the nodes where v + v overflows are those
+        # nodes, and -0.0 snaps to +0.0; alone in the union, the
         # huge nodes and zero are isolated, and moderate nodes merge with 0
         f = mk.ScalarFunction.from_callable(
             np.sin, (np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)))
@@ -1090,6 +1090,36 @@ class TestUnionTable:
             got = integrands._divided_difference_grid(f, 1, axes)
             if dtype is np.float64:
                 assert same_bits(got, oracles.divided_difference_grid_per_point(f, 1, axes))
+
+    def test_an_overflowing_pair_reads_the_derivative_at_its_node(self):
+        # two copies of 1.7e308 e^{0.4i}, or of 1.7e308 e^{-2.9i}, are that
+        # node though their sum overflows, in the grid as in the recursion
+        f = mk.ScalarFunction.from_callable(np.tanh, (lambda z: 1 - np.tanh(z) ** 2,))
+        axes = [np.array(OVERFLOWING["unit_circle"])] * 2
+        with np.errstate(all="ignore"):
+            got = integrands._divided_difference_grid(f, 1, axes)
+            expected = oracles.divided_difference_grid_per_point(f, 1, axes)
+            assert same_bits(got[[0, 3], [0, 3]], f.derivative(axes[0][[0, 3]], 1))
+        # complex steps that overflow give NaN parts, whose signs the bits
+        # of the scalar recursion exclude
+        got, expected = (v.view(np.float64) for v in (got, expected))
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    @pytest.mark.parametrize("nodes", [
+        (-1.7e308, 1.7e308),  # the step overflows
+        (math.inf, 0.5),  # inf - inf is NaN
+        (1.7e308, 1.7e308 * (1 - 1e-9)),  # a near pair whose sum overflows
+    ])
+    def test_extreme_nodes_raise_no_warning(self, nodes):
+        # the suite turns every RuntimeWarning into an error
+        f = mk.ScalarFunction.from_callable(np.tanh, (lambda z: 1 - np.tanh(z) ** 2,))
+        spec = mk.DividedDifferenceSpec(f, 1, nodes)
+        assert same_bits(mk.divided_difference(spec), oracles.divided_difference_per_point(spec))
+        axes = [np.array(nodes)] * 2
+        assert same_bits(integrands._divided_difference_grid(f, 1, axes),
+                         oracles.divided_difference_grid_per_point(f, 1, axes))
 
     def test_grid_ranks_are_cached_read_only(self):
         for order in range(4):

@@ -29,7 +29,8 @@ FUNCTIONS = {
 def separated_grids(draw):
     """An order 0..4 and its axes, drawn with repeats from a few nodes at
     least 2 pi / 997 apart, on the real line or the unit circle.  Node
-    p / 997 is its own mean over three copies for only some p."""
+    p / 997 is its own left-to-right mean over three copies for only some
+    p, and a run of equal nodes must read the node itself."""
     order = draw(st.integers(0, 4))
     circle = draw(st.booleans())
     pool = draw(st.lists(st.integers(-498, 498), min_size=1, max_size=5, unique=True))
@@ -57,7 +58,7 @@ FEW_DERIVATIVES = {
 }
 
 # nodes whose mean over some run of copies, summed left to right, is not the
-# node itself: snapping moves every run of them
+# node itself: a run of them is its own cluster, read at the node
 INEXACT_MEANS = {"real": [0.1, -0.053], "circle": [cmath.exp(4.734462493192759j)]}
 
 
