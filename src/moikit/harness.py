@@ -6,31 +6,32 @@ other modules, estimates the expectation terms on the same sample stream,
 and compares the empirical exceedance frequency against the Markov-type
 right-hand side at every point of a theta grid.
 
-A range of samples is evaluated in chunks.  The samples draw their random
+A run prepares its experiment once and evaluates its samples in chunks,
+up to ``workers`` threads at a time.  The samples draw their random
 operators in blocks of :data:`SAMPLE_BLOCK` = 256: block b (samples 256 b to
 256 b + 255) draws from the stream ``np.random.default_rng((seed, b))``, model
 by model in order, first the law variates of all 256 samples, then their
 Ginibre normals.  A chunk holds whole blocks when it holds at least one; a
-chunk or worker range that starts or ends inside a block draws that block
-whole and keeps its own samples.  The draws are stacked along a leading
-sample axis, and one batched statistic function per theorem computes the
-chunk's statistics and terms with stacked QR, eigendecompositions, factored
-engine sums, sup surrogates and SVD norms.  The sup surrogates never hold a
-chunk's grid: a one-term real integrand's sup is the ordered product of its
-per-slot maxima (exact, as rounding is monotone), and any other separable
-integrand's grid is summed in cache-sized blocks of samples, each reduced to
-its maxima at once (see ``integrands._sup_norms``).  Batched arithmetic
-gives each sample the same bits as a call on that sample alone, so a
-sample's values do not depend on the chunk or worker range it falls in.  A
-sample whose arithmetic fails is aborted: the batched kernels raise the abort
-error of their first failing sample, and a chunk that raises one is halved,
-each half evaluated the same way, until every failing sample stands alone, so
-that exactly the samples that fail alone are aborted.
+range that starts or ends inside a block draws that block whole and keeps
+its own samples.  The draws are stacked along a leading sample axis, and one
+batched statistic function per theorem computes the chunk's statistics and
+terms with stacked QR, eigendecompositions, factored engine sums, sup
+surrogates and SVD norms.  The sup surrogates never hold a chunk's grid: a
+one-term real integrand's sup is the ordered product of its per-slot maxima
+(exact, as rounding is monotone), and any other separable integrand's grid
+is summed in cache-sized blocks of samples, each reduced to its maxima at
+once (see ``integrands._sup_norms``).  Batched arithmetic gives each sample
+the same bits as a call on that sample alone, so a sample's values do not
+depend on the chunk it falls in.  A sample whose arithmetic fails is
+aborted: the batched kernels raise the abort error of their first failing
+sample, and a chunk that raises one is halved, each half evaluated the same
+way, until every failing sample stands alone, so that exactly the samples
+that fail alone are aborted.
 
 Reproducibility contract: a sample's draws depend on the seed and its index
 alone, per-sample values land in arrays indexed by sample, and aggregation
 is a fixed-order pairwise sum, so results are byte-identical for a fixed
-seed regardless of how samples are partitioned across workers and chunks.
+seed whatever the chunks and however many threads evaluate them.
 :func:`convergence_in_mean_check` keeps one stream per sample: sample i
 draws from ``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`).
 
@@ -46,7 +47,7 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -630,14 +631,14 @@ def _sampled_spectra(exp: TailBoundExperiment, lo: int, hi: int, unitary: bool) 
             for values, normals in drawn]
 
 
-def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
+def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None, workers=1):
     """Per-sample statistics and terms of samples lo..hi-1, plus an abort
-    mask; aborted samples read NaN.  The samples are evaluated in chunks of
-    ``ctx.chunk``, rounded down to whole blocks of :data:`SAMPLE_BLOCK` when
-    it holds one; a chunk that raises an abort error is halved until each
-    failing sample is evaluated alone.  Without ``ctx`` the experiment is
-    prepared here (pool workers do this: the statistic closures do not
-    pickle)."""
+    mask; aborted samples read NaN.  A chunk holds ``ctx.chunk`` samples at
+    most, rounded down to whole blocks of :data:`SAMPLE_BLOCK` when it holds
+    one, and ceil(count / workers) at most, rounded up to whole blocks; up to
+    ``workers`` threads, at most one per CPU, evaluate the chunks, each writing
+    its own rows.  A chunk that raises an abort error is halved until each
+    failing sample is evaluated alone.  Without ``ctx`` it prepares ``exp``."""
     if ctx is None:
         ctx = _prepare(exp)
     theorem = _THEOREMS[exp.theorem_id]
@@ -663,9 +664,7 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
         for label in all_labels:
             terms[label][rows] = chunk_terms[label]
 
-    # chunks of whole blocks draw each block once
-    chunk = ctx.chunk // SAMPLE_BLOCK * SAMPLE_BLOCK or ctx.chunk
-    for start in range(0, count, chunk):
+    def run(start):
         spectra = _sampled_spectra(exp, lo + start, lo + min(count, start + chunk),
                                    theorem.unitary)
         if theorem.matrices:
@@ -673,12 +672,25 @@ def _simulate_block(exp: TailBoundExperiment, lo: int, hi: int, ctx=None):
         # the arithmetic of the samples that abort may warn
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             evaluate(spectra, start)
+
+    # chunks of whole blocks draw each block once, and the workers share them
+    chunk = min(ctx.chunk // SAMPLE_BLOCK * SAMPLE_BLOCK or ctx.chunk,
+                -(-count // (workers * SAMPLE_BLOCK)) * SAMPLE_BLOCK)
+    starts = range(0, count, chunk)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        for start in starts:
+            run(start)
     return stats, terms, aborted
 
 
 def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundReport:
     """Run the experiment and report per-theta empirical frequencies against
-    the Markov right-hand side with 3-sigma Monte Carlo slack."""
+    the Markov right-hand side with 3-sigma Monte Carlo slack.  With
+    ``workers`` > 1, threads call the integrand's functions concurrently."""
     if (not isinstance(workers, numbers.Integral) or isinstance(workers, bool)
             or workers < 1):
         raise ParameterError(f"workers must be a positive integer, got {workers!r}")
@@ -687,22 +699,7 @@ def run_tail_bound(exp: TailBoundExperiment, workers: int = 1) -> TailBoundRepor
     n = exp.samples
     workers = int(workers)
     all_labels = (*ctx.coefficients, *ctx.extra_labels)
-    bounds = [round(i * n / workers) for i in range(workers + 1)]
-    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(ranges) == 1:
-        blocks = [_simulate_block(exp, 0, n, ctx)]
-    else:
-        # the blocks follow the requested worker count, the processes the cores
-        processes = min(len(ranges), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [pool.submit(_simulate_block, exp, lo, hi) for lo, hi in ranges]
-            blocks = [future.result() for future in futures]
-    stats = np.concatenate([block[0] for block in blocks])
-    terms = {
-        label: np.concatenate([block[1][label] for block in blocks])
-        for label in all_labels
-    }
-    aborted = np.concatenate([block[2] for block in blocks])
+    stats, terms, aborted = _simulate_block(exp, 0, n, ctx, workers)
     aborted_count = int(np.sum(aborted))
     if aborted_count > 0.01 * n:
         raise NumericalError(

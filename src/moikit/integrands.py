@@ -18,11 +18,12 @@ divided-difference integrand (:func:`_divided_difference_grid`) evaluates
 each distinct sorted tuple of indices into the union of the axes once: on
 equal axes the multisets of the axis's nodes, listed by rank, else those
 the ranks of the points find; :func:`divided_difference` is a stack of one
-tuple.  The table runs the scalar recursion's own arithmetic: float64
-when the nodes are real and every value it reads is a float, complex128
-when every value is a numpy complex128, and else the Python or numpy
-operation on each value itself.  Every value has the bits of the scalar
-recursion, but for the sign and payload of a NaN.
+tuple.  The table runs the scalar recursion's own arithmetic: float64 when
+the nodes are real and every value it reads is a float, complex128 when
+every value is a numpy complex128, and else the Python or numpy operation on
+each value itself.  Every value has the bits of the scalar recursion, but
+for the sign and payload of a NaN and where a NaN node stands among others:
+moikit sorts it last (numpy's order), Python's ``sorted`` leaves it in place.
 
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
@@ -322,10 +323,12 @@ def divided_difference(spec: DividedDifferenceSpec):
 
     Separated nodes use the difference-quotient recursion; any run of
     coincident nodes of length r+1 contributes ``f^(r)(z) / r!``.  The result
-    is symmetric in node order (nodes are sorted internally), with the bits
-    of the scalar recursion except the sign and payload of a NaN result
-    (sorting writes every NaN node back as +NaN), as a float64 or, when the
-    recursion's value is complex, a complex128.
+    is symmetric in node order (nodes are sorted internally, a NaN last as
+    numpy sorts), with the bits of the scalar recursion except the sign and
+    payload of a NaN result (sorting writes every NaN node back as +NaN) and
+    where a NaN node stands among others, which the recursion's Python
+    ``sorted`` leaves in place; as a float64 or, when the recursion's value
+    is complex, a complex128.
     """
     value = _divided_differences(spec.f, np.array([spec.nodes]))[0]
     return np.complex128(value) if np.iscomplexobj(value) else np.float64(value)

@@ -6,7 +6,8 @@ import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import Future
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from moikit.errors import (
     ValidationError,
 )
 from moikit.harness import SURROGATE_NOTE
+from moikit.moi import _stacked_moi
 
 import oracles
 from conftest import config_path
@@ -218,11 +220,11 @@ class TestWorkers:
         with pytest.raises(ParameterError, match="workers"):
             mk.run_tail_bound(small_experiment(), workers=workers)
 
-    def test_pool_has_at_most_one_process_per_core(self, monkeypatch):
-        sizes = []
+    def test_pool_has_at_most_one_thread_per_core_and_chunk(self, monkeypatch):
+        sizes, prepared = [], []
 
         class InlinePool:
-            """Runs each submitted block in this process."""
+            """Runs each chunk in this thread, in order."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -233,22 +235,135 @@ class TestWorkers:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        prepare = harness._prepare
+
+        def counting(exp):
+            prepared.append(exp)
+            return prepare(exp)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_prepare", counting)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         exp = small_experiment()
         pooled = mk.run_tail_bound(exp, workers=5).to_dict()
         assert sizes == [2]
+        assert len(prepared) == 1
         assert pooled["metadata"]["workers"] == 5
+        # 1000 samples are 4 chunks of whole blocks at 8 workers
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+        mk.run_tail_bound(exp, workers=8)
+        assert sizes == [2, 4]
+        assert len(prepared) == 2
         single = mk.run_tail_bound(exp, workers=1).to_dict()
+        assert sizes == [2, 4]
         for report in (pooled, single):
             report.pop("wall_time_s")
             report["metadata"].pop("workers")
         assert ser.dumps_deterministic(pooled) == ser.dumps_deterministic(single)
+
+    def test_threads_share_an_f_built_from_lambdas(self, monkeypatch):
+        # a process pool would have to pickle f
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(3)
+        exp = mk.TailBoundExperiment(
+            theorem_id="first_derivative",
+            operator_models=(mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0)),),
+            fixed_inputs={"direction": mk.random_hermitian(3, rng, norm=1.0)},
+            integrand=mk.ScalarFunction.from_callable(
+                lambda x: np.sin(x), (lambda x: np.cos(x),)),
+            theta_grid=(0.1, 0.5, 1.0),
+            samples=1000,
+            seed=4,
+        )
+        reports = [mk.run_tail_bound(exp, workers=w).to_dict() for w in (1, 2)]
+        for report in reports:
+            report.pop("wall_time_s")
+            report["metadata"].pop("workers")
+        assert ser.dumps_deterministic(reports[1]) == ser.dumps_deterministic(reports[0])
+
+
+class TestThreads:
+    """Threads evaluate a run's chunks over one prepared experiment, each
+    writing its own rows: more threads than cores, switched often, give the
+    bits of one thread."""
+
+    @pytest.mark.parametrize("theorem_id", [*harness.THEOREM_IDS, "failing_first_derivative"])
+    def test_more_threads_than_cores_give_the_bits_of_one(self, theorem_id, monkeypatch):
+        if theorem_id == "failing_first_derivative":
+            exp = partially_failing_experiment("first_derivative")
+        else:
+            exp = shipped_experiment(theorem_id)
+        chunks_of_16(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        ctx = harness._prepare(exp)
+        single = harness._simulate_block(exp, 0, 320, ctx, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # 20 chunks of 16 samples on 8 threads
+            threaded = harness._simulate_block(exp, 0, 320, ctx, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(threaded, single)
+
+
+class TestSamplerLaw:
+    """The Haar average of a random first derivative: for U Haar and a fixed
+    spectrum l, E[U (F o (U* E U)) U*] = a E + b tr(E) I with
+    F_ij = f^[1](l_i, l_j), S = sum F, T = tr F,
+    a = (S - T/n) / (n^2 - 1) and b = (T - S/n) / (n^2 - 1)."""
+
+    LAMBDAS = np.array([-0.7, 0.1, 0.8])
+
+    def largest_z(self, bases_of):
+        """The largest |z| of the sample mean of the pre-norm derivatives of
+        f = x^3 against the Haar average, over the real and imaginary parts
+        of the entries that spread; ``bases_of`` maps the sampled bases to
+        the ones used."""
+        n, lam = 3, self.LAMBDAS
+        direction = mk.random_hermitian(n, np.random.default_rng(5), norm=1.0)
+        exp = mk.TailBoundExperiment(
+            theorem_id="first_derivative",
+            operator_models=(mk.RandomOperatorModel(n, ("fixed", lam)),),
+            fixed_inputs={"direction": direction},
+            integrand=mk.ScalarFunction.monomial(3),
+            theta_grid=(1.0,),
+            samples=20_000,
+            seed=5,
+        )
+        ((w, v),) = harness._sampled_spectra(exp, 0, exp.samples, False)
+        v = bases_of(v)
+        dd1 = mk.divided_difference_integrand(exp.integrand, 1)
+        values = _stacked_moi(dd1, [w, w], [v, v], [direction])
+        f1 = lam[:, None] ** 2 + lam[:, None] * lam[None, :] + lam[None, :] ** 2
+        s, t = f1.sum(), np.trace(f1)
+        a, b = (s - t / n) / (n * n - 1), (t - s / n) / (n * n - 1)
+        mean = a * direction + b * np.trace(direction) * np.eye(n)
+        parts = values.reshape(len(values), -1).view(float)
+        expected = mean.reshape(-1).view(float)
+        spread = parts.std(axis=0, ddof=1)
+        keep = spread > 0
+        z = (parts.mean(axis=0) - expected)[keep] / (spread[keep] / math.sqrt(len(parts)))
+        return float(np.max(np.abs(z)))
+
+    @staticmethod
+    def bound():
+        """A Bonferroni two-sided z-bound at 1e-6 over the 2 n^2 parts."""
+        return NormalDist().inv_cdf(1.0 - 1e-6 / (2 * 2 * 9))
+
+    def test_haar_bases_match_the_closed_form(self):
+        assert self.largest_z(lambda bases: bases) < self.bound()
+
+    def test_real_orthogonal_bases_miss_it(self):
+        def orthogonal(bases):
+            rng = np.random.default_rng(1)
+            q, r = np.linalg.qr(rng.standard_normal(bases.shape))
+            return (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]).astype(complex)
+
+        assert self.largest_z(orthogonal) > self.bound()
 
 
 def assert_same_bits(block, expected):

@@ -1,6 +1,6 @@
 """What a fresh interpreter loads: ``import moikit`` brings numpy and the
-standard library only, and scipy waits for the one complex Schur
-decomposition of a unitary given as a matrix.
+standard library only, without ``multiprocessing``, and scipy waits for the
+one complex Schur decomposition of a unitary given as a matrix.
 
 Every check runs in a subprocess, because the test modules themselves
 import ``scipy.stats``."""
@@ -67,6 +67,14 @@ def run_fresh(code: str):
 
 def test_import_loads_no_scipy():
     code = PRELUDE + "import moikit, moikit.cli\nprint(json.dumps(scipy_modules()))"
+    assert run_fresh(code) == []
+
+
+def test_import_loads_no_multiprocessing():
+    # --workers runs threads: nothing in moikit starts a process
+    code = PRELUDE + ("import moikit, moikit.cli\n"
+                      "print(json.dumps(sorted(m for m in sys.modules"
+                      " if m.split('.')[0] == 'multiprocessing')))")
     assert run_fresh(code) == []
 
 

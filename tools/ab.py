@@ -13,8 +13,8 @@ in alternating order, timed by CPU time, which is steadier than wall time on
 a shared host.  Per part, the script prints both trees' median CPU µs per
 operation, the old tree's quartile distance, and in how many rounds the new
 tree was faster.  The workloads' ``check`` is not run (on ``mc_tailbound`` it
-starts a process pool); every output must match between the trees byte for
-byte, else the script names the part and exits 1.
+adds an untimed two-worker round); every output must match between the trees
+byte for byte, else the script names the part and exits 1.
 """
 
 import os
