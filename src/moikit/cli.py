@@ -80,6 +80,15 @@ def _positive_order(payload) -> int:
                     "input.order", 1)
 
 
+def _operator_sized(matrix, operator, path: str) -> np.ndarray:
+    if len(matrix) != operator.dim:
+        raise ValidationError(
+            f"dimension {len(matrix)} differs from the operator's dimension {operator.dim}",
+            path=path,
+        )
+    return matrix
+
+
 def _matrix_output(value) -> tuple[dict, int]:
     return {
         "schema_version": ser.SCHEMA_VERSION,
@@ -127,6 +136,7 @@ def _handle_frechet(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     direction = ser.parse_matrix(payload.get("direction", {}), "input.direction")
+    direction = _operator_sized(direction, operator, "input.direction")
     return lambda: _matrix_output(frechet_derivative(f, operator, direction))
 
 
@@ -134,6 +144,7 @@ def _handle_kth_deriv(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     direction = ser.parse_matrix(payload.get("direction", {}), "input.direction")
+    direction = _operator_sized(direction, operator, "input.direction")
     order = _positive_order(payload)
     return lambda: _matrix_output(kth_derivative(f, operator, direction, order))
 
@@ -142,6 +153,7 @@ def _handle_higher_diff(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     operator = ser.parse_hermitian(payload.get("operator", {}), "input.operator")
     step = ser.parse_hermitian(payload.get("step", {}), "input.step").matrix
+    step = _operator_sized(step, operator, "input.step")
     order = _positive_order(payload)
     include_diagnostic = payload.get("include_moi_diagnostic", False)
     if not isinstance(include_diagnostic, bool):
@@ -245,7 +257,7 @@ def _handle_conv_mean(payload, args):
     seed = args.seed if args.seed is not None else payload["seed"]
     epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
         payload["epsilon0"], payload["steps"], payload["r"], payload["order"],
-        arguments, payload["samples"], seed, path="input",
+        arguments, payload["samples"], seed, model.dim, path="input",
     )
 
     def run():

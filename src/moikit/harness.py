@@ -802,11 +802,12 @@ def _fixed_eigengap_report(exp, ctx, stats, terms, valid):
 
 
 def convergence_parameters(
-    epsilon0, steps, r, order, arguments, samples, seed, path: str = ""
+    epsilon0, steps, r, order, arguments, samples, seed, dim: int, path: str = ""
 ) -> tuple:
     """Check the inputs of :func:`convergence_in_mean_check` other than the
-    model and the function; return (epsilon0, steps, r, order, arguments,
-    samples, seed) as float, ints and complex arrays.
+    model and the function, each argument against the model's dimension
+    ``dim``; return (epsilon0, steps, r, order, arguments, samples, seed) as
+    float, ints and complex arrays.
 
     A value of the wrong type raises ValidationError, a value out of range
     ParameterError; either message starts with the field ``path.<name>``.
@@ -835,6 +836,12 @@ def convergence_parameters(
     if len(arguments) != order:
         raise ValidationError(f"need {order} argument matrices, got {len(arguments)}",
                               path=field("arguments"))
+    for i, argument in enumerate(arguments):
+        if argument.shape != (dim, dim):
+            raise ValidationError(
+                f"shape {argument.shape} differs from the model's {(dim, dim)}",
+                path=field(f"arguments[{i}]"),
+            )
     return float(epsilon0), steps, r, order, arguments, samples, seed
 
 
@@ -862,7 +869,7 @@ def convergence_in_mean_check(
     the domination is not certified (see :func:`moikit.moi.continuity_modulus`).
     """
     epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
-        epsilon0, steps, r, order, arguments, samples, seed
+        epsilon0, steps, r, order, arguments, samples, seed, base_model.dim
     )
     n_ops = order + 1
     dim = base_model.dim

@@ -4,8 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  Criteria 1 and 8 also enforce their wall-clock budgets.
 """
 
-import hashlib
 import math
+import os
 import time
 
 import numpy as np
@@ -16,7 +16,7 @@ import moikit as mk
 from moikit import serialization as ser
 
 import oracles
-from conftest import config_path, grid_path
+from conftest import CONFIG_DIR, assert_golden, config_path, grid_path
 
 
 def announce(number, text):
@@ -300,25 +300,11 @@ def test_c07_remainders():
     announce(7, "Taylor remainders: direct and spectral-sum routes agree")
 
 
-# sha256 of each shipped report (timing and worker count removed), pinned so
-# that refactors of the sampler, engine and harness keep every report
-# byte-identical
-TAILBOUND_DIGESTS = {
-    "tailbound_moi_norm_a":
-        "84bd20399ca9c010192b44adbb21c37da461510e4fdc665618d77009a8b4f145",
-    "tailbound_moi_norm_schatten_b":
-        "144b1da3dafb4c3d05f7884301d45d0d8795108d0f61e7eec838aeb25b9c7219",
-    "tailbound_first_derivative":
-        "0d1f96e74f42cafd0e464570ac01ec6090dba0a39cf1a799d67740ae30a63d2b",
-    "tailbound_kth_derivative":
-        "c461ec0efbf0bd8c10c22bcba0b9ef8ebaddf3d95f156728765cb0d9882399d1",
-    "tailbound_higher_difference":
-        "ab57e864b2b21dc2c3c6a7df0ed5c06619f255f5ab07c7e191ba32ff172804c3",
-    "tailbound_sa_remainder":
-        "9c78a24a6d1e908037d38457ad545274eb5c38b4fb1431075d8bd55bb93a8fe4",
-    "tailbound_unitary_remainder":
-        "a64e590297252040da1418e25696f1c5ddc270aa3ba16ada39dc552049ed79f0",
-}
+# the shipped tail-bound configs; each report (timing and worker count
+# removed) is pinned in tests/golden/report.<config>.json, so that refactors
+# of the sampler, engine and harness keep every report byte-identical
+TAILBOUND_CONFIGS = sorted(name[:-len(".json")] for name in os.listdir(CONFIG_DIR)
+                           if name.startswith("tailbound_"))
 
 
 def report_bytes(report) -> bytes:
@@ -332,7 +318,8 @@ def report_bytes(report) -> bytes:
 
 def test_c08_tail_bounds_all_shipped_configs():
     start = time.perf_counter()
-    for name, digest in TAILBOUND_DIGESTS.items():
+    pins = {}
+    for name in TAILBOUND_CONFIGS:
         payload = ser.load_json(config_path(f"{name}.json"))
         experiment = ser.parse_experiment(payload)
         assert experiment.samples == 10_000
@@ -344,8 +331,9 @@ def test_c08_tail_bounds_all_shipped_configs():
                 f"{name}: p={row['empirical_prob']} > "
                 f"rhs={row['bound_rhs']} + 3sigma at theta={row['theta']}"
             )
-        assert hashlib.sha256(report_bytes(report)).hexdigest() == digest, name
+        pins[f"report.{name}.json"] = report_bytes(report)
     elapsed = time.perf_counter() - start
+    assert_golden(pins)
     assert elapsed <= 300.0
     announce(8, f"all 7 tail-bound configs satisfied at N=10^4 in {elapsed:.0f}s")
 
@@ -435,11 +423,13 @@ def test_c11_tensor_integrals_match_unfolding():
     announce(11, "tensor integrals equal fold(matrix engine(unfold))")
 
 
-def test_c12_determinism():
-    payload = ser.load_json(config_path("tailbound_first_derivative.json"))
-    payload = {**payload, "samples": 1000}
-    experiment = ser.parse_experiment(payload)
+@pytest.mark.parametrize("name", TAILBOUND_CONFIGS)
+def test_c12_determinism(name):
+    # 1000 samples make 1, 2 and 4 chunks at workers 1, 2 and 4, so every
+    # statistic also runs on the threaded path
+    payload = ser.load_json(config_path(f"{name}.json"))
+    experiment = ser.parse_experiment({**payload, "samples": 1000})
     first = report_bytes(mk.run_tail_bound(experiment, workers=1))
-    assert report_bytes(mk.run_tail_bound(experiment, workers=1)) == first
-    assert report_bytes(mk.run_tail_bound(experiment, workers=4)) == first
-    announce(12, "reports byte-identical per seed; worker count immaterial")
+    for workers in (2, 4):
+        assert report_bytes(mk.run_tail_bound(experiment, workers=workers)) == first
+    announce(12, f"{name}: reports byte-identical at workers 1, 2 and 4")

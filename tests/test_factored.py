@@ -178,7 +178,7 @@ class TestSiblingSums:
     """The factored path sums sibling nodes of the suffix tree with
     whole-row operations in the order of ``np.add.reduceat``: these pin the
     two to the same bits, so that a numpy whose summation order changes
-    fails here before any report digest drifts."""
+    fails here before any pinned report drifts."""
 
     @staticmethod
     def rows(rng, count, shape, dtype):

@@ -3,7 +3,6 @@ and convergence in the r-th mean."""
 
 import copy
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from moikit.harness import SURROGATE_NOTE
 from moikit.moi import _stacked_moi
 
 import oracles
-from conftest import config_path
+from conftest import assert_golden, config_path
 
 
 def small_experiment(seed=11, samples=1000):
@@ -727,14 +726,10 @@ class TestShippedConfigsParse:
         assert ser.parse_experiment(rebuilt).theta_grid == exp.theta_grid
 
 
-# sha256 of the convergence-in-mean report on the shipped default at 20
-# samples and 8 steps, wall time removed, pinned so that batching the check
-# keeps every report byte-identical
-CONVMEAN_DIGEST = "d649998f7629ef596f5efe000f99cb6dc1b544862889967a9006ac07f33bc49d"
-
-
 class TestConvergenceInMean:
     def test_default_report_is_pinned(self):
+        # the report on the shipped default at 20 samples and 8 steps, wall
+        # time removed, pinned so that batching the check keeps every byte
         payload = ser.load_json(config_path("convmean_default.json"))
         report = mk.convergence_in_mean_check(
             ser.parse_model(payload["base_model"]), payload["epsilon0"], 8, payload["r"],
@@ -742,8 +737,7 @@ class TestConvergenceInMean:
             [ser.parse_matrix(m) for m in payload["arguments"]], 20, payload["seed"],
         )
         report.pop("wall_time_s")
-        digest = hashlib.sha256(ser.dumps_deterministic(report).encode()).hexdigest()
-        assert digest == CONVMEAN_DIGEST
+        assert_golden({"convergence_in_mean.json": ser.dumps_deterministic(report).encode()})
 
     def test_zero_epsilon_gives_zero_sequence(self):
         model = mk.RandomOperatorModel(3, ("uniform", -1.0, 1.0))
@@ -794,5 +788,5 @@ class TestConvergenceInMean:
     def test_epsilon0_must_be_finite(self, epsilon0):
         with pytest.raises(ParameterError, match="^input.epsilon0: epsilon0 must be a finite"):
             harness.convergence_parameters(
-                epsilon0, 4, 2, 1, [np.eye(3, dtype=complex)], 10, 0, path="input"
+                epsilon0, 4, 2, 1, [np.eye(3, dtype=complex)], 10, 0, 3, path="input"
             )

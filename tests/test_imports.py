@@ -12,6 +12,8 @@ import sys
 
 import moikit as mk
 
+from conftest import assert_golden, golden_json
+
 # the source tree this process imported moikit from
 SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
 
@@ -22,17 +24,10 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 """
 
-# sha256 of the eigenvalue bytes then the basis bytes that
-# spectral_decompose gives for each unitary of DECOMPOSE, pinned when
+# the eigenvalues and basis that spectral_decompose gives for each unitary,
+# as [re, im] pairs; pinned in tests/golden/unitary_schur.json when
 # scipy.linalg was still imported with moikit
-UNITARY_DIGESTS = {
-    "diagonal": "c641f3623f3346be762973d027ba07029882580e18e5d9e57e76c39bb88a69ff",
-    "rotation": "a255dc1fdb4c9e49b565e175496c71892538abd2b6ca5dce41991f64c9ddaf58",
-    "haar": "87b74df0edc4b62b9dd5803c9a4fd5f5546ee336a15dd12263b931adbdbd62bc",
-}
-
 DECOMPOSE = PRELUDE + """
-import hashlib
 import numpy as np
 import moikit as mk
 
@@ -43,13 +38,14 @@ unitaries = {
     "rotation": np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]),
     "haar": mk.sample_haar_unitary(5, np.random.default_rng(2024)).matrix,
 }
-digests = {}
+spectra = {}
 for name, matrix in unitaries.items():
     decomp = mk.spectral_decompose(mk.UnitaryOperator(matrix))
-    data = decomp.eigenvalues.tobytes() + decomp.basis.tobytes()
-    digests[name] = hashlib.sha256(data).hexdigest()
+    spectra[name] = {key: np.stack([a.real, a.imag], axis=-1).tolist()
+                     for key, a in (("eigenvalues", decomp.eigenvalues),
+                                    ("basis", decomp.basis))}
 print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules,
-                  "digests": digests}))
+                  "spectra": spectra}))
 """
 
 
@@ -82,4 +78,4 @@ def test_unitary_schur_loads_scipy_and_keeps_its_bits():
     result = run_fresh(DECOMPOSE)
     assert result["before"] == []
     assert result["after"]
-    assert result["digests"] == UNITARY_DIGESTS
+    assert_golden({"unitary_schur.json": golden_json(result["spectra"])})

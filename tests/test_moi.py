@@ -1,6 +1,5 @@
 """Engine identities: evaluation, linearity, splits, partitions, bounds."""
 
-import hashlib
 import json
 import math
 
@@ -17,7 +16,7 @@ from moikit.errors import (
 )
 
 import oracles
-from conftest import config_path, grid_path
+from conftest import assert_golden, config_path, golden_json, grid_path
 
 
 def random_separable(rng, arity, n_terms=2, degree=2):
@@ -517,14 +516,7 @@ class TestContinuity:
             assert lhs <= bound + 1e-9 * max(1.0, bound)
 
 
-# sha256 of continuity_modulus and sup_norm_on_grid for exp and sin (see
-# continuity_bytes), pinned so that changes to how the sup of a
-# non-polynomial divided difference is found keep every bit; the tuples of
-# equal nodes in these sups read their derivative at the node itself
-CONTINUITY_DIGEST = "227942fdb4b19a91860470646d5572b6345f77ea0d8c942a07748f890eac0d7b"
-
-
-def continuity_bytes() -> bytes:
+def continuity_values() -> dict:
     """(lhs, bound) of continuity_modulus at orders 1 and 2, and the sup of
     the next divided difference over the union of the spectra, for exp and
     sin with three derivatives each, at n = 6: operators drawn uniform on
@@ -532,29 +524,33 @@ def continuity_bytes() -> bytes:
     scaled by the epsilon0 of configs/convmean_default.json."""
     with open(config_path("convmean_default.json")) as handle:
         eps = float(json.load(handle)["epsilon0"])
-    functions = [
-        mk.ScalarFunction.from_callable(np.exp, (np.exp, np.exp, np.exp)),
-        mk.ScalarFunction.from_callable(
+    functions = {
+        "exp": mk.ScalarFunction.from_callable(np.exp, (np.exp, np.exp, np.exp)),
+        "sin": mk.ScalarFunction.from_callable(
             np.sin, (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
         ),
-    ]
+    }
     rng = np.random.default_rng(20261)
     model = mk.RandomOperatorModel(6, ("uniform", -1.0, 1.0))
-    chunks = []
+    values = {}
     for order in (1, 2):
         ops = [mk.sample_random_hermitian(model, rng) for _ in range(order + 1)]
         perturbed = [mk.shifted_operator(op, eps * mk.random_hermitian(6, rng, norm=1.0))
                      for op in ops]
         args = [mk.random_hermitian(6, rng, norm=1.0) for _ in range(order)]
         union = np.concatenate([op.decomposition.eigenvalues for op in (*ops, *perturbed)])
-        for f in functions:
+        values[f"order_{order}"] = {}
+        for name, f in functions.items():
             lhs, bound = mk.continuity_modulus(f, order, ops, perturbed, args)
             sup = mk.sup_norm_on_grid(
                 mk.divided_difference_integrand(f, order + 1), [union] * (order + 2)
             )
-            chunks.append(np.array([lhs, bound, sup]).tobytes())
-    return b"".join(chunks)
+            values[f"order_{order}"][name] = {"lhs": lhs, "bound": bound, "sup": sup}
+    return values
 
 
 def test_continuity_modulus_is_pinned():
-    assert hashlib.sha256(continuity_bytes()).hexdigest() == CONTINUITY_DIGEST
+    # pinned so that changes to how the sup of a non-polynomial divided
+    # difference is found keep every bit; the tuples of equal nodes in these
+    # sups read their derivative at the node itself
+    assert_golden({"continuity_modulus.json": golden_json(continuity_values())})

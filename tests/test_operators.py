@@ -428,8 +428,8 @@ def complex_stack(rng, *shape):
 
 class TestSharedOperandProduct:
     """A stack times one shared matrix as one product over the stacked rows
-    has the bits of the per-matrix products: the tail-bound digests and the
-    engine's bits depend on it."""
+    has the bits of the per-matrix products: the golden tail-bound reports
+    and the engine's bits depend on it."""
 
     @pytest.mark.parametrize("count", [1, 256, 1000])
     @pytest.mark.parametrize("dim", [3, 4])

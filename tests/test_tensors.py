@@ -1,7 +1,5 @@
 """Tensor contraction, unfolding isomorphism, and tensor integrals."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from moikit.errors import ValidationError
 from moikit.tensors import fold_array, unfold_array
 
 import oracles
+from conftest import assert_golden, golden_json
 
 
 def random_hermitian_tensor(rng, mode_dims):
@@ -267,28 +266,26 @@ class TestMtiEvaluate:
             mk.mti_evaluate([t1, t2], mk.SeparableIntegrand.constant(2), [t1])
 
 
-# sha256 of mti_evaluate over fixed random tensors of orders 1-3 (see
-# mti_results_bytes), pinned so that changes to how tensors hold their
-# unfolding keep every result bit-identical
-MTI_DIGEST = "9a6341e423ae91285a00a65de49c762719ae20d2edac4679377b636650021343"
-
-
-def mti_results_bytes() -> bytes:
+def mti_results() -> dict:
     """The entries of mti_evaluate on three tensors per mode shape, with a
-    polynomial and an exp divided-difference integrand of order 2."""
+    polynomial and an exp divided-difference integrand of order 2, by mode
+    shape and function."""
     rng = np.random.default_rng(20260)
     poly = mk.ScalarFunction.polynomial(rng.standard_normal(5))
     exp = mk.ScalarFunction.from_callable(np.exp, (np.exp, np.exp, np.exp))
-    chunks = []
+    results = {}
     for dims in [(3,), (2, 3), (2, 1, 2)]:
         tensors = [random_hermitian_tensor(rng, dims) for _ in range(3)]
         arguments = [random_hermitian_tensor(rng, dims) for _ in range(2)]
-        for f in (poly, exp):
+        shape = results["x".join(map(str, dims))] = {}
+        for name, f in (("poly", poly), ("exp", exp)):
             psi = mk.divided_difference_integrand(f, 2)
             result = mk.mti_evaluate(tensors, psi, arguments)
-            chunks.append(np.asarray(getattr(result, "entries", result)).tobytes())
-    return b"".join(chunks)
+            shape[name] = np.asarray(getattr(result, "entries", result))
+    return results
 
 
 def test_mti_results_are_pinned():
-    assert hashlib.sha256(mti_results_bytes()).hexdigest() == MTI_DIGEST
+    # pinned so that changes to how tensors hold their unfolding keep every
+    # result bit-identical
+    assert_golden({"mti_results.json": golden_json(mti_results())})
