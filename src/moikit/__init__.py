@@ -36,7 +36,6 @@ from .harness import (
     TailBoundExperiment,
     TailBoundReport,
     convergence_in_mean_check,
-    mix64,
     run_tail_bound,
     sample_stream,
 )

@@ -231,12 +231,19 @@ def _handle_remainder(payload, args):
     return run
 
 
+def _with_seed_flag(payload, args):
+    """``payload`` with ``--seed``, if given, as its seed, checked at ``flags.seed``."""
+    if args.seed is None:
+        return payload
+    seed = _integer(args.seed, "seed must be an unsigned 64-bit integer", "flags.seed",
+                    0, 2**64)
+    return {**payload, "seed": seed}
+
+
 def _handle_tailbound(payload, args):
     if args.workers < 1:
         raise ValidationError("--workers must be a positive integer", path="flags.workers")
-    if args.seed is not None:
-        payload = {**payload, "seed": args.seed}
-    experiment = ser.parse_experiment(payload, "input")
+    experiment = ser.parse_experiment(_with_seed_flag(payload, args), "input")
 
     def run():
         report = run_tail_bound(experiment, workers=args.workers)
@@ -254,10 +261,10 @@ def _handle_conv_mean(payload, args):
     for key in ("epsilon0", "steps", "r", "order", "samples", "seed"):
         if key not in payload:
             raise ValidationError(f"missing field {key!r}", path="input")
-    seed = args.seed if args.seed is not None else payload["seed"]
+    payload = _with_seed_flag(payload, args)
     epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
         payload["epsilon0"], payload["steps"], payload["r"], payload["order"],
-        arguments, payload["samples"], seed, model.dim, path="input",
+        arguments, payload["samples"], payload["seed"], model.dim, path="input",
     )
 
     def run():

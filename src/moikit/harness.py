@@ -9,9 +9,9 @@ right-hand side at every point of a theta grid.
 A run prepares its experiment once and evaluates its samples in chunks,
 up to ``workers`` threads at a time.  The samples draw their random
 operators in blocks of :data:`SAMPLE_BLOCK` = 256: block b (samples 256 b to
-256 b + 255) draws from the stream ``np.random.default_rng((seed, b))``, model
-by model in order, first the law variates of all 256 samples, then their
-Ginibre normals.  A chunk holds whole blocks when it holds at least one; a
+256 b + 255) draws from the stream ``sample_stream(seed, b)``, model by model
+in order, first the law variates of all 256 samples, then their Ginibre
+normals.  A chunk holds whole blocks when it holds at least one; a
 range that starts or ends inside a block draws that block whole and keeps
 its own samples.  The draws are stacked along a leading sample axis, and one
 batched statistic function per theorem computes the chunk's statistics and
@@ -31,9 +31,9 @@ that fail alone are aborted.
 Reproducibility contract: a sample's draws depend on the seed and its index
 alone, per-sample values land in arrays indexed by sample, and aggregation
 is a fixed-order pairwise sum, so results are byte-identical for a fixed
-seed whatever the chunks and however many threads evaluate them.
-:func:`convergence_in_mean_check` keeps one stream per sample: sample i
-draws from ``np.random.default_rng(mix64(seed, i))`` (:func:`sample_stream`).
+seed whatever the chunks and however many threads evaluate them.  Every
+stream is one of :func:`sample_stream`'s: block b draws from stream b, and
+sample i of :func:`convergence_in_mean_check` from stream i.
 
 The norm of an integrand over random spectra is measured by the sup of its
 absolute value over all tuples drawn from the union of the realized spectra
@@ -104,7 +104,6 @@ __all__ = [
     "THEOREM_IDS",
     "TailBoundExperiment",
     "TailBoundReport",
-    "mix64",
     "sample_stream",
     "run_tail_bound",
     "convergence_parameters",
@@ -116,25 +115,17 @@ SURROGATE_NOTE = "sup of |integrand| over tuples from the union of realized spec
 # Samples per RNG stream of a tail-bound run.
 SAMPLE_BLOCK = 256
 SAMPLER_NOTE = (
-    f"block b of {SAMPLE_BLOCK} samples draws from np.random.default_rng((seed, b)), "
+    f"block b of {SAMPLE_BLOCK} samples draws from np.random.default_rng("
+    "np.random.SeedSequence(seed, spawn_key=(b,))), "
     "model by model: law variates, then Ginibre normals"
 )
 
-_MASK64 = (1 << 64) - 1
-
-
-def mix64(seed: int, index: int) -> int:
-    """SplitMix64-style stream derivation: independent 64-bit stream seeds
-    from a base seed and a sample index."""
-    z = (int(seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """The RNG stream owned by one sample; execution order never matters."""
-    return np.random.default_rng(mix64(seed, index))
+    """Stream ``index`` of ``seed``: numpy's child stream
+    ``SeedSequence(seed).spawn(index + 1)[index]``.  numpy pads the seed's
+    words before the spawn key, so no two (seed, index) pairs share a stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -615,12 +606,12 @@ THEOREM_IDS = tuple(_THEOREMS)
 def _sampled_spectra(exp: TailBoundExperiment, lo: int, hi: int, unitary: bool) -> list:
     """The spectra of the random operators of samples lo..hi-1, per model
     stacked over the samples as (eigenvalues, bases).  Block b of
-    :data:`SAMPLE_BLOCK` samples draws from ``np.random.default_rng((seed,
-    b))``, model by model in order, all of its samples at once; a block that
-    lo or hi cuts is drawn whole and sliced."""
+    :data:`SAMPLE_BLOCK` samples draws from ``sample_stream(seed, b)``, model
+    by model in order, all of its samples at once; a block that lo or hi cuts
+    is drawn whole and sliced."""
     drawn = [([], []) for _ in exp.operator_models]
     for block in range(lo // SAMPLE_BLOCK, -(-hi // SAMPLE_BLOCK)):
-        rng = np.random.default_rng((exp.seed, block))
+        rng = sample_stream(exp.seed, block)
         first = block * SAMPLE_BLOCK
         rows = slice(max(lo - first, 0), min(hi - first, SAMPLE_BLOCK))
         for model, (values, normals) in zip(exp.operator_models, drawn):
@@ -810,7 +801,8 @@ def convergence_parameters(
     float, ints and complex arrays.
 
     A value of the wrong type raises ValidationError, a value out of range
-    ParameterError; either message starts with the field ``path.<name>``.
+    ParameterError, but a seed outside [0, 2^64) ValidationError, as an
+    experiment's does; either message starts with the field ``path.<name>``.
     """
     def field(name):
         return f"{path}.{name}" if path else name
@@ -821,7 +813,8 @@ def convergence_parameters(
     if not isinstance(epsilon0, numbers.Real) or isinstance(epsilon0, bool):
         raise ValidationError("expected a number", path=field("epsilon0"))
     steps, r, order = integer(steps, "steps"), integer(r, "r"), integer(order, "order")
-    samples, seed = integer(samples, "samples"), integer(seed, "seed")
+    samples = integer(samples, "samples")
+    seed = _integer(seed, "seed must be an unsigned 64-bit integer", field("seed"), 0, 2**64)
     if not abs(epsilon0) <= sys.float_info.max:  # NaN, an infinity or past the floats
         raise ParameterError(f"{field('epsilon0')}: epsilon0 must be a finite number")
     if r not in (1, 2):

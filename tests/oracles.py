@@ -281,11 +281,12 @@ def grid_sup(psi, spectra):
 
 def tail_bound_block_draws(exp, block):
     """The documented draws of one block of 256 tail-bound samples: from
-    ``np.random.default_rng((seed, block))``, per operator model in order,
-    the law variates of all 256 samples (uniforms for the uniform law,
-    normals for the gaussian law, none for the fixed law), then their
-    Ginibre normals.  Returns per model a list of (method, array) pairs."""
-    rng = np.random.default_rng((exp.seed, block))
+    numpy's child stream ``SeedSequence(seed, spawn_key=(block,))``, per
+    operator model in order, the law variates of all 256 samples (uniforms
+    for the uniform law, normals for the gaussian law, none for the fixed
+    law), then their Ginibre normals.  Returns per model a list of (method,
+    array) pairs."""
+    rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(block,)))
     draws = []
     for model in exp.operator_models:
         dim, kind = model.dim, model.law[0]

@@ -437,6 +437,10 @@ REJECTED_PAYLOADS = [
                  lambda p: {**p, "seed": "x"}, id="conv-mean-seed-string"),
     pytest.param("conv-mean", "convmean_default.json",
                  lambda p: {**p, "steps": 2.5}, id="conv-mean-steps-fractional"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "seed": -1}, id="conv-mean-seed-negative"),
+    pytest.param("conv-mean", "convmean_default.json",
+                 lambda p: {**p, "seed": 2**64}, id="conv-mean-seed-2**64"),
     pytest.param("remainder", "demo_remainder_sa.json",
                  lambda p: {**p, "slots": [3]}, id="remainder-slot-not-an-object"),
     pytest.param("poly-decompose", "demo_poly_decompose.json",
@@ -789,6 +793,23 @@ class TestCliMisc:
                 main(argv)
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, config, message", [
+        ("tailbound", "tailbound_kth_derivative.json",
+         "seed must be an unsigned 64-bit integer"),
+        ("conv-mean", "convmean_default.json", "seed must be an unsigned 64-bit integer"),
+        ("poly-decompose", "demo_poly_decompose.json", "seed must be a nonnegative integer"),
+    ])
+    def test_a_bad_seed_flag_is_reported_at_the_flag(self, tmp_path, capsys, name, config,
+                                                     message):
+        # haar's is TestHaarCommand.test_negative_seed_is_validation_error;
+        # validate runs the same parse step and reports the same line
+        argv = ["--input", config_path(config), "--seed", "-1"]
+        assert run_cli([name, *argv]) == 2
+        assert capsys.readouterr().err == f"error: flags.seed: {message}\n"
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", *argv, "--output", str(out)]) == 0
+        assert read_json(out)["diagnostics"] == [f"flags.seed: {message}"]
 
     def test_unknown_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,9 @@
 """What the benchmark under ``perfbench/`` reads of moikit, checked in the
 package's own suite: its tracer, loaded from its file unedited, wraps every
 public function it traces and ``MultivariateFunction.eval_grid``, and
-restores them all; the engine sweep's oracle reads the terms of a
-polynomial divided difference."""
+restores them all, and it sees a tail-bound run draw one stream per block;
+the engine sweep's oracle reads the terms of a polynomial divided
+difference."""
 
 import importlib.util
 import math
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import moikit as mk
-from moikit import serialization  # noqa: F401  (the tracer wraps parse_experiment)
+from moikit import serialization
+
+from conftest import config_path
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -50,6 +53,22 @@ def test_tracer_installs_on_moikit_and_uninstalls():
     for key, module in homes.items():
         assert getattr(module, key[1]) is originals[key], key
     assert mk.MultivariateFunction.eval_grid is eval_grid
+
+
+def test_the_tracer_sees_one_stream_per_block():
+    # 1000 samples fill blocks 0..3 of 256, and each block is drawn once
+    payload = serialization.load_json(config_path("tailbound_first_derivative.json"))
+    exp = serialization.parse_experiment({**payload, "samples": 1000})
+    tracer = load_tracer().Tracer()
+    tracer.install(mk)
+    try:
+        tracer.active = True
+        mk.run_tail_bound(exp)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert tracer.totals["harness.stream"][0] == 4
+    assert tracer.totals["harness.run"][0] == 1
 
 
 def test_a_polynomial_divided_difference_lists_its_terms():
