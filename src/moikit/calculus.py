@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError, ValidationError, _integer
+from .errors import MAX_ORDER, CapabilityError, ParameterError, ValidationError, _integer
 from .integrands import (
     ScalarFunction,
     divided_difference_integrand,
@@ -91,8 +91,8 @@ class RemainderSpec:
     flavor: str
 
     def __post_init__(self):
-        if _integer(self.order, "orders must be integers", "", None) < 1:
-            raise ValidationError("remainder order must be >= 1")
+        if not 1 <= _integer(self.order, "orders must be integers", "", None) <= MAX_ORDER:
+            raise ValidationError(f"remainder order must lie in 1..{MAX_ORDER}")
         if self.flavor not in ("self_adjoint", "unitary"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         base, perts = tuple(self.base), tuple(self.perturbations)
@@ -160,8 +160,8 @@ def kth_derivative(
     """d^k/dt^k f(A + tB) at t = 0: k! times the (k+1)-operator spectral sum
     of the order-k divided difference with k copies of the direction."""
     order = _integer(order, "orders must be integers", "", None)
-    if order < 1:
-        raise ParameterError("derivative order must be >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ParameterError(f"derivative order must lie in 1..{MAX_ORDER}")
     integrand = divided_difference_integrand(f, order)
     value = moi_core(
         [operator] * (order + 1), integrand, [np.asarray(direction)] * order
@@ -175,8 +175,8 @@ def higher_difference(
     """Order-k operator difference: the alternating binomial sum of
     f(A + iB) over i = 0..k."""
     order = _integer(order, "orders must be integers", "", None)
-    if order < 0:
-        raise ParameterError("difference order must be nonnegative")
+    if not 0 <= order <= MAX_ORDER:
+        raise ParameterError(f"difference order must lie in 0..{MAX_ORDER}")
     return _ladder_difference(f, _shift_ladder(operator, step, order))
 
 
@@ -222,8 +222,8 @@ def higher_difference_moi_diagnostic(
     slot-gap factor) without treating disagreement as a failure.
     """
     order = _integer(order, "orders must be integers", "", None)
-    if order < 1:
-        raise ParameterError("diagnostic needs order >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ParameterError(f"diagnostic needs order in 1..{MAX_ORDER}")
     ops = _shift_ladder(operator, step, order)
     binomial = _ladder_difference(f, ops)
     dd = divided_difference_integrand(f, order)

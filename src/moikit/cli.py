@@ -37,7 +37,9 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    MAX_ORDER,
     _integer,
+    _seed,
 )
 from .harness import (
     convergence_in_mean_check,
@@ -76,8 +78,8 @@ def _require_schema_version(payload):
 
 
 def _positive_order(payload) -> int:
-    return _integer(payload.get("order"), "order must be a positive integer",
-                    "input.order", 1)
+    return _integer(payload.get("order"), f"order must be an integer in 1..{MAX_ORDER}",
+                    "input.order", 1, MAX_ORDER + 1)
 
 
 def _operator_sized(matrix, operator, path: str) -> np.ndarray:
@@ -235,9 +237,7 @@ def _with_seed_flag(payload, args):
     """``payload`` with ``--seed``, if given, as its seed, checked at ``flags.seed``."""
     if args.seed is None:
         return payload
-    seed = _integer(args.seed, "seed must be an unsigned 64-bit integer", "flags.seed",
-                    0, 2**64)
-    return {**payload, "seed": seed}
+    return {**payload, "seed": _seed(args.seed, "flags.seed")}
 
 
 def _handle_tailbound(payload, args):
@@ -258,10 +258,10 @@ def _handle_conv_mean(payload, args):
     f = ser.parse_scalar_function(payload.get("f", {}), "input.f")
     arguments = ser._items(payload.get("arguments", []), ser.parse_matrix,
                            "arguments must be a list of matrices", "input.arguments")
+    payload = _with_seed_flag(payload, args)
     for key in ("epsilon0", "steps", "r", "order", "samples", "seed"):
         if key not in payload:
             raise ValidationError(f"missing field {key!r}", path="input")
-    payload = _with_seed_flag(payload, args)
     epsilon0, steps, r, order, arguments, samples, seed = convergence_parameters(
         payload["epsilon0"], payload["steps"], payload["r"], payload["order"],
         arguments, payload["samples"], payload["seed"], model.dim, path="input",
@@ -280,8 +280,7 @@ def _handle_poly_decompose(payload, args):
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    _integer(seed, "seed must be a nonnegative integer",
-             "input.seed" if args.seed is None else "flags.seed")
+    _seed(seed, "input.seed" if args.seed is None else "flags.seed")
 
     def run():
         rng = np.random.default_rng(seed)
@@ -340,8 +339,7 @@ def _handle_haar(args):
     count = args.count if args.count is not None else 1
     if count < 1:
         raise ValidationError("--count must be a positive integer", path="flags.count")
-    seed = _integer(args.seed if args.seed is not None else 0,
-                    "seed must be a nonnegative integer", "flags.seed")
+    seed = _seed(args.seed if args.seed is not None else 0, "flags.seed")
     rng = np.random.default_rng(seed)
     samples = [sample_haar_unitary(args.dim, rng) for _ in range(count)]
     return {

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all moikit modules, and the integer,
-finite-number and Schatten-exponent checks that the input boundaries
+seed, finite-number and Schatten-exponent checks that the input boundaries
 share."""
 
 import math
@@ -56,6 +56,17 @@ def _integer(value, message: str, path: str, low: int | None = 0,
             or (high is not None and value >= high)):
         raise ValidationError(message, path=path)
     return int(value)
+
+
+# The largest order k whose k! is a finite float64: a k-th derivative is k!
+# times an MOI, and a Taylor term divides by k!.  An alternating binomial sum
+# of that order has already lost every digit.
+MAX_ORDER = 170
+
+
+def _seed(value, path: str = "") -> int:
+    """A random seed, an integer in [0, 2^64), else ValidationError at ``path``."""
+    return _integer(value, "seed must be an unsigned 64-bit integer", path, 0, 2**64)
 
 
 def _finite(value, message: str) -> float:

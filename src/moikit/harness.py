@@ -67,9 +67,11 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    MAX_ORDER,
     _finite,
     _integer,
     _schatten_exponent,
+    _seed,
 )
 from .integrands import (
     ScalarFunction,
@@ -193,7 +195,7 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValidationError("theta grid must be strictly increasing")
     samples = _integer(exp.samples, "tail-bound runs need at least 10^3 samples", "", 1000)
-    seed = _integer(exp.seed, "seed must be an unsigned 64-bit integer", "", 0, 2**64)
+    seed = _seed(exp.seed)
     dims = {model.dim for model in models}
     if len(dims) != 1:
         raise ValidationError("operator models must be given and share one dimension")
@@ -203,7 +205,8 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     # the name the order and model-count messages use
     name = tid.replace("_", "-") if theorem.integrand == "scalar" else "remainder"
     if "order" in theorem.optional:
-        fields["order"] = _integer(exp.order, f"{name} experiments need order >= 1", "", 1)
+        fields["order"] = _integer(exp.order, f"{name} experiments need order in 1..{MAX_ORDER}",
+                                   "", 1, MAX_ORDER + 1)
     if exp.eigengap_bound is not None:
         message = "eigengap_bound must be a finite positive number"
         fields["eigengap_bound"] = _finite(exp.eigengap_bound, message)
@@ -814,7 +817,7 @@ def convergence_parameters(
         raise ValidationError("expected a number", path=field("epsilon0"))
     steps, r, order = integer(steps, "steps"), integer(r, "r"), integer(order, "order")
     samples = integer(samples, "samples")
-    seed = _integer(seed, "seed must be an unsigned 64-bit integer", field("seed"), 0, 2**64)
+    seed = _seed(seed, field("seed"))
     if not abs(epsilon0) <= sys.float_info.max:  # NaN, an infinity or past the floats
         raise ParameterError(f"{field('epsilon0')}: epsilon0 must be a finite number")
     if r not in (1, 2):

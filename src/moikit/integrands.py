@@ -28,6 +28,8 @@ moikit sorts it last (numpy's order), Python's ``sorted`` leaves it in place.
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
 (:class:`_FactorTable`), with the bits of each factor's own ``polyval``.
+The factored engine path sums the terms that share their factors from a
+slot on in plain left-to-right order (:func:`_sibling_sums`).
 
 The sup surrogate (:func:`sup_norm_on_grid`, and :func:`_sup_norms` on
 spectra stacked over samples) has the bits of ``max |eval_grid|`` without
@@ -730,60 +732,20 @@ def _sibling_spans(starts: np.ndarray, count: int) -> tuple[tuple[int, int, int]
                  if hi - lo > 1)
 
 
-def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
-    """The sum of ``rows`` over axis 0 in the order of numpy's pairwise
-    summation of a strided run of float64 or complex128 elements: below one
-    unroll (8 real or 4 complex rows) left to right; up to 16 unrolls, one
-    accumulator per lane of the unroll, summed as a balanced tree, then the
-    remaining rows left to right; above that, the sum of the two halves,
-    the first rounded down to whole unrolls.
-
-    Works in place: overwrites ``rows`` and returns a view into it (or a
-    scalar, for 1-D rows).
-    """
-    count = len(rows)
-    unroll = 4 if np.iscomplexobj(rows) else 8
-    if count < unroll:
-        total = rows[0]
-        for i in range(1, count):
-            total += rows[i]
-        return total
-    if count <= 16 * unroll:
-        whole = count - count % unroll
-        lanes = rows[:unroll]
-        for lo in range(unroll, whole, unroll):
-            lanes += rows[lo : lo + unroll]
-        step = 1
-        while step < unroll:  # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
-            lanes[0::2 * step] += lanes[step::2 * step]
-            step *= 2
-        total = lanes[0]
-        for i in range(whole, count):
-            total += rows[i]
-        return total
-    half = count // 2
-    half -= half % unroll
-    total = _pairwise_sum(rows[:half])
-    total += _pairwise_sum(rows[half:])
-    return total
-
-
 def _sibling_sums(rows: np.ndarray, starts: np.ndarray, spans: tuple) -> np.ndarray:
-    """``np.add.reduceat(rows, starts, axis=0)``, bit for bit, with whole-row
-    operations; ``spans`` is :func:`_sibling_spans` of ``starts``.
-    Overwrites ``rows``.
-
-    ``reduceat`` runs numpy's summation loop once per output element: it
-    takes a group's first row and adds the pairwise sum of the rest (see
-    :func:`_pairwise_sum`).  Here the first rows are gathered at once, and
-    Python loops only over the groups with more rows, summing those in
-    place.
+    """Per group of the rows that begin at ``starts``, its first row plus its
+    other rows added left to right, in place (``rows`` is overwritten);
+    ``spans`` is :func:`_sibling_spans` of ``starts``.  Below 4 further
+    complex rows (8 real) these are the bits of ``np.add.reduceat``.
     """
     if not spans:
         return rows
     sums = rows[starts]
     for group, lo, hi in spans:
-        sums[group] += _pairwise_sum(rows[lo:hi])
+        rest = rows[lo]
+        for i in range(lo + 1, hi):
+            rest += rows[i]
+        sums[group] += rest
     return sums
 
 
@@ -907,8 +869,7 @@ class SeparableIntegrand:
         each parent's children start (nodes are ordered by parent), and the
         parents with more than one child with the range of their other
         children (see :func:`_sibling_spans`).  Given a level's values per
-        node, :func:`_sibling_sums` sums siblings with the bits of
-        ``np.add.reduceat`` over those offsets.
+        node, :func:`_sibling_sums` sums siblings over those offsets.
         """
         node_of_term = np.zeros(len(self.terms), dtype=np.intp)  # the root
         levels = []
@@ -927,21 +888,10 @@ class SeparableIntegrand:
         Each axis has shape (..., n_i), with one leading shape shared by all
         axes, such as a sample axis; the grid has shape (..., n_1, ..., n_m).
         """
-        return self._grid(axes).astype(np.complex128, copy=False)
-
-    def _grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """:meth:`eval_grid`, in real arithmetic where every factor value is
-        real and the real grid is finite.  The complex products and sums of
-        real numbers then have the same real parts, and zero imaginary
-        parts."""
         axes = [np.asarray(a) for a in axes]
-        values = self.factor_values(axes)
+        values = [v.astype(np.complex128, copy=False) for v in self.factor_values(axes)]
         shape = axes[0].shape[:-1] + tuple(a.shape[-1] for a in axes)
-        if not any(np.iscomplexobj(v) for v in values):
-            grid = self._term_sum([v.astype(np.float64) for v in values], shape)
-            if np.all(np.isfinite(grid)):
-                return grid
-        return self._term_sum([v.astype(np.complex128) for v in values], shape)
+        return self._term_sum(values, shape)
 
     def _term_sum(self, values: list[np.ndarray], shape: tuple, ones=None) -> np.ndarray:
         """Sum over the terms of the outer product of their factor values,
@@ -1246,17 +1196,15 @@ def _block_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray], ones) ->
     """Per sample, the max of |psi| over the grid that a block of factor
     values spans (per slot (F_i, N, n_i), as
     :meth:`SeparableIntegrand.factor_values` gives them), with the bits of
-    :meth:`SeparableIntegrand._grid`.
+    :meth:`SeparableIntegrand.eval_grid`.
 
     The block is summed first in the values' own arithmetic, leaving out the
     factors that ``ones`` marks (see :meth:`SeparableIntegrand._term_sum`).
-    A finite result has every product and partial sum finite, so it is
-    :meth:`~SeparableIntegrand._grid`'s up to the signs of zero parts, which
-    no |value| reads.  A block with a value that is not finite is summed
-    again as ``_grid`` sums a grid that is not finite in real arithmetic:
-    in complex arithmetic, every factor kept.  Where a real sum is finite
-    its complex sum has the same real parts and zero imaginary parts, so a
-    sample's bits do not depend on the block it falls in.
+    A finite result has every product and partial sum finite, so it has the
+    parts of the complex grid up to the signs of zeros, which no |value|
+    reads.  A block with a value that is not finite is summed again as
+    ``eval_grid`` sums it, in complex arithmetic with every factor kept, so
+    a sample's bits do not depend on the block it falls in.
     """
     shape = values[0].shape[1:2] + tuple(v.shape[-1] for v in values)
     grid = psi._term_sum(values, shape, ones)

@@ -174,10 +174,11 @@ def _factored_core(
 
     Walks :attr:`SeparableIntegrand.suffix_tree` from the left: the terms
     sharing their factors from slot j on share everything left of Y_j, so
-    that left part is summed over them (:func:`_sibling_sums`, with the bits
-    of ``np.add.reduceat``) before it is multiplied by Y_j.  Each level
-    scales its nodes by their diagonal factor in place.  The cost is one
-    n x n product per sample and distinct suffix of length 1..m-2.
+    that left part is summed over them (:func:`_sibling_sums`, each group's
+    first node plus the others left to right) before it is multiplied by
+    Y_j.  Each level scales its nodes by their diagonal factor in place.
+    The cost is one n x n product per sample and distinct suffix of length
+    1..m-2.
     """
     values = psi.factor_values(eigenvalues)  # per slot: (factors, N, n)
     finite = [np.isfinite(slot_values) for slot_values in values]

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ValidationError, _integer
+from .errors import MAX_ORDER, ValidationError, _integer, _seed
 from .harness import _THEOREMS, TailBoundExperiment, _theorem
 from .integrands import (
     MultivariateFunction,
@@ -363,12 +363,11 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
                           least=1))
     samples = _integer(_get(obj, "samples", root), "samples must be a positive integer",
                        root + ".samples", 1)
-    seed = _integer(_get(obj, "seed", root), "seed must be an unsigned 64-bit integer",
-                    root + ".seed", 0, 2**64)
+    seed = _seed(_get(obj, "seed", root), root + ".seed")
     kwargs = {}
     if "order" in obj:
-        kwargs["order"] = _integer(obj["order"], "order must be a positive integer",
-                                   root + ".order", 1)
+        kwargs["order"] = _integer(obj["order"], f"order must be an integer in 1..{MAX_ORDER}",
+                                   root + ".order", 1, MAX_ORDER + 1)
     if "schatten_p" in obj:
         kwargs["schatten_p"] = tuple(_items(obj["schatten_p"], _number,
                                             "schatten_p must be a list", root + ".schatten_p"))

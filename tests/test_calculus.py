@@ -279,7 +279,9 @@ class TestRemainderSpecChecks:
                 "flavor": "self_adjoint"}
 
     @pytest.mark.parametrize("edit, error, message", [
-        (lambda rng: {"order": 0}, ValidationError, "^remainder order must be >= 1$"),
+        (lambda rng: {"order": 0}, ValidationError, r"^remainder order must lie in 1\.\.170$"),
+        (lambda rng: {"order": 171}, ValidationError,
+         r"^remainder order must lie in 1\.\.170$"),
         (lambda rng: {"flavor": "skew"}, ValidationError, "^unknown flavor 'skew'$"),
         (lambda rng: {"perturbations": ()}, ValidationError,
          "^base/perturbation counts must match the slot count$"),
@@ -330,6 +332,16 @@ def test_orders_that_are_not_integers_are_rejected(rng, site, order):
     e = mk.random_hermitian(3, rng, norm=0.3)
     with pytest.raises(ValidationError, match="^orders must be integers$"):
         ORDER_SITES[site](mk.ScalarFunction.monomial(3), a, b, e, order)
+
+
+@pytest.mark.parametrize("site", ["kth_derivative", "higher_difference",
+                                  "higher_difference_moi_diagnostic"])
+def test_orders_past_170_are_rejected(rng, site):
+    # 171! is past the float64 range
+    a, b = random_hermitian_op(rng, dim=3), random_hermitian_op(rng, dim=3)
+    e = mk.random_hermitian(3, rng, norm=0.3)
+    with pytest.raises(ParameterError, match=r" in [01]\.\.170$"):
+        ORDER_SITES[site](mk.ScalarFunction.monomial(3), a, b, e, 171)
 
 
 class TestExpSeriesTail:

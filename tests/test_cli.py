@@ -150,7 +150,12 @@ class TestHaarCommand:
     def test_negative_seed_is_validation_error(self, capsys):
         assert run_cli(["haar", "--dim", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == (
-            "error: flags.seed: seed must be a nonnegative integer\n")
+            "error: flags.seed: seed must be an unsigned 64-bit integer\n")
+
+    def test_seed_of_2_to_the_64_is_validation_error(self, capsys):
+        assert run_cli(["haar", "--dim", "2", "--seed", str(2**64)]) == 2
+        assert capsys.readouterr().err == (
+            "error: flags.seed: seed must be an unsigned 64-bit integer\n")
 
 
 class TestTailboundCommand:
@@ -267,6 +272,23 @@ class TestConvMeanCommand:
         report = read_json(out)
         assert report["samples"] == 1
         assert [row["stderr"] for row in report["steps"]] == [0.0, 0.0]
+
+    def test_the_seed_flag_stands_in_for_a_missing_seed(self, tmp_path):
+        payload = {**read_json(config_path("convmean_default.json")),
+                   "samples": 2, "steps": 2}
+        reports = []
+        for name, edit, flags in [("flag", lambda p: _without(p, "seed"), ["--seed", "3"]),
+                                  ("field", lambda p: {**p, "seed": 3}, [])]:
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(edit(payload)))
+            argv = ["--input", str(config), *flags]
+            out = tmp_path / f"{name}_report.json"
+            assert run_cli(["conv-mean", *argv, "--output", str(out)]) == 0
+            reports.append(_without(read_json(out), "wall_time_s"))
+            diag = tmp_path / f"{name}_diag.json"
+            assert run_cli(["validate", *argv, "--output", str(diag)]) == 0
+            assert read_json(diag)["ok"]
+        assert reports[0] == reports[1]
 
 
 class TestPolyDecomposeCommand:
@@ -445,6 +467,18 @@ REJECTED_PAYLOADS = [
                  lambda p: {**p, "slots": [3]}, id="remainder-slot-not-an-object"),
     pytest.param("poly-decompose", "demo_poly_decompose.json",
                  lambda p: {**p, "seed": "x"}, id="poly-decompose-seed-string"),
+    pytest.param("poly-decompose", "demo_poly_decompose.json",
+                 lambda p: {**p, "seed": 2**64}, id="poly-decompose-seed-2**64"),
+    pytest.param("kth-deriv", "demo_kth_deriv.json",
+                 lambda p: {**p, "order": 171}, id="kth-deriv-order-171"),
+    pytest.param("higher-diff", "demo_higher_diff.json",
+                 lambda p: {**p, "order": 171}, id="higher-diff-order-171"),
+    pytest.param("remainder", "demo_remainder_sa.json",
+                 lambda p: {**p, "order": 171, "method": "both"},
+                 id="remainder-order-171"),
+    pytest.param("tailbound", "tailbound_unitary_remainder.json",
+                 lambda p: {**_small_tailbound(p), "order": 171},
+                 id="tailbound-unitary-remainder-order-171"),
     pytest.param("remainder", "demo_remainder_unitary.json",
                  lambda p: _with_asymmetric_perturbation(p, 5e-11),
                  id="remainder-unitary-perturbation-asymmetry-5e-11"),
@@ -798,7 +832,8 @@ class TestCliMisc:
         ("tailbound", "tailbound_kth_derivative.json",
          "seed must be an unsigned 64-bit integer"),
         ("conv-mean", "convmean_default.json", "seed must be an unsigned 64-bit integer"),
-        ("poly-decompose", "demo_poly_decompose.json", "seed must be a nonnegative integer"),
+        ("poly-decompose", "demo_poly_decompose.json",
+         "seed must be an unsigned 64-bit integer"),
     ])
     def test_a_bad_seed_flag_is_reported_at_the_flag(self, tmp_path, capsys, name, config,
                                                      message):

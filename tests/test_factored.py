@@ -158,9 +158,9 @@ def test_moi_core_is_a_batch_of_one_of_the_stacked_evaluation(m, separable):
 
 
 def test_grid_that_overflows_in_real_arithmetic_is_evaluated_in_complex():
-    """Real factor values give a real grid only when it is finite; otherwise
-    the grid and the sup surrogate are those of complex arithmetic, where
-    overflow turns into NaN rather than inf."""
+    """The grid of real factor values is summed in complex arithmetic, where
+    overflow turns into NaN rather than inf, and so is the sup surrogate of
+    a grid that is not finite in real arithmetic."""
     big = mk.ScalarFunction.constant(1e200)
     psi = mk.SeparableIntegrand(4, ((big,) * 4,))
     axes = [np.linspace(-1.0, 1.0, 3)] * 4
@@ -176,9 +176,9 @@ def test_grid_that_overflows_in_real_arithmetic_is_evaluated_in_complex():
 
 class TestSiblingSums:
     """The factored path sums sibling nodes of the suffix tree with
-    whole-row operations in the order of ``np.add.reduceat``: these pin the
-    two to the same bits, so that a numpy whose summation order changes
-    fails here before any pinned report drifts."""
+    whole-row operations: each group's first row plus its other rows, added
+    left to right.  With fewer than 4 further complex rows (8 real) that is
+    the order of ``np.add.reduceat``."""
 
     @staticmethod
     def rows(rng, count, shape, dtype):
@@ -198,11 +198,11 @@ class TestSiblingSums:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)])
     def test_bits_of_reduceat_for_every_group_length(self, dtype, shape):
-        # lengths 1..300 cross the unrolls (4 complex, 8 real elements) and
-        # the pairwise blocks (64 complex, 128 real) on both sides
+        # groups of 1..4 rows: 0..3 further rows, below numpy's unroll of
+        # 4 complex and 8 real elements, where reduceat adds them in order
         rng = np.random.default_rng(300)
-        for length in range(1, 301):
-            lengths = [length, 1, 1 + length // 3]
+        for length in range(1, 5):
+            lengths = [length, 1, 5 - length]
             values = self.rows(rng, sum(lengths), shape, dtype)
             starts, spans = self.groups(lengths)
             expected = np.add.reduceat(values, starts, axis=0)
@@ -210,17 +210,20 @@ class TestSiblingSums:
             assert summed.dtype == expected.dtype
             assert summed.tobytes() == expected.tobytes(), length
 
-    def test_the_order_is_not_left_to_right(self):
-        # the data above tells pairwise summation from a plain running sum
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_long_group_is_summed_left_to_right(self, dtype):
         rng = np.random.default_rng(301)
-        differs = 0
-        for length in (9, 40, 200):
-            values = self.rows(rng, length, (50,), np.float64)
-            running = values[0].copy()
-            for row in values[1:]:
-                running += row
-            differs += running.tobytes() != np.add.reduceat(values, [0], axis=0)[0].tobytes()
-        assert differs == 3
+        lengths = [2, 40, 1]
+        values = self.rows(rng, sum(lengths), (50,), dtype)
+        starts, spans = self.groups(lengths)
+        rest = values[3].copy()
+        for row in values[4:42]:
+            rest += row
+        expected = values[[0, 2, 42]].copy()
+        expected[0] += values[1]
+        expected[1] += rest
+        summed = integrands._sibling_sums(values.copy(), starts, spans)
+        assert summed.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_signed_zeros_and_non_finite_values(self, dtype):

@@ -609,7 +609,9 @@ class TestExperimentChecks:
         ("kth_derivative", lambda e: {"theta_grid": (0.5, math.inf)}, ValidationError,
          "^theta grid entries must be finite$"),
         ("kth_derivative", lambda e: {"order": 0}, ValidationError,
-         "^kth-derivative experiments need order >= 1$"),
+         r"^kth-derivative experiments need order in 1\.\.170$"),
+        ("kth_derivative", lambda e: {"order": 171}, ValidationError,
+         r"^kth-derivative experiments need order in 1\.\.170$"),
         ("moi_norm_a", lambda e: {"operator_models": e.operator_models[:1]},
          ValidationError, "^norm-bound experiments need at least two operators$"),
         ("moi_norm_a", lambda e: {"integrand": mk.ScalarFunction.monomial(1)},
