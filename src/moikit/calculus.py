@@ -10,6 +10,7 @@ exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_ORDER, CapabilityError, ParameterError, ValidationError, _integer
+from .errors import (MAX_ORDER, MAX_UNITARY_ORDER, CapabilityError, ParameterError,
+                     ValidationError, _integer)
 from .integrands import (
     ScalarFunction,
     divided_difference_integrand,
@@ -31,7 +33,6 @@ from .operators import (
     _checked_shift,
     _function_of_spectra,
     _shifted,
-    _times_shared,
     apply_scalar_function,
     operator_norm,
 )
@@ -79,9 +80,9 @@ class RemainderSpec:
     """Order-k Taylor remainder task for a slotwise function sum.
 
     ``self_adjoint`` perturbs each base operator additively by a Hermitian
-    H_j; ``unitary`` multiplies each unitary base operator by exp(i H_j) and
-    requires polynomial slot functions.  Each H_j may be given as a matrix or
-    as a :class:`HermitianOperator`; a matrix is checked here.
+    H_j; ``unitary`` multiplies each unitary base operator by exp(i H_j),
+    needs polynomial slot functions and an order k <= ``MAX_UNITARY_ORDER``.
+    Each H_j may be a matrix, checked here, or a :class:`HermitianOperator`.
     """
 
     order: int
@@ -91,8 +92,9 @@ class RemainderSpec:
     flavor: str
 
     def __post_init__(self):
-        if not 1 <= _integer(self.order, "orders must be integers", "", None) <= MAX_ORDER:
-            raise ValidationError(f"remainder order must lie in 1..{MAX_ORDER}")
+        high = MAX_UNITARY_ORDER if self.flavor == "unitary" else MAX_ORDER
+        if not 1 <= _integer(self.order, "orders must be integers", "", None) <= high:
+            raise ValidationError(f"remainder order must lie in 1..{high}")
         if self.flavor not in ("self_adjoint", "unitary"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         base, perts = tuple(self.base), tuple(self.perturbations)
@@ -304,16 +306,30 @@ def exp_series_tail(generator: HermitianOperator, start: int) -> np.ndarray:
 
 def polynomial_of_matrix(f: ScalarFunction, matrix: np.ndarray) -> np.ndarray:
     """Horner evaluation of a polynomial at a square matrix, or at each
-    matrix of a stack."""
+    matrix of a stack: :func:`_taylor_coefficients` of the series [M], at t^0."""
     if f.kind != "polynomial":
         raise CapabilityError("matrix evaluation needs a polynomial")
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    eye = np.eye(matrix.shape[-1], dtype=np.complex128)
-    coeffs = f.coefficients
-    result = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
-        result = result @ matrix + c * eye
-    return result
+    return _taylor_coefficients(f, [matrix])[0]
+
+
+def _taylor_coefficients(phi: ScalarFunction, series: Sequence[np.ndarray]) -> list:
+    """The coefficients of t^0 .. t^(K-1) in phi(Y(t)) for a polynomial phi
+    and Y(t) = sum_r series[r] t^r, K = len(series); each entry may be a
+    stack of matrices.
+
+    Horner's rule on power series truncated after t^(K-1) (Higham,
+    *Functions of Matrices*, SIAM 2008, section 4.2): from [c_p I, 0, ...],
+    each lower coefficient c sets out_j = out_0 Y_j + ... + out_j Y_0, summed
+    left to right, then adds c I to out_0: p K (K + 1) / 2 products in all.
+    """
+    series = [np.asarray(term, dtype=np.complex128) for term in series]
+    eye = np.eye(series[0].shape[-1], dtype=np.complex128)
+    out = [phi.coefficients[-1] * eye] + [np.zeros_like(eye)] * (len(series) - 1)
+    for c in phi.coefficients[-2::-1]:
+        out = [functools.reduce(np.add, [out[i] @ series[j - i] for i in range(j + 1)])
+               for j in range(len(series))]
+        out[0] = out[0] + c * eye
+    return out
 
 
 def _exp_term_cache(generator_matrix: np.ndarray, max_order: int) -> list[np.ndarray]:
@@ -325,57 +341,14 @@ def _exp_term_cache(generator_matrix: np.ndarray, max_order: int) -> list[np.nda
     return terms
 
 
-def _unitary_taylor_term(
-    phi: ScalarFunction, x_matrix: np.ndarray, g_terms: list[np.ndarray], order: int
-) -> np.ndarray:
-    """(1/order!) d^order/dt^order phi(exp(itH) X) at t = 0.
-
-    Exact for polynomial phi: expand exp(itH) as a series, distribute over
-    the monomial's factors, and collect the t^order coefficient.  X may be a
-    stack of matrices.
-
-    For X^p this sums G_r1 X ... G_rp X (G_r = g_terms[r]) over the p-tuples
-    summing to ``order``, in lexicographic order, built along shared prefixes
-    without the leading I or any G_0 = I (exact but for the sign of a zero).
-    A prefix stack times G_r is one BLAS call (:func:`_times_shared`), with
-    the per-matrix bits.
-    """
-    dim = x_matrix.shape[-1]
-    total = np.zeros(x_matrix.shape, dtype=np.complex128)
-
-    def products(prefix, budget: int, slots: int):
-        for r in range(budget + 1) if slots > 1 else (budget,):
-            if prefix is None:
-                head = x_matrix if r == 0 else g_terms[r] @ x_matrix
-            else:
-                head = (prefix if r == 0 else _times_shared(prefix, g_terms[r])) @ x_matrix
-            if slots == 1:
-                yield head
-            else:
-                yield from products(head, budget - r, slots - 1)
-
-    for p, c in enumerate(phi.coefficients):
-        if c == 0:
-            continue
-        if p == 0:
-            if order == 0:
-                total += c * np.eye(dim, dtype=np.complex128)
-            continue
-        if order == 0:
-            total += c * np.linalg.matrix_power(x_matrix, p)
-            continue
-        for prod in products(None, order, p):
-            total += c * prod
-    return total
-
-
 def taylor_remainder_unitary(spec: RemainderSpec, method: str = "moi") -> np.ndarray:
     """Order-k remainder of f(exp(iH) o X) after its t-derivative Taylor terms.
 
-    ``direct`` collects the t-power coefficients of each polynomial slot
-    function exactly; ``moi`` sums, per slot, one spectral-sum term for every
-    composition of k into parts, with the exponential-series tail as the
-    leading argument factor.
+    ``direct`` subtracts from phi(exp(iH) X) its t^0 .. t^(k-1) coefficients
+    in phi(exp(itH) X), :func:`_taylor_coefficients` of the series [X, G_1 X,
+    ..., G_(k-1) X], G_r = (iH)^r / r!.  ``moi`` sums, per slot, one spectral
+    sum for every composition of k into parts (k <= ``MAX_UNITARY_ORDER``),
+    with the exponential-series tail as the leading argument factor.
     """
     if spec.flavor != "unitary":
         raise ValidationError("spec flavor must be unitary")
@@ -392,8 +365,8 @@ def taylor_remainder_unitary(spec: RemainderSpec, method: str = "moi") -> np.nda
         g_terms = _exp_term_cache(gen.matrix, k)
         if method == "direct":
             value = polynomial_of_matrix(phi, rotated.matrix)
-            for ell in range(k):
-                value = value - _unitary_taylor_term(phi, base.matrix, g_terms, ell)
+            series = [base.matrix] + [g @ base.matrix for g in g_terms[1:k]]
+            value = functools.reduce(np.subtract, _taylor_coefficients(phi, series), value)
         else:
             tails = {
                 start: exp_series_tail(gen, start) for start in range(1, k + 1)

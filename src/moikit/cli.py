@@ -38,6 +38,7 @@ from .errors import (
     ParameterError,
     ValidationError,
     MAX_ORDER,
+    MAX_UNITARY_ORDER,
     _integer,
     _seed,
 )
@@ -185,6 +186,9 @@ def _handle_remainder(payload, args):
     if flavor not in ("self_adjoint", "unitary"):
         raise ValidationError("flavor must be self_adjoint or unitary",
                               path="input.flavor")
+    if flavor == "unitary" and order > MAX_UNITARY_ORDER:
+        raise ValidationError(f"order must be an integer in 1..{MAX_UNITARY_ORDER}",
+                              path="input.order")
     parse_base = ser.parse_hermitian if flavor == "self_adjoint" else ser.parse_unitary
 
     def parse_slot(slot, spath):

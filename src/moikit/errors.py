@@ -63,6 +63,10 @@ def _integer(value, message: str, path: str, low: int | None = 0,
 # of that order has already lost every digit.
 MAX_ORDER = 170
 
+# The largest unitary remainder order: its spectral sum and its Markov coefficients
+# run over all 2^(k-1) compositions of k, seconds per run at k = 16 and doubling.
+MAX_UNITARY_ORDER = 16
+
 
 def _seed(value, path: str = "") -> int:
     """A random seed, an integer in [0, 2^64), else ValidationError at ``path``."""

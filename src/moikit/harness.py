@@ -42,6 +42,7 @@ absolute value over all tuples drawn from the union of the realized spectra
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -56,7 +57,7 @@ import numpy as np
 from .calculus import (
     _binomial_sum,
     _exp_term_cache,
-    _unitary_taylor_term,
+    _taylor_coefficients,
     composition_weight_sum,
     polynomial_of_matrix,
     unitary_exponential,
@@ -68,6 +69,7 @@ from .errors import (
     ParameterError,
     ValidationError,
     MAX_ORDER,
+    MAX_UNITARY_ORDER,
     _finite,
     _integer,
     _schatten_exponent,
@@ -205,8 +207,9 @@ def _checked_fields(exp: TailBoundExperiment) -> dict:
     # the name the order and model-count messages use
     name = tid.replace("_", "-") if theorem.integrand == "scalar" else "remainder"
     if "order" in theorem.optional:
-        fields["order"] = _integer(exp.order, f"{name} experiments need order in 1..{MAX_ORDER}",
-                                   "", 1, MAX_ORDER + 1)
+        high = MAX_UNITARY_ORDER if theorem.unitary else MAX_ORDER
+        fields["order"] = _integer(exp.order, f"{name} experiments need order in 1..{high}",
+                                   "", 1, high + 1)
     if exp.eigengap_bound is not None:
         message = "eigengap_bound must be a finite positive number"
         fields["eigengap_bound"] = _finite(exp.eigengap_bound, message)
@@ -338,7 +341,15 @@ class _Context:
 
 
 def _prepare(exp: TailBoundExperiment) -> _Context:
-    return _THEOREMS[exp.theorem_id].prepare(exp)
+    """The theorem's :class:`_Context`; NumericalError if a coefficient is past the floats."""
+    try:
+        ctx = _THEOREMS[exp.theorem_id].prepare(exp)
+        finite = all(map(math.isfinite, ctx.coefficients.values()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericalError("a Markov coefficient overflows the floats")
+    return ctx
 
 
 def _chunk_samples(dim: int, surrogates) -> int:
@@ -520,7 +531,7 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
     n = len(functions)
     generators = [HermitianOperator._trusted(h) for h in perturbations]
     rotators = [unitary_exponential(g) for g in generators]
-    g_caches = [_exp_term_cache(h, k) for h in perturbations]
+    g_caches = [_exp_term_cache(h, k - 1)[1:] for h in perturbations]
     dd = [
         [divided_difference_integrand(f, ell) for ell in range(1, k + 1)]
         for f in functions
@@ -542,11 +553,10 @@ def _prepare_unitary_remainder(exp: TailBoundExperiment) -> _Context:
         terms = {}
         for j, (eigenvalues, _, matrices) in enumerate(spectra):
             rotated = rotators[j] @ matrices
-            value = polynomial_of_matrix(functions[j], rotated)
-            for ell in range(k):
-                value = value - _unitary_taylor_term(
-                    functions[j], matrices, g_caches[j], ell
-                )
+            series = [matrices] + [g @ matrices for g in g_caches[j]]
+            value = functools.reduce(
+                np.subtract, _taylor_coefficients(functions[j], series),
+                polynomial_of_matrix(functions[j], rotated))
             total = value if total is None else total + value
             rotated_eigs = np.linalg.eigvals(rotated)
             union = np.concatenate(

@@ -1175,6 +1175,8 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     values = separable.factor_values(axes)
     real = not any(np.iscomplexobj(v) for v in values)
     values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]
+    # a slot whose values are equal along its axis (NaN never is) needs one point of it
+    values = [v[..., :1] if (v == v[..., :1]).all() else v for v in values]
     if real and len(separable.terms) == 1:
         maxima = [np.max(np.abs(v[0]), axis=-1) for v in values]
         with np.errstate(over="ignore", invalid="ignore"):

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import MAX_ORDER, ValidationError, _integer, _seed
+from .errors import MAX_ORDER, MAX_UNITARY_ORDER, ValidationError, _integer, _seed
 from .harness import _THEOREMS, TailBoundExperiment, _theorem
 from .integrands import (
     MultivariateFunction,
@@ -28,6 +28,7 @@ from .operators import (
     HermitianOperator,
     RandomOperatorModel,
     UnitaryOperator,
+    _LAW_KINDS,
 )
 from .polyapprox import InnerPowerForm, LinearProductForm, MonomialPolynomial
 from .tensors import HermitianTensor
@@ -181,33 +182,29 @@ def parse_integrand(
 
 
 def model_to_json(model: RandomOperatorModel) -> dict:
-    kind = model.law[0]
-    if kind == "uniform":
-        law = {"kind": "uniform", "a": model.law[1], "b": model.law[2]}
-    elif kind == "gaussian":
-        law = {"kind": "gaussian", "mean": model.law[1], "sd": model.law[2]}
-    else:
-        law = {"kind": "fixed", "values": list(model.law[1])}
+    kind, *params = model.law
+    law = {"kind": kind}
+    for name, value in zip(_LAW_KINDS[kind], params):
+        law[name] = list(value) if isinstance(value, tuple) else value
     return {"dim": model.dim, "law": law}
 
 
 def parse_model(obj, path: str = "model") -> RandomOperatorModel:
     dim = _integer(_get(obj, "dim", path), "dim must be a positive integer",
                    path + ".dim", 1)
-    law_json = _get(obj, "law", path)
-    kind = _get(law_json, "kind", path + ".law")
-    if kind == "uniform":
-        law = ("uniform", _number(_get(law_json, "a", path + ".law"), path + ".law.a"),
-               _number(_get(law_json, "b", path + ".law"), path + ".law.b"))
-    elif kind == "gaussian":
-        law = ("gaussian",
-               _number(_get(law_json, "mean", path + ".law"), path + ".law.mean"),
-               _number(_get(law_json, "sd", path + ".law"), path + ".law.sd"))
-    elif kind == "fixed":
-        law = ("fixed", tuple(_items(_get(law_json, "values", path + ".law"), _number,
-                                     "values must be a list", path + ".law.values")))
-    else:
-        raise ValidationError(f"unknown law kind {kind!r}", path=path + ".law.kind")
+    law_json, lpath = _get(obj, "law", path), path + ".law"
+    kind = _get(law_json, "kind", lpath)
+    # searched as a tuple, so that a kind that is not hashable is unknown
+    if kind not in tuple(_LAW_KINDS):
+        raise ValidationError(f"unknown law kind {kind!r}", path=lpath + ".kind")
+
+    def param(name):
+        value, ppath = _get(law_json, name, lpath), f"{lpath}.{name}"
+        if kind == "fixed":
+            return tuple(_items(value, _number, "values must be a list", ppath))
+        return _number(value, ppath)
+
+    law = (kind, *map(param, _LAW_KINDS[kind]))
     try:
         return RandomOperatorModel(dim, law)
     except ValidationError as err:
@@ -366,8 +363,9 @@ def parse_experiment(obj, path: str = "") -> TailBoundExperiment:
     seed = _seed(_get(obj, "seed", root), root + ".seed")
     kwargs = {}
     if "order" in obj:
-        kwargs["order"] = _integer(obj["order"], f"order must be an integer in 1..{MAX_ORDER}",
-                                   root + ".order", 1, MAX_ORDER + 1)
+        high = MAX_UNITARY_ORDER if theorem.unitary else MAX_ORDER
+        kwargs["order"] = _integer(obj["order"], f"order must be an integer in 1..{high}",
+                                   root + ".order", 1, high + 1)
     if "schatten_p" in obj:
         kwargs["schatten_p"] = tuple(_items(obj["schatten_p"], _number,
                                             "schatten_p must be a list", root + ".schatten_p"))

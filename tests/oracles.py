@@ -251,6 +251,17 @@ def unitary_taylor_term_per_tuple(coefficients, x_matrix, g_terms, order):
     return total
 
 
+def horner_of_matrix(coefficients, x_matrix):
+    """The polynomial with these ascending coefficients at a matrix, or at
+    each matrix of a stack: ((c_p I) X + c_(p-1) I) X + ... + c_0 I."""
+    x_matrix = np.asarray(x_matrix, dtype=np.complex128)
+    eye = np.eye(x_matrix.shape[-1], dtype=np.complex128)
+    result = coefficients[-1] * eye
+    for c in coefficients[-2::-1]:
+        result = result @ x_matrix + c * eye
+    return result
+
+
 def positive_compositions(total, parts):
     """Brute-force enumeration of positive compositions."""
     if parts == 1:

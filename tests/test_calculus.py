@@ -282,6 +282,9 @@ class TestRemainderSpecChecks:
         (lambda rng: {"order": 0}, ValidationError, r"^remainder order must lie in 1\.\.170$"),
         (lambda rng: {"order": 171}, ValidationError,
          r"^remainder order must lie in 1\.\.170$"),
+        (lambda rng: {"order": 17, "flavor": "unitary",
+                      "base": (mk.sample_haar_unitary(3, rng),)}, ValidationError,
+         r"^remainder order must lie in 1\.\.16$"),
         (lambda rng: {"flavor": "skew"}, ValidationError, "^unknown flavor 'skew'$"),
         (lambda rng: {"perturbations": ()}, ValidationError,
          "^base/perturbation counts must match the slot count$"),
@@ -452,17 +455,17 @@ class TestUnitaryRemainder:
     @pytest.mark.parametrize("order", range(4))
     def test_taylor_term_matches_the_per_tuple_loop(self, order, degree, kind):
         # the harness's term on a stack, and on one matrix as the direct
-        # method takes it, against the loop that builds every product anew
+        # method takes it, against the loop that builds every product anew;
+        # Horner sums in another order, so they agree to rounding
         rng = np.random.default_rng(100 * order + 10 * degree + len(kind))
         phi = mk.ScalarFunction.polynomial(self.coefficients(rng, degree, kind))
         model = mk.RandomOperatorModel(4, ("uniform", -np.pi, np.pi))
         stack = np.array([mk.sample_random_unitary(model, rng).matrix for _ in range(5)])
         g_terms = calculus._exp_term_cache(mk.random_hermitian(4, rng, norm=0.5), order)
         for x in (stack, stack[2]):
-            np.testing.assert_array_equal(
-                calculus._unitary_taylor_term(phi, x, g_terms, order),
-                oracles.unitary_taylor_term_per_tuple(phi.coefficients, x, g_terms, order),
-            )
+            value = calculus._taylor_coefficients(phi, [g @ x for g in g_terms])[order]
+            ref = oracles.unitary_taylor_term_per_tuple(phi.coefficients, x, g_terms, order)
+            assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("kind", ["real", "complex", "zeros"])
     @pytest.mark.parametrize("degree", range(1, 6))
@@ -473,11 +476,41 @@ class TestUnitaryRemainder:
         spec = self.make_spec(rng, [phi], order)
         base, gen = spec.base[0].matrix, spec._generators[0]
         g_terms = calculus._exp_term_cache(gen.matrix, order)
-        expected = mk.polynomial_of_matrix(phi, mk.unitary_exponential(gen) @ base)
+        rotated = mk.polynomial_of_matrix(phi, mk.unitary_exponential(gen) @ base)
+        expected = rotated
         for ell in range(order):
             expected = expected - oracles.unitary_taylor_term_per_tuple(
                 phi.coefficients, base, g_terms, ell)
-        np.testing.assert_array_equal(mk.taylor_remainder_unitary(spec, "direct"), expected)
+        value = mk.taylor_remainder_unitary(spec, "direct")
+        # the remainder is a difference of terms the size of phi(e^{iH} X),
+        # so its rounding scales with that, not with the remainder itself
+        assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(rotated))
+
+    def test_taylor_coefficients_of_a_scalar_have_the_closed_form(self):
+        # [t^l] phi(x e^{iht}) = sum_p c_p x^p (ihp)^l / l!
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        phi = mk.ScalarFunction.polynomial(coeffs)
+        x, h = np.exp(0.7j), 0.6
+        series = [np.array([[x * (1j * h) ** r / math.factorial(r)]]) for r in range(20)]
+        value = calculus._taylor_coefficients(phi, series)
+        for ell in range(20):
+            exact = sum(c * x**p * (1j * h * p) ** ell for p, c in enumerate(coeffs))
+            exact /= math.factorial(ell)
+            assert abs(value[ell][0, 0] - exact) <= 1e-13 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_polynomial_of_matrix_keeps_the_horner_bits(self, rng, complex_coefficients):
+        coeffs = rng.standard_normal(6)
+        if complex_coefficients:
+            coeffs = coeffs + 1j * rng.standard_normal(6)
+        coeffs[2] = 0.0
+        phi = mk.ScalarFunction.polynomial(coeffs)
+        stack = rng.standard_normal((7, 3, 3)) + 1j * rng.standard_normal((7, 3, 3))
+        stack[:, 0, 1] = 0.0
+        for x in (stack, stack[3], stack.real):
+            np.testing.assert_array_equal(
+                mk.polynomial_of_matrix(phi, x), oracles.horner_of_matrix(phi.coefficients, x))
 
     def test_non_polynomial_rejected(self, rng):
         model = mk.RandomOperatorModel(3, ("uniform", -np.pi, np.pi))

@@ -214,6 +214,29 @@ class TestTailboundCommand:
                         "--workers", "0", "--output", str(out)]) == 0
         assert read_json(out)["diagnostics"] == [message]
 
+    @pytest.mark.parametrize("config, key, factor", [
+        ("tailbound_unitary_remainder.json", "perturbations", 1e160),
+        ("tailbound_unitary_remainder.json", "perturbations", 1e100),
+        ("tailbound_kth_derivative.json", "direction", 1e160),
+    ], ids=["unitary-1e160", "unitary-1e100", "kth-derivative-1e160"])
+    def test_overflowing_markov_coefficient_exits_3(self, tmp_path, capsys, config,
+                                                     key, factor):
+        # 1e160 overflows the coefficient's arithmetic, 1e100 ends in inf
+        payload = read_json(config_path(config))
+        fixed = payload["fixed_inputs"][key]
+        scaled = ([_scaled(m, factor) for m in fixed] if isinstance(fixed, list)
+                  else _scaled(fixed, factor))
+        bad = tmp_path / "exp.json"
+        bad.write_text(json.dumps(_small_tailbound(payload, **{key: scaled})))
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(bad),
+                        "--output", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a Markov coefficient overflows the floats"]
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
+        assert read_json(out)["ok"]
+
     def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
         # the shipped theorems hold pathwise, so a genuine violation cannot
         # be provoked; stub the runner to exercise the exit-code mapping
@@ -377,6 +400,12 @@ def _skewed(matrix, amount):
     return matrix
 
 
+def _scaled(matrix, factor):
+    """A copy of a JSON matrix with every entry times ``factor``."""
+    return {**matrix, "entries": [[[re * factor, im * factor] for re, im in row]
+                                  for row in matrix["entries"]]}
+
+
 def _with_asymmetric_perturbation(payload, amount):
     slot = {**payload["slots"][0]}
     slot["perturbation"] = _skewed(slot["perturbation"], amount)
@@ -479,6 +508,14 @@ REJECTED_PAYLOADS = [
     pytest.param("tailbound", "tailbound_unitary_remainder.json",
                  lambda p: {**_small_tailbound(p), "order": 171},
                  id="tailbound-unitary-remainder-order-171"),
+    pytest.param("remainder", "demo_remainder_unitary.json",
+                 lambda p: {**p, "order": 17}, id="remainder-unitary-order-17"),
+    pytest.param("tailbound", "tailbound_unitary_remainder.json",
+                 lambda p: {**_small_tailbound(p), "order": 17},
+                 id="tailbound-unitary-remainder-order-17"),
+    pytest.param("tailbound", "tailbound_kth_derivative.json",
+                 lambda p: _with_law(p, {"kind": ["uniform"], "a": -1.0, "b": 1.0}),
+                 id="tailbound-law-kind-list"),
     pytest.param("remainder", "demo_remainder_unitary.json",
                  lambda p: _with_asymmetric_perturbation(p, 5e-11),
                  id="remainder-unitary-perturbation-asymmetry-5e-11"),

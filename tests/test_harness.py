@@ -536,6 +536,18 @@ class TestBatchedEvaluation:
         assert len(calls) <= 2 * math.ceil(math.log2(16)) + 1
         assert_same_bits(block, oracles.tail_bound_block(exp, 32, 48))
 
+    def test_unitary_remainder_at_order_10_reads_constant_integrands_once(self):
+        # f^[l] is the leading coefficient at l = deg f and zero beyond: the
+        # sup reads one point of those grids, not 6^(l+1)
+        exp = dataclasses.replace(shipped_experiment("unitary_remainder"), order=10)
+        stats, terms, aborted = harness._simulate_block(exp, 0, 256)
+        assert not aborted.any() and np.all(np.isfinite(stats))
+        for j, f in enumerate(exp.integrand):
+            degree = len(f.coefficients) - 1
+            assert np.all(terms[f"slot{j}_order{degree}_integrand_norm"] == 1.0)
+            for ell in range(degree + 1, 11):
+                assert np.all(terms[f"slot{j}_order{ell}_integrand_norm"] == 0.0)
+
     def test_chunk_keeps_the_factored_sums_near_the_budget(self):
         # moi_norm_a: three 4x4 operators; the widest suffix level of its
         # factored sum holds one 4x4 complex matrix per node and sample
@@ -612,6 +624,8 @@ class TestExperimentChecks:
          r"^kth-derivative experiments need order in 1\.\.170$"),
         ("kth_derivative", lambda e: {"order": 171}, ValidationError,
          r"^kth-derivative experiments need order in 1\.\.170$"),
+        ("unitary_remainder", lambda e: {"order": 17}, ValidationError,
+         r"^remainder experiments need order in 1\.\.16$"),
         ("moi_norm_a", lambda e: {"operator_models": e.operator_models[:1]},
          ValidationError, "^norm-bound experiments need at least two operators$"),
         ("moi_norm_a", lambda e: {"integrand": mk.ScalarFunction.monomial(1)},
