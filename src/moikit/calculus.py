@@ -318,14 +318,20 @@ def _taylor_coefficients(phi: ScalarFunction, series: Sequence[np.ndarray]) -> l
     stack of matrices.
 
     Horner's rule on power series truncated after t^(K-1) (Higham,
-    *Functions of Matrices*, SIAM 2008, section 4.2): from [c_p I, 0, ...],
-    each lower coefficient c sets out_j = out_0 Y_j + ... + out_j Y_0, summed
-    left to right, then adds c I to out_0: p K (K + 1) / 2 products in all.
+    *Functions of Matrices*, SIAM 2008, section 4.2): from [c_p Y_0 +
+    c_(p-1) I, c_p Y_1, ..., c_p Y_(K-1)], each lower coefficient c sets
+    out_j = out_0 Y_j + ... + out_j Y_0, summed left to right, then adds c I
+    to out_0: (p - 1) K (K + 1) / 2 products in all.  A constant phi is its
+    constant at t^0.
     """
     series = [np.asarray(term, dtype=np.complex128) for term in series]
     eye = np.eye(series[0].shape[-1], dtype=np.complex128)
-    out = [phi.coefficients[-1] * eye] + [np.zeros_like(eye)] * (len(series) - 1)
-    for c in phi.coefficients[-2::-1]:
+    *lower, top = phi.coefficients
+    if not lower:
+        return [top * eye] + [np.zeros_like(eye)] * (len(series) - 1)
+    out = [top * term for term in series]
+    out[0] = out[0] + lower.pop() * eye
+    for c in reversed(lower):
         out = [functools.reduce(np.add, [out[i] @ series[j - i] for i in range(j + 1)])
                for j in range(len(series))]
         out[0] = out[0] + c * eye

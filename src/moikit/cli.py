@@ -49,7 +49,12 @@ from .harness import (
 )
 from .moi import MoiRequest, moi_evaluate
 from .operators import sample_haar_unitary
-from .polyapprox import decompose_inner_powers, to_linear_products
+from .polyapprox import (
+    DECOMPOSITION_LIMITS,
+    _past_decomposition_limits,
+    decompose_inner_powers,
+    to_linear_products,
+)
 from .tensors import shared_mode_dims, unfold, unfold_array
 
 EXIT_OK = 0
@@ -283,6 +288,9 @@ def _handle_conv_mean(payload, args):
 def _handle_poly_decompose(payload, args):
     poly = ser.parse_monomial_polynomial(payload.get("polynomial", {}),
                                          "input.polynomial")
+    field = _past_decomposition_limits(poly)
+    if field is not None:
+        raise ValidationError(DECOMPOSITION_LIMITS, path=f"input.polynomial.{field}")
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
     _seed(seed, "input.seed" if args.seed is None else "flags.seed")
 

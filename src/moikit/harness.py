@@ -15,18 +15,18 @@ normals.  A chunk holds whole blocks when it holds at least one; a
 range that starts or ends inside a block draws that block whole and keeps
 its own samples.  The draws are stacked along a leading sample axis, and one
 batched statistic function per theorem computes the chunk's statistics and
-terms with stacked QR, eigendecompositions, factored engine sums, sup
-surrogates and SVD norms.  The sup surrogates never hold a chunk's grid: a
-one-term real integrand's sup is the ordered product of its per-slot maxima
-(exact, as rounding is monotone), and any other separable integrand's grid
-is summed in cache-sized blocks of samples, each reduced to its maxima at
-once (see ``integrands._sup_norms``).  Batched arithmetic gives each sample
-the same bits as a call on that sample alone, so a sample's values do not
-depend on the chunk it falls in.  A sample whose arithmetic fails is
-aborted: the batched kernels raise the abort error of their first failing
-sample, and a chunk that raises one is halved, each half evaluated the same
-way, until every failing sample stands alone, so that exactly the samples
-that fail alone are aborted.
+terms with stacked Haar bases, eigendecompositions, factored engine sums, sup
+surrogates and operator norms from Gram matrices.  The sup surrogates never
+hold a chunk's grid: a one-term real integrand's sup is the ordered product
+of its per-slot maxima (exact, as rounding is monotone), and any other
+separable integrand's grid is summed in cache-sized blocks of samples, each
+reduced to its maxima at once (see ``integrands._sup_norms``).  Batched
+arithmetic gives each sample the same bits as a call on that sample alone,
+so a sample's values do not depend on the chunk it falls in.  A sample
+whose arithmetic fails is aborted: the batched kernels raise the abort
+error of their first failing sample, and a chunk that raises one is halved,
+each half evaluated the same way, until every failing sample stands alone,
+so that exactly the samples that fail alone are aborted.
 
 Reproducibility contract: a sample's draws depend on the seed and its index
 alone, per-sample values land in arrays indexed by sample, and aggregation
@@ -851,6 +851,9 @@ def convergence_parameters(
     return float(epsilon0), steps, r, order, arguments, samples, seed
 
 
+_CONVERGENCE_OVERFLOW = "a convergence statistic or bound overflows the floats"
+
+
 def convergence_in_mean_check(
     base_model: RandomOperatorModel,
     epsilon0: float,
@@ -896,12 +899,16 @@ def convergence_in_mean_check(
                     for op, d in zip(base_ops, directions)
                 ]
             lhs, bound = continuity_modulus(f, order, base_ops, perturbed, arguments)
-            diff_pow[step_idx, s] = lhs**r
-            bound_pow[step_idx, s] = bound**r
+            try:
+                diff_pow[step_idx, s] = lhs**r
+                bound_pow[step_idx, s] = bound**r
+            except OverflowError:
+                raise NumericalError(_CONVERGENCE_OVERFLOW) from None
     step_rows = []
     for step_idx in range(steps):
-        mean, stderr = _mean_stderr(diff_pow[step_idx])
-        bound_mean = float(np.mean(bound_pow[step_idx]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mean, stderr = _mean_stderr(diff_pow[step_idx])
+            bound_mean = float(np.mean(bound_pow[step_idx]))
         step_rows.append(
             {
                 "m": step_idx + 1,
@@ -914,6 +921,11 @@ def convergence_in_mean_check(
         )
     initial = step_rows[0]["mean_diff_pow_r"]
     final = step_rows[-1]["mean_diff_pow_r"]
+    ratio = (final / initial) if initial > 0 else 0.0
+    reported = [row[key] for row in step_rows
+                for key in ("mean_diff_pow_r", "stderr", "bound_mean")]
+    if not all(map(math.isfinite, reported + [ratio])):
+        raise NumericalError(_CONVERGENCE_OVERFLOW)
     converged = initial == 0.0 or final <= 1e-3 * initial
     return {
         "schema_version": 1,
@@ -926,7 +938,7 @@ def convergence_in_mean_check(
         "steps": step_rows,
         "initial_mean": initial,
         "final_mean": final,
-        "final_ratio": (final / initial) if initial > 0 else 0.0,
+        "final_ratio": ratio,
         "dominated_all": all(row["dominated"] for row in step_rows),
         "converged": bool(converged),
         "wall_time_s": time.perf_counter() - start,

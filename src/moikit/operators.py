@@ -8,14 +8,17 @@ All values are immutable after construction; every operation here is a pure
 function.  Random sampling takes an explicit ``numpy.random.Generator``.
 
 One private builder, :func:`_random_spectra`, turns drawn arrays stacked over
-samples into sorted spectra and Haar bases (Ginibre QR with the R-diagonal
-phase fix, see Mezzadri, Notices AMS 54, 2007), and :func:`_spectral_matrices`
-builds their matrices; the public samplers are their batch-of-one calls, and
-the Monte Carlo harness calls them once per chunk of samples.  The other
-private helpers that take stacks (:func:`_from_spectrum`,
-:func:`_check_reconstruction`, :func:`_hermitian_spectra`,
-:func:`_function_of_spectra`) likewise serve the public single-operator
-functions with a batch of one.
+samples into sorted spectra and Haar bases (the Q factor of a Ginibre matrix
+with a real positive R diagonal, see Mezzadri, Notices AMS 54, 2007: modified
+Gram-Schmidt run twice at n <= 4, Householder QR above), and
+:func:`_spectral_matrices` builds their matrices; the public samplers are
+their batch-of-one calls, and the Monte Carlo harness calls them once per
+chunk of samples.  The other private helpers that take stacks
+(:func:`_from_spectrum`, :func:`_check_reconstruction`,
+:func:`_hermitian_spectra`, :func:`_function_of_spectra`,
+:func:`_stacked_norms`, whose operator norms come from one ``eigvalsh`` of
+the Gram matrices) likewise serve the public single-operator functions with
+a batch of one.
 
 Trust boundary: constructors and parsers check their input, and
 :func:`spectral_decompose` checks what LAPACK returns.  Operators that moikit
@@ -314,12 +317,33 @@ def apply_scalar_function(
 
 
 def _stacked_norms(matrices: np.ndarray, p: float = np.inf) -> np.ndarray:
-    """Per matrix of a stack (N, n, n), the Schatten p-norm from one batched
-    SVD; ``p = inf``, the default, is the operator norm."""
-    singular = np.linalg.svd(matrices, compute_uv=False)
-    if p == np.inf:
-        return np.max(singular, axis=-1)
-    return np.sum(singular**p, axis=-1) ** (1.0 / p)
+    """Per matrix of a stack (N, n, n), the Schatten p-norm; ``p = inf``, the
+    default, is the operator norm.
+
+    The operator norm is sqrt(lambda_max(M* M)), from one batched ``eigvalsh``
+    of the Gram matrices, which is cheaper than an SVD per matrix.  Each
+    matrix is first scaled by the power of two 2^-e that brings its largest
+    real or imaginary part into [1/2, 1): the scaling is exact, the Gram
+    matrix neither overflows nor underflows, and unless the matrix is zero
+    its largest eigenvalue is at least 1/4, so the norm 2^e sqrt(lambda_max)
+    keeps its relative accuracy.  A matrix with an entry that is not finite has norm NaN and
+    never reaches ``eigvalsh``.  Finite p takes the SVD: the small singular
+    values lose their relative accuracy in a Gram matrix.
+    """
+    if p != np.inf:
+        singular = np.linalg.svd(matrices, compute_uv=False)
+        return np.sum(singular**p, axis=-1) ** (1.0 / p)
+    parts = np.ascontiguousarray(matrices, dtype=np.complex128).view(np.float64)
+    largest = np.abs(parts).max(axis=(-2, -1))
+    if not np.isfinite(largest).all():
+        finite = np.isfinite(largest)
+        norms = np.full(len(largest), np.nan)
+        norms[finite] = _stacked_norms(matrices[finite])
+        return norms
+    exponent = np.frexp(largest)[1]
+    scaled = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
+    top = np.linalg.eigvalsh(_adjoint(scaled) @ scaled)[:, -1]
+    return np.ldexp(np.sqrt(top), exponent)
 
 
 def operator_norm(matrix) -> float:
@@ -413,15 +437,53 @@ def _draw(model: RandomOperatorModel, rng: np.random.Generator, count: int = 1):
 
 def _haar_bases(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from standard normal pairs stacked over samples, shape
-    (N, 2, n, n): complex Ginibre matrix -> batched QR -> column phases fixed
-    by the sign of the R diagonal, which makes the factorization unique and
-    the law exactly Haar (plain QR of Ginibre is not).  The results are
-    not checked: Householder QR gives orthonormal columns to working
+    (N, 2, n, n): the Q factor of the complex Ginibre matrix with a real
+    positive R diagonal, which makes the factorization unique and the law
+    exactly Haar (plain QR of Ginibre is not; Mezzadri, Notices AMS 54,
+    2007).  At n <= 4 it comes from :func:`_gram_schmidt_bases`, above from
+    a batched Householder QR with the column phases fixed by the R diagonal.
+    Neither result is checked: both give orthonormal columns to working
     precision."""
     ginibre = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    if ginibre.shape[-1] <= _GRAM_SCHMIDT_DIM:
+        return _gram_schmidt_bases(ginibre)
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+# The largest n whose Haar bases come from Gram-Schmidt.  Microseconds per
+# stack, Householder QR with its phase fix / Gram-Schmidt run twice (2-core
+# x86-64 host, numpy 2.4 on OpenBLAS, one thread, best of 7):
+#
+#     stack           n = 3      n = 4      n = 5      n = 8
+#     1000 matrices   1323/491   1971/1095  2821/1987  6517/5950
+#     256 matrices    320/162    443/287    577/487    1169/1370
+#     1 matrix        28/45      29/70      29/103     33/238
+#
+# The harness stacks whole blocks of 256 samples, the public samplers one.
+# The choice reads n alone: a sample's bits may not depend on its stack.
+_GRAM_SCHMIDT_DIM = 4
+
+
+def _gram_schmidt_bases(ginibre: np.ndarray) -> np.ndarray:
+    """The Q factors of a stack (N, n, n) by modified Gram-Schmidt run twice
+    per column ("twice is enough": Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50, 2005), each column divided by its norm, so that R has a
+    real positive diagonal.
+
+    Only elementwise products and sums over each column's n rows touch the
+    stack, so every matrix gets the bits it gets alone."""
+    basis, conjugates = [], []
+    for column in ginibre.transpose(2, 0, 1).copy():  # column j of each matrix, (N, n)
+        for _ in range(2):
+            for q, q_conj in zip(basis, conjugates):
+                column -= q * (q_conj * column).sum(axis=-1, keepdims=True)
+        parts = column.view(np.float64)
+        parts /= np.sqrt((parts * parts).sum(axis=-1, keepdims=True))
+        basis.append(column)
+        conjugates.append(column.conj())
+    return np.stack(basis, axis=-1)
 
 
 def _random_spectra(values: np.ndarray, normals: np.ndarray, unitary: bool = False):

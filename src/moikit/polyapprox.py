@@ -30,6 +30,11 @@ __all__ = [
 
 CONDITION_LIMIT = 1e10
 MAX_DIRECTION_ATTEMPTS = 10
+# the largest degree and arity that decompose_inner_powers takes
+MAX_DECOMPOSITION_DEGREE = 8
+MAX_DECOMPOSITION_ARITY = 4
+DECOMPOSITION_LIMITS = (f"decomposition supports degree <= {MAX_DECOMPOSITION_DEGREE}, "
+                        f"arity <= {MAX_DECOMPOSITION_ARITY}")
 
 
 def monomial_count(arity: int, degree: int) -> int:
@@ -168,6 +173,19 @@ def _probe_grid(arity: int, points_per_axis: int = 10) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _past_decomposition_limits(poly: MonomialPolynomial) -> str | None:
+    """The field of ``poly`` past :data:`DECOMPOSITION_LIMITS`, as a path
+    below the polynomial: ``arity``, or ``terms[i].exp`` for the first term
+    with a nonzero coefficient whose degree is too high; None if there is
+    none."""
+    if poly.arity > MAX_DECOMPOSITION_ARITY:
+        return "arity"
+    for i, (exp, coef) in enumerate(poly.terms):
+        if coef != 0.0 and sum(exp) > MAX_DECOMPOSITION_DEGREE:
+            return f"terms[{i}].exp"
+    return None
+
+
 def decompose_inner_powers(
     poly: MonomialPolynomial, rng: np.random.Generator
 ) -> InnerPowerForm:
@@ -179,10 +197,10 @@ def decompose_inner_powers(
     so the system is square.  Ill-conditioned or inaccurate draws are
     resampled up to 10 times before failing with a conditioning report.
     """
+    if _past_decomposition_limits(poly) is not None:
+        raise ParameterError(DECOMPOSITION_LIMITS)
     m = poly.arity
     k = poly.degree
-    if k > 8 or m > 4:
-        raise ParameterError("decomposition supports degree <= 8, arity <= 4")
     probes = _probe_grid(m)
     target = poly.evaluate_many(probes)
     scale = 1.0 + float(np.max(np.abs(target))) if target.size else 1.0

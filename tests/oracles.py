@@ -186,6 +186,16 @@ def schatten_from_gram(matrix, p):
     return float(np.sum(sigma**p) ** (1.0 / p))
 
 
+def haar_bases_by_qr(normals):
+    """Haar unitaries from standard normal pairs (N, 2, n, n): Householder QR
+    of the complex Ginibre matrices, each column's phase fixed by the sign
+    of its R diagonal entry (Mezzadri, Notices AMS 54, 2007)."""
+    ginibre = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def power_iteration_norm(matrix, iterations=500, seed=0):
     """Largest singular value by power iteration on M*M."""
     rng = np.random.default_rng(seed)

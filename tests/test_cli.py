@@ -313,6 +313,25 @@ class TestConvMeanCommand:
             assert read_json(diag)["ok"]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("factor", [1e100, 1e150, 1e300])
+    def test_a_statistic_or_bound_past_the_floats_exits_3(self, tmp_path, capsys, factor):
+        # 1e100 and 1e150 end in an infinite mean or stderr, 1e300 overflows a power
+        payload = {**read_json(config_path("convmean_default.json")),
+                   "samples": 2, "steps": 2}
+        argument = copy.deepcopy(payload["arguments"][1])
+        argument["entries"][2][3][0] *= factor
+        config = tmp_path / "conv.json"
+        config.write_text(json.dumps({**payload,
+                                      "arguments": [payload["arguments"][0], argument]}))
+        capsys.readouterr()
+        assert run_cli(["conv-mean", "--input", str(config),
+                        "--output", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a convergence statistic or bound overflows the floats"]
+        out = tmp_path / "diag.json"
+        assert run_cli(["validate", "--input", str(config), "--output", str(out)]) == 0
+        assert read_json(out)["ok"]
+
 
 class TestPolyDecomposeCommand:
     def test_demo(self, tmp_path):
@@ -601,6 +620,16 @@ REJECTED_PAYLOADS = [
                      **p["polynomial"],
                      "terms": p["polynomial"]["terms"][:1] + p["polynomial"]["terms"]}},
                  id="poly-decompose-duplicated-exponent"),
+    pytest.param("poly-decompose", "demo_poly_decompose.json",
+                 lambda p: {**p, "polynomial": {
+                     **p["polynomial"],
+                     "terms": [{**p["polynomial"]["terms"][0], "exp": [9, 1]}]
+                     + p["polynomial"]["terms"][1:]}},
+                 id="poly-decompose-degree-10"),
+    pytest.param("poly-decompose", "demo_poly_decompose.json",
+                 lambda p: {**p, "polynomial": {
+                     "arity": 5, "terms": [{"exp": [1, 0, 0, 0, 1], "coef": 1.0}]}},
+                 id="poly-decompose-arity-5"),
     pytest.param("mti-eval", "demo_mti_eval.json",
                  lambda p: _with_tensor_entry_shifted(p, 0.5), id="mti-eval-tensor-not-hermitian"),
     pytest.param("remainder", "demo_remainder_sa.json",

@@ -167,6 +167,70 @@ class TestNorms:
             mk.schatten_norm(np.eye(2, dtype=complex), 0.5)
 
 
+def largest_singular_values(matrices):
+    return np.max(np.linalg.svd(matrices, compute_uv=False), axis=-1)
+
+
+def relative_departure(norms, reference):
+    return float(np.max(np.abs(norms - reference) / reference))
+
+
+class TestStackedOperatorNorms:
+    """Operator norms from the largest eigenvalue of each Gram matrix, against
+    the largest singular value."""
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_random_graded_and_rank_deficient_stacks(self, dim):
+        rng = np.random.default_rng(dim)
+        grades = 10.0 ** -np.linspace(0.0, 8.0, dim)
+        rank = max(1, dim // 2)
+        stacks = {
+            "random": complex_stack(rng, 200, dim, dim),
+            "graded": grades[:, None] * complex_stack(rng, 200, dim, dim) * grades,
+            "rank-deficient": complex_stack(rng, 200, dim, rank)
+            @ complex_stack(rng, 200, rank, dim),
+        }
+        for kind, stack in stacks.items():
+            norms = operators._stacked_norms(stack)
+            assert relative_departure(norms, largest_singular_values(stack)) <= 4e-15, kind
+
+    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-700, 1e300, 1e-300])
+    def test_entries_far_from_one(self, scale):
+        stack = complex_stack(np.random.default_rng(7), 200, 4, 4) * scale
+        norms = operators._stacked_norms(stack)
+        assert np.all(np.isfinite(norms))
+        assert relative_departure(norms, largest_singular_values(stack)) <= 4e-15
+
+    def test_the_zero_matrix_has_norm_zero(self):
+        norms = operators._stacked_norms(np.zeros((2, 3, 3), dtype=complex))
+        assert norms.tolist() == [0.0, 0.0] and not np.signbit(norms).any()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf),
+                                     complex(1.0, np.nan)])
+    def test_a_matrix_with_an_entry_that_is_not_finite_has_norm_nan(self, bad):
+        stack = complex_stack(np.random.default_rng(3), 6, 4, 4)
+        expected = operators._stacked_norms(stack)
+        stack[2, 1, 3] = bad
+        norms = operators._stacked_norms(stack)  # raises no LinAlgError
+        assert np.isnan(norms[2])
+        keep = np.arange(6) != 2
+        assert norms[keep].tobytes() == expected[keep].tobytes()
+
+    def test_a_stack_gives_each_matrix_its_own_bits(self):
+        stack = complex_stack(np.random.default_rng(11), 300, 4, 4)
+        norms = operators._stacked_norms(stack)
+        singles = [operators._stacked_norms(matrix[None])[0] for matrix in stack]
+        assert norms.tobytes() == np.array(singles).tobytes()
+        assert norms[37:101].tobytes() == operators._stacked_norms(stack[37:101]).tobytes()
+
+    def test_finite_p_keeps_the_singular_values(self):
+        stack = complex_stack(np.random.default_rng(5), 50, 4, 4)
+        singular = np.linalg.svd(stack, compute_uv=False)
+        for p in (1.0, 2.5):
+            expected = np.sum(singular**p, axis=-1) ** (1.0 / p)
+            assert operators._stacked_norms(stack, p).tobytes() == expected.tobytes()
+
+
 class TestHaarSampling:
     def test_dim_one_is_unit_phase(self):
         rng = np.random.default_rng(1)
@@ -192,6 +256,28 @@ class TestHaarSampling:
         _, bases = operators._random_spectra(values, normals, unitary)
         departure = np.abs(operators._adjoint(bases) @ bases - np.eye(dim))
         assert np.max(departure) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gram_schmidt_bases_do_not_depend_on_the_stack(self, dim):
+        normals = np.random.default_rng(dim).standard_normal((1000, 2, dim, dim))
+        whole = operators._haar_bases(normals)
+        singles = [(i, i + 1) for i in range(0, 1000, 37)]
+        for lo, hi in singles + [(0, 2), (1, 37), (37, 300), (255, 257), (299, 1000)]:
+            assert operators._haar_bases(normals[lo:hi]).tobytes() == whole[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gram_schmidt_bases_are_orthonormal_and_the_qr_ones(self, dim):
+        normals = np.random.default_rng(10 + dim).standard_normal((10_000, 2, dim, dim))
+        bases = operators._haar_bases(normals)
+        departure = np.abs(operators._adjoint(bases) @ bases - np.eye(dim))
+        assert np.max(departure) <= 1e-14
+        assert np.max(np.abs(bases - oracles.haar_bases_by_qr(normals))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [5, 8])
+    def test_larger_bases_keep_the_householder_bits(self, dim):
+        normals = np.random.default_rng(dim).standard_normal((300, 2, dim, dim))
+        expected = oracles.haar_bases_by_qr(normals)
+        assert operators._haar_bases(normals).tobytes() == expected.tobytes()
 
     def test_trace_second_moment(self):
         rng = np.random.default_rng(77)
