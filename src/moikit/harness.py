@@ -133,11 +133,19 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean (0.0 for a single value)."""
-    mean = float(np.mean(values))
-    if len(values) < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    """Sample mean and standard error of the mean (0.0 for a single value).
+    Where the squared deviations of finite values overflow, the standard
+    deviation is that of the values over their largest magnitude, scaled
+    back."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check the results
+        mean = float(np.mean(values))
+        if len(values) < 2:
+            return mean, 0.0
+        std = np.std(values, ddof=1)
+        if not np.isfinite(std) and np.isfinite(values).all():
+            scale = np.max(np.abs(values))
+            std = np.std(values / scale, ddof=1) * scale
+    return mean, float(std / math.sqrt(len(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +765,10 @@ def _markov_row(theta, stat, coeffs, means, stderrs) -> dict:
     p_hat = float(np.mean(stat >= theta))
     se_p = math.sqrt(p_hat * (1.0 - p_hat) / len(stat))
     rhs = sum(c * mean for c, mean in zip(coeffs, means)) / theta
-    se_rhs = math.sqrt(sum((c * se / theta) ** 2 for c, se in zip(coeffs, stderrs)))
-    mc_stderr = math.sqrt(se_p**2 + se_rhs**2)
+    se_rhs = _root_sum_squares([c * se / theta for c, se in zip(coeffs, stderrs)])
+    mc_stderr = _root_sum_squares([se_p, se_rhs])
+    if not (math.isfinite(rhs) and math.isfinite(mc_stderr)):
+        raise NumericalError("a Markov bound or its standard error overflows the floats")
     return {
         "theta": float(theta),
         "empirical_prob": p_hat,
@@ -766,6 +776,16 @@ def _markov_row(theta, stat, coeffs, means, stderrs) -> dict:
         "bound_rhs": rhs,
         "satisfied": bool(p_hat <= rhs + 3.0 * mc_stderr),
     }
+
+
+def _root_sum_squares(terms: list) -> float:
+    """sqrt of the sum of the squares of the terms, in order; by
+    ``math.hypot`` where a square or the sum overflows."""
+    try:
+        root = math.sqrt(sum(t**2 for t in terms))
+    except OverflowError:
+        return math.hypot(*terms)
+    return root if math.isfinite(root) else math.hypot(*terms)
 
 
 def _fixed_eigengap_report(exp, ctx, stats, terms, valid):

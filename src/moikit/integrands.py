@@ -15,13 +15,13 @@ nodes, or f^(l)/l! where its ends are equal.  Each tuple is snapped first
 distinct nearby nodes their mean), and then is a sorted tuple of indices
 into the nodes it snaps to.  The grid of a non-polynomial
 divided-difference integrand (:func:`_divided_difference_grid`) evaluates
-each distinct sorted tuple of indices into the union of the axes once: on
-equal axes the multisets of the axis's nodes, listed by rank, else those
-the ranks of the points find; :func:`divided_difference` is a stack of one
-tuple.  The table runs the scalar recursion's own arithmetic: float64 when
-the nodes are real and every value it reads is a float, complex128 when
-every value is a numpy complex128, and else the Python or numpy operation on
-each value itself.  Every value has the bits of the scalar recursion, but
+sorted tuples of indices into the union of the axes: on equal axes each
+multiset of the axis's nodes once, listed by rank, else every point's own
+sorted tuple; :func:`divided_difference` is a stack of one tuple.  The
+table runs the scalar recursion's own arithmetic: float64 when the nodes
+are real and every value it reads is a float, complex128 when every value
+is a numpy complex128, and else the Python or numpy operation on each value
+itself.  Every value has the bits of the scalar recursion, but
 for the sign and payload of a NaN and where a NaN node stands among others:
 moikit sorts it last (numpy's order), Python's ``sorted`` leaves it in place.
 
@@ -231,12 +231,9 @@ class DividedDifferenceSpec:
 
 # Bytes an intermediate array of a divided-difference grid may take when it
 # outgrows the grid itself: the (P, k+1, k+1) node differences of the tuples
-# snapped at a time, and the arrays over the ranks of a grid's tuples while
-# the ranks number at most the grid's points or the complex values in this
-# many bytes (see :func:`_distinct_tuples`).  The multisets and point ranks
-# of equal axes are cached while they take at most a sixteenth of it (see
-# :func:`_cached`): with 16 entries each, the two caches keep at most
-# 64 MiB.
+# snapped at a time.  The multisets and point ranks of equal axes are cached
+# while they take at most a sixteenth of it (see :func:`_cached`): with 16
+# entries each, the two caches keep at most 64 MiB.
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -346,20 +343,21 @@ def _divided_difference_grid(
 
 
 def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], points: bool):
-    """``f^[order]`` (complex) at the distinct tuples of the grid of the
-    axes, and, when ``points``, the index of each point's tuple among them;
-    some point holds each tuple, so ``max |values|`` is the grid's.
+    """``f^[order]`` (complex) at sorted tuples of the grid of the axes,
+    and, when ``points``, the index of each point's tuple among them; some
+    point holds each tuple, so ``max |values|`` is the grid's.
 
     ``f^[order]`` is symmetric in its nodes, and :func:`_snapped_nodes`
     sorts every tuple first, so a point's value is that of its nodes as a
     non-decreasing tuple of indices into the sorted union of the axes.  An
     axis given for several slots is converted once.  When every axis holds
-    the same values, none NaN, the distinct tuples are every multiset of
-    k + 1 of the axis's distinct nodes, listed by rank (see :func:`_unrank`),
+    the same values, none NaN, the tuples are every multiset of k + 1 of
+    the axis's distinct nodes, listed by rank (see :func:`_unrank`),
     and a point's rank is its tuple's index (see :func:`_grid_ranks`); a
     strictly ascending real axis, as ``eigh`` returns it, is its own union.
-    Else the distinct tuples are found by rank (see :func:`_distinct_tuples`).
-    Each one that snapping may move, one with a node near another value of
+    Else the tuples are every point's own sorted indices (see
+    :func:`_sorted_indices`), and a point's index is its place in the grid.
+    Each tuple that snapping may move, one with a node near another value of
     the union or not finite, is snapped once (see :func:`_snapped`): its
     snapped values join the nodes, and its indices point at them.  The
     scalar recursion then runs on every tuple at once (see
@@ -394,9 +392,8 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
         union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
         ends = itertools.accumulate(shape)
         index = _sorted_indices([inverse[hi - n : hi] for n, hi in zip(shape, ends)])
-        ranks = _rank(_binomials(union.size, order), index)
-        first, at = _distinct_tuples(ranks, math.comb(union.size + order, order + 1))
-        tuples = [s.ravel()[first] for s in index]
+        tuples = [s.ravel() for s in index]
+        at = np.arange(tuples[0].size).reshape(shape)
     nodes, tuples = _snapped(union, tuples)
     return _recursion(f, nodes, tuples, at).astype(np.complex128, copy=False), at
 
@@ -458,25 +455,6 @@ def _sorted_indices(index: Sequence[np.ndarray]) -> list[np.ndarray]:
         for lo in range(i - 1, -1, -1):
             s[lo], s[lo + 1] = np.minimum(s[lo], s[lo + 1]), np.maximum(s[lo], s[lo + 1])
     return s
-
-
-def _distinct_tuples(ranks: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """For ranks among the ``space`` ranks of tuples of one length (see
-    :func:`_binomials`): the position of one of each distinct rank, in
-    order of rank, and for every rank the index of its own among them.  By
-    arrays over the ``space`` ranks while they number at most the given
-    ranks or the complex values in :data:`_GRID_CHUNK_BYTES`; else by
-    sorting the given ranks."""
-    if space > max(ranks.size, _GRID_CHUNK_BYTES // 16):
-        _, first, inverse = np.unique(ranks, return_index=True, return_inverse=True)
-        return first, inverse.reshape(ranks.shape)
-    ranks = ranks.astype(np.intp, copy=False)
-    position = np.full(space, -1)
-    position[ranks.ravel()] = np.arange(ranks.size)
-    distinct = np.flatnonzero(position >= 0)
-    first = position[distinct]
-    position[distinct] = np.arange(distinct.size)
-    return first, position[ranks]
 
 
 def _isolated(union: np.ndarray) -> np.ndarray:
@@ -1030,10 +1008,10 @@ def divided_difference_integrand(
     :func:`_polynomial_dd_integrand`).  Other kinds evaluate the
     recursive divided-difference table: point by point through
     :func:`divided_difference`, and a whole grid through
-    :func:`_divided_difference_grid`, which evaluates each sorted tuple of
-    indices into the union of the axes once (the divided difference is
-    symmetric in its nodes), runs the recursion on every tuple, once
-    snapped, at once, and calls ``f`` and each derivative once per node
+    :func:`_divided_difference_grid`, which evaluates sorted tuples of
+    indices into the union of the axes (the divided difference is symmetric
+    in its nodes; on equal axes each multiset once), runs the recursion on
+    every tuple, once snapped, at once, and calls ``f`` and each derivative once per node
     whose value the grid reads.  Its sup (see :func:`_sup_norms`) is the max
     over those tuples' values, with no grid.
     """
@@ -1164,7 +1142,7 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     finite, and for every other separable integrand, the grid is summed in
     blocks of about :data:`_SUP_BLOCK_BYTES` (see :func:`_block_sup_norms`).
     Any other integrand is evaluated sample by sample: a non-polynomial
-    divided difference at each distinct tuple of its grid once (see
+    divided difference at the sorted tuples of its grid (see
     :func:`_tuple_values`), with no grid when every slot holds one axis,
     and any other on its whole grid.
     """

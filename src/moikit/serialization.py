@@ -11,6 +11,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -231,7 +232,9 @@ def parse_monomial_polynomial(obj, path: str = "polynomial") -> MonomialPolynomi
 
         exp = _items(_get(value, "exp", term_path), exponent, exp_message, exp_path,
                      exact=arity)
-        return tuple(exp), _number(_get(value, "coef", term_path), term_path + ".coef")
+        coef = _number(_get(value, "coef", term_path), term_path + ".coef")
+        _expect(math.isfinite(coef), "coef must be a finite number", term_path + ".coef")
+        return tuple(exp), coef
 
     terms = _items(_get(obj, "terms", path), term, "terms must be a list", path + ".terms")
     try:

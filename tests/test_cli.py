@@ -237,6 +237,20 @@ class TestTailboundCommand:
         assert run_cli(["validate", "--input", str(bad), "--output", str(out)]) == 0
         assert read_json(out)["ok"]
 
+    def test_a_markov_row_whose_squares_overflow_is_reported(self, tmp_path, capsys):
+        # a finite coefficient, but the squares of its stderr terms overflow
+        payload = read_json(config_path("tailbound_kth_derivative.json"))
+        direction = _scaled(payload["fixed_inputs"]["direction"], 1e150)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(_small_tailbound(payload, direction=direction)))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run_cli(["tailbound", "--input", str(config), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_json(out)["rows"]
+        assert all(1e297 < row["mc_stderr"] < row["bound_rhs"] < 1e301 for row in rows)
+        assert all(row["satisfied"] for row in rows)
+
     def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
         # the shipped theorems hold pathwise, so a genuine violation cannot
         # be provoked; stub the runner to exercise the exit-code mapping
@@ -313,9 +327,10 @@ class TestConvMeanCommand:
             assert read_json(diag)["ok"]
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("factor", [1e100, 1e150, 1e300])
-    def test_a_statistic_or_bound_past_the_floats_exits_3(self, tmp_path, capsys, factor):
-        # 1e100 and 1e150 end in an infinite mean or stderr, 1e300 overflows a power
+    @staticmethod
+    def _with_large_argument_entry(tmp_path, factor):
+        """convmean_default.json at 2 samples and 2 steps, with entry
+        (2, 3) of its second argument times ``factor``."""
         payload = {**read_json(config_path("convmean_default.json")),
                    "samples": 2, "steps": 2}
         argument = copy.deepcopy(payload["arguments"][1])
@@ -323,6 +338,12 @@ class TestConvMeanCommand:
         config = tmp_path / "conv.json"
         config.write_text(json.dumps({**payload,
                                       "arguments": [payload["arguments"][0], argument]}))
+        return config
+
+    @pytest.mark.parametrize("factor", [1e160, 1e300])
+    def test_a_statistic_or_bound_past_the_floats_exits_3(self, tmp_path, capsys, factor):
+        # 1e160 ends in an infinite mean, 1e300 overflows a power
+        config = self._with_large_argument_entry(tmp_path, factor)
         capsys.readouterr()
         assert run_cli(["conv-mean", "--input", str(config),
                         "--output", str(tmp_path / "r.json")]) == 3
@@ -331,6 +352,19 @@ class TestConvMeanCommand:
         out = tmp_path / "diag.json"
         assert run_cli(["validate", "--input", str(config), "--output", str(out)]) == 0
         assert read_json(out)["ok"]
+
+
+    @pytest.mark.parametrize("factor", [1e100, 1e150])
+    def test_a_stderr_whose_squares_overflow_is_reported(self, tmp_path, capsys, factor):
+        # every mean fits in a float, but the squared deviations of step 1's
+        # two samples do not
+        config = self._with_large_argument_entry(tmp_path, factor)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run_cli(["conv-mean", "--input", str(config), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        step = read_json(out)["steps"][0]
+        assert factor**2 * 1e-5 < step["stderr"] < step["mean_diff_pow_r"] < factor**2 * 1e-3
 
 
 class TestPolyDecomposeCommand:
@@ -630,6 +664,13 @@ REJECTED_PAYLOADS = [
                  lambda p: {**p, "polynomial": {
                      "arity": 5, "terms": [{"exp": [1, 0, 0, 0, 1], "coef": 1.0}]}},
                  id="poly-decompose-arity-5"),
+    *(pytest.param("poly-decompose", "demo_poly_decompose.json",
+                   lambda p, c=coef: {**p, "polynomial": {
+                       **p["polynomial"],
+                       "terms": [{**p["polynomial"]["terms"][0], "coef": c}]
+                       + p["polynomial"]["terms"][1:]}},
+                   id=f"poly-decompose-coef-{coef}")
+      for coef in (math.inf, math.nan)),
     pytest.param("mti-eval", "demo_mti_eval.json",
                  lambda p: _with_tensor_entry_shifted(p, 0.5), id="mti-eval-tensor-not-hermitian"),
     pytest.param("remainder", "demo_remainder_sa.json",

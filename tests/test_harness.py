@@ -191,6 +191,37 @@ class TestRunTailBound:
         assert "result_exponent_variant_one_minus_sum" in constants
 
 
+class TestEstimates:
+    """Means, standard errors and Markov rows whose squares pass the floats."""
+
+    def test_a_std_whose_squares_overflow_is_scaled(self):
+        values = np.array([1e200, 3e200])
+        mean, stderr = harness._mean_stderr(values)
+        assert mean == 2e200
+        assert stderr == pytest.approx(1e200, rel=1e-15)
+        # values that fit keep numpy's bits, and an infinite one is not scaled
+        small = np.array([0.1, 0.7, 0.3])
+        assert harness._mean_stderr(small)[1] == float(np.std(small, ddof=1) / math.sqrt(3))
+        assert math.isnan(harness._mean_stderr(np.array([1.0, math.inf]))[1])
+
+    def test_a_markov_row_whose_squares_overflow_takes_hypot(self):
+        stat = np.array([0.1, 1.0])
+        row = harness._markov_row(0.5, stat, [1e100, 2.0], [1e100, 1.0], [1e100, 3.0])
+        se_p = math.sqrt(0.5 * 0.5 / 2)
+        assert row["mc_stderr"] == math.hypot(se_p, math.hypot(1e200 / 0.5, 6.0 / 0.5))
+        assert row["bound_rhs"] == (1e200 + 2.0) / 0.5
+        assert row["satisfied"]
+        # a row whose squares fit keeps its plain sum
+        row = harness._markov_row(0.5, stat, [3.0, 2.0], [0.2, 1.0], [0.1, 0.3])
+        se_rhs = math.sqrt((3.0 * 0.1 / 0.5) ** 2 + (2.0 * 0.3 / 0.5) ** 2)
+        assert row["mc_stderr"] == math.sqrt(se_p**2 + se_rhs**2)
+
+    @pytest.mark.parametrize("means, stderrs", [([1e300], [1.0]), ([1.0], [1e300])])
+    def test_a_markov_row_past_the_floats_raises(self, means, stderrs):
+        with pytest.raises(NumericalError, match="overflows the floats"):
+            harness._markov_row(0.5, np.array([1.0]), [1e10], means, stderrs)
+
+
 class TestPower:
     """The check can fail: scaled by a tenth, the Markov coefficients of
     these shipped configs leave a row unsatisfied at the shipped sample

@@ -997,10 +997,10 @@ class TestUnionTable:
         assert same_bits(integrands._divided_difference_grid(f, 2, axes), expected)
         assert snapped == []
 
-    def test_ranks_beyond_the_grid_are_found_by_sorting(self, monkeypatch):
-        # [shifted, base, base] on 6 + 6 values: C(12 + 2, 3) = 364 ranks for
-        # 216 points, more than the 63 complex values of the chunk too, so
-        # the 6 * C(7, 2) = 126 distinct tuples are found by sorting
+    def test_unequal_axes_read_every_point_in_one_table(self, monkeypatch):
+        # [shifted, base, base] on 6 + 6 values: the recursion runs once, on
+        # the sorted tuple of each of the 216 points, in grid order, and
+        # under a chunk of 63 complex values too
         f = exp_with_derivatives(2)
         rng = np.random.default_rng(10)
         base = np.append(rng.uniform(-1, 1, 5), 0.1)
@@ -1009,11 +1009,16 @@ class TestUnionTable:
         whole = integrands._divided_difference_grid(f, 2, axes)
         monkeypatch.setattr(integrands, "_GRID_CHUNK_BYTES", 16 * 9 * 7)
         chunked = integrands._divided_difference_grid(f, 2, axes)
-        assert [len(t[0]) for _, _, t, _ in tables] == [126, 126]
+        assert len(tables) == 2
+        union = np.unique(np.concatenate(axes))
+        points = np.sort(np.stack(np.meshgrid(*axes, indexing="ij"), -1), -1).reshape(216, 3)
+        for nodes, tuples, at in (t[1:] for t in tables):
+            assert np.array_equal(nodes, union)
+            assert np.array_equal(nodes[np.stack(tuples, -1)], points)
+            assert np.array_equal(at, np.arange(216).reshape(6, 6, 6))
         expected = oracles.divided_difference_grid_per_point(f, 2, axes)
         assert same_bits(whole, expected) and same_bits(chunked, expected)
         # a missing derivative names the first failing point in grid order
-        # (C(5 + 3, 4) = 70 ranks for 32 points)
         axes = [np.array([0.5, -0.25])] * 3 + [np.array([-0.25, 0.75, 1.5, 2.5])]
         f = exp_with_derivatives(1)
         expected = outcome(oracles.divided_difference_grid_per_point, f, 3, axes)
@@ -1021,8 +1026,9 @@ class TestUnionTable:
         assert outcome(integrands._divided_difference_grid, f, 3, axes) == expected
 
     def test_ranks_beyond_64_bits_are_python_ints(self):
-        # order 20 on a 40-node axis and 20 single nodes: C(60 + 20, 21) > 2**63
-        # ranks, which int64 arithmetic would wrap into false repeats
+        # order 20 on 60 nodes: C(60 + 20, 21) > 2**63 ranks, which int64
+        # arithmetic would wrap; the grid of a 40-node axis and 20 single
+        # nodes ranks none of its points
         assert integrands._binomials(60, 20)[-1].dtype == object
         f = mk.ScalarFunction.from_callable(np.exp)
         nodes = np.linspace(-1.0, 1.0, 60)

@@ -105,9 +105,9 @@ def test_clustered_grids_have_the_bits_or_the_error_of_the_per_point_recursion(c
 
 
 def test_a_grid_past_the_chunk_bytes_has_the_bits_of_the_per_point_recursion(monkeypatch):
-    # order 3 on 6 + 6 distinct nodes, snapped ones among them: C(12 + 3, 4)
-    # = 1365 ranks for 1296 points, so under a bound of 63 complex values the
-    # distinct tuples are found by sorting and snapped three at a time
+    # order 3 on 6 + 6 distinct nodes, snapped ones among them: under a
+    # bound of 63 complex values the 1296 points' tuples are snapped three
+    # at a time
     f = FUNCTIONS["exp"]()
     chain = np.array([0.1, 0.1 + 1e-9, 0.5, 0.5 + 0.9e-7, 0.5 + 1.8e-7, -0.053])
     axes = [chain, chain[::-1] + 2.0, chain, chain.copy()]
@@ -118,7 +118,7 @@ def test_a_grid_past_the_chunk_bytes_has_the_bits_of_the_per_point_recursion(mon
 
 
 # Equal-axes sups: every slot on one axis, as every sup surrogate's spectra
-# are, so that the distinct tuples are the multisets of the axis's nodes
+# are, so that the tuples evaluated are the multisets of the axis's nodes
 
 EQUAL_AXES = {
     "separated": np.array([-0.7, -0.2, 0.3, 0.9, 1.4]),
@@ -211,8 +211,7 @@ def test_equal_axes_sup_calls_f_once_per_distinct_node(monkeypatch):
     grid_calls = list(calls)
     calls.clear()
     # no point of the grid is sorted, ranked or gathered
-    for name in ("_sorted_indices", "_distinct_tuples"):
-        monkeypatch.setattr(integrands, name, None)
+    monkeypatch.setattr(integrands, "_sorted_indices", None)
     mk.sup_norm_on_grid(mk.divided_difference_integrand(f, 2), [axis] * 3)
     assert {level for level, _ in calls} == {0, 1, 2}
     assert len(calls) == len(set(calls))
