@@ -31,6 +31,7 @@ from .operators import (
     HermitianOperator,
     UnitaryOperator,
     _checked_shift,
+    _from_spectrum,
     _function_of_spectra,
     _shifted,
     apply_scalar_function,
@@ -292,7 +293,7 @@ def unitary_exponential(generator: HermitianOperator) -> np.ndarray:
     """exp(i H) through the spectral decomposition of H."""
     decomp = generator.decomposition
     phases = np.exp(1j * np.asarray(decomp.eigenvalues, dtype=float))
-    return (decomp.basis * phases) @ decomp.basis.conj().T
+    return _from_spectrum(phases, decomp.basis)
 
 
 def exp_series_tail(generator: HermitianOperator, start: int) -> np.ndarray:

@@ -533,38 +533,41 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
-        if args.format == "csv" and _COMMANDS[args.command].table is None:
-            # rejected before any computation
-            raise ValidationError("csv output is only available for tabular reports",
-                                  path="flags.format")
-        if args.command == "haar":
-            output, code = _handle_haar(args)
-        elif args.command == "validate":
-            try:
-                payload = ser.load_json(args.input)
-            except (OSError, json.JSONDecodeError) as err:
-                output, code = {
-                    "schema_version": ser.SCHEMA_VERSION,
-                    "kind": "validation_report",
-                    "ok": False,
-                    "matched": None,
-                    "diagnostics": [f"file: {err}"],
-                    "summary": {},
-                }, EXIT_OK
+        # every command checks its results, so a numpy warning would only
+        # print lines before its one error line
+        with np.errstate(all="ignore"):
+            if args.format == "csv" and _COMMANDS[args.command].table is None:
+                # rejected before any computation
+                raise ValidationError("csv output is only available for tabular reports",
+                                      path="flags.format")
+            if args.command == "haar":
+                output, code = _handle_haar(args)
+            elif args.command == "validate":
+                try:
+                    payload = ser.load_json(args.input)
+                except (OSError, json.JSONDecodeError) as err:
+                    output, code = {
+                        "schema_version": ser.SCHEMA_VERSION,
+                        "kind": "validation_report",
+                        "ok": False,
+                        "matched": None,
+                        "diagnostics": [f"file: {err}"],
+                        "summary": {},
+                    }, EXIT_OK
+                else:
+                    output = _validate_payload(payload, args.target_command, args)
+                    code = EXIT_OK
             else:
-                output = _validate_payload(payload, args.target_command, args)
-                code = EXIT_OK
-        else:
-            try:
-                payload = ser.load_json(args.input)
-            except OSError as err:
-                raise ValidationError(f"cannot read input: {err}", path="flags.input")
-            except json.JSONDecodeError as err:
-                raise ValidationError(f"input is not valid JSON: {err}",
-                                      path="flags.input")
-            output, code = _parse(args.command, payload, args)()
-        _write_output(output, args)
-        return code
+                try:
+                    payload = ser.load_json(args.input)
+                except OSError as err:
+                    raise ValidationError(f"cannot read input: {err}", path="flags.input")
+                except json.JSONDecodeError as err:
+                    raise ValidationError(f"input is not valid JSON: {err}",
+                                          path="flags.input")
+                output, code = _parse(args.command, payload, args)()
+            _write_output(output, args)
+            return code
     except (ValidationError, ParameterError, CapabilityError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_VALIDATION

@@ -16,14 +16,15 @@ distinct nearby nodes their mean), and then is a sorted tuple of indices
 into the nodes it snaps to.  The grid of a non-polynomial
 divided-difference integrand (:func:`_divided_difference_grid`) evaluates
 sorted tuples of indices into the union of the axes: on equal axes each
-multiset of the axis's nodes once, listed by rank, else every point's own
-sorted tuple; :func:`divided_difference` is a stack of one tuple.  The
-table runs the scalar recursion's own arithmetic: float64 when the nodes
-are real and every value it reads is a float, complex128 when every value
-is a numpy complex128, and else the Python or numpy operation on each value
-itself.  Every value has the bits of the scalar recursion, but
-for the sign and payload of a NaN and where a NaN node stands among others:
-moikit sorts it last (numpy's order), Python's ``sorted`` leaves it in place.
+multiset of the axis's nodes once, listed lexicographically, else every
+point's own sorted tuple; :func:`divided_difference` is a stack of one
+tuple.  The table runs the scalar recursion's own arithmetic: float64
+when the nodes are real and every value it reads is a float, complex128
+when every value is a numpy complex128, and else the Python or numpy
+operation on each value itself.  Every value has the bits of the scalar
+recursion, but for the sign and payload of a NaN and where a NaN node
+stands among others: moikit sorts it last (numpy's order), Python's
+``sorted`` leaves it in place.
 
 A separable integrand evaluates the polynomial factors of each slot
 together, by one Horner pass over a zero-padded coefficient table
@@ -231,9 +232,10 @@ class DividedDifferenceSpec:
 
 # Bytes an intermediate array of a divided-difference grid may take when it
 # outgrows the grid itself: the (P, k+1, k+1) node differences of the tuples
-# snapped at a time.  The multisets and point ranks of equal axes are cached
-# while they take at most a sixteenth of it (see :func:`_cached`): with 16
-# entries each, the two caches keep at most 64 MiB.
+# snapped at a time.  The multisets of equal axes and the index of each
+# point's multiset among them are cached while they take at most a sixteenth
+# of it (see :func:`_cached`): with 16 entries each, the two caches keep at
+# most 64 MiB.
 _GRID_CHUNK_BYTES = 32 * 2**20
 
 
@@ -352,9 +354,10 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
     non-decreasing tuple of indices into the sorted union of the axes.  An
     axis given for several slots is converted once.  When every axis holds
     the same values, none NaN, the tuples are every multiset of k + 1 of
-    the axis's distinct nodes, listed by rank (see :func:`_unrank`),
-    and a point's rank is its tuple's index (see :func:`_grid_ranks`); a
-    strictly ascending real axis, as ``eigh`` returns it, is its own union.
+    the axis's distinct nodes in lexicographic order (see
+    :func:`_multisets`), and a point's index is its multiset's, from one
+    lookup table (see :func:`_grid_ranks`); a strictly ascending real axis,
+    as ``eigh`` returns it, is its own union.
     Else the tuples are every point's own sorted indices (see
     :func:`_sorted_indices`), and a point's index is its place in the grid.
     Each tuple that snapping may move, one with a node near another value of
@@ -378,15 +381,15 @@ def _tuple_values(f: ScalarFunction, order: int, axes: Sequence[np.ndarray], poi
             union, inverse = axis, None
         else:
             union, inverse = np.unique(axis, return_inverse=True)
-        count = int(_binomials(union.size, order)[order][union.size])
+        count = math.comb(union.size + order, order + 1)
         tuples = _cached(_multisets, 8 * (order + 1) * count, union.size, order)
         if points:
             at = _cached(_grid_ranks, 8 * union.size ** len(axes), union.size, order)
             if inverse is not None:
                 at = at[np.ix_(*[inverse] * len(axes))]
         else:
-            # rank 0 is k + 1 copies of one node, like the grid's first
-            # point: it fails whenever any tuple does
+            # the first multiset is k + 1 copies of one node, like the
+            # grid's first point: it fails whenever any tuple does
             at = np.arange(count)
     else:
         union, inverse = np.unique(np.concatenate(axes), return_inverse=True, equal_nan=False)
@@ -402,47 +405,6 @@ def _cached(fn: Callable, nbytes: int, size: int, order: int):
     """``fn(size, order)`` from its cache when its arrays take ``nbytes``,
     at most a sixteenth of :data:`_GRID_CHUNK_BYTES`, else computed afresh."""
     return (fn if nbytes <= _GRID_CHUNK_BYTES // 16 else fn.__wrapped__)(size, order)
-
-
-@functools.lru_cache(maxsize=16)
-def _binomials(size: int, order: int) -> list[np.ndarray]:
-    """``B[j][x] = C(x + j, j + 1)`` for j = 0..order and x = 0..size.
-
-    In the combinatorial number system, a non-decreasing tuple
-    (s_0, ..., s_l) of indices below ``size`` has the rank
-    ``sum_j B[j][s_j]`` among all such tuples (in colexicographic order),
-    and there are ``B[l][size]`` of them.  Each row is the running sum of
-    the one before (the hockey-stick identity).  The rows hold Python ints
-    where ranks would outgrow 64 bits.  Cached, read-only.
-    """
-    wide = math.comb(size + order, order + 1) >= 2**63
-    table = [np.arange(size + 1, dtype=object if wide else np.int64)]
-    for _ in range(order):
-        table.append(np.cumsum(table[-1]))
-    for row in table:
-        row.setflags(write=False)
-    return table
-
-
-def _rank(binomials: list, tuples: Sequence[np.ndarray]) -> np.ndarray:
-    """The rank of each non-decreasing index tuple (see :func:`_binomials`),
-    given as one array per position; the first term is the index itself."""
-    rank = tuples[0]
-    for b, s in zip(binomials[1:], tuples[1:]):
-        rank = rank + b[s]
-    return rank
-
-
-def _unrank(ranks: np.ndarray, binomials: list) -> list[np.ndarray]:
-    """The non-decreasing index tuples of these ranks, one array per
-    position, for tuples as long as ``binomials``: greedily from the last
-    position, the largest index whose term fits in what is left."""
-    tuples = []
-    for b in reversed(binomials):
-        s = np.searchsorted(b, ranks, side="right") - 1
-        ranks = ranks - b[s]
-        tuples.append(s)
-    return tuples[::-1]
 
 
 def _sorted_indices(index: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -522,24 +484,36 @@ def _snapped(union: np.ndarray, tuples: list) -> tuple[np.ndarray, list]:
 @functools.lru_cache(maxsize=16)
 def _multisets(size: int, order: int) -> list[np.ndarray]:
     """Every non-decreasing index tuple of length ``order`` + 1 below
-    ``size``, by rank (see :func:`_binomials`), one array per position.
+    ``size``, in lexicographic order, one array per position: the tuples of
+    each length, each extended by every index from its last one on.
     Cached, read-only; :func:`_tuple_values` asks the cache only for small
     lists (see :func:`_cached`)."""
-    binomials = _binomials(size, order)
-    tuples = _unrank(np.arange(binomials[order][size]), binomials)
-    for array in tuples:
-        array.setflags(write=False)
-    return tuples
+    # the whole list first, so that a count past memory fails at once
+    tuples = np.empty((order + 1, math.comb(size + order, order + 1)), dtype=np.intp)
+    tuples[0, :size] = np.arange(size)
+    width = size
+    for level in range(1, order + 1):
+        repeats = size - tuples[level - 1, :width]
+        ends = np.cumsum(repeats)
+        # each tuple's group counts up from its last index
+        tuples[level, : ends[-1]] = np.arange(ends[-1]) - np.repeat(ends - size, repeats)
+        tuples[:level, : ends[-1]] = np.repeat(tuples[:level, :width], repeats, axis=1)
+        width = ends[-1]
+    tuples.setflags(write=False)
+    return list(tuples)
 
 
 @functools.lru_cache(maxsize=16)
 def _grid_ranks(size: int, order: int) -> np.ndarray:
-    """The rank (see :func:`_binomials`) of the sorted indices of every
+    """The index among :func:`_multisets` of the sorted indices of every
     point of the grid of ``order`` + 1 slots, each on the indices below
-    ``size``: the index of each point's tuple among :func:`_multisets`.
-    Cached, read-only; :func:`_tuple_values` asks the cache only for small
-    arrays (see :func:`_cached`)."""
-    ranks = _rank(_binomials(size, order), _sorted_indices([np.arange(size)] * (order + 1)))
+    ``size``.  Lexicographic order is the grid's order, so a tuple's index
+    is the number of non-decreasing points before it.  Cached, read-only;
+    :func:`_tuple_values` asks the cache only for small arrays (see
+    :func:`_cached`)."""
+    shape = (size,) * (order + 1)
+    at = np.ravel_multi_index(_sorted_indices([np.arange(size)] * (order + 1)), shape)
+    ranks = (np.cumsum(at.ravel() == np.arange(at.size)) - 1)[at]
     ranks.setflags(write=False)
     return ranks
 

@@ -16,6 +16,7 @@ import copy
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -144,7 +145,36 @@ def test_the_table_is_large_and_fixed():
 def test_validate_and_the_command_agree(workdir, capsys, name, path, edit):
     payload = _cut(_load(name))
     command = _command(payload)
-    payload = _edited(payload, path, edit)
+    _check_the_contract(workdir, capsys, command, _edited(payload, path, edit))
+
+
+def _scaled_fields():
+    """(config, field, factor) for each field that holds two numbers or more."""
+    cases = []
+    for name in SHIPPED:
+        payload = _cut(_load(name))
+        counts = Counter(_field(path) for path in _leaves(payload) if _number(_at(payload, path)))
+        cases += [(name, field, factor) for field in sorted(counts) if counts[field] > 1
+                  for factor in (1e200, 1e300)]
+    return cases
+
+
+@pytest.mark.parametrize("name, field, factor", [
+    pytest.param(*case, id=f"{case[0][:-len('.json')]}.{case[1]}-{case[2]:g}")
+    for case in _scaled_fields()
+])
+def test_a_whole_field_scaled_toward_overflow(workdir, capsys, name, field, factor):
+    # every number of a matrix, list or tensor at once: a numpy warning on
+    # the way to the error line would be a second stderr line
+    payload = _cut(_load(name))
+    for path in _leaves(payload):
+        value = _at(payload, path)
+        if _field(path) == field and _number(value):
+            _at(payload, path[:-1])[path[-1]] = value * factor
+    _check_the_contract(workdir, capsys, _command(payload), payload)
+
+
+def _check_the_contract(workdir, capsys, command, payload):
     source = workdir / "input.json"
     source.write_text(json.dumps(payload))
     report_path = workdir / "validate.json"

@@ -1025,11 +1025,9 @@ class TestUnionTable:
         assert expected[0] is CapabilityError
         assert outcome(integrands._divided_difference_grid, f, 3, axes) == expected
 
-    def test_ranks_beyond_64_bits_are_python_ints(self):
-        # order 20 on 60 nodes: C(60 + 20, 21) > 2**63 ranks, which int64
-        # arithmetic would wrap; the grid of a 40-node axis and 20 single
-        # nodes ranks none of its points
-        assert integrands._binomials(60, 20)[-1].dtype == object
+    def test_an_order_20_grid_on_unequal_axes(self):
+        # a 40-node axis and 20 single nodes: 60 nodes, whose C(60 + 20, 21)
+        # multisets of 21 outgrow 64 bits; the grid reads its 40 points
         f = mk.ScalarFunction.from_callable(np.exp)
         nodes = np.linspace(-1.0, 1.0, 60)
         axes = [nodes[:40]] + [nodes[39 + slot : 40 + slot] for slot in range(1, 21)]
@@ -1127,15 +1125,29 @@ class TestUnionTable:
         assert same_bits(integrands._divided_difference_grid(f, 1, axes),
                          oracles.divided_difference_grid_per_point(f, 1, axes))
 
+    def test_multisets_are_listed_lexicographically_read_only(self):
+        for order in range(5):
+            for size in range(1, 9):
+                tuples = integrands._multisets(size, order)
+                expected = itertools.combinations_with_replacement(range(size), order + 1)
+                assert np.array_equal(np.stack(tuples, -1), np.array(list(expected)))
+                assert all(not t.flags.writeable for t in tuples)
+                assert integrands._multisets(size, order) is tuples
+
+    def test_multisets_past_memory_fail_at_once(self):
+        # C(60 + 20, 21) > 2**63 tuples: no level is built before it fails
+        with pytest.raises(ValueError):
+            integrands._multisets.__wrapped__(60, 20)
+
     def test_grid_ranks_are_cached_read_only(self):
         for order in range(4):
             for size in range(1, 9):
                 ranks = integrands._grid_ranks(size, order)
-                expected = integrands._rank(
-                    integrands._binomials(size, order),
-                    integrands._sorted_indices([np.arange(size)] * (order + 1)))
+                tuples = integrands._multisets(size, order)
+                index = integrands._sorted_indices([np.arange(size)] * (order + 1))
                 assert ranks.shape == (size,) * (order + 1)
-                assert np.array_equal(ranks, expected)
+                for t, s in zip(tuples, index):
+                    assert np.array_equal(t[ranks], np.broadcast_to(s, ranks.shape))
                 assert not ranks.flags.writeable
                 assert integrands._grid_ranks(size, order) is ranks
 
