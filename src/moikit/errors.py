@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all moikit modules, and the integer,
-seed, finite-number and Schatten-exponent checks that the input boundaries
-share."""
+seed, finite-number, numeric-array and Schatten-exponent checks that the
+input boundaries share."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class MoikitError(Exception):
@@ -85,6 +87,18 @@ def _finite(value, message: str) -> float:
             if math.isfinite(value):
                 return value
     raise ValidationError(message)
+
+
+def _numeric(value, message: str) -> np.ndarray:
+    """``value`` as an array of integer, float or complex dtype, else (a
+    boolean, string, object or ragged nesting) ValidationError(message)."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):
+        array = np.asarray(None)
+    if array.dtype.kind not in "iufc":
+        raise ValidationError(message)
+    return array
 
 
 def _schatten_exponent(value) -> float:

@@ -38,8 +38,9 @@ keeping a stacked grid: a one-term integrand with real values takes the
 ordered product of its per-slot maxima, exact because rounding to nearest
 is monotone and symmetric in sign, and any other separable integrand is
 summed in blocks of samples that fit in a core's L2 cache, each reduced to
-its per-sample maxima at once.  A non-polynomial divided difference on equal
-axes builds no grid: its sup is the max over its multisets' values.
+its per-sample maxima at once.  A divided difference on equal axes builds
+no grid: its sup is the max over its multisets' values, a polynomial's at
+most a few ulps below the grid's (see :func:`_multiset_sup_norms`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import CapabilityError, ParameterError, ValidationError, _integer
+from .errors import CapabilityError, ParameterError, ValidationError, _integer, _numeric
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -95,7 +96,7 @@ class ScalarFunction:
     ):
         self.kind = kind
         if kind == POLYNOMIAL:
-            coeffs = np.atleast_1d(np.asarray(coefficients))
+            coeffs = np.atleast_1d(_numeric(coefficients, "polynomial coefficients must be numbers"))
             if coeffs.ndim != 1 or coeffs.size == 0:
                 raise ValidationError("polynomial needs a non-empty coefficient list")
             if not np.all(np.isfinite(coeffs)):
@@ -707,6 +708,8 @@ class SeparableIntegrand:
 
     arity: int
     terms: tuple[tuple[ScalarFunction, ...], ...]
+    # symmetric in its slots: set only on a polynomial's divided difference
+    _symmetric: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -845,9 +848,10 @@ class SeparableIntegrand:
         shape = axes[0].shape[:-1] + tuple(a.shape[-1] for a in axes)
         return self._term_sum(values, shape)
 
-    def _term_sum(self, values: list[np.ndarray], shape: tuple, ones=None) -> np.ndarray:
+    def _term_sum(self, values: list[np.ndarray], shape: tuple, ones=None, outer=True):
         """Sum over the terms of the outer product of their factor values,
-        each product formed factor by factor in slot order.
+        each product formed factor by factor in slot order; with ``outer``
+        false, the product of factor values that already share ``shape``.
 
         ``ones``, per slot, marks the factor rows whose values all equal 1;
         the products leave those factors out.  Multiplying by 1 is exact in
@@ -857,7 +861,7 @@ class SeparableIntegrand:
         for i in range(self.arity):
             view = [None] * self.arity
             view[i] = slice(None)
-            views.append((Ellipsis, *view))
+            views.append((Ellipsis, *view) if outer else Ellipsis)
         total = np.zeros(shape, dtype=values[0].dtype)
         for term in zip(*self.factor_index):
             prod = None
@@ -1030,7 +1034,7 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIn
             terms.append(tuple(factors))
     if not terms:
         terms.append(tuple(ScalarFunction.constant(0.0) for _ in range(slots)))
-    return SeparableIntegrand(slots, tuple(terms))
+    return SeparableIntegrand(slots, tuple(terms), _symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,14 +1043,15 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIn
 
 
 def _checked_spectra(spectra: Sequence[Sequence], arity: int) -> list[np.ndarray]:
-    """The spectra as arrays, one per integrand slot, each one-dimensional
-    and non-empty; the same spectrum object given twice gives the same
-    array, so that its evaluations stay shared (see
+    """The spectra as arrays of numbers, one per integrand slot, each
+    one-dimensional and non-empty; the same spectrum object given twice
+    gives the same array, so that its evaluations stay shared (see
     :meth:`SeparableIntegrand.factor_values`)."""
     if len(spectra) != arity:
         raise ValidationError("spectra count must equal the integrand arity")
     arrays: dict = {}
-    axes = [arrays.setdefault(id(s), np.asarray(s)) for s in spectra]
+    axes = [arrays.setdefault(id(s), _numeric(s, f"spectrum {i} must hold numbers"))
+            for i, s in enumerate(spectra)]
     for i, axis in enumerate(axes):
         if axis.ndim != 1:
             raise ValidationError(f"spectrum {i} must be one-dimensional")
@@ -1093,8 +1098,9 @@ def _sample(arrays: Sequence[np.ndarray], s: int) -> list[np.ndarray]:
 def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra; ``psi`` is a
     :class:`MultivariateFunction` or a :class:`SeparableIntegrand`.  A
-    non-polynomial divided difference on equal spectra reads each multiset
-    of their distinct nodes once, with no grid (see :func:`_sup_norms`)."""
+    divided difference on equal spectra reads each multiset of their nodes
+    once, with no grid, a polynomial's a few ulps low at most (see
+    :func:`_sup_norms`)."""
     psi = _as_integrand(psi)
     return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
 
@@ -1114,16 +1120,21 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     symmetric in sign, so the largest |fl(..fl(a b) c ..)| over the grid is
     that product of the largest |a|, |b|, |c|, ....  When that product is not
     finite, and for every other separable integrand, the grid is summed in
-    blocks of about :data:`_SUP_BLOCK_BYTES` (see :func:`_block_sup_norms`).
-    Any other integrand is evaluated sample by sample: a non-polynomial
-    divided difference at the sorted tuples of its grid (see
-    :func:`_tuple_values`), with no grid when every slot holds one axis,
-    and any other on its whole grid.
+    blocks of about :data:`_SUP_BLOCK_BYTES` (see :func:`_block_sup_norms`);
+    a polynomial's divided difference of more than one term on equal axes
+    reads the axis's multisets instead, a few ulps below the grid's max at
+    most (see :func:`_multiset_sup_norms`).  Any other integrand is
+    evaluated sample by sample: a non-polynomial divided difference at the
+    sorted tuples of its grid (see :func:`_tuple_values`), with no grid when
+    every slot holds one axis, and any other on its whole grid.
     """
     separable = psi.separable
     if separable is None:
         sup = psi._sup or (lambda sample: np.max(np.abs(psi.eval_grid(sample))))
         return np.array([sup(_sample(axes, s)) for s in range(len(axes[0]))])
+    if (separable._symmetric and len(separable.terms) > 1
+            and all(np.array_equal(a, axes[0]) for a in axes[1:])):
+        return _multiset_sup_norms(separable, axes[0])
     values = separable.factor_values(axes)
     real = not any(np.iscomplexobj(v) for v in values)
     values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]
@@ -1167,3 +1178,32 @@ def _block_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray], ones) ->
         return sup
     grid = psi._term_sum([v.astype(np.complex128) for v in values], shape)
     return np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)
+
+
+def _multiset_sup_norms(psi: SeparableIntegrand, axis: np.ndarray, exact=False) -> np.ndarray:
+    """:func:`_sup_norms` of a symmetric integrand with ``axis``, (N, u), in
+    every slot: per sample, the max of |psi| over the C(u + k, k + 1)
+    multisets of :func:`_multisets`, each with the bits of the grid's point
+    of its indices in ascending order, so the grid's max wherever that lies
+    on such a point.  The factor values are taken once as (F_i, u, N), so that
+    each gather copies whole rows and each sum runs along the samples, in
+    blocks of multisets of about :data:`_SUP_BLOCK_BYTES` per slot.  As in
+    :func:`_block_sup_norms`, a sample whose sup is not finite is summed
+    again, ``exact``: in complex arithmetic with every factor kept."""
+    order, size = psi.arity - 1, axis.shape[1]
+    values = psi.factor_values([np.ascontiguousarray(axis.T)] * psi.arity)
+    real = not exact and not any(np.iscomplexobj(v) for v in values)
+    values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]
+    ones = None if exact else [np.all(v == 1.0, axis=(1, 2)) for v in values]
+    tuples = _cached(_multisets, 8 * psi.arity * math.comb(size + order, psi.arity), size, order)
+    rows = max(1, _SUP_BLOCK_BYTES // (max(map(len, values)) * values[0].itemsize
+                                       * max(len(axis), 1)))
+    sup = np.zeros(len(axis))
+    for lo in range(0, tuples[0].size, rows):
+        block = [v.take(t[lo : lo + rows], axis=1) for v, t in zip(values, tuples)]
+        total = psi._term_sum(block, block[0].shape[1:], ones, False)
+        np.maximum(sup, np.max(np.abs(total), axis=0), out=sup)  # a NaN passes on
+    redo = ~np.isfinite(sup)
+    if redo.any() and not exact:
+        sup[redo] = _multiset_sup_norms(psi, axis[redo], True)
+    return sup

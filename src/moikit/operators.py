@@ -42,6 +42,7 @@ from .errors import (
     ValidationError,
     _finite,
     _integer,
+    _numeric,
     _schatten_exponent,
 )
 
@@ -51,8 +52,9 @@ RECONSTRUCTION_TOL = 1e-10
 
 
 def as_square_complex(matrix) -> np.ndarray:
-    """Coerce to an immutable square complex128 array, checking finiteness."""
-    arr = np.array(matrix, dtype=np.complex128, order="C")
+    """Coerce to an immutable square complex128 array of finite numbers."""
+    arr = np.array(_numeric(matrix, "matrix entries must be numbers"),
+                   dtype=np.complex128, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:

@@ -5,6 +5,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
@@ -18,9 +20,13 @@ def run_ab(old, new):
 def test_same_tree_matches_and_reports_each_part():
     done = run_ab(SRC, SRC)
     assert done.returncode == 0, done.stderr
-    header, row = done.stdout.splitlines()
+    header, row, *metrics = done.stdout.splitlines()
     assert header.split()[:3] == ["part", "old", "us/op"]
     assert row.split()[0] == "instance" and row.split()[-1].endswith("/2")
+    assert [line.split()[0] for line in metrics] == ["ops_per_s", "part_us_gmean"]
+    # with one part, the gmean is that part's median
+    assert float(metrics[1].split()[1]) == pytest.approx(float(row.split()[1]), abs=0.1)
+    assert all(line.split()[-1].endswith("/2") for line in metrics)
 
 
 def test_a_changed_output_names_the_part(tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import moikit as mk
 from moikit import serialization as ser
-from moikit import harness
+from moikit import harness, integrands
 from moikit.errors import (
     CapabilityError,
     NumericalError,
@@ -189,6 +190,33 @@ class TestRunTailBound:
         constants = report.metadata["constants"]
         assert constants["result_exponent_q"] == pytest.approx(1.0)
         assert "result_exponent_variant_one_minus_sum" in constants
+
+    def test_a_high_order_derivative_of_a_high_degree_polynomial_is_in_reach(self):
+        # the sup of x^12's order-8 divided difference reads 220 multisets of
+        # the 4 eigenvalues per sample, where its grid has 4^9 points
+        rng = np.random.default_rng(3)
+        exp = mk.TailBoundExperiment(
+            theorem_id="kth_derivative",
+            operator_models=(mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0)),),
+            fixed_inputs={"direction": mk.random_hermitian(4, rng, norm=1.0)},
+            integrand=mk.ScalarFunction.monomial(12),
+            theta_grid=(1.0, 10.0),
+            samples=1000,
+            seed=5,
+            order=8,
+        )
+        start = time.perf_counter()
+        report = mk.run_tail_bound(exp)
+        assert time.perf_counter() - start < 3.0
+        assert report.metadata["aborted_samples"] == 0
+        # two samples' sups against the same terms, not marked symmetric,
+        # which sum the whole grid
+        _, terms, _ = harness._simulate_block(exp, 0, 2)
+        ((eigenvalues, _),) = harness._sampled_spectra(exp, 0, 2, False)
+        dd = mk.divided_difference_integrand(exp.integrand, 8)
+        grid = mk.SeparableIntegrand(dd.arity, dd.terms)
+        assert (terms["integrand_norm"].tobytes()
+                == integrands._sup_norms(grid, [eigenvalues] * 9).tobytes())
 
 
 class TestEstimates:

@@ -134,6 +134,16 @@ class TestDividedDifference:
         with pytest.raises(ValidationError):
             mk.DividedDifferenceSpec(mk.ScalarFunction.monomial(1), 2, (1.0, 2.0))
 
+    @pytest.mark.parametrize("coefficients", [["1", "2"], [None], [True, False], [[1.0], [2.0, 3.0]]])
+    def test_polynomial_coefficients_must_be_numbers(self, coefficients):
+        with pytest.raises(ValidationError, match="^polynomial coefficients must be numbers$"):
+            mk.ScalarFunction.polynomial(coefficients)
+
+    def test_integer_float_and_complex_coefficients_are_numbers(self):
+        for coefficients in ([1, 2], np.array([1, 2], dtype=np.uint8), [0.5, 1j]):
+            f = mk.ScalarFunction.polynomial(coefficients)
+            assert f.coefficients.dtype in (np.float64, np.complex128)
+
 
 class TestDividedDifferenceIntegrand:
     def test_square_first_order(self):
@@ -306,6 +316,11 @@ class TestNormSurrogates:
     @pytest.mark.parametrize("spectrum, message", [
         ([], "spectrum 1 is empty"),
         ([[0.0, 1.0], [2.0, 3.0]], "spectrum 1 must be one-dimensional"),
+        (["a"], "spectrum 1 must hold numbers"),
+        (["1", "2j"], "spectrum 1 must hold numbers"),
+        ([True, False], "spectrum 1 must hold numbers"),
+        ([None], "spectrum 1 must hold numbers"),
+        ([[0.5], [1.0, 2.0]], "spectrum 1 must hold numbers"),
     ])
     def test_spectra_are_checked_at_the_boundary(self, spectrum, message):
         psi = mk.SeparableIntegrand.constant(2, 1.0)
@@ -317,6 +332,12 @@ class TestNormSurrogates:
         for norm in norms:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 norm([[0.5], spectrum])
+
+    def test_a_divided_difference_rejects_spectra_of_strings(self):
+        dd = mk.divided_difference_integrand(mk.ScalarFunction.monomial(3), 2)
+        for norm in (mk.sup_norm_on_grid, mk.projective_norm_bound):
+            with pytest.raises(ValidationError, match="^spectrum 0 must hold numbers$"):
+                norm(dd, [["a"]] * 3)
 
     @pytest.mark.parametrize("kind", ["separable", "multivariate_grid",
                                       "multivariate_pointwise"])
@@ -1316,3 +1337,116 @@ class TestSupSurrogate:
         assert_bits(sups, sample_sups(psi, axes))
         rank_one = mk.SeparableIntegrand(1, ((mk.ScalarFunction.polynomial([1j, 2.0]),),))
         assert_bits(surrogate(rank_one, [union]), grid_sups(rank_one, [union]))
+
+
+def multiset_calls(monkeypatch):
+    """The stacked axes that the multiset sup path is called with, but for
+    its own calls that sum non-finite samples again."""
+    calls = []
+    path = integrands._multiset_sup_norms
+
+    def spy(psi, axis, exact=False):
+        if not exact:
+            calls.append(axis)
+        return path(psi, axis, exact)
+
+    monkeypatch.setattr(integrands, "_multiset_sup_norms", spy)
+    return calls
+
+
+def monomial_dd(degree, order, coefficient=1.0):
+    return mk.divided_difference_integrand(mk.ScalarFunction.monomial(degree, coefficient),
+                                           order)
+
+
+SAMPLED_AXES = {
+    "real": lambda rng, shape: rng.uniform(-2, 2, shape),
+    "unit_circle": lambda rng, shape: np.exp(1j * rng.uniform(-np.pi, np.pi, shape)),
+}
+
+
+class TestMultisetSup:
+    """A polynomial's divided difference with one axis in every slot reads
+    each multiset of the axis's indices once, with the bits of the grid's
+    point of those indices in ascending order: the grid's sup wherever it
+    lies on such a point, as it does for every monomial."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 300, 2**20])
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_AXES))
+    def test_monomials_have_the_bits_of_the_grid(self, rng, kind, block_bytes, monkeypatch):
+        monkeypatch.setattr(integrands, "_SUP_BLOCK_BYTES", block_bytes)
+        calls = multiset_calls(monkeypatch)
+        cases = [(degree, order) for order in (1, 2, 3, 4) for degree in range(order + 1, 9)]
+        for degree, order in cases:
+            axis = SAMPLED_AXES[kind](rng, (5, 5 if order < 4 else 4))
+            dd = monomial_dd(degree, order, -1.5 if degree % 2 else 1.0)
+            axes = [axis] * (order + 1)
+            assert_bits(surrogate(dd, axes), grid_sups(dd, axes))
+            # a batch of one, through the public function
+            one = [axis[2]] * (order + 1)
+            assert (np.float64(mk.sup_norm_on_grid(dd, one)).tobytes()
+                    == np.float64(oracles.grid_sup(dd, one)).tobytes())
+        assert len(calls) == 2 * len(cases)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_AXES))
+    def test_polynomials_are_never_above_the_grid(self, rng, kind, monkeypatch):
+        calls = multiset_calls(monkeypatch)
+        for order in (1, 2, 3):
+            axis = SAMPLED_AXES[kind](rng, (300, 4))
+            for _ in range(4):
+                coefficients = rng.standard_normal(rng.integers(order + 2, 9))
+                dd = mk.divided_difference_integrand(mk.ScalarFunction.polynomial(coefficients),
+                                                     order)
+                axes = [axis] * (order + 1)
+                sups, grid = surrogate(dd, axes), grid_sups(dd, axes)
+                assert (sups <= grid).all()
+                assert (grid - sups <= 1e-14 * grid).all()
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("block_bytes", [1, 300, 2**20])
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_AXES))
+    def test_non_finite_samples_read_the_grid(self, rng, kind, block_bytes, monkeypatch):
+        monkeypatch.setattr(integrands, "_SUP_BLOCK_BYTES", block_bytes)
+        calls = multiset_calls(monkeypatch)
+        axis = SAMPLED_AXES[kind](rng, (9, 4))
+        # real arithmetic overflows to inf, and complex arithmetic multiplies
+        # that inf by a zero imaginary part, to NaN
+        axis[3] = [0.25, 1e160, 0.5, 1.0]
+        axis[6, 2] = np.inf
+        for order in (1, 2, 3):
+            dd = monomial_dd(order + 3, order)
+            axes = [axis] * (order + 1)
+            sups = surrogate(dd, axes)
+            assert np.isnan(sups[6]) and not np.isfinite(sups[3])
+            assert np.isfinite(np.delete(sups, [3, 6])).all()
+            assert_bits(sups, grid_sups(dd, axes))
+            assert_bits(sups, sample_sups(dd, axes))
+            # alone, with no inf node, x^0 is all ones and the real sum skips it
+            one = [axis[3:4]] * (order + 1)
+            assert_bits(surrogate(dd, one), grid_sups(dd, one))
+        assert len(calls) == 6
+
+    def test_equal_copies_read_as_one_axis(self, rng, monkeypatch):
+        calls = multiset_calls(monkeypatch)
+        axis = rng.uniform(-1, 1, (7, 5))
+        for order in (1, 2, 3):
+            dd = monomial_dd(order + 3, order)
+            shared = surrogate(dd, [axis] * (order + 1))
+            assert_bits(surrogate(dd, [axis.copy() for _ in range(order + 1)]), shared)
+            # one node of one copy moved: the grid is summed
+            moved = [axis.copy() for _ in range(order + 1)]
+            moved[-1][4, 0] += 0.5
+            assert_bits(surrogate(dd, moved), grid_sups(dd, moved))
+        assert len(calls) == 6
+
+    def test_other_integrands_on_equal_axes_sum_the_grid(self, rng, monkeypatch):
+        calls = multiset_calls(monkeypatch)
+        axis = rng.uniform(-2, 2, (7, 4))
+        asymmetric = mk.SeparableIntegrand(2, (
+            (mk.ScalarFunction.polynomial([0.5, -1.0]), mk.ScalarFunction.constant(1.0)),
+            (mk.ScalarFunction.monomial(2), mk.ScalarFunction.polynomial([0.0, 3.0, 1.0])),
+        ))
+        for psi in (asymmetric, monomial_dd(5, 2).scaled(2.0)):
+            axes = [axis] * psi.arity
+            assert_bits(surrogate(psi, axes), grid_sups(psi, axes))
+        assert calls == []

@@ -118,6 +118,26 @@ class TestApplyScalarFunction:
             mk.apply_scalar_function(bad, op)
 
 
+class TestMatrixInputs:
+    """Every matrix entry point takes integer, float and complex entries only."""
+
+    @pytest.mark.parametrize("matrix", [
+        [["1", "2j"], ["-2j", "3"]], [["a"]], [[True, False], [False, True]], [[None]],
+        [[1.0, 2.0], [3.0]],
+    ])
+    def test_entries_that_are_not_numbers_are_rejected(self, matrix):
+        entry_points = (mk.HermitianOperator, mk.UnitaryOperator, mk.operator_norm,
+                        lambda m: mk.schatten_norm(m, 2))
+        for entry in entry_points:
+            with pytest.raises(ValidationError, match="^matrix entries must be numbers$"):
+                entry(matrix)
+
+    def test_integer_float_and_complex_entries_are_numbers(self):
+        for matrix in ([[1, 2], [2, 3]], np.eye(2, dtype=np.float32),
+                       np.eye(2, dtype=np.uint8), [[1, 2j], [-2j, 3]]):
+            assert mk.HermitianOperator(matrix).matrix.dtype == np.complex128
+
+
 class TestNorms:
     def test_operator_norm_diagonal(self):
         assert mk.operator_norm(np.diag([-5.0, 2.0]).astype(complex)) == 5.0

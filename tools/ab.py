@@ -12,7 +12,11 @@ of ROUNDS rounds (at least 2, default 10) runs ``run_round`` once per tree,
 in alternating order, timed by CPU time, which is steadier than wall time on
 a shared host.  Per part, the script prints both trees' median CPU µs per
 operation, the old tree's quartile distance, and in how many rounds the new
-tree was faster.  The workloads' ``check`` is not run (on ``mc_tailbound`` it
+tree was faster.  It then prints the end-to-end ``ops_per_s`` and
+``part_us_gmean`` of each tree, as ``perfbench/run.py``'s ``end_to_end``
+computes them over all rounds but from CPU time, with the old tree's
+quartile distance and the rounds won, both over each round's own value.
+The workloads' ``check`` is not run (on ``mc_tailbound`` it
 adds an untimed two-worker round); every output must match between the trees
 byte for byte, else the script names the part and exits 1.
 """
@@ -36,6 +40,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)  # workloads.py imports timing.py
 
+import run as perfbench_run  # noqa: E402
 import timing  # noqa: E402
 
 SEED = 1
@@ -121,6 +126,18 @@ def main(argv: list) -> int:
         mid_old, mid_new = statistics.median(old), statistics.median(new)
         print(f"{part:24s} {mid_old:12.1f} {mid_new:12.1f} "
               f"{100 * (mid_new / mid_old - 1):+7.1f}% {quartiles[2] - quartiles[0]:10.1f} "
+              f"{wins:>4d}/{count}")
+
+    def end_to_end(per):
+        return perfbench_run.end_to_end(workloads[0], per, 0.0, scaled=False)
+
+    for metric, higher in (("ops_per_s", True), ("part_us_gmean", False)):
+        old, new = ([end_to_end([r])[metric][0] for r in per] for per in rounds)
+        quartiles = statistics.quantiles(old, n=4)
+        wins = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
+        whole_old, whole_new = (end_to_end(per)[metric][0] for per in rounds)
+        print(f"{metric:24s} {whole_old:12.2f} {whole_new:12.2f} "
+              f"{100 * (whole_new / whole_old - 1):+7.1f}% {quartiles[2] - quartiles[0]:10.2f} "
               f"{wins:>4d}/{count}")
     return 0
 
