@@ -291,8 +291,7 @@ def _handle_poly_decompose(payload, args):
     field = _past_decomposition_limits(poly)
     if field is not None:
         raise ValidationError(DECOMPOSITION_LIMITS, path=f"input.polynomial.{field}")
-    seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    _seed(seed, "input.seed" if args.seed is None else "flags.seed")
+    seed = _seed(_with_seed_flag(payload, args).get("seed", 0), "input.seed")
 
     def run():
         rng = np.random.default_rng(seed)

@@ -91,12 +91,17 @@ def _finite(value, message: str) -> float:
 
 def _numeric(value, message: str) -> np.ndarray:
     """``value`` as an array of integer, float or complex dtype, else (a
-    boolean, string, object or ragged nesting) ValidationError(message)."""
+    boolean, string, object or ragged nesting, or a nesting that holds a
+    Python or numpy boolean among numbers, which numpy would read as 0 or
+    1) ValidationError(message)."""
     try:
         array = np.asarray(value)
     except (TypeError, ValueError):
         array = np.asarray(None)
-    if array.dtype.kind not in "iufc":
+    if array.dtype.kind not in "iufc" or (
+            not isinstance(value, np.ndarray)
+            and any(isinstance(v, bool) or getattr(v, "dtype", None) == bool
+                    for v in np.asarray(value, dtype=object).flat)):
         raise ValidationError(message)
     return array
 

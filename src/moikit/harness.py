@@ -20,8 +20,8 @@ surrogates and operator norms from Gram matrices.  The sup surrogates never
 hold a chunk's grid: a one-term real integrand's sup is the ordered product
 of its per-slot maxima (exact, as rounding is monotone), a divided
 difference on one union reads each multiset of the union's nodes once, and
-any other separable integrand's grid is summed in cache-sized blocks of
-samples, each reduced to its maxima at once (see ``integrands._sup_norms``).
+any other separable integrand's grid is summed as ``eval_grid`` sums it, in
+cache-sized blocks of samples (see ``integrands._sup_norms``).
 Batched arithmetic gives each sample the same bits as a call on that sample
 alone, so a sample's values do not depend on the chunk it falls in.  A sample
 whose arithmetic fails is aborted: the batched kernels raise the abort
@@ -369,11 +369,12 @@ def _chunk_samples(dim: int, surrogates) -> int:
     Per sample, the engine returns one n x n complex matrix.  A separable
     integrand's factored sum holds one such matrix per node of its widest
     :attr:`~moikit.integrands.SeparableIntegrand.suffix_tree` level, next
-    to its factor values on the union (the surrogate sums those in blocks
-    of its own size, or gathers a polynomial divided difference's at blocks
-    of multisets, with no second copy).  Any other integrand's engine grid
-    is built one sample at a time, and a divided difference's sup reads one
-    sample's multisets of union nodes at a time, with no grid."""
+    to its factor values on the union (the surrogate gathers a polynomial
+    divided difference's at blocks of multisets, and sums any other's grid
+    in blocks of its own size from at most one complex copy of real values).
+    Any other integrand's engine grid is built one sample at a time, and a
+    divided difference's sup reads one sample's multisets of union nodes at
+    a time, with no grid."""
     largest = dim * dim
     for psi, union in surrogates:
         if psi.separable is not None:

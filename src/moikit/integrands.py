@@ -37,10 +37,10 @@ spectra stacked over samples) has the bits of ``max |eval_grid|`` without
 keeping a stacked grid: a one-term integrand with real values takes the
 ordered product of its per-slot maxima, exact because rounding to nearest
 is monotone and symmetric in sign, and any other separable integrand is
-summed in blocks of samples that fit in a core's L2 cache, each reduced to
-its per-sample maxima at once.  A divided difference on equal axes builds
-no grid: its sup is the max over its multisets' values, a polynomial's at
-most a few ulps below the grid's (see :func:`_multiset_sup_norms`).
+summed as ``eval_grid`` sums it, in blocks of samples that fit in a core's
+L2 cache.  A divided difference on equal axes builds no grid: its sup is
+the max over its multisets' values, a polynomial's at most a few ulps
+below the grid's (see :func:`_multiset_sup_norms`).
 """
 
 from __future__ import annotations
@@ -639,7 +639,7 @@ class _FactorTable:
     """The distinct factors of one slot, evaluated together: the polynomial
     factors as one zero-padded coefficient table per coefficient dtype, one
     Horner pass each (see :func:`_horner`), and every other factor on its
-    own, once per axis and function however many slots hold it."""
+    own, once per axis and table (see :meth:`SeparableIntegrand.factor_values`)."""
 
     def __init__(self, factors: Sequence[ScalarFunction]):
         self.size = len(factors)
@@ -657,16 +657,10 @@ class _FactorTable:
                 table[: c.size, column] = c
             self.tables.append((np.array([row for row, _ in members]), table))
 
-    def __call__(self, axis: np.ndarray, done: dict) -> np.ndarray:
-        """The factor values on ``axis``, one row per factor, as ``np.array``
-        stacks the factors' own values; ``done`` keeps every callable's
-        values by axis across slots."""
+    def __call__(self, axis: np.ndarray) -> np.ndarray:
+        """The factor values on ``axis``, one row per factor, as ``np.array`` stacks them."""
         parts = [(rows, _horner(table, axis)) for rows, table in self.tables]
-        for row, fn in self.callables:
-            key = (id(axis), fn)
-            if key not in done:
-                done[key] = fn(axis)
-            parts.append(([row], np.asarray(done[key])[None]))
+        parts += [([row], np.asarray(fn(axis))[None]) for row, fn in self.callables]
         if len(parts) == 1:
             return parts[0][1]
         values = np.empty((self.size,) + axis.shape,
@@ -808,7 +802,7 @@ class SeparableIntegrand:
         for table, axis in zip(self._factor_tables, axes):
             key = (id(axis), id(table))
             if key not in done:
-                done[key] = table(axis, done)
+                done[key] = table(axis)
             values.append(done[key])
         return values
 
@@ -853,10 +847,10 @@ class SeparableIntegrand:
         each product formed factor by factor in slot order; with ``outer``
         false, the product of factor values that already share ``shape``.
 
-        ``ones``, per slot, marks the factor rows whose values all equal 1;
-        the products leave those factors out.  Multiplying by 1 is exact in
-        real arithmetic, and in complex arithmetic changes at most the sign
-        of a zero part while every value is finite."""
+        ``ones`` (the multiset sup's), per slot, marks the factor rows whose
+        values all equal 1; the products leave those factors out.  Multiplying
+        by 1 is exact in real arithmetic, and in complex arithmetic changes
+        at most the sign of a zero part while every value is finite."""
         views = []
         for i in range(self.arity):
             view = [None] * self.arity
@@ -1024,14 +1018,14 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIn
     evaluation stays stable at clustered nodes.
     """
     slots = order + 1
+    monomial = functools.cache(ScalarFunction.monomial)  # one factor object per exponent
     terms = []
     for p, c in enumerate(np.frombuffer(data, dtype=dtype)):
         if c == 0 or p < order:
             continue
-        for exponents in exponent_tuples(p - order, slots):
-            factors = [ScalarFunction.monomial(exponents[0], c)]
-            factors.extend(ScalarFunction.monomial(e) for e in exponents[1:])
-            terms.append(tuple(factors))
+        leading = functools.cache(lambda e, c=c: ScalarFunction.monomial(e, c))
+        for e, *rest in exponent_tuples(p - order, slots):
+            terms.append((leading(e), *map(monomial, rest)))
     if not terms:
         terms.append(tuple(ScalarFunction.constant(0.0) for _ in range(slots)))
     return SeparableIntegrand(slots, tuple(terms), _symmetric=True)
@@ -1119,14 +1113,15 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     the per-slot maxima of |f_i|: rounding to nearest is monotone and
     symmetric in sign, so the largest |fl(..fl(a b) c ..)| over the grid is
     that product of the largest |a|, |b|, |c|, ....  When that product is not
-    finite, and for every other separable integrand, the grid is summed in
-    blocks of about :data:`_SUP_BLOCK_BYTES` (see :func:`_block_sup_norms`);
-    a polynomial's divided difference of more than one term on equal axes
-    reads the axis's multisets instead, a few ulps below the grid's max at
-    most (see :func:`_multiset_sup_norms`).  Any other integrand is
-    evaluated sample by sample: a non-polynomial divided difference at the
-    sorted tuples of its grid (see :func:`_tuple_values`), with no grid when
-    every slot holds one axis, and any other on its whole grid.
+    finite, and for every other separable integrand, the grid is summed as
+    ``eval_grid`` sums it (see :func:`_grid_sup_norms`), with one point of
+    each slot whose values are equal along its axis; a polynomial's divided
+    difference of more than one term on equal axes reads the axis's
+    multisets instead, a few ulps below the grid's max at most (see
+    :func:`_multiset_sup_norms`).  Any other integrand is evaluated sample
+    by sample: a non-polynomial divided difference at the sorted tuples of
+    its grid (see :func:`_tuple_values`), with no grid when every slot
+    holds one axis, and any other on its whole grid.
     """
     separable = psi.separable
     if separable is None:
@@ -1136,48 +1131,31 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
             and all(np.array_equal(a, axes[0]) for a in axes[1:])):
         return _multiset_sup_norms(separable, axes[0])
     values = separable.factor_values(axes)
-    real = not any(np.iscomplexobj(v) for v in values)
-    values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]
     # a slot whose values are equal along its axis (NaN never is) needs one point of it
     values = [v[..., :1] if (v == v[..., :1]).all() else v for v in values]
-    if real and len(separable.terms) == 1:
+    if len(separable.terms) == 1 and not any(np.iscomplexobj(v) for v in values):
         maxima = [np.max(np.abs(v[0]), axis=-1) for v in values]
         with np.errstate(over="ignore", invalid="ignore"):
             sup = functools.reduce(np.multiply, maxima)
         if np.all(np.isfinite(sup)):
             return sup
-    ones = [np.all(v == 1.0, axis=(1, 2)) for v in values]
-    count = values[0].shape[1]
-    points = math.prod(v.shape[-1] for v in values)
-    rows = max(1, _SUP_BLOCK_BYTES // (values[0].itemsize * points))
-    sup = np.empty(count)
-    for lo in range(0, count, rows):
-        block = [v[:, lo : lo + rows] for v in values]
-        sup[lo : lo + rows] = _block_sup_norms(separable, block, ones)
+    return _grid_sup_norms(separable, values)
+
+
+def _grid_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray]) -> np.ndarray:
+    """Per sample, ``max |psi.eval_grid|`` on the grid that the factor values
+    span (per slot (F_i, N, n_i), as :meth:`SeparableIntegrand.factor_values`
+    gives them), summed as ``eval_grid`` sums it: in complex128, every factor
+    kept, one block of about :data:`_SUP_BLOCK_BYTES` of grid at a time."""
+    values = [v.astype(np.complex128, copy=False) for v in values]
+    points = tuple(v.shape[-1] for v in values)
+    rows = max(1, _SUP_BLOCK_BYTES // (16 * math.prod(points)))
+    sup = np.empty(values[0].shape[1])
+    for lo in range(0, sup.size, rows):
+        block = sup[lo : lo + rows]
+        grid = psi._term_sum([v[:, lo : lo + rows] for v in values], block.shape + points)
+        block[:] = np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)
     return sup
-
-
-def _block_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray], ones) -> np.ndarray:
-    """Per sample, the max of |psi| over the grid that a block of factor
-    values spans (per slot (F_i, N, n_i), as
-    :meth:`SeparableIntegrand.factor_values` gives them), with the bits of
-    :meth:`SeparableIntegrand.eval_grid`.
-
-    The block is summed first in the values' own arithmetic, leaving out the
-    factors that ``ones`` marks (see :meth:`SeparableIntegrand._term_sum`).
-    A finite result has every product and partial sum finite, so it has the
-    parts of the complex grid up to the signs of zeros, which no |value|
-    reads.  A block with a value that is not finite is summed again as
-    ``eval_grid`` sums it, in complex arithmetic with every factor kept, so
-    a sample's bits do not depend on the block it falls in.
-    """
-    shape = values[0].shape[1:2] + tuple(v.shape[-1] for v in values)
-    grid = psi._term_sum(values, shape, ones)
-    sup = np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)
-    if np.all(np.isfinite(sup)):
-        return sup
-    grid = psi._term_sum([v.astype(np.complex128) for v in values], shape)
-    return np.max(np.abs(grid.reshape(len(grid), -1)), axis=1)
 
 
 def _multiset_sup_norms(psi: SeparableIntegrand, axis: np.ndarray, exact=False) -> np.ndarray:
@@ -1187,9 +1165,10 @@ def _multiset_sup_norms(psi: SeparableIntegrand, axis: np.ndarray, exact=False) 
     of its indices in ascending order, so the grid's max wherever that lies
     on such a point.  The factor values are taken once as (F_i, u, N), so that
     each gather copies whole rows and each sum runs along the samples, in
-    blocks of multisets of about :data:`_SUP_BLOCK_BYTES` per slot.  As in
-    :func:`_block_sup_norms`, a sample whose sup is not finite is summed
-    again, ``exact``: in complex arithmetic with every factor kept."""
+    blocks of multisets of about :data:`_SUP_BLOCK_BYTES` per slot, in the
+    values' own arithmetic and without the factors that are 1 (see
+    :meth:`SeparableIntegrand._term_sum`).  A sample whose sup is not finite
+    is summed again, ``exact``: in complex arithmetic with every factor kept."""
     order, size = psi.arity - 1, axis.shape[1]
     values = psi.factor_values([np.ascontiguousarray(axis.T)] * psi.arity)
     real = not exact and not any(np.iscomplexobj(v) for v in values)

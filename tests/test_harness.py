@@ -607,6 +607,27 @@ class TestBatchedEvaluation:
             for ell in range(degree + 1, 11):
                 assert np.all(terms[f"slot{j}_order{ell}_integrand_norm"] == 0.0)
 
+    def test_no_shipped_config_sums_a_sup_grid(self, monkeypatch):
+        """The sup surrogates of one 256-sample block of each shipped
+        tail-bound config take the one-term product of maxima or the
+        multiset sum, never the separable grid sum: that path's cost was
+        measured only off the benchmark workloads, so if a config ever
+        reaches it, re-measure the grid path on that config's shapes.
+        An ``AssertionError`` is not an abort error, so it leaves
+        ``_simulate_block`` instead of aborting the sample."""
+        def grid_sup_norms(psi, values):
+            raise AssertionError("a shipped config summed a sup grid")
+
+        calls = []
+        sup_norms = integrands._sup_norms
+        monkeypatch.setattr(integrands, "_grid_sup_norms", grid_sup_norms)
+        monkeypatch.setattr(harness, "_sup_norms",
+                            lambda psi, axes: calls.append(psi) or sup_norms(psi, axes))
+        for theorem_id in harness.THEOREM_IDS:
+            _, _, aborted = harness._simulate_block(shipped_experiment(theorem_id), 0, 256)
+            assert not aborted.any()
+        assert calls  # the patched helper sat under the surrogates that ran
+
     def test_chunk_keeps_the_factored_sums_near_the_budget(self):
         # moi_norm_a: three 4x4 operators; the widest suffix level of its
         # factored sum holds one 4x4 complex matrix per node and sample

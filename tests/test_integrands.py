@@ -134,7 +134,11 @@ class TestDividedDifference:
         with pytest.raises(ValidationError):
             mk.DividedDifferenceSpec(mk.ScalarFunction.monomial(1), 2, (1.0, 2.0))
 
-    @pytest.mark.parametrize("coefficients", [["1", "2"], [None], [True, False], [[1.0], [2.0, 3.0]]])
+    @pytest.mark.parametrize("coefficients", [
+        ["1", "2"], [None], [True, False], [[1.0], [2.0, 3.0]],
+        # a boolean among numbers, which numpy would read as 0 or 1
+        [True, 1.0], [2, np.False_], [1j, True], [1.0, np.array(True)],
+    ])
     def test_polynomial_coefficients_must_be_numbers(self, coefficients):
         with pytest.raises(ValidationError, match="^polynomial coefficients must be numbers$"):
             mk.ScalarFunction.polynomial(coefficients)
@@ -216,6 +220,22 @@ class TestDividedDifferenceIntegrand:
         assert mk.divided_difference_integrand(
             mk.ScalarFunction.polynomial(complex_coefficients), 2
         ) is not first
+
+    def test_terms_share_one_factor_object_per_slot_and_exponent(self):
+        # x^2 + 2x^3 + 3x^4 + 4x^5 at order 2: 1 + 3 + 6 + 10 terms
+        psi = mk.divided_difference_integrand(
+            mk.ScalarFunction.polynomial([0.0, 0.0, 1.0, 2.0, 3.0, 4.0]), 2
+        )
+        assert len(psi.terms) == 20
+        for slot in range(psi.arity):
+            # a leading factor c_p x^e is told apart by its coefficients,
+            # since each c_p differs; every other factor is x^e
+            objects: dict = {}
+            for term in psi.terms:
+                key = term[slot].coefficients.tobytes()
+                assert objects.setdefault(key, term[slot]) is term[slot]
+        assert len({id(term[0]) for term in psi.terms}) == 1 + 2 + 3 + 4
+        assert len({id(term[1]) for term in psi.terms}) == 4
 
     def test_callable_integrands_are_never_cached(self):
         before = integrands._polynomial_dd_integrand.cache_info()
@@ -321,6 +341,9 @@ class TestNormSurrogates:
         ([True, False], "spectrum 1 must hold numbers"),
         ([None], "spectrum 1 must hold numbers"),
         ([[0.5], [1.0, 2.0]], "spectrum 1 must hold numbers"),
+        ([True, 0.5], "spectrum 1 must hold numbers"),
+        ([0.5, np.True_], "spectrum 1 must hold numbers"),
+        ([np.array(False), 1j], "spectrum 1 must hold numbers"),
     ])
     def test_spectra_are_checked_at_the_boundary(self, spectrum, message):
         psi = mk.SeparableIntegrand.constant(2, 1.0)

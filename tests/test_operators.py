@@ -123,7 +123,8 @@ class TestMatrixInputs:
 
     @pytest.mark.parametrize("matrix", [
         [["1", "2j"], ["-2j", "3"]], [["a"]], [[True, False], [False, True]], [[None]],
-        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0], [3.0]], [[1.0, False], [0.0, 1.0]], [[1, 0], [0, np.True_]],
+        [np.array([1j, 0]), np.array([False, True])],
     ])
     def test_entries_that_are_not_numbers_are_rejected(self, matrix):
         entry_points = (mk.HermitianOperator, mk.UnitaryOperator, mk.operator_norm,
