@@ -15,13 +15,9 @@ normals.  A chunk holds whole blocks when it holds at least one; a
 range that starts or ends inside a block draws that block whole and keeps
 its own samples.  The draws are stacked along a leading sample axis, and one
 batched statistic function per theorem computes the chunk's statistics and
-terms with stacked Haar bases, eigendecompositions, factored engine sums, sup
+terms with stacked Haar bases, eigendecompositions, engine sums, sup
 surrogates and operator norms from Gram matrices.  The sup surrogates never
-hold a chunk's grid: a one-term real integrand's sup is the ordered product
-of its per-slot maxima (exact, as rounding is monotone), a divided
-difference on one union reads each multiset of the union's nodes once, and
-any other separable integrand's grid is summed as ``eval_grid`` sums it, in
-cache-sized blocks of samples (see ``integrands._sup_norms``).
+hold a chunk's grid (see ``integrands._sup_norms``).
 Batched arithmetic gives each sample the same bits as a call on that sample
 alone, so a sample's values do not depend on the chunk it falls in.  A sample
 whose arithmetic fails is aborted: the batched kernels raise the abort
@@ -366,21 +362,25 @@ def _chunk_samples(dim: int, surrogates) -> int:
     surrogates a sample computes; each integrand also goes through the
     engine at dimension ``dim``.
 
-    Per sample, the engine returns one n x n complex matrix.  A separable
-    integrand's factored sum holds one such matrix per node of its widest
+    Per sample, the engine returns one n x n complex matrix.  A polynomial's
+    divided difference sums its words on two stacks of Q + 1 of them, its
+    sup on Q + 1 copies of the union.  Any other separable integrand's
+    factored sum holds one such matrix per node of its widest
     :attr:`~moikit.integrands.SeparableIntegrand.suffix_tree` level, next
-    to its factor values on the union (the surrogate gathers a polynomial
-    divided difference's at blocks of multisets, and sums any other's grid
-    in blocks of its own size from at most one complex copy of real values).
+    to its factor values on the union (the surrogate sums its grid in
+    blocks of its own size from at most one complex copy of real values).
     Any other integrand's engine grid is built one sample at a time, and a
     divided difference's sup reads one sample's multisets of union nodes at
     a time, with no grid."""
     largest = dim * dim
     for psi, union in surrogates:
-        if psi.separable is not None:
-            _, levels = psi.separable.suffix_tree
+        separable = psi.separable
+        if separable is not None and separable._polynomial is not None:
+            largest = max(largest, len(separable._polynomial[0]) * (2 * dim * dim + union))
+        elif separable is not None:
+            _, levels = separable.suffix_tree
             width = max(len(factor) for factor, *_ in levels)
-            factors = sum(int(index.max()) + 1 for index in psi.separable.factor_index)
+            factors = sum(int(index.max()) + 1 for index in separable.factor_index)
             largest = max(largest, width * dim * dim + factors * union)
     return max(1, _CHUNK_BYTES // (16 * largest))
 

@@ -33,14 +33,8 @@ The factored engine path sums the terms that share their factors from a
 slot on in plain left-to-right order (:func:`_sibling_sums`).
 
 The sup surrogate (:func:`sup_norm_on_grid`, and :func:`_sup_norms` on
-spectra stacked over samples) has the bits of ``max |eval_grid|`` without
-keeping a stacked grid: a one-term integrand with real values takes the
-ordered product of its per-slot maxima, exact because rounding to nearest
-is monotone and symmetric in sign, and any other separable integrand is
-summed as ``eval_grid`` sums it, in blocks of samples that fit in a core's
-L2 cache.  A divided difference on equal axes builds no grid: its sup is
-the max over its multisets' values, a polynomial's at most a few ulps
-below the grid's (see :func:`_multiset_sup_norms`).
+spectra stacked over samples) is ``max |eval_grid|``, a polynomial divided
+difference's within a few ulps, with no stacked grid (see :func:`_sup_norms`).
 """
 
 from __future__ import annotations
@@ -702,8 +696,9 @@ class SeparableIntegrand:
 
     arity: int
     terms: tuple[tuple[ScalarFunction, ...], ...]
-    # symmetric in its slots: set only on a polynomial's divided difference
-    _symmetric: bool = field(default=False, kw_only=True, repr=False, compare=False)
+    # (c_k..c_{k+Q}, k): what the word recurrence reads of a polynomial's
+    # order-k divided difference; set only by _polynomial_dd_integrand
+    _polynomial: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -740,13 +735,8 @@ class SeparableIntegrand:
             raise ValidationError(
                 f"point has {len(point)} coordinates, expected {self.arity}"
             )
-        total = 0.0 + 0.0j
-        for term in self.terms:
-            prod = 1.0 + 0.0j
-            for fn, x in zip(term, point):
-                prod *= fn(x)
-            total += prod
-        return total
+        return sum((math.prod((fn(x) for fn, x in zip(term, point)), start=1.0 + 0.0j)
+                    for term in self.terms), start=0.0 + 0.0j)
 
     @functools.cached_property
     def _slot_factors(self) -> tuple[tuple[tuple, np.ndarray], ...]:
@@ -842,28 +832,20 @@ class SeparableIntegrand:
         shape = axes[0].shape[:-1] + tuple(a.shape[-1] for a in axes)
         return self._term_sum(values, shape)
 
-    def _term_sum(self, values: list[np.ndarray], shape: tuple, ones=None, outer=True):
+    def _term_sum(self, values: list[np.ndarray], shape: tuple):
         """Sum over the terms of the outer product of their factor values,
-        each product formed factor by factor in slot order; with ``outer``
-        false, the product of factor values that already share ``shape``.
-
-        ``ones`` (the multiset sup's), per slot, marks the factor rows whose
-        values all equal 1; the products leave those factors out.  Multiplying
-        by 1 is exact in real arithmetic, and in complex arithmetic changes
-        at most the sign of a zero part while every value is finite."""
+        each product formed factor by factor in slot order."""
         views = []
         for i in range(self.arity):
             view = [None] * self.arity
             view[i] = slice(None)
-            views.append((Ellipsis, *view) if outer else Ellipsis)
+            views.append((Ellipsis, *view))
         total = np.zeros(shape, dtype=values[0].dtype)
         for term in zip(*self.factor_index):
-            prod = None
-            for i, row in enumerate(term):
-                if ones is None or not ones[i][row]:
-                    factor = values[i][row][views[i]]
-                    prod = factor if prod is None else prod * factor
-            total += 1.0 if prod is None else prod
+            prod = values[0][term[0]][views[0]]
+            for i in range(1, self.arity):
+                prod = prod * values[i][term[i]][views[i]]
+            total += prod
         return total
 
     def scaled(self, factor) -> "SeparableIntegrand":
@@ -974,9 +956,9 @@ def divided_difference_integrand(
 ) -> SeparableIntegrand | MultivariateFunction:
     """The arity-(order+1) integrand ``(l_0..l_k) -> f^[k](l_0..l_k)``.
 
-    A polynomial's is a :class:`SeparableIntegrand`, exact (used for
-    factored evaluation and certified norm bounds), built once per
-    coefficient array and order and then shared by every caller (see
+    A polynomial's is a :class:`SeparableIntegrand`, exact, built once per
+    coefficient array and order and then shared by every caller, which the
+    engine and its sup sum over words (see
     :func:`_polynomial_dd_integrand`).  Other kinds evaluate the
     recursive divided-difference table: point by point through
     :func:`divided_difference`, and a whole grid through
@@ -1013,14 +995,17 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIn
     coefficient array has this dtype and these bytes.
 
     The order-k divided difference of x^p is the complete homogeneous
-    symmetric polynomial of degree p-k in the k+1 nodes; expanding it
-    monomial by monomial gives an exact rank-one sum with no divisions, so
-    evaluation stays stable at clustered nodes.
+    symmetric polynomial h_{p-k} of degree p-k in the k+1 nodes; expanding
+    it monomial by monomial gives an exact rank-one sum with no divisions,
+    so evaluation stays stable at clustered nodes.  The engine and the
+    equal-axis sup sum its words from c_k..c_{k+Q} instead (:func:`_word_sums`).
     """
     slots = order + 1
     monomial = functools.cache(ScalarFunction.monomial)  # one factor object per exponent
+    coefficients = np.frombuffer(data, dtype=dtype)
+    words = np.trim_zeros(coefficients[order:], "b")
     terms = []
-    for p, c in enumerate(np.frombuffer(data, dtype=dtype)):
+    for p, c in enumerate(coefficients):
         if c == 0 or p < order:
             continue
         leading = functools.cache(lambda e, c=c: ScalarFunction.monomial(e, c))
@@ -1028,7 +1013,32 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIn
             terms.append((leading(e), *map(monomial, rest)))
     if not terms:
         terms.append(tuple(ScalarFunction.constant(0.0) for _ in range(slots)))
-    return SeparableIntegrand(slots, tuple(terms), _symmetric=True)
+        words = np.zeros(1, dtype=dtype)
+    return SeparableIntegrand(slots, tuple(terms), _polynomial=(words, order))
+
+
+def _word_sums(coefficients: np.ndarray, nodes: Sequence[np.ndarray], rotated=None) -> np.ndarray:
+    """f^[k] = sum_p c_p h_{p-k}, given c_k..c_{k+Q}: the words
+    D_0^e_0 Y_1 D_1^e_1 ... Y_k D_k^e_k of degree p - k weighted by c_p,
+    summed by Horner's rule with no division.  C_0[Q] = c_{k+Q},
+    C_0[s] = c_{k+s} + D_0 C_0[s+1], each slot j = 1..k takes
+    C_j[s] = C_{j-1}[s] Y_j + C_j[s+1] D_j, and C_k[0] is the sum.
+    ``nodes`` holds each slot's D_j: the sup's scalars, with every Y_j = 1,
+    or, with the ``rotated`` Y_j, the engine's diagonals, (N, n) each.
+    No sum runs over the samples."""
+    degree = len(coefficients) - 1
+    sums = np.empty((degree + 1,) + nodes[0].shape, dtype=np.result_type(coefficients, nodes[0]))
+    sums[degree] = coefficients[degree]
+    for s in range(degree - 1, -1, -1):
+        np.multiply(sums[s + 1], nodes[0], out=sums[s])
+        sums[s] += coefficients[s]
+    for j, scale in enumerate(nodes[1:]):
+        if rotated is not None:  # D_0 scales the rows of Y_1
+            sums = sums @ rotated[j] if j else sums[..., None] * rotated[0]
+            scale = scale[:, None, :]
+        for s in range(degree - 1, -1, -1):
+            sums[s] += sums[s + 1] * scale
+    return sums[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1064,13 +1074,8 @@ def projective_norm_bound(
     """
     maxima = [np.max(np.abs(v), axis=1)
               for v in psi.factor_values(_checked_spectra(spectra, psi.arity))]
-    total = 0.0
-    for term in zip(*psi.factor_index):
-        prod = 1.0
-        for maximum, row in zip(maxima, term):
-            prod *= float(maximum[row])
-        total += prod
-    return total
+    return sum(math.prod(float(maximum[row]) for maximum, row in zip(maxima, term))
+               for term in zip(*psi.factor_index))
 
 
 def _batch_of_one(arrays: Sequence) -> list[np.ndarray]:
@@ -1093,7 +1098,7 @@ def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra; ``psi`` is a
     :class:`MultivariateFunction` or a :class:`SeparableIntegrand`.  A
     divided difference on equal spectra reads each multiset of their nodes
-    once, with no grid, a polynomial's a few ulps low at most (see
+    once, with no grid, a polynomial's within a few ulps (see
     :func:`_sup_norms`)."""
     psi = _as_integrand(psi)
     return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
@@ -1106,7 +1111,8 @@ _SUP_BLOCK_BYTES = 256 * 2**10
 
 def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     """:func:`sup_norm_on_grid` per sample, on spectra of shape (N, n_i)
-    stacked over samples: per sample, the bits of ``max |psi.eval_grid|``.
+    stacked over samples: per sample, the bits of ``max |psi.eval_grid|``
+    but where the word recurrence sums it.
 
     A separable integrand's factor values are computed once for all samples.
     With one term and real values, the sup is the product, in slot order, of
@@ -1116,9 +1122,8 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     finite, and for every other separable integrand, the grid is summed as
     ``eval_grid`` sums it (see :func:`_grid_sup_norms`), with one point of
     each slot whose values are equal along its axis; a polynomial's divided
-    difference of more than one term on equal axes reads the axis's
-    multisets instead, a few ulps below the grid's max at most (see
-    :func:`_multiset_sup_norms`).  Any other integrand is evaluated sample
+    difference on equal axes sums the words of the axis's multisets instead
+    (see :func:`_word_sup_norms`).  Any other integrand is evaluated sample
     by sample: a non-polynomial divided difference at the sorted tuples of
     its grid (see :func:`_tuple_values`), with no grid when every slot
     holds one axis, and any other on its whole grid.
@@ -1127,9 +1132,9 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     if separable is None:
         sup = psi._sup or (lambda sample: np.max(np.abs(psi.eval_grid(sample))))
         return np.array([sup(_sample(axes, s)) for s in range(len(axes[0]))])
-    if (separable._symmetric and len(separable.terms) > 1
+    if (separable._polynomial is not None
             and all(np.array_equal(a, axes[0]) for a in axes[1:])):
-        return _multiset_sup_norms(separable, axes[0])
+        return _word_sup_norms(*separable._polynomial, axes[0])
     values = separable.factor_values(axes)
     # a slot whose values are equal along its axis (NaN never is) needs one point of it
     values = [v[..., :1] if (v == v[..., :1]).all() else v for v in values]
@@ -1158,31 +1163,22 @@ def _grid_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray]) -> np.nda
     return sup
 
 
-def _multiset_sup_norms(psi: SeparableIntegrand, axis: np.ndarray, exact=False) -> np.ndarray:
-    """:func:`_sup_norms` of a symmetric integrand with ``axis``, (N, u), in
-    every slot: per sample, the max of |psi| over the C(u + k, k + 1)
-    multisets of :func:`_multisets`, each with the bits of the grid's point
-    of its indices in ascending order, so the grid's max wherever that lies
-    on such a point.  The factor values are taken once as (F_i, u, N), so that
-    each gather copies whole rows and each sum runs along the samples, in
-    blocks of multisets of about :data:`_SUP_BLOCK_BYTES` per slot, in the
-    values' own arithmetic and without the factors that are 1 (see
-    :meth:`SeparableIntegrand._term_sum`).  A sample whose sup is not finite
-    is summed again, ``exact``: in complex arithmetic with every factor kept."""
-    order, size = psi.arity - 1, axis.shape[1]
-    values = psi.factor_values([np.ascontiguousarray(axis.T)] * psi.arity)
-    real = not exact and not any(np.iscomplexobj(v) for v in values)
-    values = [v.astype(np.float64 if real else np.complex128, copy=False) for v in values]
-    ones = None if exact else [np.all(v == 1.0, axis=(1, 2)) for v in values]
-    tuples = _cached(_multisets, 8 * psi.arity * math.comb(size + order, psi.arity), size, order)
-    rows = max(1, _SUP_BLOCK_BYTES // (max(map(len, values)) * values[0].itemsize
-                                       * max(len(axis), 1)))
+def _word_sup_norms(coefficients: np.ndarray, order: int, axis: np.ndarray) -> np.ndarray:
+    """:func:`_sup_norms` of an order-k polynomial divided difference with
+    ``axis``, (N, u), in every slot: per sample, max |f^[k]| over the
+    multisets of :func:`_multisets` (one if f^[k] is constant) by the scalar
+    word recurrence, Y_j = 1, samples last, in blocks of multisets of about
+    :data:`_SUP_BLOCK_BYTES` per degree; NaN where a node is not finite, as
+    on the grid."""
+    nodes = np.ascontiguousarray(axis.T)
+    size = nodes.shape[0] if len(coefficients) > 1 else 1
+    tuples = _cached(_multisets, 8 * (order + 1) * math.comb(size + order, order + 1),
+                     size, order)
+    itemsize = np.result_type(coefficients, nodes).itemsize
+    rows = max(1, _SUP_BLOCK_BYTES // (itemsize * len(coefficients) * max(len(axis), 1)))
     sup = np.zeros(len(axis))
     for lo in range(0, tuples[0].size, rows):
-        block = [v.take(t[lo : lo + rows], axis=1) for v, t in zip(values, tuples)]
-        total = psi._term_sum(block, block[0].shape[1:], ones, False)
+        total = _word_sums(coefficients, [nodes[t[lo : lo + rows]] for t in tuples])
         np.maximum(sup, np.max(np.abs(total), axis=0), out=sup)  # a NaN passes on
-    redo = ~np.isfinite(sup)
-    if redo.any() and not exact:
-        sup[redo] = _multiset_sup_norms(psi, axis[redo], True)
+    sup[~np.isfinite(axis).all(axis=1)] = np.nan
     return sup

@@ -12,7 +12,9 @@ two paths:
   (:class:`~moikit.integrands.SeparableIntegrand`) is evaluated as
   sum_n D_{1,n} Y_1 D_{2,n} ... Y_{m-1} D_{m,n}, D_{i,n} = diag(f_{i,n}(l_i)),
   which is the operator-integral definition for such integrands (Peller,
-  J. Funct. Anal. 233, 2006); no n^m grid is built;
+  J. Funct. Anal. 233, 2006); no n^m grid is built.  A polynomial's
+  divided difference sums words instead, the t^k coefficient of f(L + tY)
+  in Mathias's block-bidiagonal form (SIAM J. Matrix Anal. Appl. 17, 1996);
 * grid -- any other integrand is evaluated on the n^m grid of eigenvalue
   tuples, and the sum collapses to a single tensor contraction of that grid
   against the Y matrices.
@@ -28,6 +30,7 @@ the evaluator is expected to satisfy.
 
 from __future__ import annotations
 
+import math
 import string
 import time
 from dataclasses import dataclass
@@ -51,6 +54,7 @@ from .integrands import (
     _batch_of_one,
     _sample,
     _sibling_sums,
+    _word_sums,
     divided_difference_integrand,
     projective_norm_bound,
     sup_norm_on_grid,
@@ -172,15 +176,20 @@ def _factored_core(
     (N, n) when m = 1).  Raises a FunctionDomainError for the first sample
     whose factor values are not finite, else for any whose sum is not.
 
-    Walks :attr:`SeparableIntegrand.suffix_tree` from the left: the terms
-    sharing their factors from slot j on share everything left of Y_j, so
-    that left part is summed over them (:func:`_sibling_sums`, each group's
-    first node plus the others left to right) before it is multiplied by
-    Y_j.  Each level scales its nodes by their diagonal factor in place.
-    The cost is one n x n product per sample and distinct suffix of length
-    1..m-2.
+    A polynomial's divided difference sums its words (:func:`_word_sums`):
+    (k - 1)(Q + 1) n x n products per sample; its factors, the powers up to
+    Q of each eigenvalue, are finite where the first and Q-th are.  Any
+    other walks :attr:`SeparableIntegrand.suffix_tree` from the left: the
+    terms sharing their factors from slot j on share everything left of Y_j,
+    so that left part is summed over them (:func:`_sibling_sums`) before it
+    is multiplied by Y_j, and each level scales its nodes by their diagonal
+    factor in place: one n x n product per distinct suffix of length 1..m-2.
     """
-    values = psi.factor_values(eigenvalues)  # per slot: (factors, N, n)
+    words = psi._polynomial  # (c_k..c_{k+Q}, k) of a polynomial's divided difference
+    if words is not None:
+        values = [np.array([w, w ** (len(words[0]) - 1)]) for w in eigenvalues]
+    else:
+        values = psi.factor_values(eigenvalues)  # per slot: (factors, N, n)
     finite = [np.isfinite(slot_values) for slot_values in values]
     if not all(slot_finite.all() for slot_finite in finite):
         failed = [~slot_finite.all(axis=(0, 2)) for slot_finite in finite]
@@ -191,19 +200,22 @@ def _factored_core(
             f"an integrand factor of slot {slot} is not finite at "
             f"eigenvalue {complex(eigenvalues[slot][s, col])}"
         )
-    counts, levels = psi.suffix_tree
-    factor, *siblings = levels[0]
-    core = values[0][factor]
-    core = _sibling_sums(np.multiply(counts[:, None, None], core, out=core), *siblings)
-    if rotated:
-        core = core[..., None] * rotated[0]
-    for j in range(1, len(levels)):
-        factor, *siblings = levels[j]
-        core = _sibling_sums(np.multiply(core, values[j][factor][:, :, None, :], out=core),
-                             *siblings)
-        if j < len(rotated):
-            core = core @ rotated[j]
-    core = core[0]
+    if words is not None:
+        core = _word_sums(words[0], eigenvalues, rotated)
+    else:
+        counts, levels = psi.suffix_tree
+        factor, *siblings = levels[0]
+        core = values[0][factor]
+        core = _sibling_sums(np.multiply(counts[:, None, None], core, out=core), *siblings)
+        if rotated:
+            core = core[..., None] * rotated[0]
+        for j in range(1, len(levels)):
+            factor, *siblings = levels[j]
+            core = _sibling_sums(np.multiply(core, values[j][factor][:, :, None, :], out=core),
+                                 *siblings)
+            if j < len(rotated):
+                core = core @ rotated[j]
+        core = core[0]
     if not np.isfinite(core).all():
         raise FunctionDomainError(
             "the factored sum is not finite: products of integrand factors overflow"
@@ -262,9 +274,10 @@ def moi_core(
 
     m = 1 has no arguments and reduces to applying the integrand as a scalar
     function of the single operator.  A separable integrand is evaluated in
-    factored form; any other is evaluated on the n^m eigenvalue grid.  The
-    inputs get the checks of :class:`MoiRequest`, with its messages, except
-    that one operator is allowed.
+    factored form (over words if it is a polynomial's divided difference),
+    any other on the n^m eigenvalue grid.  The inputs get the checks of
+    :class:`MoiRequest`, with its messages, except that one operator is
+    allowed.
     """
     integrand = _as_integrand(integrand)
     _check_evaluation(operators, integrand, arguments)
@@ -283,9 +296,7 @@ def moi_evaluate(request: MoiRequest) -> MoiResult:
     start = time.perf_counter()
     value = moi_core(request.operators, request.integrand, request.arguments)
     elapsed = time.perf_counter() - start
-    count = 1
-    for op in request.operators:
-        count *= op.dim
+    count = math.prod(op.dim for op in request.operators)
     return MoiResult(value=value, eigen_tuple_count=count, wall_time=elapsed)
 
 
@@ -404,17 +415,13 @@ def moi_norm_bound(
     surrogate = projective_norm_bound(integrand.separable, spectra)
     value = moi_core(request.operators, integrand, request.arguments)
     if schatten_p is None:
-        bound = surrogate
-        for arg in request.arguments:
-            bound *= operator_norm(arg)
+        bound = math.prod(map(operator_norm, request.arguments), start=surrogate)
         return bound, operator_norm(value)
     exponents = [_schatten_exponent(p) for p in schatten_p]
     if len(exponents) != len(request.arguments):
         raise ParameterError("one Schatten exponent per argument is required")
     q = holder_result_exponent(holder_reciprocal_sum(exponents))
-    bound = surrogate
-    for arg, p in zip(request.arguments, exponents):
-        bound *= schatten_norm(arg, p)
+    bound = math.prod(map(schatten_norm, request.arguments, exponents), start=surrogate)
     return bound, schatten_norm(value, q)
 
 
@@ -514,7 +521,4 @@ def continuity_modulus(
     drift = sum(
         operator_norm(b.matrix - a.matrix) for a, b in zip(operators, perturbed)
     )
-    argument_product = 1.0
-    for arg in arguments:
-        argument_product *= operator_norm(arg)
-    return lhs, surrogate * drift * argument_product
+    return lhs, surrogate * drift * math.prod(map(operator_norm, arguments))

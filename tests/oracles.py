@@ -349,7 +349,11 @@ def tail_bound_block(exp, lo, hi):
     tail-bound experiment, computed one sample at a time with the public
     single-operator functions: the reference for the harness's batched
     evaluation.  Each sample's samplers replay its rows of its block's
-    draws (:func:`tail_bound_block_draws`).  Aborted samples read NaN."""
+    draws (:func:`tail_bound_block_draws`).  Aborted samples read NaN.
+    Each sup surrogate is :func:`grid_sup`'s, but for the remainders': their
+    polynomial divided differences of a non-monomial sum, whose grid max
+    the word recurrence meets only within a few ulps, read
+    ``sup_norm_on_grid``, the public batch of one."""
     import moikit as mk
 
     statistic = _TAIL_BOUND_STATISTICS[exp.theorem_id]
@@ -442,7 +446,7 @@ def _sa_remainder_sample(exp, rng):
         union = np.concatenate(
             [shifted.decomposition.eigenvalues, op.decomposition.eigenvalues]
         )
-        terms[f"slot{j}_integrand_norm"] = grid_sup(dd_k, [union] * (k + 1))
+        terms[f"slot{j}_integrand_norm"] = mk.sup_norm_on_grid(dd_k, [union] * (k + 1))
     return mk.operator_norm(total), terms
 
 
@@ -464,7 +468,7 @@ def _unitary_remainder_sample(exp, rng):
         union = np.concatenate([eigs / np.abs(eigs), base.decomposition.eigenvalues])
         for ell in range(1, k + 1):
             dd = mk.divided_difference_integrand(f, ell)
-            terms[f"slot{j}_order{ell}_integrand_norm"] = grid_sup(
+            terms[f"slot{j}_order{ell}_integrand_norm"] = mk.sup_norm_on_grid(
                 dd, [union] * (ell + 1)
             )
     return mk.operator_norm(total), terms

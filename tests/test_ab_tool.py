@@ -11,10 +11,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
-def run_ab(old, new):
+def run_ab(old, new, *options):
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "ab.py"), "calculus_nonpoly",
+        [sys.executable, os.path.join(ROOT, "tools", "ab.py"), *options, "calculus_nonpoly",
          old, new, "2"], capture_output=True, text=True, timeout=60)
+
+
+def scaled_tree(tmp_path, factor):
+    """A copy of the package whose ``kth_derivative`` results are scaled by
+    ``factor``."""
+    shutil.copytree(os.path.join(SRC, "moikit"), tmp_path / "moikit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "moikit" / "calculus.py", "a") as handle:
+        handle.write("\n_kth_derivative = kth_derivative\n\n\n"
+                     "def kth_derivative(*args):\n"
+                     f"    return _kth_derivative(*args) * {factor!r}\n")
+    return str(tmp_path)
 
 
 def test_same_tree_matches_and_reports_each_part():
@@ -30,12 +42,24 @@ def test_same_tree_matches_and_reports_each_part():
 
 
 def test_a_changed_output_names_the_part(tmp_path):
-    shutil.copytree(os.path.join(SRC, "moikit"), tmp_path / "moikit",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "moikit" / "calculus.py", "a") as handle:
-        handle.write("\n_kth_derivative = kth_derivative\n\n\n"
-                     "def kth_derivative(*args):\n"
-                     "    return _kth_derivative(*args) * (1 + 2**-52)\n")
-    done = run_ab(SRC, str(tmp_path))
+    done = run_ab(SRC, scaled_tree(tmp_path, 1 + 2**-52))
     assert done.returncode == 1
     assert done.stderr.strip() == "outputs differ: round 0, part instance"
+
+
+def test_rtol_passes_a_one_ulp_change_and_reports_it(tmp_path):
+    done = run_ab(SRC, scaled_tree(tmp_path, 1 + 2**-52), "--rtol", "1e-12")
+    assert done.returncode == 0, done.stderr
+    header, row, *metrics = done.stdout.splitlines()
+    assert header.split()[-2:] == ["max", "dev"]
+    # the remainders subtract the derivatives, which amplifies their change
+    assert 2**-53 <= float(row.split()[-1]) <= 1e-12
+    assert [line.split()[0] for line in metrics] == ["ops_per_s", "part_us_gmean"]
+
+
+def test_rtol_fails_a_larger_change(tmp_path):
+    done = run_ab(SRC, scaled_tree(tmp_path, 1 + 1e-9), "--rtol", "1e-12")
+    assert done.returncode == 1
+    head, tail = done.stderr.strip().split(" > ")
+    assert head.startswith("outputs differ by ") and float(head.split()[-1]) >= 1e-9
+    assert tail == "1e-12: round 0, part instance"

@@ -193,30 +193,41 @@ class TestRunTailBound:
 
     def test_a_high_order_derivative_of_a_high_degree_polynomial_is_in_reach(self):
         # the sup of x^12's order-8 divided difference reads 220 multisets of
-        # the 4 eigenvalues per sample, where its grid has 4^9 points
+        # the 4 eigenvalues per sample, where its grid has 4^9 points, and
+        # x^20's order-16 reads 1140, where its grid has 4^17 points; the
+        # engine sums their words, not their 495 and 4845 terms
         rng = np.random.default_rng(3)
-        exp = mk.TailBoundExperiment(
+        direction = mk.random_hermitian(4, rng, norm=1.0)
+        experiments = [mk.TailBoundExperiment(
             theorem_id="kth_derivative",
             operator_models=(mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0)),),
-            fixed_inputs={"direction": mk.random_hermitian(4, rng, norm=1.0)},
-            integrand=mk.ScalarFunction.monomial(12),
+            fixed_inputs={"direction": direction},
+            integrand=mk.ScalarFunction.monomial(degree),
             theta_grid=(1.0, 10.0),
             samples=1000,
             seed=5,
-            order=8,
-        )
+            order=order,
+        ) for degree, order in ((12, 8), (20, 16))]
         start = time.perf_counter()
-        report = mk.run_tail_bound(exp)
+        for exp in experiments:
+            report = mk.run_tail_bound(exp)
+            assert report.metadata["aborted_samples"] == 0
         assert time.perf_counter() - start < 3.0
-        assert report.metadata["aborted_samples"] == 0
-        # two samples' sups against the same terms, not marked symmetric,
-        # which sum the whole grid
-        _, terms, _ = harness._simulate_block(exp, 0, 2)
-        ((eigenvalues, _),) = harness._sampled_spectra(exp, 0, 2, False)
-        dd = mk.divided_difference_integrand(exp.integrand, 8)
-        grid = mk.SeparableIntegrand(dd.arity, dd.terms)
-        assert (terms["integrand_norm"].tobytes()
-                == integrands._sup_norms(grid, [eigenvalues] * 9).tobytes())
+        # |h_q| <= h_q(|nodes|), so x^p's order-k sup is C(p, k) max |l|^(p - k),
+        # at k + 1 copies of the eigenvalue of largest modulus
+        for exp in experiments:
+            degree, order = len(exp.integrand.coefficients) - 1, exp.order
+            _, terms, _ = harness._simulate_block(exp, 0, 4)
+            ((eigenvalues, _),) = harness._sampled_spectra(exp, 0, 4, False)
+            exact = math.comb(degree, order) * np.max(np.abs(eigenvalues), axis=1) ** (
+                degree - order)
+            assert np.all(np.abs(terms["integrand_norm"] - exact) <= 1e-13 * exact)
+        # and at order 8 the words' sup against the same terms, with no
+        # coefficients to recur on, which sum the whole grid (of 3 nodes)
+        dd = mk.divided_difference_integrand(experiments[0].integrand, 8)
+        axes = [eigenvalues[:, :3]] * 9
+        grid = integrands._sup_norms(mk.SeparableIntegrand(dd.arity, dd.terms), axes)
+        assert np.all(np.abs(integrands._sup_norms(dd, axes) - grid) <= 1e-13 * grid)
 
 
 class TestEstimates:

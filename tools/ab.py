@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved CPU-time A/B of two moikit source trees on a benchmark workload.
 
-    python3 tools/ab.py WORKLOAD OLD_SRC NEW_SRC [ROUNDS]
+    python3 tools/ab.py [--rtol R] WORKLOAD OLD_SRC NEW_SRC [ROUNDS]
 
 WORKLOAD names a workload of ``perfbench/workloads.py``; OLD_SRC and NEW_SRC
 are directories that hold a ``moikit`` package (the ``src`` of two
@@ -19,6 +19,13 @@ quartile distance and the rounds won, both over each round's own value.
 The workloads' ``check`` is not run (on ``mc_tailbound`` it
 adds an untimed two-worker round); every output must match between the trees
 byte for byte, else the script names the part and exits 1.
+
+With ``--rtol R``, for a change that moves numbers by design, outputs need
+only agree within R (see :func:`deviation`): every array normwise, its
+largest change over its largest magnitude, and every number of a report on
+its own, its change over the larger magnitude of the two; everything else,
+and any value that is not finite, must still match exactly.  The table then
+ends each part's row with the largest deviation over its rounds.
 """
 
 import os
@@ -96,8 +103,59 @@ def output_bytes(out) -> bytes:
     return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
 
 
+def deviation(old, new) -> float:
+    """How far output ``new`` is from ``old``, as ``--rtol`` measures it: 0
+    when they match byte for byte, inf when they differ other than in the
+    values of finite numbers."""
+    if output_bytes(old) == output_bytes(new):
+        return 0.0
+    if isinstance(old, dict) and isinstance(new, dict):
+        if sorted(old) != sorted(new):
+            return np.inf
+        return max(deviation(old[key], new[key]) for key in old)
+    if hasattr(old, "to_dict") and hasattr(new, "to_dict"):
+        payloads = [out.to_dict() for out in (old, new)]
+        for payload in payloads:
+            payload.pop("wall_time_s")
+        return number_deviation(*payloads)
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        return np.inf
+    old, new = (np.asarray(getattr(out, "value", out)) for out in (old, new))
+    if old.dtype != new.dtype or old.shape != new.shape or old.dtype.kind not in "fc":
+        return np.inf
+    finite = np.isfinite(old)
+    if not np.array_equal(finite, np.isfinite(new)) or not np.array_equal(
+            old[~finite], new[~finite], equal_nan=True):
+        return np.inf
+    scale = np.max(np.abs(old[finite]), initial=0.0)
+    change = np.max(np.abs(new[finite] - old[finite]), initial=0.0)
+    return float(change / scale) if scale else np.inf
+
+
+def number_deviation(old, new) -> float:
+    """The largest relative change of a float between two JSON payloads of
+    the same structure, or inf where anything else differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            return np.inf
+        return max((number_deviation(old[key], new[key]) for key in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return np.inf
+        return max(map(number_deviation, old, new), default=0.0)
+    if isinstance(old, float) and isinstance(new, float) and old != new:
+        if not (np.isfinite(old) and np.isfinite(new)):
+            return 0.0 if np.isnan(old) and np.isnan(new) else np.inf
+        return abs(new - old) / max(abs(old), abs(new))
+    return 0.0 if type(old) is type(new) and old == new else np.inf
+
+
 def main(argv: list) -> int:
-    if len(argv) not in (3, 4) or (len(argv) == 4 and int(argv[3]) < 2):
+    rtol = None
+    if argv[:1] == ["--rtol"] and len(argv) > 1:
+        rtol, argv = float(argv[1]), argv[2:]
+    if len(argv) not in (3, 4) or (len(argv) == 4 and int(argv[3]) < 2) or (
+            rtol is not None and not rtol >= 0):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     name, sources = argv[0], argv[1:3]
@@ -108,17 +166,26 @@ def main(argv: list) -> int:
         workloads[i].prepare(SEED)
     timers = [CpuTimer(scale=False) for _ in workloads]
     rounds = [[], []]
+    deviations: dict = {}
     for index in range(count):
         for t in ((0, 1) if index % 2 == 0 else (1, 0)):
             rounds[t].append(timers[t].start(index))
             workloads[t].run_round(timers[t])
         old, new = rounds[0][-1].outputs, rounds[1][-1].outputs
         for part in old:
-            if list(map(output_bytes, old[part])) != list(map(output_bytes, new[part])):
-                print(f"outputs differ: round {index}, part {part}", file=sys.stderr)
+            if rtol is None:
+                if list(map(output_bytes, old[part])) != list(map(output_bytes, new[part])):
+                    print(f"outputs differ: round {index}, part {part}", file=sys.stderr)
+                    return 1
+                continue
+            worst = max(map(deviation, old[part], new[part]), default=0.0)
+            if not worst <= rtol:
+                print(f"outputs differ by {worst:.3g} > {rtol:g}: round {index}, part {part}",
+                      file=sys.stderr)
                 return 1
+            deviations[part] = max(deviations.get(part, 0.0), worst)
     print(f"{'part':24s} {'old us/op':>12s} {'new us/op':>12s} {'change':>8s} "
-          f"{'old IQR':>10s} {'new wins':>9s}")
+          f"{'old IQR':>10s} {'new wins':>9s}" + ("" if rtol is None else f" {'max dev':>9s}"))
     for part in rounds[0][0].parts:
         old, new = ([r.parts[part][1] / r.parts[part][0] * 1e6 for r in per] for per in rounds)
         quartiles = statistics.quantiles(old, n=4)
@@ -126,7 +193,8 @@ def main(argv: list) -> int:
         mid_old, mid_new = statistics.median(old), statistics.median(new)
         print(f"{part:24s} {mid_old:12.1f} {mid_new:12.1f} "
               f"{100 * (mid_new / mid_old - 1):+7.1f}% {quartiles[2] - quartiles[0]:10.1f} "
-              f"{wins:>4d}/{count}")
+              f"{wins:>4d}/{count}"
+              + ("" if rtol is None else f" {deviations.get(part, 0.0):9.2g}"))
 
     def end_to_end(per):
         return perfbench_run.end_to_end(workloads[0], per, 0.0, scaled=False)
