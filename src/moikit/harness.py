@@ -363,9 +363,12 @@ def _chunk_samples(dim: int, surrogates) -> int:
     engine at dimension ``dim``.
 
     Per sample, the engine returns one n x n complex matrix.  A polynomial's
-    divided difference sums its words on two stacks of Q + 1 of them, its
-    sup on Q + 1 copies of the union.  Any other separable integrand's
-    factored sum holds one such matrix per node of its widest
+    divided difference sums its words on two stacks of Q + 1 of them, and
+    Q + 1 copies of the union are counted for its sup, which reads one copy
+    and no factor values, in blocks of about
+    :data:`~moikit.integrands._SUP_BLOCK_BYTES` over the chunk's samples.
+    Any other separable integrand's factored sum holds one such matrix per
+    node of its widest
     :attr:`~moikit.integrands.SeparableIntegrand.suffix_tree` level, next
     to its factor values on the union (the surrogate sums its grid in
     blocks of its own size from at most one complex copy of real values).

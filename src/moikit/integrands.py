@@ -26,11 +26,13 @@ recursion, but for the sign and payload of a NaN and where a NaN node
 stands among others: moikit sorts it last (numpy's order), Python's
 ``sorted`` leaves it in place.
 
-A separable integrand evaluates the polynomial factors of each slot
-together, by one Horner pass over a zero-padded coefficient table
-(:class:`_FactorTable`), with the bits of each factor's own ``polyval``.
-The factored engine path sums the terms that share their factors from a
-slot on in plain left-to-right order (:func:`_sibling_sums`).
+A separable integrand evaluates each distinct factor of a slot once per
+axis, by the factor's own ``__call__``.  The factored engine path sums the
+terms that share their factors from a slot on in plain left-to-right order
+(:func:`_sibling_sums`).  A polynomial's divided difference,
+f^[k] = sum_p c_p h_{p-k}, is summed over its words instead
+(:func:`_word_sums`): by the engine, by its sup on any spectra and by its
+projective bound.
 
 The sup surrogate (:func:`sup_norm_on_grid`, and :func:`_sup_norms` on
 spectra stacked over samples) is ``max |eval_grid|``, a polynomial divided
@@ -605,63 +607,11 @@ def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarra
 
 def _factor_key(fn: ScalarFunction):
     """What makes two factors the same: equal coefficients for polynomials
-    (the divided-difference expansions build a fresh object per monomial),
-    identity for every other function."""
+    (JSON integrands and :func:`multiply_by_slot_variable` build a fresh
+    object per factor), identity for every other function."""
     if fn.kind == POLYNOMIAL:
         return (fn.coefficients.dtype.str, fn.coefficients.tobytes())
     return fn
-
-
-def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Every column of a coefficient ``table`` (degree by row, ascending) as a
-    polynomial at ``x``, shape (columns, *x.shape).
-
-    These are the operations of ``npoly.polyval`` per column, ``c[-1] + x*0``
-    and then ``c[k] + v*x``, so each value has its bits.  Zero rows above a
-    column's own coefficients change none of them: at finite x they keep v
-    at +0, and ``c + (+0)*x`` is ``c + x*0``.
-    """
-    coefficients = table.reshape(table.shape + (1,) * x.ndim)
-    value = coefficients[-1] + x * 0
-    for row in coefficients[-2::-1]:
-        value *= x
-        value += row
-    return value
-
-
-class _FactorTable:
-    """The distinct factors of one slot, evaluated together: the polynomial
-    factors as one zero-padded coefficient table per coefficient dtype, one
-    Horner pass each (see :func:`_horner`), and every other factor on its
-    own, once per axis and table (see :meth:`SeparableIntegrand.factor_values`)."""
-
-    def __init__(self, factors: Sequence[ScalarFunction]):
-        self.size = len(factors)
-        by_dtype: dict = {}
-        self.callables = []
-        for row, fn in enumerate(factors):
-            if fn.kind == POLYNOMIAL:
-                by_dtype.setdefault(fn.coefficients.dtype, []).append((row, fn.coefficients))
-            else:
-                self.callables.append((row, fn))
-        self.tables = []
-        for dtype, members in by_dtype.items():
-            table = np.zeros((max(c.size for _, c in members), len(members)), dtype=dtype)
-            for column, (_, c) in enumerate(members):
-                table[: c.size, column] = c
-            self.tables.append((np.array([row for row, _ in members]), table))
-
-    def __call__(self, axis: np.ndarray) -> np.ndarray:
-        """The factor values on ``axis``, one row per factor, as ``np.array`` stacks them."""
-        parts = [(rows, _horner(table, axis)) for rows, table in self.tables]
-        parts += [([row], np.asarray(fn(axis))[None]) for row, fn in self.callables]
-        if len(parts) == 1:
-            return parts[0][1]
-        values = np.empty((self.size,) + axis.shape,
-                          dtype=np.result_type(*(v for _, v in parts)))
-        for rows, v in parts:
-            values[rows] = v
-        return values
 
 
 def _sibling_spans(starts: np.ndarray, count: int) -> tuple[tuple[int, int, int], ...]:
@@ -762,37 +712,23 @@ class SeparableIntegrand:
         :meth:`factor_values` returns for that slot."""
         return tuple(index for _, index in self._slot_factors)
 
-    @functools.cached_property
-    def _factor_tables(self) -> tuple[_FactorTable, ...]:
-        """Per slot, its distinct factors as a :class:`_FactorTable`; slots
-        with the same distinct factors in the same order share one table."""
-        tables: dict = {}
-        slots = []
-        for distinct, _ in self._slot_factors:
-            key = tuple(key for key, _ in distinct)
-            if key not in tables:
-                tables[key] = _FactorTable([fn for _, fn in distinct])
-            slots.append(tables[key])
-        return tuple(slots)
-
     def factor_values(self, axes: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per slot i, the values of its distinct factors on ``axes[i]``, one
-        row per factor, with the bits of each factor's own values.
+        row per factor, each factor evaluated once by its own ``__call__`` and
+        the rows stacked by ``np.array``.
 
-        A slot's polynomial factors are evaluated together from its
-        coefficient table (see :class:`_FactorTable`), and every other
-        factor once per axis.  Polynomials with equal coefficients count as
-        one factor, and slots given the same axis array and the same table
-        share one array of values: callers must not write to it.
+        Polynomials with equal coefficients count as one factor, and slots
+        given the same axis array and the same distinct factors share one
+        array of values: callers must not write to it.
         """
         if len(axes) != self.arity:
             raise ValidationError("axis count must equal the integrand arity")
         done: dict = {}
         values = []
-        for table, axis in zip(self._factor_tables, axes):
-            key = (id(axis), id(table))
+        for (distinct, _), axis in zip(self._slot_factors, axes):
+            key = (id(axis), tuple(key for key, _ in distinct))
             if key not in done:
-                done[key] = table(axis)
+                done[key] = np.array([fn(axis) for _, fn in distinct])
             values.append(done[key])
         return values
 
@@ -958,7 +894,7 @@ def divided_difference_integrand(
 
     A polynomial's is a :class:`SeparableIntegrand`, exact, built once per
     coefficient array and order and then shared by every caller, which the
-    engine and its sup sum over words (see
+    engine, its sup and its projective bound sum over words (see
     :func:`_polynomial_dd_integrand`).  Other kinds evaluate the
     recursive divided-difference table: point by point through
     :func:`divided_difference`, and a whole grid through
@@ -997,8 +933,9 @@ def _polynomial_dd_integrand(dtype: str, data: bytes, order: int) -> SeparableIn
     The order-k divided difference of x^p is the complete homogeneous
     symmetric polynomial h_{p-k} of degree p-k in the k+1 nodes; expanding
     it monomial by monomial gives an exact rank-one sum with no divisions,
-    so evaluation stays stable at clustered nodes.  The engine and the
-    equal-axis sup sum its words from c_k..c_{k+Q} instead (:func:`_word_sums`).
+    so evaluation stays stable at clustered nodes.  The engine, the sup and
+    the projective bound sum its words from c_k..c_{k+Q} instead
+    (:func:`_word_sums`).
     """
     slots = order + 1
     monomial = functools.cache(ScalarFunction.monomial)  # one factor object per exponent
@@ -1023,11 +960,12 @@ def _word_sums(coefficients: np.ndarray, nodes: Sequence[np.ndarray], rotated=No
     summed by Horner's rule with no division.  C_0[Q] = c_{k+Q},
     C_0[s] = c_{k+s} + D_0 C_0[s+1], each slot j = 1..k takes
     C_j[s] = C_{j-1}[s] Y_j + C_j[s+1] D_j, and C_k[0] is the sum.
-    ``nodes`` holds each slot's D_j: the sup's scalars, with every Y_j = 1,
-    or, with the ``rotated`` Y_j, the engine's diagonals, (N, n) each.
-    No sum runs over the samples."""
+    ``nodes`` holds each slot's D_j: the sup's and the projective bound's
+    scalars, with every Y_j = 1, or, with the ``rotated`` Y_j, the engine's
+    diagonals, (N, n) each.  The sums take the dtype of the coefficients and
+    every slot's nodes.  No sum runs over the samples."""
     degree = len(coefficients) - 1
-    sums = np.empty((degree + 1,) + nodes[0].shape, dtype=np.result_type(coefficients, nodes[0]))
+    sums = np.empty((degree + 1,) + nodes[0].shape, dtype=np.result_type(coefficients, *nodes))
     sums[degree] = coefficients[degree]
     for s in range(degree - 1, -1, -1):
         np.multiply(sums[s + 1], nodes[0], out=sums[s])
@@ -1070,10 +1008,17 @@ def projective_norm_bound(
     """Certified norm surrogate: sum over terms of the per-factor maxima.
 
     ``sum_n prod_i max_{l in spectra_i} |f_{i,n}(l)|``.  Depends only on the
-    given representation, not on the abstract function.
+    given representation, not on the abstract function.  For a polynomial's
+    divided difference that sum is ``sum_p |c_p| h_{p-k}(R_0..R_k)``, R_j
+    the largest |l| of spectrum j, and its words sum it (:func:`_word_sums`);
+    as a factor is NaN at a node that is not finite, so is the bound.
     """
-    maxima = [np.max(np.abs(v), axis=1)
-              for v in psi.factor_values(_checked_spectra(spectra, psi.arity))]
+    spectra = _checked_spectra(spectra, psi.arity)
+    if psi._polynomial is not None:
+        radii = np.array([np.max(np.abs(s)) if np.isfinite(s).all() else np.nan
+                          for s in spectra])
+        return float(_word_sums(np.abs(psi._polynomial[0]), radii[:, None])[0])
+    maxima = [np.max(np.abs(v), axis=1) for v in psi.factor_values(spectra)]
     return sum(math.prod(float(maximum[row]) for maximum, row in zip(maxima, term))
                for term in zip(*psi.factor_index))
 
@@ -1097,9 +1042,9 @@ def _sample(arrays: Sequence[np.ndarray], s: int) -> list[np.ndarray]:
 def sup_norm_on_grid(psi, spectra: Sequence[Sequence]) -> float:
     """Max of |psi| over the Cartesian product of the spectra; ``psi`` is a
     :class:`MultivariateFunction` or a :class:`SeparableIntegrand`.  A
-    divided difference on equal spectra reads each multiset of their nodes
-    once, with no grid, a polynomial's within a few ulps (see
-    :func:`_sup_norms`)."""
+    divided difference reads no grid: a non-polynomial one on equal spectra
+    reads each multiset of their nodes once, and a polynomial's sums its
+    words, within a few ulps (see :func:`_sup_norms`)."""
     psi = _as_integrand(psi)
     return float(_sup_norms(psi, _batch_of_one(_checked_spectra(spectra, psi.arity)))[0])
 
@@ -1114,16 +1059,16 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     stacked over samples: per sample, the bits of ``max |psi.eval_grid|``
     but where the word recurrence sums it.
 
-    A separable integrand's factor values are computed once for all samples.
-    With one term and real values, the sup is the product, in slot order, of
-    the per-slot maxima of |f_i|: rounding to nearest is monotone and
-    symmetric in sign, so the largest |fl(..fl(a b) c ..)| over the grid is
-    that product of the largest |a|, |b|, |c|, ....  When that product is not
-    finite, and for every other separable integrand, the grid is summed as
-    ``eval_grid`` sums it (see :func:`_grid_sup_norms`), with one point of
-    each slot whose values are equal along its axis; a polynomial's divided
-    difference on equal axes sums the words of the axis's multisets instead
-    (see :func:`_word_sup_norms`).  Any other integrand is evaluated sample
+    A polynomial's divided difference sums its words on any axes (see
+    :func:`_word_sup_norms`).  Any other separable integrand's factor values
+    are computed once for all samples.  With one term and real values, the
+    sup is the product, in slot order, of the per-slot maxima of |f_i|:
+    rounding to nearest is monotone and symmetric in sign, so the largest
+    |fl(..fl(a b) c ..)| over the grid is that product of the largest |a|,
+    |b|, |c|, ....  When that product is not finite, and for every other
+    separable integrand, the grid is summed as ``eval_grid`` sums it (see
+    :func:`_grid_sup_norms`), with one point of each slot whose values are
+    equal along its axis.  Any other integrand is evaluated sample
     by sample: a non-polynomial divided difference at the sorted tuples of
     its grid (see :func:`_tuple_values`), with no grid when every slot
     holds one axis, and any other on its whole grid.
@@ -1132,9 +1077,8 @@ def _sup_norms(psi, axes: Sequence[np.ndarray]) -> np.ndarray:
     if separable is None:
         sup = psi._sup or (lambda sample: np.max(np.abs(psi.eval_grid(sample))))
         return np.array([sup(_sample(axes, s)) for s in range(len(axes[0]))])
-    if (separable._polynomial is not None
-            and all(np.array_equal(a, axes[0]) for a in axes[1:])):
-        return _word_sup_norms(*separable._polynomial, axes[0])
+    if separable._polynomial is not None:
+        return _word_sup_norms(*separable._polynomial, axes)
     values = separable.factor_values(axes)
     # a slot whose values are equal along its axis (NaN never is) needs one point of it
     values = [v[..., :1] if (v == v[..., :1]).all() else v for v in values]
@@ -1163,22 +1107,30 @@ def _grid_sup_norms(psi: SeparableIntegrand, values: list[np.ndarray]) -> np.nda
     return sup
 
 
-def _word_sup_norms(coefficients: np.ndarray, order: int, axis: np.ndarray) -> np.ndarray:
-    """:func:`_sup_norms` of an order-k polynomial divided difference with
-    ``axis``, (N, u), in every slot: per sample, max |f^[k]| over the
-    multisets of :func:`_multisets` (one if f^[k] is constant) by the scalar
-    word recurrence, Y_j = 1, samples last, in blocks of multisets of about
-    :data:`_SUP_BLOCK_BYTES` per degree; NaN where a node is not finite, as
-    on the grid."""
-    nodes = np.ascontiguousarray(axis.T)
-    size = nodes.shape[0] if len(coefficients) > 1 else 1
-    tuples = _cached(_multisets, 8 * (order + 1) * math.comb(size + order, order + 1),
-                     size, order)
-    itemsize = np.result_type(coefficients, nodes).itemsize
-    rows = max(1, _SUP_BLOCK_BYTES // (itemsize * len(coefficients) * max(len(axis), 1)))
-    sup = np.zeros(len(axis))
-    for lo in range(0, tuples[0].size, rows):
-        total = _word_sums(coefficients, [nodes[t[lo : lo + rows]] for t in tuples])
+def _word_sup_norms(coefficients: np.ndarray, order: int,
+                    axes: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`_sup_norms` of an order-k polynomial divided difference on
+    ``axes``, (N, n_i) each: per sample, max |f^[k]| by the scalar word
+    recurrence, Y_j = 1, samples last, over the multisets of
+    :func:`_multisets` when every slot holds the same values, else over
+    every point of the grid (one point if f^[k] is constant), in blocks of
+    about :data:`_SUP_BLOCK_BYTES` per degree; NaN where a node is not
+    finite, as on the grid."""
+    equal = all(np.array_equal(a, axes[0]) for a in axes[1:])
+    nodes = ([np.ascontiguousarray(axes[0].T)] * len(axes) if equal
+             else [np.ascontiguousarray(a.T) for a in axes])
+    sizes = [len(n) if len(coefficients) > 1 else 1 for n in nodes]
+    if equal:
+        tuples = _cached(_multisets, 8 * (order + 1) * math.comb(sizes[0] + order, order + 1),
+                         sizes[0], order)
+    count = tuples[0].size if equal else math.prod(sizes)
+    itemsize = np.result_type(coefficients, *nodes).itemsize
+    rows = max(1, _SUP_BLOCK_BYTES // (itemsize * len(coefficients) * max(len(axes[0]), 1)))
+    sup = np.zeros(len(axes[0]))
+    for lo in range(0, count, rows):
+        block = np.arange(lo, min(lo + rows, count))
+        index = [t[block] for t in tuples] if equal else np.unravel_index(block, sizes)
+        total = _word_sums(coefficients, [n[i] for n, i in zip(nodes, index)])
         np.maximum(sup, np.max(np.abs(total), axis=0), out=sup)  # a NaN passes on
-    sup[~np.isfinite(axis).all(axis=1)] = np.nan
+    sup[~np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in axes])] = np.nan
     return sup

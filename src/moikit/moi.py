@@ -488,8 +488,10 @@ def continuity_modulus(
     lhs = || T(perturbed list) - T(base list) || for the order-n divided
     difference integrand; bound = (order-(n+1) surrogate norm over the union
     of both spectra) * sum_i ||A'_i - A_i|| * prod_j ||X_j||.  For a
-    polynomial ``f`` the surrogate is the projective sum, an upper bound on
-    the integrand's Schur-multiplier norm, so the bound is certified.  For
+    polynomial ``f`` the surrogate is the projective sum,
+    ``sum_p |c_p| h_{p-k-1}(R, .., R)`` with R the union's largest |l|,
+    summed over words: an upper bound on the integrand's Schur-multiplier
+    norm, so the bound is certified.  For
     any other ``f`` it is the sup over every multiset of the union's
     distinct nodes, each read once, with no grid: only a lower bound on that
     norm, so the bound is an estimate, not a certificate.

@@ -426,9 +426,9 @@ class TestNormSurrogates:
 
 
 class TestFactorTables:
-    """A slot's polynomial factors are evaluated together from one
-    zero-padded coefficient table; every value keeps the bits of the
-    factor's own ``npoly.polyval``."""
+    """A slot's distinct factors are each evaluated once per axis by their
+    own ``__call__``, rows stacked by ``np.array``: a polynomial's value
+    keeps the bits of its own ``npoly.polyval``."""
 
     @staticmethod
     def assert_rows_have_polyval_bits(psi, axes):
@@ -1335,18 +1335,24 @@ class TestSupSurrogate:
                                                           monkeypatch):
         monkeypatch.setattr(integrands, "_SUP_BLOCK_BYTES", block_bytes)
         dd = mk.divided_difference_integrand(mk.ScalarFunction.monomial(4), 2).separable
+        # the same terms with no words to sum: the grid path
+        twin = mk.SeparableIntegrand(dd.arity, dd.terms)
         mixed = mk.SeparableIntegrand(2, (
             (mk.ScalarFunction.polynomial([0.5, -1.0]), mk.ScalarFunction.constant(1.0)),
             (mk.ScalarFunction.monomial(2), mk.ScalarFunction.polynomial([0.0, 3.0, 1.0])),
         ))
-        for psi in (dd, mixed):
+        for psi in (dd, twin, mixed):
             axes = [rng.uniform(-2, 2, (11, 3 + i)) for i in range(psi.arity)]
             axes[0][7, 1] = 1e160
             sups = surrogate(psi, axes)
             assert not np.isfinite(sups[7])
             assert np.isfinite(np.delete(sups, 7)).all()
-            assert_bits(sups, grid_sups(psi, axes))
-            assert_bits(sups, sample_sups(psi, axes))
+            if psi is dd:  # the words sum it (see TestWordSup)
+                assert_near(sups, grid_sups(psi, axes))
+                assert_near(sups, sample_sups(psi, axes))
+            else:
+                assert_bits(sups, grid_sups(psi, axes))
+                assert_bits(sups, sample_sups(psi, axes))
 
     @pytest.mark.parametrize("block_bytes", [1, 5000, 2**20])
     def test_complex_values(self, rng, block_bytes, monkeypatch):
@@ -1377,9 +1383,9 @@ def word_calls(monkeypatch):
     calls = []
     path = integrands._word_sup_norms
 
-    def spy(coefficients, order, axis):
-        calls.append(axis)
-        return path(coefficients, order, axis)
+    def spy(coefficients, order, axes):
+        calls.append(axes)
+        return path(coefficients, order, axes)
 
     monkeypatch.setattr(integrands, "_word_sup_norms", spy)
     return calls
@@ -1397,10 +1403,11 @@ SAMPLED_AXES = {
 
 
 class TestWordSup:
-    """A polynomial's divided difference with one axis in every slot reads
-    each multiset of the axis's indices once, summed by the word recurrence:
-    within 1e-13 relative of the grid's sup, above or below, finite exactly
-    where it is, and with the bits of each sample on its own."""
+    """A polynomial's divided difference sums its words over each multiset
+    of the axis's indices once when every slot holds one axis, else over
+    every point of the grid: within 1e-13 relative of the grid's sup, above
+    or below, finite exactly where it is, and with the bits of each sample
+    on its own."""
 
     @pytest.mark.parametrize("block_bytes", [1, 300, 2**20])
     @pytest.mark.parametrize("kind", sorted(SAMPLED_AXES))
@@ -1463,11 +1470,12 @@ class TestWordSup:
             dd = monomial_dd(order + 3, order)
             shared = surrogate(dd, [axis] * (order + 1))
             assert_bits(surrogate(dd, [axis.copy() for _ in range(order + 1)]), shared)
-            # one node of one copy moved: the grid is summed
+            # one node of one copy moved: the words run over every grid point
             moved = [axis.copy() for _ in range(order + 1)]
             moved[-1][4, 0] += 0.5
-            assert_bits(surrogate(dd, moved), grid_sups(dd, moved))
-        assert len(calls) == 6
+            assert_near(surrogate(dd, moved), grid_sups(dd, moved))
+            assert calls[-1] is moved
+        assert len(calls) == 9
 
     def test_other_integrands_on_equal_axes_sum_the_grid(self, rng, monkeypatch):
         calls = word_calls(monkeypatch)

@@ -1,11 +1,12 @@
 """A polynomial's divided difference by the word recurrence.
 
-The engine (``moi._factored_core``) and the equal-axis sup
-(``integrands._word_sup_norms``) sum f^[k] = sum_p c_p h_{p-k} over words.
-Their twin is the same integrand's terms, the C(p, k)-term expansion,
-wrapped as a plain ``SeparableIntegrand`` and summed by ``_factored_core``
-and ``_grid_sup_norms``.  The two must agree to 1e-13 relative, and against
-50-digit ``mpmath`` the recurrence must err no more than the expansion.
+The engine (``moi._factored_core``), the sup (``integrands._word_sup_norms``)
+and the projective bound sum f^[k] = sum_p c_p h_{p-k} over words.  Their
+twin is the same integrand's terms, the C(p, k)-term expansion, wrapped as
+a plain ``SeparableIntegrand`` and summed by ``_factored_core``,
+``_grid_sup_norms`` and the sum of per-term maxima.  The two must agree to
+1e-13 relative, and against 50-digit ``mpmath`` the recurrence must err no
+more than the expansion.
 """
 
 import numpy as np
@@ -79,11 +80,20 @@ def assert_agreement(rng, kind, coefficients, order):
     assert_near(got, twin)
     if not np.any(np.asarray(coefficients)[order:]):  # p < k throughout: zero
         assert not got.any()
-    # the sup, on the union in every slot as the harness takes it
+    # the sup, on the union in every slot as the harness takes it, and on
+    # each slot's own spectrum, unequal for a remainder's [A + H, A, ..., A]
     union = np.concatenate(list({id(w): w for w in eigenvalues}.values()), axis=1)
     sups = integrands._sup_norms(psi, [union] * (order + 1))
     values = expansion(psi).factor_values([union] * (order + 1))
     assert_near(sups, integrands._grid_sup_norms(expansion(psi), values))
+    values = expansion(psi).factor_values(eigenvalues)
+    assert_near(integrands._sup_norms(psi, eigenvalues),
+                integrands._grid_sup_norms(expansion(psi), values))
+    # the projective bound, per sample, on each slot's own spectrum
+    for s in (0, 5):
+        spectra = [w[s] for w in eigenvalues]
+        assert_near(np.array([[mk.projective_norm_bound(psi, spectra)]]),
+                    np.array([[mk.projective_norm_bound(expansion(psi), spectra)]]))
     # one sample alone has the bits it gets inside the batch
     for s in (0, 5):
         alone = moi._stacked_moi(psi, [w[s : s + 1] for w in eigenvalues],
@@ -94,14 +104,33 @@ def assert_agreement(rng, kind, coefficients, order):
 
 
 def test_the_engine_takes_the_recurrence_and_no_terms(rng):
-    # the words read neither the factor tables nor the suffix tree
+    # the engine, the sup on unequal spectra and the projective bound read
+    # neither the distinct factors of the terms nor their suffix tree
     f = mk.ScalarFunction.monomial(20)
     psi = integrands._polynomial_dd_integrand.__wrapped__(
         f.coefficients.dtype.str, f.coefficients.tobytes(), 16)
     ops = [mk.sample_random_hermitian(mk.RandomOperatorModel(4, ("uniform", -1.0, 1.0)), rng)]
-    value = mk.moi_core(ops * 17, psi, [mk.random_hermitian(4, rng)] * 16)
-    assert np.isfinite(value).all()
-    assert "suffix_tree" not in vars(psi) and "_factor_tables" not in vars(psi)
+    w = ops[0].decomposition.eigenvalues
+    calls = (
+        lambda: mk.moi_core(ops * 17, psi, [mk.random_hermitian(4, rng)] * 16),
+        lambda: mk.sup_norm_on_grid(psi, [w[:2] + 0.01] + [w[:2]] * 16),  # 2^17 points
+        lambda: mk.projective_norm_bound(psi, [w + 0.01] + [w] * 16),
+    )
+    for call in calls:
+        assert np.isfinite(call()).all()
+        assert "_slot_factors" not in vars(psi) and "suffix_tree" not in vars(psi)
+
+
+@pytest.mark.parametrize("circle", [1, 2])
+def test_real_and_unit_circle_spectra(rng, circle):
+    # the words take their dtype from every slot, not from the first alone
+    coefficients = rng.standard_normal(6)
+    psi = mk.divided_difference_integrand(mk.ScalarFunction.polynomial(coefficients), 2)
+    spectra = [rng.uniform(-1, 1, 4) for _ in range(3)]
+    spectra[circle] = np.exp(1j * rng.uniform(-np.pi, np.pi, 5))
+    for norm in (mk.sup_norm_on_grid, mk.projective_norm_bound):
+        got, twin = norm(psi, spectra), norm(expansion(psi), spectra)
+        assert abs(got - twin) <= RTOL * twin
 
 
 def test_non_finite_nodes_fail_as_the_expansion_does(rng):
@@ -122,6 +151,10 @@ def test_non_finite_nodes_fail_as_the_expansion_does(rng):
                                           expansion(psi).factor_values([w] * 3))
     assert np.isnan(sups[2]) and np.isnan(grid[2])
     assert_near(np.delete(sups, 2), np.delete(grid, 2))
+    # a factor is NaN at an infinite node, and so is the projective bound
+    for integrand in (psi, expansion(psi)):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(mk.projective_norm_bound(integrand, [w[2]] * 3))
 
 
 def exact_divided_difference(mpmath, coefficients, nodes):
