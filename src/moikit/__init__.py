@@ -1,9 +1,10 @@
 """moikit: finite-dimensional operator-integral engine.
 
-Evaluates weighted spectral sums of Hermitian/unitary operators, realizes
-the associated operator-calculus identities (derivatives, differences,
-Taylor remainders), decomposes polynomials into inner-product power forms,
-and verifies Markov-type tail bounds for random operators by Monte Carlo.
+Evaluates weighted spectral sums of Hermitian/unitary operators and bounds
+their norms, computes operator derivatives, differences and Taylor
+remainders through them, evaluates tensor integrals by unfolding, decomposes
+polynomials into inner-product power forms, and verifies Markov-type tail
+bounds for random operators by Monte Carlo.
 """
 
 from .calculus import (
@@ -46,7 +47,6 @@ from .integrands import (
     SeparableIntegrand,
     divided_difference,
     divided_difference_integrand,
-    integrand_block_product,
     projective_norm_bound,
     sup_norm_on_grid,
 )
@@ -56,11 +56,7 @@ from .moi import (
     continuity_modulus,
     moi_core,
     moi_evaluate,
-    moi_linear_combination_check,
     moi_norm_bound,
-    moi_partition_evaluate,
-    moi_split_evaluate,
-    perturbation_residual,
 )
 from .operators import (
     HermitianOperator,
@@ -82,17 +78,12 @@ from .polyapprox import (
     LinearProductForm,
     MonomialPolynomial,
     decompose_inner_powers,
-    fit_polynomial,
-    monomial_count,
     to_linear_products,
 )
 from .tensors import (
     HermitianTensor,
-    TensorEigenSystem,
     fold,
     mti_evaluate,
-    tensor_contract,
-    tensor_eigendecompose,
     unfold,
 )
 

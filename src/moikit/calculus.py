@@ -38,23 +38,6 @@ from .operators import (
     operator_norm,
 )
 
-__all__ = [
-    "SlotFunctionSum",
-    "RemainderSpec",
-    "frechet_derivative",
-    "kth_derivative",
-    "higher_difference",
-    "higher_difference_moi_diagnostic",
-    "taylor_remainder_self_adjoint",
-    "taylor_remainder_unitary",
-    "exp_series_tail",
-    "unitary_exponential",
-    "polynomial_of_matrix",
-    "compositions",
-    "composition_weight",
-    "composition_weight_sum",
-]
-
 SERIES_TERM_CAP = 64
 
 

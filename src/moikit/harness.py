@@ -101,16 +101,6 @@ from .operators import (
     schatten_norm,
 )
 
-__all__ = [
-    "THEOREM_IDS",
-    "TailBoundExperiment",
-    "TailBoundReport",
-    "sample_stream",
-    "run_tail_bound",
-    "convergence_parameters",
-    "convergence_in_mean_check",
-]
-
 SURROGATE_NOTE = "sup of |integrand| over tuples from the union of realized spectra"
 
 # Samples per RNG stream of a tail-bound run.

@@ -651,20 +651,21 @@ class SeparableIntegrand:
     _polynomial: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValidationError("integrand arity must be positive")
+        arity = _integer(self.arity, "integrand arity must be a positive integer", "", 1)
         terms = tuple(tuple(term) for term in self.terms)
         if not terms:
             raise ValidationError("separable integrand needs at least one term")
         for k, term in enumerate(terms):
-            if len(term) != self.arity:
+            if len(term) != arity:
                 raise ValidationError(
-                    f"term {k} has {len(term)} factors, expected {self.arity}"
+                    f"term {k} has {len(term)} factors, expected {arity}"
                 )
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", terms)
 
     @classmethod
     def constant(cls, arity: int, value=1.0) -> "SeparableIntegrand":
+        arity = _integer(arity, "integrand arity must be a positive integer", "", 1)
         factors = [ScalarFunction.constant(1.0)] * (arity - 1)
         return cls(arity, ((ScalarFunction.constant(value), *factors),))
 
@@ -814,8 +815,8 @@ class MultivariateFunction:
     separable = None
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValidationError("arity must be positive")
+        object.__setattr__(self, "arity", _integer(
+            self.arity, "integrand arity must be a positive integer", "", 1))
 
     __call__ = SeparableIntegrand.__call__
 
@@ -838,19 +839,6 @@ def _as_integrand(integrand):
             "integrand must be a MultivariateFunction or SeparableIntegrand"
         )
     return integrand
-
-
-def integrand_block_product(
-    p: SeparableIntegrand, q: SeparableIntegrand
-) -> SeparableIntegrand:
-    """Join two separable integrands on disjoint variable blocks.
-
-    The result has arity ``p.arity + q.arity`` and evaluates to the pointwise
-    product ``p(l_1..l_k) * q(l_{k+1}..l_m)``; its terms are all pairwise
-    factor-tuple concatenations.
-    """
-    terms = tuple(tp + tq for tp in p.terms for tq in q.terms)
-    return SeparableIntegrand(p.arity + q.arity, terms)
 
 
 def multiply_by_slot_variable(

@@ -24,8 +24,8 @@ The evaluation runs on spectra stacked along a leading sample axis
 grid path one sample after the other.  :func:`moi_core` is its batch of one,
 and the Monte Carlo harness calls it once per chunk of samples.
 
-Also certifies the algebraic, norm, perturbation, and continuity identities
-the evaluator is expected to satisfy.
+Also bounds an evaluation's norm (:func:`moi_norm_bound`) and its drift
+under operator perturbation (:func:`continuity_modulus`).
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ from .operators import (
     operator_norm,
     schatten_norm,
 )
-
-__all__ = [
-    "MoiRequest",
-    "MoiResult",
-    "moi_evaluate",
-    "moi_core",
-    "moi_linear_combination_check",
-    "moi_split_evaluate",
-    "moi_partition_evaluate",
-    "moi_norm_bound",
-    "perturbation_residual",
-    "continuity_modulus",
-]
 
 
 def _check_evaluation(operators, integrand, arguments):
@@ -300,101 +287,6 @@ def moi_evaluate(request: MoiRequest) -> MoiResult:
     return MoiResult(value=value, eigen_tuple_count=count, wall_time=elapsed)
 
 
-def _linear_combination(phi, psi, alpha, beta):
-    """The integrand ``alpha * phi + beta * psi``: separable when both are,
-    else evaluated on a grid as ``alpha * grid(phi) + beta * grid(psi)``."""
-    if phi.separable is not None and psi.separable is not None:
-        return phi.scaled(alpha).plus(psi.scaled(beta))
-    return MultivariateFunction(
-        phi.arity, lambda pt: alpha * phi.evaluate(pt) + beta * psi.evaluate(pt),
-        _grid=lambda axes: alpha * phi.eval_grid(axes) + beta * psi.eval_grid(axes),
-    )
-
-
-def moi_linear_combination_check(
-    phi,
-    psi,
-    alpha,
-    beta,
-    operators: Sequence[AnyOperator],
-    arguments: Sequence[np.ndarray],
-) -> float:
-    """Residual of linearity:  || T_{a*phi + b*psi} - (a T_phi + b T_psi) ||."""
-    phi = _as_integrand(phi)
-    psi = _as_integrand(psi)
-    if phi.arity != psi.arity:
-        raise ValidationError("integrand arities differ")
-    lhs = moi_core(operators, _linear_combination(phi, psi, alpha, beta), arguments)
-    rhs = alpha * moi_core(operators, phi, arguments) + beta * moi_core(
-        operators, psi, arguments
-    )
-    return operator_norm(lhs - rhs)
-
-
-def moi_split_evaluate(
-    psi_left: SeparableIntegrand,
-    psi_right: SeparableIntegrand,
-    operators: Sequence[AnyOperator],
-    arguments: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Factored evaluation of a block-product integrand.
-
-    For psi_left of arity k and psi_right of arity m-k, returns
-    ``T_left(X_1..X_{k-1}) X_k T_right(X_{k+1}..X_{m-1})``, which equals the
-    full evaluation of their block product.
-    """
-    k = psi_left.arity
-    m = len(operators)
-    if not 1 <= k <= m - 1:
-        raise ParameterError(f"split point {k} must lie in 1..{m - 1}")
-    return moi_partition_evaluate(
-        (psi_left, psi_right), (k, m - k), operators, arguments
-    )
-
-
-def moi_partition_evaluate(
-    segment_integrands: Sequence[SeparableIntegrand],
-    segment_lengths: Sequence[int],
-    operators: Sequence[AnyOperator],
-    arguments: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Factored evaluation over a contiguous partition of the operator list.
-
-    With the operators split into contiguous non-empty segments and the full
-    integrand equal to the product of the per-segment integrands, the result
-    is the product of the per-segment evaluations joined by the argument
-    matrices at the segment boundaries.
-    """
-    lengths = [_integer(s, "segment lengths must be integers", "", None)
-               for s in segment_lengths]
-    if len(lengths) != len(segment_integrands) or not lengths:
-        raise ValidationError("one integrand per segment is required")
-    if any(s < 1 for s in lengths):
-        raise ValidationError("every segment must hold at least one operator")
-    if sum(lengths) != len(operators):
-        raise ValidationError(
-            f"segment lengths sum to {sum(lengths)}, expected {len(operators)}"
-        )
-    for psi, length in zip(segment_integrands, lengths):
-        if psi.arity != length:
-            raise ValidationError(
-                f"segment integrand arity {psi.arity} != segment length {length}"
-            )
-    result = None
-    offset = 0
-    for idx, (psi, length) in enumerate(zip(segment_integrands, lengths)):
-        ops = operators[offset : offset + length]
-        args = arguments[offset : offset + length - 1]
-        block = moi_core(ops, psi, args)
-        if result is None:
-            result = block
-        else:
-            boundary = np.asarray(arguments[offset - 1], dtype=np.complex128)
-            result = result @ boundary @ block
-        offset += length
-    return result
-
-
 def moi_norm_bound(
     request: MoiRequest, schatten_p: Sequence[float] | None = None
 ) -> tuple[float, float]:
@@ -440,39 +332,6 @@ def holder_reciprocal_sum(schatten_p: Sequence[float]) -> float:
 def holder_result_exponent(reciprocal: float) -> float:
     """The result exponent q with 1/q = ``reciprocal`` (inf when it is 0)."""
     return np.inf if reciprocal == 0.0 else 1.0 / reciprocal
-
-
-def perturbation_residual(
-    f: ScalarFunction,
-    operators: Sequence[AnyOperator],
-    insert_index: int,
-    c_op: AnyOperator,
-    d_op: AnyOperator,
-    arguments: Sequence[np.ndarray],
-) -> float:
-    """Residual of the middle-operator replacement identity.
-
-    Swapping one inserted operator C for D inside an order-m divided
-    difference evaluation equals one order-(m+1) evaluation with C and D
-    adjacent and C - D threaded as the extra argument.  Returns the spectral
-    norm of (left side - right side).
-    """
-    m = len(operators)
-    if len(arguments) != m:
-        raise ValidationError(f"need {m} arguments, got {len(arguments)}")
-    if not 1 <= insert_index <= m + 1:
-        raise ParameterError(f"insert index must lie in 1..{m + 1}")
-    j = insert_index - 1
-    dd_m = divided_difference_integrand(f, m)
-    dd_m1 = divided_difference_integrand(f, m + 1)
-    with_c = list(operators[:j]) + [c_op] + list(operators[j:])
-    with_d = list(operators[:j]) + [d_op] + list(operators[j:])
-    lhs = moi_core(with_c, dd_m, arguments) - moi_core(with_d, dd_m, arguments)
-    both = list(operators[:j]) + [c_op, d_op] + list(operators[j:])
-    gap = c_op.matrix - d_op.matrix
-    rhs_args = list(arguments[:j]) + [gap] + list(arguments[j:])
-    rhs = moi_core(both, dd_m1, rhs_args)
-    return operator_norm(lhs - rhs)
 
 
 def continuity_modulus(

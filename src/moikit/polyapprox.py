@@ -1,32 +1,27 @@
-"""Multivariate polynomial decompositions and box fits.
+"""Multivariate polynomial decompositions.
 
 Rewrites polynomials as sums of powers of inner products (one block of
 C(m+i-1, i) random unit directions per homogeneous degree, solved through the
 multinomial expansion) and further into sums of products of homogenized
-linear forms.  Also fits black-box functions on boxes by least squares on a
-tensor Chebyshev grid.
+linear forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DecompositionFailureError, ParameterError, ValidationError, _integer
+from .errors import (
+    DecompositionFailureError,
+    ParameterError,
+    ValidationError,
+    _finite,
+    _integer,
+)
 from .integrands import exponent_tuples
-
-__all__ = [
-    "MonomialPolynomial",
-    "InnerPowerForm",
-    "LinearProductForm",
-    "monomial_count",
-    "decompose_inner_powers",
-    "to_linear_products",
-    "fit_polynomial",
-]
 
 CONDITION_LIMIT = 1e10
 MAX_DIRECTION_ATTEMPTS = 10
@@ -35,11 +30,6 @@ MAX_DECOMPOSITION_DEGREE = 8
 MAX_DECOMPOSITION_ARITY = 4
 DECOMPOSITION_LIMITS = (f"decomposition supports degree <= {MAX_DECOMPOSITION_DEGREE}, "
                         f"arity <= {MAX_DECOMPOSITION_ARITY}")
-
-
-def monomial_count(arity: int, degree: int) -> int:
-    """Number of degree-``degree`` monomials in ``arity`` variables."""
-    return math.comb(arity + degree - 1, degree)
 
 
 @dataclass(frozen=True)
@@ -51,20 +41,22 @@ class MonomialPolynomial:
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValidationError("polynomial arity must be positive")
+        arity = _integer(self.arity, "polynomial arity must be a positive integer", "", 1)
         seen = set()
         cleaned = []
         for exp, coef in self.terms:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != self.arity or any(e < 0 for e in exp):
-                raise ValidationError(f"bad exponent tuple {exp}")
+            exp = tuple(exp)
+            message = f"bad exponent tuple {exp}"
+            exp = tuple(_integer(e, message, "") for e in exp)
+            if len(exp) != arity:
+                raise ValidationError(message)
             if exp in seen:
                 raise ValidationError(f"duplicate exponent {exp}")
             seen.add(exp)
-            cleaned.append((exp, float(coef)))
+            cleaned.append((exp, _finite(coef, f"coefficient of {exp} must be a finite number")))
         if not cleaned:
-            cleaned.append((tuple([0] * self.arity), 0.0))
+            cleaned.append(((0,) * arity, 0.0))
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @property
@@ -275,88 +267,3 @@ def to_linear_products(form: InnerPowerForm) -> LinearProductForm:
         product_terms.append(factors)
         position += 1
     return LinearProductForm(m, tuple(product_terms))
-
-
-def _chebyshev_nodes(count: int) -> np.ndarray:
-    i = np.arange(count)
-    return np.cos((2 * i + 1) * math.pi / (2 * count))
-
-
-def fit_polynomial(
-    f: Callable,
-    degree: int,
-    arity: int,
-    box: Sequence[tuple[float, float]],
-    probe_seed: int = 20260315,
-) -> tuple[MonomialPolynomial, dict]:
-    """Least-squares polynomial fit of a black-box function on a box.
-
-    Fits total-degree monomials on a tensor Chebyshev grid (in normalized
-    coordinates for conditioning, expanded back exactly), then measures the
-    sup error on an independent uniform sample of 10^3 points.  The error is
-    reported, never raised.
-    """
-    if degree > 8 or arity > 3:
-        raise ParameterError("fit supports degree <= 8, arity <= 3")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != arity or any(hi <= lo for lo, hi in box):
-        raise ValidationError("box must give arity-many (lo, hi) pairs with lo < hi")
-    centers = np.array([(lo + hi) / 2.0 for lo, hi in box])
-    scales = np.array([(hi - lo) / 2.0 for lo, hi in box])
-
-    nodes = _chebyshev_nodes(degree + 2)
-    mesh = np.meshgrid(*([nodes] * arity), indexing="ij")
-    t_points = np.stack([g.ravel() for g in mesh], axis=1)
-    x_points = centers + scales * t_points
-    samples = np.array([f(*pt) for pt in x_points], dtype=float)
-
-    exponents: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        exponents.extend(exponent_tuples(total, arity))
-    design = np.stack(
-        [np.prod(t_points ** np.asarray(exp), axis=1) for exp in exponents], axis=1
-    )
-    coefs, *_ = np.linalg.lstsq(design, samples, rcond=None)
-
-    # expand prod_i ((x_i - c_i) / s_i)^a_i back to monomials in x
-    accum: dict[tuple[int, ...], float] = {}
-    for exp, coef in zip(exponents, coefs):
-        if coef == 0.0:
-            continue
-        partial = {tuple([0] * arity): float(coef)}
-        for axis, power in enumerate(exp):
-            if power == 0:
-                continue
-            expanded: dict[tuple[int, ...], float] = {}
-            s_inv = 1.0 / scales[axis]
-            for beta in range(power + 1):
-                factor = (
-                    math.comb(power, beta)
-                    * ((-centers[axis]) ** (power - beta))
-                    * s_inv**power
-                )
-                for key, val in partial.items():
-                    new_key = list(key)
-                    new_key[axis] += beta
-                    new_key = tuple(new_key)
-                    expanded[new_key] = expanded.get(new_key, 0.0) + val * factor
-            partial = expanded
-        for key, val in partial.items():
-            accum[key] = accum.get(key, 0.0) + val
-    fitted = MonomialPolynomial(
-        arity, tuple(sorted((k, v) for k, v in accum.items()))
-    )
-
-    probe_rng = np.random.default_rng(probe_seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
-    probes = probe_rng.uniform(lows, highs, size=(1000, arity))
-    truth = np.array([f(*pt) for pt in probes], dtype=float)
-    sup_error = float(np.max(np.abs(fitted.evaluate_many(probes) - truth)))
-    report = {
-        "sup_error": sup_error,
-        "degree": degree,
-        "grid_points": int(t_points.shape[0]),
-        "probe_points": 1000,
-    }
-    return fitted, report

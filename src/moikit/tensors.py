@@ -1,4 +1,4 @@
-"""Hermitian tensors, contractions, unfolding, and multiple tensor integrals.
+"""Hermitian tensors, unfolding, and multiple tensor integrals.
 
 A Hermitian tensor of mode dimensions (I_1..I_N) is a 2N-way array with
 conjugate symmetry between its first and last N indices.  Row-major grouping
@@ -22,17 +22,7 @@ import numpy as np
 
 from .errors import ValidationError, _integer
 from .moi import moi_core
-from .operators import HermitianOperator, _adjoint, _from_spectrum
-
-__all__ = [
-    "HermitianTensor",
-    "TensorEigenSystem",
-    "tensor_contract",
-    "unfold",
-    "fold",
-    "tensor_eigendecompose",
-    "mti_evaluate",
-]
+from .operators import HermitianOperator
 
 
 @dataclass(frozen=True)
@@ -55,34 +45,6 @@ class HermitianTensor:
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "entries", unfolded.matrix.reshape(dims + dims))
         object.__setattr__(self, "_unfolded", unfolded)
-
-
-@dataclass(frozen=True)
-class TensorEigenSystem:
-    """Eigenvalues with unit-norm eigentensors of shape (I_1..I_N)."""
-
-    eigenvalues: np.ndarray
-    eigentensors: tuple[np.ndarray, ...]
-
-    def reconstruct(self, mode_dims: tuple[int, ...]) -> HermitianTensor:
-        p = math.prod(mode_dims)
-        basis = np.stack([t.reshape(p) for t in self.eigentensors], axis=1)
-        total = _from_spectrum(np.asarray(self.eigenvalues), basis)
-        return fold((total + _adjoint(total)) / 2.0, mode_dims)
-
-
-def tensor_contract(a, b, k: int) -> np.ndarray:
-    """Contract the trailing k axes of ``a`` against the leading k axes of
-    ``b`` (for matrices and k = 1 this is the matrix product)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if k < 1 or k > a.ndim or k > b.ndim:
-        raise ValidationError(f"cannot contract {k} indices of shapes {a.shape}, {b.shape}")
-    if a.shape[a.ndim - k :] != b.shape[:k]:
-        raise ValidationError(
-            f"trailing {k} dims of {a.shape} do not match leading {k} dims of {b.shape}"
-        )
-    return np.tensordot(a, b, axes=k)
 
 
 def unfold(tensor: HermitianTensor) -> HermitianOperator:
@@ -125,22 +87,6 @@ def fold_array(matrix, mode_dims) -> np.ndarray:
             f"matrix shape {arr.shape} does not match mode product {p}"
         )
     return arr.reshape(dims + dims)
-
-
-def tensor_eigendecompose(tensor: HermitianTensor) -> TensorEigenSystem:
-    """Eigen-decomposition through the unfolding isomorphism.
-
-    Eigenvalues ascend; eigenvectors fold back into unit-norm eigentensors.
-    The tensor is positive semidefinite exactly when every eigenvalue
-    clears -1e-10.
-    """
-    operator = unfold(tensor)
-    decomp = operator.decomposition
-    tensors = tuple(
-        decomp.basis[:, i].reshape(tensor.mode_dims)
-        for i in range(operator.dim)
-    )
-    return TensorEigenSystem(np.asarray(decomp.eigenvalues), tensors)
 
 
 def shared_mode_dims(tensors) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ import scipy.stats
 import moikit as mk
 from moikit import serialization as ser
 
+import identities
 import oracles
 from conftest import CONFIG_DIR, assert_golden, config_path, grid_path
 
@@ -54,7 +55,7 @@ def test_c01_moi_identity_suite():
         ops, args = random_instance(rng, n, m)
         phi, psi = random_separable(rng, m), random_separable(rng, m)
         alpha, beta = rng.standard_normal(2)
-        residual = mk.moi_linear_combination_check(phi, psi, alpha, beta, ops, args)
+        residual = identities.linearity_residual(phi, psi, alpha, beta, ops, args)
         assert residual <= 1e-10 * max(1.0, abs(alpha) + abs(beta))
 
     # block-product split
@@ -65,8 +66,8 @@ def test_c01_moi_identity_suite():
         ops, args = random_instance(rng, n, m)
         left = random_separable(rng, k, n_terms=1)
         right = random_separable(rng, m - k, n_terms=1)
-        split = mk.moi_split_evaluate(left, right, ops, args)
-        full = mk.moi_core(ops, grid_path(mk.integrand_block_product(left, right)), args)
+        split = identities.partition_evaluate([left, right], ops, args)
+        full = mk.moi_core(ops, grid_path(identities.block_product(left, right)), args)
         scale = max(1.0, np.linalg.norm(full, 2), np.linalg.norm(split, 2))
         assert np.max(np.abs(split - full)) <= 1e-10 * scale
 
@@ -82,10 +83,10 @@ def test_c01_moi_identity_suite():
             lengths.append(size)
             remaining -= size
         segments = [random_separable(rng, size, n_terms=1) for size in lengths]
-        factored = mk.moi_partition_evaluate(segments, lengths, ops, args)
+        factored = identities.partition_evaluate(segments, ops, args)
         product = segments[0]
         for seg in segments[1:]:
-            product = mk.integrand_block_product(product, seg)
+            product = identities.block_product(product, seg)
         full = mk.moi_core(ops, grid_path(product), args)
         scale = max(1.0, np.linalg.norm(full, 2), np.linalg.norm(factored, 2))
         assert np.max(np.abs(factored - full)) <= 1e-10 * scale
@@ -98,9 +99,9 @@ def test_c01_moi_identity_suite():
             random_separable(rng, 1, n_terms=1),
             random_separable(rng, 2, n_terms=1),
         ]
-        factored = mk.moi_partition_evaluate(segments, [2, 1, 2], ops, args)
-        product = mk.integrand_block_product(
-            mk.integrand_block_product(segments[0], segments[1]), segments[2]
+        factored = identities.partition_evaluate(segments, ops, args)
+        product = identities.block_product(
+            identities.block_product(segments[0], segments[1]), segments[2]
         )
         full = mk.moi_core(ops, grid_path(product), args)
         scale = max(1.0, np.linalg.norm(full, 2), np.linalg.norm(factored, 2))
@@ -136,7 +137,7 @@ def test_c03_perturbation_identity():
         c, d = random_instance(rng, 4, 2)[0]
         args = tuple(mk.random_hermitian(4, rng) for _ in range(m))
         j = int(rng.integers(1, m + 2))
-        residual = mk.perturbation_residual(f, ops, j, c, d, args)
+        residual = identities.perturbation_residual(f, ops, j, c, d, args)
         assert residual <= 1e-9
     announce(3, "perturbation identity residual <= 1e-9 on 100 instances")
 

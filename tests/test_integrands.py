@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import moikit as mk
-from moikit import integrands, moi
+from moikit import integrands
 from moikit.errors import CapabilityError, ValidationError
 from moikit.integrands import multiply_by_slot_variable
 
+import identities
 import oracles
 
 
@@ -260,7 +261,7 @@ class TestBlockProduct:
     def test_single_factor_product(self):
         p = mk.SeparableIntegrand(1, ((mk.ScalarFunction.monomial(1),),))
         q = mk.SeparableIntegrand(1, ((mk.ScalarFunction.monomial(1),),))
-        joined = mk.integrand_block_product(p, q)
+        joined = identities.block_product(p, q)
         assert joined.arity == 2
         assert len(joined.terms) == 1
         assert joined.evaluate((2.0, 3.0)) == pytest.approx(6.0)
@@ -278,7 +279,7 @@ class TestBlockProduct:
 
         p = random_sep(2, 2)
         q = random_sep(1, 3)
-        assert len(mk.integrand_block_product(p, q).terms) == 6
+        assert len(identities.block_product(p, q).terms) == 6
 
     def test_evaluation_is_pointwise_product(self, rng):
         def random_sep(arity, n_terms):
@@ -294,7 +295,7 @@ class TestBlockProduct:
             )
 
         p, q = random_sep(2, 2), random_sep(2, 2)
-        joined = mk.integrand_block_product(p, q)
+        joined = identities.block_product(p, q)
         for point in rng.uniform(-1, 1, size=(25, 4)):
             expected = p.evaluate(point[:2]) * q.evaluate(point[2:])
             assert joined.evaluate(point) == pytest.approx(expected, abs=1e-12)
@@ -403,7 +404,7 @@ class TestNormSurrogates:
             )
 
         p, q = random_sep(2, 3), random_sep(1, 2)
-        joined = mk.integrand_block_product(p, q)
+        joined = identities.block_product(p, q)
         sp = [rng.uniform(-1, 1, 4) for _ in range(3)]
         left = mk.projective_norm_bound(joined, sp)
         right = mk.projective_norm_bound(p, sp[:2]) * mk.projective_norm_bound(
@@ -471,7 +472,7 @@ class TestFactorTables:
             mk.ScalarFunction.polynomial(rng.standard_normal(7)), 2)
         chi = mk.divided_difference_integrand(
             mk.ScalarFunction.polynomial(rng.standard_normal(5)), 2)
-        psi = moi._linear_combination(phi, chi, 0.5 - 1.5j, 2.0).separable
+        psi = identities.linear_combination(phi, chi, 0.5 - 1.5j, 2.0).separable
         kinds = {fn.coefficients.dtype for fn, *_ in psi.terms}
         assert kinds == {np.dtype(np.complex128), np.dtype(np.float64)}
         axis = rng.uniform(-1.0, 1.0, shape)
@@ -521,6 +522,25 @@ class TestHelpers:
             2, ((mk.ScalarFunction.monomial(1), mk.ScalarFunction.monomial(1)),)
         )
         assert psi.scaled(-2.0).evaluate((1.0, 3.0)) == pytest.approx(-6.0)
+
+    @pytest.mark.parametrize("arity", [2.0, True, 0, np.float64(2.0)],
+                             ids=["float", "boolean", "zero", "numpy-float"])
+    @pytest.mark.parametrize("kind", ["separable", "constant", "multivariate"])
+    def test_arity_must_be_a_positive_integer(self, kind, arity):
+        one = mk.ScalarFunction.constant(1.0)
+        build = {
+            "separable": lambda: mk.SeparableIntegrand(arity, ((one, one),)),
+            "constant": lambda: mk.SeparableIntegrand.constant(arity),
+            "multivariate": lambda: mk.MultivariateFunction(arity, lambda pt: 0.0),
+        }[kind]
+        with pytest.raises(ValidationError, match="^integrand arity must be a positive integer$"):
+            build()
+
+    def test_numpy_arities_are_read_as_ints(self):
+        one = mk.ScalarFunction.constant(1.0)
+        for psi in (mk.SeparableIntegrand(np.int64(2), ((one, one),)),
+                    mk.MultivariateFunction(np.int64(2), lambda pt: 0.0)):
+            assert psi.arity == 2 and type(psi.arity) is int
 
 
 # arrays of every kind a callable meets, and callables returning Python

@@ -15,6 +15,7 @@ from moikit.errors import (
     ValidationError,
 )
 
+import identities
 import oracles
 from conftest import assert_golden, config_path, golden_json, grid_path
 
@@ -216,8 +217,8 @@ class TestAlgebraicIdentities:
         args = random_args(rng, 1)
         psi = random_separable(rng, 2)
         phi = random_separable(rng, 2)
-        assert mk.moi_linear_combination_check(phi, psi, 1.0, 0.0, ops, args) <= 1e-10
-        assert mk.moi_linear_combination_check(psi, psi, 1.0, 1.0, ops, args) <= 1e-10
+        assert identities.linearity_residual(phi, psi, 1.0, 0.0, ops, args) <= 1e-10
+        assert identities.linearity_residual(psi, psi, 1.0, 1.0, ops, args) <= 1e-10
 
     def test_linear_combination_random(self, rng):
         for _ in range(10):
@@ -227,7 +228,7 @@ class TestAlgebraicIdentities:
             psi = random_separable(rng, 3)
             alpha, beta = rng.standard_normal(2)
             assert (
-                mk.moi_linear_combination_check(phi, psi, alpha, beta, ops, args)
+                identities.linearity_residual(phi, psi, alpha, beta, ops, args)
                 <= 1e-10
             )
 
@@ -240,7 +241,7 @@ class TestAlgebraicIdentities:
         assert scaled.kind == sin.kind and scaled(0.3) == -1.5 * np.sin(0.3)
         assert scaled.derivative(0.3, 1) == -1.5 * np.cos(0.3)
         ops, args = random_ops(rng, 2), random_args(rng, 1)
-        assert mk.moi_linear_combination_check(phi, psi, 0.7, -1.3, ops, args) <= 1e-10
+        assert identities.linearity_residual(phi, psi, 0.7, -1.3, ops, args) <= 1e-10
 
     def test_linear_combination_grid_matches_the_pointwise_combination(self, rng):
         exp = mk.ScalarFunction.from_callable(np.exp, (np.exp,))
@@ -249,27 +250,27 @@ class TestAlgebraicIdentities:
         # a separable psi's grid and its point values may differ in the last place
         for psi, rtol in ((mk.divided_difference_integrand(sin, 1), 0.0),
                           (random_separable(rng, 2), 1e-14)):
-            combo = moi._linear_combination(phi, psi, 0.7, -1.3)
+            combo = identities.linear_combination(phi, psi, 0.7, -1.3)
             assert combo.separable is None
             axes = [rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 5)]
             pointwise = np.array([[combo.evaluate((x, y)) for y in axes[1]] for x in axes[0]])
             np.testing.assert_allclose(combo.eval_grid(axes), pointwise, rtol=rtol, atol=0)
             ops, args = random_ops(rng, 2), random_args(rng, 1)
-            assert mk.moi_linear_combination_check(phi, psi, 0.7, -1.3, ops, args) <= 1e-10
+            assert identities.linearity_residual(phi, psi, 0.7, -1.3, ops, args) <= 1e-10
 
     def test_split_one_sided_function(self, rng):
         a, b = random_ops(rng, 2)
         x = mk.random_hermitian(4, rng)
         f_left = mk.SeparableIntegrand(1, ((mk.ScalarFunction.monomial(2),),))
         ones = mk.SeparableIntegrand.constant(1)
-        value = mk.moi_split_evaluate(f_left, ones, (a, b), (x,))
+        value = identities.partition_evaluate([f_left, ones], (a, b), (x,))
         np.testing.assert_allclose(value, a.matrix @ a.matrix @ x, atol=1e-10)
 
     def test_split_two_linear_slots(self, rng):
         a, b = random_ops(rng, 2)
         x = mk.random_hermitian(4, rng)
         lin = mk.SeparableIntegrand(1, ((mk.ScalarFunction.monomial(1),),))
-        value = mk.moi_split_evaluate(lin, lin, (a, b), (x,))
+        value = identities.partition_evaluate([lin, lin], (a, b), (x,))
         np.testing.assert_allclose(value, a.matrix @ x @ b.matrix, atol=1e-10)
 
     def test_split_matches_block_product_evaluation(self, rng):
@@ -278,8 +279,8 @@ class TestAlgebraicIdentities:
             args = random_args(rng, 3)
             left = random_separable(rng, 2)
             right = random_separable(rng, 2)
-            split = mk.moi_split_evaluate(left, right, ops, args)
-            joined = mk.integrand_block_product(left, right)
+            split = identities.partition_evaluate([left, right], ops, args)
+            joined = identities.block_product(left, right)
             full = mk.moi_core(ops, grid_path(joined), args)
             scale = max(1.0, np.linalg.norm(full, 2))
             assert np.max(np.abs(split - full)) <= 1e-10 * scale
@@ -288,7 +289,7 @@ class TestAlgebraicIdentities:
         ops = random_ops(rng, 3)
         args = random_args(rng, 2)
         psi = random_separable(rng, 3)
-        via_partition = mk.moi_partition_evaluate([psi], [3], ops, args)
+        via_partition = identities.partition_evaluate([psi], ops, args)
         direct = mk.moi_core(ops, grid_path(psi), args)
         np.testing.assert_allclose(via_partition, direct, atol=1e-12)
 
@@ -297,7 +298,7 @@ class TestAlgebraicIdentities:
         x1, x2 = random_args(rng, 2)
         lin = mk.SeparableIntegrand(1, ((mk.ScalarFunction.monomial(1),),))
         ones2 = mk.SeparableIntegrand.constant(2)
-        value = mk.moi_partition_evaluate([lin, ones2], [1, 2], ops, (x1, x2))
+        value = identities.partition_evaluate([lin, ones2], ops, (x1, x2))
         np.testing.assert_allclose(value, ops[0].matrix @ x1 @ x2, atol=1e-10)
 
     def test_partition_2_1_2_on_five_operators(self, rng):
@@ -308,36 +309,14 @@ class TestAlgebraicIdentities:
             random_separable(rng, 1, n_terms=1),
             random_separable(rng, 2, n_terms=1),
         ]
-        factored = mk.moi_partition_evaluate(segments, [2, 1, 2], ops, args)
-        product = mk.integrand_block_product(
-            mk.integrand_block_product(segments[0], segments[1]), segments[2]
+        factored = identities.partition_evaluate(segments, ops, args)
+        product = identities.block_product(
+            identities.block_product(segments[0], segments[1]), segments[2]
         )
         full = mk.moi_core(ops, grid_path(product), args)
         scale = max(1.0, np.linalg.norm(full, 2))
         assert np.max(np.abs(factored - full)) <= 1e-10 * scale
 
-    def test_partition_validation(self, rng):
-        ops = random_ops(rng, 3)
-        args = random_args(rng, 2)
-        psi = random_separable(rng, 2)
-        with pytest.raises(ValidationError):
-            mk.moi_partition_evaluate([psi], [2], ops, args)
-
-    @pytest.mark.parametrize("lengths", [[1.5, 1], [True, 1]])
-    def test_partition_lengths_that_are_not_integers_are_rejected(self, rng, lengths):
-        ops = random_ops(rng, 2)
-        args = random_args(rng, 1)
-        psi = random_separable(rng, 1)
-        with pytest.raises(ValidationError, match="segment lengths must be integers"):
-            mk.moi_partition_evaluate([psi, psi], lengths, ops, args)
-
-    def test_split_bad_point(self, rng):
-        ops = random_ops(rng, 2)
-        args = random_args(rng, 1)
-        with pytest.raises(ValidationError):
-            mk.moi_split_evaluate(
-                random_separable(rng, 1), random_separable(rng, 2), ops, args
-            )
 
 
 class TestNormBound:
@@ -417,7 +396,7 @@ class TestPerturbationIdentity:
         ops = random_ops(rng, 2)
         c = random_ops(rng, 1)[0]
         args = random_args(rng, 2)
-        residual = mk.perturbation_residual(
+        residual = identities.perturbation_residual(
             mk.ScalarFunction.monomial(3), ops, 2, c, c, args
         )
         assert residual <= 1e-12
@@ -428,7 +407,7 @@ class TestPerturbationIdentity:
         c = mk.HermitianOperator([[1.3 + 0j]])
         d = mk.HermitianOperator([[-0.2 + 0j]])
         args = (np.array([[0.7 + 0j]]),)
-        assert mk.perturbation_residual(f, ops, 1, c, d, args) <= 1e-12
+        assert identities.perturbation_residual(f, ops, 1, c, d, args) <= 1e-12
 
     def test_random_instances(self, rng):
         for _ in range(10):
@@ -436,7 +415,7 @@ class TestPerturbationIdentity:
             c, d = random_ops(rng, 2)
             args = random_args(rng, 2)
             j = int(rng.integers(1, 4))
-            residual = mk.perturbation_residual(
+            residual = identities.perturbation_residual(
                 mk.ScalarFunction.monomial(4), ops, j, c, d, args
             )
             assert residual <= 1e-9

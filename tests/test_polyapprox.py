@@ -1,4 +1,5 @@
-"""Inner-power decompositions, linear-product forms, and box fits."""
+"""Inner-power decompositions, linear-product forms, and the polynomials they
+rewrite."""
 
 import math
 
@@ -146,42 +147,34 @@ class TestToLinearProducts:
         assert np.max(np.abs(total[4:])) <= 1e-9 if len(total) > 4 else True
 
 
-class TestFitPolynomial:
-    def test_exact_recovery_of_polynomial(self):
-        def f(x, y):
-            return 1.0 + 2.0 * x - 0.5 * y**2 + 0.25 * x**2 * y
-
-        fitted, report = mk.fit_polynomial(f, 3, 2, [(-1.0, 1.0), (-1.0, 1.0)])
-        assert report["sup_error"] <= 1e-9
-
-    def test_abs_error_decreases_with_degree(self):
-        low, low_report = mk.fit_polynomial(abs, 2, 1, [(-1.0, 1.0)])
-        high, high_report = mk.fit_polynomial(abs, 6, 1, [(-1.0, 1.0)])
-        assert high_report["sup_error"] > 0.0
-        assert high_report["sup_error"] < low_report["sup_error"]
-
-    def test_exponential_on_unit_box(self):
-        def f(x, y):
-            return math.exp(x + y)
-
-        fitted, report = mk.fit_polynomial(f, 6, 2, [(0.0, 1.0), (0.0, 1.0)])
-        assert report["sup_error"] <= 1e-4
-
-    def test_box_validation(self):
-        with pytest.raises(ValidationError):
-            mk.fit_polynomial(abs, 2, 1, [(1.0, -1.0)])
-
-    def test_scale_limits(self):
-        with pytest.raises(ParameterError):
-            mk.fit_polynomial(abs, 9, 1, [(-1.0, 1.0)])
-
-
 class TestMonomialPolynomial:
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(ValidationError):
             mk.MonomialPolynomial(1, (((1,), 1.0), ((1,), 2.0)))
 
-    def test_monomial_count(self):
-        assert mk.monomial_count(2, 3) == 4
-        assert mk.monomial_count(3, 2) == 6
-        assert mk.monomial_count(1, 5) == 1
+    @pytest.mark.parametrize("arity, terms, message", [
+        (2, (((1.5, 0), 1.0),), r"bad exponent tuple \(1\.5, 0\)"),
+        (2, (((True, 0), 1.0),), r"bad exponent tuple \(True, 0\)"),
+        (2, (((-1, 0), 1.0),), r"bad exponent tuple \(-1, 0\)"),
+        (2, (((1,), 1.0),), r"bad exponent tuple \(1,\)"),
+        (2, (((1, 0), math.nan),), r"coefficient of \(1, 0\) must be a finite number"),
+        (2, (((1, 0), math.inf),), r"coefficient of \(1, 0\) must be a finite number"),
+        (2, (((1, 0), 10**400),), r"coefficient of \(1, 0\) must be a finite number"),
+        (2, (((1, 0), True),), r"coefficient of \(1, 0\) must be a finite number"),
+        (2.0, (((1, 0), 1.0),), "polynomial arity must be a positive integer"),
+        (True, (((1,), 1.0),), "polynomial arity must be a positive integer"),
+        (0, (), "polynomial arity must be a positive integer"),
+    ], ids=["float-exponent", "boolean-exponent", "negative-exponent", "short-exponent",
+            "nan", "inf", "huge", "boolean-coefficient", "float-arity", "boolean-arity",
+            "zero-arity"])
+    def test_counts_and_coefficients_are_checked(self, arity, terms, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            mk.MonomialPolynomial(arity, terms)
+
+    def test_numpy_counts_and_coefficients_are_read_as_python_numbers(self):
+        poly = mk.MonomialPolynomial(np.int64(2), (((np.int64(1), 0), np.float64(0.5)),
+                                                   ((0, 2), 3)))
+        assert poly.arity == 2 and type(poly.arity) is int
+        assert poly.terms == (((1, 0), 0.5), ((0, 2), 3.0))
+        assert all(type(e) is int for exp, _ in poly.terms for e in exp)
+        assert all(type(c) is float for _, c in poly.terms)

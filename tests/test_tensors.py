@@ -1,4 +1,4 @@
-"""Tensor contraction, unfolding isomorphism, and tensor integrals."""
+"""Unfolding isomorphism, contraction under it, and tensor integrals."""
 
 import numpy as np
 import pytest
@@ -19,34 +19,11 @@ def random_hermitian_tensor(rng, mode_dims):
 
 
 class TestContract:
-    def test_vector_inner_product(self, rng):
-        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert mk.tensor_contract(u, v, 1) == pytest.approx(np.dot(u, v))
-
-    def test_matrix_case_is_product(self, rng):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        np.testing.assert_allclose(mk.tensor_contract(a, b, 1), a @ b, atol=1e-12)
-
-    def test_matches_index_loop(self, rng):
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2))
-        expected = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                expected[i, j] = sum(a[i, k] * b[k, j] for k in range(3))
-        np.testing.assert_allclose(mk.tensor_contract(a, b, 1), expected, atol=1e-13)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValidationError):
-            mk.tensor_contract(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), 1)
-
     def test_unfolded_full_contraction_is_matrix_product(self, rng):
         dims = (2, 3)
         a = random_hermitian_tensor(rng, dims)
         b = random_hermitian_tensor(rng, dims)
-        contracted = mk.tensor_contract(a.entries, b.entries, 2)
+        contracted = np.tensordot(a.entries, b.entries, axes=2)
         product = unfold_array(contracted, dims)
         expected = mk.unfold(a).matrix @ mk.unfold(b).matrix
         assert np.max(np.abs(product - expected)) <= 1e-12 * max(
@@ -166,7 +143,7 @@ class TestKeptUnfolding:
         )
         for _ in range(5):
             mk.mti_evaluate(tensors, psi, arguments)
-        mk.tensor_eigendecompose(tensors[1])
+        mk.unfold(tensors[1]).decomposition
         assert sorted(map(id, decomposed)) == sorted(id(mk.unfold(t)) for t in tensors)
 
 
@@ -183,35 +160,9 @@ class TestNonTensorInputs:
         with pytest.raises(ValidationError, match="tensor 1 is a HermitianOperator"):
             mk.mti_evaluate([t, mk.unfold(t)], psi, [t])
 
-    def test_array_to_eigendecompose(self):
+    def test_array_to_unfold(self):
         with pytest.raises(ValidationError, match="tensor 0 is a ndarray"):
-            mk.tensor_eigendecompose(np.eye(4))
-
-
-class TestEigendecomposition:
-    def test_identity_tensor(self):
-        tensor = mk.fold(np.eye(6, dtype=complex), (2, 3))
-        system = mk.tensor_eigendecompose(tensor)
-        np.testing.assert_allclose(system.eigenvalues, np.ones(6), atol=1e-12)
-
-    def test_rank_one(self, rng):
-        u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        u /= np.sqrt(np.sum(np.abs(u) ** 2))
-        tensor = mk.HermitianTensor((2, 2), np.multiply.outer(u, u.conj()))
-        system = mk.tensor_eigendecompose(tensor)
-        np.testing.assert_allclose(
-            np.sort(system.eigenvalues), [0, 0, 0, 1], atol=1e-10
-        )
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        tensor = random_hermitian_tensor(rng, (2, 3))
-        system = mk.tensor_eigendecompose(tensor)
-        for i, ti in enumerate(system.eigentensors):
-            for j, tj in enumerate(system.eigentensors):
-                inner = np.vdot(tj, ti)
-                assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
-        rebuilt = system.reconstruct((2, 3))
-        assert np.max(np.abs(rebuilt.entries - tensor.entries)) <= 1e-10
+            mk.unfold(np.eye(4))
 
 
 class TestMtiEvaluate:
