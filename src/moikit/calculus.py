@@ -20,11 +20,7 @@ import numpy as np
 
 from .errors import (MAX_ORDER, MAX_UNITARY_ORDER, CapabilityError, ParameterError,
                      ValidationError, _integer)
-from .integrands import (
-    ScalarFunction,
-    divided_difference_integrand,
-    multiply_by_slot_variable,
-)
+from .integrands import ScalarFunction, divided_difference_integrand
 from .moi import moi_core
 from .operators import (
     AnyOperator,
@@ -204,8 +200,11 @@ def higher_difference_moi_diagnostic(
     order-k difference against the binomial definition.
 
     The binomial definition is authoritative; this reports the deviation of
-    the candidate representation (sum over j of spectral sums weighted by the
-    slot-gap factor) without treating disagreement as a failure.
+    the candidate representation, the spectral sums over [A_0, ..., A_k] of
+    sum over j of (l_j - l_{j-1}) f^[k], without treating disagreement as a
+    failure.  That weight telescopes to (l_k - l_0) f^[k], and
+    l_k P_k = A_k P_k, P_0 l_0 = P_0 A_0, so with B the step the form is
+    two sums of f^[k], with arguments (B, ..., B, B A_k) and (A_0 B, B, ..., B).
     """
     order = _integer(order, "orders must be integers", "", None)
     if not 1 <= order <= MAX_ORDER:
@@ -215,12 +214,10 @@ def higher_difference_moi_diagnostic(
     dd = divided_difference_integrand(f, order)
     if dd.separable is None:
         raise CapabilityError("diagnostic needs a polynomial scalar function")
-    total = np.zeros_like(binomial)
-    for j in range(1, order + 1):
-        weighted = multiply_by_slot_variable(dd.separable, j).plus(
-            multiply_by_slot_variable(dd.separable, j - 1).scaled(-1.0)
-        )
-        total += moi_core(ops, weighted, [step] * order)
+    step = np.asarray(step, dtype=np.complex128)  # checked by _shift_ladder
+    steps = [step] * (order - 1)
+    total = (moi_core(ops, dd, [*steps, step @ ops[-1].matrix])
+             - moi_core(ops, dd, [ops[0].matrix @ step, *steps]))
     deviation = operator_norm(total - binomial)
     return {
         "binomial": binomial,

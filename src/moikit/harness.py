@@ -357,24 +357,20 @@ def _chunk_samples(dim: int, surrogates) -> int:
     Q + 1 copies of the union are counted for its sup, which reads one copy
     and no factor values, in blocks of about
     :data:`~moikit.integrands._SUP_BLOCK_BYTES` over the chunk's samples.
-    Any other separable integrand's factored sum holds one such matrix per
-    node of its widest
-    :attr:`~moikit.integrands.SeparableIntegrand.suffix_tree` level, next
-    to its factor values on the union (the surrogate sums its grid in
-    blocks of its own size from at most one complex copy of real values).
-    Any other integrand's engine grid is built one sample at a time, and a
-    divided difference's sup reads one sample's multisets of union nodes at
-    a time, with no grid."""
+    Any other separable integrand's factored sum holds two such matrices,
+    the running sum and the term in hand, next to its factor values on the
+    union (the surrogate sums its grid in blocks of its own size from at
+    most one complex copy of real values).  Any other integrand's engine
+    grid is built one sample at a time, and a divided difference's sup
+    reads one sample's multisets of union nodes at a time, with no grid."""
     largest = dim * dim
     for psi, union in surrogates:
         separable = psi.separable
         if separable is not None and separable._polynomial is not None:
             largest = max(largest, len(separable._polynomial[0]) * (2 * dim * dim + union))
         elif separable is not None:
-            _, levels = separable.suffix_tree
-            width = max(len(factor) for factor, *_ in levels)
             factors = sum(int(index.max()) + 1 for index in separable.factor_index)
-            largest = max(largest, width * dim * dim + factors * union)
+            largest = max(largest, 2 * dim * dim + factors * union)
     return max(1, _CHUNK_BYTES // (16 * largest))
 
 

@@ -27,10 +27,9 @@ stands among others: moikit sorts it last (numpy's order), Python's
 ``sorted`` leaves it in place.
 
 A separable integrand evaluates each distinct factor of a slot once per
-axis, by the factor's own ``__call__``.  The factored engine path sums the
-terms that share their factors from a slot on in plain left-to-right order
-(:func:`_sibling_sums`).  A polynomial's divided difference,
-f^[k] = sum_p c_p h_{p-k}, is summed over its words instead
+axis, by the factor's own ``__call__``, and the factored engine path sums
+its terms one at a time, in their order.  A polynomial's divided
+difference, f^[k] = sum_p c_p h_{p-k}, is summed over its words instead
 (:func:`_word_sums`): by the engine, by its sup on any spectra and by its
 projective bound.
 
@@ -607,37 +606,11 @@ def _recursion(f: ScalarFunction, nodes: np.ndarray, tuples: list, at: np.ndarra
 
 def _factor_key(fn: ScalarFunction):
     """What makes two factors the same: equal coefficients for polynomials
-    (JSON integrands and :func:`multiply_by_slot_variable` build a fresh
-    object per factor), identity for every other function."""
+    (JSON integrands build a fresh object per factor), identity for every
+    other function."""
     if fn.kind == POLYNOMIAL:
         return (fn.coefficients.dtype.str, fn.coefficients.tobytes())
     return fn
-
-
-def _sibling_spans(starts: np.ndarray, count: int) -> tuple[tuple[int, int, int], ...]:
-    """For each group of more than one of ``count`` consecutive rows whose
-    groups begin at ``starts``: its index, and the range of its rows after
-    the first."""
-    ends = np.append(starts[1:], count)
-    return tuple((g, lo + 1, hi) for g, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist()))
-                 if hi - lo > 1)
-
-
-def _sibling_sums(rows: np.ndarray, starts: np.ndarray, spans: tuple) -> np.ndarray:
-    """Per group of the rows that begin at ``starts``, its first row plus its
-    other rows added left to right, in place (``rows`` is overwritten);
-    ``spans`` is :func:`_sibling_spans` of ``starts``.  Below 4 further
-    complex rows (8 real) these are the bits of ``np.add.reduceat``.
-    """
-    if not spans:
-        return rows
-    sums = rows[starts]
-    for group, lo, hi in spans:
-        rest = rows[lo]
-        for i in range(lo + 1, hi):
-            rest += rows[i]
-        sums[group] += rest
-    return sums
 
 
 @dataclass(frozen=True)
@@ -657,9 +630,10 @@ class SeparableIntegrand:
             raise ValidationError("separable integrand needs at least one term")
         for k, term in enumerate(terms):
             if len(term) != arity:
-                raise ValidationError(
-                    f"term {k} has {len(term)} factors, expected {arity}"
-                )
+                raise ValidationError(f"term {k} has {len(term)} factors, expected {arity}")
+            for i, factor in enumerate(term):
+                if not isinstance(factor, ScalarFunction):
+                    raise ValidationError(f"term {k}, slot {i}: factor must be a ScalarFunction")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", terms)
 
@@ -733,30 +707,6 @@ class SeparableIntegrand:
             values.append(done[key])
         return values
 
-    @functools.cached_property
-    def suffix_tree(self) -> tuple[np.ndarray, tuple[tuple, ...]]:
-        """The terms grouped by the factors they share from each slot on.
-
-        A node at level j is a distinct suffix (factors of slots j..m-1) of
-        the terms; its parent is the suffix one slot shorter, and the root
-        (level m) is the empty suffix.  Returns the multiplicity of each
-        level-0 node (a distinct term) and, per level j, the factor index of
-        each node in slot j (see :attr:`factor_index`), the offsets at which
-        each parent's children start (nodes are ordered by parent), and the
-        parents with more than one child with the range of their other
-        children (see :func:`_sibling_spans`).  Given a level's values per
-        node, :func:`_sibling_sums` sums siblings over those offsets.
-        """
-        node_of_term = np.zeros(len(self.terms), dtype=np.intp)  # the root
-        levels = []
-        for distinct, index in reversed(self._slot_factors):
-            code = node_of_term * len(distinct) + index
-            nodes, node_of_term = np.unique(code, return_inverse=True)
-            parent = nodes // len(distinct)
-            starts = np.flatnonzero(np.diff(parent, prepend=-1))
-            levels.append((nodes % len(distinct), starts, _sibling_spans(starts, len(nodes))))
-        return np.bincount(node_of_term).astype(float), tuple(reversed(levels))
-
     def eval_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on the Cartesian product of the axes (broadcast sum of
         outer products, complex).
@@ -784,16 +734,6 @@ class SeparableIntegrand:
                 prod = prod * values[i][term[i]][views[i]]
             total += prod
         return total
-
-    def scaled(self, factor) -> "SeparableIntegrand":
-        terms = tuple((term[0].scaled(factor), *term[1:]) for term in self.terms)
-        return SeparableIntegrand(self.arity, terms)
-
-    def plus(self, other: "SeparableIntegrand") -> "SeparableIntegrand":
-        if other.arity != self.arity:
-            raise ValidationError("cannot add integrands of different arity")
-        return SeparableIntegrand(self.arity, self.terms + other.terms)
-
 
 @dataclass(frozen=True)
 class MultivariateFunction:
@@ -839,25 +779,6 @@ def _as_integrand(integrand):
             "integrand must be a MultivariateFunction or SeparableIntegrand"
         )
     return integrand
-
-
-def multiply_by_slot_variable(
-    psi: SeparableIntegrand, slot: int
-) -> SeparableIntegrand:
-    """The integrand ``l_slot * psi(l_1..l_m)`` (still separable)."""
-    if not 0 <= slot < psi.arity:
-        raise ParameterError(f"slot {slot} out of range for arity {psi.arity}")
-    shift = ScalarFunction.polynomial([0.0, 1.0])
-    terms = []
-    for term in psi.terms:
-        factor = term[slot]
-        if factor.kind != POLYNOMIAL:
-            raise CapabilityError("slot-variable multiplication needs polynomial factors")
-        bumped = ScalarFunction.polynomial(
-            npoly.polymul(factor.coefficients, shift.coefficients)
-        )
-        terms.append(term[:slot] + (bumped,) + term[slot + 1 :])
-    return SeparableIntegrand(psi.arity, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from .integrands import (
     _as_integrand,
     _batch_of_one,
     _sample,
-    _sibling_sums,
     _word_sums,
     divided_difference_integrand,
     projective_norm_bound,
@@ -166,11 +165,9 @@ def _factored_core(
     A polynomial's divided difference sums its words (:func:`_word_sums`):
     (k - 1)(Q + 1) n x n products per sample; its factors, the powers up to
     Q of each eigenvalue, are finite where the first and Q-th are.  Any
-    other walks :attr:`SeparableIntegrand.suffix_tree` from the left: the
-    terms sharing their factors from slot j on share everything left of Y_j,
-    so that left part is summed over them (:func:`_sibling_sums`) before it
-    is multiplied by Y_j, and each level scales its nodes by their diagonal
-    factor in place: one n x n product per distinct suffix of length 1..m-2.
+    other sums its terms one at a time, in their order: D_1n Y_1 is a row
+    scaling, and each later D_in scales the columns before the product with
+    the next Y, one n x n product per term and slot.
     """
     words = psi._polynomial  # (c_k..c_{k+Q}, k) of a polynomial's divided difference
     if words is not None:
@@ -190,19 +187,17 @@ def _factored_core(
     if words is not None:
         core = _word_sums(words[0], eigenvalues, rotated)
     else:
-        counts, levels = psi.suffix_tree
-        factor, *siblings = levels[0]
-        core = values[0][factor]
-        core = _sibling_sums(np.multiply(counts[:, None, None], core, out=core), *siblings)
-        if rotated:
-            core = core[..., None] * rotated[0]
-        for j in range(1, len(levels)):
-            factor, *siblings = levels[j]
-            core = _sibling_sums(np.multiply(core, values[j][factor][:, :, None, :], out=core),
-                                 *siblings)
-            if j < len(rotated):
-                core = core @ rotated[j]
-        core = core[0]
+        core = None
+        for term in zip(*psi.factor_index):
+            product = values[0][term[0]]
+            if rotated:
+                product = product[..., None] * rotated[0]
+            for j in range(1, len(term)):
+                product *= values[j][term[j]][:, None, :]
+                if j < len(rotated):
+                    product = product @ rotated[j]
+            # not in place: at m = 1 a product is a slot's shared factor values
+            core = product if core is None else core + product
     if not np.isfinite(core).all():
         raise FunctionDomainError(
             "the factored sum is not finite: products of integrand factors overflow"

@@ -90,16 +90,20 @@ class InnerPowerForm:
     terms: tuple[tuple[int, float, tuple[float, ...]], ...]
 
     def __post_init__(self):
+        arity = _integer(self.arity, "form arity must be a positive integer", "", 1)
         cleaned = []
         for degree, coef, direction in self.terms:
-            direction = tuple(float(v) for v in direction)
-            if len(direction) != self.arity:
+            degree = _integer(degree, "term degrees must be nonnegative integers", "")
+            coef = _finite(coef, "term coefficients must be finite numbers")
+            direction = tuple(_finite(v, "direction entries must be finite numbers")
+                              for v in direction)
+            if len(direction) != arity:
                 raise ValidationError("direction length must equal the arity")
             norm = math.sqrt(sum(v * v for v in direction))
             if degree > 0 and abs(norm - 1.0) > 1e-9:
                 raise ValidationError("directions must be unit-normalized")
-            degree = _integer(degree, "term degrees must be integers", "", None)
-            cleaned.append((degree, float(coef), direction))
+            cleaned.append((degree, coef, direction))
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def evaluate(self, point: Sequence[float]) -> float:
@@ -133,16 +137,22 @@ class LinearProductForm:
     terms: tuple[tuple[tuple[float, ...], ...], ...]
 
     def __post_init__(self):
+        arity = _integer(self.arity, "form arity must be a positive integer", "", 1)
+        checked: dict = {}  # by id: to_linear_products repeats a few factor objects
         for pos, factors in enumerate(self.terms, start=1):
             if len(factors) != pos:
                 raise ValidationError(
                     f"term at position {pos} has {len(factors)} factors, expected {pos}"
                 )
             for u in factors:
-                if len(u) != self.arity + 1:
-                    raise ValidationError(
-                        f"factor length must be {self.arity + 1}, got {len(u)}"
-                    )
+                if len(u) != arity + 1:
+                    raise ValidationError(f"factor length must be {arity + 1}, got {len(u)}")
+                if id(u) not in checked:
+                    checked[id(u)] = tuple(_finite(v, "factor entries must be finite numbers")
+                                           for v in u)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", tuple(tuple(checked[id(u)] for u in factors)
+                                                for factors in self.terms))
 
     def evaluate(self, point: Sequence[float]) -> float:
         return float(self.evaluate_many(np.asarray(point, dtype=float)[None])[0])

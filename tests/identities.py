@@ -10,7 +10,9 @@ def linear_combination(phi, psi, alpha, beta):
     """The integrand ``alpha * phi + beta * psi``: separable when both are,
     else evaluated on a grid as ``alpha * grid(phi) + beta * grid(psi)``."""
     if phi.separable is not None and psi.separable is not None:
-        return phi.scaled(alpha).plus(psi.scaled(beta))
+        return mk.SeparableIntegrand(phi.arity, tuple(
+            (term[0].scaled(weight), *term[1:])
+            for weight, integrand in ((alpha, phi), (beta, psi)) for term in integrand.terms))
     return mk.MultivariateFunction(
         phi.arity, lambda pt: alpha * phi.evaluate(pt) + beta * psi.evaluate(pt),
         _grid=lambda axes: alpha * phi.eval_grid(axes) + beta * psi.eval_grid(axes),

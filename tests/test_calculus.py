@@ -173,6 +173,19 @@ class TestHigherDifference:
         assert diag["binomial"].shape == (4, 4)
         assert diag["moi_form"].shape == (4, 4)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_moi_form_is_the_gap_weighted_projector_sum(self, rng, order):
+        # the literal sum over eigenvalue tuples of (l_k - l_0) f^[k]
+        a = random_hermitian_op(rng)
+        step = mk.random_hermitian(4, rng, norm=0.3)
+        f = mk.ScalarFunction.polynomial(rng.standard_normal(order + 3))
+        dd = mk.divided_difference_integrand(f, order)
+        ops = [a] + [mk.shifted_operator(a, i * step) for i in range(1, order + 1)]
+        expected = oracles.direct_projector_moi(
+            ops, lambda pt: (pt[-1] - pt[0]) * dd(pt), [step] * order)
+        got = mk.higher_difference_moi_diagnostic(f, a, step, order)["moi_form"]
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
 
 class TestSelfAdjointRemainder:
     def make_spec(self, rng, functions, order, dim=4, pert_scale=0.4):

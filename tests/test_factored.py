@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import moikit as mk  # noqa: E402
-from moikit import integrands, moi  # noqa: E402
+from moikit import moi  # noqa: E402
 
 import oracles  # noqa: E402
 from conftest import grid_path  # noqa: E402
@@ -34,7 +34,7 @@ def relative_difference(value, reference):
 
 def random_terms(rng, arity, degree):
     """A few terms whose factors come from a small pool of polynomials, so
-    that terms share factors and suffixes."""
+    that terms share factors."""
     pool = [
         mk.ScalarFunction.polynomial(rng.standard_normal(int(rng.integers(0, degree + 1)) + 1))
         for _ in range(3)
@@ -172,82 +172,3 @@ def test_grid_that_overflows_in_real_arithmetic_is_evaluated_in_complex():
             expected = expected * np.full(3, 1e200, dtype=np.complex128)[tuple(view)]
         assert np.array_equal(psi.eval_grid(axes), expected, equal_nan=True)
         assert np.isnan(mk.sup_norm_on_grid(psi, axes))
-
-
-class TestSiblingSums:
-    """The factored path sums sibling nodes of the suffix tree with
-    whole-row operations: each group's first row plus its other rows, added
-    left to right.  With fewer than 4 further complex rows (8 real) that is
-    the order of ``np.add.reduceat``."""
-
-    @staticmethod
-    def rows(rng, count, shape, dtype):
-        # magnitudes over 16 decades, so that a different order of additions
-        # changes the bits
-        def draw():
-            return rng.standard_normal((count,) + shape) * 10.0 ** rng.integers(
-                -8, 9, (count,) + shape)
-        values = draw()
-        return values + 1j * draw() if dtype == np.complex128 else values
-
-    @staticmethod
-    def groups(lengths):
-        starts = np.cumsum([0] + list(lengths[:-1])).astype(np.intp)
-        return starts, integrands._sibling_spans(starts, int(sum(lengths)))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)])
-    def test_bits_of_reduceat_for_every_group_length(self, dtype, shape):
-        # groups of 1..4 rows: 0..3 further rows, below numpy's unroll of
-        # 4 complex and 8 real elements, where reduceat adds them in order
-        rng = np.random.default_rng(300)
-        for length in range(1, 5):
-            lengths = [length, 1, 5 - length]
-            values = self.rows(rng, sum(lengths), shape, dtype)
-            starts, spans = self.groups(lengths)
-            expected = np.add.reduceat(values, starts, axis=0)
-            summed = integrands._sibling_sums(values.copy(), starts, spans)
-            assert summed.dtype == expected.dtype
-            assert summed.tobytes() == expected.tobytes(), length
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_a_long_group_is_summed_left_to_right(self, dtype):
-        rng = np.random.default_rng(301)
-        lengths = [2, 40, 1]
-        values = self.rows(rng, sum(lengths), (50,), dtype)
-        starts, spans = self.groups(lengths)
-        rest = values[3].copy()
-        for row in values[4:42]:
-            rest += row
-        expected = values[[0, 2, 42]].copy()
-        expected[0] += values[1]
-        expected[1] += rest
-        summed = integrands._sibling_sums(values.copy(), starts, spans)
-        assert summed.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_signed_zeros_and_non_finite_values(self, dtype):
-        # equal bits but for the sign and payload of NaNs, which IEEE 754
-        # leaves open and compilers may take from either operand
-        def parts(a):
-            a = a.view(np.float64)
-            return np.isnan(a), np.where(np.isnan(a), 0.0, a).tobytes()
-
-        rng = np.random.default_rng(302)
-        pool = np.array([0.0, -0.0, 1.0, -2.5, 1e-310, np.inf, -np.inf, np.nan])
-        for _ in range(200):
-            lengths = rng.integers(1, 140, int(rng.integers(1, 6))).tolist()
-            values = rng.choice(pool, (sum(lengths), 4)).astype(dtype)
-            if dtype == np.complex128:
-                values.imag = rng.choice(pool, (sum(lengths), 4))
-            starts, spans = self.groups(lengths)
-            with np.errstate(invalid="ignore"):
-                expected = np.add.reduceat(values, starts, axis=0)
-                summed = integrands._sibling_sums(values.copy(), starts, spans)
-            (nan, bits), (expected_nan, expected_bits) = parts(summed), parts(expected)
-            assert np.array_equal(nan, expected_nan) and bits == expected_bits
-
-    def test_suffix_tree_spans_are_the_groups_after_their_first_rows(self):
-        starts, spans = self.groups([1, 3, 1, 2])
-        assert starts.tolist() == [0, 1, 4, 5]
-        assert spans == ((1, 2, 4), (3, 6, 7))

@@ -640,12 +640,11 @@ class TestBatchedEvaluation:
         assert calls  # the patched helper sat under the surrogates that ran
 
     def test_chunk_keeps_the_factored_sums_near_the_budget(self):
-        # moi_norm_a: three 4x4 operators; the widest suffix level of its
-        # factored sum holds one 4x4 complex matrix per node and sample
+        # moi_norm_a: three 4x4 operators; its factored sum holds two 4x4
+        # complex matrices per sample, the running sum and the term in hand
         exp = shipped_experiment("moi_norm_a")
-        width = max(len(level[0]) for level in exp.integrand.suffix_tree[1])
         chunk = harness._prepare(exp).chunk
-        assert 16 * width * 4 * 4 * chunk <= harness._CHUNK_BYTES
+        assert 16 * 2 * 4 * 4 * chunk <= harness._CHUNK_BYTES
         assert 16 * 12**3 * chunk > harness._CHUNK_BYTES  # no 12^3-point grid
 
     def test_kth_derivative_at_n32_is_not_budgeted_for_a_grid(self):

@@ -12,7 +12,6 @@ import pytest
 import moikit as mk
 from moikit import integrands
 from moikit.errors import CapabilityError, ValidationError
-from moikit.integrands import multiply_by_slot_variable
 
 import identities
 import oracles
@@ -510,19 +509,6 @@ class TestFactorTables:
 
 
 class TestHelpers:
-    def test_multiply_by_slot_variable(self):
-        psi = mk.SeparableIntegrand(
-            2, ((mk.ScalarFunction.monomial(1), mk.ScalarFunction.constant(1.0)),)
-        )
-        bumped = multiply_by_slot_variable(psi, 1)
-        assert bumped.evaluate((2.0, 3.0)) == pytest.approx(6.0)
-
-    def test_scaled_moves_into_first_factor(self):
-        psi = mk.SeparableIntegrand(
-            2, ((mk.ScalarFunction.monomial(1), mk.ScalarFunction.monomial(1)),)
-        )
-        assert psi.scaled(-2.0).evaluate((1.0, 3.0)) == pytest.approx(-6.0)
-
     @pytest.mark.parametrize("arity", [2.0, True, 0, np.float64(2.0)],
                              ids=["float", "boolean", "zero", "numpy-float"])
     @pytest.mark.parametrize("kind", ["separable", "constant", "multivariate"])
@@ -535,6 +521,17 @@ class TestHelpers:
         }[kind]
         with pytest.raises(ValidationError, match="^integrand arity must be a positive integer$"):
             build()
+
+    @pytest.mark.parametrize("terms, message", [
+        (lambda one: ((lambda x: x,),), "term 0, slot 0"),
+        (lambda one: ((one, one), (one, 2.0)), "term 1, slot 1"),
+        (lambda one: ((np.array([0.0, 1.0]), one),), "term 0, slot 0"),
+    ], ids=["bare-callable", "float", "coefficient-array"])
+    def test_every_factor_must_be_a_scalar_function(self, terms, message):
+        terms = terms(mk.ScalarFunction.constant(1.0))
+        with pytest.raises(ValidationError,
+                           match=f"^{message}: factor must be a ScalarFunction$"):
+            mk.SeparableIntegrand(len(terms[0]), terms)
 
     def test_numpy_arities_are_read_as_ints(self):
         one = mk.ScalarFunction.constant(1.0)
@@ -1504,7 +1501,9 @@ class TestWordSup:
             (mk.ScalarFunction.polynomial([0.5, -1.0]), mk.ScalarFunction.constant(1.0)),
             (mk.ScalarFunction.monomial(2), mk.ScalarFunction.polynomial([0.0, 3.0, 1.0])),
         ))
-        for psi in (asymmetric, monomial_dd(5, 2).scaled(2.0)):
+        # a polynomial divided difference's terms with no words to sum
+        twin = mk.SeparableIntegrand(3, monomial_dd(5, 2, 2.0).terms)
+        for psi in (asymmetric, twin):
             axes = [axis] * psi.arity
             assert_bits(surrogate(psi, axes), grid_sups(psi, axes))
         assert calls == []

@@ -90,8 +90,38 @@ class TestToLinearProducts:
 
     @pytest.mark.parametrize("degree", [2.5, True])
     def test_degree_that_is_not_an_integer_is_rejected(self, degree):
-        with pytest.raises(ValidationError, match="term degrees must be integers"):
+        with pytest.raises(ValidationError, match="term degrees must be nonnegative integers"):
             mk.InnerPowerForm(2, ((degree, 1.0, (1.0, 0.0)),))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: mk.InnerPowerForm(2, ((1, math.nan, (1.0, 0.0)),)),
+         "term coefficients must be finite numbers"),
+        (lambda: mk.InnerPowerForm(2, ((1, 10**400, (1.0, 0.0)),)),
+         "term coefficients must be finite numbers"),
+        (lambda: mk.InnerPowerForm(2, ((1, 1.0, (True, 0.0)),)),
+         "direction entries must be finite numbers"),
+        (lambda: mk.InnerPowerForm(2, ((1, 1.0, (math.nan, 0.0)),)),
+         "direction entries must be finite numbers"),
+        (lambda: mk.InnerPowerForm(2, ((-1, 1.0, (1.0, 0.0)),)),
+         "term degrees must be nonnegative integers"),
+        (lambda: mk.InnerPowerForm(1.5, ((1, 1.0, (1.0,)),)),
+         "form arity must be a positive integer"),
+        (lambda: mk.LinearProductForm(1, (((math.nan, 1.0),),)),
+         "factor entries must be finite numbers"),
+        (lambda: mk.LinearProductForm(1, (((False, 1.0),),)),
+         "factor entries must be finite numbers"),
+        (lambda: mk.LinearProductForm(1, (((10**400, 1.0),),)),
+         "factor entries must be finite numbers"),
+        (lambda: mk.LinearProductForm(0, (((1.0,),),)),
+         "form arity must be a positive integer"),
+        (lambda: mk.LinearProductForm(1.5, (((1.0, 1.0),),)),
+         "form arity must be a positive integer"),
+    ], ids=["nan-coefficient", "huge-coefficient", "boolean-direction", "nan-direction",
+            "negative-degree", "float-arity", "nan-factor", "boolean-factor", "huge-factor",
+            "zero-arity-product", "float-arity-product"])
+    def test_counts_and_numbers_are_checked(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
 
     def test_degree_zero_constant(self):
         form = mk.InnerPowerForm(2, ((0, -2.5, (1.0, 0.0)),))
